@@ -189,9 +189,7 @@
 // -tier-max-bytes bounds each disk store; the oldest entries are
 // evicted first. With no tier flags set, the tier is fully disabled
 // and responses are byte-identical to a build without it. Tier
-// counters appear under "tier" in /v1/stats. -tier-sim-steps
-// additionally spills simulator step artifacts (stateless steps only)
-// through the same tier, so a fleet shares /v1/simulate work too.
+// counters appear under "tier" in /v1/stats.
 //
 // # Fault tolerance and repair
 //
@@ -318,7 +316,6 @@ func main() {
 		tierMax     = flag.Int64("tier-max-bytes", 256<<20, "fleet tier disk store size bound in bytes")
 		tierRepair  = flag.Duration("tier-repair", 0, "anti-entropy repair interval (0 disables; needs -tier-dir, -tier-peers, -tier-self)")
 		tierRepKeys = flag.Int("tier-repair-keys", 256, "max keys pulled per repair round")
-		tierSim     = flag.Bool("tier-sim-steps", false, "spill simulator step artifacts through the fleet tier")
 		tierSess    = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
 		faultSpec   = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed deriving the deterministic -faults schedule")
@@ -367,7 +364,6 @@ func main() {
 		TierSelf:       *tierSelf,
 		TierRepair:     *tierRepair,
 		TierRepairKeys: *tierRepKeys,
-		TierSimSteps:   *tierSim,
 		TierSessions:   *tierSess,
 		Faults:         injector,
 		MaxSessions:    *maxSessions,

@@ -248,11 +248,33 @@ func TestDeadlineBudgetShedsUpFront(t *testing.T) {
 	r := postTenant(t, ts.URL+"/v1/partition", "", 1, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
 	checkShedResponse(t, r, admit.ReasonDeadline)
 
+	// Budgets too large for a Duration are "no useful cap", not a tiny
+	// or negative one: unchecked, the first wraps to 0.45ms (shed here,
+	// or a 504 once admitted) and the second wraps negative. Both must
+	// queue behind the holder and then run to a 200.
+	for i, ms := range []int{18446744073710, 9223372036855} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := testHierarchy(2 + i)
+			r := postTenant(t, ts.URL+"/v1/partition", "", ms, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
+			if r.StatusCode != http.StatusOK {
+				t.Errorf("%s: %d = status %d (shed %q), want 200", DeadlineHeader, ms, r.StatusCode, r.Header.Get(ShedHeader))
+			}
+		}()
+	}
+	// Bounded: a request wrongly shed never queues (and has already
+	// reported its status above).
+	for end := time.Now().Add(5 * time.Second); srv.Admission().Stats().Queued != 2 && time.Now().Before(end); {
+		time.Sleep(100 * time.Microsecond)
+	}
+
 	close(holderGo)
 	wg.Wait()
-	// Only the holder computed; the doomed request never did.
-	if _, misses, _ := srv.Cache().Stats(); misses != 1 {
-		t.Errorf("partitioner executions = %d, want 1 (doomed request must not compute)", misses)
+	// The holder and the two oversized-budget requests computed; the
+	// doomed request never did.
+	if _, misses, _ := srv.Cache().Stats(); misses != 3 {
+		t.Errorf("partitioner executions = %d, want 3 (doomed request must not compute)", misses)
 	}
 	if st := srv.Admission().Stats(); st.ShedDeadline != 1 {
 		t.Errorf("shed_deadline = %d, want 1", st.ShedDeadline)

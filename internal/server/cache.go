@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-
 	"samr/internal/geom"
 	"samr/internal/memo"
 	"samr/internal/partition"
@@ -36,78 +34,16 @@ const (
 	CacheTier = memo.TierHit
 )
 
-// PartitionCache is a bounded LRU of partitioning results shared by
+// PartitionCache is the bounded LRU of partitioning results shared by
 // every request the server handles, with singleflight coalescing of
-// concurrent identical misses: while one request computes a key, every
-// other request for the same key waits for that result instead of
-// recomputing it. Stored assignments are treated as immutable by all
-// readers. It is a thin domain wrapper over the process-shared
-// memoization substrate (internal/memo), which also carries the
-// in-process unit-chain caches under the partitioners.
-type PartitionCache struct {
-	inner *memo.Cache[CacheKey, *partition.Assignment]
-}
+// concurrent identical misses: the process-shared memoization
+// substrate (internal/memo) instantiated at the server's key and value.
+// Stored assignments are treated as immutable by all readers, and
+// misses count actual partitioner executions through GetOrCompute.
+type PartitionCache = memo.Cache[CacheKey, *partition.Assignment]
 
 // NewPartitionCache returns a cache holding at most capacity results
 // (minimum 1).
 func NewPartitionCache(capacity int) *PartitionCache {
-	return &PartitionCache{inner: memo.New[CacheKey, *partition.Assignment](capacity)}
+	return memo.New[CacheKey, *partition.Assignment](capacity)
 }
-
-// SetOnFlight installs the test-only singleflight instrumentation
-// hook: it is called after a GetOrCompute call registers as a key's
-// compute leader (leader=true) or joins an existing flight (false).
-func (c *PartitionCache) SetOnFlight(hook func(k CacheKey, leader bool)) {
-	c.inner.SetOnFlight(hook)
-}
-
-// Get returns the cached assignment for k, updating recency and the
-// hit counter. A miss is not counted here: miss accounting belongs to
-// GetOrCompute, where a miss implies an execution.
-func (c *PartitionCache) Get(k CacheKey) (*partition.Assignment, bool) {
-	return c.inner.Get(k)
-}
-
-// GetOrCompute returns the assignment for k, computing it at most once
-// across concurrent callers: a stored result is a hit; the first caller
-// of an uncached key becomes the leader, runs compute, and stores the
-// result (a miss); callers arriving while that compute is in flight
-// wait for it and share its result (shared). A leader whose compute
-// fails — cancellation is the only error source — reports its error
-// only to itself and to the followers whose own ctx is also dead;
-// followers with a live ctx simply retry, so one client's cancellation
-// never poisons another's request. The returned disposition is one of
-// CacheHit, CacheMiss, CacheShared.
-func (c *PartitionCache) GetOrCompute(ctx context.Context, k CacheKey, compute func() (*partition.Assignment, error)) (*partition.Assignment, string, error) {
-	return c.inner.GetOrCompute(ctx, k, compute)
-}
-
-// Add stores a (idempotently: a concurrent duplicate compute simply
-// refreshes the entry) and evicts the least recently used entry past
-// capacity.
-func (c *PartitionCache) Add(k CacheKey, a *partition.Assignment) {
-	c.inner.Add(k, a)
-}
-
-// Len returns the number of cached results.
-func (c *PartitionCache) Len() int { return c.inner.Len() }
-
-// Capacity returns the cache bound.
-func (c *PartitionCache) Capacity() int { return c.inner.Capacity() }
-
-// SetTier installs the second-level cache consulted by a compute
-// leader before running the partitioner (nil disables; set during
-// construction, before the cache serves requests).
-func (c *PartitionCache) SetTier(t memo.Tier[CacheKey, *partition.Assignment]) {
-	c.inner.SetTier(t)
-}
-
-// Stats returns the cumulative hit, miss, and shared (coalesced) counts.
-// Misses equal actual partitioner executions through GetOrCompute.
-func (c *PartitionCache) Stats() (hits, misses, shared uint64) {
-	return c.inner.Stats()
-}
-
-// TierHits returns the number of GetOrCompute calls answered by the
-// second-level tier instead of a partitioner execution.
-func (c *PartitionCache) TierHits() uint64 { return c.inner.TierHits() }

@@ -140,10 +140,6 @@ type Config struct {
 	TierRepair time.Duration
 	// TierRepairKeys bounds keys pulled per repair round (default 256).
 	TierRepairKeys int
-	// TierSimSteps additionally spills simulator step artifacts
-	// through the fleet tier (stateless steps only; the step cache is
-	// process-wide, so the last server wired wins).
-	TierSimSteps bool
 	// TierSessions makes streaming sessions fleet-resumable: after
 	// every committed step the session's state is snapshotted through
 	// the tier's store/offer path, and a step or delete naming a token
@@ -248,8 +244,14 @@ type Server struct {
 // TraceDir is not.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.TierSessions && !tierEnabled(cfg) {
-		return nil, fmt.Errorf("server: TierSessions requires the fleet tier (set TierDir and/or TierPeers)")
+	if !tierEnabled(cfg) {
+		// Fail fast on settings that would otherwise be silently off.
+		switch {
+		case cfg.TierSessions:
+			return nil, fmt.Errorf("server: TierSessions requires the fleet tier (set TierDir and/or TierPeers)")
+		case cfg.TierRepair > 0:
+			return nil, fmt.Errorf("server: TierRepair requires the fleet tier (set TierDir and/or TierPeers)")
+		}
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -271,19 +273,19 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/select", s.instrument("select", admit.Interactive, s.handleSelect))
-	s.mux.HandleFunc("POST /v1/partition", s.instrument("partition", admit.Interactive, s.handlePartition))
-	s.mux.HandleFunc("POST /v1/simulate", s.instrument("simulate", admit.Batch, s.handleSimulate))
+	s.mux.HandleFunc("POST /v1/select", s.route(s.counters("select"), admit.Interactive, s.handleSelect))
+	s.mux.HandleFunc("POST /v1/partition", s.route(s.counters("partition"), admit.Interactive, s.handlePartition))
+	s.mux.HandleFunc("POST /v1/simulate", s.route(s.counters("simulate"), admit.Batch, s.handleSimulate))
 	// Session endpoints run behind the same middleware chain as the
 	// one-shot compute endpoints (body limit -> admission -> deadline,
 	// Interactive class), but account into the session table rather
 	// than the per-endpoint map, so an unused session layer leaves
 	// /v1/stats byte-identical to a sessionless build.
-	s.mux.HandleFunc("POST /v1/session", s.instrumented(&s.sessions.http, admit.Interactive, s.handleSessionCreate))
-	s.mux.HandleFunc("POST /v1/session/{id}/step", s.instrumented(&s.sessions.http, admit.Interactive, s.handleSessionStep))
-	s.mux.HandleFunc("DELETE /v1/session/{id}", s.instrumented(&s.sessions.http, admit.Interactive, s.handleSessionDelete))
-	s.mux.HandleFunc("GET /v1/traces", s.observe("traces", s.handleTraces))
-	s.mux.HandleFunc("GET /v1/stats", s.observe("stats", s.handleStats))
+	s.mux.HandleFunc("POST /v1/session", s.route(&s.sessions.http, admit.Interactive, s.handleSessionCreate))
+	s.mux.HandleFunc("POST /v1/session/{id}/step", s.route(&s.sessions.http, admit.Interactive, s.handleSessionStep))
+	s.mux.HandleFunc("DELETE /v1/session/{id}", s.route(&s.sessions.http, admit.Interactive, s.handleSessionDelete))
+	s.mux.HandleFunc("GET /v1/traces", s.route(s.counters("traces"), unguarded, s.handleTraces))
+	s.mux.HandleFunc("GET /v1/stats", s.route(s.counters("stats"), unguarded, s.handleStats))
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n")) //nolint:errcheck
 	})
@@ -323,17 +325,13 @@ func (s *Server) SetOnAdmit(hook func(admit.Event) error) {
 func (s *Server) BeginShutdown() { s.shuttingDown.Store(true) }
 
 // Close releases the server's background work: it stops the repair
-// loop (waiting for an in-flight round to notice) and unhooks the
-// process-wide simulator step tier if this server installed it. Safe
-// to call on a server without either; the daemon calls it after the
-// HTTP drain, tests via t.Cleanup.
+// loop (waiting for an in-flight round to notice). Safe to call on a
+// server without one; the daemon calls it after the HTTP drain, tests
+// via t.Cleanup.
 func (s *Server) Close() {
 	if s.repairCancel != nil {
 		s.repairCancel()
 		<-s.repairDone
-	}
-	if s.cfg.TierSimSteps {
-		sim.SetStepTier(nil)
 	}
 }
 
@@ -344,21 +342,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// instrument wraps a compute handler with, in order: the per-endpoint
-// request/error counters and in-flight gauge, admission control (when
-// enabled), the per-request deadline (Config.RequestTimeout capped
-// further by any X-Samr-Deadline-Ms budget), and the pool dispatch
-// class for every fan-out below the handler.
-func (s *Server) instrument(name string, pri admit.Priority, h http.HandlerFunc) http.HandlerFunc {
-	es := &endpointStats{}
-	s.endpoints[name] = es
-	return s.instrumented(es, pri, h)
+// unguarded is route's "no admission class": the read-only and
+// peer-protocol endpoints, which must keep answering while the compute
+// path sheds load (a shed daemon can still report stats and serve its
+// disk store), so they bypass admission and the deadline.
+const unguarded admit.Priority = -1
+
+// counters returns the named entry of the /v1/stats endpoint map,
+// creating it on first use; routes registered under one name (the
+// tier's GET/PUT/manifest) share one counter pair.
+func (s *Server) counters(name string) *endpointStats {
+	es := s.endpoints[name]
+	if es == nil {
+		es = &endpointStats{}
+		s.endpoints[name] = es
+	}
+	return es
 }
 
-// instrumented is instrument with caller-owned counters: the session
-// endpoints account into the session table instead of the stats
-// endpoint map, everything else is identical.
-func (s *Server) instrumented(es *endpointStats, pri admit.Priority, h http.HandlerFunc) http.HandlerFunc {
+// route wraps a handler with the request/error counters es and the
+// in-flight gauge and, unless pri is unguarded, in order: admission
+// control at class pri (when enabled), the per-request deadline
+// (Config.RequestTimeout capped further by any X-Samr-Deadline-Ms
+// budget), and the pool dispatch class for every fan-out below the
+// handler.
+func (s *Server) route(es *endpointStats, pri admit.Priority, h http.HandlerFunc) http.HandlerFunc {
 	class := pool.Interactive
 	if pri == admit.Batch {
 		class = pool.Batch
@@ -373,6 +381,10 @@ func (s *Server) instrumented(es *endpointStats, pri admit.Priority, h http.Hand
 				es.errors.Add(1)
 			}
 		}()
+		if pri == unguarded {
+			h(sw, r)
+			return
+		}
 
 		budget := deadlineBudget(r)
 		if s.admit != nil {
@@ -404,38 +416,16 @@ func (s *Server) instrumented(es *endpointStats, pri admit.Priority, h http.Hand
 	}
 }
 
-// observe wraps a read-only endpoint with counters only: observability
-// must keep answering while the compute path sheds load, so these
-// endpoints bypass admission and the deadline. Handlers registered
-// under the same name (the tier's GET/PUT/manifest routes) share one
-// counter pair.
-func (s *Server) observe(name string, h http.HandlerFunc) http.HandlerFunc {
-	es := s.endpoints[name]
-	if es == nil {
-		es = &endpointStats{}
-		s.endpoints[name] = es
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		es.requests.Add(1)
-		s.inFlight.Add(1)
-		defer s.inFlight.Add(-1)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		if sw.code >= 400 {
-			es.errors.Add(1)
-		}
-	}
-}
-
 // deadlineBudget parses the client-declared X-Samr-Deadline-Ms budget
-// (0 when absent or invalid).
+// (0 when absent, invalid, or too large to be a Duration — a budget of
+// 292 years caps nothing, and multiplying it out would wrap).
 func deadlineBudget(r *http.Request) time.Duration {
 	v := r.Header.Get(DeadlineHeader)
 	if v == "" {
 		return 0
 	}
 	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 		return 0
 	}
 	return time.Duration(ms) * time.Millisecond
@@ -637,20 +627,12 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	name := canonical.Name()
 	results := make([]PartitionResult, len(hs))
 	err = pool.MapCtx(ctx, pool.Workers(), len(hs), func(i int) error {
-		h := hs[i]
-		key := CacheKey{Sig: hierarchySignature(h), Partitioner: name, NProcs: req.NProcs}
-		a, disp, err := s.cache.GetOrCompute(ctx, key, func() (*partition.Assignment, error) {
-			// A fresh instance per unit keeps stateful wrappers
-			// (postmap) from sharing state across goroutines and keeps
-			// every cached result a pure function of its key. The spec
-			// already parsed once, so this cannot fail.
-			p, _ := ParsePartitioner(req.Partitioner)
-			return p.Partition(ctx, h, req.NProcs)
-		})
+		sig := hierarchySignature(hs[i])
+		a, disp, err := s.partitionCached(ctx, hs[i], sig, name, req.NProcs)
 		if err != nil {
 			return err
 		}
-		results[i] = buildPartitionResult(h, key.Sig, name, req.NProcs, a, disp)
+		results[i] = buildPartitionResult(hs[i], sig, name, req.NProcs, a, disp)
 		return nil
 	})
 	if err != nil {
@@ -660,6 +642,24 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 	s.writeCacheHeaders(w, results)
 	writeJSON(w, http.StatusOK, PartitionResponse{Results: results})
+}
+
+// partitionCached is the one path from a hierarchy to its assignment
+// through the partition cache (hence singleflight and the fleet tier),
+// shared by the one-shot and session-step handlers. name is the
+// canonical partitioner name; each compute parses it into a fresh
+// instance (canonical names round-trip through the parser), which
+// keeps stateful wrappers (postmap) from sharing state across
+// goroutines and every cached result a pure function of its key.
+func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, name string, nprocs int) (*partition.Assignment, string, error) {
+	key := CacheKey{Sig: sig, Partitioner: name, NProcs: nprocs}
+	return s.cache.GetOrCompute(ctx, key, func() (*partition.Assignment, error) {
+		p, err := ParsePartitioner(name)
+		if err != nil {
+			return nil, err
+		}
+		return p.Partition(ctx, h, nprocs)
+	})
 }
 
 // sigScratch recycles the encoding buffers behind hierarchySignature:

@@ -139,8 +139,7 @@ func (t *sessionTable) lookup(id string) *session {
 	return sess
 }
 
-// put inserts a fresh session, expiring stale entries first and then
-// evicting the least recently used past the bound.
+// put inserts a fresh session, expiring stale entries first.
 func (t *sessionTable) put(sess *session) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -153,6 +152,13 @@ func (t *sessionTable) put(sess *session) {
 		t.removeLocked(s)
 		t.expired.Add(1)
 	}
+	t.insertLocked(sess, now)
+	t.created.Add(1)
+}
+
+// insertLocked makes sess the most recently used entry, evicting the
+// least recently used past the bound.
+func (t *sessionTable) insertLocked(sess *session, now time.Time) {
 	for len(t.sessions) >= t.max {
 		t.removeLocked(t.order.Back().Value.(*session))
 		t.evicted.Add(1)
@@ -160,7 +166,6 @@ func (t *sessionTable) put(sess *session) {
 	sess.lastUsed = now
 	sess.elem = t.order.PushFront(sess)
 	t.sessions[sess.id] = sess
-	t.created.Add(1)
 }
 
 // remove deletes id, reporting whether it was present and live.
@@ -195,8 +200,8 @@ func (t *sessionTable) removeLocked(sess *session) {
 func (t *sessionTable) restore(sess *session) *session {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	now := t.now()
 	if cur, ok := t.sessions[sess.id]; ok {
-		now := t.now()
 		if now.Sub(cur.lastUsed) <= t.ttl {
 			cur.lastUsed = now
 			t.order.MoveToFront(cur.elem)
@@ -205,13 +210,7 @@ func (t *sessionTable) restore(sess *session) *session {
 		t.removeLocked(cur)
 		t.expired.Add(1)
 	}
-	for len(t.sessions) >= t.max {
-		t.removeLocked(t.order.Back().Value.(*session))
-		t.evicted.Add(1)
-	}
-	sess.lastUsed = t.now()
-	sess.elem = t.order.PushFront(sess)
-	t.sessions[sess.id] = sess
+	t.insertLocked(sess, now)
 	t.resumed.Add(1)
 	return sess
 }
@@ -251,8 +250,10 @@ func newSessionID() string {
 
 // statefulSpec reports whether a canonical partitioner name names a
 // stateful (history-carrying) partitioner — the post-mapping wrapper.
-// Stateful session results bypass the partition cache and the fleet
-// tier: they are not pure functions of (signature, name, nprocs).
+// Its results are not pure functions of (signature, name, nprocs):
+// sessions run them on one long-lived instance past the partition
+// cache, and the fleet tier refuses their keys, since caching them
+// fleet-wide would serve one daemon's history to another.
 func statefulSpec(canonical string) bool {
 	return strings.HasPrefix(canonical, "postmap(")
 }
@@ -397,17 +398,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		// of the way. A cancelled call leaves that state untouched.
 		a, err = sess.part.Partition(ctx, next, sess.nprocs)
 	} else {
-		key := CacheKey{Sig: sig, Partitioner: sess.name, NProcs: sess.nprocs}
-		a, disp, err = s.cache.GetOrCompute(ctx, key, func() (*partition.Assignment, error) {
-			// A fresh instance per compute, exactly like the one-shot
-			// path: every cached result stays a pure function of its
-			// key. Canonical names round-trip through the parser.
-			p, perr := ParsePartitioner(sess.name)
-			if perr != nil {
-				return nil, perr
-			}
-			return p.Partition(ctx, next, sess.nprocs)
-		})
+		a, disp, err = s.partitionCached(ctx, next, sig, sess.name, sess.nprocs)
 	}
 	if err != nil {
 		writeFailure(w, err)

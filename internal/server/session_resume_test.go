@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"samr/internal/fault"
 	"samr/internal/tier"
@@ -19,11 +20,18 @@ import (
 // — headers, stats body, and the unknown-token 410 — is byte-identical
 // to a build without the resume layer.
 
-// TestTierSessionsRequiresTier pins the config contract: durable
-// sessions need somewhere durable to put them.
+// TestTierSessionsRequiresTier pins the config contract: the settings
+// that depend on the fleet tier — durable sessions need somewhere
+// durable to put them, repair needs a store to repair — fail fast
+// without one instead of starting quietly disabled.
 func TestTierSessionsRequiresTier(t *testing.T) {
-	if _, err := New(Config{TierSessions: true}); err == nil {
-		t.Fatal("TierSessions without a tier accepted")
+	for name, cfg := range map[string]Config{
+		"TierSessions": {TierSessions: true},
+		"TierRepair":   {TierRepair: 30 * time.Second},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s without a tier accepted", name)
+		}
 	}
 }
 

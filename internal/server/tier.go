@@ -3,13 +3,10 @@ package server
 import (
 	"context"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"samr/internal/partition"
-	"samr/internal/sim"
 	"samr/internal/tier"
 )
 
@@ -30,23 +27,16 @@ func tierKeyOf(k CacheKey) string {
 	return tier.Key(k.Sig.String(), k.Partitioner, strconv.Itoa(k.NProcs))
 }
 
-// tierExcluded reports whether k must bypass the tier. Postmap-wrapped
-// partitioners carry previous-assignment state, so equal keys do not
-// imply equal results; caching them fleet-wide would serve one
-// daemon's history to another.
-func tierExcluded(k CacheKey) bool {
-	return strings.HasPrefix(k.Partitioner, "postmap(")
-}
-
 // assignmentTier adapts a *tier.Tier (blobs) to the partition cache's
-// memo.Tier (assignments): it owns the key derivation, the codec, and
-// the corrupt-entry quarantine.
+// memo.Tier (assignments) — the one memo↔tier binding: it owns the key
+// derivation, the codec, the stateful-spec exclusion, and the
+// corrupt-entry quarantine.
 type assignmentTier struct {
 	t *tier.Tier
 }
 
 func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (*partition.Assignment, bool) {
-	if tierExcluded(k) {
+	if statefulSpec(k.Partitioner) {
 		return nil, false
 	}
 	key := tierKeyOf(k)
@@ -65,50 +55,10 @@ func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (*partition.Ass
 }
 
 func (at assignmentTier) Store(k CacheKey, a *partition.Assignment) {
-	if tierExcluded(k) {
+	if statefulSpec(k.Partitioner) {
 		return
 	}
 	at.t.Store(tierKeyOf(k), tier.EncodeAssignment(a))
-}
-
-// stepTierKeyOf derives the content-addressed fleet key for a
-// simulator step artifact. The "sim-step" prefix keeps the key space
-// disjoint from assignment keys (the codec kind byte would reject a
-// cross-read anyway); the machine model's four float64s enter the hash
-// bit-exactly.
-func stepTierKeyOf(k sim.StepTierKey) string {
-	m := k.Machine
-	return tier.Key("sim-step", k.Sig.String(), k.Partitioner, strconv.Itoa(k.NProcs),
-		strconv.FormatUint(math.Float64bits(m.CellTime), 16),
-		strconv.FormatUint(math.Float64bits(m.PointBandwidth), 16),
-		strconv.FormatUint(math.Float64bits(m.MessageLatency), 16),
-		strconv.FormatUint(math.Float64bits(m.MigrationBandwidth), 16))
-}
-
-// stepTier adapts a *tier.Tier to sim.StepTier, mirroring
-// assignmentTier: key derivation, the step-artifact codec, and the
-// corrupt-entry quarantine. Only stateless steps reach it — sim's step
-// cache never sees a postmap-wrapped partitioner.
-type stepTier struct {
-	t *tier.Tier
-}
-
-func (st stepTier) Lookup(ctx context.Context, k sim.StepTierKey) (*partition.Assignment, sim.StepMetrics, bool) {
-	key := stepTierKeyOf(k)
-	blob, ok := st.t.Lookup(ctx, key)
-	if !ok {
-		return nil, sim.StepMetrics{}, false
-	}
-	a, sm, err := tier.DecodeStepArtifact(blob)
-	if err != nil {
-		st.t.ReportCorrupt(key)
-		return nil, sim.StepMetrics{}, false
-	}
-	return a, sm, true
-}
-
-func (st stepTier) Store(k sim.StepTierKey, a *partition.Assignment, sm sim.StepMetrics) {
-	st.t.Store(stepTierKeyOf(k), tier.EncodeStepArtifact(a, sm))
 }
 
 // tierEnabled reports whether the config asks for a tier at all.
@@ -136,14 +86,11 @@ func (s *Server) initTier() error {
 	}
 	s.tier = t
 	s.cache.SetTier(assignmentTier{t: t})
-	if s.cfg.TierSimSteps {
-		sim.SetStepTier(stepTier{t: t})
-	}
-	// The peer protocol is observability-class: it must keep answering
-	// while the compute path sheds load (a shed daemon can still serve
-	// its disk store), so it bypasses admission like /v1/stats does.
-	s.mux.HandleFunc("GET /v1/tier/{key}", s.observe("tier", s.handleTierGet))
-	s.mux.HandleFunc("PUT /v1/tier/{key}", s.observe("tier", s.handleTierPut))
+	// The peer protocol is unguarded like /v1/stats, under one shared
+	// counter pair.
+	es := s.counters("tier")
+	s.mux.HandleFunc("GET /v1/tier/{key}", s.route(es, unguarded, s.handleTierGet))
+	s.mux.HandleFunc("PUT /v1/tier/{key}", s.route(es, unguarded, s.handleTierPut))
 	if s.cfg.TierRepair > 0 {
 		rep, err := tier.NewRepairer(t, tier.RepairConfig{
 			Interval:        s.cfg.TierRepair,
@@ -155,7 +102,7 @@ func (s *Server) initTier() error {
 		s.repairer = rep
 		// The literal "manifest" segment outranks the {key} wildcard in
 		// the mux, and no valid key collides with it (keys are 64 hex).
-		s.mux.HandleFunc("GET /v1/tier/manifest", s.observe("tier", s.handleTierManifest))
+		s.mux.HandleFunc("GET /v1/tier/manifest", s.route(es, unguarded, s.handleTierManifest))
 		ctx, cancel := context.WithCancel(context.Background())
 		s.repairCancel = cancel
 		s.repairDone = make(chan struct{})

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"samr/internal/sim"
 	"samr/internal/tier"
 )
 
@@ -370,43 +369,6 @@ func TestSelfHealingOffWireIdentity(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s: repair-less GET /v1/tier/manifest = %d, want 404", m.url, resp.StatusCode)
 		}
-	}
-}
-
-// TestSimStepTierEquivalence pins the step-spill contract: a simulation
-// whose step artifacts are served from the fleet tier is byte-identical
-// to the fresh compute, and to a tier-less run.
-func TestSimStepTierEquivalence(t *testing.T) {
-	srv, ts := newTestServer(t, Config{TierDir: t.TempDir(), TierSimSteps: true})
-	t.Cleanup(srv.Close)
-	srv.Registry().Register("synthetic", testTrace(6))
-	req := SimulateRequest{Trace: "synthetic", Partitioner: "domain", NProcs: 4, IncludeSteps: true}
-
-	r1 := post(t, ts.URL+"/v1/simulate", req, nil)
-	body1, _ := io.ReadAll(r1.Body)
-
-	// Drop the process-wide step memo: the only warm copy of every step
-	// artifact is now the tier's disk store.
-	sim.FlushStepCaches()
-	r2 := post(t, ts.URL+"/v1/simulate", req, nil)
-	body2, _ := io.ReadAll(r2.Body)
-	if string(body1) != string(body2) {
-		t.Errorf("tier-served simulation differs from fresh compute\n got: %s\nwant: %s", body2, body1)
-	}
-	if st := srv.Tier().Stats(); st.DiskHits == 0 || st.Stores == 0 {
-		t.Errorf("step artifacts never moved through the tier: %+v", st)
-	}
-
-	// A tier-less recompute agrees too: the tier moved bytes, never
-	// changed a step. Close unhooks the process-wide step tier first.
-	srv.Close()
-	sim.FlushStepCaches()
-	srv2, ts2 := newTestServer(t, Config{})
-	srv2.Registry().Register("synthetic", testTrace(6))
-	r3 := post(t, ts2.URL+"/v1/simulate", req, nil)
-	body3, _ := io.ReadAll(r3.Body)
-	if string(body1) != string(body3) {
-		t.Errorf("tier-less simulation differs from tier-backed run\n got: %s\nwant: %s", body3, body1)
 	}
 }
 

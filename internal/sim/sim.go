@@ -493,64 +493,6 @@ func flushStepCaches() {
 	migCache.Flush()
 }
 
-// FlushStepCaches drops the process-wide step and migration caches.
-// Exported for tests outside this package (the server's tier
-// equivalence suite) that need a cold local cache to prove a result
-// was served from elsewhere.
-func FlushStepCaches() { flushStepCaches() }
-
-// StepTierKey identifies one stateless simulator step fleet-wide: the
-// hierarchy content signature, the partitioner's canonical memo key,
-// the processor count, and the machine model. Equal keys imply
-// bit-identical artifacts — the same contract as the local step cache.
-type StepTierKey struct {
-	Sig         geom.Signature
-	Partitioner string
-	NProcs      int
-	Machine     Machine
-}
-
-// StepTier is the pluggable second-level cache behind the step cache's
-// miss path, mirroring memo.Tier: Lookup reports a miss on any
-// failure, Store is best-effort, and values must be pure functions of
-// their key, immutable to every reader. Only stateless steps ever
-// reach it — stateful (post-mapped) partitioners bypass the step cache
-// entirely, so the tier inherits that exclusion. The stored metrics
-// carry the per-run fields (Step, Migration, the migration share of
-// EstTime) unset, exactly as the local cache holds them.
-type StepTier interface {
-	Lookup(ctx context.Context, k StepTierKey) (*partition.Assignment, StepMetrics, bool)
-	Store(k StepTierKey, a *partition.Assignment, sm StepMetrics)
-}
-
-// stepTierAdapter bridges a StepTier into the step cache's memo.Tier
-// slot, translating the unexported key/artifact types.
-type stepTierAdapter struct{ t StepTier }
-
-func (ad stepTierAdapter) Lookup(ctx context.Context, k stepKey) (stepArtifact, bool) {
-	a, sm, ok := ad.t.Lookup(ctx, StepTierKey{Sig: k.sig, Partitioner: k.name, NProcs: k.nprocs, Machine: k.m})
-	if !ok || a == nil {
-		return stepArtifact{}, false
-	}
-	return stepArtifact{a: a, sm: sm}, true
-}
-
-func (ad stepTierAdapter) Store(k stepKey, v stepArtifact) {
-	ad.t.Store(StepTierKey{Sig: k.sig, Partitioner: k.name, NProcs: k.nprocs, Machine: k.m}, v.a, v.sm)
-}
-
-// SetStepTier installs (nil: removes) the second-level cache behind
-// the process-wide step cache. The step cache is shared by every
-// simulation in the process, so the last installation wins; the server
-// wires this when -tier-sim-steps is set and removes it on Close.
-func SetStepTier(t StepTier) {
-	if t == nil {
-		stepCache.SetTier(nil)
-		return
-	}
-	stepCache.SetTier(stepTierAdapter{t: t})
-}
-
 // encBufPool recycles hierarchy-encoding buffers across the signature
 // fan-out, so bulk hashing stops allocating per snapshot.
 var encBufPool = sync.Pool{New: func() any { return new([]byte) }}

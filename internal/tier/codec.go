@@ -14,10 +14,10 @@
 //
 // Tier composes them into the memo.Tier shape (Lookup consults disk
 // then the key's owner peer; Store writes disk and offers the blob to
-// the owner), and the codec gives partition assignments and simulator
-// step artifacts a versioned, checksummed binary encoding, so a
-// corrupt or truncated entry — disk bit-rot, a torn peer response —
-// degrades to a cache miss, never a wrong answer.
+// the owner), and the codec gives partition assignments and session
+// snapshots a versioned, checksummed binary encoding, so a corrupt or
+// truncated entry — disk bit-rot, a torn peer response — degrades to a
+// cache miss, never a wrong answer.
 //
 // The tier is an optimization layer by contract: every failure path
 // (peer down, circuit open, corrupt blob, disk error) reports a miss
@@ -30,21 +30,20 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
 	"samr/internal/partition"
-	"samr/internal/sim"
 )
 
 // Blob kinds carried by the codec (one byte on the wire).
 const (
 	// KindAssignment is a partition.Assignment blob.
 	KindAssignment byte = 1
-	// KindStepArtifact is a simulator step artifact: an assignment
-	// plus its evaluated per-run-independent step metrics.
-	KindStepArtifact byte = 2
+	// Kind byte 2 carried simulator step artifacts until that tier
+	// binding was retired. It stays reserved and is never reused: old
+	// disk dirs and mixed-version peers may still hold such blobs, which
+	// pass the envelope check and fail every typed decoder as a miss.
 	// KindSessionSnapshot is a streaming-session snapshot: everything a
 	// peer needs to resume a session under the same token (see
 	// SessionSnapshot).
@@ -114,23 +113,32 @@ func Open(blob []byte) (payload []byte, kind byte, err error) {
 	return body[headerLen:], blob[5], nil
 }
 
+// appendBox appends one box: dim plus every MaxDim lo/hi component, so
+// padding conventions round-trip bit-exactly.
+func appendBox(buf []byte, b geom.Box) []byte {
+	buf = binary.AppendUvarint(buf, uint64(b.Dim))
+	for d := 0; d < geom.MaxDim; d++ {
+		buf = binary.AppendVarint(buf, int64(b.Lo[d]))
+	}
+	for d := 0; d < geom.MaxDim; d++ {
+		buf = binary.AppendVarint(buf, int64(b.Hi[d]))
+	}
+	return buf
+}
+
+// boxMinBytes is the least encoded size of one box: 1 + 2*MaxDim
+// single-byte varints.
+const boxMinBytes = 1 + 2*geom.MaxDim
+
 // appendAssignment appends the canonical payload encoding of a:
-// NumProcs, fragment count, then each fragment's level, owner, and box
-// (dim plus every MaxDim lo/hi component, so padding conventions
-// round-trip bit-exactly).
+// NumProcs, fragment count, then each fragment's level, owner, and box.
 func appendAssignment(buf []byte, a *partition.Assignment) []byte {
 	buf = binary.AppendUvarint(buf, uint64(a.NumProcs))
 	buf = binary.AppendUvarint(buf, uint64(len(a.Fragments)))
 	for _, f := range a.Fragments {
 		buf = binary.AppendUvarint(buf, uint64(f.Level))
 		buf = binary.AppendUvarint(buf, uint64(f.Owner))
-		buf = binary.AppendUvarint(buf, uint64(f.Box.Dim))
-		for d := 0; d < geom.MaxDim; d++ {
-			buf = binary.AppendVarint(buf, int64(f.Box.Lo[d]))
-		}
-		for d := 0; d < geom.MaxDim; d++ {
-			buf = binary.AppendVarint(buf, int64(f.Box.Hi[d]))
-		}
+		buf = appendBox(buf, f.Box)
 	}
 	return buf
 }
@@ -168,19 +176,6 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-func (r *reader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.err = corrupt("short float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
-}
-
 // count validates a declared element count against the bytes actually
 // remaining (each element takes at least minBytes), bounding
 // allocations on crafted or damaged payloads.
@@ -195,10 +190,22 @@ func (r *reader) count(n uint64, minBytes int) int {
 	return int(n)
 }
 
+func (r *reader) box() geom.Box {
+	var b geom.Box
+	b.Dim = int(r.uvarint())
+	for d := 0; d < geom.MaxDim; d++ {
+		b.Lo[d] = int(r.varint())
+	}
+	for d := 0; d < geom.MaxDim; d++ {
+		b.Hi[d] = int(r.varint())
+	}
+	return b
+}
+
 func (r *reader) assignment() *partition.Assignment {
 	a := &partition.Assignment{NumProcs: int(r.uvarint())}
-	// A fragment is >= 3 + 2*MaxDim single-byte varints.
-	n := r.count(r.uvarint(), 3+2*geom.MaxDim)
+	// A fragment is level, owner, and a box: >= 2 + boxMinBytes.
+	n := r.count(r.uvarint(), 2+boxMinBytes)
 	if r.err != nil {
 		return nil
 	}
@@ -209,13 +216,7 @@ func (r *reader) assignment() *partition.Assignment {
 		f := &a.Fragments[i]
 		f.Level = int(r.uvarint())
 		f.Owner = int(r.uvarint())
-		f.Box.Dim = int(r.uvarint())
-		for d := 0; d < geom.MaxDim; d++ {
-			f.Box.Lo[d] = int(r.varint())
-		}
-		for d := 0; d < geom.MaxDim; d++ {
-			f.Box.Hi[d] = int(r.varint())
-		}
+		f.Box = r.box()
 	}
 	if r.err != nil {
 		return nil
@@ -251,72 +252,6 @@ func DecodeAssignment(blob []byte) (*partition.Assignment, error) {
 	return a, nil
 }
 
-// appendStepMetrics appends every StepMetrics field in declaration
-// order; floats are fixed 8-byte little-endian bit patterns so the
-// round trip is bit-exact (NaN payloads included).
-func appendStepMetrics(buf []byte, sm *sim.StepMetrics) []byte {
-	buf = binary.AppendVarint(buf, int64(sm.Step))
-	buf = binary.AppendUvarint(buf, uint64(len(sm.Loads)))
-	for _, l := range sm.Loads {
-		buf = binary.AppendVarint(buf, l)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.Imbalance))
-	buf = binary.AppendVarint(buf, sm.IntraLevelComm)
-	buf = binary.AppendVarint(buf, sm.InterLevelComm)
-	buf = binary.AppendVarint(buf, sm.Messages)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.RelativeComm))
-	buf = binary.AppendVarint(buf, sm.Migration)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.RelativeMigration))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.EstTime))
-	return buf
-}
-
-func (r *reader) stepMetrics() sim.StepMetrics {
-	var sm sim.StepMetrics
-	sm.Step = int(r.varint())
-	n := r.count(r.uvarint(), 1)
-	if n > 0 {
-		sm.Loads = make([]int64, n)
-	}
-	for i := range sm.Loads {
-		sm.Loads[i] = r.varint()
-	}
-	sm.Imbalance = r.float()
-	sm.IntraLevelComm = r.varint()
-	sm.InterLevelComm = r.varint()
-	sm.Messages = r.varint()
-	sm.RelativeComm = r.float()
-	sm.Migration = r.varint()
-	sm.RelativeMigration = r.float()
-	sm.EstTime = r.float()
-	return sm
-}
-
-// EncodeStepArtifact seals a simulator step artifact — the assignment
-// that partitioned a snapshot plus its evaluated metrics — into one
-// blob, keyed fleet-wide by the same content addresses the in-process
-// step cache uses.
-func EncodeStepArtifact(a *partition.Assignment, sm sim.StepMetrics) []byte {
-	payload := appendAssignment(nil, a)
-	payload = appendStepMetrics(payload, &sm)
-	return seal(KindStepArtifact, payload)
-}
-
-// DecodeStepArtifact reverses EncodeStepArtifact.
-func DecodeStepArtifact(blob []byte) (*partition.Assignment, sim.StepMetrics, error) {
-	payload, err := open(KindStepArtifact, blob)
-	if err != nil {
-		return nil, sim.StepMetrics{}, err
-	}
-	r := &reader{buf: payload}
-	a := r.assignment()
-	sm := r.stepMetrics()
-	if err := r.done(); err != nil {
-		return nil, sim.StepMetrics{}, err
-	}
-	return a, sm, nil
-}
-
 // SessionSnapshot is the durable form of one streaming session — the
 // committed state a peer daemon needs to resume the session under the
 // same token after its owner dies: the current hierarchy geometry, the
@@ -342,36 +277,6 @@ type SessionSnapshot struct {
 	PrevHierarchy  *grid.Hierarchy
 	PrevAssignment *partition.Assignment
 }
-
-// appendBox appends one box: dim plus every MaxDim lo/hi component, the
-// same fragment convention appendAssignment uses, so padding
-// round-trips bit-exactly.
-func appendBox(buf []byte, b geom.Box) []byte {
-	buf = binary.AppendUvarint(buf, uint64(b.Dim))
-	for d := 0; d < geom.MaxDim; d++ {
-		buf = binary.AppendVarint(buf, int64(b.Lo[d]))
-	}
-	for d := 0; d < geom.MaxDim; d++ {
-		buf = binary.AppendVarint(buf, int64(b.Hi[d]))
-	}
-	return buf
-}
-
-func (r *reader) box() geom.Box {
-	var b geom.Box
-	b.Dim = int(r.uvarint())
-	for d := 0; d < geom.MaxDim; d++ {
-		b.Lo[d] = int(r.varint())
-	}
-	for d := 0; d < geom.MaxDim; d++ {
-		b.Hi[d] = int(r.varint())
-	}
-	return b
-}
-
-// boxMinBytes is the least encoded size of one box: 1 + 2*MaxDim
-// single-byte varints.
-const boxMinBytes = 1 + 2*geom.MaxDim
 
 // appendHierarchy appends h's geometry: domain, refinement ratio, and
 // every level's box list.

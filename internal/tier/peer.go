@@ -196,6 +196,66 @@ func retryAfter(r *http.Response) time.Duration {
 	return 0
 }
 
+// exchange is the one round trip behind Fetch, Put, and ManifestSince:
+// breaker gate → counter → fault point → retried request → status
+// class → breaker report. An injected error sends nothing and feeds
+// the breaker a failure; 429/503 retry under the peer's Retry-After;
+// every other status goes to handle, which consumes the ones its
+// caller understands and returns statusErr for the rest. ErrPeerMiss
+// from handle is the one error that reports the peer healthy. The
+// returned corrupt flag is the fault decision's: a request body is
+// damaged here (on a private copy — the caller's blob may also back
+// the local disk entry), a response body by the caller.
+func (c *PeerClient) exchange(ctx context.Context, peer, point string, count *atomic.Uint64,
+	method, url string, body []byte, handle func(*http.Response) error) (corrupt bool, err error) {
+	if !c.allowed(peer) {
+		return false, fmt.Errorf("tier: peer %s: breaker open", peer)
+	}
+	if count != nil {
+		count.Add(1)
+	}
+	d := c.faults.Hit(point)
+	d.Sleep()
+	if d.Err != nil {
+		c.report(peer, false)
+		return false, d.Err
+	}
+	if d.Corrupt && body != nil {
+		body = fault.Damage(append([]byte(nil), body...))
+	}
+	err = backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, peer+url, rd)
+		if err != nil {
+			return err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/octet-stream")
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			return backoff.Retryable(err)
+		}
+		defer func() {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for keep-alive
+			resp.Body.Close()
+		}()
+		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
+			return backoff.RetryableAfter(statusErr(peer, resp), retryAfter(resp))
+		}
+		return handle(resp)
+	})
+	c.report(peer, err == nil || err == ErrPeerMiss)
+	return d.Corrupt, err
+}
+
+func statusErr(peer string, resp *http.Response) error {
+	return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
+}
+
 // Get fetches key from peer. ok is false for misses and every failure
 // alike; the tier degrades to a local compute either way.
 func (c *PeerClient) Get(ctx context.Context, peer, key string) ([]byte, bool) {
@@ -211,58 +271,30 @@ func (c *PeerClient) Get(ctx context.Context, peer, key string) ([]byte, bool) {
 // distinction — a clean miss retires a remembered key, a failure must
 // not.
 func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error) {
-	if !c.allowed(peer) {
-		return nil, fmt.Errorf("tier: peer %s: breaker open", peer)
-	}
-	c.gets.Add(1)
-	d := c.faults.Hit(FaultPeerGet)
-	d.Sleep()
-	if d.Err != nil {
-		// An injected transport failure: no request is sent, the
-		// breaker sees a failure, the caller sees a miss.
-		c.report(peer, false)
-		return nil, d.Err
-	}
 	var blob []byte
-	err := backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/tier/"+key, nil)
-		if err != nil {
-			return err
+	corrupt, err := c.exchange(ctx, peer, FaultPeerGet, &c.gets, http.MethodGet, "/v1/tier/"+key, nil,
+		func(resp *http.Response) (err error) {
+			switch resp.StatusCode {
+			case http.StatusOK:
+				blob, err = io.ReadAll(io.LimitReader(resp.Body, maxPeerBlobBytes))
+				return err
+			case http.StatusNotFound:
+				return ErrPeerMiss
+			}
+			return statusErr(peer, resp)
+		})
+	if err != nil {
+		if err == ErrPeerMiss {
+			c.misses.Add(1)
 		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return backoff.Retryable(err)
-		}
-		defer resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			blob, err = io.ReadAll(io.LimitReader(resp.Body, maxPeerBlobBytes))
-			return err
-		case resp.StatusCode == http.StatusNotFound:
-			return ErrPeerMiss
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			return backoff.RetryableAfter(fmt.Errorf("tier: peer %s: %s", peer, resp.Status), retryAfter(resp))
-		default:
-			return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
-		}
-	})
-	switch err {
-	case nil:
-		c.report(peer, true)
-		if d.Corrupt {
-			// The fetched blob is this call's private copy; damage
-			// simulates on-the-wire corruption (the decoder quarantines).
-			fault.Damage(blob)
-		}
-		return blob, nil
-	case ErrPeerMiss:
-		c.report(peer, true)
-		c.misses.Add(1)
-		return nil, ErrPeerMiss
-	default:
-		c.report(peer, false)
 		return nil, err
 	}
+	if corrupt {
+		// The fetched blob is this call's private copy; damage
+		// simulates on-the-wire corruption (the decoder quarantines).
+		fault.Damage(blob)
+	}
+	return blob, nil
 }
 
 // ErrPeerMiss is Fetch's clean-miss sentinel: the peer answered and
@@ -272,43 +304,13 @@ var ErrPeerMiss = fmt.Errorf("tier: peer miss")
 // Put offers key's blob to peer, best-effort: the return value is
 // informational and no failure propagates to the caller's request.
 func (c *PeerClient) Put(ctx context.Context, peer, key string, blob []byte) bool {
-	if !c.allowed(peer) {
-		return false
-	}
-	c.puts.Add(1)
-	d := c.faults.Hit(FaultPeerPut)
-	d.Sleep()
-	if d.Err != nil {
-		c.report(peer, false)
-		return false
-	}
-	if d.Corrupt {
-		// Damage a private copy: the caller's blob may also back the
-		// local disk entry.
-		blob = fault.Damage(append([]byte(nil), blob...))
-	}
-	err := backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/v1/tier/"+key, bytes.NewReader(blob))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return backoff.Retryable(err)
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for keep-alive
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK:
-			return nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			return backoff.RetryableAfter(fmt.Errorf("tier: peer %s: %s", peer, resp.Status), retryAfter(resp))
-		default:
-			return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
-		}
-	})
-	c.report(peer, err == nil)
+	_, err := c.exchange(ctx, peer, FaultPeerPut, &c.puts, http.MethodPut, "/v1/tier/"+key, blob,
+		func(resp *http.Response) error {
+			if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK {
+				return nil
+			}
+			return statusErr(peer, resp)
+		})
 	return err == nil
 }
 
@@ -333,53 +335,30 @@ func (c *PeerClient) Manifest(ctx context.Context, peer string) ([]string, bool)
 // the caller must keep its cursor at 0 and treat every manifest as the
 // complete listing.
 func (c *PeerClient) ManifestSince(ctx context.Context, peer string, since uint64) (keys []string, gen uint64, ok bool) {
-	if !c.allowed(peer) {
-		return nil, 0, false
-	}
-	d := c.faults.Hit(FaultPeerManifest)
-	d.Sleep()
-	if d.Err != nil {
-		c.report(peer, false)
-		return nil, 0, false
-	}
-	url := peer + "/v1/tier/manifest"
+	url := "/v1/tier/manifest"
 	if since > 0 {
 		url += "?since=" + strconv.FormatUint(since, 10)
 	}
-	err := backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return backoff.Retryable(err)
-		}
-		defer resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			keys = keys[:0]
-			gen = 0
-			if g, perr := strconv.ParseUint(resp.Header.Get(ManifestGenHeader), 10, 64); perr == nil {
-				gen = g
-			}
-			sc := bufio.NewScanner(io.LimitReader(resp.Body, maxManifestBytes))
-			for sc.Scan() {
-				if key := strings.TrimSpace(sc.Text()); validKey(key) {
-					keys = append(keys, key)
-				}
-			}
-			return sc.Err()
-		case resp.StatusCode == http.StatusNotFound:
+	_, err := c.exchange(ctx, peer, FaultPeerManifest, nil, http.MethodGet, url, nil,
+		func(resp *http.Response) error {
 			keys, gen = keys[:0], 0
-			return nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			return backoff.RetryableAfter(fmt.Errorf("tier: peer %s: %s", peer, resp.Status), retryAfter(resp))
-		default:
-			return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
-		}
-	})
-	c.report(peer, err == nil)
+			switch resp.StatusCode {
+			case http.StatusOK:
+				if g, perr := strconv.ParseUint(resp.Header.Get(ManifestGenHeader), 10, 64); perr == nil {
+					gen = g
+				}
+				sc := bufio.NewScanner(io.LimitReader(resp.Body, maxManifestBytes))
+				for sc.Scan() {
+					if key := strings.TrimSpace(sc.Text()); validKey(key) {
+						keys = append(keys, key)
+					}
+				}
+				return sc.Err()
+			case http.StatusNotFound:
+				return nil
+			}
+			return statusErr(peer, resp)
+		})
 	if err != nil {
 		return nil, 0, false
 	}
