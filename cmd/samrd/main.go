@@ -209,15 +209,10 @@
 // rendezvous hashing from its peers (checksum-verified, bounded per
 // round by -tier-repair-keys), so a wiped or rejoined member converges
 // back to a warm shard within interval-plus-a-few-rounds instead of
-// serving cold forever. Manifests are fetched as deltas in the steady
-// state: the manifest endpoint accepts ?since=<generation> (the
-// store's write-generation counter, echoed in X-Samr-Manifest-Gen) and
-// answers only the keys written after that cursor; the full list
-// remains the fallback for first contact, an unparsable cursor, or a
-// peer whose store restarted. Repair is pull-only and idempotent;
-// enable it fleet-wide (a member without the flag still answers probes
-// but serves no manifest). With the flag unset nothing changes: no
-// route, no goroutine, stats byte-identical to a repair-less build.
+// serving cold forever. Repair is pull-only and idempotent; enable it
+// fleet-wide (a member without the flag still answers probes but
+// serves no manifest). With the flag unset nothing changes: no route,
+// no goroutine, stats byte-identical to a repair-less build.
 //
 // Operators watch the self-healing layer in /v1/stats under "tier":
 // "breakers" lists non-closed peer breakers (state and consecutive
@@ -235,8 +230,8 @@
 // gets 410 and re-creates elsewhere. -tier-sessions (requires the
 // fleet tier) makes sessions fleet-resumable: after every committed
 // step the daemon writes a sealed snapshot of the session — hierarchy,
-// incremental signature state, partitioner spec, processor count, and
-// any carried postmap history — through the tier's store/offer path,
+// its signature, partitioner spec, processor count, and any carried
+// postmap history — through the tier's store/offer path,
 // keyed by the session token, so the snapshot lands on the token's
 // rendezvous owner as well as the local disk store.
 //
@@ -244,9 +239,9 @@
 //
 // A daemon receiving a step (or delete) for a token it does not hold
 // then consults the tier before answering 410: on a snapshot hit it
-// rebuilds the session — re-validating the hierarchy and re-deriving
-// the signature state, which must match the snapshot byte-for-byte —
-// and serves the request under the same token, marking the response
+// rebuilds the session — re-validating the hierarchy and re-hashing
+// it, which must reproduce the snapshot's signature — and serves the
+// request under the same token, marking the response
 // with X-Samr-Session-Resumed: 1. Kill a fleet member mid-stream and
 // the client's next step lands on a peer and succeeds with the same
 // body the dead owner would have sent; postmap sessions carry their
@@ -271,12 +266,12 @@
 //
 // Points: disk.get, disk.put, peer.get, peer.put, peer.manifest in the
 // tier; session.snapshot.put, session.snapshot.get on the session
-// durability path; admit.accept, admit.shed in admission control; and
-// pool.dispatch in the worker pool. Modes are error, latency, corrupt,
-// enospc, scheduled by every/after/count/prob and derived purely from
-// -fault-seed (same seed, same schedule). The contract under any
-// schedule: degraded performance or a well-formed 429, never a wrong
-// byte or a malformed client-visible error.
+// durability path; and admit.accept, admit.shed in admission control
+// (a plan on any other name fails startup). Modes are error, latency,
+// corrupt, enospc, scheduled by every/after/count/prob and derived
+// purely from -fault-seed (same seed, same schedule). The contract
+// under any schedule: degraded performance or a well-formed 429, never
+// a wrong byte or a malformed client-visible error.
 package main
 
 import (
@@ -293,7 +288,6 @@ import (
 	"time"
 
 	"samr/internal/fault"
-	"samr/internal/pool"
 	"samr/internal/server"
 )
 
@@ -342,9 +336,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "samrd:", err)
 			os.Exit(1)
 		}
-		// The worker pool is package-level, so its dispatch injection
-		// point is armed process-wide rather than through server.Config.
-		pool.SetFaults(injector)
 	}
 
 	s, err := server.New(server.Config{

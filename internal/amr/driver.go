@@ -205,8 +205,11 @@ func (d *Driver) workers() int {
 // initPatches runs the kernel's initial condition on every patch.
 func (d *Driver) initPatches(patches []*field.Patch, level int) {
 	g := d.geometry(level)
-	pool.ForEach(d.workers(), len(patches), func(i int) {
+	// The background context never cancels and Init cannot fail, so
+	// there is no error to report.
+	_ = pool.MapCtx(context.Background(), d.workers(), len(patches), func(i int) error {
 		d.kernel.Init(patches[i], g)
+		return nil
 	})
 }
 

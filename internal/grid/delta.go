@@ -154,66 +154,6 @@ func restoreDigest(d hash.Hash, state []byte) bool {
 	return d.(encoding.BinaryUnmarshaler).UnmarshalBinary(state) == nil
 }
 
-// SignatureState is the portable form of a tracked hierarchy's
-// incremental signature cache: the per-level sub-digests, the sha256
-// midstates before each level, and the top signature. It is what a
-// session snapshot carries through the fleet tier so a resuming daemon
-// can cross-check that the hierarchy it rebuilt hashes to exactly the
-// state the owner committed.
-type SignatureState struct {
-	// Levels[l] is level l's sub-digest (LevelSignature(l)).
-	Levels []geom.Signature
-	// Mid[l] is the marshaled sha256 midstate before level l's bytes.
-	Mid [][]byte
-	// Top is the full-hierarchy signature.
-	Top geom.Signature
-}
-
-// ExportSignatureState snapshots the tracked signature cache, sharing
-// the (immutable) midstate slices. It reports false for an untracked
-// hierarchy.
-func (h *Hierarchy) ExportSignatureState() (SignatureState, bool) {
-	if h.sig == nil {
-		return SignatureState{}, false
-	}
-	return SignatureState{
-		Levels: append([]geom.Signature(nil), h.sig.levelDig...),
-		Mid:    append([][]byte(nil), h.sig.mid...),
-		Top:    h.sig.top,
-	}, true
-}
-
-// ImportSignatureState tracks h and verifies the rebuilt cache matches
-// st byte-for-byte: every per-level digest, every midstate, and the
-// top signature. sha256 midstates are deterministic, so any mismatch
-// means the geometry and the recorded signature state disagree — a
-// damaged or stale snapshot — and the hierarchy is left untracked with
-// an error so the caller treats it as a miss rather than resuming a
-// session whose signature lies about its content.
-func (h *Hierarchy) ImportSignatureState(st SignatureState) error {
-	h.TrackSignature()
-	c := h.sig
-	if len(st.Levels) != len(c.levelDig) || len(st.Mid) != len(c.mid) {
-		h.sig = nil
-		return fmt.Errorf("grid: signature state has %d levels, hierarchy has %d", len(st.Levels), len(c.levelDig))
-	}
-	if st.Top != c.top {
-		h.sig = nil
-		return fmt.Errorf("grid: signature state top %x does not match rebuilt %x", st.Top[:4], c.top[:4])
-	}
-	for l := range c.levelDig {
-		if st.Levels[l] != c.levelDig[l] {
-			h.sig = nil
-			return fmt.Errorf("grid: signature state level %d digest mismatch", l)
-		}
-		if string(st.Mid[l]) != string(c.mid[l]) {
-			h.sig = nil
-			return fmt.Errorf("grid: signature state level %d midstate mismatch", l)
-		}
-	}
-	return nil
-}
-
 // WithDelta returns a new hierarchy: the regrid state reached by
 // applying step to h, leaving h untouched. Entry l of step is level l
 // of the new state — kept (shared with h, which both states treat as

@@ -267,107 +267,3 @@ func BenchmarkSignatureDeltaVsFull(b *testing.B) {
 		}
 	})
 }
-
-// TestSignatureStateExportImport pins the resume handshake the session
-// snapshot rides on: exported state re-imports onto a bare-geometry
-// rebuild (nil error, tracked, identical signature), the imported
-// tracking keeps maintaining signatures incrementally, and any
-// disagreement between state and geometry — wrong hierarchy, damaged
-// midstate, wrong top — is rejected, leaving the hierarchy untracked.
-func TestSignatureStateExportImport(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		h := randomHierarchy(r)
-		h.TrackSignature()
-		// A few deltas first, so the exported midstates are the
-		// incrementally maintained ones, not a fresh full track.
-		for s := 0; s < 3; s++ {
-			next, err := h.WithDelta(randomDelta(r, h))
-			if err != nil {
-				t.Fatalf("trial %d: WithDelta: %v", trial, err)
-			}
-			h = next
-		}
-		st, ok := h.ExportSignatureState()
-		if !ok {
-			t.Fatalf("trial %d: tracked hierarchy exported nothing", trial)
-		}
-		// Clone drops tracking: exactly what a resuming daemon holds
-		// after decoding the snapshot's bare geometry.
-		fresh := h.Clone()
-		if fresh.Tracked() {
-			t.Fatal("clone carried tracking")
-		}
-		if err := fresh.ImportSignatureState(st); err != nil {
-			t.Fatalf("trial %d: import onto identical geometry: %v", trial, err)
-		}
-		if !fresh.Tracked() || fresh.Signature() != h.Signature() {
-			t.Fatalf("trial %d: import left a wrong state", trial)
-		}
-		// The imported cache keeps working incrementally and agrees
-		// with a cold re-hash.
-		d := randomDelta(r, fresh)
-		a, err := fresh.WithDelta(d)
-		if err != nil {
-			t.Fatalf("trial %d: post-import WithDelta: %v", trial, err)
-		}
-		b, err := h.WithDelta(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Signature() != b.Signature() || a.Signature() != coldSignature(a) {
-			t.Fatalf("trial %d: post-import signatures diverged", trial)
-		}
-	}
-
-	// Untracked hierarchies export nothing.
-	plain := NewHierarchy(geom.NewBox2(0, 0, 16, 16), 2)
-	if _, ok := plain.ExportSignatureState(); ok {
-		t.Fatal("untracked hierarchy exported a signature state")
-	}
-
-	// State from one hierarchy against another geometry: rejected, and
-	// the rejected hierarchy is left untracked.
-	r2 := rand.New(rand.NewSource(12))
-	h1 := randomHierarchy(r2)
-	h1.TrackSignature()
-	st1, _ := h1.ExportSignatureState()
-	var h2 *Hierarchy
-	for h2 == nil || h2.Signature() == h1.Signature() {
-		h2 = randomHierarchy(r2)
-	}
-	if err := h2.ImportSignatureState(st1); err == nil {
-		t.Fatal("foreign signature state imported cleanly")
-	}
-	if h2.Tracked() {
-		t.Fatal("failed import left the hierarchy tracked")
-	}
-
-	// Single-field damage: a flipped midstate byte and a flipped top
-	// byte are both rejected even though the geometry matches.
-	h3 := randomHierarchy(r2)
-	h3.TrackSignature()
-	st3, _ := h3.ExportSignatureState()
-	if len(st3.Mid) > 0 && len(st3.Mid[len(st3.Mid)-1]) > 0 {
-		damaged := st3
-		damaged.Mid = append([][]byte(nil), st3.Mid...)
-		last := append([]byte(nil), damaged.Mid[len(damaged.Mid)-1]...)
-		last[0] ^= 1
-		damaged.Mid[len(damaged.Mid)-1] = last
-		if err := h3.Clone().ImportSignatureState(damaged); err == nil {
-			t.Fatal("damaged midstate imported cleanly")
-		}
-	}
-	damaged := st3
-	damaged.Top[0] ^= 1
-	if err := h3.Clone().ImportSignatureState(damaged); err == nil {
-		t.Fatal("damaged top signature imported cleanly")
-	}
-	// Level-count mismatch is caught before any digest comparison.
-	short := st3
-	short.Levels = short.Levels[:len(short.Levels)-1]
-	short.Mid = short.Mid[:len(short.Mid)-1]
-	if err := h3.Clone().ImportSignatureState(short); err == nil {
-		t.Fatal("truncated signature state imported cleanly")
-	}
-}

@@ -79,8 +79,7 @@ type Cache[K comparable, V any] struct {
 
 	// tier, when set, is the second-level cache behind the miss path
 	// (fleet peers and/or disk). Nil means purely local behavior.
-	// Guarded by mu: process-wide caches (sim's step cache) swap it as
-	// servers come and go.
+	// Guarded by mu: SetTier may run while lookups are in flight.
 	tier Tier[K, V]
 
 	// onFlight, when set (tests only), is called outside the lock

@@ -23,6 +23,8 @@ package partition
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 
 	"samr/internal/geom"
@@ -30,6 +32,21 @@ import (
 	"samr/internal/memo"
 	"samr/internal/sfc"
 )
+
+// ErrDimension is the unit-chain partitioners' refusal of a hierarchy
+// that is not two-dimensional: DomainSFC and NatureFable (and
+// PostMapped over them) chop and curve-order the x-y plane only, so on
+// a volumetric hierarchy they would cover one slab of it and call that
+// an assignment.
+var ErrDimension = errors.New("unit-chain partitioners need a 2-D hierarchy")
+
+// check2D is the unit-chain partitioners' entry guard.
+func check2D(name string, h *grid.Hierarchy) error {
+	if h.Domain.Dim != 2 {
+		return fmt.Errorf("partition: %s: %w, got dim %d", name, ErrDimension, h.Domain.Dim)
+	}
+	return nil
+}
 
 // chainKey addresses one cached decomposition artifact: the hierarchy
 // content hash plus the curve and (clamped) atomic-unit size. The band

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -58,6 +59,40 @@ func TestAllPartitionersProduceValidAssignments(t *testing.T) {
 			a := mustPartition(t, p, h, np)
 			if err := a.Validate(h); err != nil {
 				t.Errorf("%s procs=%d: %v", p.Name(), np, err)
+			}
+		}
+	}
+}
+
+// TestVolumetricHierarchy is the same table internal/server pins on the
+// wire: on a 16³ domain with one refined 16³ patch the unit-chain
+// partitioners (and the post-mapping wrapper over them) refuse with
+// ErrDimension rather than cover one slab of it; patch-lpt covers it
+// exactly.
+func TestVolumetricHierarchy(t *testing.T) {
+	h := grid.NewHierarchy(geom.NewBox3(0, 0, 0, 16, 16, 16), 2)
+	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{geom.NewBox3(8, 8, 8, 24, 24, 24)}})
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p      Partitioner
+		refuse bool
+	}{
+		{NewDomainSFC(), true},
+		{NewNatureFable(), true},
+		{NewPostMapped(NewDomainSFC()), true},
+		{NewPatchBased(), false},
+	} {
+		a, err := tc.p.Partition(context.Background(), h, 8)
+		switch {
+		case tc.refuse && (!errors.Is(err, ErrDimension) || a != nil):
+			t.Errorf("%s: got (%v, %v), want ErrDimension and no assignment", tc.p.Name(), a, err)
+		case !tc.refuse && err != nil:
+			t.Errorf("%s: %v", tc.p.Name(), err)
+		case !tc.refuse:
+			if err := a.Validate(h); err != nil {
+				t.Errorf("%s: %v", tc.p.Name(), err)
 			}
 		}
 	}

@@ -10,31 +10,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"samr/internal/fault"
 )
 
 // Workers returns the default pool width: the process's GOMAXPROCS.
-// On a single-core runner this is 1 and every ForEach degrades to a
+// On a single-core runner this is 1 and every MapCtx degrades to a
 // plain loop with zero goroutine overhead.
 func Workers() int { return runtime.GOMAXPROCS(0) }
-
-// FaultDispatch is the pool's chaos injection point, consulted once
-// per MapCtx/RunCtx fan-out. Dispatch faults are performance
-// perturbations by design — they never fail a request: a latency
-// decision stalls the fan-out before dispatch, and an error decision
-// degrades it to serial execution on the calling goroutine (a pool
-// whose helpers are "lost"), exercising every code path above under
-// pathological scheduling while output stays bit-identical.
-const FaultDispatch = "pool.dispatch"
-
-// dispatchFaults is the armed injector. Pools are package-level, so
-// unlike the tier's per-instance injectors this is process-wide state.
-var dispatchFaults atomic.Pointer[fault.Injector]
-
-// SetFaults arms (or, with nil, disarms) the pool's injection points —
-// tests and the -faults flag only; the last caller wins process-wide.
-func SetFaults(in *fault.Injector) { dispatchFaults.Store(in) }
 
 // active counts helper goroutines currently running across every pool
 // in the process; it caps total pool width at GOMAXPROCS even when
@@ -87,75 +68,22 @@ func ClassOf(ctx context.Context) Class {
 // the freed budget flows to the interactive work.
 var interactiveActive atomic.Int64
 
-// ForEach runs f(i) for every i in [0, n) on at most workers
+// MapCtx runs f(i) for every i in [0, n) on at most workers
 // goroutines, distributing indices dynamically (atomic counter) so
 // uneven step costs do not serialize on a static slicing. It returns
-// when every call has finished.
+// when every call has finished, a call returns a non-nil error, or ctx
+// is cancelled. Once an error or cancellation is observed, no further
+// indices are dispatched and the in-flight calls are drained before
+// MapCtx returns — f is expected to watch ctx itself for prompt
+// mid-call abort. f must not panic; invocations are independent and
+// must only write state owned by index i.
 //
 // The calling goroutine always participates, and helpers beyond it are
 // admitted only while the process-wide running-helper count stays under
 // GOMAXPROCS-1. Nested pools therefore degrade gracefully: when the
-// outer level already saturates the cores, inner ForEach calls run
+// outer level already saturates the cores, inner MapCtx calls run
 // inline in their caller instead of oversubscribing the scheduler —
 // and the never-blocking admission makes nesting deadlock-free.
-//
-// f must not panic; invocations are independent and must only write
-// state owned by index i.
-func ForEach(workers, n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			f(i)
-		}
-	}
-	var wg sync.WaitGroup
-	budget := int64(runtime.GOMAXPROCS(0) - 1)
-	for w := 0; w < workers-1; w++ {
-		if active.Add(1) > budget {
-			active.Add(-1)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer active.Add(-1)
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
-// Run executes the given functions concurrently (each on its own
-// goroutine, bounded by Workers) and returns when all are done. It is
-// ForEach over a heterogeneous task list.
-func Run(fns ...func()) {
-	ForEach(Workers(), len(fns), func(i int) { fns[i]() })
-}
-
-// MapCtx is ForEach with cancellation and error propagation: it runs
-// f(i) for every i in [0, n) on at most workers goroutines until every
-// call has finished, a call returns a non-nil error, or ctx is
-// cancelled. Once an error or cancellation is observed, no further
-// indices are dispatched and the in-flight calls are drained before
-// MapCtx returns — f is expected to watch ctx itself for prompt
-// mid-call abort.
 //
 // The fan-out's dispatch class comes from the context (see Class /
 // WithClass): a Batch-class fan-out's helper goroutines retire between
@@ -165,20 +93,14 @@ func Run(fns ...func()) {
 // makes progress (starvation freedom) — the class only shifts where
 // the helper budget goes.
 //
-// On success (every index ran, all returned nil) the coverage guarantee
-// is exactly ForEach's regardless of class, so index-slotted output
-// stays bit-identical to a sequential run. On failure the return value
-// is the error of the earliest index that reported one, or ctx.Err()
-// when cancellation cut the dispatch short before an f failed.
+// On success (all returned nil) every index ran exactly once regardless
+// of class, so index-slotted output stays bit-identical to a sequential
+// run. On failure the return value is the error of the earliest index
+// that reported one, or ctx.Err() when cancellation cut the dispatch
+// short before an f failed.
 func MapCtx(ctx context.Context, workers, n int, f func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
-	}
-	if d := dispatchFaults.Load().Hit(FaultDispatch); d.Err != nil || d.Delay > 0 {
-		d.Sleep()
-		if d.Err != nil {
-			workers = 1 // injected dispatch failure: degrade to serial
-		}
 	}
 	if workers > n {
 		workers = n

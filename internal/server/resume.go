@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"samr/internal/admit"
 	"samr/internal/fault"
 	"samr/internal/partition"
 	"samr/internal/tier"
@@ -11,8 +12,8 @@ import (
 
 // Fleet-resumable sessions: with Config.TierSessions on, every
 // committed session step writes a sealed snapshot of the session's
-// state — hierarchy geometry, tracked signature state, partitioner
-// spec, processor count, and (for stateful postmap sessions) the
+// state — hierarchy geometry, its signature, partitioner spec,
+// processor count, and (for stateful postmap sessions) the
 // carried mapping history — through the fleet tier's store/offer path,
 // keyed by the session token. A daemon receiving a step or delete for
 // a token it does not hold consults the tier before answering 410: on
@@ -21,11 +22,11 @@ import (
 //
 // The layer is optimization-only, like the tier itself. Sessions stay
 // soft state: a tier miss, a corrupt snapshot (quarantined on sight),
-// a snapshot whose signature state does not match its rebuilt
-// hierarchy, or any decode surprise all fall back to the documented
-// 410 — the client re-creates from its full state and loses nothing
-// but one upload. Snapshot writes are best-effort for the same reason:
-// a failed write costs a future resume, never the step that tried it.
+// a snapshot whose signature does not match its rebuilt hierarchy, or
+// any decode surprise all fall back to the documented 410 — the client
+// re-creates from its full state and loses nothing but one upload.
+// Snapshot writes are best-effort for the same reason: a failed write
+// costs a future resume, never the step that tried it.
 
 // SessionResumedHeader marks a session response whose session was not
 // in this daemon's table and was rebuilt from a fleet-tier snapshot.
@@ -44,6 +45,13 @@ const (
 	// lookup.
 	FaultSnapshotGet = "session.snapshot.get"
 )
+
+// faultPoints is every injection point a Config.Faults plan can arm.
+var faultPoints = []string{
+	tier.FaultDiskGet, tier.FaultDiskPut, tier.FaultPeerGet, tier.FaultPeerPut, tier.FaultPeerManifest,
+	admit.FaultAccept, admit.FaultShed,
+	FaultSnapshotPut, FaultSnapshotGet,
+}
 
 // tierSessions reports whether durable sessions are active.
 func (s *Server) tierSessions() bool {
@@ -66,15 +74,11 @@ func (s *Server) storeSessionSnapshot(sess *session) {
 	if !s.tierSessions() {
 		return
 	}
-	st, ok := sess.h.ExportSignatureState()
-	if !ok {
-		return // untracked hierarchy: nothing to bind a resume to
-	}
 	ss := &tier.SessionSnapshot{
 		Name:      sess.name,
 		NProcs:    sess.nprocs,
 		Hierarchy: sess.h,
-		Sig:       st,
+		Sig:       sess.h.Signature(),
 		Stateful:  sess.stateful,
 	}
 	if sess.stateful {
@@ -142,7 +146,7 @@ func (s *Server) resumeSession(ctx context.Context, id string) *session {
 	sess, err := s.sessionFromSnapshot(id, ss)
 	if err != nil {
 		// Decoded cleanly but fails the semantic cross-checks (stale
-		// signature state, non-canonical spec, invalid geometry):
+		// signature, non-canonical spec, invalid geometry):
 		// quarantine it like byte damage — it can never resume.
 		s.tier.ReportCorrupt(key)
 		s.sessions.resumeMisses.Add(1)
@@ -154,14 +158,13 @@ func (s *Server) resumeSession(ctx context.Context, id string) *session {
 // sessionFromSnapshot rebuilds a live session from a decoded snapshot,
 // re-validating everything the create path would have: the snapshot
 // came over the network and must earn the same trust as a client
-// upload. The signature-state import is the strongest check — the
-// rebuilt hierarchy is re-tracked from scratch and every per-level
-// digest, midstate, and the top signature must match the snapshot
-// byte-for-byte, so a resumed session serves exactly the signatures
-// the dead owner last served.
+// upload. The signature compare is the strongest check — the rebuilt
+// hierarchy is re-tracked from scratch and must re-hash to the
+// snapshot's signature, so a resumed session serves exactly the
+// signatures the dead owner last served.
 func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*session, error) {
-	if ss.NProcs < 1 || ss.NProcs > s.cfg.MaxProcs {
-		return nil, fmt.Errorf("snapshot nprocs %d out of range [1, %d]", ss.NProcs, s.cfg.MaxProcs)
+	if ss.NProcs < 1 || ss.NProcs > maxProcs {
+		return nil, fmt.Errorf("snapshot nprocs %d out of range [1, %d]", ss.NProcs, maxProcs)
 	}
 	canonical, err := ParsePartitioner(ss.Name)
 	if err != nil {
@@ -179,8 +182,12 @@ func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*sess
 	if err := ss.Hierarchy.Validate(); err != nil {
 		return nil, fmt.Errorf("snapshot hierarchy: %w", err)
 	}
-	if err := ss.Hierarchy.ImportSignatureState(ss.Sig); err != nil {
-		return nil, err
+	if err := checkDim(canonical, ss.Hierarchy); err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	ss.Hierarchy.TrackSignature()
+	if got := ss.Hierarchy.Signature(); got != ss.Sig {
+		return nil, fmt.Errorf("snapshot signature %s does not match its hierarchy's %s", ss.Sig, got)
 	}
 	sess := &session{
 		id:       id,

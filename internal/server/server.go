@@ -60,7 +60,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,6 +78,12 @@ import (
 	"samr/internal/tier"
 )
 
+// maxProcs rejects absurd processor counts.
+const maxProcs = 1 << 16
+
+// machine is the simulator's machine model.
+var machine = sim.DefaultMachine()
+
 // Config carries the server's tunables; zero values select defaults.
 type Config struct {
 	// TraceDir is scanned for .trc files (empty = no file-backed traces).
@@ -85,13 +93,9 @@ type Config struct {
 	// DefaultProcs is the processor count used when a request omits
 	// nprocs (default 16, the paper's validation setup).
 	DefaultProcs int
-	// MaxProcs rejects absurd processor counts (default 1 << 16).
-	MaxProcs int
 	// PartitionCost seeds the dimension-II classification model
 	// (seconds per repartitioning; default 2e-4).
 	PartitionCost float64
-	// Machine is the simulator's machine model (zero = DefaultMachine).
-	Machine sim.Machine
 	// RequestTimeout caps each request's handling: the request context
 	// is given this deadline and every layer below (pool dispatch,
 	// partitioners, simulator) aborts once it expires. Zero disables
@@ -150,8 +154,10 @@ type Config struct {
 	// Requires the tier (TierDir and/or TierPeers); with it off every
 	// response is byte-identical to a build without durable sessions.
 	TierSessions bool
-	// Faults arms the tier's fault-injection points for chaos testing
-	// (nil in production: the registry is zero-cost when disarmed).
+	// Faults arms the fault-injection points of the tier, admission and
+	// session-snapshot layers for chaos testing (nil in production: the
+	// registry is zero-cost when disarmed). New rejects a plan on a point
+	// none of them consults.
 	Faults *fault.Injector
 	// MaxSessions bounds the streaming-session table (default 256);
 	// past it the least recently used session is evicted and its next
@@ -168,14 +174,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultProcs <= 0 {
 		c.DefaultProcs = 16
 	}
-	if c.MaxProcs <= 0 {
-		c.MaxProcs = 1 << 16
-	}
 	if c.PartitionCost <= 0 {
 		c.PartitionCost = 2e-4
-	}
-	if c.Machine == (sim.Machine{}) {
-		c.Machine = sim.DefaultMachine()
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
@@ -251,6 +251,13 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: TierSessions requires the fleet tier (set TierDir and/or TierPeers)")
 		case cfg.TierRepair > 0:
 			return nil, fmt.Errorf("server: TierRepair requires the fleet tier (set TierDir and/or TierPeers)")
+		}
+	}
+	// A plan on a name no layer consults would arm nothing, and a chaos
+	// drill with a typo would report a clean pass.
+	for point := range cfg.Faults.Stats() {
+		if !slices.Contains(faultPoints, point) {
+			return nil, fmt.Errorf("server: fault plan on unknown point %q (known: %s)", point, strings.Join(faultPoints, ", "))
 		}
 	}
 	s := &Server{
@@ -539,8 +546,8 @@ func (s *Server) checkProcs(w http.ResponseWriter, nprocs *int) bool {
 	if *nprocs == 0 {
 		*nprocs = s.cfg.DefaultProcs
 	}
-	if *nprocs < 1 || *nprocs > s.cfg.MaxProcs {
-		writeErr(w, http.StatusBadRequest, "nprocs %d out of range [1, %d]", *nprocs, s.cfg.MaxProcs)
+	if *nprocs < 1 || *nprocs > maxProcs {
+		writeErr(w, http.StatusBadRequest, "nprocs %d out of range [1, %d]", *nprocs, maxProcs)
 		return false
 	}
 	return true
@@ -587,7 +594,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			writeFailure(w, err)
 			return
 		}
-		slot := float64(h.Workload()) * s.cfg.Machine.CellTime / float64(req.NProcs)
+		slot := float64(h.Workload()) * machine.CellTime / float64(req.NProcs)
 		p := meta.Select(h, slot)
 		sample, _ := meta.LastSample()
 		resp.Selections[i] = selectionFrom(p, sample)
@@ -616,6 +623,12 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	for i, h := range hs {
+		if err := checkDim(canonical, h); err != nil {
+			writeErr(w, http.StatusBadRequest, "hierarchy %d: %v", i, err)
+			return
+		}
 	}
 	if !s.checkProcs(w, &req.NProcs) {
 		return
@@ -758,9 +771,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Meta {
 		meta := core.NewMetaPartitioner(s.cfg.PartitionCost)
 		res, err = sim.SimulateTraceSelect(ctx, tr, func(step int, h *grid.Hierarchy) partition.Partitioner {
-			slot := float64(h.Workload()) * s.cfg.Machine.CellTime / float64(req.NProcs)
+			slot := float64(h.Workload()) * machine.CellTime / float64(req.NProcs)
 			return meta.Select(h, slot)
-		}, req.NProcs, s.cfg.Machine)
+		}, req.NProcs, machine)
 	} else {
 		var p partition.Partitioner
 		p, err = ParsePartitioner(req.Partitioner)
@@ -768,7 +781,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		res, err = sim.SimulateTrace(ctx, tr, p, req.NProcs, s.cfg.Machine)
+		res, err = sim.SimulateTrace(ctx, tr, p, req.NProcs, machine)
 	}
 	if err != nil {
 		writeFailure(w, err)

@@ -9,11 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
+	"samr/internal/partition"
 	"samr/internal/trace"
 )
 
@@ -26,6 +28,19 @@ func testHierarchy(patchX int) Hierarchy {
 		Levels: [][]Box{
 			{{Dim: 2, Lo: []int{0, 0}, Hi: []int{32, 32}}},
 			{{Dim: 2, Lo: []int{2 * patchX, 8}, Hi: []int{2*patchX + 16, 32}}},
+		},
+	}
+}
+
+// volumeHierarchy is a valid volumetric wire hierarchy: a 16³ domain
+// with one refined 16³ patch.
+func volumeHierarchy() Hierarchy {
+	return Hierarchy{
+		Domain:   Box{Dim: 3, Lo: []int{0, 0, 0}, Hi: []int{16, 16, 16}},
+		RefRatio: 2,
+		Levels: [][]Box{
+			{{Dim: 3, Lo: []int{0, 0, 0}, Hi: []int{16, 16, 16}}},
+			{{Dim: 3, Lo: []int{8, 8, 8}, Hi: []int{24, 24, 24}}},
 		},
 	}
 }
@@ -374,6 +389,64 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	hits, misses, shared := srv.Cache().Stats()
 	if hits == 0 {
 		t.Errorf("concurrent repeated states produced no cache hits (hits=%d misses=%d shared=%d)", hits, misses, shared)
+	}
+}
+
+// TestVolumetricRequests pins what the wire's dim-3 hierarchies get:
+// the unit-chain families order the x-y plane only, so they answer 400
+// naming the spec and the dimension — one-shot and at session create,
+// storing nothing — while patch-lpt answers an exact cover.
+func TestVolumetricRequests(t *testing.T) {
+	srv, ts := newTestServer(t, Config{TierDir: t.TempDir()})
+	wire := volumeHierarchy()
+	h, err := wire.toGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec   string
+		status int
+	}{
+		{"domain", http.StatusBadRequest},
+		{"nature+fable", http.StatusBadRequest},
+		{"postmap(domain)", http.StatusBadRequest},
+		{"patch-lpt", http.StatusOK},
+	} {
+		var resp PartitionResponse
+		r := post(t, ts.URL+"/v1/partition", PartitionRequest{Hierarchy: &wire, Partitioner: tc.spec, NProcs: 8}, &resp)
+		create := post(t, ts.URL+"/v1/session", SessionCreateRequest{Hierarchy: &wire, Partitioner: tc.spec, NProcs: 8}, nil)
+		if r.StatusCode != tc.status || create.StatusCode != tc.status {
+			t.Errorf("%s: partition %d, session create %d, want %d", tc.spec, r.StatusCode, create.StatusCode, tc.status)
+			continue
+		}
+		if tc.status == http.StatusOK {
+			a := &partition.Assignment{NumProcs: resp.Results[0].NProcs}
+			for _, f := range resp.Results[0].Fragments {
+				b, err := f.Box.toGeom()
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Fragments = append(a.Fragments, partition.Fragment{Level: f.Level, Box: b, Owner: f.Owner})
+			}
+			if err := a.Validate(h); err != nil {
+				t.Errorf("%s: served assignment is not an exact cover: %v", tc.spec, err)
+			}
+			continue
+		}
+		canonical, err := ParsePartitioner(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+			t.Fatalf("%s: 400 body not the documented JSON error: %v", tc.spec, err)
+		}
+		if !strings.Contains(e.Error, canonical.Name()) || !strings.Contains(e.Error, "dim 3") {
+			t.Errorf("%s: error %q names neither the spec nor the dimension", tc.spec, e.Error)
+		}
+		if srv.Cache().Len() != 0 || srv.Tier().Disk().Len() != 0 {
+			t.Errorf("%s: refused request left %d cache and %d tier entries", tc.spec, srv.Cache().Len(), srv.Tier().Disk().Len())
+		}
 	}
 }
 

@@ -23,15 +23,29 @@ import (
 // TestTierSessionsRequiresTier pins the config contract: the settings
 // that depend on the fleet tier — durable sessions need somewhere
 // durable to put them, repair needs a store to repair — fail fast
-// without one instead of starting quietly disabled.
+// without one instead of starting quietly disabled. So does a fault
+// plan on a point nothing consults: a mistyped name, or the pool's
+// retired dispatch point, would otherwise arm a drill that cannot fire.
 func TestTierSessionsRequiresTier(t *testing.T) {
+	armed := func(point string) *fault.Injector {
+		in, err := fault.New(1, fault.Plan{Point: point, Mode: fault.NoSpace, Every: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
 	for name, cfg := range map[string]Config{
-		"TierSessions": {TierSessions: true},
-		"TierRepair":   {TierRepair: 30 * time.Second},
+		"TierSessions without a tier": {TierSessions: true},
+		"TierRepair without a tier":   {TierRepair: 30 * time.Second},
+		"fault plan on disk.putt":     {TierDir: t.TempDir(), Faults: armed("disk.putt")},
+		"fault plan on pool.dispatch": {Faults: armed("pool.dispatch")},
 	} {
 		if _, err := New(cfg); err == nil {
-			t.Errorf("%s without a tier accepted", name)
+			t.Errorf("%s accepted", name)
 		}
+	}
+	if _, err := New(Config{TierDir: t.TempDir(), Faults: armed(tier.FaultDiskPut)}); err != nil {
+		t.Errorf("fault plan on %s refused: %v", tier.FaultDiskPut, err)
 	}
 }
 
@@ -172,14 +186,14 @@ func TestSessionResumeCorruptSnapshotQuarantined(t *testing.T) {
 }
 
 // TestSessionResumeInconsistentSnapshotQuarantined covers the semantic
-// gate behind the envelope: a snapshot that decodes cleanly but whose
-// recorded signature state does not match its own geometry (a stale or
-// tampered write) resumes nothing and is quarantined like byte damage.
+// gate behind the envelope: a snapshot that decodes cleanly but fails a
+// create-path check — its recorded signature is not what its own
+// geometry hashes to (a stale or tampered write), or its partitioner
+// cannot serve its hierarchy's dimension — resumes nothing and is
+// quarantined like byte damage.
 func TestSessionResumeInconsistentSnapshotQuarantined(t *testing.T) {
 	srv, ts := newTestServer(t, Config{TierDir: t.TempDir(), TierSessions: true})
 
-	// Signature state exported from one geometry, snapshot built around
-	// another: ImportSignatureState must reject the pair.
 	wireA, wireB := wideHierarchy(0), wideHierarchy(16)
 	ha, err := wireA.toGrid()
 	if err != nil {
@@ -189,46 +203,43 @@ func TestSessionResumeInconsistentSnapshotQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha.TrackSignature()
-	st, ok := ha.ExportSignatureState()
-	if !ok {
-		t.Fatal("tracked hierarchy exported no signature state")
+	wireV := volumeHierarchy()
+	hv, err := wireV.toGrid()
+	if err != nil {
+		t.Fatal(err)
 	}
 	spec, err := ParsePartitioner("domain")
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := strings.Repeat("ab", 16)
-	blob := tier.EncodeSessionSnapshot(&tier.SessionSnapshot{
-		Name: spec.Name(), NProcs: 8, Hierarchy: hb, Sig: st,
-	})
 	key := sessionSnapshotKey(id)
-	if err := srv.Tier().Disk().Put(key, blob); err != nil {
-		t.Fatal(err)
-	}
-
-	r := post(t, ts.URL+"/v1/session/"+id+"/step", finestStep(8), nil)
-	if r.StatusCode != http.StatusGone {
-		t.Fatalf("resume from inconsistent snapshot: status %d, want 410", r.StatusCode)
-	}
-	if srv.Tier().Disk().Has(key) {
-		t.Error("inconsistent snapshot not quarantined")
+	for name, ss := range map[string]*tier.SessionSnapshot{
+		// One geometry's signature around another geometry.
+		"stale signature": {Name: spec.Name(), NProcs: 8, Hierarchy: hb, Sig: ha.Signature()},
+		// Self-consistent, but a pair POST /v1/session would refuse.
+		"volumetric pair": {Name: spec.Name(), NProcs: 8, Hierarchy: hv, Sig: hv.Signature()},
+	} {
+		if err := srv.Tier().Disk().Put(key, tier.EncodeSessionSnapshot(ss)); err != nil {
+			t.Fatal(err)
+		}
+		r := post(t, ts.URL+"/v1/session/"+id+"/step", finestStep(8), nil)
+		if r.StatusCode != http.StatusGone {
+			t.Fatalf("%s: resume status %d, want 410", name, r.StatusCode)
+		}
+		if srv.Tier().Disk().Has(key) {
+			t.Errorf("%s: snapshot not quarantined", name)
+		}
 	}
 
 	// The rejection really is the signature cross-check: the same
 	// snapshot with a self-consistent pair resumes.
-	hb2, err := wireB.toGrid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb2.TrackSignature()
-	stB, _ := hb2.ExportSignatureState()
 	if err := srv.Tier().Disk().Put(key, tier.EncodeSessionSnapshot(&tier.SessionSnapshot{
-		Name: spec.Name(), NProcs: 8, Hierarchy: hb2, Sig: stB,
+		Name: spec.Name(), NProcs: 8, Hierarchy: hb, Sig: hb.Signature(),
 	})); err != nil {
 		t.Fatal(err)
 	}
-	r = post(t, ts.URL+"/v1/session/"+id+"/step", finestStep(8), nil)
+	r := post(t, ts.URL+"/v1/session/"+id+"/step", finestStep(8), nil)
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("resume from consistent snapshot: status %d", r.StatusCode)
 	}

@@ -122,17 +122,8 @@ func (s *Server) Tier() *tier.Tier { return s.tier }
 // disabled); tests drive deterministic rounds through it.
 func (s *Server) Repairer() *tier.Repairer { return s.repairer }
 
-func (s *Server) handleTierManifest(w http.ResponseWriter, r *http.Request) {
-	// The optional since cursor selects a delta manifest: only keys
-	// written after that store generation. Anything unparsable is the
-	// full listing — the documented fallback, never an error.
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		if parsed, err := strconv.ParseUint(v, 10, 64); err == nil {
-			since = parsed
-		}
-	}
-	s.tier.ServeManifest(w, since)
+func (s *Server) handleTierManifest(w http.ResponseWriter, _ *http.Request) {
+	s.tier.ServeManifest(w)
 }
 
 func (s *Server) handleTierGet(w http.ResponseWriter, r *http.Request) {

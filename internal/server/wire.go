@@ -379,10 +379,8 @@ type MemoCounters struct {
 	// shared with an earlier identical (signature, assignment) step.
 	EvaluationsMemoized uint64 `json:"evaluations_memoized"`
 	// MigrationsShortCircuited counts consecutive-step migration scans
-	// answered without recomputation: either both steps share one
-	// assignment over content-identical hierarchies (exactly zero
-	// points move) or the pair's moved-point count was served from the
-	// migration cache.
+	// answered without recomputation: both steps share one assignment
+	// over content-identical hierarchies, so exactly zero points move.
 	MigrationsShortCircuited uint64 `json:"migrations_short_circuited"`
 }
 

@@ -24,7 +24,7 @@ func quickTrace(t *testing.T) *trace.Trace {
 }
 
 // withProcs raises GOMAXPROCS for the test so the worker pool admits
-// real helper goroutines even on a single-core runner (pool.ForEach
+// real helper goroutines even on a single-core runner (pool.MapCtx
 // caps process-wide helpers at GOMAXPROCS-1).
 func withProcs(t *testing.T, n int) {
 	t.Helper()

@@ -423,9 +423,8 @@ var (
 // answered without recomputation because an identical
 // (signature, partitioner, nprocs, machine) step had already been
 // computed — in the same run, an earlier run, or a concurrent one.
-// The migration counter covers both forms of saving: consecutive
-// steps sharing one assignment (exactly zero points move) and pairs
-// served from the migration cache.
+// The migration counter covers consecutive steps sharing one
+// assignment, between which exactly zero points move.
 func MemoStats() (partitions, evaluations, migrations uint64) {
 	return partitionsMemoized.Load(), evaluationsMemoized.Load(), migrationsShortCut.Load()
 }
@@ -451,29 +450,13 @@ type stepArtifact struct {
 	sm StepMetrics
 }
 
-// migKey addresses the migration volume between two consecutive
-// partitioned snapshots; both endpoints must be content-addressed
-// (stateless partitioners), which makes the moved-point count a pure
-// function of this key.
-type migKey struct {
-	sigPrev, sigCur   geom.Signature
-	namePrev, nameCur string
-	nprocs            int
-}
+// stepCacheCap bounds the step cache: artifacts are a few KB each (an
+// assignment's fragments plus a metrics row), so the bound comfortably
+// holds the working set of a full experiment sweep while bounding a
+// long-running daemon.
+const stepCacheCap = 2048
 
-// Cache bounds: step artifacts are a few KB each (an assignment's
-// fragments plus a metrics row), migration entries are a single
-// scalar. The bounds comfortably hold the working set of a full
-// experiment sweep while bounding a long-running daemon.
-const (
-	stepCacheCap = 2048
-	migCacheCap  = 8192
-)
-
-var (
-	stepCache = memo.New[stepKey, stepArtifact](stepCacheCap)
-	migCache  = memo.New[migKey, int64](migCacheCap)
-)
+var stepCache = memo.New[stepKey, stepArtifact](stepCacheCap)
 
 // memoName returns the canonical content key of a partitioner for the
 // memoization layer: Name(), unless the partitioner implements MemoKey
@@ -486,16 +469,9 @@ func memoName(p partition.Partitioner) string {
 	return p.Name()
 }
 
-// flushStepCaches drops the content-addressed step and migration
-// caches (tests use it to compare memoized runs against cold ones).
-func flushStepCaches() {
-	stepCache.Flush()
-	migCache.Flush()
-}
-
-// encBufPool recycles hierarchy-encoding buffers across the signature
-// fan-out, so bulk hashing stops allocating per snapshot.
-var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// flushStepCaches drops the content-addressed step cache (tests use it
+// to compare memoized runs against cold ones).
+func flushStepCaches() { stepCache.Flush() }
 
 // simulateTrace is the worker-pool implementation behind
 // SimulateTrace/SimulateTraceSelect. The per-snapshot work units are
@@ -518,12 +494,11 @@ var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // meta-vs-static and ablation sweeps replay the same snapshots many
 // times), and concurrent identical runs all compute each distinct step
 // once. Steps sharing a key share one Assignment and metrics row
-// (immutable by contract); the migration scan between two
-// content-addressed steps is cached the same way, and short-circuits
-// to its exact value of zero when consecutive steps share one
-// assignment. Stateful partitioners (the post-mapping wrapper) keep
-// the full sequential chain and are never cached: their output depends
-// on carried state, not content alone.
+// (immutable by contract); the migration scan short-circuits to its
+// exact value of zero when consecutive steps share one assignment.
+// Stateful partitioners (the post-mapping wrapper) keep the full
+// sequential chain and are never cached: their output depends on
+// carried state, not content alone.
 func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h *grid.Hierarchy) partition.Partitioner, nprocs int, m Machine, workers int) (*Result, error) {
 	res := &Result{NumProcs: nprocs}
 	n := len(tr.Snapshots)
@@ -553,9 +528,8 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 	}
 
 	// Content signatures and canonical names for the memo keys (pure,
-	// index-slotted; encoding buffers are pooled across the fan-out).
-	// A run whose every step is stateful never consults the caches, so
-	// it skips the hashing entirely.
+	// index-slotted). A run whose every step is stateful never consults
+	// the caches, so it skips the hashing entirely.
 	allStateful := true
 	for i := range ps {
 		if !stateful(ps[i]) {
@@ -573,11 +547,7 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 				// stay zero and unread.
 				return nil
 			}
-			bp := encBufPool.Get().(*[]byte)
-			var sig geom.Signature
-			sig, *bp = tr.Snapshots[i].H.SignatureWith((*bp)[:0])
-			encBufPool.Put(bp)
-			sigs[i] = sig
+			sigs[i] = tr.Snapshots[i].H.Signature()
 			return nil
 		})
 		if err != nil {
@@ -666,31 +636,13 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 	// metric over the precomputed assignments. Consecutive steps
 	// sharing one cached assignment over content-identical hierarchies
 	// move nothing — every point keeps its owner — so the overlap scan
-	// short-circuits to its exact result of zero; pairs of
-	// content-addressed steps go through the migration cache.
+	// short-circuits to its exact result of zero.
 	err = pool.MapCtx(ctx, workers, n-1, func(j int) error {
 		i := j + 1
 		sm := &res.Steps[i]
-		switch {
-		case as[i-1] == as[i]:
+		if as[i-1] == as[i] {
 			migrationsShortCut.Add(1)
-		case !stateful(ps[i-1]) && !stateful(ps[i]):
-			mk := migKey{
-				sigPrev: sigs[i-1], sigCur: sigs[i],
-				namePrev: names[i-1], nameCur: names[i],
-				nprocs: nprocs,
-			}
-			mv, disp, err := migCache.GetOrCompute(ctx, mk, func() (int64, error) {
-				return Migration(tr.Snapshots[i-1].H, tr.Snapshots[i].H, as[i-1], as[i]), nil
-			})
-			if err != nil {
-				return err
-			}
-			if disp != memo.Miss {
-				migrationsShortCut.Add(1)
-			}
-			sm.Migration = mv
-		default:
+		} else {
 			sm.Migration = Migration(tr.Snapshots[i-1].H, tr.Snapshots[i].H, as[i-1], as[i])
 		}
 		if np := tr.Snapshots[i-1].H.NumPoints(); np > 0 {

@@ -40,14 +40,16 @@ import (
 const (
 	// KindAssignment is a partition.Assignment blob.
 	KindAssignment byte = 1
-	// Kind byte 2 carried simulator step artifacts until that tier
-	// binding was retired. It stays reserved and is never reused: old
-	// disk dirs and mixed-version peers may still hold such blobs, which
-	// pass the envelope check and fail every typed decoder as a miss.
+	// Kind bytes 2 and 3 are retired layouts — simulator step artifacts,
+	// and session snapshots that carried per-level digests and sha256
+	// midstates beside the signature. They stay reserved and are never
+	// reused: old disk dirs and mixed-version peers may still hold such
+	// blobs, which pass the envelope check and fail every typed decoder
+	// as a miss.
 	// KindSessionSnapshot is a streaming-session snapshot: everything a
 	// peer needs to resume a session under the same token (see
 	// SessionSnapshot).
-	KindSessionSnapshot byte = 3
+	KindSessionSnapshot byte = 4
 )
 
 // codecVersion is bumped whenever the payload layout changes; a blob
@@ -255,21 +257,21 @@ func DecodeAssignment(blob []byte) (*partition.Assignment, error) {
 // SessionSnapshot is the durable form of one streaming session — the
 // committed state a peer daemon needs to resume the session under the
 // same token after its owner dies: the current hierarchy geometry, the
-// tracked signature state binding that geometry to the signature the
-// owner last served (a mismatch on rebuild means a damaged or stale
-// snapshot and decodes into a resume miss), the canonical partitioner
-// spec, and — for stateful postmap sessions — the carried mapping
-// history. Snapshots are keyed per session token, so unlike the
-// content-addressed result blobs a later snapshot for the same token
-// legitimately overwrites an earlier one.
+// signature the owner last served for it (a rebuilt hierarchy that
+// re-hashes to anything else means a damaged or stale snapshot and is a
+// resume miss), the canonical partitioner spec, and — for stateful
+// postmap sessions — the carried mapping history. Snapshots are keyed
+// per session token, so unlike the content-addressed result blobs a
+// later snapshot for the same token legitimately overwrites an earlier
+// one.
 type SessionSnapshot struct {
 	// Name is the canonical partitioner spec; NProcs the fixed count.
 	Name   string
 	NProcs int
 	// Hierarchy is the session's committed regrid state; Sig is its
-	// tracked signature state at snapshot time.
+	// signature at snapshot time.
 	Hierarchy *grid.Hierarchy
-	Sig       grid.SignatureState
+	Sig       geom.Signature
 	// Stateful marks a postmap session; PrevHierarchy/PrevAssignment
 	// carry its mapping history (both nil before the first completed
 	// step remaps anything).
@@ -374,16 +376,11 @@ func appendBool(buf []byte, v bool) []byte {
 }
 
 // EncodeSessionSnapshot seals ss into a versioned, checksummed blob.
-// The signature state must describe exactly ss.Hierarchy's levels.
 func EncodeSessionSnapshot(ss *SessionSnapshot) []byte {
 	payload := appendBytes(nil, []byte(ss.Name))
 	payload = binary.AppendUvarint(payload, uint64(ss.NProcs))
 	payload = appendHierarchy(payload, ss.Hierarchy)
-	payload = append(payload, ss.Sig.Top[:]...)
-	for l := range ss.Sig.Levels {
-		payload = append(payload, ss.Sig.Levels[l][:]...)
-		payload = appendBytes(payload, ss.Sig.Mid[l])
-	}
+	payload = append(payload, ss.Sig[:]...)
 	payload = appendBool(payload, ss.Stateful)
 	if ss.Stateful {
 		hasHistory := ss.PrevHierarchy != nil && ss.PrevAssignment != nil
@@ -397,9 +394,9 @@ func EncodeSessionSnapshot(ss *SessionSnapshot) []byte {
 }
 
 // DecodeSessionSnapshot reverses EncodeSessionSnapshot. The signature
-// state is decoded, not verified — the resuming server cross-checks it
-// against the rebuilt hierarchy (grid.ImportSignatureState), so a
-// snapshot that decodes cleanly can still be rejected as stale there.
+// is decoded, not verified — the resuming server re-hashes the rebuilt
+// hierarchy against it, so a snapshot that decodes cleanly can still be
+// rejected as stale there.
 func DecodeSessionSnapshot(blob []byte) (*SessionSnapshot, error) {
 	payload, err := open(KindSessionSnapshot, blob)
 	if err != nil {
@@ -410,16 +407,7 @@ func DecodeSessionSnapshot(blob []byte) (*SessionSnapshot, error) {
 	ss.Name = string(r.bytes())
 	ss.NProcs = int(r.uvarint())
 	ss.Hierarchy = r.hierarchy()
-	ss.Sig.Top = r.signature()
-	if r.err == nil {
-		n := len(ss.Hierarchy.Levels)
-		ss.Sig.Levels = make([]geom.Signature, n)
-		ss.Sig.Mid = make([][]byte, n)
-		for l := 0; l < n; l++ {
-			ss.Sig.Levels[l] = r.signature()
-			ss.Sig.Mid[l] = r.bytes()
-		}
-	}
+	ss.Sig = r.signature()
 	ss.Stateful = r.bool()
 	if r.err == nil && ss.Stateful {
 		if r.bool() {

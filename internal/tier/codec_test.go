@@ -76,28 +76,34 @@ func TestEveryMutationDetected(t *testing.T) {
 	if _, err := DecodeAssignment(nil); err == nil {
 		t.Fatal("nil blob decoded cleanly")
 	}
-	// Kind confusion, with the retired kind byte 2 (simulator step
-	// artifacts): old disk dirs and mixed-version peers may still hold
-	// such blobs, so the envelope gate (Open, ServePut) accepts them
-	// while every typed decoder reports a miss.
-	retired := seal(2, appendAssignment(nil, a))
-	if _, kind, err := Open(retired); err != nil || kind != 2 {
-		t.Fatalf("Open(retired kind) = kind %d, err %v", kind, err)
-	}
+	// Kind confusion, with the retired kind bytes 2 (simulator step
+	// artifacts) and 3 (session snapshots carrying hash midstates): old
+	// disk dirs and mixed-version peers may still hold such blobs, so
+	// the envelope gate (Open, ServePut) accepts them while every typed
+	// decoder reports a miss.
 	tr, err := New(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	tr.ServePut(rec, Key("retired"), retired)
-	if rec.Code != http.StatusNoContent {
-		t.Fatalf("ServePut(retired kind) = %d, want 204", rec.Code)
-	}
-	if _, err := DecodeAssignment(retired); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("retired kind decoded as assignment: %v", err)
-	}
-	if _, err := DecodeSessionSnapshot(retired); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("retired kind decoded as session snapshot: %v", err)
+	h := snapshotHierarchy(0)
+	for kind, retired := range map[byte][]byte{
+		2: seal(2, appendAssignment(nil, a)),
+		3: kind3Snapshot(&SessionSnapshot{Name: "domain", NProcs: 8, Hierarchy: h, Sig: h.Signature()}),
+	} {
+		if _, got, err := Open(retired); err != nil || got != kind {
+			t.Fatalf("Open(retired kind %d) = kind %d, err %v", kind, got, err)
+		}
+		rec := httptest.NewRecorder()
+		tr.ServePut(rec, Key("retired", string(kind)), retired)
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("ServePut(retired kind %d) = %d, want 204", kind, rec.Code)
+		}
+		if _, err := DecodeAssignment(retired); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("retired kind %d decoded as assignment: %v", kind, err)
+		}
+		if _, err := DecodeSessionSnapshot(retired); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("retired kind %d decoded as session snapshot: %v", kind, err)
+		}
 	}
 }
 

@@ -196,7 +196,7 @@ func retryAfter(r *http.Response) time.Duration {
 	return 0
 }
 
-// exchange is the one round trip behind Fetch, Put, and ManifestSince:
+// exchange is the one round trip behind Fetch, Put, and Manifest:
 // breaker gate → counter → fault point → retried request → status
 // class → breaker report. An injected error sends nothing and feeds
 // the breaker a failure; 429/503 retry under the peer's Retry-After;
@@ -256,20 +256,12 @@ func statusErr(peer string, resp *http.Response) error {
 	return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
 }
 
-// Get fetches key from peer. ok is false for misses and every failure
-// alike; the tier degrades to a local compute either way.
-func (c *PeerClient) Get(ctx context.Context, peer, key string) ([]byte, bool) {
-	blob, err := c.Fetch(ctx, peer, key)
-	return blob, err == nil
-}
-
-// Fetch is Get distinguishing its misses: it returns the blob, or
-// ErrPeerMiss when the peer is healthy but lacks the key (it answered
-// 404 — the one outcome that proves absence), or another error for
-// every failure where the peer's holdings stay unknown (breaker open,
-// transport error, 5xx). The repairer's delta-manifest state needs the
-// distinction — a clean miss retires a remembered key, a failure must
-// not.
+// Fetch fetches key from peer: it returns the blob, or ErrPeerMiss when
+// the peer is healthy but lacks the key (it answered 404 — the one
+// outcome that proves absence), or another error for every failure
+// where the peer's holdings stay unknown (breaker open, transport
+// error, 5xx). The tier degrades to a local compute on any error; the
+// repairer skips a clean miss without counting a failure.
 func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error) {
 	var blob []byte
 	corrupt, err := c.exchange(ctx, peer, FaultPeerGet, &c.gets, http.MethodGet, "/v1/tier/"+key, nil,
@@ -321,32 +313,14 @@ const maxManifestBytes = 16 << 20
 // Manifest fetches peer's resident key list (GET /v1/tier/manifest):
 // one key per line, invalid lines dropped. A peer without the route —
 // repair disabled there, or an older build — reports an empty manifest
-// (the peer is healthy; it just shares nothing), like 404 on Get.
+// (the peer is healthy; it just shares nothing), like 404 on Fetch.
 func (c *PeerClient) Manifest(ctx context.Context, peer string) ([]string, bool) {
-	keys, _, ok := c.ManifestSince(ctx, peer, 0)
-	return keys, ok
-}
-
-// ManifestSince is Manifest with a delta cursor: since > 0 asks peer
-// for only the keys written after that generation (the value a prior
-// manifest reply advertised in ManifestGenHeader), and gen returns the
-// reply's generation for the next call. gen is 0 when the peer did not
-// advertise one — an older build serving full lists — in which case
-// the caller must keep its cursor at 0 and treat every manifest as the
-// complete listing.
-func (c *PeerClient) ManifestSince(ctx context.Context, peer string, since uint64) (keys []string, gen uint64, ok bool) {
-	url := "/v1/tier/manifest"
-	if since > 0 {
-		url += "?since=" + strconv.FormatUint(since, 10)
-	}
-	_, err := c.exchange(ctx, peer, FaultPeerManifest, nil, http.MethodGet, url, nil,
+	var keys []string
+	_, err := c.exchange(ctx, peer, FaultPeerManifest, nil, http.MethodGet, "/v1/tier/manifest", nil,
 		func(resp *http.Response) error {
-			keys, gen = keys[:0], 0
+			keys = keys[:0]
 			switch resp.StatusCode {
 			case http.StatusOK:
-				if g, perr := strconv.ParseUint(resp.Header.Get(ManifestGenHeader), 10, 64); perr == nil {
-					gen = g
-				}
 				sc := bufio.NewScanner(io.LimitReader(resp.Body, maxManifestBytes))
 				for sc.Scan() {
 					if key := strings.TrimSpace(sc.Text()); validKey(key) {
@@ -360,7 +334,7 @@ func (c *PeerClient) ManifestSince(ctx context.Context, peer string, since uint6
 			return statusErr(peer, resp)
 		})
 	if err != nil {
-		return nil, 0, false
+		return nil, false
 	}
-	return keys, gen, true
+	return keys, true
 }

@@ -53,15 +53,15 @@ func TestPeerClientGetPut(t *testing.T) {
 	c := fastPeer()
 
 	key := Key("a")
-	if _, ok := c.Get(bg, ts.URL, key); ok {
+	if _, err := c.Fetch(bg, ts.URL, key); err == nil {
 		t.Fatal("absent key reported present")
 	}
 	if !c.Put(bg, ts.URL, key, []byte("blob")) {
 		t.Fatal("Put failed against a healthy peer")
 	}
-	got, ok := c.Get(bg, ts.URL, key)
-	if !ok || !bytes.Equal(got, []byte("blob")) {
-		t.Fatalf("Get = (%q, %v)", got, ok)
+	got, err := c.Fetch(bg, ts.URL, key)
+	if err != nil || !bytes.Equal(got, []byte("blob")) {
+		t.Fatalf("Fetch = (%q, %v)", got, err)
 	}
 }
 
@@ -79,9 +79,9 @@ func TestPeerClientHonorsRetryAfter(t *testing.T) {
 	c := fastPeer()
 
 	start := time.Now()
-	got, ok := c.Get(bg, ts.URL, Key("a"))
-	if !ok || string(got) != "late blob" {
-		t.Fatalf("Get = (%q, %v), want success on retry", got, ok)
+	got, err := c.Fetch(bg, ts.URL, Key("a"))
+	if err != nil || string(got) != "late blob" {
+		t.Fatalf("Fetch = (%q, %v), want success on retry", got, err)
 	}
 	if waited := time.Since(start); waited < time.Second {
 		t.Fatalf("waited %v, want >= the 1s Retry-After floor", waited)
@@ -140,7 +140,7 @@ func TestPeerClientBreakerOpensAndRecovers(t *testing.T) {
 	// Two failing exchanges open the breaker (500 is terminal: one
 	// request each).
 	for i := 0; i < 2; i++ {
-		if _, ok := c.Get(bg, ts.URL, Key("a")); ok {
+		if _, err := c.Fetch(bg, ts.URL, Key("a")); err == nil {
 			t.Fatal("failing peer reported a hit")
 		}
 	}
@@ -149,7 +149,7 @@ func TestPeerClientBreakerOpensAndRecovers(t *testing.T) {
 	}
 	seen := calls.Load()
 	// Open breaker: no request reaches the peer.
-	if _, ok := c.Get(bg, ts.URL, Key("a")); ok {
+	if _, err := c.Fetch(bg, ts.URL, Key("a")); err == nil {
 		t.Fatal("open breaker reported a hit")
 	}
 	if calls.Load() != seen {
@@ -172,14 +172,14 @@ func TestPeerClientBreakerOpensAndRecovers(t *testing.T) {
 	if !c.Available(ts.URL) {
 		t.Fatal("half-open breaker reported unavailable")
 	}
-	if got, ok := c.Get(bg, ts.URL, Key("a")); !ok || string(got) != "recovered" {
-		t.Fatalf("post-cooldown probe = (%q, %v)", got, ok)
+	if got, err := c.Fetch(bg, ts.URL, Key("a")); err != nil || string(got) != "recovered" {
+		t.Fatalf("post-cooldown probe = (%q, %v)", got, err)
 	}
 	if got := breakerStateOf(c, ts.URL); got != BreakerClosed {
 		t.Fatalf("state after successful probe = %q, want closed", got)
 	}
-	if got, ok := c.Get(bg, ts.URL, Key("a")); !ok || string(got) != "recovered" {
-		t.Fatalf("closed breaker = (%q, %v)", got, ok)
+	if got, err := c.Fetch(bg, ts.URL, Key("a")); err != nil || string(got) != "recovered" {
+		t.Fatalf("closed breaker = (%q, %v)", got, err)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestPeerClientBreakerFailedProbeReopens(t *testing.T) {
 	c.now = clk.Now
 
 	for i := 0; i < 2; i++ {
-		c.Get(bg, ts.URL, Key("a"))
+		c.Fetch(bg, ts.URL, Key("a"))
 	}
 	if got := breakerStateOf(c, ts.URL); got != BreakerOpen {
 		t.Fatalf("state = %q, want open", got)
@@ -205,7 +205,7 @@ func TestPeerClientBreakerFailedProbeReopens(t *testing.T) {
 	// breaker re-opens for a fresh cooldown without further traffic.
 	clk.Advance(60 * time.Millisecond)
 	seen := calls.Load()
-	if _, ok := c.Get(bg, ts.URL, Key("a")); ok {
+	if _, err := c.Fetch(bg, ts.URL, Key("a")); err == nil {
 		t.Fatal("failing probe reported a hit")
 	}
 	if calls.Load() == seen {
@@ -215,7 +215,7 @@ func TestPeerClientBreakerFailedProbeReopens(t *testing.T) {
 		t.Fatalf("state after failed probe = %q, want open", got)
 	}
 	seen = calls.Load()
-	if _, ok := c.Get(bg, ts.URL, Key("a")); ok || calls.Load() != seen {
+	if _, err := c.Fetch(bg, ts.URL, Key("a")); err == nil || calls.Load() != seen {
 		t.Fatal("re-opened breaker let a request through")
 	}
 
@@ -240,7 +240,7 @@ func TestPeerClientDeadPeerIsMiss(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	ts.Close() // nothing listens anymore
 	c := fastPeer()
-	if _, ok := c.Get(bg, ts.URL, Key("a")); ok {
+	if _, err := c.Fetch(bg, ts.URL, Key("a")); err == nil {
 		t.Fatal("dead peer reported a hit")
 	}
 	if c.Put(bg, ts.URL, Key("a"), []byte("x")) {

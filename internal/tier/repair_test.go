@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,11 +19,14 @@ import (
 // server. The handler closes over the member so the server can start —
 // and its URL enter the shared peer list — before the Tier exists.
 // gets counts blob fetches served, so tests can assert what a peer was
-// (or was not) asked for.
+// (or was not) asked for. ghost, when set, is one more key the manifest
+// advertises though the store does not hold it: a key evicted between
+// the manifest and the fetch.
 type member struct {
-	tr   *Tier
-	ts   *httptest.Server
-	gets atomic.Int64
+	tr    *Tier
+	ts    *httptest.Server
+	gets  atomic.Int64
+	ghost string
 }
 
 func newMembers(t *testing.T, n int) []*member {
@@ -35,11 +37,10 @@ func newMembers(t *testing.T, n int) []*member {
 		m := &member{}
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /v1/tier/manifest", func(w http.ResponseWriter, r *http.Request) {
-			var since uint64
-			if v := r.URL.Query().Get("since"); v != "" {
-				since, _ = strconv.ParseUint(v, 10, 64)
+			m.tr.ServeManifest(w)
+			if m.ghost != "" {
+				fmt.Fprintln(w, m.ghost)
 			}
-			m.tr.ServeManifest(w, since)
 		})
 		mux.HandleFunc("GET /v1/tier/{key}", func(w http.ResponseWriter, r *http.Request) {
 			m.gets.Add(1)
@@ -124,11 +125,14 @@ func TestServeManifestAndFetch(t *testing.T) {
 // TestRepairConvergence is the rejoin scenario: member A's disk is
 // empty (wiped) while member B holds blobs for keys A owns. Bounded
 // rounds pull them all back, after which Missing is empty and further
-// rounds are pure manifest exchanges.
+// rounds are pure manifest exchanges — also across a key the peer
+// evicted between manifest and fetch, and a peer restart with a
+// different key set.
 func TestRepairConvergence(t *testing.T) {
 	ms := newMembers(t, 2)
 	a, b := ms[0], ms[1]
-	owned := keysOwnedBy(t, a.tr.Ring(), a.ts.URL, 5)
+	owned := keysOwnedBy(t, a.tr.Ring(), a.ts.URL, 7)
+	owned, ghost, later := owned[:5], owned[5], owned[6]
 	for _, key := range owned {
 		if err := b.tr.Disk().Put(key, smallBlob()); err != nil {
 			t.Fatal(err)
@@ -171,9 +175,14 @@ func TestRepairConvergence(t *testing.T) {
 		t.Fatal("repair pulled a key this member does not own")
 	}
 
-	// Idempotence: a warm member's round pulls nothing.
+	// Idempotence: a warm member's round pulls nothing and asks the
+	// peer for no blob.
+	before := b.gets.Load()
 	if got := rep.Round(bg); got != 0 {
 		t.Fatalf("converged round pulled %d keys, want 0", got)
+	}
+	if b.gets.Load() != before {
+		t.Fatal("converged round still fetched blobs")
 	}
 	st := rep.Stats()
 	if st.Rounds != 4 || st.KeysPulled != 5 || st.Failures != 0 || st.Missing != 0 {
@@ -181,6 +190,41 @@ func TestRepairConvergence(t *testing.T) {
 	}
 	if st.BytesPulled != uint64(5*len(smallBlob())) {
 		t.Fatalf("bytes_pulled = %d, want %d", st.BytesPulled, 5*len(smallBlob()))
+	}
+
+	// A key the peer evicted between its manifest and the fetch is a
+	// clean miss (ErrPeerMiss): skipped, neither a failure nor a deficit.
+	b.ghost = ghost
+	if got := rep.Round(bg); got != 0 {
+		t.Fatalf("round over an evicted key pulled %d keys, want 0", got)
+	}
+	if b.gets.Load() != before+1 {
+		t.Fatalf("evicted key cost %d fetches, want 1", b.gets.Load()-before)
+	}
+	if st := rep.Stats(); st.Failures != 0 || st.Missing != 0 {
+		t.Fatalf("clean miss counted against the round: %+v", st)
+	}
+	b.ghost = ""
+
+	// B restarts wiped with a different key set: a fresh Tier on an
+	// empty dir behind the same URL (the test mux closes over the
+	// member, so swapping tr is the restart). The repairer keeps nothing
+	// between rounds, so the next listing is all there is to know.
+	fresh, err := New(Config{
+		Dir:   t.TempDir(),
+		Peers: []string{a.ts.URL, b.ts.URL},
+		Self:  b.ts.URL,
+		Peer:  PeerConfig{Retry: backoff.Policy{Attempts: 2, Base: time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.tr = fresh
+	if err := b.tr.Disk().Put(later, smallBlob()); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Round(bg); got != 1 || !a.tr.Disk().Has(later) {
+		t.Fatalf("post-restart round pulled %d keys, want the restarted peer's 1", got)
 	}
 }
 
@@ -322,7 +366,7 @@ func TestPeerClientInjectedFaults(t *testing.T) {
 		FailLimit: 1,
 		Faults:    in,
 	})
-	if _, ok := c.Get(bg, ts.URL, Key("a")); ok {
+	if _, err := c.Fetch(bg, ts.URL, Key("a")); err == nil {
 		t.Fatal("injected transport failure reported a hit")
 	}
 	if calls != 0 {
@@ -341,116 +385,5 @@ func TestPeerClientInjectedFaults(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatal("injected manifest failure still sent a request")
-	}
-}
-
-// TestRepairDeltaCursorAndRetirement walks the steady-state delta
-// protocol: after convergence a round is a pure cursor exchange, a key
-// written past the cursor is the only thing the next delta advertises,
-// and a remembered key the peer has since dropped is discovered as one
-// clean miss (ErrPeerMiss), retired from the view, and never asked for
-// again.
-func TestRepairDeltaCursorAndRetirement(t *testing.T) {
-	ms := newMembers(t, 2)
-	a, b := ms[0], ms[1]
-	owned := keysOwnedBy(t, a.tr.Ring(), a.ts.URL, 4)
-	for _, key := range owned[:3] {
-		if err := b.tr.Disk().Put(key, smallBlob()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := NewRepairer(a.tr, RepairConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Round(bg); got != 3 {
-		t.Fatalf("first round pulled %d keys, want 3", got)
-	}
-	// Converged: a delta round advertises nothing and fetches nothing.
-	before := b.gets.Load()
-	if got := rep.Round(bg); got != 0 {
-		t.Fatalf("converged round pulled %d keys, want 0", got)
-	}
-	if b.gets.Load() != before {
-		t.Fatal("converged round still fetched blobs")
-	}
-
-	// One key written after the cursor: the delta surfaces exactly it.
-	if err := b.tr.Disk().Put(owned[3], smallBlob()); err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Round(bg); got != 1 {
-		t.Fatalf("delta round pulled %d keys, want 1", got)
-	}
-	if !a.tr.Disk().Has(owned[3]) {
-		t.Fatal("delta round pulled the wrong key")
-	}
-
-	// Retirement: both sides drop a key the view remembers. The next
-	// round discovers the clean miss (one fetch, no failure counted);
-	// the round after never asks again.
-	a.tr.Disk().Delete(owned[0])
-	b.tr.Disk().Delete(owned[0])
-	if got := rep.Round(bg); got != 0 {
-		t.Fatalf("retirement round pulled %d keys, want 0", got)
-	}
-	if st := rep.Stats(); st.Failures != 0 {
-		t.Fatalf("clean miss counted as a failure: %+v", st)
-	}
-	before = b.gets.Load()
-	if got := rep.Round(bg); got != 0 {
-		t.Fatalf("post-retirement round pulled %d keys, want 0", got)
-	}
-	if b.gets.Load() != before {
-		t.Fatal("retired key was asked for again")
-	}
-}
-
-// TestRepairFullListFallbackAfterPeerRestart pins the stale-cursor
-// degradation: a peer whose store restarted (generation counter reset
-// below the repairer's cursor) answers with the full listing, the view
-// is rebuilt from it, and keys the new incarnation holds under old
-// generations are still pulled — a stale cursor never silently hides
-// keys.
-func TestRepairFullListFallbackAfterPeerRestart(t *testing.T) {
-	ms := newMembers(t, 2)
-	a, b := ms[0], ms[1]
-	urls := []string{ms[0].ts.URL, ms[1].ts.URL}
-	owned := keysOwnedBy(t, a.tr.Ring(), a.ts.URL, 3)
-	for _, key := range owned[:2] {
-		if err := b.tr.Disk().Put(key, smallBlob()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := NewRepairer(a.tr, RepairConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Round(bg); got != 2 {
-		t.Fatalf("first round pulled %d keys, want 2 (the cursor must outrun the restart)", got)
-	}
-
-	// B restarts wiped: a fresh Tier on an empty dir behind the same
-	// URL (the test mux closes over the member, so swapping tr is the
-	// restart). Its first write lands at generation 1 — below A's
-	// cursor of 2.
-	fresh, err := New(Config{
-		Dir:   t.TempDir(),
-		Peers: urls,
-		Self:  b.ts.URL,
-		Peer:  PeerConfig{Retry: backoff.Policy{Attempts: 2, Base: time.Millisecond}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.tr = fresh
-	if err := b.tr.Disk().Put(owned[2], smallBlob()); err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Round(bg); got != 1 {
-		t.Fatalf("post-restart round pulled %d keys, want 1 via the full-list fallback", got)
-	}
-	if !a.tr.Disk().Has(owned[2]) {
-		t.Fatal("full-list fallback missed the restarted peer's key")
 	}
 }

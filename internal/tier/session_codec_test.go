@@ -1,6 +1,9 @@
 package tier
 
 import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -11,7 +14,7 @@ import (
 )
 
 // snapshotHierarchy builds a small two-level hierarchy whose finest
-// patch is parameterized, tracked so a signature state can be exported.
+// patch is parameterized, tracked like a live session's.
 func snapshotHierarchy(x int) *grid.Hierarchy {
 	h := grid.NewHierarchy(geom.NewBox2(0, 0, 32, 32), 2)
 	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{geom.NewBox2(x, 8, x+16, 40)}})
@@ -24,15 +27,11 @@ func snapshotVariants(t *testing.T) map[string]*SessionSnapshot {
 	rng := rand.New(rand.NewPCG(41, 43))
 	mk := func(x int, stateful bool) *SessionSnapshot {
 		h := snapshotHierarchy(x)
-		st, ok := h.ExportSignatureState()
-		if !ok {
-			t.Fatal("tracked hierarchy exported no signature state")
-		}
 		name := "domain"
 		if stateful {
 			name = "postmap(domain)"
 		}
-		return &SessionSnapshot{Name: name, NProcs: 8, Hierarchy: h, Sig: st, Stateful: stateful}
+		return &SessionSnapshot{Name: name, NProcs: 8, Hierarchy: h, Sig: h.Signature(), Stateful: stateful}
 	}
 	withHistory := mk(8, true)
 	withHistory.PrevHierarchy = snapshotHierarchy(4)
@@ -45,9 +44,9 @@ func snapshotVariants(t *testing.T) map[string]*SessionSnapshot {
 }
 
 // TestSessionSnapshotRoundTrip pins the codec across all three session
-// shapes: everything a resuming daemon needs — geometry, signature
-// state, spec, history — survives byte-exactly, and the decoded pair
-// passes the signature import that gates a real resume.
+// shapes: everything a resuming daemon needs — geometry, signature,
+// spec, history — survives byte-exactly, and the decoded pair passes
+// the re-hash that gates a real resume.
 func TestSessionSnapshotRoundTrip(t *testing.T) {
 	for name, ss := range snapshotVariants(t) {
 		t.Run(name, func(t *testing.T) {
@@ -65,13 +64,14 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 			if got.Hierarchy.Signature() != ss.Hierarchy.Signature() {
 				t.Fatal("hierarchy geometry changed in round trip")
 			}
-			if !reflect.DeepEqual(got.Sig, ss.Sig) {
-				t.Fatal("signature state changed in round trip")
+			if got.Sig != ss.Sig {
+				t.Fatal("signature changed in round trip")
 			}
 			// The decoded pair must survive the resume gate: re-track the
-			// geometry and match the recorded state byte-for-byte.
-			if err := got.Hierarchy.ImportSignatureState(got.Sig); err != nil {
-				t.Fatalf("decoded snapshot fails its own signature import: %v", err)
+			// geometry and re-hash to the recorded signature.
+			got.Hierarchy.TrackSignature()
+			if got.Hierarchy.Signature() != got.Sig {
+				t.Fatal("decoded snapshot does not re-hash to its own signature")
 			}
 			if ss.PrevHierarchy == nil {
 				if got.PrevHierarchy != nil || got.PrevAssignment != nil {
@@ -121,11 +121,29 @@ func TestSessionSnapshotMutationDetected(t *testing.T) {
 	}
 }
 
+// kind3Snapshot seals a stateless ss in the retired kind-3 layout, which
+// followed the top signature with each level's sub-digest and
+// length-prefixed sha256 midstate.
+func kind3Snapshot(ss *SessionSnapshot) []byte {
+	payload := appendBytes(nil, []byte(ss.Name))
+	payload = binary.AppendUvarint(payload, uint64(ss.NProcs))
+	payload = appendHierarchy(payload, ss.Hierarchy)
+	payload = append(payload, ss.Sig[:]...)
+	for l := range ss.Hierarchy.Levels {
+		dig := ss.Hierarchy.LevelSignature(l)
+		payload = append(payload, dig[:]...)
+		mid, _ := sha256.New().(encoding.BinaryMarshaler).MarshalBinary()
+		payload = appendBytes(payload, mid)
+	}
+	return seal(3, appendBool(payload, false))
+}
+
 func FuzzDecodeSessionSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeSessionSnapshot(&SessionSnapshot{
 		Name: "domain", NProcs: 1, Hierarchy: snapshotHierarchy(0),
 	}))
+	f.Add(kind3Snapshot(&SessionSnapshot{Name: "domain", NProcs: 1, Hierarchy: snapshotHierarchy(0)}))
 	f.Add(EncodeAssignment(&partition.Assignment{NumProcs: 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic or over-allocate; errors are expected.

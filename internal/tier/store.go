@@ -53,11 +53,6 @@ type DiskStore struct {
 
 	mu    sync.Mutex
 	bytes int64 // resident entry bytes, maintained incrementally
-	// gen counts writes: every successful Put bumps it and records the
-	// entry's generation in gens, giving the delta manifest its cursor.
-	// Removals never bump it — a cursor only needs to order writes.
-	gen  uint64
-	gens map[string]uint64 // resident key -> generation of its last Put
 
 	gets, hits, puts, evictions atomic.Uint64
 	errors                      atomic.Uint64
@@ -78,7 +73,7 @@ func OpenDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tier: %w", err)
 	}
-	s := &DiskStore{dir: dir, maxBytes: maxBytes, gens: make(map[string]uint64)}
+	s := &DiskStore{dir: dir, maxBytes: maxBytes}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A leftover put-*.tmp is an interrupted write from a crashed
@@ -94,16 +89,8 @@ func OpenDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 			}
 		}
 	}
-	entries := s.entriesLocked()
-	// Seed the write-generation map for pre-existing entries (a previous
-	// daemon's cache) in sorted-key order. The counter restarts at each
-	// open; delta-manifest consumers detect the regression (their cursor
-	// exceeds the advertised generation) and fall back to the full list.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	for _, e := range entries {
+	for _, e := range s.entriesLocked() {
 		s.bytes += e.size
-		s.gen++
-		s.gens[e.key] = s.gen
 	}
 	s.evictLocked("")
 	return s, nil
@@ -208,8 +195,6 @@ func (s *DiskStore) Put(key string, blob []byte) error {
 	}
 	s.puts.Add(1)
 	s.bytes += int64(len(blob)) - replaced
-	s.gen++
-	s.gens[key] = s.gen
 	s.evictLocked(key)
 	return nil
 }
@@ -225,7 +210,6 @@ func (s *DiskStore) Delete(key string) {
 	if fi, err := os.Stat(s.path(key)); err == nil {
 		if os.Remove(s.path(key)) == nil {
 			s.bytes -= fi.Size()
-			delete(s.gens, key)
 		}
 	}
 }
@@ -287,7 +271,6 @@ func (s *DiskStore) evictLocked(keep string) {
 		}
 		if os.Remove(s.path(e.key)) == nil {
 			s.bytes -= e.size
-			delete(s.gens, e.key)
 			s.evictions.Add(1)
 		}
 	}
@@ -305,43 +288,6 @@ func (s *DiskStore) Keys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// KeysSince returns the keys written after generation cursor since,
-// sorted, plus the store's current generation (the caller's next
-// cursor). since == 0 — or a cursor ahead of the current generation,
-// which means it came from a previous incarnation of the store whose
-// counter restarted — falls back to the full resident listing, so a
-// stale cursor degrades to the PR 9 full manifest, never to silently
-// missing keys. Deletions and evictions are not reported; delta
-// consumers discover them as clean misses when they pull.
-func (s *DiskStore) KeysSince(since uint64) ([]string, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if since == 0 || since > s.gen {
-		entries := s.entriesLocked()
-		keys := make([]string, 0, len(entries))
-		for _, e := range entries {
-			keys = append(keys, e.key)
-		}
-		sort.Strings(keys)
-		return keys, s.gen
-	}
-	keys := make([]string, 0)
-	for key, g := range s.gens {
-		if g > since {
-			keys = append(keys, key)
-		}
-	}
-	sort.Strings(keys)
-	return keys, s.gen
-}
-
-// Gen returns the store's current write generation.
-func (s *DiskStore) Gen() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
 }
 
 // Has reports whether key is resident, without reading the blob or

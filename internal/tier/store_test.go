@@ -307,64 +307,3 @@ func TestDiskStoreIgnoresForeignFiles(t *testing.T) {
 		t.Fatalf("foreign file counted: (%d, %d)", s.Len(), s.Bytes())
 	}
 }
-
-// TestDiskStoreKeysSince pins the delta-manifest cursor semantics:
-// every successful Put bumps the write generation, KeysSince(cursor)
-// returns exactly the keys written after it, and the two stale-cursor
-// forms — zero and ahead-of-generation (a restarted store) — fall back
-// to the full resident listing rather than silently missing keys.
-func TestDiskStoreKeysSince(t *testing.T) {
-	s, err := OpenDiskStore(t.TempDir(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Gen(); got != 0 {
-		t.Fatalf("fresh store generation = %d, want 0", got)
-	}
-	blob := []byte("generation fodder")
-	for i := byte(1); i <= 3; i++ {
-		if err := s.Put(k(i), blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys, gen := s.KeysSince(0)
-	if len(keys) != 3 || gen != 3 {
-		t.Fatalf("KeysSince(0) = (%v, %d), want all 3 keys at generation 3", keys, gen)
-	}
-
-	// Only keys written after the cursor appear in the delta.
-	if err := s.Put(k(4), blob); err != nil {
-		t.Fatal(err)
-	}
-	keys, gen = s.KeysSince(3)
-	if len(keys) != 1 || keys[0] != k(4) || gen != 4 {
-		t.Fatalf("KeysSince(3) = (%v, %d), want just %s at generation 4", keys, gen, k(4))
-	}
-	// A caught-up cursor yields an empty delta.
-	if keys, _ = s.KeysSince(4); len(keys) != 0 {
-		t.Fatalf("caught-up delta = %v, want empty", keys)
-	}
-
-	// Overwriting refreshes a key's generation: it reappears in deltas.
-	if err := s.Put(k(1), blob); err != nil {
-		t.Fatal(err)
-	}
-	keys, gen = s.KeysSince(4)
-	if len(keys) != 1 || keys[0] != k(1) || gen != 5 {
-		t.Fatalf("delta after overwrite = (%v, %d), want just %s at generation 5", keys, gen, k(1))
-	}
-
-	// Deletion does not bump the generation and is never advertised;
-	// delta consumers discover it as a clean miss at pull time.
-	s.Delete(k(2))
-	if keys, gen = s.KeysSince(5); len(keys) != 0 || gen != 5 {
-		t.Fatalf("delta after delete = (%v, %d), want empty at generation 5", keys, gen)
-	}
-
-	// A cursor from a previous incarnation (ahead of this store's
-	// generation) degrades to the full listing.
-	keys, gen = s.KeysSince(100)
-	if len(keys) != 3 || gen != 5 {
-		t.Fatalf("stale cursor = (%v, %d), want the full 3-key listing at generation 5", keys, gen)
-	}
-}

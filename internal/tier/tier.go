@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"io"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -15,6 +14,9 @@ import (
 
 // keyLen is the length of every tier key: lowercase hex sha256.
 const keyLen = 2 * sha256.Size
+
+// storeTimeout bounds the background peer offer of one stored value.
+const storeTimeout = 5 * time.Second
 
 // Key derives the canonical tier key from the parts of a content
 // address (e.g. hierarchy signature, canonical partitioner name,
@@ -56,9 +58,6 @@ type Config struct {
 	Self string
 	// Peer tunes the HTTP client, retry policy, and circuit breaker.
 	Peer PeerConfig
-	// StoreTimeout bounds the background peer offer of one stored
-	// value (default 5s).
-	StoreTimeout time.Duration
 	// Faults arms the tier's injection points — disk store and peer
 	// client — for chaos testing (nil in production: zero-cost).
 	Faults *fault.Injector
@@ -70,10 +69,9 @@ type Config struct {
 // can later find it in at most one hop. Every failure is a miss by
 // contract; Lookup and Store never return errors.
 type Tier struct {
-	disk         *DiskStore // nil: no disk level
-	ring         *Ring      // nil: no peer level
-	client       *PeerClient
-	storeTimeout time.Duration
+	disk   *DiskStore // nil: no disk level
+	ring   *Ring      // nil: no peer level
+	client *PeerClient
 
 	lookups, diskHits, peerHits, misses atomic.Uint64
 	stores, storeErrors, corrupt        atomic.Uint64
@@ -82,10 +80,7 @@ type Tier struct {
 
 // New assembles a tier from cfg.
 func New(cfg Config) (*Tier, error) {
-	t := &Tier{storeTimeout: cfg.StoreTimeout}
-	if t.storeTimeout <= 0 {
-		t.storeTimeout = 5 * time.Second
-	}
+	t := &Tier{}
 	if cfg.Dir != "" {
 		var err error
 		if t.disk, err = OpenDiskStore(cfg.Dir, cfg.MaxBytes); err != nil {
@@ -156,7 +151,7 @@ func (t *Tier) Lookup(ctx context.Context, key string) ([]byte, bool) {
 			if failover {
 				t.failoverReads.Add(1)
 			}
-			if blob, ok := t.client.Get(ctx, peer, key); ok {
+			if blob, err := t.client.Fetch(ctx, peer, key); err == nil {
 				t.peerHits.Add(1)
 				if t.disk != nil {
 					t.disk.Put(key, blob) //nolint:errcheck // write-through is best-effort
@@ -191,7 +186,7 @@ func (t *Tier) Store(key string, blob []byte) {
 			if failover {
 				t.failoverStores.Add(1)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), t.storeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), storeTimeout)
 			if t.client.Put(ctx, peer, key, blob) {
 				ok = true
 			}
@@ -307,29 +302,17 @@ func (t *Tier) ServeGet(w http.ResponseWriter, key string) {
 	w.Write(blob) //nolint:errcheck
 }
 
-// ManifestGenHeader carries the store's write generation on manifest
-// replies; a delta-manifest caller sends it back as the since cursor.
-// Its absence marks a peer predating delta manifests, and the caller
-// stays on full listings.
-const ManifestGenHeader = "X-Samr-Manifest-Gen"
-
 // ServeManifest is the anti-entropy read handler body: it answers the
-// disk store's resident key list as text/plain, one key per line,
-// sorted, with the store's write generation in ManifestGenHeader.
-// since > 0 (a cursor from a previous manifest's generation header)
-// narrows the listing to keys written after that generation; 0 — and
-// any cursor the store's restarted counter no longer covers — answers
-// the full list. internal/server routes GET /v1/tier/manifest here
-// when repair is enabled.
-func (t *Tier) ServeManifest(w http.ResponseWriter, since uint64) {
+// disk store's full resident key list as text/plain, one key per line,
+// sorted. internal/server routes GET /v1/tier/manifest here when repair
+// is enabled.
+func (t *Tier) ServeManifest(w http.ResponseWriter) {
 	if t.disk == nil {
 		http.Error(w, "no disk store", http.StatusNotFound)
 		return
 	}
-	keys, gen := t.disk.KeysSince(since)
-	w.Header().Set(ManifestGenHeader, strconv.FormatUint(gen, 10))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, key := range keys {
+	for _, key := range t.disk.Keys() {
 		io.WriteString(w, key)  //nolint:errcheck
 		io.WriteString(w, "\n") //nolint:errcheck
 	}
