@@ -556,6 +556,10 @@ func (d *Driver) NumLevels() int { return len(d.levels) }
 // driver's patch slabs are recycled into the free list when the run
 // finishes either way.
 func Run(ctx context.Context, k solver.Kernel, cfg Config, steps int) (*trace.Trace, error) {
+	// New builds the whole initial hierarchy and takes no context.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	d, err := New(k, cfg)
 	if err != nil {
 		return nil, err

@@ -5,10 +5,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"samr/internal/amr"
+	"samr/internal/field"
+	"samr/internal/solver"
 	"samr/internal/trace"
 )
 
@@ -88,4 +92,26 @@ func TestGoldenTraceCancellation(t *testing.T) {
 	if tr != nil {
 		t.Fatalf("cancelled generation returned a trace with %d snapshots", tr.Len())
 	}
+
+	// The initial hierarchy is generation work too: a context that is
+	// already cancelled must not pay for it.
+	k := &initCounter{Kernel: solver.NewTransport()}
+	if _, err := amr.Run(ctx, k, goldenConfig(2), goldenSteps); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if n := k.inits.Load(); n != 0 {
+		t.Errorf("cancelled run initialised %d patches before looking at its context", n)
+	}
+}
+
+// initCounter counts the patches the driver asks its kernel to
+// initialise.
+type initCounter struct {
+	solver.Kernel
+	inits atomic.Int64
+}
+
+func (k *initCounter) Init(p *field.Patch, g solver.Geometry) {
+	k.inits.Add(1)
+	k.Kernel.Init(p, g)
 }

@@ -1,6 +1,8 @@
 package field
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"samr/internal/geom"
@@ -184,5 +186,110 @@ func TestMaxAbs(t *testing.T) {
 	p.Set(0, -1, -1, 100) // ghost: must be ignored
 	if got := p.MaxAbs(0); got != 5 {
 		t.Errorf("MaxAbs = %f, want 5", got)
+	}
+}
+
+// prolongLinearReference is ProlongLinear written cell by cell: no
+// precomputed x-stencil, no row slices, every cell clamps its own
+// stencil and forms its own weights.
+func prolongLinearReference(fine *Patch, coarse *Patch, region geom.Box, ratio int) {
+	region = region.Intersect(fine.GrownBox())
+	if region.Empty() {
+		return
+	}
+	cg := coarse.GrownBox()
+	r := float64(ratio)
+	for y := region.Lo[1]; y < region.Hi[1]; y++ {
+		yc := (float64(y) + 0.5) / r
+		j0 := int(math.Floor(yc - 0.5))
+		ty := yc - (float64(j0) + 0.5)
+		j1 := j0 + 1
+		if j0 < cg.Lo[1] {
+			j0 = cg.Lo[1]
+		}
+		if j1 > cg.Hi[1]-1 {
+			j1 = cg.Hi[1] - 1
+		}
+		if j0 > j1 || j0 < cg.Lo[1] {
+			continue // no coverage in y
+		}
+		for x := region.Lo[0]; x < region.Hi[0]; x++ {
+			xc := (float64(x) + 0.5) / r
+			i0 := int(math.Floor(xc - 0.5))
+			tx := xc - (float64(i0) + 0.5)
+			i1 := i0 + 1
+			if i0 < cg.Lo[0] {
+				i0 = cg.Lo[0]
+			}
+			if i1 > cg.Hi[0]-1 {
+				i1 = cg.Hi[0] - 1
+			}
+			if i0 > i1 || i0 < cg.Lo[0] {
+				continue // no coverage in x
+			}
+			for c := 0; c < fine.NComp; c++ {
+				v00 := coarse.At(c, i0, j0)
+				v10 := coarse.At(c, i1, j0)
+				v01 := coarse.At(c, i0, j1)
+				v11 := coarse.At(c, i1, j1)
+				fine.Set(c, x, y, (1-tx)*(1-ty)*v00+tx*(1-ty)*v10+(1-tx)*ty*v01+tx*ty*v11)
+			}
+		}
+	}
+}
+
+// TestProlongLinearMatchesReference compares the row-streamed
+// ProlongLinear bit for bit with the cell-by-cell one over random
+// fine/coarse pairs. The coarse patch is placed anywhere from exactly
+// under the fine patch to off to one side, so regions are fully covered,
+// covered through a clamped stencil, partly uncovered, and not covered
+// at all; regions wider than the 64-cell stack buffers take the heap
+// path.
+func TestProlongLinearMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	var written, untouched int
+	for trial := 0; trial < 400; trial++ {
+		ratio := 2 + r.Intn(3)
+		ncomp := 1 + r.Intn(4)
+		w, h := 1+r.Intn(24), 1+r.Intn(24)
+		if trial%10 == 0 {
+			w = 65 + r.Intn(40)
+		}
+		x0, y0 := (r.Intn(40)-20)*ratio, (r.Intn(40)-20)*ratio
+		got := NewPatch(geom.NewBox2(x0, y0, x0+w, y0+h), 1+r.Intn(2), ncomp)
+		cb := got.Box.Coarsen(ratio).Shift(geom.IV2(r.Intn(7)-3, r.Intn(7)-3))
+		cb.Hi[0] += r.Intn(3) - 1
+		cb.Hi[1] += r.Intn(3) - 1
+		if cb.Empty() {
+			continue
+		}
+		coarse := NewPatch(cb, r.Intn(2), ncomp)
+		for i := range coarse.data {
+			coarse.data[i] = r.NormFloat64()
+		}
+		for i := range got.data {
+			got.data[i] = r.NormFloat64()
+		}
+		before, want := got.Clone(), got.Clone()
+		region := got.GrownBox()
+		if r.Intn(2) == 0 { // a halo strip, the shape fillGhosts prolongs
+			region.Hi[1] = region.Lo[1] + 1
+		}
+		ProlongLinear(got, coarse, region, ratio)
+		prolongLinearReference(want, coarse, region, ratio)
+		for i := range want.data {
+			if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
+				t.Fatalf("trial %d: fine %v coarse %v region %v ratio %d: slab[%d] = %v, reference %v",
+					trial, got.Box, coarse.Box, region, ratio, i, got.data[i], want.data[i])
+			}
+			if want.data[i] != before.data[i] {
+				written++
+			} else {
+				untouched++
+			}
+		}
+	}
+	if written == 0 || untouched == 0 {
+		t.Errorf("one side of the coverage split never occurred: %d cells written, %d left alone", written, untouched)
 	}
 }

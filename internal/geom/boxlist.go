@@ -1,6 +1,10 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // BoxList is an ordered collection of boxes on one refinement level. The
 // boxes of a well-formed SAMR level are pairwise disjoint, but BoxList
@@ -171,20 +175,51 @@ func OverlapVolumeNaive(a, b BoxList) int64 {
 // Simplify merges mergeable neighbours (boxes that share a full face and
 // together form a box) until no merge applies. It reduces fragmentation
 // after Subtract chains; the covered region is unchanged.
+//
+// The result is order-dependent and the order is part of the contract
+// (partition fragments, and with them every golden, follow from it):
+// each step merges the lexicographically first mergeable index pair
+// (i, j), i < j, into position i and deletes position j. The loop
+// finds that pair without rescanning from (0, 1). Call a row a settled
+// when no pair (a, b), a < b, merges. Rows below next are settled
+// except row cur, whose box has just changed. A merge into cur leaves
+// every other box as it was, so in the settled rows only the pairs
+// (a, cur), a < cur, can have become mergeable; they are tried in
+// order, and a hit moves the changed box down to a. Only when none
+// hits is row cur scanned, and once it settles the scan resumes at
+// next, the first row never examined. That is the merge sequence of
+// the restart-from-the-top loop (kept as the test oracle) at O(n)
+// instead of O(n^2) pair checks per merge.
 func (bl BoxList) Simplify() BoxList {
 	out := bl.Clone()
-	merged := true
-	for merged {
-		merged = false
-	outer:
-		for i := 0; i < len(out); i++ {
-			for j := i + 1; j < len(out); j++ {
-				if m, ok := tryMerge(out[i], out[j]); ok {
-					out[i] = m
-					out = append(out[:j], out[j+1:]...)
-					merged = true
-					break outer
+	next := 0
+	for cur := 0; cur < len(out); {
+		j := cur + 1
+		for ; j < len(out); j++ {
+			if m, ok := tryMerge(out[cur], out[j]); ok {
+				out[cur] = m
+				break
+			}
+		}
+		if j == len(out) { // row cur is settled
+			if cur == next {
+				next++
+			}
+			cur = next
+			continue
+		}
+		out = slices.Delete(out, j, j+1)
+		if j < next {
+			next--
+		}
+		for a := 0; a < cur; a++ {
+			if m, ok := tryMerge(out[a], out[cur]); ok {
+				out[a] = m
+				out = slices.Delete(out, cur, cur+1)
+				if cur < next {
+					next--
 				}
+				cur, a = a, -1 // the changed box is at a now: try (0, a) .. (a-1, a)
 			}
 		}
 	}
@@ -269,14 +304,18 @@ func (bl BoxList) Compact() BoxList {
 }
 
 // SortByLo orders the list lexicographically by Lo corner; useful for
-// deterministic output.
+// deterministic output. On the non-empty disjoint lists it is called
+// with (Simplify has just folded any duplicates) no two boxes share a
+// Lo, so the comparison is a strict total order and the result does not
+// depend on the sorting algorithm; boxes that do share a Lo end up
+// adjacent in unspecified relative order.
 func (bl BoxList) SortByLo() {
-	sort.Slice(bl, func(i, j int) bool {
+	slices.SortFunc(bl, func(a, b Box) int {
 		for d := MaxDim - 1; d >= 0; d-- {
-			if bl[i].Lo[d] != bl[j].Lo[d] {
-				return bl[i].Lo[d] < bl[j].Lo[d]
+			if c := cmp.Compare(a.Lo[d], b.Lo[d]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 }

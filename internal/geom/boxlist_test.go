@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -135,6 +136,91 @@ func TestSimplifyPreservesRegion(t *testing.T) {
 	}
 }
 
+// simplifyNaive is the restart-from-the-top Simplify this package shipped
+// before the resuming scan: merge the lexicographically first mergeable
+// pair, then rescan from (0, 1). It defines the merge order Simplify
+// must reproduce.
+func simplifyNaive(bl BoxList) BoxList {
+	out := bl.Clone()
+	merged := true
+	for merged {
+		merged = false
+	outer:
+		for i := 0; i < len(out); i++ {
+			for j := i + 1; j < len(out); j++ {
+				if m, ok := tryMerge(out[i], out[j]); ok {
+					out[i] = m
+					out = append(out[:j], out[j+1:]...)
+					merged = true
+					break outer
+				}
+			}
+		}
+	}
+	return out
+}
+
+// subdivide appends a random recursive subdivision of b along its
+// first dims dimensions, stopping at unit extent or at random.
+func subdivide(r *rand.Rand, b Box, dims int, out BoxList) BoxList {
+	d := r.Intn(dims)
+	if b.Size(d) < 2 || r.Intn(5) == 0 {
+		return append(out, b)
+	}
+	lo, hi := b.ChopDim(d, b.Lo[d]+1+r.Intn(b.Size(d)-1))
+	return subdivide(r, hi, dims, subdivide(r, lo, dims, out))
+}
+
+// randomFragments is the shape Simplify is fed in production: a box cut
+// into pieces with some dropped, in arbitrary order, with the
+// occasional duplicate.
+func randomFragments(r *rand.Rand, domain Box, dims int) BoxList {
+	var bl BoxList
+	for _, b := range subdivide(r, domain, dims, nil) {
+		if r.Intn(6) > 0 {
+			bl = append(bl, b)
+		}
+	}
+	for k := r.Intn(3); k > 0 && len(bl) > 0; k-- {
+		bl = append(bl, bl[r.Intn(len(bl))])
+	}
+	r.Shuffle(len(bl), func(i, j int) { bl[i], bl[j] = bl[j], bl[i] })
+	return bl
+}
+
+func checkSimplifyMatchesNaive(t *testing.T, bl BoxList) {
+	t.Helper()
+	in := bl.Clone()
+	if got, want := bl.Simplify(), simplifyNaive(bl); !slices.Equal(got, want) {
+		t.Fatalf("Simplify(%v)\n got %v\nwant %v", in, got, want)
+	}
+	if !slices.Equal(bl, in) {
+		t.Fatalf("Simplify modified its receiver: %v, was %v", bl, in)
+	}
+}
+
+func TestSimplifyMatchesNaive(t *testing.T) {
+	checkSimplifyMatchesNaive(t, nil)
+	checkSimplifyMatchesNaive(t, BoxList{})
+	checkSimplifyMatchesNaive(t, BoxList{NewBox2(3, -2, 5, 7)})
+	b := NewBox2(0, 0, 2, 2)
+	checkSimplifyMatchesNaive(t, BoxList{b, b, b})
+	r := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + r.Intn(12)
+		checkSimplifyMatchesNaive(t, randomFragments(r, NewBox2(-3, 5, -3+n, 5+n), 2))
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(5)
+		checkSimplifyMatchesNaive(t, randomFragments(r, NewBox3(0, -2, 1, n, n-2, n+1), 3))
+	}
+	// Arbitrary overlapping boxes: nothing in Simplify assumes a
+	// disjoint list.
+	for trial := 0; trial < 300; trial++ {
+		checkSimplifyMatchesNaive(t, randomBoxList(r, 1+r.Intn(30)))
+	}
+}
+
 func TestRefineCoarsenList(t *testing.T) {
 	bl := BoxList{NewBox2(0, 0, 2, 2), NewBox2(3, 3, 5, 4)}
 	if got := bl.Refine(2).TotalVolume(); got != 4*bl.TotalVolume() {
@@ -163,5 +249,37 @@ func BenchmarkOverlapVolumeSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		OverlapVolume(x, y)
+	}
+}
+
+// BenchmarkSimplifyFragments feeds Simplify what partition.mergeFragments
+// does for one owner: a 64x64 region as 2x2 unit boxes in a
+// curve-like order (4x4 tiles visited in shuffled order, boxes
+// shuffled within each tile).
+func BenchmarkSimplifyFragments(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	var tiles []BoxList
+	for ty := 0; ty < 64; ty += 8 {
+		for tx := 0; tx < 64; tx += 8 {
+			var tile BoxList
+			for y := ty; y < ty+8; y += 2 {
+				for x := tx; x < tx+8; x += 2 {
+					tile = append(tile, NewBox2(x, y, x+2, y+2))
+				}
+			}
+			r.Shuffle(len(tile), func(i, j int) { tile[i], tile[j] = tile[j], tile[i] })
+			tiles = append(tiles, tile)
+		}
+	}
+	r.Shuffle(len(tiles), func(i, j int) { tiles[i], tiles[j] = tiles[j], tiles[i] })
+	var frags BoxList
+	for _, tile := range tiles {
+		frags = append(frags, tile...)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if got := frags.Simplify(); got.TotalVolume() != 64*64 {
+			b.Fatalf("Simplify changed the covered volume: %v", got)
+		}
 	}
 }

@@ -8,9 +8,10 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
@@ -312,11 +313,8 @@ func minInt(a, b int) int {
 // longer) merged form overwrites consumed positions, so no per-call
 // map or key slice is built.
 func mergeFragments(frags []Fragment) []Fragment {
-	sort.SliceStable(frags, func(i, j int) bool {
-		if frags[i].Level != frags[j].Level {
-			return frags[i].Level < frags[j].Level
-		}
-		return frags[i].Owner < frags[j].Owner
+	slices.SortStableFunc(frags, func(a, b Fragment) int {
+		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Owner, b.Owner))
 	})
 	out := frags[:0]
 	var scratch geom.BoxList

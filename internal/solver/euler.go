@@ -109,76 +109,89 @@ func (k *Euler) Init(p *field.Patch, g Geometry) {
 	}
 }
 
-// flux returns the x-direction physical flux of the state.
-func (k *Euler) flux(rho, mu, mv, e float64) [4]float64 {
-	_, u, _, pr := k.primitive(rho, mu, mv, e)
-	return [4]float64{
-		mu,
-		mu*u + pr,
-		mv * u,
-		(e + pr) * u,
+// eulerCell is everything the Rusanov flux takes from one cell, derived
+// once per step and shared by the four faces the cell borders.
+type eulerCell struct {
+	q [4]float64    // conserved state as stored
+	s [2]float64    // fastest signal speed along x and y: |u|+c, |v|+c, c = sqrt(Gamma*p/rho)
+	f [2][4]float64 // physical flux along x and y, components in storage order
+}
+
+// derive fills row with the cells [x0, x0+len(row)) of patch row y.
+// The y-flux is the x-flux of the state with its momenta exchanged,
+// written back in storage order; the pressure is the same either way
+// because the only thing the exchange does to primitive is turn
+// u*u+v*v into v*v+u*u.
+func (k *Euler) derive(row []eulerCell, p *field.Patch, y, x0 int) {
+	x1 := x0 + len(row)
+	r0, r1 := p.RowSpan(0, y, x0, x1), p.RowSpan(1, y, x0, x1)
+	r2, r3 := p.RowSpan(2, y, x0, x1), p.RowSpan(3, y, x0, x1)
+	for o := range row {
+		mu, mv, e := r1[o], r2[o], r3[o]
+		rho, u, v, pr := k.primitive(r0[o], mu, mv, e)
+		c := math.Sqrt(k.Gamma * pr / rho)
+		cell := &row[o]
+		cell.q = [4]float64{r0[o], mu, mv, e}
+		cell.s = [2]float64{math.Abs(u) + c, math.Abs(v) + c}
+		cell.f[0] = [4]float64{mu, mu*u + pr, mv * u, (e + pr) * u}
+		cell.f[1] = [4]float64{mv, mu * v, mv*v + pr, (e + pr) * v}
 	}
 }
 
-// rusanov computes the Rusanov numerical flux between left and right
-// states for the axis along which the states are oriented. For the y
-// direction callers swap the momentum components.
-func (k *Euler) rusanov(l, r [4]float64) [4]float64 {
-	lr, lu, _, lp := k.primitive(l[0], l[1], l[2], l[3])
-	rr, ru, _, rp := k.primitive(r[0], r[1], r[2], r[3])
-	cl := math.Sqrt(k.Gamma * lp / lr)
-	cr := math.Sqrt(k.Gamma * rp / rr)
-	smax := math.Max(math.Abs(lu)+cl, math.Abs(ru)+cr)
-	fl := k.flux(l[0], l[1], l[2], l[3])
-	fr := k.flux(r[0], r[1], r[2], r[3])
-	var out [4]float64
+// rusanov computes the Rusanov numerical flux through the face between
+// l and r, its neighbour in the positive direction of axis (0 = x,
+// 1 = y).
+func rusanov(l, r *eulerCell, axis int) (out [4]float64) {
+	smax := math.Max(l.s[axis], r.s[axis])
+	fl, fr := &l.f[axis], &r.f[axis]
 	for c := 0; c < 4; c++ {
-		out[c] = 0.5*(fl[c]+fr[c]) - 0.5*smax*(r[c]-l[c])
+		out[c] = 0.5*(fl[c]+fr[c]) - 0.5*smax*(r.q[c]-l.q[c])
 	}
 	return out
 }
 
-// gather returns the conserved vector at row offset o of the four
-// component rows.
-func gather(rows *[4][]float64, o int) [4]float64 {
-	return [4]float64{rows[0][o], rows[1][o], rows[2][o], rows[3][o]}
-}
-
-// swapMom exchanges the momentum components, mapping a y-oriented state
-// to the x-oriented frame the 1-D flux expects.
-func swapMom(s [4]float64) [4]float64 { return [4]float64{s[0], s[2], s[1], s[3]} }
-
+// Step updates the patch in place, without the whole-patch clone the
+// other kernels take: lo and hi hold the derived cells of rows j and
+// j+1, and fy the fluxes through the faces below row j. Row j+1 is
+// derived before row j is overwritten, and nothing reads a row from the
+// patch after that, so every flux sees the old time level. Each face
+// flux is computed once — the x-flux is carried from cell to cell, the
+// y-flux through a cell's upper face replaces the lower one in fy for
+// the next row. The goldens pin this kernel's output to the bit, so the
+// arithmetic of every flux and of the update keeps its operands and
+// association; the test oracle recomputes all four fluxes per cell
+// from the stored state.
 func (k *Euler) Step(p *field.Patch, t, dt float64, g Geometry) {
-	old := p.Clone()
-	defer old.Release()
 	lam := dt / g.Dx
 	b := p.Box
-	off := -p.GrownBox().Lo[0]
-	var rm, rc, rp, dst [4][]float64
+	w := b.Size(0)
+	cells := make([]eulerCell, 2*(w+2))
+	lo, hi := cells[:w+2], cells[w+2:]
+	fy := make([][4]float64, w)
+	k.derive(lo, p, b.Lo[1]-1, b.Lo[0]-1)
+	k.derive(hi, p, b.Lo[1], b.Lo[0]-1)
+	for i := range fy {
+		fy[i] = rusanov(&lo[i+1], &hi[i+1], 1)
+	}
+	var dst [4][]float64
 	for j := b.Lo[1]; j < b.Hi[1]; j++ {
-		for c := 0; c < 4; c++ {
-			rm[c] = old.Row(c, j-1)
-			rc[c] = old.Row(c, j)
-			rp[c] = old.Row(c, j+1)
-			dst[c] = p.Row(c, j)
+		lo, hi = hi, lo
+		k.derive(hi, p, j+1, b.Lo[0]-1)
+		for c := range dst {
+			dst[c] = p.RowSpan(c, j, b.Lo[0], b.Hi[0])
 		}
-		for i := b.Lo[0]; i < b.Hi[0]; i++ {
-			o := i + off
-			c0 := gather(&rc, o)
-			// X-direction fluxes.
-			fxm := k.rusanov(gather(&rc, o-1), c0)
-			fxp := k.rusanov(c0, gather(&rc, o+1))
-			// Y-direction fluxes in the swapped frame.
-			fym := k.rusanov(swapMom(gather(&rm, o)), swapMom(c0))
-			fyp := k.rusanov(swapMom(c0), swapMom(gather(&rp, o)))
-			fym, fyp = swapMom(fym), swapMom(fyp)
+		fxm := rusanov(&lo[0], &lo[1], 0)
+		for i := range fy {
+			c0 := &lo[i+1]
+			fxp, fym, fyp := rusanov(c0, &lo[i+2], 0), fy[i], rusanov(c0, &hi[i+1], 1)
 			for c := 0; c < 4; c++ {
-				dst[c][o] = c0[c] - lam*(fxp[c]-fxm[c]) - lam*(fyp[c]-fym[c])
+				dst[c][i] = c0.q[c] - lam*(fxp[c]-fxm[c]) - lam*(fyp[c]-fym[c])
 			}
 			// Positivity floor on density and pressure.
-			if dst[0][o] < 1e-8 {
-				dst[0][o] = 1e-8
+			if dst[0][i] < 1e-8 {
+				dst[0][i] = 1e-8
 			}
+			fxm, fy[i] = fxp, fyp
 		}
 	}
 }

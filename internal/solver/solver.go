@@ -20,12 +20,17 @@
 // The kernels are written over field.Patch row slices (Row/RowSpan):
 // every inner loop walks contiguous storage with the index math and
 // bounds checks hoisted out of the cell loop, instead of paying At/Set
-// offset recomputation per stencil read. Step clones the patch into a
-// free-listed scratch slab, reads the clone, and writes only the
-// interior of the live patch; Init and the halo fills are the only
-// writers of ghost cells. A kernel invocation touches exactly one
-// patch, so the AMR driver may run Step/Init/Tag on distinct patches
-// concurrently — results are bit-identical to a sequential sweep.
+// offset recomputation per stencil read. Step reads the old time level
+// and writes only the interior of the live patch; Init and the halo
+// fills are the only writers of ghost cells. Transport, ScalarWave and
+// BuckleyLeverett get the old level by cloning the patch into a
+// free-listed scratch slab. Euler, whose per-cell work (primitives,
+// sound speed, physical fluxes) is worth keeping, instead derives each
+// row once into a two-row window allocated per call, updates the patch
+// in place behind it, and computes every face flux once (see
+// Euler.Step). A kernel invocation touches exactly one patch, so the
+// AMR driver may run Step/Init/Tag on distinct patches concurrently —
+// results are bit-identical to a sequential sweep.
 package solver
 
 import (

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"samr/internal/field"
@@ -300,5 +302,192 @@ func TestGeometryCenter(t *testing.T) {
 	x, y := g.Center(0, 3)
 	if x != 0.125 || y != 0.875 {
 		t.Errorf("Center = (%f,%f)", x, y)
+	}
+}
+
+// eulerStepReference is the per-cell Euler step this package shipped
+// before the compute-once kernel: clone the patch, and for every cell
+// evaluate all four of its face fluxes from scratch, the y-direction
+// ones on states with the momenta swapped. It is the oracle Step must
+// match bit for bit.
+func eulerStepReference(k *Euler, p *field.Patch, dt float64, g Geometry) {
+	primitive := func(rho, mu, mv, e float64) (r, u, v, pr float64) {
+		if rho < 1e-10 {
+			rho = 1e-10
+		}
+		u, v = mu/rho, mv/rho
+		pr = (k.Gamma - 1) * (e - 0.5*rho*(u*u+v*v))
+		if pr < 1e-10 {
+			pr = 1e-10
+		}
+		return rho, u, v, pr
+	}
+	flux := func(rho, mu, mv, e float64) [4]float64 {
+		_, u, _, pr := primitive(rho, mu, mv, e)
+		return [4]float64{
+			mu,
+			mu*u + pr,
+			mv * u,
+			(e + pr) * u,
+		}
+	}
+	rusanov := func(l, r [4]float64) [4]float64 {
+		lr, lu, _, lp := primitive(l[0], l[1], l[2], l[3])
+		rr, ru, _, rp := primitive(r[0], r[1], r[2], r[3])
+		cl := math.Sqrt(k.Gamma * lp / lr)
+		cr := math.Sqrt(k.Gamma * rp / rr)
+		smax := math.Max(math.Abs(lu)+cl, math.Abs(ru)+cr)
+		fl := flux(l[0], l[1], l[2], l[3])
+		fr := flux(r[0], r[1], r[2], r[3])
+		var out [4]float64
+		for c := 0; c < 4; c++ {
+			out[c] = 0.5*(fl[c]+fr[c]) - 0.5*smax*(r[c]-l[c])
+		}
+		return out
+	}
+	gather := func(rows *[4][]float64, o int) [4]float64 {
+		return [4]float64{rows[0][o], rows[1][o], rows[2][o], rows[3][o]}
+	}
+	swapMom := func(s [4]float64) [4]float64 { return [4]float64{s[0], s[2], s[1], s[3]} }
+
+	old := p.Clone()
+	defer old.Release()
+	lam := dt / g.Dx
+	b := p.Box
+	off := -p.GrownBox().Lo[0]
+	var rm, rc, rp, dst [4][]float64
+	for j := b.Lo[1]; j < b.Hi[1]; j++ {
+		for c := 0; c < 4; c++ {
+			rm[c] = old.Row(c, j-1)
+			rc[c] = old.Row(c, j)
+			rp[c] = old.Row(c, j+1)
+			dst[c] = p.Row(c, j)
+		}
+		for i := b.Lo[0]; i < b.Hi[0]; i++ {
+			o := i + off
+			c0 := gather(&rc, o)
+			fxm := rusanov(gather(&rc, o-1), c0)
+			fxp := rusanov(c0, gather(&rc, o+1))
+			fym := rusanov(swapMom(gather(&rm, o)), swapMom(c0))
+			fyp := rusanov(swapMom(c0), swapMom(gather(&rp, o)))
+			fym, fyp = swapMom(fym), swapMom(fyp)
+			for c := 0; c < 4; c++ {
+				dst[c][o] = c0[c] - lam*(fxp[c]-fxm[c]) - lam*(fyp[c]-fym[c])
+			}
+			if dst[0][o] < 1e-8 {
+				dst[0][o] = 1e-8
+			}
+		}
+	}
+}
+
+// contractsMulAdd reports whether this build fuses x*y+z into one
+// rounding (the compiler may on arm64, ppc64le, s390x, riscv64 and
+// GOAMD64=v3). Step's y-fluxes equal the reference's swapped-frame ones
+// only because u*u+v*v and v*v+u*u round alike, which fusing breaks.
+func contractsMulAdd() bool {
+	x := 1 + 1.0/(1<<27)
+	y := -(1 + 1.0/(1<<26))
+	return x*x+y != 0
+}
+
+// randomEulerPatch fills a w x h patch (halo included) with a random
+// state: smooth around a random background, or rough with near-vacuum
+// densities and energies below the kinetic energy, so that both floors
+// of primitive and the density floor of Step are exercised.
+func randomEulerPatch(r *rand.Rand, w, h int, rough bool) *field.Patch {
+	x0, y0 := r.Intn(200)-100, r.Intn(200)-100
+	p := field.NewPatch(geom.NewBox2(x0, y0, x0+w, y0+h), 1, 4)
+	k := NewEuler()
+	rho0, u0, v0, p0 := 0.5+2*r.Float64(), 2*r.Float64()-1, 2*r.Float64()-1, 0.5+2*r.Float64()
+	kx, ky := 0.7*r.Float64(), 0.7*r.Float64()
+	gb := p.GrownBox()
+	for y := gb.Lo[1]; y < gb.Hi[1]; y++ {
+		for x := gb.Lo[0]; x < gb.Hi[0]; x++ {
+			s := math.Sin(kx*float64(x) + ky*float64(y))
+			st := k.conserved(rho0*(1+0.3*s), u0+0.2*s, v0-0.2*s, p0*(1+0.3*s))
+			if rough {
+				st = [4]float64{3 * r.Float64(), 4*r.Float64() - 2, 4*r.Float64() - 2, 6*r.Float64() - 1}
+				switch r.Intn(8) {
+				case 0:
+					st[0] = 1e-11 * r.Float64() // below primitive's density floor
+				case 1:
+					st[3] = -r.Float64() // negative pressure
+				}
+			}
+			for c := 0; c < 4; c++ {
+				p.Set(c, x, y, st[c])
+			}
+		}
+	}
+	return p
+}
+
+func TestEulerStepMatchesReference(t *testing.T) {
+	if contractsMulAdd() {
+		t.Skip("this build contracts x*y+z; the swapped-frame reference is not bit-comparable")
+	}
+	k := NewEuler()
+	r := rand.New(rand.NewSource(18))
+	sizes := [][2]int{{1, 1}, {1, 17}, {17, 1}, {2, 2}, {40, 40}}
+	for len(sizes) < 150 {
+		sizes = append(sizes, [2]int{1 + r.Intn(40), 1 + r.Intn(40)})
+	}
+	var floored, vacuum, negP int
+	for n, wh := range sizes {
+		got := randomEulerPatch(r, wh[0], wh[1], n%2 == 1)
+		before, want := got.Clone(), got.Clone()
+		g := Geometry{Dx: 1.0 / float64(8+r.Intn(120))}
+		// Up to five times the stable step, so that rough states
+		// drive some densities below the 1e-8 floor.
+		dt := 5 * r.Float64() * g.Dx / k.MaxSpeed()
+		k.Step(got, 0, dt, g)
+		eulerStepReference(k, want, dt, g)
+		gb := got.GrownBox()
+		for y := gb.Lo[1]; y < gb.Hi[1]; y++ {
+			for x := gb.Lo[0]; x < gb.Hi[0]; x++ {
+				ref := want
+				if !got.Box.Contains(geom.IV2(x, y)) {
+					ref = before // a step must not write the halo
+				} else {
+					if got.At(0, x, y) == 1e-8 {
+						floored++
+					}
+					if before.At(0, x, y) < 1e-10 {
+						vacuum++
+					}
+					if _, _, _, pr := k.primitive(before.At(0, x, y), before.At(1, x, y), before.At(2, x, y), before.At(3, x, y)); pr == 1e-10 {
+						negP++
+					}
+				}
+				for c := 0; c < 4; c++ {
+					if a, b := got.At(c, x, y), ref.At(c, x, y); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("patch %d (%dx%d at %v) comp %d cell (%d,%d): Step %v (%#x), reference %v (%#x)",
+							n, wh[0], wh[1], got.Box.Lo, c, x, y, a, math.Float64bits(a), b, math.Float64bits(b))
+					}
+				}
+			}
+		}
+	}
+	if floored == 0 || vacuum == 0 || negP == 0 {
+		t.Errorf("floors not exercised: density floor fired %d times, rho<1e-10 in %d cells, pressure floor in %d", floored, vacuum, negP)
+	}
+}
+
+// BenchmarkEulerStep times one RM2D kernel step on a large and a small
+// patch; the scratch rows are per call, so allocations are reported.
+func BenchmarkEulerStep(b *testing.B) {
+	for _, size := range []int{32, 8} {
+		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
+			k := NewEuler()
+			p := runSteps(k, 0, size)
+			field.FillPhysical(p, []*field.Patch{p}, p.Box, k.BC())
+			g := Geometry{Dx: 1.0 / float64(size)}
+			dt := 0.4 * g.Dx / k.MaxSpeed()
+			b.ReportAllocs()
+			for b.Loop() {
+				k.Step(p, 0, dt, g)
+			}
+		})
 	}
 }
