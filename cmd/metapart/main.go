@@ -56,12 +56,11 @@ func main() {
 	}
 
 	m := sim.DefaultMachine()
-	meta := core.NewMetaPartitioner(2e-4)
+	meta := core.NewMetaPartitioner(core.DefaultPartitionCost)
 	fmt.Printf("%6s %8s %8s %8s %8s %10s  %s\n",
 		"step", "dimI", "dimII", "dimIII", "sizeNorm", "points", "selected partitioner")
 	for _, snap := range tr.Snapshots {
-		slot := float64(snap.H.Workload()) * m.CellTime / float64(*procs)
-		p := meta.Select(snap.H, slot)
+		p := meta.Select(snap.H, m.TimeSlot(snap.H, *procs))
 		s, _ := meta.LastSample()
 		fmt.Printf("%6d %8.3f %8.3f %8.3f %8.3f %10d  %s\n",
 			snap.Step, s.DimI, s.DimII, s.DimIII, s.SizeNorm, s.Points, p.Name())

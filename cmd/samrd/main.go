@@ -50,10 +50,11 @@
 // Every request is bounded by a context that threads from the HTTP
 // layer down through the worker pool, the partitioners, and the
 // simulator; no layer ignores cancellation. The -request-timeout flag
-// caps each request's handling (default 2m, 0 disables): a request
-// whose deadline expires — including one that arrives already past it —
-// returns 504 Gateway Timeout with a JSON error body, without running
-// (or while aborting, mid-batch) the partitioner. A client that
+// caps each request's handling (default 2m, 0 disables; a negative
+// duration here, for -tier-repair or for -session-ttl fails startup): a
+// request whose deadline expires — including one that arrives already
+// past it — returns 504 Gateway Timeout with a JSON error body, without
+// running (or while aborting, mid-batch) the partitioner. A client that
 // disconnects cancels its request the same way; the outcome is recorded
 // as the nginx-conventional 499. Cancelled partition work never
 // produces partial results and never poisons the cache.
@@ -91,7 +92,7 @@
 // Tenants are distinguished by the X-Samr-Tenant request header
 // (absent means the anonymous tenant). -tenant-rate grants each tenant
 // a token bucket of that many requests per second (0 disables rate
-// limiting) with -tenant-burst capacity, so one hot client cannot
+// limiting) holding the rate rounded up, so one hot client cannot
 // monopolize admission; throttled requests get the same 429 shape with
 // X-Samr-Shed: rate-limit. Per-tenant admission counters appear under
 // "admission" in /v1/stats.
@@ -170,7 +171,9 @@
 //
 // Start two daemons that know each other (every member passes the SAME
 // -tier-peers list, naming all members including itself, and its own
-// URL as -tier-self):
+// URL as -tier-self; a -tier-self that is missing or is not one of
+// -tier-peers, a trailing slash aside, fails startup, because a member
+// the ring does not know would own no key and never say so):
 //
 //	samrd -addr :8347 -tier-dir /var/cache/samr-a \
 //	      -tier-peers http://10.0.0.1:8347,http://10.0.0.2:8347 \
@@ -202,14 +205,14 @@
 // recompute per request. Anti-entropy repair is the opt-in second
 // axis:
 //
-//	samrd ... -tier-repair 30s -tier-repair-keys 256
+//	samrd ... -tier-repair 30s
 //
 // With -tier-repair set, each daemon serves its resident key list at
 // GET /v1/tier/manifest and periodically pulls the keys it owns under
-// rendezvous hashing from its peers (checksum-verified, bounded per
-// round by -tier-repair-keys), so a wiped or rejoined member converges
-// back to a warm shard within interval-plus-a-few-rounds instead of
-// serving cold forever. Repair is pull-only and idempotent; enable it
+// rendezvous hashing from its peers (checksum-verified, at most 256
+// keys a round), so a wiped or rejoined member converges back to a warm
+// shard within interval-plus-a-few-rounds instead of serving cold
+// forever. Repair is pull-only and idempotent; enable it
 // fleet-wide (a member without the flag still answers probes but
 // serves no manifest). With the flag unset nothing changes: no route,
 // no goroutine, stats byte-identical to a repair-less build.
@@ -297,19 +300,16 @@ func main() {
 		dir         = flag.String("traces", "", "directory of .trc trace files (loaded at startup and on demand)")
 		cache       = flag.Int("cache", 256, "partition cache capacity (results)")
 		procs       = flag.Int("procs", 16, "default processor count for requests that omit nprocs")
-		cost        = flag.Float64("partition-cost", 2e-4, "classifier partitioning-cost estimate (seconds)")
 		reqTimeout  = flag.Duration("request-timeout", 2*time.Minute, "per-request deadline threaded into partitioners and simulator (0 disables)")
 		maxBody     = flag.Int64("max-body-bytes", 64<<20, "request body size limit in bytes")
 		inflight    = flag.Int("max-inflight", 0, "max concurrently computing requests; 0 disables admission control")
 		queueDepth  = flag.Int("queue-depth", 0, "admission queue depth beyond -max-inflight (default 4x -max-inflight)")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission rate limit in requests/second; 0 disables")
-		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant token-bucket burst (default -tenant-rate rounded up, min 1)")
+		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission rate limit in requests/second (burst: the rate rounded up); 0 disables")
 		tierDir     = flag.String("tier-dir", "", "fleet tier disk store directory (empty disables the tier)")
 		tierPeers   = flag.String("tier-peers", "", "comma-separated base URLs of every fleet member, identical across the fleet")
-		tierSelf    = flag.String("tier-self", "", "this daemon's own base URL as listed in -tier-peers")
+		tierSelf    = flag.String("tier-self", "", "this daemon's own base URL; required with -tier-peers and must be one of them")
 		tierMax     = flag.Int64("tier-max-bytes", 256<<20, "fleet tier disk store size bound in bytes")
-		tierRepair  = flag.Duration("tier-repair", 0, "anti-entropy repair interval (0 disables; needs -tier-dir, -tier-peers, -tier-self)")
-		tierRepKeys = flag.Int("tier-repair-keys", 256, "max keys pulled per repair round")
+		tierRepair  = flag.Duration("tier-repair", 0, "anti-entropy repair interval, up to 256 keys a round (0 disables; needs -tier-dir and -tier-peers)")
 		tierSess    = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
 		faultSpec   = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed deriving the deterministic -faults schedule")
@@ -342,19 +342,16 @@ func main() {
 		TraceDir:       *dir,
 		CacheSize:      *cache,
 		DefaultProcs:   *procs,
-		PartitionCost:  *cost,
 		RequestTimeout: *reqTimeout,
 		MaxBodyBytes:   *maxBody,
 		MaxInFlight:    *inflight,
 		QueueDepth:     *queueDepth,
 		TenantRate:     *tenantRate,
-		TenantBurst:    *tenantBurst,
 		TierDir:        *tierDir,
 		TierMaxBytes:   *tierMax,
 		TierPeers:      peers,
 		TierSelf:       *tierSelf,
 		TierRepair:     *tierRepair,
-		TierRepairKeys: *tierRepKeys,
 		TierSessions:   *tierSess,
 		Faults:         injector,
 		MaxSessions:    *maxSessions,
@@ -409,7 +406,7 @@ func main() {
 		log.Printf("samrd: fleet tier on (dir %q, %d peers, %d byte bound)", *tierDir, len(peers), *tierMax)
 	}
 	if s.Repairer() != nil {
-		log.Printf("samrd: anti-entropy repair on (every %s, <=%d keys/round)", *tierRepair, *tierRepKeys)
+		log.Printf("samrd: anti-entropy repair on (every %s)", *tierRepair)
 	}
 	if *tierSess {
 		log.Printf("samrd: durable sessions on (snapshots through the fleet tier, peers resume)")
@@ -421,7 +418,10 @@ func main() {
 		log.Printf("samrd: admission control on (max in-flight %d, queue %d, tenant rate %g/s)",
 			*inflight, s.Admission().Stats().QueueDepth, *tenantRate)
 	}
-	log.Printf("samrd: listening on %s (cache %d, default procs %d, request timeout %s)", *addr, *cache, *procs, *reqTimeout)
+	// The configuration in force, not the flags: a -cache of zero or
+	// below selects the default capacity, and server.New has refused a
+	// negative -request-timeout (0 disables the cap).
+	log.Printf("samrd: listening on %s (cache %d, request timeout %s)", *addr, s.Cache().Capacity(), *reqTimeout)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "samrd:", err)
 		os.Exit(1)

@@ -32,23 +32,27 @@ func main() {
 		steps      = flag.Int("steps", apps.PaperSteps, "coarse time steps to run")
 		base       = flag.Int("base", 0, "base grid size (0 = paper default)")
 		levels     = flag.Int("levels", 0, "maximum levels (0 = paper default)")
-		workers    = flag.Int("workers", 0, "worker-pool width for per-patch fan-out (0 = GOMAXPROCS)")
 		out        = flag.String("o", "", "output trace file (default <app>.trc)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
+	if *steps < 0 || *base < 0 || *levels < 0 {
+		fmt.Fprintln(os.Stderr, "samrtrace: -steps, -base and -levels must not be negative")
+		flag.Usage()
+		os.Exit(2)
+	}
 	// Ctrl-C cancels the context; the driver aborts between patch work
 	// units instead of running the remaining steps.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *app, *steps, *base, *levels, *workers, *out, *cpuprofile, *memprofile); err != nil {
+	if err := run(ctx, *app, *steps, *base, *levels, *out, *cpuprofile, *memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, "samrtrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, app string, steps, base, levels, workers int, out, cpuprofile, memprofile string) error {
+func run(ctx context.Context, app string, steps, base, levels int, out, cpuprofile, memprofile string) error {
 	// Validate the application name up front (accepting any case) so a
 	// typo fails immediately with the list of valid kernels instead of
 	// deep inside trace generation.
@@ -75,9 +79,6 @@ func run(ctx context.Context, app string, steps, base, levels, workers int, out,
 	}
 	if levels > 0 {
 		cfg.MaxLevels = levels
-	}
-	if workers > 0 {
-		cfg.Workers = workers
 	}
 	tr, err := apps.Generate(ctx, name, cfg, steps)
 	if err != nil {

@@ -51,10 +51,10 @@ func main() {
 
 		// Show which partitioners the dynamic run actually used.
 		m := sim.DefaultMachine()
-		meta := core.NewMetaPartitioner(2e-4)
+		meta := core.NewMetaPartitioner(core.DefaultPartitionCost)
 		usage := map[string]int{}
 		if _, err := sim.SimulateTraceSelect(ctx, tr, func(step int, h *grid.Hierarchy) partition.Partitioner {
-			p := meta.Select(h, float64(h.Workload())*m.CellTime/float64(*procs))
+			p := meta.Select(h, m.TimeSlot(h, *procs))
 			usage[p.Name()]++
 			return p
 		}, *procs, m); err != nil {

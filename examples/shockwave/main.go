@@ -39,14 +39,13 @@ func main() {
 	}
 
 	m := sim.DefaultMachine()
-	cls := core.NewClassifier(2e-4)
+	cls := core.NewClassifier(core.DefaultPartitionCost)
 	fmt.Println("RM2D classification-space trajectory (continuous, absolute):")
 	fmt.Printf("%6s %8s %8s %8s %8s %10s %8s\n",
 		"step", "dimI", "dimII", "dimIII", "sizeNrm", "points", "levels")
 	var maxMig core.Sample
 	for _, snap := range tr.Snapshots {
-		slot := float64(snap.H.Workload()) * m.CellTime / float64(*procs)
-		s := cls.Classify(snap.H, slot)
+		s := cls.Classify(snap.H, m.TimeSlot(snap.H, *procs))
 		if s.DimIII > maxMig.DimIII {
 			maxMig = s
 		}

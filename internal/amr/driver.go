@@ -284,9 +284,6 @@ func (d *Driver) Advance(ctx context.Context) error {
 	return nil
 }
 
-// CoarseSteps returns the number of completed coarse steps.
-func (d *Driver) CoarseSteps() int { return d.step }
-
 // Time returns the current physical time (base-level clock).
 func (d *Driver) Time() float64 { return d.levels[0].time }
 

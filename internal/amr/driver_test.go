@@ -58,8 +58,8 @@ func TestStepMaintainsInvariants(t *testing.T) {
 			t.Fatalf("step %d: invalid hierarchy: %v", s, err)
 		}
 	}
-	if d.CoarseSteps() != 10 {
-		t.Errorf("CoarseSteps = %d", d.CoarseSteps())
+	if d.step != 10 {
+		t.Errorf("completed coarse steps = %d", d.step)
 	}
 	if d.Time() <= 0 {
 		t.Errorf("Time = %f", d.Time())

@@ -54,25 +54,6 @@ func (t *TagField) Has(p geom.IntVect) bool { return t.cells[p] }
 // Count returns the number of tagged cells.
 func (t *TagField) Count() int { return len(t.cells) }
 
-// Bounds returns the bounding box of the tags (Dim 2) or an empty box.
-func (t *TagField) Bounds() geom.Box {
-	first := true
-	var lo, hi geom.IntVect
-	for p := range t.cells {
-		if first {
-			lo, hi = p, p
-			first = false
-		} else {
-			lo = lo.Min(p)
-			hi = hi.Max(p)
-		}
-	}
-	if first {
-		return geom.Box{Dim: 2}
-	}
-	return geom.NewBox2(lo[0], lo[1], hi[0]+1, hi[1]+1)
-}
-
 // signature returns the per-plane histogram of the points along dim d
 // relative to box b. Points must lie inside b.
 func signature(pts []geom.IntVect, b geom.Box, d int) []int {
@@ -283,20 +264,4 @@ func MakeDisjoint(bl geom.BoxList) geom.BoxList {
 		}
 	}
 	return kept
-}
-
-// Efficiency returns the clustering efficiency: tagged cells divided by
-// total covered volume of the (disjoint) patch list.
-func Efficiency(tags *TagField, patches geom.BoxList) float64 {
-	vol := patches.TotalVolume()
-	if vol == 0 {
-		return 0
-	}
-	covered := 0
-	for p := range tags.cells {
-		if patches.ContainsPoint(p) {
-			covered++
-		}
-	}
-	return float64(covered) / float64(vol)
 }

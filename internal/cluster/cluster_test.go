@@ -38,6 +38,18 @@ func TestClusterSingleBlock(t *testing.T) {
 	coverAll(t, tags, patches)
 }
 
+// efficiency is the quantity Options.MinEfficiency bounds: tagged cells
+// over the covered volume of a disjoint patch list.
+func efficiency(tags *TagField, patches geom.BoxList) float64 {
+	covered := 0
+	for p := range tags.cells {
+		if patches.ContainsPoint(p) {
+			covered++
+		}
+	}
+	return float64(covered) / float64(patches.TotalVolume())
+}
+
 func TestClusterTwoSeparatedBlobs(t *testing.T) {
 	tags := NewTagField()
 	geom.NewBox2(2, 2, 6, 6).Cells(func(p geom.IntVect) { tags.Set(p) })
@@ -47,7 +59,7 @@ func TestClusterTwoSeparatedBlobs(t *testing.T) {
 		t.Fatalf("two blobs should give two patches, got %v", patches)
 	}
 	coverAll(t, tags, patches)
-	if eff := Efficiency(tags, patches); eff < 0.99 {
+	if eff := efficiency(tags, patches); eff < 0.99 {
 		t.Errorf("separated dense blobs should cluster perfectly, eff=%f", eff)
 	}
 }
@@ -60,7 +72,7 @@ func TestClusterLShape(t *testing.T) {
 	geom.NewBox2(0, 4, 4, 20).Cells(func(p geom.IntVect) { tags.Set(p) })
 	patches := Cluster(tags, domain(), DefaultOptions())
 	coverAll(t, tags, patches)
-	if eff := Efficiency(tags, MakeDisjoint(patches)); eff < 0.7 {
+	if eff := efficiency(tags, MakeDisjoint(patches)); eff < 0.7 {
 		t.Errorf("L-shape efficiency = %f, want >= 0.7", eff)
 	}
 	if len(patches) < 2 {
@@ -78,7 +90,7 @@ func TestClusterEfficiencyThreshold(t *testing.T) {
 	patches := MakeDisjoint(Cluster(tags, domain(), opts))
 	coverAll(t, tags, patches)
 	// Min width 2 caps achievable efficiency at 0.5 for single cells.
-	if eff := Efficiency(tags, patches); eff < 0.2 {
+	if eff := efficiency(tags, patches); eff < 0.2 {
 		t.Errorf("diagonal efficiency = %f too low", eff)
 	}
 }
@@ -185,7 +197,7 @@ func TestSignatureHoleSplitPreferred(t *testing.T) {
 	if len(patches) != 2 {
 		t.Fatalf("want 2 patches, got %v", patches)
 	}
-	if eff := Efficiency(tags, patches); eff < 0.99 {
+	if eff := efficiency(tags, patches); eff < 0.99 {
 		t.Errorf("hole split should be perfect, eff=%f", eff)
 	}
 }

@@ -41,6 +41,17 @@ type Sample struct {
 	Points int64
 }
 
+// DefaultPartitionCost is the estimate, in seconds, of what one
+// repartitioning costs: the partitionCost every binary, example and
+// experiment hands NewClassifier and NewMetaPartitioner. It is a
+// constant and not a measurement because no choice depends on it: over
+// a sweep from 2e-5 to 1e-1 s the meta-partitioner selects the same
+// partitioner on every snapshot of all four applications
+// (experiments.TestPartitionCostSweepIsInert holds that), while the
+// dimII column of samrbench's trajectory, which bench/golden pins, is
+// printed from this value.
+const DefaultPartitionCost = 2e-4
+
 // Classifier maps a stream of hierarchy snapshots onto the
 // classification space, maintaining the running state the model needs
 // (largest hierarchy so far, previous snapshot, invocation timing).
@@ -50,15 +61,15 @@ type Classifier struct {
 	prev      *grid.Hierarchy
 	maxPoints int64
 	step      int
-	// PartitionCost estimates the seconds one repartitioning takes on
+	// partitionCost estimates the seconds one repartitioning takes on
 	// the current machine; it feeds trade-off 2's quantity (2).
-	PartitionCost float64
+	partitionCost float64
 }
 
 // NewClassifier returns a classifier with the given partitioning-cost
 // estimate (seconds per repartitioning invocation).
 func NewClassifier(partitionCost float64) *Classifier {
-	return &Classifier{PartitionCost: partitionCost}
+	return &Classifier{partitionCost: partitionCost}
 }
 
 // Classify consumes the next hierarchy snapshot. timeSlot is the
@@ -100,8 +111,8 @@ func (c *Classifier) Classify(h *grid.Hierarchy, timeSlot float64) Sample {
 	s.Need = (s.BetaL + s.BetaC + s.BetaM) / 3 * s.SizeNorm
 	// Quantity (2): the share of the invocation interval available for
 	// partitioning. Infrequent invocation => large offered slot.
-	if timeSlot > 0 && c.PartitionCost > 0 {
-		s.Offer = clamp01(timeSlot / (timeSlot + c.PartitionCost))
+	if timeSlot > 0 && c.partitionCost > 0 {
+		s.Offer = clamp01(timeSlot / (timeSlot + c.partitionCost))
 	} else if timeSlot > 0 {
 		s.Offer = 1
 	}
@@ -121,16 +132,4 @@ func (c *Classifier) Reset() {
 	c.prev = nil
 	c.maxPoints = 0
 	c.step = 0
-}
-
-// Trajectory classifies every snapshot of a hierarchy sequence with a
-// constant time slot, returning the locus of classification points —
-// the "curve in the classification space" of section 4.
-func Trajectory(hs []*grid.Hierarchy, timeSlot, partitionCost float64) []Sample {
-	c := NewClassifier(partitionCost)
-	out := make([]Sample, 0, len(hs))
-	for _, h := range hs {
-		out = append(out, c.Classify(h, timeSlot))
-	}
-	return out
 }

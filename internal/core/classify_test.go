@@ -114,7 +114,11 @@ func TestTrajectoryLength(t *testing.T) {
 		refined(geom.NewBox2(8, 8, 24, 24)),
 		refined(geom.NewBox2(16, 16, 32, 32)),
 	}
-	traj := Trajectory(hs, 1, 0.01)
+	c := NewClassifier(0.01)
+	var traj []Sample
+	for _, h := range hs {
+		traj = append(traj, c.Classify(h, 1))
+	}
 	if len(traj) != 3 {
 		t.Fatalf("trajectory length = %d", len(traj))
 	}
@@ -144,7 +148,7 @@ func TestMetaPartitionerSelection(t *testing.T) {
 	h3 := refined(geom.NewBox2(0, 40, 16, 56))
 	p3 := m.Select(h3, 1)
 	s, _ := m.LastSample()
-	if s.DimIII > m.MigrationCutoff && p3.Name() != m.Stable()[1].Name() {
+	if s.DimIII > migrationCutoff && p3.Name() != m.Stable()[1].Name() {
 		t.Errorf("DimIII=%f should select the low-migration partitioner, got %s", s.DimIII, p3.Name())
 	}
 }
@@ -164,7 +168,7 @@ func TestMetaPartitionerHysteresis(t *testing.T) {
 	spike2 := refined(geom.NewBox2(0, 40, 16, 56))
 	p := m.Select(spike2, 1)
 	s, _ := m.LastSample()
-	if s.DimIII > m.MigrationCutoff && p.Name() != m.Stable()[1].Name() {
+	if s.DimIII > migrationCutoff && p.Name() != m.Stable()[1].Name() {
 		t.Errorf("sustained pressure (DimIII=%f) did not flip to low-migration, got %s",
 			s.DimIII, p.Name())
 	}

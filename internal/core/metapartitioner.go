@@ -42,28 +42,27 @@ type MetaPartitioner struct {
 	lastCandidate partition.Partitioner
 	lastSample    Sample
 	haveSample    bool
-
-	// Thresholds of the selection rules; exposed for ablation.
-	SpeedCutoff     float64
-	MigrationCutoff float64
-	CommCutoff      float64
-	ImbalanceCutoff float64
 }
 
+// Thresholds of Select's rules, in the order it tests them.
+const (
+	speedCutoff     = 0.05 // DimII below it, on a grid under half its peak size: speed wins
+	migrationCutoff = 0.12 // DimIII above it: migration pressure
+	commCutoff      = 0.75 // DimI above it: communication pressure
+	imbalanceCutoff = 0.45 // DimI below it: load-balance pressure
+)
+
 // NewMetaPartitioner builds a meta-partitioner with the default stable
-// and thresholds. partitionCost seeds the dimension-II model.
+// and thresholds. partitionCost seeds the dimension-II model; callers
+// without an estimate of their own pass DefaultPartitionCost.
 func NewMetaPartitioner(partitionCost float64) *MetaPartitioner {
 	return &MetaPartitioner{
-		classifier:      NewClassifier(partitionCost),
-		fast:            &partition.DomainSFC{Curve: sfc.Morton, UnitSize: 4},
-		lowMig:          partition.NewPostMapped(&partition.DomainSFC{Curve: sfc.Hilbert, UnitSize: 2}),
-		lowComm:         &partition.NatureFable{Curve: sfc.Hilbert, AtomicUnit: 4, Groups: 4, FractionalBlocking: false},
-		lowImb:          &partition.NatureFable{Curve: sfc.Hilbert, AtomicUnit: 1, Groups: 4, FractionalBlocking: true},
-		neutral:         partition.NewNatureFable(),
-		SpeedCutoff:     0.05,
-		MigrationCutoff: 0.12,
-		CommCutoff:      0.75,
-		ImbalanceCutoff: 0.45,
+		classifier: NewClassifier(partitionCost),
+		fast:       &partition.DomainSFC{Curve: sfc.Morton, UnitSize: 4},
+		lowMig:     partition.NewPostMapped(&partition.DomainSFC{Curve: sfc.Hilbert, UnitSize: 2}),
+		lowComm:    &partition.NatureFable{Curve: sfc.Hilbert, AtomicUnit: 4, Groups: 4, FractionalBlocking: false},
+		lowImb:     &partition.NatureFable{Curve: sfc.Hilbert, AtomicUnit: 1, Groups: 4, FractionalBlocking: true},
+		neutral:    partition.NewNatureFable(),
 	}
 }
 
@@ -83,14 +82,14 @@ func (m *MetaPartitioner) Select(h *grid.Hierarchy, timeSlot float64) partition.
 	m.haveSample = true
 	var candidate partition.Partitioner
 	switch {
-	case s.DimII < m.SpeedCutoff && s.SizeNorm < 0.5:
+	case s.DimII < speedCutoff && s.SizeNorm < 0.5:
 		// Little is requested and the grid is small: speed wins.
 		candidate = m.fast
-	case s.DimIII > m.MigrationCutoff:
+	case s.DimIII > migrationCutoff:
 		candidate = m.lowMig
-	case s.DimI > m.CommCutoff:
+	case s.DimI > commCutoff:
 		candidate = m.lowComm
-	case s.DimI < m.ImbalanceCutoff:
+	case s.DimI < imbalanceCutoff:
 		candidate = m.lowImb
 	default:
 		candidate = m.neutral

@@ -128,7 +128,7 @@ func MetaVsStatic(ctx context.Context, tr *trace.Trace, nprocs int) (*Table, err
 		Title:   fmt.Sprintf("%s: meta-partitioner vs static choices, %d procs", tr.App, nprocs),
 		Columns: []string{"strategy", "est_time_s", "mean_imb_pct", "mean_rel_comm", "mean_rel_mig"},
 	}
-	meta := core.NewMetaPartitioner(partitionCostEstimate)
+	meta := core.NewMetaPartitioner(core.DefaultPartitionCost)
 	row := func(name string, res *sim.Result) []string {
 		var comm, mig []float64
 		for _, s := range res.Steps {
@@ -147,9 +147,8 @@ func MetaVsStatic(ctx context.Context, tr *trace.Trace, nprocs int) (*Table, err
 	// Dynamic: meta-partitioner selects per step. This run shares the
 	// stable's partitioner instances (including the stateful post-mapped
 	// one), so it completes before the static runs start.
-	mm := sim.DefaultMachine()
 	dyn, err := sim.SimulateTraceSelect(ctx, tr, func(step int, h *grid.Hierarchy) partition.Partitioner {
-		return meta.Select(h, timeSlot(h, nprocs, mm))
+		return meta.Select(h, m.TimeSlot(h, nprocs))
 	}, nprocs, m)
 	if err != nil {
 		return nil, err
@@ -233,7 +232,7 @@ func AblationPostMapping(ctx context.Context, tr *trace.Trace, nprocs int) (*Tab
 // penalties at grid-size minima are discounted, at peaks they are not.
 func AblationAbsoluteImportance(ctx context.Context, tr *trace.Trace, nprocs int) (*Figure, error) {
 	m := sim.DefaultMachine()
-	cls := core.NewClassifier(partitionCostEstimate)
+	cls := core.NewClassifier(core.DefaultPartitionCost)
 	f := &Figure{
 		ID:    "ablationD",
 		Title: fmt.Sprintf("%s: absolute importance of relative metrics", tr.App),
@@ -244,7 +243,7 @@ func AblationAbsoluteImportance(ctx context.Context, tr *trace.Trace, nprocs int
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s := cls.Classify(snap.H, timeSlot(snap.H, nprocs, m))
+		s := cls.Classify(snap.H, m.TimeSlot(snap.H, nprocs))
 		f.Steps = append(f.Steps, snap.Step)
 		raw.Values = append(raw.Values, (s.BetaL+s.BetaC+s.BetaM)/3)
 		need.Values = append(need.Values, s.Need)

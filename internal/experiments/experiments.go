@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"samr/internal/core"
-	"samr/internal/grid"
 	"samr/internal/partition"
 	"samr/internal/pool"
 	"samr/internal/sim"
@@ -148,18 +147,6 @@ const DefaultProcs = 16
 // so that behavior patterns in the applications are clearly visible").
 func staticPartitioner() partition.Partitioner { return partition.NewNatureFable() }
 
-// timeSlot estimates the wall-clock interval between partitioner
-// invocations on the machine model: the compute time of one coarse step
-// spread over the processors.
-func timeSlot(h *grid.Hierarchy, nprocs int, m sim.Machine) float64 {
-	return float64(h.Workload()) * m.CellTime / float64(nprocs)
-}
-
-// partitionCostEstimate is the classifier's assumed cost of one
-// repartitioning on the machine model (a fixed engineering estimate; the
-// paper leaves quantity (2) normalization to experimentation).
-const partitionCostEstimate = 2e-4
-
 // Fig1 reproduces Figure 1: the dynamic behaviour of BL2D under a
 // single static partitioner — load imbalance and communication amount
 // as functions of time.
@@ -229,12 +216,12 @@ func FigModelVsActual(ctx context.Context, tr *trace.Trace, nprocs int) (*Valida
 			// Model side: ab initio penalties over the raw trace. The
 			// classifier carries running state (previous hierarchy,
 			// size normalization), so it consumes snapshots in order.
-			cls := core.NewClassifier(partitionCostEstimate)
+			cls := core.NewClassifier(core.DefaultPartitionCost)
 			for i, snap := range tr.Snapshots {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				samples[i] = cls.Classify(snap.H, timeSlot(snap.H, nprocs, m))
+				samples[i] = cls.Classify(snap.H, m.TimeSlot(snap.H, nprocs))
 			}
 			return nil
 		},
@@ -312,7 +299,7 @@ func FigModelVsActual(ctx context.Context, tr *trace.Trace, nprocs int) (*Valida
 // classification points as the simulation evolves.
 func ClassificationTrajectory(ctx context.Context, tr *trace.Trace, nprocs int) (*Figure, error) {
 	m := sim.DefaultMachine()
-	cls := core.NewClassifier(partitionCostEstimate)
+	cls := core.NewClassifier(core.DefaultPartitionCost)
 	f := &Figure{
 		ID:    "trajectory",
 		Title: fmt.Sprintf("%s: classification-space trajectory", tr.App),
@@ -323,7 +310,7 @@ func ClassificationTrajectory(ctx context.Context, tr *trace.Trace, nprocs int) 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s := cls.Classify(snap.H, timeSlot(snap.H, nprocs, m))
+		s := cls.Classify(snap.H, m.TimeSlot(snap.H, nprocs))
 		f.Steps = append(f.Steps, snap.Step)
 		d1.Values = append(d1.Values, s.DimI)
 		d2.Values = append(d2.Values, s.DimII)

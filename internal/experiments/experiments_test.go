@@ -187,13 +187,6 @@ func TestFigurePrintAndTablePrint(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestAblationPostMappingReducesMigration(t *testing.T) {
 	tb, err := AblationPostMapping(bg, quick(t, "TP2D"), 8)
 	noErr(t, err)

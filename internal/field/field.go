@@ -117,14 +117,6 @@ func (p *Patch) InteriorRows(c int, f func(y int, row []float64)) {
 	}
 }
 
-// GrownRows calls f for every row of component c including the halo, in
-// ascending y; row[i] is cell x = GrownBox().Lo[0]+i.
-func (p *Patch) GrownRows(c int, f func(y int, row []float64)) {
-	for y := p.grown.Lo[1]; y < p.grown.Hi[1]; y++ {
-		f(y, p.Row(c, y))
-	}
-}
-
 // Fill sets every cell (including ghosts) of component c to v.
 func (p *Patch) Fill(c int, v float64) {
 	base := c * p.ny * p.nx
@@ -228,18 +220,15 @@ func ExchangeGhosts(patches []*Patch) {
 
 // ExchangeGhostsWith is ExchangeGhosts decomposed for a parallel
 // driver: it fills only the ghosts of patches[di] from its siblings,
-// using a BoxIndex previously built by InteriorIndex over the same
-// patch list. Each destination patch writes only its own halo and reads
+// using a BoxIndex over the interiors of the same patch list. Each destination patch writes only its own halo and reads
 // only sibling interiors, so concurrent calls on distinct di are
 // race-free and the result is bit-identical to ExchangeGhosts.
 func ExchangeGhostsWith(patches []*Patch, ix *geom.BoxIndex, di int, buf []int) []int {
 	return exchangeInto(patches, ix, di, buf)
 }
 
-// InteriorIndex builds the sibling-lookup BoxIndex over the patch
-// interiors that ExchangeGhostsWith consumes.
-func InteriorIndex(patches []*Patch) *geom.BoxIndex { return interiorIndex(patches) }
-
+// interiorIndex builds the sibling-lookup BoxIndex over the patch
+// interiors.
 func interiorIndex(patches []*Patch) *geom.BoxIndex {
 	boxes := make(geom.BoxList, len(patches))
 	for i, p := range patches {
@@ -358,36 +347,9 @@ func reflect(v, lo, hi int) int {
 	return v
 }
 
-// Prolong fills the cells of region (fine index space) in fine by
-// piecewise-constant injection from the coarse patch, which must cover
-// region coarsened by ratio (including via its ghost halo).
-func Prolong(fine *Patch, coarse *Patch, region geom.Box, ratio int) {
-	region = region.Intersect(fine.GrownBox())
-	if region.Empty() {
-		return
-	}
-	cg := coarse.GrownBox()
-	for c := 0; c < fine.NComp; c++ {
-		for y := region.Lo[1]; y < region.Hi[1]; y++ {
-			cy := floorDiv(y, ratio)
-			if cy < cg.Lo[1] || cy >= cg.Hi[1] {
-				continue
-			}
-			frow := fine.RowSpan(c, y, region.Lo[0], region.Hi[0])
-			crow := coarse.Row(c, cy)
-			for i := range frow {
-				cx := floorDiv(region.Lo[0]+i, ratio)
-				if cx >= cg.Lo[0] && cx < cg.Hi[0] {
-					frow[i] = crow[cx-cg.Lo[0]]
-				}
-			}
-		}
-	}
-}
-
 // ProlongLinear fills the cells of region (fine index space) in fine by
 // bilinear interpolation from coarse cell centres. Smoother than
-// piecewise-constant Prolong: it avoids the staircase ghosts that
+// piecewise-constant injection: it avoids the staircase ghosts that
 // second-order stencils amplify into spurious refinement. Cells whose
 // interpolation stencil leaves the coarse patch's grown box fall back to
 // the nearest covered neighbour; cells with no coverage at all are left

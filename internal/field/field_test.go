@@ -118,18 +118,23 @@ func TestFillPhysicalReflect(t *testing.T) {
 	}
 }
 
+// TestProlongPiecewiseConstant: prolongation of a constant coarse field
+// is that constant in every fine cell, exactly — the bilinear weights
+// sum to one — including where the stencil is clamped at the edge of a
+// coarse patch that has no halo.
 func TestProlongPiecewiseConstant(t *testing.T) {
-	coarse := NewPatch(geom.NewBox2(0, 0, 4, 4), 1, 1)
-	coarse.Box.Cells(func(q geom.IntVect) { coarse.Set(0, q[0], q[1], float64(q[0]*4+q[1])) })
-	fine := NewPatch(geom.NewBox2(2, 2, 6, 6), 0, 1)
-	Prolong(fine, coarse, fine.Box, 2)
-	// Fine cell (2,2) maps to coarse (1,1) -> value 5.
-	if got := fine.At(0, 2, 2); got != 5 {
-		t.Errorf("Prolong(2,2) = %f, want 5", got)
-	}
-	// Fine cell (5,5) maps to coarse (2,2) -> value 10.
-	if got := fine.At(0, 5, 5); got != 10 {
-		t.Errorf("Prolong(5,5) = %f, want 10", got)
+	coarse := NewPatch(geom.NewBox2(0, 0, 4, 4), 0, 1)
+	coarse.Fill(0, 7)
+	fine := NewPatch(geom.NewBox2(0, 0, 8, 8), 1, 1)
+	fine.Fill(0, -1)
+	ProlongLinear(fine, coarse, fine.Box, 2)
+	fine.Box.Cells(func(q geom.IntVect) {
+		if got := fine.At(0, q[0], q[1]); got != 7 {
+			t.Fatalf("fine cell %v = %v, want 7", q, got)
+		}
+	})
+	if got := fine.At(0, -1, 3); got != -1 {
+		t.Errorf("ghost outside the region = %v, want it untouched", got)
 	}
 }
 
@@ -164,12 +169,14 @@ func TestRestrictConservation(t *testing.T) {
 }
 
 func TestProlongRestrictRoundTrip(t *testing.T) {
-	// Piecewise-constant prolongation followed by averaging restriction
-	// must reproduce the coarse data exactly.
-	coarse := NewPatch(geom.NewBox2(0, 0, 4, 4), 0, 1)
-	coarse.Box.Cells(func(q geom.IntVect) { coarse.Set(0, q[0], q[1], float64(q[0]-2*q[1])) })
+	// Bilinear prolongation reproduces a linear field at the fine cell
+	// centres, so averaging it back must return the coarse data exactly
+	// (quarter weights on small integers: no rounding). The coarse halo
+	// carries the field too, so no stencil is clamped.
+	coarse := NewPatch(geom.NewBox2(0, 0, 4, 4), 1, 1)
+	coarse.GrownBox().Cells(func(q geom.IntVect) { coarse.Set(0, q[0], q[1], float64(q[0]-2*q[1])) })
 	fine := NewPatch(geom.NewBox2(0, 0, 8, 8), 0, 1)
-	Prolong(fine, coarse, fine.Box, 2)
+	ProlongLinear(fine, coarse, fine.Box, 2)
 	got := NewPatch(geom.NewBox2(0, 0, 4, 4), 0, 1)
 	Restrict(got, fine, 2)
 	coarse.Box.Cells(func(q geom.IntVect) {
@@ -257,7 +264,8 @@ func TestProlongLinearMatchesReference(t *testing.T) {
 		}
 		x0, y0 := (r.Intn(40)-20)*ratio, (r.Intn(40)-20)*ratio
 		got := NewPatch(geom.NewBox2(x0, y0, x0+w, y0+h), 1+r.Intn(2), ncomp)
-		cb := got.Box.Coarsen(ratio).Shift(geom.IV2(r.Intn(7)-3, r.Intn(7)-3))
+		cb, shift := got.Box.Coarsen(ratio), geom.IV2(r.Intn(7)-3, r.Intn(7)-3)
+		cb.Lo, cb.Hi = cb.Lo.Add(shift), cb.Hi.Add(shift)
 		cb.Hi[0] += r.Intn(3) - 1
 		cb.Hi[1] += r.Intn(3) - 1
 		if cb.Empty() {

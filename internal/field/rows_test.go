@@ -38,7 +38,7 @@ func TestRowAliasesStorage(t *testing.T) {
 }
 
 // TestRowIterators checks the interior iterator covers exactly the
-// interior and the grown iterator the full halo extent.
+// interior.
 func TestRowIterators(t *testing.T) {
 	p := NewPatch(geom.NewBox2(1, 1, 5, 4), 2, 1)
 	rows, cells := 0, 0
@@ -52,15 +52,6 @@ func TestRowIterators(t *testing.T) {
 	if rows != p.Box.Size(1) || int64(cells) != p.Box.Volume() {
 		t.Fatalf("interior iteration covered %d rows / %d cells, want %d / %d",
 			rows, cells, p.Box.Size(1), p.Box.Volume())
-	}
-	rows, cells = 0, 0
-	p.GrownRows(0, func(y int, row []float64) {
-		rows++
-		cells += len(row)
-	})
-	if rows != p.GrownBox().Size(1) || int64(cells) != p.GrownBox().Volume() {
-		t.Fatalf("grown iteration covered %d rows / %d cells, want %d / %d",
-			rows, cells, p.GrownBox().Size(1), p.GrownBox().Volume())
 	}
 }
 

@@ -130,16 +130,6 @@ func (b Box) Grow(n int) Box {
 	return r
 }
 
-// Shift returns the box translated by v.
-func (b Box) Shift(v IntVect) Box {
-	r := b
-	for d := 0; d < b.Dim; d++ {
-		r.Lo[d] += v[d]
-		r.Hi[d] += v[d]
-	}
-	return r
-}
-
 // Refine returns the box mapped to a grid r times finer: indices scale
 // by r. Refining then coarsening is the identity.
 func (b Box) Refine(r int) Box {

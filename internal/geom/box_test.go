@@ -113,9 +113,6 @@ func TestBoxGrowShift(t *testing.T) {
 	if g := b.Grow(-1); !g.Empty() {
 		t.Errorf("Grow(-1) of 2x2 should be empty, got %v", g)
 	}
-	if s := b.Shift(IV2(-2, 3)); s != NewBox2(0, 5, 2, 7) {
-		t.Errorf("Shift = %v", s)
-	}
 }
 
 func TestRefineCoarsenRoundTrip(t *testing.T) {

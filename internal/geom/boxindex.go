@@ -114,10 +114,6 @@ func NewBoxIndex(bl BoxList) *BoxIndex {
 	return ix
 }
 
-// Len returns the number of indexed boxes (including empty ones, which
-// keep their slots so indices match the source list).
-func (ix *BoxIndex) Len() int { return len(ix.boxes) }
-
 // Box returns the indexed box at position i.
 func (ix *BoxIndex) Box(i int) Box { return ix.boxes[i] }
 
@@ -205,29 +201,6 @@ func (ix *BoxIndex) QueryVolume(b Box) int64 {
 		}
 	}
 	return total
-}
-
-// Neighbors returns, for every indexed box i, the ascending indices of
-// the other boxes intersecting boxes[i].Grow(grow): batch halo
-// adjacency for callers that want the whole graph at once rather than
-// issuing per-box AppendQuery lookups.
-func (ix *BoxIndex) Neighbors(grow int) [][]int {
-	out := make([][]int, len(ix.boxes))
-	var buf []int
-	for i, b := range ix.boxes {
-		if b.Empty() {
-			continue
-		}
-		buf = ix.AppendQuery(buf[:0], b.Grow(grow))
-		var nb []int
-		for _, j := range buf {
-			if j != i {
-				nb = append(nb, j)
-			}
-		}
-		out[i] = nb
-	}
-	return out
 }
 
 func maxInt(a, b int) int {

@@ -85,21 +85,29 @@ func TestBoxIndexQuerySelfAndMembers(t *testing.T) {
 	}
 }
 
+// TestBoxIndexNeighborsMatchesBrute checks halo adjacency the way the
+// driver's ghost fill asks for it: each member's grown extent as the
+// query, the member itself dropped from the answer.
 func TestBoxIndexNeighborsMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 40; trial++ {
 		bl := randomDisjointList(r, 2+r.Intn(20))
+		ix := NewBoxIndex(bl)
 		for _, grow := range []int{0, 1, 2} {
-			nb := NewBoxIndex(bl).Neighbors(grow)
 			for i, b := range bl {
-				var want []int
+				var got, want []int
+				for _, j := range ix.Query(b.Grow(grow)) {
+					if j != i {
+						got = append(got, j)
+					}
+				}
 				for j, o := range bl {
 					if j != i && o.Intersects(b.Grow(grow)) {
 						want = append(want, j)
 					}
 				}
-				if !equalInts(nb[i], want) {
-					t.Fatalf("trial %d grow %d box %d: index=%v brute=%v", trial, grow, i, nb[i], want)
+				if !equalInts(got, want) {
+					t.Fatalf("trial %d grow %d box %d: index=%v brute=%v", trial, grow, i, got, want)
 				}
 			}
 		}
@@ -222,17 +230,13 @@ func TestBoxIndex3DOversizedAndNeighbors(t *testing.T) {
 			t.Fatalf("3-D oversized query %v mismatch", query)
 		}
 	}
+	// Halo adjacency the way the driver asks for it: each member's
+	// grown extent as the query.
 	for grow := 0; grow <= 2; grow++ {
-		nb := ix.Neighbors(grow)
 		for i, b := range bl {
-			var want []int
-			for j, o := range bl {
-				if j != i && o.Intersects(b.Grow(grow)) {
-					want = append(want, j)
-				}
-			}
-			if !equalInts(nb[i], want) {
-				t.Fatalf("grow %d box %d: index=%v brute=%v", grow, i, nb[i], want)
+			halo := b.Grow(grow)
+			if got, want := ix.Query(halo), bruteQuery(bl, halo); !equalInts(got, want) {
+				t.Fatalf("grow %d box %d: index=%v brute=%v", grow, i, got, want)
 			}
 		}
 	}

@@ -31,16 +31,6 @@ func (bl BoxList) TotalSurface() int64 {
 	return s
 }
 
-// Bounds returns the bounding box of the list (empty box if the list is
-// empty).
-func (bl BoxList) Bounds() Box {
-	var r Box
-	for _, b := range bl {
-		r = r.Union(b)
-	}
-	return r
-}
-
 // Disjoint reports whether no two boxes in the list overlap.
 func (bl BoxList) Disjoint() bool {
 	for i := range bl {
@@ -76,17 +66,6 @@ func (bl BoxList) Coarsen(r int) BoxList {
 	out := make(BoxList, len(bl))
 	for i, b := range bl {
 		out[i] = b.Coarsen(r)
-	}
-	return out
-}
-
-// IntersectBox returns the (non-empty) intersections of every member with b.
-func (bl BoxList) IntersectBox(b Box) BoxList {
-	var out BoxList
-	for _, m := range bl {
-		if iv := m.Intersect(b); !iv.Empty() {
-			out = append(out, iv)
-		}
 	}
 	return out
 }

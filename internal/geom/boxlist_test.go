@@ -34,9 +34,6 @@ func TestBoxListTotals(t *testing.T) {
 	if bl.TotalSurface() != 8+12 {
 		t.Errorf("TotalSurface = %d", bl.TotalSurface())
 	}
-	if bl.Bounds() != NewBox2(0, 0, 6, 8) {
-		t.Errorf("Bounds = %v", bl.Bounds())
-	}
 }
 
 func TestBoxListDisjoint(t *testing.T) {

@@ -7,10 +7,9 @@
 // ghost-exchange candidates, column workloads, migration overlap — the
 // package provides BoxIndex, a uniform-bin spatial index built once per
 // BoxList and queried in near-constant time per box (Query for the
-// intersecting members, QueryVolume for the total overlap volume,
-// Neighbors for batch halo adjacency). The index is immutable and safe
-// for concurrent queries; OverlapVolume routes through it automatically
-// above a small-input cutoff.
+// intersecting members, QueryVolume for the total overlap volume). The
+// index is immutable and safe for concurrent queries; OverlapVolume
+// routes through it automatically above a small-input cutoff.
 //
 // All boxes are cell-centred and use inclusive lower and exclusive upper
 // bounds, i.e. a Box{Lo, Hi} covers the cells Lo <= c < Hi in each
@@ -29,9 +28,6 @@ type IntVect [MaxDim]int
 
 // IV2 returns a 2-D integer vector.
 func IV2(x, y int) IntVect { return IntVect{x, y, 0} }
-
-// IV3 returns a 3-D integer vector.
-func IV3(x, y, z int) IntVect { return IntVect{x, y, z} }
 
 // Add returns the component-wise sum v + w.
 func (v IntVect) Add(w IntVect) IntVect {

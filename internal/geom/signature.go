@@ -16,10 +16,6 @@ type Signature [sha256.Size]byte
 // String returns the full hexadecimal form of the signature.
 func (s Signature) String() string { return hex.EncodeToString(s[:]) }
 
-// Short returns the first 12 hex digits — enough to recognize a
-// signature in logs and headers.
-func (s Signature) Short() string { return hex.EncodeToString(s[:6]) }
-
 // appendBox appends the canonical little-endian encoding of b: Dim,
 // then every Lo and Hi component. Unused components are pinned at
 // Lo=0/Hi=1 by construction, so boxes of different dimensionality can

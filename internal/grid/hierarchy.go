@@ -242,17 +242,6 @@ func TotalOverlap(a, b *Hierarchy) int64 {
 	return t
 }
 
-// SurfacePoints returns, per level, the total patch boundary surface
-// (count of boundary faces) — the raw material of the communication
-// pressure penalty.
-func (h *Hierarchy) SurfacePoints() []int64 {
-	out := make([]int64, len(h.Levels))
-	for l, lev := range h.Levels {
-		out[l] = lev.Boxes.TotalSurface()
-	}
-	return out
-}
-
 func (h *Hierarchy) String() string {
 	s := fmt.Sprintf("Hierarchy{domain=%v ref=%d levels=%d points=%d",
 		h.Domain, h.RefRatio, len(h.Levels), h.NumPoints())

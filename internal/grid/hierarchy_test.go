@@ -125,7 +125,7 @@ func TestOverlapPointsShifted(t *testing.T) {
 	a := twoLevel()
 	b := twoLevel()
 	// Shift level 1 by 8 fine cells: 16x16 overlapping region shrinks to 8x16.
-	b.Levels[1].Boxes[0] = b.Levels[1].Boxes[0].Shift(geom.IV2(8, 0))
+	b.Levels[1].Boxes[0] = geom.NewBox2(16, 8, 32, 24)
 	ov := OverlapPoints(a, b)
 	if ov[1] != 8*16 {
 		t.Errorf("shifted overlap = %d, want %d", ov[1], 8*16)
@@ -144,11 +144,12 @@ func TestOverlapPointsLevelCountMismatch(t *testing.T) {
 	}
 }
 
+// TestSurfacePoints pins the per-level boundary surface of the
+// two-level fixture, the raw material of the communication penalty.
 func TestSurfacePoints(t *testing.T) {
 	h := twoLevel()
-	sp := h.SurfacePoints()
-	if sp[0] != 4*32 || sp[1] != 4*16 {
-		t.Errorf("SurfacePoints = %v", sp)
+	if s0, s1 := h.Levels[0].Boxes.TotalSurface(), h.Levels[1].Boxes.TotalSurface(); s0 != 4*32 || s1 != 4*16 {
+		t.Errorf("surface per level = %d, %d", s0, s1)
 	}
 }
 

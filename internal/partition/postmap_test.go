@@ -129,7 +129,7 @@ func TestPostMappedPreservesDecomposition(t *testing.T) {
 	pm := NewPostMapped(NewDomainSFC())
 	mustPartition(t, pm, h, 4) // prime the previous state
 	shifted := h.Clone()
-	shifted.Levels[1].Boxes[0] = shifted.Levels[1].Boxes[0].Shift(geom.IV2(2, 0))
+	shifted.Levels[1].Boxes[0] = geom.NewBox2(6, 4, 18, 16) // two cells to the right
 	raw := mustPartition(t, inner, shifted, 4)
 	mapped := mustPartition(t, pm, shifted, 4)
 	rawLoads := raw.Loads(shifted)

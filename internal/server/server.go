@@ -93,9 +93,6 @@ type Config struct {
 	// DefaultProcs is the processor count used when a request omits
 	// nprocs (default 16, the paper's validation setup).
 	DefaultProcs int
-	// PartitionCost seeds the dimension-II classification model
-	// (seconds per repartitioning; default 2e-4).
-	PartitionCost float64
 	// RequestTimeout caps each request's handling: the request context
 	// is given this deadline and every layer below (pool dispatch,
 	// partitioners, simulator) aborts once it expires. Zero disables
@@ -116,11 +113,9 @@ type Config struct {
 	QueueDepth int
 	// TenantRate is each tenant's sustained admission rate in requests
 	// per second, keyed by the X-Samr-Tenant header (0 disables tenant
-	// rate limiting; meaningful only with MaxInFlight > 0).
+	// rate limiting; meaningful only with MaxInFlight > 0). A tenant's
+	// token bucket holds ceil(TenantRate) tokens.
 	TenantRate float64
-	// TenantBurst is each tenant's token-bucket burst capacity
-	// (default ceil(TenantRate)).
-	TenantBurst int
 	// TierDir roots the fleet tier's disk store. With both TierDir and
 	// TierPeers empty the tier is fully disabled: no tier routes are
 	// registered and every response is byte-identical to a tier-less
@@ -132,18 +127,17 @@ type Config struct {
 	// every daemon; each key's home is chosen by rendezvous hashing
 	// over this set.
 	TierPeers []string
-	// TierSelf is this daemon's own base URL as it appears in
-	// TierPeers, so keys it owns are not fetched from itself over HTTP.
+	// TierSelf is this daemon's own base URL, so keys it owns are not
+	// fetched from itself over HTTP. It must be one of TierPeers: a
+	// member the ring does not list owns no key and never says so.
 	TierSelf string
 	// TierRepair enables anti-entropy repair at this interval (0
-	// disables it — the default; requires the disk store, peers, and
-	// TierSelf). With repair on, the daemon serves its key manifest at
+	// disables it — the default; requires the disk store and peers).
+	// With repair on, the daemon serves its key manifest at
 	// GET /v1/tier/manifest and periodically pulls the keys it owns
-	// under rendezvous hashing from its peers, so a wiped or rejoined
-	// member converges instead of serving cold forever.
+	// under rendezvous hashing from its peers, 256 a round, so a wiped
+	// or rejoined member converges instead of serving cold forever.
 	TierRepair time.Duration
-	// TierRepairKeys bounds keys pulled per repair round (default 256).
-	TierRepairKeys int
 	// TierSessions makes streaming sessions fleet-resumable: after
 	// every committed step the session's state is snapshotted through
 	// the tier's store/offer path, and a step or delete naming a token
@@ -173,9 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultProcs <= 0 {
 		c.DefaultProcs = 16
-	}
-	if c.PartitionCost <= 0 {
-		c.PartitionCost = 2e-4
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
@@ -243,7 +234,15 @@ type Server struct {
 // cfg.TraceDir. A missing or unreadable directory is an error; an empty
 // TraceDir is not.
 func New(cfg Config) (*Server, error) {
+	// Zero means off (or the default TTL); negative means a typo.
+	if cfg.RequestTimeout < 0 || cfg.TierRepair < 0 || cfg.SessionTTL < 0 {
+		return nil, fmt.Errorf("server: negative duration (RequestTimeout %s, TierRepair %s, SessionTTL %s)", cfg.RequestTimeout, cfg.TierRepair, cfg.SessionTTL)
+	}
 	cfg = cfg.withDefaults()
+	// Compared as the ring canonicalizes: a trailing slash is no mismatch.
+	if ring := tier.NewRing(cfg.TierSelf, cfg.TierPeers); len(ring.Peers()) > 0 && !slices.Contains(ring.Peers(), ring.Self()) {
+		return nil, fmt.Errorf("server: TierSelf %q is not one of TierPeers %q (every member lists itself)", cfg.TierSelf, cfg.TierPeers)
+	}
 	if !tierEnabled(cfg) {
 		// Fail fast on settings that would otherwise be silently off.
 		switch {
@@ -272,7 +271,6 @@ func New(cfg Config) (*Server, error) {
 			MaxInFlight: cfg.MaxInFlight,
 			QueueDepth:  cfg.QueueDepth,
 			TenantRate:  cfg.TenantRate,
-			TenantBurst: cfg.TenantBurst,
 			Faults:      cfg.Faults,
 		})
 	}
@@ -585,7 +583,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	cost := req.PartitionCost
 	if cost <= 0 {
-		cost = s.cfg.PartitionCost
+		cost = core.DefaultPartitionCost
 	}
 	meta := core.NewMetaPartitioner(cost)
 	resp := SelectResponse{Selections: make([]Selection, len(hs))}
@@ -594,8 +592,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			writeFailure(w, err)
 			return
 		}
-		slot := float64(h.Workload()) * machine.CellTime / float64(req.NProcs)
-		p := meta.Select(h, slot)
+		p := meta.Select(h, machine.TimeSlot(h, req.NProcs))
 		sample, _ := meta.LastSample()
 		resp.Selections[i] = selectionFrom(p, sample)
 	}
@@ -769,10 +766,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var res *sim.Result
 	var err error
 	if req.Meta {
-		meta := core.NewMetaPartitioner(s.cfg.PartitionCost)
+		meta := core.NewMetaPartitioner(core.DefaultPartitionCost)
 		res, err = sim.SimulateTraceSelect(ctx, tr, func(step int, h *grid.Hierarchy) partition.Partitioner {
-			slot := float64(h.Workload()) * machine.CellTime / float64(req.NProcs)
-			return meta.Select(h, slot)
+			return meta.Select(h, machine.TimeSlot(h, req.NProcs))
 		}, req.NProcs, machine)
 	} else {
 		var p partition.Partitioner

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"samr/internal/geom"
 	"samr/internal/grid"
 	"samr/internal/partition"
+	"samr/internal/tier"
 	"samr/internal/trace"
 )
 
@@ -329,6 +331,84 @@ func TestBadRequests(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d, want 400", r.StatusCode)
+	}
+}
+
+// TestBodyLimit pins Config.MaxBodyBytes on the three routes that read
+// a body of any size: a request one byte over the limit answers 413 and
+// leaves the cache, the session and the disk store as they were, and a
+// body of exactly the limit is served.
+func TestBodyLimit(t *testing.T) {
+	const limit = 1 << 10
+	srv, ts := newTestServer(t, Config{MaxBodyBytes: limit, TierDir: t.TempDir()})
+	// padded marshals v behind leading spaces, which the decoder has to
+	// read, to exactly n bytes.
+	padded := func(v any, n int) []byte {
+		raw, err := json.Marshal(v)
+		if err != nil || len(raw) > n {
+			t.Fatalf("fixture is %d bytes, over %d (%v)", len(raw), n, err)
+		}
+		return append(bytes.Repeat([]byte(" "), n-len(raw)), raw...)
+	}
+	send := func(method, path string, body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //nolint:errcheck
+		return resp.StatusCode
+	}
+
+	h := testHierarchy(1)
+	preq := PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}
+	if code := send("POST", "/v1/partition", padded(preq, limit+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("partition post over the limit = %d, want 413", code)
+	}
+	if _, misses, _ := srv.Cache().Stats(); misses != 0 || srv.Cache().Len() != 0 {
+		t.Errorf("oversized post reached the cache: %d misses, %d entries", misses, srv.Cache().Len())
+	}
+	if code := send("POST", "/v1/partition", padded(preq, limit)); code != http.StatusOK {
+		t.Errorf("partition post of exactly the limit = %d, want 200", code)
+	}
+
+	create := createSession(t, ts.URL, h, "domain", 4)
+	step := SessionStepRequest{Levels: []LevelOp{
+		{Op: LevelKeep},
+		{Op: LevelReplace, Boxes: testHierarchy(2).Levels[1]},
+	}}
+	stepPath := "/v1/session/" + create.Session + "/step"
+	if code := send("POST", stepPath, padded(step, limit+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("session step over the limit = %d, want 413", code)
+	}
+	// The base pin holds only if the refused step committed nothing.
+	step.Base = create.Signature
+	if code := send("POST", stepPath, padded(step, limit)); code != http.StatusOK {
+		t.Errorf("session step of exactly the limit, pinned to the created state = %d, want 200", code)
+	}
+
+	gh, err := h.toGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := partition.NewDomainSFC().Partition(context.Background(), gh, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := tier.EncodeAssignment(a)
+	if len(blob) <= limit {
+		t.Fatalf("fixture blob is %d bytes, want over %d", len(blob), limit)
+	}
+	stored := srv.Tier().Disk().Len()
+	if code := send("PUT", "/v1/tier/"+tier.Key("oversized"), blob); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("tier PUT over the limit = %d, want 413", code)
+	}
+	if got := srv.Tier().Disk().Len(); got != stored {
+		t.Errorf("oversized tier PUT reached the disk store: %d entries, was %d", got, stored)
 	}
 }
 

@@ -26,6 +26,10 @@ import (
 // without one instead of starting quietly disabled. So does a fault
 // plan on a point nothing consults: a mistyped name, or the pool's
 // retired dispatch point, would otherwise arm a drill that cannot fire.
+// So does a TierSelf the ring does not list — that member would own no
+// key, fetch and offer its own keys over HTTP, and report a converged
+// repair for ever — and a negative duration, which would read as "off"
+// (RequestTimeout, TierRepair) or "the default" (SessionTTL).
 func TestTierSessionsRequiresTier(t *testing.T) {
 	armed := func(point string) *fault.Injector {
 		in, err := fault.New(1, fault.Plan{Point: point, Mode: fault.NoSpace, Every: 7})
@@ -34,18 +38,32 @@ func TestTierSessionsRequiresTier(t *testing.T) {
 		}
 		return in
 	}
+	peers := []string{"http://a:8347", "http://b:8347"}
 	for name, cfg := range map[string]Config{
-		"TierSessions without a tier": {TierSessions: true},
-		"TierRepair without a tier":   {TierRepair: 30 * time.Second},
-		"fault plan on disk.putt":     {TierDir: t.TempDir(), Faults: armed("disk.putt")},
-		"fault plan on pool.dispatch": {Faults: armed("pool.dispatch")},
+		"TierSessions without a tier":  {TierSessions: true},
+		"TierRepair without a tier":    {TierRepair: 30 * time.Second},
+		"fault plan on disk.putt":      {TierDir: t.TempDir(), Faults: armed("disk.putt")},
+		"fault plan on pool.dispatch":  {Faults: armed("pool.dispatch")},
+		"TierSelf with a typo":         {TierDir: t.TempDir(), TierPeers: peers, TierSelf: "http://a:8348"},
+		"TierSelf with another scheme": {TierDir: t.TempDir(), TierPeers: peers, TierSelf: "https://a:8347"},
+		"TierPeers without TierSelf":   {TierDir: t.TempDir(), TierPeers: peers},
+		"negative RequestTimeout":      {RequestTimeout: -5 * time.Second},
+		"negative TierRepair":          {TierDir: t.TempDir(), TierPeers: peers, TierSelf: peers[0], TierRepair: -time.Second},
+		"negative SessionTTL":          {SessionTTL: -time.Minute},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := New(Config{TierDir: t.TempDir(), Faults: armed(tier.FaultDiskPut)}); err != nil {
-		t.Errorf("fault plan on %s refused: %v", tier.FaultDiskPut, err)
+	for name, cfg := range map[string]Config{
+		"fault plan on " + tier.FaultDiskPut: {TierDir: t.TempDir(), Faults: armed(tier.FaultDiskPut)},
+		"TierSelf in TierPeers":              {TierDir: t.TempDir(), TierPeers: peers, TierSelf: peers[1]},
+		"TierSelf with a trailing slash":     {TierDir: t.TempDir(), TierPeers: peers, TierSelf: peers[1] + "/"},
+		"TierPeers with a trailing slash":    {TierDir: t.TempDir(), TierPeers: []string{peers[0] + "/", peers[1]}, TierSelf: peers[0]},
+	} {
+		if _, err := New(cfg); err != nil {
+			t.Errorf("%s refused: %v", name, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -92,10 +93,7 @@ func (s *Server) initTier() error {
 	s.mux.HandleFunc("GET /v1/tier/{key}", s.route(es, unguarded, s.handleTierGet))
 	s.mux.HandleFunc("PUT /v1/tier/{key}", s.route(es, unguarded, s.handleTierPut))
 	if s.cfg.TierRepair > 0 {
-		rep, err := tier.NewRepairer(t, tier.RepairConfig{
-			Interval:        s.cfg.TierRepair,
-			MaxKeysPerRound: s.cfg.TierRepairKeys,
-		})
+		rep, err := tier.NewRepairer(t, tier.RepairConfig{Interval: s.cfg.TierRepair})
 		if err != nil {
 			return err
 		}
@@ -134,7 +132,11 @@ func (s *Server) handleTierPut(w http.ResponseWriter, r *http.Request) {
 	// The body limit middleware already caps reads at MaxBodyBytes.
 	blob, err := io.ReadAll(r.Body)
 	if err != nil {
-		http.Error(w, "bad body", http.StatusBadRequest)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad body", code)
 		return
 	}
 	s.tier.ServePut(w, r.PathValue("key"), blob)

@@ -114,7 +114,7 @@ type SelectRequest struct {
 	// server's configured processor count.
 	NProcs int `json:"nprocs,omitempty"`
 	// PartitionCost (seconds per repartitioning) seeds the dimension-II
-	// model; 0 uses the server default.
+	// model; 0 uses core.DefaultPartitionCost.
 	PartitionCost float64 `json:"partition_cost,omitempty"`
 }
 

@@ -10,12 +10,6 @@
 // the seam where other orders can be plugged in.
 package sfc
 
-import (
-	"sort"
-
-	"samr/internal/geom"
-)
-
 // Curve enumerates the supported space-filling curve families.
 type Curve int
 
@@ -61,9 +55,6 @@ func Index(c Curve, x, y int) int64 {
 		return mortonIndex(uint64(x), uint64(y))
 	}
 }
-
-// IndexPoint returns Index for the first two components of p.
-func IndexPoint(c Curve, p geom.IntVect) int64 { return Index(c, p[0], p[1]) }
 
 // mortonIndex interleaves the bits of x (even positions) and y (odd).
 func mortonIndex(x, y uint64) int64 {
@@ -161,31 +152,4 @@ func spread3(v uint64) uint64 {
 	v = (v | v<<4) & 0x10C30C30C30C30C3
 	v = (v | v<<2) & 0x1249249249249249
 	return v
-}
-
-// OrderBoxes sorts the given boxes (in place, stably) by the curve index
-// of their lower corners coarsened by unit, returning the permutation
-// applied. Coarsening by the atomic-unit size makes the order independent
-// of sub-unit jitter and matches how domain-based partitioners order
-// their units.
-func OrderBoxes(c Curve, boxes geom.BoxList, unit int) []int {
-	if unit < 1 {
-		unit = 1
-	}
-	perm := make([]int, len(boxes))
-	keys := make([]int64, len(boxes))
-	for i, b := range boxes {
-		perm[i] = i
-		keys[i] = Index(c, b.Lo[0]/unit, b.Lo[1]/unit)
-	}
-	// Stable sort of the permutation by key: equal keys keep their
-	// original relative order, preserving the insertion-sort stability
-	// guarantee in O(n log n); boxes are then permuted to match.
-	sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-	sorted := make(geom.BoxList, len(boxes))
-	for i, oi := range perm {
-		sorted[i] = boxes[oi]
-	}
-	copy(boxes, sorted)
-	return perm
 }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"samr/internal/geom"
 )
 
 func TestMortonSmallGrid(t *testing.T) {
@@ -102,44 +100,6 @@ func TestPropertyMortonMonotoneInQuadrant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestOrderBoxes(t *testing.T) {
-	boxes := geom.BoxList{
-		geom.NewBox2(8, 8, 10, 10),
-		geom.NewBox2(0, 0, 2, 2),
-		geom.NewBox2(8, 0, 10, 2),
-		geom.NewBox2(0, 8, 2, 10),
-	}
-	perm := OrderBoxes(Hilbert, boxes, 1)
-	if len(perm) != 4 {
-		t.Fatalf("perm length = %d", len(perm))
-	}
-	if boxes[0] != geom.NewBox2(0, 0, 2, 2) {
-		t.Errorf("first box after Hilbert order = %v", boxes[0])
-	}
-	// The Hilbert order on the four corners visits adjacent corners
-	// consecutively: total corner-path length must be 3 edges.
-	for i := 1; i < len(boxes); i++ {
-		dx := abs(boxes[i].Lo[0] - boxes[i-1].Lo[0])
-		dy := abs(boxes[i].Lo[1] - boxes[i-1].Lo[1])
-		if dx+dy > 8 {
-			t.Errorf("Hilbert order makes a long jump from %v to %v", boxes[i-1], boxes[i])
-		}
-	}
-}
-
-func TestOrderBoxesUnitCoarsening(t *testing.T) {
-	boxes := geom.BoxList{
-		geom.NewBox2(5, 0, 6, 1), // same unit cell as (4,0) for unit=4
-		geom.NewBox2(4, 1, 5, 2),
-	}
-	orig := boxes.Clone()
-	OrderBoxes(Morton, boxes, 4)
-	// Both lie in unit (1,0): stable order keeps the original sequence.
-	if boxes[0] != orig[0] || boxes[1] != orig[1] {
-		t.Errorf("unit-coarsened order should be stable, got %v", boxes)
 	}
 }
 

@@ -101,7 +101,7 @@ func TestSimulateTraceParallelDynamic(t *testing.T) {
 	tr := quickTrace(t)
 	m := DefaultMachine()
 	run := func(workers int) *Result {
-		meta := core.NewMetaPartitioner(2e-4)
+		meta := core.NewMetaPartitioner(core.DefaultPartitionCost)
 		return mustSimulate(t, tr, func(step int, h *grid.Hierarchy) partition.Partitioner {
 			return meta.Select(h, 1e-3)
 		}, 8, m, workers)

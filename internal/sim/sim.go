@@ -68,6 +68,14 @@ func DefaultMachine() Machine {
 	}
 }
 
+// TimeSlot is the interval between two partitioner invocations, in
+// seconds, when nprocs processors share h evenly: one coarse step of
+// perfectly balanced computation. It is the timeSlot the classifier's
+// dimension II (core.Classifier.Classify) expects.
+func (m Machine) TimeSlot(h *grid.Hierarchy, nprocs int) float64 {
+	return float64(h.Workload()) * m.CellTime / float64(nprocs)
+}
+
 // StepMetrics is the simulator output for one coarse time step.
 type StepMetrics struct {
 	// Step is the coarse step index (matches the trace snapshot).

@@ -360,3 +360,19 @@ func TestEvaluateCancelled(t *testing.T) {
 		t.Fatal("cancelled Evaluate returned no error")
 	}
 }
+
+// TestTimeSlotMatchesInlineFormula holds Machine.TimeSlot to the
+// expression it replaced in the server, the experiments, metapart and
+// the examples, bit for bit: samrbench's trajectory prints DimII, which
+// is computed from it, and bench/golden pins those bytes.
+func TestTimeSlotMatchesInlineFormula(t *testing.T) {
+	m := DefaultMachine()
+	for _, snap := range quickTrace(t).Snapshots {
+		for _, nprocs := range []int{1, 3, 16, 1000} {
+			want := float64(snap.H.Workload()) * m.CellTime / float64(nprocs)
+			if got := m.TimeSlot(snap.H, nprocs); got != want {
+				t.Fatalf("step %d, %d procs: TimeSlot = %v, inline formula = %v", snap.Step, nprocs, got, want)
+			}
+		}
+	}
+}

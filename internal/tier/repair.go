@@ -80,9 +80,6 @@ func NewRepairer(t *Tier, cfg RepairConfig) (*Repairer, error) {
 	return &Repairer{t: t, cfg: cfg}, nil
 }
 
-// Interval returns the configured round period.
-func (r *Repairer) Interval() time.Duration { return r.cfg.Interval }
-
 // eachOwed lists every available peer's manifest, in ring order, and
 // calls visit(peer, key) for each advertised key this member owns and
 // lacks locally. visit reports whether it settled the key; an unsettled

@@ -149,7 +149,7 @@ func TestKeyShape(t *testing.T) {
 	if a == b {
 		t.Fatal("length-prefixing failed: distinct part lists collide")
 	}
-	if !ValidKey(a) || len(a) != keyLen {
+	if !validKey(a) || len(a) != keyLen {
 		t.Fatalf("Key produced non-canonical key %q", a)
 	}
 }

@@ -38,9 +38,6 @@ func Key(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ValidKey reports whether key has the canonical tier key shape.
-func ValidKey(key string) bool { return validKey(key) }
-
 // Config assembles a Tier; at least one of Dir and Peers must be set.
 type Config struct {
 	// Dir roots the disk store ("" disables the disk level — the tier

@@ -27,9 +27,10 @@
 //
 //	ctx := context.Background()
 //	tr, _ := samr.GenerateTrace(ctx, "BL2D", samr.PaperConfig(), 100)
-//	meta := samr.NewMetaPartitioner(2e-4)
+//	meta := samr.NewMetaPartitioner(core.DefaultPartitionCost)
+//	m := samr.DefaultMachine()
 //	for _, snap := range tr.Snapshots {
-//	    p := meta.Select(snap.H, 0.01)
+//	    p := meta.Select(snap.H, m.TimeSlot(snap.H, 16))
 //	    a, err := p.Partition(ctx, snap.H, 16)
 //	    _, _ = a, err
 //	}
@@ -121,7 +122,8 @@ func CommunicationPenalty(h *Hierarchy) float64 { return core.CommunicationPenal
 func LoadPenalty(h *Hierarchy) float64 { return core.LoadPenalty(h) }
 
 // NewClassifier returns a classification-space classifier;
-// partitionCost is the estimated seconds per repartitioning.
+// partitionCost is the estimated seconds per repartitioning
+// (core.DefaultPartitionCost unless the caller has its own).
 func NewClassifier(partitionCost float64) *Classifier { return core.NewClassifier(partitionCost) }
 
 // NewMetaPartitioner returns the meta-partitioner with its default
@@ -144,12 +146,6 @@ func NewNatureFable() Partitioner { return partition.NewNatureFable() }
 // the dimension-III migration remedy (identical decomposition, labels
 // permuted to maximize overlap with the previous assignment).
 func NewPostMapped(inner Partitioner) Partitioner { return partition.NewPostMapped(inner) }
-
-// MeasurePartitionCost times one partitioner invocation, the measured
-// input to the dimension-II (speed vs. quality) model.
-func MeasurePartitionCost(ctx context.Context, p Partitioner, h *Hierarchy, nprocs, reps int) (float64, error) {
-	return core.MeasurePartitionCost(ctx, p, h, nprocs, reps)
-}
 
 // DefaultMachine returns the commodity-cluster machine model.
 func DefaultMachine() Machine { return sim.DefaultMachine() }

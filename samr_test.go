@@ -3,6 +3,8 @@ package samr
 import (
 	"context"
 	"testing"
+
+	"samr/internal/core"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -18,7 +20,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if tr.Len() != 7 {
 		t.Fatalf("trace length = %d", tr.Len())
 	}
-	meta := NewMetaPartitioner(2e-4)
+	meta := NewMetaPartitioner(core.DefaultPartitionCost)
 	m := DefaultMachine()
 	ctx := context.Background()
 	var prev *Hierarchy
