@@ -27,6 +27,9 @@
 //	                     [{"dim": 2, "lo": [8,8], "hi": [40,40]}]]}}' \
 //	     localhost:8347/v1/select
 //
+// Hierarchies are two-dimensional, like the paper's four applications: a
+// box whose "dim" is not 2 answers 400 on every endpoint that takes one.
+//
 // Run a named partitioner at a processor count (repeat the request and
 // watch the X-Samr-Cache header flip from miss to hit):
 //
@@ -77,17 +80,17 @@
 // By default samrd accepts every request and lets the worker pool
 // arbitrate the CPU. Setting -max-inflight enables admission control
 // over the compute endpoints (/v1/select, /v1/partition, /v1/simulate):
-// at most that many requests compute at once, up to -queue-depth more
-// wait in a bounded queue (default 4x the cap), and everything beyond
-// that is shed immediately with 429 Too Many Requests, a JSON error
-// body, a Retry-After header (whole seconds, >= 1), and an X-Samr-Shed
-// header naming the reason (queue-full, rate-limit, or deadline). Shed
+// at most that many requests compute at once, up to four times as many
+// more wait in a bounded queue, and everything beyond that is shed
+// immediately with 429 Too Many Requests, a JSON error body, a
+// Retry-After header (whole seconds, >= 1), and an X-Samr-Shed header
+// naming the reason (queue-full, rate-limit, or deadline). Shed
 // requests never run a partitioner and never touch the cache. The
 // interactive endpoints (/v1/select, /v1/partition) are dispatched
 // ahead of batch /v1/simulate work, both at the admission queue and
 // inside the worker pool, without starving batch.
 //
-//	samrd -addr :8347 -traces traces -max-inflight 8 -queue-depth 32
+//	samrd -addr :8347 -traces traces -max-inflight 8
 //
 // Tenants are distinguished by the X-Samr-Tenant request header
 // (absent means the anonymous tenant). -tenant-rate grants each tenant
@@ -151,9 +154,9 @@
 // /v1/partition posts cannot do this — they build a fresh instance per
 // request). Stateful results bypass the cache and tier, as always.
 //
-// Sessions are soft state: -max-sessions bounds the table (LRU
-// eviction past it) and -session-ttl expires idle sessions. A step or
-// delete on an expired, evicted, or unknown session answers 410 Gone
+// Sessions are soft state: the table holds 256 (LRU eviction past it)
+// and -session-ttl expires idle sessions. A step or delete on an
+// expired, evicted, or unknown session answers 410 Gone
 // with code "session-expired"; the client re-creates the session from
 // its current full state and loses nothing but one upload. DELETE
 // /v1/session/<token> closes a session early (204). Session counters
@@ -189,7 +192,7 @@
 // store, or an open circuit breaker degrades to computing locally,
 // never to a client-visible error, and stateful postmap(...) specs
 // bypass the tier entirely (their results depend on request history).
-// -tier-max-bytes bounds each disk store; the oldest entries are
+// Each disk store is bounded at 256 MiB; the oldest entries are
 // evicted first. With no tier flags set, the tier is fully disabled
 // and responses are byte-identical to a build without it. Tier
 // counters appear under "tier" in /v1/stats.
@@ -265,14 +268,14 @@
 // For chaos drills only, -faults arms deterministic fault injection
 // on the non-client-facing paths, e.g.
 //
-//	samrd ... -faults 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' -fault-seed 7
+//	samrd ... -faults 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1'
 //
 // Points: disk.get, disk.put, peer.get, peer.put, peer.manifest in the
 // tier; session.snapshot.put, session.snapshot.get on the session
 // durability path; and admit.accept, admit.shed in admission control
 // (a plan on any other name fails startup). Modes are error, latency,
 // corrupt, enospc, scheduled by every/after/count/prob and derived
-// purely from -fault-seed (same seed, same schedule). The contract
+// purely from the spec (same spec, same schedule). The contract
 // under any schedule: degraded performance or a well-formed 429, never
 // a wrong byte or a malformed client-visible error.
 package main
@@ -294,27 +297,26 @@ import (
 	"samr/internal/server"
 )
 
+// faultSeed derives the -faults schedule; the spec alone names a drill.
+const faultSeed = 1
+
 func main() {
 	var (
-		addr        = flag.String("addr", ":8347", "listen address")
-		dir         = flag.String("traces", "", "directory of .trc trace files (loaded at startup and on demand)")
-		cache       = flag.Int("cache", 256, "partition cache capacity (results)")
-		procs       = flag.Int("procs", 16, "default processor count for requests that omit nprocs")
-		reqTimeout  = flag.Duration("request-timeout", 2*time.Minute, "per-request deadline threaded into partitioners and simulator (0 disables)")
-		maxBody     = flag.Int64("max-body-bytes", 64<<20, "request body size limit in bytes")
-		inflight    = flag.Int("max-inflight", 0, "max concurrently computing requests; 0 disables admission control")
-		queueDepth  = flag.Int("queue-depth", 0, "admission queue depth beyond -max-inflight (default 4x -max-inflight)")
-		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission rate limit in requests/second (burst: the rate rounded up); 0 disables")
-		tierDir     = flag.String("tier-dir", "", "fleet tier disk store directory (empty disables the tier)")
-		tierPeers   = flag.String("tier-peers", "", "comma-separated base URLs of every fleet member, identical across the fleet")
-		tierSelf    = flag.String("tier-self", "", "this daemon's own base URL; required with -tier-peers and must be one of them")
-		tierMax     = flag.Int64("tier-max-bytes", 256<<20, "fleet tier disk store size bound in bytes")
-		tierRepair  = flag.Duration("tier-repair", 0, "anti-entropy repair interval, up to 256 keys a round (0 disables; needs -tier-dir and -tier-peers)")
-		tierSess    = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
-		faultSpec   = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
-		faultSeed   = flag.Int64("fault-seed", 1, "seed deriving the deterministic -faults schedule")
-		maxSessions = flag.Int("max-sessions", 256, "streaming session table capacity (LRU eviction past it)")
-		sessionTTL  = flag.Duration("session-ttl", 15*time.Minute, "idle expiry for streaming sessions")
+		addr       = flag.String("addr", ":8347", "listen address")
+		dir        = flag.String("traces", "", "directory of .trc trace files (loaded at startup and on demand)")
+		cache      = flag.Int("cache", 256, "partition cache capacity (results)")
+		procs      = flag.Int("procs", 16, "default processor count for requests that omit nprocs")
+		reqTimeout = flag.Duration("request-timeout", 2*time.Minute, "per-request deadline threaded into partitioners and simulator (0 disables)")
+		maxBody    = flag.Int64("max-body-bytes", 64<<20, "request body size limit in bytes")
+		inflight   = flag.Int("max-inflight", 0, "max concurrently computing requests, with four times as many queued behind them; 0 disables admission control")
+		tenantRate = flag.Float64("tenant-rate", 0, "per-tenant admission rate limit in requests/second (burst: the rate rounded up); 0 disables")
+		tierDir    = flag.String("tier-dir", "", "fleet tier disk store directory, bounded at 256 MiB (empty disables the tier)")
+		tierPeers  = flag.String("tier-peers", "", "comma-separated base URLs of every fleet member, identical across the fleet")
+		tierSelf   = flag.String("tier-self", "", "this daemon's own base URL; required with -tier-peers and must be one of them")
+		tierRepair = flag.Duration("tier-repair", 0, "anti-entropy repair interval, up to 256 keys a round (0 disables; needs -tier-dir and -tier-peers)")
+		tierSess   = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
+		faultSpec  = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
+		sessionTTL = flag.Duration("session-ttl", 15*time.Minute, "idle expiry for streaming sessions (the table holds 256)")
 	)
 	flag.Parse()
 
@@ -332,7 +334,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "samrd:", err)
 			os.Exit(1)
 		}
-		if injector, err = fault.New(*faultSeed, plans...); err != nil {
+		if injector, err = fault.New(faultSeed, plans...); err != nil {
 			fmt.Fprintln(os.Stderr, "samrd:", err)
 			os.Exit(1)
 		}
@@ -345,16 +347,13 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		MaxBodyBytes:   *maxBody,
 		MaxInFlight:    *inflight,
-		QueueDepth:     *queueDepth,
 		TenantRate:     *tenantRate,
 		TierDir:        *tierDir,
-		TierMaxBytes:   *tierMax,
 		TierPeers:      peers,
 		TierSelf:       *tierSelf,
 		TierRepair:     *tierRepair,
 		TierSessions:   *tierSess,
 		Faults:         injector,
-		MaxSessions:    *maxSessions,
 		SessionTTL:     *sessionTTL,
 	})
 	if err != nil {
@@ -403,7 +402,7 @@ func main() {
 	}()
 
 	if s.Tier() != nil {
-		log.Printf("samrd: fleet tier on (dir %q, %d peers, %d byte bound)", *tierDir, len(peers), *tierMax)
+		log.Printf("samrd: fleet tier on (dir %q, %d peers, %d byte bound)", *tierDir, len(peers), s.Tier().Stats().DiskMaxBytes)
 	}
 	if s.Repairer() != nil {
 		log.Printf("samrd: anti-entropy repair on (every %s)", *tierRepair)
@@ -412,7 +411,7 @@ func main() {
 		log.Printf("samrd: durable sessions on (snapshots through the fleet tier, peers resume)")
 	}
 	if injector != nil {
-		log.Printf("samrd: FAULT INJECTION ARMED (chaos drill, seed %d): %s", *faultSeed, injector)
+		log.Printf("samrd: FAULT INJECTION ARMED (chaos drill): %s", injector)
 	}
 	if *inflight > 0 {
 		log.Printf("samrd: admission control on (max in-flight %d, queue %d, tenant rate %g/s)",

@@ -22,7 +22,8 @@ func buildSamrd(t *testing.T) string {
 // TestNonsenseFlagsFailStartup: settings that used to start a daemon
 // doing something other than what they say — a negative duration read
 // as "off" or "the default", a -tier-self the ring does not list — are
-// startup errors that name the setting.
+// startup errors that name the setting, and so is each flag that had
+// one value in use and became a constant.
 func TestNonsenseFlagsFailStartup(t *testing.T) {
 	bin := buildSamrd(t)
 	peers := "http://127.0.0.1:1,http://127.0.0.1:2"
@@ -35,6 +36,10 @@ func TestNonsenseFlagsFailStartup(t *testing.T) {
 		{[]string{"-tier-dir", t.TempDir(), "-tier-peers", peers, "-tier-self", "http://127.0.0.1:1", "-tier-repair", "-30s"}, "TierRepair -30s"},
 		{[]string{"-tier-dir", t.TempDir(), "-tier-peers", peers, "-tier-self", "http://127.0.0.1:3"}, "TierSelf"},
 		{[]string{"-tier-dir", t.TempDir(), "-tier-peers", peers}, "TierSelf"},
+		{[]string{"-queue-depth", "32"}, "not defined: -queue-depth"},
+		{[]string{"-tier-max-bytes", "1048576"}, "not defined: -tier-max-bytes"},
+		{[]string{"-max-sessions", "8"}, "not defined: -max-sessions"},
+		{[]string{"-fault-seed", "7"}, "not defined: -fault-seed"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, c.args...)...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), c.want) {

@@ -1,69 +1,18 @@
-// The service example drives the samrd partitioning service end to
-// end, in process: it generates a reduced-scale application trace,
-// stands up the server on a loopback listener, and exercises the
-// endpoints — listing traces, meta-partitioner selection, cached
-// partitioning (showing the miss -> hit flip on a repeated regrid
-// state), trace-driven simulation, and the operational counters of
-// /v1/stats.
+// The service example is a quickstart for the samrd partitioning
+// service, in process: it generates a reduced-scale application trace,
+// stands up the server on a loopback listener, and walks the endpoints a
+// client meets first — listing traces, meta-partitioner selection,
+// cached partitioning (the miss -> hit flip on a repeated regrid state),
+// one streaming-session step (a per-level delta instead of a full
+// post), and the operational counters of /v1/stats.
 //
-// # Deadlines and cancellation
+// What the service does under failure — deadlines and cancellation,
+// overload shedding and retry, the fleet tier, session failover — is
+// asserted by the suites of internal/server (cancel_test.go,
+// admit_test.go, tier_test.go, TestChaosSessionTakeover), which is where
+// to read how a well-behaved client recovers.
 //
-// Every request is context-bounded: the server threads the request
-// context (optionally capped by Config.RequestTimeout / samrd's
-// -request-timeout flag) down through the worker pool and into every
-// partitioner, which polls it at box-batch granularity. A request whose
-// deadline expires returns 504 Gateway Timeout with a JSON error and
-// never produces a partial result; a client that disconnects cancels
-// its work mid-batch the same way (recorded as 499). Concurrent
-// identical cache misses are coalesced by a singleflight group — the
-// extra requests wait for the first compute and report
-// X-Samr-Cache: shared. The deadline section of this example
-// demonstrates the deadline wire error with a deliberately impossible
-// timeout.
-//
-// # Overload and retry
-//
-// With Config.MaxInFlight set (samrd's -max-inflight flag) the server
-// admits a bounded number of compute requests, queues a few more, and
-// sheds the rest with 429 + Retry-After before any partitioner runs;
-// /readyz flips to 503 "saturated" while the queue is full and to
-// "draining" once shutdown begins. The final section saturates a
-// one-slot server on purpose and shows the shed wire contract, the
-// readiness flip, the per-tenant admission counters in /v1/stats, and
-// a well-behaved client: postRetry retries 429/503 with jittered
-// exponential backoff (the shared internal/backoff policy — the same
-// one the fleet tier's peer client uses), honors the server's
-// Retry-After, caps its attempts, and aborts as soon as its context
-// does.
-//
-// # Streaming sessions
-//
-// The session section replays the same regrid trajectory through
-// POST /v1/session + per-level delta steps instead of repeated full
-// posts: the hierarchy is uploaded once, each step sends keep/replace
-// ops per level (O(changed boxes) on the wire), and every step body is
-// byte-identical to the equivalent full /v1/partition response. The
-// sessionClient shows the recovery contract: sessions are soft state,
-// and a step answered 410 with code "session-expired" (idle past the
-// TTL or LRU-evicted) makes the client re-create the session from its
-// current full state and retry.
-//
-// # Fleet tier
-//
-// The fleet section stands up two daemons that share their partition
-// caches through the fleet tier (samrd's -tier-dir/-tier-peers/
-// -tier-self flags): a partition computed by the first daemon is
-// served by the second with X-Samr-Cache: tier — the bytes came over
-// the peer protocol, not from a partitioner run.
-//
-// # Session failover
-//
-// With -tier-sessions, sessions survive their daemon: every committed
-// step snapshots the session through the tier, and a peer receiving a
-// step for a token it does not hold resumes from the snapshot instead
-// of answering 410. The failover section kills the session-owning
-// daemon mid-stream and lands the next step on the survivor — same
-// token, X-Samr-Session-Resumed: 1, and the client never re-uploads.
+//	go run ./examples/service
 package main
 
 import (
@@ -71,19 +20,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
-	"strconv"
-	"time"
 
 	"samr/internal/apps"
-	"samr/internal/backoff"
 	"samr/internal/server"
-	"samr/internal/tier"
-	"samr/internal/trace"
 )
 
 func main() {
@@ -111,7 +54,7 @@ func run() error {
 
 	// GET /v1/traces
 	var traces server.TracesResponse
-	if err := get(ts.URL+"/v1/traces", &traces); err != nil {
+	if _, err := call(http.MethodGet, ts.URL+"/v1/traces", nil, &traces); err != nil {
 		return err
 	}
 	for _, ti := range traces.Traces {
@@ -120,26 +63,28 @@ func run() error {
 
 	// POST /v1/select over the first snapshots: the regrid sequence is
 	// classified through one meta-partitioner, hysteresis included.
-	sel := server.SelectRequest{}
-	wire := toWire(tr, 6)
-	sel.Hierarchies = wire
-	var selResp server.SelectResponse
-	if err := post(ts.URL+"/v1/select", sel, &selResp, nil); err != nil {
+	wire := make([]server.Hierarchy, 6)
+	for i := range wire {
+		wire[i] = server.FromHierarchy(tr.Snapshots[i].H)
+	}
+	var sel server.SelectResponse
+	if _, err := call(http.MethodPost, ts.URL+"/v1/select", server.SelectRequest{Hierarchies: wire}, &sel); err != nil {
 		return err
 	}
 	fmt.Println("\nmeta-partitioner selection over the first regrid states:")
-	for i, c := range selResp.Selections {
+	for i, c := range sel.Selections {
 		fmt.Printf("  step %2d: dimI=%.3f dimII=%.3f dimIII=%.3f -> %s\n", i, c.DimI, c.DimII, c.DimIII, c.Partitioner)
 	}
 
 	// POST /v1/partition twice with the same hierarchy: the second is a
 	// content-addressed cache hit.
-	preq := server.PartitionRequest{Hierarchy: &wire[len(wire)-1], Partitioner: "nature+fable", NProcs: 8}
+	first, last := wire[0], wire[len(wire)-1]
+	preq := server.PartitionRequest{Hierarchy: &last, Partitioner: "nature+fable", NProcs: 8}
 	fmt.Println("\npartitioning the same regrid state twice:")
 	for i := 0; i < 2; i++ {
 		var presp server.PartitionResponse
-		var hdr http.Header
-		if err := post(ts.URL+"/v1/partition", preq, &presp, &hdr); err != nil {
+		hdr, err := call(http.MethodPost, ts.URL+"/v1/partition", preq, &presp)
+		if err != nil {
 			return err
 		}
 		r := presp.Results[0]
@@ -147,589 +92,61 @@ func run() error {
 			i+1, hdr.Get("X-Samr-Cache"), r.Signature, len(r.Fragments), r.Imbalance)
 	}
 
-	// POST /v1/simulate: static partitioner vs meta-partitioner.
-	fmt.Println("\ntrace-driven evaluation over the registered trace:")
-	for _, req := range []server.SimulateRequest{
-		{Trace: "tp2d-quick", Partitioner: "domain-hilbert-u2", NProcs: 8},
-		{Trace: "tp2d-quick", Meta: true, NProcs: 8},
-	} {
-		var sresp server.SimulateResponse
-		if err := post(ts.URL+"/v1/simulate", req, &sresp, nil); err != nil {
-			return err
-		}
-		fmt.Printf("  %-24s estTime=%.4fs meanImbalance=%.1f%%\n", sresp.Partitioner, sresp.TotalEstTime, sresp.MeanImbalance)
+	// POST /v1/session uploads a hierarchy once; a step then sends one
+	// op per level — keep where the boxes did not change, replace where
+	// they did — and answers what the full post of the resulting state
+	// would: here the state just partitioned, so a cache hit.
+	var sess server.SessionCreateResponse
+	create := server.SessionCreateRequest{Hierarchy: &first, Partitioner: "nature+fable", NProcs: 8}
+	if _, err := call(http.MethodPost, ts.URL+"/v1/session", create, &sess); err != nil {
+		return err
 	}
+	step := server.SessionStepRequest{Base: sess.Signature, Levels: make([]server.LevelOp, len(last.Levels))}
+	for l, boxes := range last.Levels {
+		step.Levels[l] = server.LevelOp{Op: server.LevelReplace, Boxes: boxes}
+		if l < len(first.Levels) && reflect.DeepEqual(first.Levels[l], boxes) {
+			step.Levels[l] = server.LevelOp{Op: server.LevelKeep}
+		}
+	}
+	var sresp server.PartitionResponse
+	hdr, err := call(http.MethodPost, ts.URL+"/v1/session/"+sess.Session+"/step", step, &sresp)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\nsession %.8s step: cache=%-4s sig=%.12s fragments=%d\n",
+		sess.Session, hdr.Get("X-Samr-Cache"), sresp.Results[0].Signature, len(sresp.Results[0].Fragments))
 
 	// GET /v1/stats: the operational counters behind the cache headers.
 	var st server.StatsResponse
-	if err := get(ts.URL+"/v1/stats", &st); err != nil {
+	if _, err := call(http.MethodGet, ts.URL+"/v1/stats", nil, &st); err != nil {
 		return err
 	}
-	fmt.Printf("\n/v1/stats: cache hits=%d misses=%d shared=%d (%d/%d entries), pool=%d, in-flight=%d\n",
+	fmt.Printf("\n/v1/stats: cache hits=%d misses=%d shared=%d (%d/%d entries), pool=%d, sessions=%d\n",
 		st.Cache.Hits, st.Cache.Misses, st.Cache.Shared, st.Cache.Entries, st.Cache.Capacity,
-		st.PoolSize, st.InFlight)
-	for _, ep := range []string{"partition", "select", "simulate"} {
-		fmt.Printf("  endpoint %-10s requests=%d errors=%d\n", ep, st.Endpoints[ep].Requests, st.Endpoints[ep].Errors)
-	}
-
-	// Deadline demo: a server whose per-request deadline is impossibly
-	// tight answers with the documented 504 wire error before running
-	// any partitioner — the regrid-time bound the meta-partitioner
-	// story depends on.
-	tight, err := server.New(server.Config{DefaultProcs: 8, RequestTimeout: time.Nanosecond})
-	if err != nil {
-		return err
-	}
-	tts := httptest.NewServer(tight)
-	defer tts.Close()
-	preq2 := server.PartitionRequest{Hierarchy: &wire[0], Partitioner: "nature+fable", NProcs: 8}
-	body, _ := json.Marshal(preq2)
-	resp, err := http.Post(tts.URL+"/v1/partition", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var e server.ErrorResponse
-	json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
-	fmt.Printf("\nexpired deadline: HTTP %d, error=%q\n", resp.StatusCode, e.Error)
-
-	if err := sessionDemo(wire); err != nil {
-		return err
-	}
-	if err := fleetDemo(wire); err != nil {
-		return err
-	}
-	if err := failoverDemo(wire); err != nil {
-		return err
-	}
-	return overloadDemo(wire)
+		st.PoolSize, st.Sessions.Active)
+	return nil
 }
 
-// sessionDemo streams the regrid trajectory through one session: a
-// full upload once, then per-level deltas (keep/replace) whose wire
-// cost is proportional to what changed. The sessionClient below is the
-// well-behaved recovery pattern: a 410 with code "session-expired"
-// (idle past -session-ttl, or LRU-evicted past -max-sessions) makes it
-// re-create the session from its current full state and retry — the
-// client loses nothing but one upload.
-func sessionDemo(wire []server.Hierarchy) error {
-	const ttl = 250 * time.Millisecond
-	s, err := server.New(server.Config{DefaultProcs: 8, SessionTTL: ttl})
+// call sends in as JSON (the GET handlers ignore a body) and decodes a
+// 200 into out.
+func call(method, url string, in, out any) (http.Header, error) {
+	body, err := json.Marshal(in)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	fmt.Println("\nstreaming session over the regrid trajectory:")
-	sc := &sessionClient{base: ts.URL, spec: "domain-hilbert-u2", nprocs: 8}
-	var deltaBytes, fullBytes int
-	for i := 1; i < len(wire); i++ {
-		if i == len(wire)-1 {
-			// Let the session idle past its TTL: the next step answers
-			// 410 session-expired and the client transparently recovers.
-			time.Sleep(ttl + 100*time.Millisecond)
-		}
-		res, sent, err := sc.step(wire[i])
-		if err != nil {
-			return err
-		}
-		full, _ := json.Marshal(server.PartitionRequest{Hierarchy: &wire[i], Partitioner: sc.spec, NProcs: sc.nprocs})
-		deltaBytes += sent
-		fullBytes += len(full)
-		fmt.Printf("  step %d: cache=%-4s sig=%.12s sent %dB (full post %dB)\n",
-			i, res.Cache, res.Signature, sent, len(full))
-	}
-	fmt.Printf("  trajectory total: %dB streamed vs %dB re-posted (%.1fx smaller), %d session(s) created\n",
-		deltaBytes, fullBytes, float64(fullBytes)/float64(deltaBytes), sc.creates)
-	return sc.close()
-}
-
-// sessionClient drives /v1/session: it mirrors the session's state so
-// it can diff consecutive hierarchies into keep/replace deltas, and
-// re-creates the session whenever the server answers the documented
-// 410 session-expired error.
-type sessionClient struct {
-	base, spec string
-	nprocs     int
-	token      string
-	state      *server.Hierarchy // what the session currently holds
-	creates    int
-}
-
-// step advances the session to next and returns its partition result
-// plus the request bytes spent (delta only, or full re-upload + keep
-// step after an expiry). The delta keeps every level whose box list
-// is unchanged from the mirrored state.
-func (c *sessionClient) step(next server.Hierarchy) (*server.PartitionResult, int, error) {
-	for attempt := 0; ; attempt++ {
-		if c.token == "" {
-			n, err := c.create(next)
-			if err != nil {
-				return nil, 0, err
-			}
-			// The freshly created session already holds next; partition
-			// it with a pure-keep step.
-			res, sent, expired, err := c.post(pureKeep(next))
-			if err != nil || !expired {
-				return res, n + sent, err
-			}
-			continue
-		}
-		res, sent, expired, err := c.post(diffStep(*c.state, next))
-		if err != nil {
-			return nil, 0, err
-		}
-		if !expired {
-			c.state = &next
-			return res, sent, nil
-		}
-		if attempt > 1 {
-			return nil, 0, fmt.Errorf("session expired twice in a row")
-		}
-		fmt.Printf("  step: session %.8s gone (410 %s) -> re-creating from full state\n",
-			c.token, server.CodeSessionExpired)
-		c.token = ""
-	}
-}
-
-// create opens a session holding h, returning the upload size.
-func (c *sessionClient) create(h server.Hierarchy) (int, error) {
-	body, err := json.Marshal(server.SessionCreateRequest{Hierarchy: &h, Partitioner: c.spec, NProcs: c.nprocs})
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, err
-	}
-	r, err := http.Post(c.base+"/v1/session", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		var e server.ErrorResponse
-		json.NewDecoder(r.Body).Decode(&e) //nolint:errcheck
-		return 0, fmt.Errorf("session create: %s (%s)", r.Status, e.Error)
-	}
-	var create server.SessionCreateResponse
-	if err := json.NewDecoder(r.Body).Decode(&create); err != nil {
-		return 0, err
-	}
-	c.token, c.state, c.creates = create.Session, &h, c.creates+1
-	return len(body), nil
-}
-
-// post sends one step, reporting (result, bytes sent, expired).
-func (c *sessionClient) post(step server.SessionStepRequest) (*server.PartitionResult, int, bool, error) {
-	body, err := json.Marshal(step)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	r, err := http.Post(c.base+"/v1/session/"+c.token+"/step", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, false, err
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		var e server.ErrorResponse
-		json.NewDecoder(r.Body).Decode(&e) //nolint:errcheck
-		if r.StatusCode == http.StatusGone && e.Code == server.CodeSessionExpired {
-			return nil, len(body), true, nil
-		}
-		return nil, 0, false, fmt.Errorf("session step: %s (%s)", r.Status, e.Error)
-	}
-	var resp server.PartitionResponse
-	if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
-		return nil, 0, false, err
-	}
-	return &resp.Results[0], len(body), false, nil
-}
-
-func (c *sessionClient) close() error {
-	if c.token == "" {
-		return nil
-	}
-	req, err := http.NewRequest(http.MethodDelete, c.base+"/v1/session/"+c.token, nil)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	r, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return err
-	}
-	r.Body.Close()
-	return nil
-}
-
-// diffStep builds the delta from prev to next: keep every level whose
-// box list is byte-identical, replace the rest, with the step length
-// setting the new level count.
-func diffStep(prev, next server.Hierarchy) server.SessionStepRequest {
-	step := server.SessionStepRequest{Levels: make([]server.LevelOp, len(next.Levels))}
-	for l, boxes := range next.Levels {
-		if l < len(prev.Levels) && reflect.DeepEqual(prev.Levels[l], boxes) {
-			step.Levels[l] = server.LevelOp{Op: server.LevelKeep}
-		} else {
-			step.Levels[l] = server.LevelOp{Op: server.LevelReplace, Boxes: boxes}
-		}
-	}
-	return step
-}
-
-// pureKeep is the no-op step partitioning a session's current state.
-func pureKeep(h server.Hierarchy) server.SessionStepRequest {
-	step := server.SessionStepRequest{Levels: make([]server.LevelOp, len(h.Levels))}
-	for l := range step.Levels {
-		step.Levels[l] = server.LevelOp{Op: server.LevelKeep}
-	}
-	return step
-}
-
-// fleetDemo runs a two-daemon fleet sharing one logical partition
-// cache through the fleet tier: daemon A computes, daemon B serves the
-// identical bytes with X-Samr-Cache: tier.
-func fleetDemo(wire []server.Hierarchy) error {
-	fmt.Println("\nfleet tier across two daemons:")
-	const n = 2
-	urls := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range urls {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		listeners[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	servers := make([]*server.Server, n)
-	for i := range urls {
-		dir, err := os.MkdirTemp("", "samr-tier-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir) //nolint:errcheck
-		s, err := server.New(server.Config{
-			DefaultProcs: 8,
-			TierDir:      dir,
-			TierPeers:    urls,
-			TierSelf:     urls[i],
-		})
-		if err != nil {
-			return err
-		}
-		servers[i] = s
-		ts := httptest.NewUnstartedServer(s)
-		ts.Listener.Close() //nolint:errcheck
-		ts.Listener = listeners[i]
-		ts.Start()
-		defer ts.Close()
-	}
-
-	req := server.PartitionRequest{Hierarchy: &wire[0], Partitioner: "nature+fable", NProcs: 8}
-	for i, url := range urls {
-		var presp server.PartitionResponse
-		var hdr http.Header
-		if err := post(url+"/v1/partition", req, &presp, &hdr); err != nil {
-			return err
-		}
-		r := presp.Results[0]
-		fmt.Printf("  daemon %c: cache=%-4s sig=%.12s fragments=%d\n",
-			'A'+i, hdr.Get("X-Samr-Cache"), r.Signature, len(r.Fragments))
-	}
-	st := servers[1].Tier().Stats()
-	fmt.Printf("  daemon B tier: lookups=%d disk_hits=%d peer_hits=%d stores=%d\n",
-		st.Lookups, st.DiskHits, st.PeerHits, st.Stores)
-	return nil
-}
-
-// failoverDemo kills the session-owning daemon of a two-member fleet
-// mid-stream and shows the client's next step landing on the survivor
-// under the same token: with TierSessions on, every committed step
-// snapshots the session through the tier, and an unknown token is a
-// resume attempt before it is a 410.
-func failoverDemo(wire []server.Hierarchy) error {
-	fmt.Println("\nsession failover across a two-daemon fleet (-tier-sessions):")
-	const n = 2
-	urls := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range urls {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		listeners[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	servers := make([]*server.Server, n)
-	tss := make([]*httptest.Server, n)
-	for i := range urls {
-		dir, err := os.MkdirTemp("", "samr-sess-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir) //nolint:errcheck
-		s, err := server.New(server.Config{
-			DefaultProcs: 8,
-			TierDir:      dir,
-			TierPeers:    urls,
-			TierSelf:     urls[i],
-			TierSessions: true,
-		})
-		if err != nil {
-			return err
-		}
-		servers[i] = s
-		ts := httptest.NewUnstartedServer(s)
-		ts.Listener.Close() //nolint:errcheck
-		ts.Listener = listeners[i]
-		ts.Start()
-		tss[i] = ts
-		defer ts.Close()
-	}
-
-	// Open sessions on daemon A until one's snapshot key is owned by
-	// daemon B under rendezvous hashing: that snapshot's offer lands on
-	// B at step time, so it survives A. (A real client does not do this
-	// — it simply retries the documented 410 when the snapshot died
-	// with its owner; the loop just makes the demo deterministic.)
-	ring := servers[0].Tier().Ring()
-	var token string
-	for i := 0; i < 64; i++ {
-		var create server.SessionCreateResponse
-		if err := post(urls[0]+"/v1/session", server.SessionCreateRequest{
-			Hierarchy: &wire[0], Partitioner: "domain-hilbert-u2", NProcs: 8,
-		}, &create, nil); err != nil {
-			return err
-		}
-		if ring.Owner(tier.Key("session-snapshot", create.Session)) == urls[1] {
-			token = create.Session
-			break
-		}
-		req, _ := http.NewRequest(http.MethodDelete, urls[0]+"/v1/session/"+create.Session, nil)
-		if r, err := http.DefaultClient.Do(req); err == nil {
-			r.Body.Close()
-		}
-	}
-	if token == "" {
-		return fmt.Errorf("no session snapshot landed on daemon B in 64 tries")
-	}
-
-	// A committed step on daemon A writes the durable snapshot.
-	var before server.PartitionResponse
-	if err := post(urls[0]+"/v1/session/"+token+"/step", diffStep(wire[0], wire[1]), &before, nil); err != nil {
-		return err
-	}
-	fmt.Printf("  daemon A: session %.8s step sig=%.12s (snapshot offered to B)\n", token, before.Results[0].Signature)
-
-	tss[0].Close()
-	fmt.Println("  daemon A killed mid-stream")
-
-	// The client's next step goes to daemon B with the SAME token: B
-	// rebuilds the session from the snapshot and answers as if it had
-	// owned it all along.
-	var after server.PartitionResponse
-	var hdr http.Header
-	if err := post(urls[1]+"/v1/session/"+token+"/step", diffStep(wire[1], wire[2]), &after, &hdr); err != nil {
-		return err
-	}
-	fmt.Printf("  daemon B: step sig=%.12s %s=%s\n",
-		after.Results[0].Signature, server.SessionResumedHeader, hdr.Get(server.SessionResumedHeader))
-
-	var st server.StatsResponse
-	if err := get(urls[1]+"/v1/stats", &st); err != nil {
-		return err
-	}
-	fmt.Printf("  daemon B sessions: resumed=%d resume_misses=%d created=%d\n",
-		st.Sessions.Resumed, st.Sessions.ResumeMisses, st.Sessions.Created)
-	return nil
-}
-
-// overloadDemo saturates a one-slot server and walks through the
-// graceful-degradation surface: queue-full sheds, the /readyz flip,
-// admission counters, and a retrying client that honors Retry-After.
-func overloadDemo(wire []server.Hierarchy) error {
-	ov, err := server.New(server.Config{DefaultProcs: 8, MaxInFlight: 1, QueueDepth: 1})
-	if err != nil {
-		return err
-	}
-	// Stand in for an expensive partition: every compute leader parks
-	// until released, pinning the admission slot and the queue.
-	hold := make(chan struct{})
-	ov.Cache().SetOnFlight(func(_ server.CacheKey, leader bool) {
-		if leader {
-			<-hold
-		}
-	})
-	ots := httptest.NewServer(ov)
-	defer ots.Close()
-
-	fmt.Println("\noverload on a -max-inflight 1 -queue-depth 1 server:")
-	fmt.Printf("  /readyz idle: HTTP %d\n", readyz(ots.URL))
-
-	// Two slow requests: the first takes the in-flight slot, the second
-	// fills the queue.
-	bg := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		req := server.PartitionRequest{Hierarchy: &wire[0], Partitioner: "domain-hilbert-u2", NProcs: 4 + i}
-		go func() { bg <- post(ots.URL+"/v1/partition", req, &server.PartitionResponse{}, nil) }()
-	}
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		st := ov.Admission().Stats()
-		if st.InFlight == 1 && st.Queued == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("overload never built up: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fmt.Printf("  /readyz saturated: HTTP %d\n", readyz(ots.URL))
-
-	// A third request finds slot and queue taken and is shed up front —
-	// no partitioner runs, the cache is never touched.
-	req3 := server.PartitionRequest{Hierarchy: &wire[0], Partitioner: "domain-hilbert-u2", NProcs: 6}
-	body, _ := json.Marshal(req3)
-	shedResp, err := http.Post(ots.URL+"/v1/partition", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	var shedErr server.ErrorResponse
-	json.NewDecoder(shedResp.Body).Decode(&shedErr) //nolint:errcheck
-	shedResp.Body.Close()
-	fmt.Printf("  shed: HTTP %d, Retry-After=%ss, %s=%s, error=%q\n",
-		shedResp.StatusCode, shedResp.Header.Get("Retry-After"),
-		server.ShedHeader, shedResp.Header.Get(server.ShedHeader), shedErr.Error)
-
-	// A well-behaved client retries instead of giving up: first attempt
-	// is shed, the backoff honors Retry-After, and the retry lands once
-	// the slow work drains.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	retryDone := make(chan error, 1)
-	go func() {
-		var presp server.PartitionResponse
-		retryDone <- postRetry(ctx, ots.URL+"/v1/partition", "alice", req3, &presp, 5)
-	}()
-	time.Sleep(100 * time.Millisecond) // let the first attempt get shed
-	close(hold)
-	for i := 0; i < 2; i++ {
-		if err := <-bg; err != nil {
-			return err
-		}
-	}
-	if err := <-retryDone; err != nil {
-		return err
-	}
-
-	var st server.StatsResponse
-	if err := get(ots.URL+"/v1/stats", &st); err != nil {
-		return err
-	}
-	a := st.Admission
-	fmt.Printf("  admission: admitted=%d queued-total=%d shed-queue-full=%d tenants=%d\n",
-		a.Admitted, a.QueuedTotal, a.ShedQueueFull, len(a.Tenants))
-	fmt.Printf("  /readyz recovered: HTTP %d\n", readyz(ots.URL))
-	return nil
-}
-
-// readyz returns the status code of a GET /readyz.
-func readyz(base string) int {
-	r, err := http.Get(base + "/readyz")
-	if err != nil {
-		return 0
-	}
-	r.Body.Close()
-	return r.StatusCode
-}
-
-// postRetry posts like post but keeps trying through overload: 429
-// (shed) and 503 (not ready) responses are retried up to maxAttempts
-// times through the shared internal/backoff policy — jittered
-// exponential backoff with the server's Retry-After as the floor for
-// the wait when present. The context bounds the whole exchange
-// including the sleeps, so a cancelled caller stops retrying
-// immediately.
-func postRetry(ctx context.Context, url, tenant string, in, out any, maxAttempts int) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	pol := backoff.Policy{Attempts: maxAttempts, Base: 50 * time.Millisecond, Max: 5 * time.Second}
-	attempt := 0
-	return backoff.Retry(ctx, pol, func(ctx context.Context) error {
-		attempt++
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if tenant != "" {
-			req.Header.Set(server.TenantHeader, tenant)
-		}
-		r, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		if r.StatusCode == http.StatusOK {
-			err := json.NewDecoder(r.Body).Decode(out)
-			r.Body.Close()
-			if err == nil {
-				fmt.Printf("  retrying client: success on attempt %d\n", attempt)
-			}
-			return err
-		}
-		var e server.ErrorResponse
-		json.NewDecoder(r.Body).Decode(&e) //nolint:errcheck
-		r.Body.Close()
-		wireErr := fmt.Errorf("%s: %s (%s) after %d attempts", url, r.Status, e.Error, attempt)
-		if r.StatusCode != http.StatusTooManyRequests && r.StatusCode != http.StatusServiceUnavailable {
-			return wireErr // terminal: not an overload signal
-		}
-		fmt.Printf("  retrying client: attempt %d got HTTP %d (%s), backing off\n",
-			attempt, r.StatusCode, r.Header.Get(server.ShedHeader))
-		if secs, aerr := strconv.Atoi(r.Header.Get("Retry-After")); aerr == nil && secs > 0 {
-			return backoff.RetryableAfter(wireErr, time.Duration(secs)*time.Second)
-		}
-		return backoff.Retryable(wireErr)
-	})
-}
-
-// toWire converts the first n trace snapshots to wire hierarchies.
-func toWire(tr *trace.Trace, n int) []server.Hierarchy {
-	if n > len(tr.Snapshots) {
-		n = len(tr.Snapshots)
-	}
-	out := make([]server.Hierarchy, n)
-	for i := 0; i < n; i++ {
-		out[i] = server.FromHierarchy(tr.Snapshots[i].H)
-	}
-	return out
-}
-
-func get(url string, out any) error {
-	r, err := http.Get(url)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	defer r.Body.Close()
-	return json.NewDecoder(r.Body).Decode(out)
-}
-
-func post(url string, in, out any, hdr *http.Header) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	r, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer r.Body.Close()
-	if hdr != nil {
-		*hdr = r.Header
-	}
 	if r.StatusCode != http.StatusOK {
 		var e server.ErrorResponse
 		json.NewDecoder(r.Body).Decode(&e) //nolint:errcheck
-		return fmt.Errorf("%s: %s (%s)", url, r.Status, e.Error)
+		return nil, fmt.Errorf("%s: %s (%s)", url, r.Status, e.Error)
 	}
-	return json.NewDecoder(r.Body).Decode(out)
+	return r.Header, json.NewDecoder(r.Body).Decode(out)
 }

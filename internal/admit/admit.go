@@ -105,7 +105,7 @@ const (
 	// produce a late failure; shedding now lets the client retry
 	// elsewhere immediately.
 	ReasonDeadline = "deadline"
-	// ReasonInjected: the test-only SetOnAdmit hook forced the shed.
+	// ReasonInjected: an error plan armed on FaultAccept forced the shed.
 	ReasonInjected = "injected"
 )
 
@@ -119,13 +119,6 @@ type ShedError struct {
 
 func (e *ShedError) Error() string {
 	return fmt.Sprintf("request shed (%s): retry after %s", e.Reason, e.RetryAfter)
-}
-
-// Event describes one admission attempt; it is the argument of the
-// test-only SetOnAdmit hook.
-type Event struct {
-	Tenant   string
-	Priority Priority
 }
 
 // Config carries the controller's tunables.
@@ -207,12 +200,6 @@ type Controller struct {
 	shedRate     uint64
 	shedDeadline uint64
 	shedInjected uint64
-
-	// onAdmit, when set (tests only), is called at the top of every
-	// Admit. Returning a non-nil error forces that request to be shed
-	// (fault injection); blocking inside it deterministically
-	// interleaves admission tests, mirroring memo's SetOnFlight.
-	onAdmit func(Event) error
 }
 
 // New builds a controller; cfg.MaxInFlight must be positive (callers
@@ -227,10 +214,6 @@ func New(cfg Config) *Controller {
 	}
 }
 
-// SetOnAdmit installs the test-only fault-injection/interleaving hook.
-// It must be set before the controller sees concurrent use.
-func (c *Controller) SetOnAdmit(hook func(Event) error) { c.onAdmit = hook }
-
 // Admit decides whether a request may run. On success it returns a
 // release func the caller MUST invoke exactly when the request's
 // handling ends (idempotent); release records the service time and
@@ -243,19 +226,6 @@ func (c *Controller) SetOnAdmit(hook func(Event) error) { c.onAdmit = hook }
 // queue wait is shed immediately (ReasonDeadline) rather than queued to
 // fail late. A deadline already on ctx is used the same way.
 func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority, budget time.Duration) (release func(), err error) {
-	ev := Event{Tenant: tenant, Priority: pri}
-	if hook := c.onAdmit; hook != nil {
-		if herr := hook(ev); herr != nil {
-			c.mu.Lock()
-			c.shedInjected++
-			c.tenantLocked(tenant).shed++
-			c.mu.Unlock()
-			if se, ok := herr.(*ShedError); ok {
-				return nil, se
-			}
-			return nil, &ShedError{Reason: ReasonInjected, RetryAfter: time.Second}
-		}
-	}
 	// The admit.accept injection point: an injected error is an
 	// injected shed (admission's only failure mode is refusal, so the
 	// fault surfaces as a well-formed 429, never a malformed reply);

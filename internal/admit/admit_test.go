@@ -327,30 +327,6 @@ func TestTenantTokenBucket(t *testing.T) {
 	}
 }
 
-func TestOnAdmitHookInjectsShed(t *testing.T) {
-	c := newTestController(t, Config{MaxInFlight: 16})
-	forced := &ShedError{Reason: ReasonInjected, RetryAfter: 7 * time.Second}
-	c.SetOnAdmit(func(ev Event) error {
-		if ev.Tenant == "evil" {
-			return forced
-		}
-		return nil
-	})
-	_, err := c.Admit(context.Background(), "evil", Interactive, 0)
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed != forced {
-		t.Fatalf("err = %v, want the injected shed", err)
-	}
-	mustAdmit(t, c, "good", Interactive)()
-	st := c.Stats()
-	if st.ShedInjected != 1 {
-		t.Errorf("shed_injected = %d, want 1", st.ShedInjected)
-	}
-	if st.Tenants["evil"].Shed != 1 {
-		t.Errorf("evil tenant stats = %+v, want 1 shed", st.Tenants["evil"])
-	}
-}
-
 func TestSaturatedTracksCapacity(t *testing.T) {
 	// With a queue: saturated only when the queue is full.
 	c := newTestController(t, Config{MaxInFlight: 1, QueueDepth: 1})
@@ -471,8 +447,8 @@ func TestInjectedAcceptError(t *testing.T) {
 		t.Fatalf("admitted %d / shed %d under Every:2, want 3 / 3", admitted, shed)
 	}
 	st := c.Stats()
-	if st.ShedInjected != 3 || st.InFlight != 0 {
-		t.Fatalf("stats = %+v, want 3 injected sheds and no leaked slots", st)
+	if st.ShedInjected != 3 || st.Tenants["tenant"].Shed != 3 || st.InFlight != 0 {
+		t.Fatalf("stats = %+v, want 3 injected sheds booked to the tenant and no leaked slots", st)
 	}
 }
 

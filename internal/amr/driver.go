@@ -267,10 +267,6 @@ func (d *Driver) makePatches(boxes geom.BoxList) []*field.Patch {
 	return out
 }
 
-// Step advances the whole hierarchy by one coarse time step. It is
-// Advance without cancellation.
-func (d *Driver) Step() { _ = d.Advance(context.Background()) }
-
 // Advance advances the whole hierarchy by one coarse time step,
 // fanning per-patch work over the worker pool. A cancelled ctx aborts
 // between patch units and returns the context's error; the solution
@@ -543,9 +539,6 @@ func (d *Driver) Hierarchy() *grid.Hierarchy {
 	}
 	return h
 }
-
-// NumLevels returns the current number of levels in the hierarchy.
-func (d *Driver) NumLevels() int { return len(d.levels) }
 
 // Run advances steps coarse steps, recording a snapshot after each into
 // a trace, and returns the trace. The run is bounded by ctx: a

@@ -16,13 +16,21 @@ func smallConfig() Config {
 	return cfg
 }
 
+// step advances d by one coarse step under a context nothing cancels.
+func step(t *testing.T, d *Driver) {
+	t.Helper()
+	if err := d.Advance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewCreatesInitialRefinement(t *testing.T) {
 	d, err := New(solver.NewTransport(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumLevels() < 2 {
-		t.Errorf("initial hierarchy has %d levels; the pulse should refine", d.NumLevels())
+	if len(d.levels) < 2 {
+		t.Errorf("initial hierarchy has %d levels; the pulse should refine", len(d.levels))
 	}
 	if err := d.Hierarchy().Validate(); err != nil {
 		t.Errorf("initial hierarchy invalid: %v", err)
@@ -53,7 +61,7 @@ func TestStepMaintainsInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 10; s++ {
-		d.Step()
+		step(t, d)
 		if err := d.Hierarchy().Validate(); err != nil {
 			t.Fatalf("step %d: invalid hierarchy: %v", s, err)
 		}
@@ -72,7 +80,7 @@ func TestLevelTimesStayAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 8; s++ {
-		d.Step()
+		step(t, d)
 		// After a full coarse step all levels must be at the same time.
 		t0 := d.levels[0].time
 		for l, ls := range d.levels {
@@ -88,12 +96,12 @@ func TestHierarchyTracksMovingFeature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumLevels() < 2 {
+	if len(d.levels) < 2 {
 		t.Skip("no refinement to track")
 	}
 	first := d.Hierarchy()
 	for s := 0; s < 20; s++ {
-		d.Step()
+		step(t, d)
 	}
 	last := d.Hierarchy()
 	if len(last.Levels) < 2 {
@@ -170,13 +178,13 @@ func TestRegridDropsVanishedLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumLevels() != 1 {
-		t.Fatalf("threshold 1e9 should suppress initial refinement, got %d levels", d.NumLevels())
+	if len(d.levels) != 1 {
+		t.Fatalf("threshold 1e9 should suppress initial refinement, got %d levels", len(d.levels))
 	}
 	for s := 0; s < 5; s++ {
-		d.Step()
+		step(t, d)
 	}
-	if d.NumLevels() != 1 {
-		t.Errorf("levels reappeared without tags: %d", d.NumLevels())
+	if len(d.levels) != 1 {
+		t.Errorf("levels reappeared without tags: %d", len(d.levels))
 	}
 }

@@ -33,7 +33,7 @@ func TestAppTiming(t *testing.T) {
 	}
 	start := time.Now()
 	for s := 0; s < 100; s++ {
-		d.Step()
+		step(t, d)
 		if s%10 == 9 {
 			h := d.Hierarchy()
 			nb := 0

@@ -34,26 +34,6 @@ func DefaultOptions() Options {
 	return Options{MinEfficiency: 0.7, MinWidth: 2, MaxWidth: 0}
 }
 
-// TagField is a set of tagged cells within a domain. The zero value is
-// an empty field; add tags with Set.
-type TagField struct {
-	cells map[geom.IntVect]bool
-}
-
-// NewTagField returns an empty tag field.
-func NewTagField() *TagField {
-	return &TagField{cells: make(map[geom.IntVect]bool)}
-}
-
-// Set marks cell p as tagged.
-func (t *TagField) Set(p geom.IntVect) { t.cells[p] = true }
-
-// Has reports whether p is tagged.
-func (t *TagField) Has(p geom.IntVect) bool { return t.cells[p] }
-
-// Count returns the number of tagged cells.
-func (t *TagField) Count() int { return len(t.cells) }
-
 // signature returns the per-plane histogram of the points along dim d
 // relative to box b. Points must lie inside b.
 func signature(pts []geom.IntVect, b geom.Box, d int) []int {
@@ -64,28 +44,15 @@ func signature(pts []geom.IntVect, b geom.Box, d int) []int {
 	return sig
 }
 
-// Cluster covers all tagged cells with patches meeting opts. Every
-// returned box is inside domain, has extents >= MinWidth (unless the
-// domain itself is narrower), and the boxes are pairwise disjoint.
-func Cluster(tags *TagField, domain geom.Box, opts Options) geom.BoxList {
-	if tags.Count() == 0 {
-		return nil
-	}
-	pts := make([]geom.IntVect, 0, len(tags.cells))
-	for p := range tags.cells {
-		pts = append(pts, p)
-	}
-	return ClusterPoints(pts, domain, opts)
-}
-
-// ClusterPoints is Cluster over a plain point list (duplicates
-// allowed only if the caller accepts their double weight in the
-// efficiency metric; the AMR driver's per-patch tag scan never
-// produces any, since patch interiors are disjoint). The output is
-// independent of the order of pts: every splitting decision is made on
-// bounding boxes and per-plane histograms of the point set. Callers
-// with tags already in slices — the parallel driver collects one list
-// per patch — skip the TagField map entirely.
+// ClusterPoints covers the tagged cells pts with patches meeting opts.
+// Every returned box is inside domain and has extents >= MinWidth
+// (unless the domain itself is narrower); MakeDisjoint restores
+// pairwise disjointness where MinWidth growth overlapped two. A
+// duplicated point weighs double in the efficiency metric (the AMR
+// driver's per-patch tag scan never produces any, since patch interiors
+// are disjoint). The output is independent of the order of pts: every
+// splitting decision is made on bounding boxes and per-plane histograms
+// of the point set.
 func ClusterPoints(pts []geom.IntVect, domain geom.Box, opts Options) geom.BoxList {
 	in := pts[:0:0]
 	for _, p := range pts {
@@ -250,11 +217,7 @@ func absInt(v int) int {
 func MakeDisjoint(bl geom.BoxList) geom.BoxList {
 	var out geom.BoxList
 	for _, b := range bl {
-		frags := geom.BoxList{b}
-		for _, done := range out {
-			frags = frags.SubtractBox(done)
-		}
-		out = append(out, frags...)
+		out = append(out, geom.BoxList{b}.Subtract(out)...)
 	}
 	// Drop empties.
 	kept := out[:0]

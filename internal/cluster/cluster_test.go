@@ -9,10 +9,24 @@ import (
 
 func domain() geom.Box { return geom.NewBox2(0, 0, 64, 64) }
 
+// tagSet is a set of tagged cells: the fixtures tag overlapping blobs
+// and random cells, and ClusterPoints counts a duplicate twice.
+type tagSet map[geom.IntVect]bool
+
+func (ts tagSet) Set(p geom.IntVect) { ts[p] = true }
+
+func (ts tagSet) points() []geom.IntVect {
+	pts := make([]geom.IntVect, 0, len(ts))
+	for p := range ts {
+		pts = append(pts, p)
+	}
+	return pts
+}
+
 // coverAll verifies every tagged cell is inside some patch.
-func coverAll(t *testing.T, tags *TagField, patches geom.BoxList) {
+func coverAll(t *testing.T, tags tagSet, patches geom.BoxList) {
 	t.Helper()
-	for p := range tags.cells {
+	for p := range tags {
 		if !patches.ContainsPoint(p) {
 			t.Fatalf("tagged cell %v not covered by %v", p, patches)
 		}
@@ -20,15 +34,15 @@ func coverAll(t *testing.T, tags *TagField, patches geom.BoxList) {
 }
 
 func TestClusterEmpty(t *testing.T) {
-	if got := Cluster(NewTagField(), domain(), DefaultOptions()); got != nil {
+	if got := ClusterPoints(nil, domain(), DefaultOptions()); got != nil {
 		t.Errorf("empty tags should give nil, got %v", got)
 	}
 }
 
 func TestClusterSingleBlock(t *testing.T) {
-	tags := NewTagField()
+	tags := tagSet{}
 	geom.NewBox2(10, 10, 14, 14).Cells(func(p geom.IntVect) { tags.Set(p) })
-	patches := Cluster(tags, domain(), DefaultOptions())
+	patches := ClusterPoints(tags.points(), domain(), DefaultOptions())
 	if len(patches) != 1 {
 		t.Fatalf("dense block should cluster to one patch, got %v", patches)
 	}
@@ -40,9 +54,9 @@ func TestClusterSingleBlock(t *testing.T) {
 
 // efficiency is the quantity Options.MinEfficiency bounds: tagged cells
 // over the covered volume of a disjoint patch list.
-func efficiency(tags *TagField, patches geom.BoxList) float64 {
+func efficiency(tags tagSet, patches geom.BoxList) float64 {
 	covered := 0
-	for p := range tags.cells {
+	for p := range tags {
 		if patches.ContainsPoint(p) {
 			covered++
 		}
@@ -51,10 +65,10 @@ func efficiency(tags *TagField, patches geom.BoxList) float64 {
 }
 
 func TestClusterTwoSeparatedBlobs(t *testing.T) {
-	tags := NewTagField()
+	tags := tagSet{}
 	geom.NewBox2(2, 2, 6, 6).Cells(func(p geom.IntVect) { tags.Set(p) })
 	geom.NewBox2(40, 40, 44, 45).Cells(func(p geom.IntVect) { tags.Set(p) })
-	patches := Cluster(tags, domain(), DefaultOptions())
+	patches := ClusterPoints(tags.points(), domain(), DefaultOptions())
 	if len(patches) != 2 {
 		t.Fatalf("two blobs should give two patches, got %v", patches)
 	}
@@ -67,10 +81,10 @@ func TestClusterTwoSeparatedBlobs(t *testing.T) {
 func TestClusterLShape(t *testing.T) {
 	// An L of tags cannot be covered efficiently by one box; the
 	// algorithm must split at the inner corner.
-	tags := NewTagField()
+	tags := tagSet{}
 	geom.NewBox2(0, 0, 20, 4).Cells(func(p geom.IntVect) { tags.Set(p) })
 	geom.NewBox2(0, 4, 4, 20).Cells(func(p geom.IntVect) { tags.Set(p) })
-	patches := Cluster(tags, domain(), DefaultOptions())
+	patches := ClusterPoints(tags.points(), domain(), DefaultOptions())
 	coverAll(t, tags, patches)
 	if eff := efficiency(tags, MakeDisjoint(patches)); eff < 0.7 {
 		t.Errorf("L-shape efficiency = %f, want >= 0.7", eff)
@@ -82,12 +96,12 @@ func TestClusterLShape(t *testing.T) {
 
 func TestClusterEfficiencyThreshold(t *testing.T) {
 	// A sparse diagonal forces many splits to reach the threshold.
-	tags := NewTagField()
+	tags := tagSet{}
 	for i := 0; i < 32; i++ {
 		tags.Set(geom.IV2(i, i))
 	}
 	opts := DefaultOptions()
-	patches := MakeDisjoint(Cluster(tags, domain(), opts))
+	patches := MakeDisjoint(ClusterPoints(tags.points(), domain(), opts))
 	coverAll(t, tags, patches)
 	// Min width 2 caps achievable efficiency at 0.5 for single cells.
 	if eff := efficiency(tags, patches); eff < 0.2 {
@@ -96,9 +110,9 @@ func TestClusterEfficiencyThreshold(t *testing.T) {
 }
 
 func TestClusterMinWidth(t *testing.T) {
-	tags := NewTagField()
+	tags := tagSet{}
 	tags.Set(geom.IV2(5, 5)) // single tag
-	patches := Cluster(tags, domain(), DefaultOptions())
+	patches := ClusterPoints(tags.points(), domain(), DefaultOptions())
 	if len(patches) != 1 {
 		t.Fatalf("patches = %v", patches)
 	}
@@ -109,9 +123,9 @@ func TestClusterMinWidth(t *testing.T) {
 }
 
 func TestClusterMinWidthAtDomainCorner(t *testing.T) {
-	tags := NewTagField()
+	tags := tagSet{}
 	tags.Set(geom.IV2(63, 63)) // domain corner: growth must go inward
-	patches := Cluster(tags, domain(), DefaultOptions())
+	patches := ClusterPoints(tags.points(), domain(), DefaultOptions())
 	if len(patches) != 1 {
 		t.Fatalf("patches = %v", patches)
 	}
@@ -125,12 +139,12 @@ func TestClusterMinWidthAtDomainCorner(t *testing.T) {
 }
 
 func TestClusterStaysInDomain(t *testing.T) {
-	tags := NewTagField()
+	tags := tagSet{}
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
 		tags.Set(geom.IV2(r.Intn(64), r.Intn(64)))
 	}
-	patches := Cluster(tags, domain(), DefaultOptions())
+	patches := ClusterPoints(tags.points(), domain(), DefaultOptions())
 	for _, p := range patches {
 		if !domain().ContainsBox(p) {
 			t.Errorf("patch %v escapes domain", p)
@@ -140,11 +154,11 @@ func TestClusterStaysInDomain(t *testing.T) {
 }
 
 func TestClusterMaxWidth(t *testing.T) {
-	tags := NewTagField()
+	tags := tagSet{}
 	geom.NewBox2(0, 0, 40, 40).Cells(func(p geom.IntVect) { tags.Set(p) })
 	opts := DefaultOptions()
 	opts.MaxWidth = 16
-	patches := Cluster(tags, domain(), opts)
+	patches := ClusterPoints(tags.points(), domain(), opts)
 	for _, p := range patches {
 		if p.Size(0) > 16+1 || p.Size(1) > 16+1 {
 			t.Errorf("patch %v exceeds MaxWidth", p)
@@ -172,14 +186,14 @@ func TestMakeDisjoint(t *testing.T) {
 func TestClusterDisjointOutputAfterMakeDisjoint(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		tags := NewTagField()
+		tags := tagSet{}
 		// Random blobs.
 		for blob := 0; blob < 4; blob++ {
 			cx, cy := r.Intn(56), r.Intn(56)
 			geom.NewBox2(cx, cy, cx+2+r.Intn(6), cy+2+r.Intn(6)).
 				Cells(func(p geom.IntVect) { tags.Set(p) })
 		}
-		patches := MakeDisjoint(Cluster(tags, domain(), DefaultOptions()))
+		patches := MakeDisjoint(ClusterPoints(tags.points(), domain(), DefaultOptions()))
 		if !patches.Disjoint() {
 			t.Fatalf("trial %d: overlapping patches %v", trial, patches)
 		}
@@ -190,10 +204,10 @@ func TestClusterDisjointOutputAfterMakeDisjoint(t *testing.T) {
 func TestSignatureHoleSplitPreferred(t *testing.T) {
 	// Two rows of tags separated by an empty band: the split must land
 	// in the band, giving exactly two perfectly efficient patches.
-	tags := NewTagField()
+	tags := tagSet{}
 	geom.NewBox2(0, 0, 16, 3).Cells(func(p geom.IntVect) { tags.Set(p) })
 	geom.NewBox2(0, 13, 16, 16).Cells(func(p geom.IntVect) { tags.Set(p) })
-	patches := Cluster(tags, domain(), DefaultOptions())
+	patches := ClusterPoints(tags.points(), domain(), DefaultOptions())
 	if len(patches) != 2 {
 		t.Fatalf("want 2 patches, got %v", patches)
 	}
@@ -204,13 +218,13 @@ func TestSignatureHoleSplitPreferred(t *testing.T) {
 
 func BenchmarkClusterRandomTags(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	tags := NewTagField()
+	tags := tagSet{}
 	for i := 0; i < 500; i++ {
 		tags.Set(geom.IV2(r.Intn(128), r.Intn(128)))
 	}
 	dom := geom.NewBox2(0, 0, 128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Cluster(tags, dom, DefaultOptions())
+		ClusterPoints(tags.points(), dom, DefaultOptions())
 	}
 }

@@ -36,13 +36,7 @@ import (
 // change and approaches 1 when nothing overlaps (everything must move
 // or be regenerated).
 func MigrationPenalty(prev, cur *grid.Hierarchy) float64 {
-	curPts := cur.NumPoints()
-	if curPts == 0 {
-		return 0
-	}
-	overlap := grid.TotalOverlap(prev, cur)
-	p := 1 - float64(overlap)/float64(curPts)
-	return clamp01(p)
+	return MigrationPenaltyWith(prev, cur, DenomCurrent)
 }
 
 // MigrationPenaltyDenominator selects the normalization of the overlap

@@ -84,12 +84,6 @@ func (p *Patch) index(c, x, y int) int {
 // At returns component c at cell (x, y).
 func (p *Patch) At(c, x, y int) float64 { return p.data[p.index(c, x, y)] }
 
-// Set stores component c at cell (x, y).
-func (p *Patch) Set(c, x, y int, v float64) { p.data[p.index(c, x, y)] = v }
-
-// Add accumulates into component c at cell (x, y).
-func (p *Patch) Add(c, x, y int, v float64) { p.data[p.index(c, x, y)] += v }
-
 // CompStride returns the flat-offset distance between the same cell of
 // consecutive components.
 func (p *Patch) CompStride() int { return p.nx * p.ny }

@@ -7,12 +7,12 @@ import (
 )
 
 // TestRowAliasesStorage verifies Row/RowSpan expose the same cells as
-// At/Set, and that writes through a row are visible to At.
+// At, and that writes through a row are visible to At.
 func TestRowAliasesStorage(t *testing.T) {
 	p := NewPatch(geom.NewBox2(2, 3, 6, 7), 1, 2)
 	v := 0.0
 	p.GrownBox().Cells(func(q geom.IntVect) {
-		p.Set(1, q[0], q[1], v)
+		set(p, 1, q[0], q[1], v)
 		v++
 	})
 	gb := p.GrownBox()
@@ -78,7 +78,7 @@ func TestCloneIndependence(t *testing.T) {
 	p.Fill(0, 3)
 	c := p.Clone()
 	defer c.Release()
-	p.Set(0, 1, 1, -1)
+	set(p, 0, 1, 1, -1)
 	if c.At(0, 1, 1) != 3 {
 		t.Error("clone shares storage with source")
 	}

@@ -2,10 +2,12 @@ package geom
 
 import "fmt"
 
-// Box is an axis-aligned integer rectangle (2-D) or cuboid (3-D) of grid
-// cells. Lo is inclusive, Hi is exclusive. Dim is the number of active
-// dimensions (2 or 3); unused components of Lo/Hi must satisfy Lo=0, Hi=1
-// so that volumes multiply out correctly.
+// Box is an axis-aligned integer rectangle of grid cells. Lo is
+// inclusive, Hi is exclusive. Dim is the number of active dimensions:
+// 2 in every box this repository builds (grid.Hierarchy.Validate refuses
+// anything else); the unused third component of Lo/Hi is pinned at Lo=0,
+// Hi=1, the layout hierarchy signatures, .trc files and tier blobs
+// encode.
 type Box struct {
 	Lo, Hi IntVect
 	Dim    int
@@ -14,11 +16,6 @@ type Box struct {
 // NewBox2 returns the 2-D box [x0,x1) x [y0,y1).
 func NewBox2(x0, y0, x1, y1 int) Box {
 	return Box{Lo: IntVect{x0, y0, 0}, Hi: IntVect{x1, y1, 1}, Dim: 2}
-}
-
-// NewBox3 returns the 3-D box [x0,x1) x [y0,y1) x [z0,z1).
-func NewBox3(x0, y0, z0, x1, y1, z1 int) Box {
-	return Box{Lo: IntVect{x0, y0, z0}, Hi: IntVect{x1, y1, z1}, Dim: 3}
 }
 
 // Empty reports whether the box contains no cells.
@@ -226,24 +223,13 @@ func (b Box) Cells(f func(p IntVect)) {
 	if b.Empty() {
 		return
 	}
-	var p IntVect
-	zlo, zhi := 0, 1
-	if b.Dim == 3 {
-		zlo, zhi = b.Lo[2], b.Hi[2]
-	}
-	for z := zlo; z < zhi; z++ {
-		for y := b.Lo[1]; y < b.Hi[1]; y++ {
-			for x := b.Lo[0]; x < b.Hi[0]; x++ {
-				p[0], p[1], p[2] = x, y, z
-				f(p)
-			}
+	for y := b.Lo[1]; y < b.Hi[1]; y++ {
+		for x := b.Lo[0]; x < b.Hi[0]; x++ {
+			f(IntVect{x, y, 0})
 		}
 	}
 }
 
 func (b Box) String() string {
-	if b.Dim == 3 {
-		return fmt.Sprintf("[%d:%d,%d:%d,%d:%d]", b.Lo[0], b.Hi[0], b.Lo[1], b.Hi[1], b.Lo[2], b.Hi[2])
-	}
 	return fmt.Sprintf("[%d:%d,%d:%d]", b.Lo[0], b.Hi[0], b.Lo[1], b.Hi[1])
 }

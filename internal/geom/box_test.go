@@ -8,15 +8,6 @@ import (
 
 func TestIntVectArithmetic(t *testing.T) {
 	a, b := IV2(3, -2), IV2(1, 5)
-	if got := a.Add(b); got != IV2(4, 3) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := a.Sub(b); got != IV2(2, -7) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := a.Scale(-2); got != IV2(-6, 4) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := a.Min(b); got != IV2(1, -2) {
 		t.Errorf("Min = %v", got)
 	}
@@ -37,18 +28,11 @@ func TestBoxVolumeAndEmpty(t *testing.T) {
 	if !e.Empty() || e.Volume() != 0 {
 		t.Errorf("degenerate box: Empty=%v Volume=%d", e.Empty(), e.Volume())
 	}
-	b3 := NewBox3(0, 0, 0, 2, 3, 4)
-	if b3.Volume() != 24 {
-		t.Errorf("3-D Volume = %d, want 24", b3.Volume())
-	}
 }
 
 func TestBoxSurface(t *testing.T) {
 	if s := NewBox2(0, 0, 4, 3).Surface(); s != 14 {
 		t.Errorf("2-D Surface = %d, want 14", s)
-	}
-	if s := NewBox3(0, 0, 0, 2, 3, 4).Surface(); s != 2*(3*4+2*4+2*3) {
-		t.Errorf("3-D Surface = %d", s)
 	}
 	if s := NewBox2(1, 1, 1, 5).Surface(); s != 0 {
 		t.Errorf("empty box Surface = %d, want 0", s)

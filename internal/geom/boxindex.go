@@ -19,34 +19,23 @@ import (
 //
 // The index is immutable after New: all query methods are safe for
 // concurrent use, which the parallel simulation pipeline relies on.
-// Binning uses the x/y extents always, and additionally the z extent
-// when the indexed boxes are 3-D with a bounding box deep enough for z
-// to discriminate; shallow or 2-D lists keep a single z slab, so 2-D
-// behavior is unchanged. Either way the final Intersects test filters
-// exactly, so results stay correct — the bins merely discriminate less
-// when a dimension is not keyed.
+// Bins key the x/y extents; the final Intersects test filters exactly.
 type BoxIndex struct {
 	boxes BoxList // the indexed boxes, original order and indices
 
-	origin           IntVect // Lo corner of the bounding box
-	binW, binH, binD int     // bin edge lengths in cells
-	nx, ny, nz       int     // bin grid extents
-	bins             [][]int32
-	maxW, maxH, maxD int     // largest x/y/z extent among binned boxes
-	overflow         []int32 // oversized (or degenerate-grid) boxes, ascending
+	origin     IntVect // Lo corner of the bounding box
+	binW, binH int     // bin edge lengths in cells
+	nx, ny     int     // bin grid extents
+	bins       [][]int32
+	maxW, maxH int     // largest x/y extent among binned boxes
+	overflow   []int32 // oversized (or degenerate-grid) boxes, ascending
 }
 
-// oversizeFactor: boxes wider/taller/deeper than this many bin edges
-// bypass the bins. 4 keeps the query window small while sending few
-// boxes (only the genuinely large ones, e.g. a whole-domain base box)
-// to the linear list.
+// oversizeFactor: boxes wider or taller than this many bin edges bypass
+// the bins. 4 keeps the query window small while sending few boxes
+// (only the genuinely large ones, e.g. a whole-domain base box) to the
+// linear list.
 const oversizeFactor = 4
-
-// minZBinExtent is the smallest bounding-box depth for which z-binning
-// is worth keying: below it a z slab would hold nearly every box and
-// the extra bin axis only costs memory. 2-D boxes have depth 1 and
-// never qualify.
-const minZBinExtent = 4
 
 // NewBoxIndex indexes bl. The list is captured by reference and must not
 // be mutated while the index is in use. Empty boxes are never returned
@@ -65,50 +54,32 @@ func NewBoxIndex(bl BoxList) *BoxIndex {
 		return ix
 	}
 	ix.origin = bounds.Lo
-	ix.binD, ix.nz = 1, 1
-	depth := bounds.Size(2)
-	volumetric := bounds.Dim == 3 && depth >= minZBinExtent
 	// Aim for O(1) boxes per bin and O(n) memory: a ~sqrt(n) x sqrt(n)
-	// grid in 2-D, ~cbrt(n) per side in 3-D.
-	var side int
-	if volumetric {
-		side = int(math.Cbrt(float64(n))) + 1
-		ix.binD = maxInt(1, ceilDiv(depth, side))
-		ix.nz = maxInt(1, ceilDiv(depth, ix.binD))
-	} else {
-		side = int(math.Sqrt(float64(n))) + 1
-	}
+	// grid.
+	side := int(math.Sqrt(float64(n))) + 1
 	ix.binW = maxInt(1, ceilDiv(bounds.Size(0), side))
 	ix.binH = maxInt(1, ceilDiv(bounds.Size(1), side))
 	ix.nx = maxInt(1, ceilDiv(bounds.Size(0), ix.binW))
 	ix.ny = maxInt(1, ceilDiv(bounds.Size(1), ix.binH))
-	ix.bins = make([][]int32, ix.nx*ix.ny*ix.nz)
+	ix.bins = make([][]int32, ix.nx*ix.ny)
 	for i, b := range bl {
 		if b.Empty() {
 			continue
 		}
-		w, h, d := b.Size(0), b.Size(1), b.Size(2)
-		if w > oversizeFactor*ix.binW || h > oversizeFactor*ix.binH ||
-			(ix.nz > 1 && d > oversizeFactor*ix.binD) {
+		w, h := b.Size(0), b.Size(1)
+		if w > oversizeFactor*ix.binW || h > oversizeFactor*ix.binH {
 			ix.overflow = append(ix.overflow, int32(i))
 			continue
 		}
 		bx := (b.Lo[0] - ix.origin[0]) / ix.binW
 		by := (b.Lo[1] - ix.origin[1]) / ix.binH
-		bz := 0
-		if ix.nz > 1 {
-			bz = (b.Lo[2] - ix.origin[2]) / ix.binD
-		}
-		bin := (bz*ix.ny+by)*ix.nx + bx
+		bin := by*ix.nx + bx
 		ix.bins[bin] = append(ix.bins[bin], int32(i))
 		if w > ix.maxW {
 			ix.maxW = w
 		}
 		if h > ix.maxH {
 			ix.maxH = h
-		}
-		if d > ix.maxD {
-			ix.maxD = d
 		}
 	}
 	return ix
@@ -120,17 +91,13 @@ func (ix *BoxIndex) Box(i int) Box { return ix.boxes[i] }
 // binRange returns the bin coordinate span a query for b must scan: home
 // bins of boxes starting up to max-extent before b and anywhere below
 // its upper bound.
-func (ix *BoxIndex) binRange(b Box) (x0, x1, y0, y1, z0, z1 int) {
+func (ix *BoxIndex) binRange(b Box) (x0, x1, y0, y1 int) {
 	x0 = (b.Lo[0] - ix.maxW + 1 - ix.origin[0]) / ix.binW
 	y0 = (b.Lo[1] - ix.maxH + 1 - ix.origin[1]) / ix.binH
 	x1 = (b.Hi[0] - 1 - ix.origin[0]) / ix.binW
 	y1 = (b.Hi[1] - 1 - ix.origin[1]) / ix.binH
 	x0, y0 = maxInt(x0, 0), maxInt(y0, 0)
 	x1, y1 = minIntIdx(x1, ix.nx-1), minIntIdx(y1, ix.ny-1)
-	if ix.nz > 1 {
-		z0 = maxInt((b.Lo[2]-ix.maxD+1-ix.origin[2])/ix.binD, 0)
-		z1 = minIntIdx((b.Hi[2]-1-ix.origin[2])/ix.binD, ix.nz-1)
-	}
 	return
 }
 
@@ -149,14 +116,12 @@ func (ix *BoxIndex) AppendQuery(out []int, b Box) []int {
 		}
 	}
 	if len(ix.bins) > 0 {
-		x0, x1, y0, y1, z0, z1 := ix.binRange(b)
-		for bz := z0; bz <= z1; bz++ {
-			for by := y0; by <= y1; by++ {
-				for bx := x0; bx <= x1; bx++ {
-					for _, i := range ix.bins[(bz*ix.ny+by)*ix.nx+bx] {
-						if ix.boxes[i].Intersects(b) {
-							out = append(out, int(i))
-						}
+		x0, x1, y0, y1 := ix.binRange(b)
+		for by := y0; by <= y1; by++ {
+			for bx := x0; bx <= x1; bx++ {
+				for _, i := range ix.bins[by*ix.nx+bx] {
+					if ix.boxes[i].Intersects(b) {
+						out = append(out, int(i))
 					}
 				}
 			}
@@ -189,13 +154,11 @@ func (ix *BoxIndex) QueryVolume(b Box) int64 {
 		total += ix.boxes[i].Intersect(b).Volume()
 	}
 	if len(ix.bins) > 0 {
-		x0, x1, y0, y1, z0, z1 := ix.binRange(b)
-		for bz := z0; bz <= z1; bz++ {
-			for by := y0; by <= y1; by++ {
-				for bx := x0; bx <= x1; bx++ {
-					for _, i := range ix.bins[(bz*ix.ny+by)*ix.nx+bx] {
-						total += ix.boxes[i].Intersect(b).Volume()
-					}
+		x0, x1, y0, y1 := ix.binRange(b)
+		for by := y0; by <= y1; by++ {
+			for bx := x0; bx <= x1; bx++ {
+				for _, i := range ix.bins[by*ix.nx+bx] {
+					total += ix.boxes[i].Intersect(b).Volume()
 				}
 			}
 		}

@@ -161,97 +161,14 @@ func TestOverlapVolumeIndexedMatchesNaiveLarge(t *testing.T) {
 	}
 }
 
-// randomBox3 builds a random 3-D box spanning a genuinely volumetric
-// domain so z-binning has something to discriminate.
-func randomBox3(r *rand.Rand) Box {
-	x, y, z := r.Intn(40)-20, r.Intn(40)-20, r.Intn(40)-20
-	return NewBox3(x, y, z, x+1+r.Intn(10), y+1+r.Intn(10), z+1+r.Intn(10))
-}
-
-func randomBoxList3(r *rand.Rand, n int) BoxList {
-	out := make(BoxList, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, randomBox3(r))
-	}
-	return out
-}
-
-func TestBoxIndex3DQueryMatchesBrute(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 80; trial++ {
-		bl := randomBoxList3(r, 1+r.Intn(60))
-		ix := NewBoxIndex(bl)
-		for q := 0; q < 20; q++ {
-			query := randomBox3(r)
-			if got, want := ix.Query(query), bruteQuery(bl, query); !equalInts(got, want) {
-				t.Fatalf("trial %d query %v: index=%v brute=%v\nboxes=%v", trial, query, got, want, bl)
-			}
-			var wantVol int64
-			for _, b := range bl {
-				wantVol += b.Intersect(query).Volume()
-			}
-			if got := ix.QueryVolume(query); got != wantVol {
-				t.Fatalf("trial %d query %v: volume index=%d brute=%d", trial, query, got, wantVol)
-			}
-		}
-	}
-}
-
-func TestBoxIndexZBinningActivation(t *testing.T) {
-	// A deep 3-D list keys bins on z; a shallow one (and any 2-D list)
-	// keeps a single z slab so planar behavior is untouched.
-	r := rand.New(rand.NewSource(22))
-	deep := NewBoxIndex(randomBoxList3(r, 64))
-	if deep.nz <= 1 {
-		t.Errorf("deep 3-D list: nz = %d, want > 1", deep.nz)
-	}
-	var shallow BoxList
-	for i := 0; i < 64; i++ {
-		b := randomBox3(r)
-		b.Lo[2], b.Hi[2] = 0, 1 // flatten to one z layer
-		shallow = append(shallow, b)
-	}
-	if ix := NewBoxIndex(shallow); ix.nz != 1 {
-		t.Errorf("shallow 3-D list: nz = %d, want 1", ix.nz)
-	}
-	if ix := NewBoxIndex(randomBoxList(r, 64)); ix.nz != 1 {
-		t.Errorf("2-D list: nz = %d, want 1", ix.nz)
-	}
-}
-
-func TestBoxIndex3DOversizedAndNeighbors(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	bl := randomBoxList3(r, 40)
-	bl = append(BoxList{NewBox3(-100, -100, -100, 200, 200, 200)}, bl...)
-	ix := NewBoxIndex(bl)
-	for q := 0; q < 30; q++ {
-		query := randomBox3(r)
-		if !equalInts(ix.Query(query), bruteQuery(bl, query)) {
-			t.Fatalf("3-D oversized query %v mismatch", query)
-		}
-	}
-	// Halo adjacency the way the driver asks for it: each member's
-	// grown extent as the query.
-	for grow := 0; grow <= 2; grow++ {
-		for i, b := range bl {
-			halo := b.Grow(grow)
-			if got, want := ix.Query(halo), bruteQuery(bl, halo); !equalInts(got, want) {
-				t.Fatalf("grow %d box %d: index=%v brute=%v", grow, i, got, want)
-			}
-		}
-	}
-}
-
-// BenchmarkBoxIndexQuery3D measures the volumetric (z-binned) query
-// path; alongside the 2-D BenchmarkBoxIndexQuery it guards against
-// regressions in either binning mode.
-func BenchmarkBoxIndexQuery3D(b *testing.B) {
+// BenchmarkBoxIndexQuery measures the binned query path on a list large
+// enough that most boxes land in bins and not the overflow list.
+func BenchmarkBoxIndexQuery(b *testing.B) {
 	r := rand.New(rand.NewSource(24))
-	bl := randomBoxList3(r, 2000)
-	ix := NewBoxIndex(bl)
+	ix := NewBoxIndex(randomBoxList(r, 2000))
 	queries := make([]Box, 256)
 	for i := range queries {
-		queries[i] = randomBox3(r)
+		queries[i] = randomBox(r)
 	}
 	var buf []int
 	b.ResetTimer()

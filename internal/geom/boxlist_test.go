@@ -207,10 +207,6 @@ func TestSimplifyMatchesNaive(t *testing.T) {
 		n := 1 + r.Intn(12)
 		checkSimplifyMatchesNaive(t, randomFragments(r, NewBox2(-3, 5, -3+n, 5+n), 2))
 	}
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + r.Intn(5)
-		checkSimplifyMatchesNaive(t, randomFragments(r, NewBox3(0, -2, 1, n, n-2, n+1), 3))
-	}
 	// Arbitrary overlapping boxes: nothing in Simplify assumes a
 	// disjoint list.
 	for trial := 0; trial < 300; trial++ {

@@ -13,13 +13,16 @@
 //
 // All boxes are cell-centred and use inclusive lower and exclusive upper
 // bounds, i.e. a Box{Lo, Hi} covers the cells Lo <= c < Hi in each
-// dimension. The package is dimension-generic up to MaxDim (3) but the
-// paper's evaluation is two-dimensional.
+// dimension. Geometry is two-dimensional, as the paper's evaluation is:
+// corners keep MaxDim (3) components because hierarchy signatures, .trc
+// files and tier blobs encode all three, and grid.Hierarchy.Validate
+// refuses a box whose Dim is not 2.
 package geom
 
 import "fmt"
 
-// MaxDim is the maximum number of spatial dimensions supported.
+// MaxDim is the number of components a corner carries in memory and in
+// every encoding; boxes use the first two.
 const MaxDim = 3
 
 // IntVect is a point on the integer lattice. Components beyond the active
@@ -28,30 +31,6 @@ type IntVect [MaxDim]int
 
 // IV2 returns a 2-D integer vector.
 func IV2(x, y int) IntVect { return IntVect{x, y, 0} }
-
-// Add returns the component-wise sum v + w.
-func (v IntVect) Add(w IntVect) IntVect {
-	for d := 0; d < MaxDim; d++ {
-		v[d] += w[d]
-	}
-	return v
-}
-
-// Sub returns the component-wise difference v - w.
-func (v IntVect) Sub(w IntVect) IntVect {
-	for d := 0; d < MaxDim; d++ {
-		v[d] -= w[d]
-	}
-	return v
-}
-
-// Scale returns the component-wise product v * s.
-func (v IntVect) Scale(s int) IntVect {
-	for d := 0; d < MaxDim; d++ {
-		v[d] *= s
-	}
-	return v
-}
 
 // Min returns the component-wise minimum of v and w.
 func (v IntVect) Min(w IntVect) IntVect {

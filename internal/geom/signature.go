@@ -48,11 +48,3 @@ func (bl BoxList) AppendEncoding(buf []byte) []byte {
 	}
 	return buf
 }
-
-// Signature returns the content hash of the list. Box order matters:
-// a BoxList is an ordered collection, and partitioners are sensitive to
-// the order, so two lists covering the same region in different orders
-// are deliberately distinct.
-func (bl BoxList) Signature() Signature {
-	return Signature(sha256.Sum256(bl.AppendEncoding(nil)))
-}

@@ -266,6 +266,9 @@ func (h *Hierarchy) validateDelta(changed []bool) error {
 			}
 			ld := h.LevelDomain(l)
 			for _, b := range lev.Boxes {
+				if err := planar(b); err != nil {
+					return fmt.Errorf("grid: delta level %d: %w", l, err)
+				}
 				if !ld.ContainsBox(b) {
 					return fmt.Errorf("grid: delta level %d box %v outside level domain %v", l, b, ld)
 				}

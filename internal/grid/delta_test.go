@@ -158,11 +158,14 @@ func TestDeltaValidation(t *testing.T) {
 		h.TrackSignature()
 		return h
 	}
+	solid := geom.NewBox2(20, 20, 60, 60)
+	solid.Dim = 3
 	cases := []struct {
 		name string
 		step []LevelDelta
 	}{
 		{"empty step", nil},
+		{"3-D replacement", []LevelDelta{Keep(), Keep(), Replace(geom.BoxList{solid})}},
 		{"keep beyond levels", []LevelDelta{Keep(), Keep(), Keep(), Keep()}},
 		{"overlapping boxes", []LevelDelta{Keep(), Replace(geom.BoxList{
 			geom.NewBox2(8, 8, 24, 24), geom.NewBox2(16, 16, 40, 40)}), Keep()}},

@@ -175,16 +175,30 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	return out
 }
 
-// Validate checks the structural invariants of a hierarchy: level 0
-// covers the domain, every level's boxes are disjoint and inside the
-// level domain, and every level l >= 1 nests inside level l-1's
-// footprint.
+// Validate checks the structural invariants of a hierarchy: the domain
+// and every box are two-dimensional, level 0 covers the domain, every
+// level's boxes are disjoint and inside the level domain, and every
+// level l >= 1 nests inside level l-1's footprint. The penalties, the
+// unit-chain partitioners and the simulator compute in the x-y plane,
+// so this is where any other dimensionality is refused, however the
+// hierarchy arrived (wire, .trc file, session snapshot); validateDelta
+// holds the same rule for a session step's boxes.
 func (h *Hierarchy) Validate() error {
 	if len(h.Levels) == 0 {
 		return fmt.Errorf("grid: hierarchy has no levels")
 	}
 	if h.RefRatio < 2 {
 		return fmt.Errorf("grid: refinement ratio %d < 2", h.RefRatio)
+	}
+	if err := planar(h.Domain); err != nil {
+		return fmt.Errorf("grid: domain: %w", err)
+	}
+	for l, lev := range h.Levels {
+		for _, b := range lev.Boxes {
+			if err := planar(b); err != nil {
+				return fmt.Errorf("grid: level %d: %w", l, err)
+			}
+		}
 	}
 	if !h.Levels[0].Boxes.CoversBox(h.Domain) {
 		return fmt.Errorf("grid: level 0 does not cover the domain %v", h.Domain)
@@ -207,6 +221,14 @@ func (h *Hierarchy) Validate() error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// planar refuses a box that is not two-dimensional.
+func planar(b geom.Box) error {
+	if b.Dim != 2 {
+		return fmt.Errorf("box %v has dim %d; hierarchies are 2-D", b, b.Dim)
 	}
 	return nil
 }

@@ -101,6 +101,24 @@ func TestValidateCatchesOverlap(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesNonPlanar: the same corners under any Dim but 2 —
+// on the domain, or on one refined box — are not a hierarchy.
+func TestValidateRefusesNonPlanar(t *testing.T) {
+	for _, dim := range []int{0, 1, 3} {
+		h := twoLevel()
+		h.Levels[1].Boxes[0].Dim = dim
+		if err := h.Validate(); err == nil {
+			t.Errorf("Validate accepted a dim-%d box on level 1", dim)
+		}
+		h = twoLevel()
+		h.Domain.Dim = dim
+		h.Levels[0].Boxes[0].Dim = dim
+		if err := h.Validate(); err == nil {
+			t.Errorf("Validate accepted a dim-%d domain", dim)
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	h := twoLevel()
 	c := h.Clone()

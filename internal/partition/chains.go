@@ -23,8 +23,6 @@ package partition
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sort"
 
 	"samr/internal/geom"
@@ -32,21 +30,6 @@ import (
 	"samr/internal/memo"
 	"samr/internal/sfc"
 )
-
-// ErrDimension is the unit-chain partitioners' refusal of a hierarchy
-// that is not two-dimensional: DomainSFC and NatureFable (and
-// PostMapped over them) chop and curve-order the x-y plane only, so on
-// a volumetric hierarchy they would cover one slab of it and call that
-// an assignment.
-var ErrDimension = errors.New("unit-chain partitioners need a 2-D hierarchy")
-
-// check2D is the unit-chain partitioners' entry guard.
-func check2D(name string, h *grid.Hierarchy) error {
-	if h.Domain.Dim != 2 {
-		return fmt.Errorf("partition: %s: %w, got dim %d", name, ErrDimension, h.Domain.Dim)
-	}
-	return nil
-}
 
 // chainKey addresses one cached decomposition artifact: the hierarchy
 // content hash plus the curve and (clamped) atomic-unit size. The band
@@ -178,11 +161,7 @@ func nfPrepOf(hi *hierIndex, sig geom.Signature, curve sfc.Curve, unitSize int) 
 		if len(fp) > 0 {
 			cores = makeCoreRegions(fp)
 		}
-		hue := h.Levels[0].Boxes.Clone()
-		for _, c := range cores {
-			hue = hue.SubtractBox(c)
-		}
-		hue = hue.Simplify()
+		hue := h.Levels[0].Boxes.Subtract(cores).Simplify()
 		hue.SortByLo()
 		if err := hi.check(); err != nil {
 			return nil, err

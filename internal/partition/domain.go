@@ -43,9 +43,6 @@ func (d *DomainSFC) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	if err := check2D(d.Name(), h); err != nil {
-		return nil, err
-	}
 	us := d.UnitSize
 	if us < 1 {
 		us = 1

@@ -70,9 +70,6 @@ func (nf *NatureFable) Partition(ctx context.Context, h *grid.Hierarchy, nprocs 
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	if err := check2D(nf.Name(), h); err != nil {
-		return nil, err
-	}
 	us := nf.AtomicUnit
 	if us < 1 {
 		us = 1

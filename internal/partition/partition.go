@@ -39,7 +39,8 @@ type Assignment struct {
 // return a nil Assignment and ctx's error (wrapped, so errors.Is
 // against context.Canceled / context.DeadlineExceeded holds) — never a
 // partial result. A nil error implies the Assignment covers every cell
-// of every level exactly once.
+// of every level exactly once, for any hierarchy grid.Hierarchy.Validate
+// accepts (two-dimensional, disjoint, nested).
 type Partitioner interface {
 	// Name identifies the partitioner in experiment output.
 	Name() string
@@ -72,17 +73,6 @@ func (a *Assignment) LevelBoxes(level int) map[int]geom.BoxList {
 		}
 	}
 	return out
-}
-
-// NumLevels returns one more than the highest level index present.
-func (a *Assignment) NumLevels() int {
-	n := 0
-	for _, f := range a.Fragments {
-		if f.Level+1 > n {
-			n = f.Level + 1
-		}
-	}
-	return n
 }
 
 // Loads returns the computational load per processor: cell count

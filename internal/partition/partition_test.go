@@ -2,7 +2,6 @@ package partition
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -64,37 +63,19 @@ func TestAllPartitionersProduceValidAssignments(t *testing.T) {
 	}
 }
 
-// TestVolumetricHierarchy is the same table internal/server pins on the
-// wire: on a 16³ domain with one refined 16³ patch the unit-chain
-// partitioners (and the post-mapping wrapper over them) refuse with
-// ErrDimension rather than cover one slab of it; patch-lpt covers it
-// exactly.
+// TestVolumetricHierarchy pins the precondition the Partitioner contract
+// states from this side: the 16³ domain with one refined 16³ patch that
+// the unit-chain partitioners once covered one slab of (and later
+// refused themselves) is not a hierarchy grid.Hierarchy.Validate
+// accepts, so no caller that validates can hand it to a partitioner.
 func TestVolumetricHierarchy(t *testing.T) {
-	h := grid.NewHierarchy(geom.NewBox3(0, 0, 0, 16, 16, 16), 2)
-	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{geom.NewBox3(8, 8, 8, 24, 24, 24)}})
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
+	cube := func(lo, hi int) geom.Box {
+		return geom.Box{Lo: geom.IntVect{lo, lo, lo}, Hi: geom.IntVect{hi, hi, hi}, Dim: 3}
 	}
-	for _, tc := range []struct {
-		p      Partitioner
-		refuse bool
-	}{
-		{NewDomainSFC(), true},
-		{NewNatureFable(), true},
-		{NewPostMapped(NewDomainSFC()), true},
-		{NewPatchBased(), false},
-	} {
-		a, err := tc.p.Partition(context.Background(), h, 8)
-		switch {
-		case tc.refuse && (!errors.Is(err, ErrDimension) || a != nil):
-			t.Errorf("%s: got (%v, %v), want ErrDimension and no assignment", tc.p.Name(), a, err)
-		case !tc.refuse && err != nil:
-			t.Errorf("%s: %v", tc.p.Name(), err)
-		case !tc.refuse:
-			if err := a.Validate(h); err != nil {
-				t.Errorf("%s: %v", tc.p.Name(), err)
-			}
-		}
+	h := grid.NewHierarchy(cube(0, 16), 2)
+	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{cube(8, 24)}})
+	if err := h.Validate(); err == nil {
+		t.Fatal("a volumetric hierarchy validated")
 	}
 }
 

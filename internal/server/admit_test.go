@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"samr/internal/admit"
+	"samr/internal/fault"
 )
 
 // admitTestConfig enables admission with roomy limits so only the
@@ -90,18 +92,25 @@ func checkShedResponse(t *testing.T, r *http.Response, wantReason string) {
 	}
 }
 
+// injectedSheds arms admit.accept to refuse the first count admissions
+// (0: every one).
+func injectedSheds(t *testing.T, count int) *fault.Injector {
+	t.Helper()
+	in, err := fault.New(1, fault.Plan{Point: admit.FaultAccept, Mode: fault.Error, Count: count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 // TestInjectedShedNeverExecutesPartitioner is the fault-injection
-// acceptance test: a request shed through the SetOnAdmit hook must
-// return the documented 429 without running any partitioner, without
-// touching the partition cache, and without leaking goroutines.
+// acceptance test: a request shed by an admit.accept fault must return
+// the documented 429 without running any partitioner, without touching
+// the partition cache, and without leaking goroutines.
 func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
-	srv, ts := newTestServer(t, admitTestConfig())
-	srv.SetOnAdmit(func(ev admit.Event) error {
-		if ev.Tenant == "evil" {
-			return &admit.ShedError{Reason: admit.ReasonInjected, RetryAfter: 3 * time.Second}
-		}
-		return nil
-	})
+	cfg := admitTestConfig()
+	cfg.Faults = injectedSheds(t, 8)
+	srv, ts := newTestServer(t, cfg)
 
 	// Close keep-alive connections before counting so lingering HTTP
 	// conn goroutines (client and server side) don't mask a real leak.
@@ -117,9 +126,6 @@ func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		r := postTenant(t, ts.URL+"/v1/partition", "evil", 0, req, nil)
 		checkShedResponse(t, r, admit.ReasonInjected)
-		if got := r.Header.Get("Retry-After"); got != "3" {
-			t.Errorf("Retry-After = %q, want 3 (the injected hint)", got)
-		}
 	}
 
 	// No partitioner ran, nothing entered any cache.
@@ -150,7 +156,7 @@ func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// A non-injected tenant still computes normally afterwards.
+	// The plan is spent: the next request computes normally.
 	var resp PartitionResponse
 	if r := postTenant(t, ts.URL+"/v1/partition", "good", 0, req, &resp); r.StatusCode != http.StatusOK {
 		t.Fatalf("good tenant status = %d after evil's sheds", r.StatusCode)
@@ -390,7 +396,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // server's for the same request (the disabled path adds or removes
 // nothing from the wire).
 func TestAdmissionDisabledIsTransparent(t *testing.T) {
-	_, tsOff := newTestServer(t, Config{})
+	srvOff, tsOff := newTestServer(t, Config{})
 	_, tsOn := newTestServer(t, admitTestConfig())
 
 	h := testHierarchy(5)
@@ -438,9 +444,6 @@ func TestAdmissionDisabledIsTransparent(t *testing.T) {
 	if _, ok := raw["admission"]; ok {
 		t.Error("disabled server reports an admission stats block")
 	}
-	// SetOnAdmit is a no-op rather than a panic while disabled.
-	srvOff, _ := newTestServer(t, Config{})
-	srvOff.SetOnAdmit(func(admit.Event) error { return nil })
 	if srvOff.Admission() != nil {
 		t.Error("disabled server exposes an admission controller")
 	}
@@ -448,24 +451,48 @@ func TestAdmissionDisabledIsTransparent(t *testing.T) {
 
 // TestSimulateIsBatchClassAndGuarded: /v1/simulate passes through
 // admission like the interactive endpoints (an injected shed reaches
-// it) — the class split is about pool priority, not about bypassing
-// the gate.
+// it) — the class split is about priority, not about bypassing the
+// gate: a simulate queued ahead of a partition is still granted the
+// freed slot after it.
 func TestSimulateIsBatchClassAndGuarded(t *testing.T) {
-	srv, ts := newTestServer(t, admitTestConfig())
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 8})
 	srv.Registry().Register("synthetic", testTrace(4))
-	var sawBatch bool
-	srv.SetOnAdmit(func(ev admit.Event) error {
-		if ev.Priority == admit.Batch {
-			sawBatch = true
-			return &admit.ShedError{Reason: admit.ReasonInjected, RetryAfter: time.Second}
-		}
-		return nil
-	})
-	r := postTenant(t, ts.URL+"/v1/simulate", "", 0, SimulateRequest{Trace: "synthetic", Partitioner: "domain", NProcs: 4}, nil)
-	checkShedResponse(t, r, admit.ReasonInjected)
-	if !sawBatch {
-		t.Error("simulate request did not reach admission as Batch priority")
+	simulate := SimulateRequest{Trace: "synthetic", Partitioner: "domain", NProcs: 4}
+
+	// The test holds the one slot, queues a simulate and then a
+	// partition behind it, and lets go. Whichever runs first runs alone,
+	// so the partition's compute sees the simulate still queued exactly
+	// when the simulate, first to arrive, waited as Batch.
+	release, err := srv.Admission().Admit(context.Background(), "", admit.Interactive, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	queuedBehind := -1
+	srv.Cache().SetOnFlight(func(CacheKey, bool) { queuedBehind = srv.Admission().Stats().Queued })
+	h := testHierarchy(1)
+	var wg sync.WaitGroup
+	for i, send := range []func(){
+		func() { postTenant(t, ts.URL+"/v1/simulate", "", 0, simulate, nil) },
+		func() {
+			postTenant(t, ts.URL+"/v1/partition", "", 0, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
+		},
+	} {
+		wg.Add(1)
+		go func() { defer wg.Done(); send() }()
+		for srv.Admission().Stats().Queued != i+1 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	release()
+	wg.Wait()
+	if queuedBehind != 1 {
+		t.Errorf("the partition computed with %d requests queued behind it, want 1: simulate must queue as Batch", queuedBehind)
+	}
+
+	cfg := admitTestConfig()
+	cfg.Faults = injectedSheds(t, 0)
+	_, ts = newTestServer(t, cfg)
+	checkShedResponse(t, postTenant(t, ts.URL+"/v1/simulate", "", 0, simulate, nil), admit.ReasonInjected)
 
 	// Observability endpoints bypass admission even when everything
 	// compute-shaped is shed.

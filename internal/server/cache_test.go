@@ -12,7 +12,7 @@ import (
 )
 
 func sigOf(i int) geom.Signature {
-	return geom.BoxList{geom.NewBox2(0, 0, i+1, i+1)}.Signature()
+	return grid.NewHierarchy(geom.NewBox2(0, 0, i+1, i+1), 2).Signature()
 }
 
 func TestPartitionCacheLRUEviction(t *testing.T) {

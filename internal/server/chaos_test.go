@@ -231,17 +231,13 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	ctx := context.Background()
 	converged := false
 	for r := 0; r < 50 && !converged; r++ {
-		converged = len(rep.Missing(ctx)) == 0
-		if !converged {
-			rep.Round(ctx)
-		}
+		failed := rep.Stats().Failures
+		rep.Round(ctx)
+		st := rep.Stats()
+		converged = st.Missing == 0 && st.Failures == failed
 	}
 	if !converged {
-		t.Fatalf("wiped member still missing %d owned keys after 50 repair rounds", len(rep.Missing(ctx)))
-	}
-	st := rep.Stats()
-	if st.Missing != 0 && st.Rounds > 0 {
-		t.Errorf("repair gauge disagrees with convergence: %+v", st)
+		t.Fatalf("wiped member still missing owned keys after 50 repair rounds: %+v", rep.Stats())
 	}
 
 	// And the rejoined member serves the baseline bodies.
@@ -312,7 +308,7 @@ func TestChaosSessionTakeover(t *testing.T) {
 					t.Fatal("no session draw whose snapshot a peer owns")
 				}
 				create := createSession(t, fleet[0].url, wideHierarchy(0), spec, 8)
-				own := fleet[0].srv.Tier().Ring().Owner(sessionSnapshotKey(create.Session))
+				own := tier.NewRing(fleet[0].url, fleet[0].cfg.TierPeers).Owner(sessionSnapshotKey(create.Session))
 				if own != fleet[0].url {
 					id, owner = create.Session, byURL[own]
 				} else {

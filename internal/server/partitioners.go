@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"samr/internal/grid"
 	"samr/internal/partition"
 	"samr/internal/sfc"
 )
@@ -47,21 +46,6 @@ func ParsePartitioner(spec string) (partition.Partitioner, error) {
 		return parseNatureFable(s[len("nature+fable-"):])
 	}
 	return nil, fmt.Errorf("unknown partitioner %q (families: domain, patch-lpt, nature+fable, postmap(...))", spec)
-}
-
-// checkDim refuses, before anything is stored or computed, the pairs
-// the partitioner itself would refuse with partition.ErrDimension: every
-// family but patch-lpt orders 2-D units along a curve. The session
-// create and resume paths need the answer without running Partition.
-func checkDim(p partition.Partitioner, h *grid.Hierarchy) error {
-	inner := p
-	for pm, ok := inner.(*partition.PostMapped); ok; pm, ok = inner.(*partition.PostMapped) {
-		inner = pm.Inner
-	}
-	if _, ok := inner.(*partition.PatchBased); !ok && h.Domain.Dim != 2 {
-		return fmt.Errorf("partitioner %s: %w, got dim %d", p.Name(), partition.ErrDimension, h.Domain.Dim)
-	}
-	return nil
 }
 
 func parseCurve(name string) (sfc.Curve, error) {

@@ -182,9 +182,6 @@ func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*sess
 	if err := ss.Hierarchy.Validate(); err != nil {
 		return nil, fmt.Errorf("snapshot hierarchy: %w", err)
 	}
-	if err := checkDim(canonical, ss.Hierarchy); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
 	ss.Hierarchy.TrackSignature()
 	if got := ss.Hierarchy.Signature(); got != ss.Sig {
 		return nil, fmt.Errorf("snapshot signature %s does not match its hierarchy's %s", ss.Sig, got)

@@ -16,13 +16,14 @@ import (
 	"time"
 )
 
-// The saturation suite is the PR's graceful-degradation acceptance
-// test: it drives offered load well past capacity and checks that the
-// service bends instead of breaking — interactive latency stays within
-// a fixed bound, excess requests are shed fast with the documented
-// 429 + Retry-After wire error before any partitioner runs, and
-// goodput (successes inside the client deadline) never collapses below
-// the no-admission baseline.
+// The saturation suite is the graceful-degradation acceptance test: it
+// drives offered load well past capacity and checks that the service
+// bends instead of breaking — excess requests are shed with the
+// documented 429 + Retry-After wire error before any partitioner runs
+// (the gating tests), and, on the clock, sheds are fast, interactive
+// latency stays within a fixed bound and goodput (successes inside the
+// client deadline) never collapses below the no-admission baseline
+// (BenchmarkAdmissionSaturation, which only the non-gating job runs).
 //
 // Compute cost is made hardware-independent by injecting a calibrated
 // CPU-bound spin into every partition compute through the cache's
@@ -92,10 +93,7 @@ func (f floodResult) goodput() float64 {
 }
 
 // pct returns the q-quantile (0 < q < 1) of lat; lat is sorted in
-// place. Headline latency assertions use p90: in-process floods on a
-// busy runner measure client-goroutine scheduling delay on top of true
-// response time, and that noise owns the extreme tail. p99 keeps a
-// loose guard.
+// place.
 func pct(lat []time.Duration, q float64) time.Duration {
 	if len(lat) == 0 {
 		return 0
@@ -118,8 +116,8 @@ func uniqueRequest() PartitionRequest {
 // runFlood hammers /v1/partition from `workers` closed-loop clients for
 // `duration`, each request carrying a client-side deadline of
 // `timeout`. Shed workers pause `shedPause` before retrying (a
-// minimal client courtesy, far cruder than honoring Retry-After — the
-// examples/service client does it properly).
+// minimal client courtesy, far cruder than honoring Retry-After the way
+// backoff.Retry and the tier's peer client do).
 func runFlood(tb testing.TB, url string, workers int, duration, timeout, shedPause time.Duration) floodResult {
 	tb.Helper()
 	client := &http.Client{
@@ -211,47 +209,32 @@ func saturationServer(tb testing.TB, spin int, maxInFlight, queueDepth int) (*Se
 	return s, ts
 }
 
-// TestGracefulDegradationUnderOverload is the acceptance test. Offered
-// load is ~48x the in-flight cap (well past the required 2–4x): with
-// admission on, interactive p99 stays within a fixed multiple of the
-// solo service time and goodput stays near capacity; with admission
-// off, the same flood oversubscribes the CPU until ~every request
-// blows the client deadline. Sheds are checked for the full wire
-// contract and for never having run a partitioner.
-func TestGracefulDegradationUnderOverload(t *testing.T) {
-	const solo = 5 * time.Millisecond
-	spin := calibrateSpin(solo)
+// overloadFlood is the acceptance flood: offered load ~32x the in-flight
+// cap (well past the required 2–4x) from closed-loop clients whose
+// deadline is 20x the solo service time.
+func overloadFlood(tb testing.TB, solo, duration time.Duration, admission bool) (*Server, floodResult) {
 	cores := runtime.GOMAXPROCS(0)
-	maxInFlight := cores
-	queueDepth := 2
-	if cores/2 > queueDepth {
-		queueDepth = cores / 2
+	maxInFlight, queueDepth := 0, 0
+	if admission {
+		// Capacity-matched in-flight cap, small queue.
+		maxInFlight, queueDepth = cores, max(2, cores/2)
 	}
-	workers := 32 * cores
-	timeout := 20 * solo
-	duration := 1500 * time.Millisecond
-	shedPause := solo / 2
+	srv, ts := saturationServer(tb, calibrateSpin(solo), maxInFlight, queueDepth)
+	return srv, runFlood(tb, ts.URL, 32*cores, duration, 20*solo, solo/2)
+}
 
-	// Admission on: capacity-matched in-flight cap, small queue.
-	srvOn, tsOn := saturationServer(t, spin, maxInFlight, queueDepth)
-	adm := runFlood(t, tsOn.URL, workers, duration, timeout, shedPause)
-
-	// No admission: same flood, unbounded concurrency.
-	_, tsOff := saturationServer(t, spin, 0, 0)
-	base := runFlood(t, tsOff.URL, workers, duration, timeout, shedPause)
-
-	t.Logf("admission: %d ok (p90 %v, p99 %v), %d shed (p90 %v, p99 %v), %d timeouts, goodput %.0f/s",
-		adm.successes, pct(adm.successLat, 0.9), pct(adm.successLat, 0.99),
-		adm.sheds, pct(adm.shedLat, 0.9), pct(adm.shedLat, 0.99), adm.timeouts, adm.goodput())
-	t.Logf("baseline:  %d ok (p99 %v), %d timeouts, goodput %.0f/s",
-		base.successes, pct(base.successLat, 0.99), base.timeouts, base.goodput())
-
-	if adm.failures > 0 || base.failures > 0 {
-		t.Fatalf("unexpected failures: admission %d, baseline %d", adm.failures, base.failures)
+// TestGracefulDegradationUnderOverload is the gating half of the
+// acceptance test, the half no clock can fail: under the flood excess
+// requests are shed, every shed carries the full wire contract, no shed
+// ever ran a partitioner, and the controller drains to zero. What the
+// flood costs in latency and goodput is BenchmarkAdmissionSaturation's.
+func TestGracefulDegradationUnderOverload(t *testing.T) {
+	srv, adm := overloadFlood(t, 5*time.Millisecond, 500*time.Millisecond, true)
+	t.Logf("admission: %d ok, %d shed, %d timeouts", adm.successes, adm.sheds, adm.timeouts)
+	if adm.failures > 0 {
+		t.Fatalf("%d requests answered neither 200 nor 429", adm.failures)
 	}
-
-	// Overload must actually have shed: the offered load is ~48x the
-	// cap, so the queue cannot absorb it.
+	// The queue cannot absorb 32x the cap.
 	if adm.sheds == 0 {
 		t.Fatal("overload produced no sheds; the test did not reach saturation")
 	}
@@ -260,39 +243,19 @@ func TestGracefulDegradationUnderOverload(t *testing.T) {
 	if adm.shedBadWire != 0 {
 		t.Errorf("%d of %d sheds missing Retry-After >= 1 or %s", adm.shedBadWire, adm.sheds, ShedHeader)
 	}
-	// Sheds fail fast: no compute, so well below the service-time
-	// multiples an admitted request pays.
-	if got, bound := pct(adm.shedLat, 0.9), 8*solo*satLatSlack; got > bound {
-		t.Errorf("shed p90 = %v, want <= %v (fail-fast)", got, bound)
-	}
-	if got, bound := pct(adm.shedLat, 0.99), 20*solo*satLatSlack; got > bound {
-		t.Errorf("shed p99 = %v, want <= %v (fail-fast guard)", got, bound)
-	}
-	// Interactive latency stays within a fixed bound (the client
-	// deadline is 20x solo; p90 leaves real headroom under it).
-	if adm.successes < 20 {
-		t.Fatalf("only %d successes under admission; expected sustained goodput", adm.successes)
-	}
-	if got, bound := pct(adm.successLat, 0.9), 14*solo*satLatSlack; got > bound {
-		t.Errorf("interactive p90 = %v, want <= %v under overload", got, bound)
-	}
-	if got, bound := pct(adm.successLat, 0.99), 24*solo*satLatSlack; got > bound {
-		t.Errorf("interactive p99 = %v, want <= %v under overload", got, bound)
-	}
-	// Goodput never collapses below the no-admission baseline.
-	if adm.goodput() < base.goodput() {
-		t.Errorf("goodput with admission %.0f/s fell below the no-admission baseline %.0f/s",
-			adm.goodput(), base.goodput())
-	}
-	// A shed request never ran a partitioner: executions (cache misses)
-	// cannot exceed the requests that were actually admitted.
-	_, misses, _ := srvOn.Cache().Stats()
-	st := srvOn.Admission().Stats()
-	if misses > st.Admitted {
-		t.Errorf("partitioner executions %d > admitted %d: shed requests computed", misses, st.Admitted)
+	// A request its client gave up on releases its slot when its
+	// handler notices, not when the client returns.
+	st := srv.Admission().Stats()
+	for end := time.Now().Add(10 * time.Second); (st.InFlight != 0 || st.Queued != 0) && time.Now().Before(end); st = srv.Admission().Stats() {
+		time.Sleep(time.Millisecond)
 	}
 	if st.ShedTotal() == 0 || st.InFlight != 0 || st.Queued != 0 {
 		t.Errorf("admission stats inconsistent after drain: %+v", st)
+	}
+	// A shed request never ran a partitioner: executions (cache misses)
+	// cannot exceed the requests that were actually admitted.
+	if _, misses, _ := srv.Cache().Stats(); misses > st.Admitted {
+		t.Errorf("partitioner executions %d > admitted %d: shed requests computed", misses, st.Admitted)
 	}
 }
 
@@ -321,18 +284,47 @@ func TestSaturationRampShedMonotonicity(t *testing.T) {
 	}
 }
 
-// BenchmarkAdmissionSaturation reports the saturation profile as
-// benchmark metrics (goodput, interactive p99, shed rate) so the
-// BENCH trajectory can watch overload behavior across PRs.
+// BenchmarkAdmissionSaturation is the timed half of the acceptance
+// test, run by the non-gating saturation job only: it reports the
+// saturation profile (goodput, interactive p99, shed rate) and fails
+// when the service breaks instead of bending — sheds that are not fast,
+// interactive latency past a fixed multiple of the solo service time,
+// or goodput below what the same flood gets with admission off, where
+// it oversubscribes the CPU until ~every request blows the client
+// deadline. Headline bounds are p90: in-process floods on a busy runner
+// measure client-goroutine scheduling delay on top of response time.
 func BenchmarkAdmissionSaturation(b *testing.B) {
-	const solo = 3 * time.Millisecond
-	spin := calibrateSpin(solo)
-	cores := runtime.GOMAXPROCS(0)
+	const solo = 5 * time.Millisecond
 	for i := 0; i < b.N; i++ {
-		_, ts := saturationServer(b, spin, cores, 2*cores)
-		res := runFlood(b, ts.URL, 24*cores, 500*time.Millisecond, 20*solo, solo/2)
-		b.ReportMetric(res.goodput(), "goodput/s")
-		b.ReportMetric(float64(pct(res.successLat, 0.99).Nanoseconds()), "p99-ns")
-		b.ReportMetric(float64(res.sheds)/res.duration.Seconds(), "sheds/s")
+		_, adm := overloadFlood(b, solo, 1500*time.Millisecond, true)
+		_, base := overloadFlood(b, solo, 1500*time.Millisecond, false)
+		b.ReportMetric(adm.goodput(), "goodput/s")
+		b.ReportMetric(base.goodput(), "baseline-goodput/s")
+		b.ReportMetric(float64(pct(adm.successLat, 0.99).Nanoseconds()), "p99-ns")
+		b.ReportMetric(float64(adm.sheds)/adm.duration.Seconds(), "sheds/s")
+
+		for _, c := range []struct {
+			what  string
+			lat   []time.Duration
+			q     float64
+			bound time.Duration
+		}{
+			// Sheds do no compute: well below what an admitted request pays.
+			{"shed p90", adm.shedLat, 0.9, 8 * solo},
+			{"shed p99", adm.shedLat, 0.99, 20 * solo},
+			// The client deadline is 20x solo; p90 leaves headroom under it.
+			{"interactive p90", adm.successLat, 0.9, 14 * solo},
+			{"interactive p99", adm.successLat, 0.99, 24 * solo},
+		} {
+			if got := pct(c.lat, c.q); got > c.bound {
+				b.Errorf("%s = %v, want <= %v under overload", c.what, got, c.bound)
+			}
+		}
+		if adm.successes < 20 {
+			b.Errorf("only %d successes under admission; expected sustained goodput", adm.successes)
+		}
+		if adm.goodput() < base.goodput() {
+			b.Errorf("goodput with admission %.0f/s fell below the no-admission baseline %.0f/s", adm.goodput(), base.goodput())
+		}
 	}
 }

@@ -15,6 +15,11 @@
 //	GET  /v1/stats      cache counters, in-flight requests, per-endpoint totals
 //	GET  /healthz       liveness
 //
+// Hierarchies are two-dimensional on every endpoint that takes one: a
+// wire box whose dim is not 2 is a 400 (Box.toGeom), and a hierarchy
+// that arrives past the wire — a session snapshot from a peer, a .trc in
+// the trace directory — meets the same rule in grid.Hierarchy.Validate.
+//
 // Three properties make it a service rather than an RPC wrapper.
 // Results of /v1/partition are kept in a content-addressed LRU cache
 // keyed by (hierarchy signature, partitioner, nprocs), so the repeated
@@ -116,13 +121,11 @@ type Config struct {
 	// rate limiting; meaningful only with MaxInFlight > 0). A tenant's
 	// token bucket holds ceil(TenantRate) tokens.
 	TenantRate float64
-	// TierDir roots the fleet tier's disk store. With both TierDir and
-	// TierPeers empty the tier is fully disabled: no tier routes are
-	// registered and every response is byte-identical to a tier-less
-	// server.
+	// TierDir roots the fleet tier's disk store (256 MiB, oldest
+	// entries evicted first). With both TierDir and TierPeers empty the
+	// tier is fully disabled: no tier routes are registered and every
+	// response is byte-identical to a tier-less server.
 	TierDir string
-	// TierMaxBytes bounds the tier disk store (<= 0 selects 256 MiB).
-	TierMaxBytes int64
 	// TierPeers lists every fleet member's base URL — the same list on
 	// every daemon; each key's home is chosen by rendezvous hashing
 	// over this set.
@@ -313,16 +316,6 @@ func (s *Server) Cache() *PartitionCache { return s.cache }
 // Admission exposes the admission controller (nil when disabled) for
 // stats reporting and operational tooling.
 func (s *Server) Admission() *admit.Controller { return s.admit }
-
-// SetOnAdmit installs the test-only admission fault-injection and
-// interleaving hook, mirroring the cache's SetOnFlight: it runs at the
-// top of every guarded request's admission; a non-nil return forces
-// that request to be shed. It is a no-op while admission is disabled.
-func (s *Server) SetOnAdmit(hook func(admit.Event) error) {
-	if s.admit != nil {
-		s.admit.SetOnAdmit(hook)
-	}
-}
 
 // BeginShutdown flips /readyz to 503 so a fronting load balancer stops
 // routing new traffic; in-flight and already-queued requests drain
@@ -620,12 +613,6 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	for i, h := range hs {
-		if err := checkDim(canonical, h); err != nil {
-			writeErr(w, http.StatusBadRequest, "hierarchy %d: %v", i, err)
-			return
-		}
 	}
 	if !s.checkProcs(w, &req.NProcs) {
 		return

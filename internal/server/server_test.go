@@ -34,17 +34,40 @@ func testHierarchy(patchX int) Hierarchy {
 	}
 }
 
-// volumeHierarchy is a valid volumetric wire hierarchy: a 16³ domain
-// with one refined 16³ patch.
-func volumeHierarchy() Hierarchy {
-	return Hierarchy{
-		Domain:   Box{Dim: 3, Lo: []int{0, 0, 0}, Hi: []int{16, 16, 16}},
-		RefRatio: 2,
-		Levels: [][]Box{
-			{{Dim: 3, Lo: []int{0, 0, 0}, Hi: []int{16, 16, 16}}},
-			{{Dim: 3, Lo: []int{8, 8, 8}, Hi: []int{24, 24, 24}}},
+// nonPlanarHierarchies are the wire hierarchies the 2-D rule refuses: the
+// 16³ domain with one refined 16³ patch that PR 14 found answered with a
+// wrong assignment, a one-dimensional one, and a 2-D one whose refined
+// level carries a single 3-D box.
+func nonPlanarHierarchies() map[string]Hierarchy {
+	mixed := testHierarchy(1)
+	mixed.Levels[1] = []Box{{Dim: 3, Lo: []int{2, 8, 0}, Hi: []int{18, 32, 1}}}
+	return map[string]Hierarchy{
+		"dim 3": {
+			Domain:   Box{Dim: 3, Lo: []int{0, 0, 0}, Hi: []int{16, 16, 16}},
+			RefRatio: 2,
+			Levels: [][]Box{
+				{{Dim: 3, Lo: []int{0, 0, 0}, Hi: []int{16, 16, 16}}},
+				{{Dim: 3, Lo: []int{8, 8, 8}, Hi: []int{24, 24, 24}}},
+			},
 		},
+		"dim 1": {
+			Domain:   Box{Dim: 1, Lo: []int{0}, Hi: []int{16}},
+			RefRatio: 2,
+			Levels:   [][]Box{{{Dim: 1, Lo: []int{0}, Hi: []int{16}}}},
+		},
+		"mixed": mixed,
 	}
+}
+
+// volumeGrid is the "dim 3" hierarchy as a sealed snapshot or a .trc
+// file would carry it, past the wire's own check.
+func volumeGrid() *grid.Hierarchy {
+	cube := func(lo, hi int) geom.Box {
+		return geom.Box{Lo: geom.IntVect{lo, lo, lo}, Hi: geom.IntVect{hi, hi, hi}, Dim: 3}
+	}
+	h := grid.NewHierarchy(cube(0, 16), 2)
+	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{cube(8, 24)}})
+	return h
 }
 
 // testTrace builds a small synthetic trace of moving refinement.
@@ -472,61 +495,96 @@ func TestConcurrentMixedRequests(t *testing.T) {
 	}
 }
 
-// TestVolumetricRequests pins what the wire's dim-3 hierarchies get:
-// the unit-chain families order the x-y plane only, so they answer 400
-// naming the spec and the dimension — one-shot and at session create,
-// storing nothing — while patch-lpt answers an exact cover.
+// TestVolumetricRequests pins the 2-D rule at every door a hierarchy
+// can come in by: a dim-3, dim-1 or mixed-dim hierarchy answers 400 on
+// /v1/select, /v1/partition (single and batch) and session create,
+// whatever the partitioner, and so does a step whose replace carries a
+// 3-D box, leaving the session as it was; a sealed snapshot carrying one
+// is a resume miss and is quarantined; a .trc carrying one does not
+// load. Nothing refused is cached, stored or partitioned.
 func TestVolumetricRequests(t *testing.T) {
-	srv, ts := newTestServer(t, Config{TierDir: t.TempDir()})
-	wire := volumeHierarchy()
-	h, err := wire.toGrid()
+	traceDir := t.TempDir()
+	srv, ts := newTestServer(t, Config{TierDir: t.TempDir(), TierSessions: true, TraceDir: traceDir})
+	good := testHierarchy(0)
+	for name, wire := range nonPlanarHierarchies() {
+		for _, tc := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/select", SelectRequest{Hierarchy: &wire}},
+			{"/v1/partition", PartitionRequest{Hierarchy: &wire, Partitioner: "domain", NProcs: 8}},
+			{"/v1/partition", PartitionRequest{Hierarchy: &wire, Partitioner: "patch-lpt", NProcs: 8}},
+			{"/v1/partition", PartitionRequest{Hierarchies: []Hierarchy{good, wire}, Partitioner: "postmap(domain)", NProcs: 8}},
+			{"/v1/session", SessionCreateRequest{Hierarchy: &wire, Partitioner: "patch-lpt", NProcs: 8}},
+		} {
+			r := post(t, ts.URL+tc.path, tc.body, nil)
+			var e ErrorResponse
+			if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+				t.Fatalf("%s %s: body not the documented JSON error: %v", name, tc.path, err)
+			}
+			if r.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "dim") {
+				t.Errorf("%s %s: status %d error %q, want 400 naming the dimension", name, tc.path, r.StatusCode, e.Error)
+			}
+		}
+	}
+	if srv.Cache().Len() != 0 || srv.Tier().Disk().Len() != 0 {
+		t.Errorf("refused requests left %d cache and %d tier entries", srv.Cache().Len(), srv.Tier().Disk().Len())
+	}
+
+	// A step whose replace carries a 3-D box: 400, and the session
+	// still holds what it held.
+	create := createSession(t, ts.URL, good, "domain", 8)
+	stepURL := ts.URL + "/v1/session/" + create.Session + "/step"
+	bad := SessionStepRequest{Levels: []LevelOp{
+		{Op: LevelKeep},
+		{Op: LevelReplace, Boxes: []Box{{Dim: 3, Lo: []int{0, 8, 0}, Hi: []int{16, 32, 1}}}},
+	}}
+	if r := post(t, stepURL, bad, nil); r.StatusCode != http.StatusBadRequest {
+		t.Errorf("3-D replace: status %d, want 400", r.StatusCode)
+	}
+	var kept PartitionResponse
+	keep := SessionStepRequest{Levels: []LevelOp{{Op: LevelKeep}, {Op: LevelKeep}}}
+	if r := post(t, stepURL, keep, &kept); r.StatusCode != http.StatusOK || kept.Results[0].Signature != create.Signature {
+		t.Errorf("keep step after the refused one: status %d, signature moved off %s", r.StatusCode, create.Signature)
+	}
+
+	// A sealed, self-consistent snapshot of a volumetric session.
+	hv := volumeGrid()
+	id := strings.Repeat("cd", 16)
+	key := sessionSnapshotKey(id)
+	if err := srv.Tier().Disk().Put(key, tier.EncodeSessionSnapshot(&tier.SessionSnapshot{
+		Name: "patch-lpt", NProcs: 8, Hierarchy: hv, Sig: hv.Signature(),
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if r := post(t, ts.URL+"/v1/session/"+id+"/step", keep, nil); r.StatusCode != http.StatusGone {
+		t.Errorf("resume from a volumetric snapshot: status %d, want 410", r.StatusCode)
+	}
+	if srv.Tier().Disk().Has(key) {
+		t.Error("volumetric snapshot not quarantined")
+	}
+	var st StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	if st.Sessions == nil || st.Sessions.ResumeMisses != 1 || st.Sessions.Resumed != 0 {
+		t.Errorf("session stats = %+v, want 1 resume miss and 0 resumed", st.Sessions)
+	}
+
+	// A .trc carrying one.
+	tr := &trace.Trace{App: "VOL", RefRatio: 2, MaxLevels: 2, Domain: hv.Domain}
+	tr.Append(0, 0, hv)
+	f, err := os.Create(filepath.Join(traceDir, "vol.trc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		spec   string
-		status int
-	}{
-		{"domain", http.StatusBadRequest},
-		{"nature+fable", http.StatusBadRequest},
-		{"postmap(domain)", http.StatusBadRequest},
-		{"patch-lpt", http.StatusOK},
-	} {
-		var resp PartitionResponse
-		r := post(t, ts.URL+"/v1/partition", PartitionRequest{Hierarchy: &wire, Partitioner: tc.spec, NProcs: 8}, &resp)
-		create := post(t, ts.URL+"/v1/session", SessionCreateRequest{Hierarchy: &wire, Partitioner: tc.spec, NProcs: 8}, nil)
-		if r.StatusCode != tc.status || create.StatusCode != tc.status {
-			t.Errorf("%s: partition %d, session create %d, want %d", tc.spec, r.StatusCode, create.StatusCode, tc.status)
-			continue
-		}
-		if tc.status == http.StatusOK {
-			a := &partition.Assignment{NumProcs: resp.Results[0].NProcs}
-			for _, f := range resp.Results[0].Fragments {
-				b, err := f.Box.toGeom()
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.Fragments = append(a.Fragments, partition.Fragment{Level: f.Level, Box: b, Owner: f.Owner})
-			}
-			if err := a.Validate(h); err != nil {
-				t.Errorf("%s: served assignment is not an exact cover: %v", tc.spec, err)
-			}
-			continue
-		}
-		canonical, err := ParsePartitioner(tc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e ErrorResponse
-		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
-			t.Fatalf("%s: 400 body not the documented JSON error: %v", tc.spec, err)
-		}
-		if !strings.Contains(e.Error, canonical.Name()) || !strings.Contains(e.Error, "dim 3") {
-			t.Errorf("%s: error %q names neither the spec nor the dimension", tc.spec, e.Error)
-		}
-		if srv.Cache().Len() != 0 || srv.Tier().Disk().Len() != 0 {
-			t.Errorf("%s: refused request left %d cache and %d tier entries", tc.spec, srv.Cache().Len(), srv.Tier().Disk().Len())
-		}
+	if err := trace.Write(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := srv.Registry().loadFile("vol"); err == nil || !strings.Contains(err.Error(), "dim") {
+		t.Errorf("loading a volumetric .trc: %v, want an error naming the dimension", err)
+	}
+	if r := post(t, ts.URL+"/v1/simulate", SimulateRequest{Trace: "vol", Partitioner: "patch-lpt", NProcs: 4}, nil); r.StatusCode != http.StatusNotFound {
+		t.Errorf("simulate over a volumetric .trc: status %d, want 404", r.StatusCode)
 	}
 }
 

@@ -282,9 +282,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h, err := req.Hierarchy.toGrid()
-	if err == nil {
-		err = checkDim(canonical, h)
-	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "hierarchy: %v", err)
 		return

@@ -206,9 +206,9 @@ func TestSessionResumeCorruptSnapshotQuarantined(t *testing.T) {
 // TestSessionResumeInconsistentSnapshotQuarantined covers the semantic
 // gate behind the envelope: a snapshot that decodes cleanly but fails a
 // create-path check — its recorded signature is not what its own
-// geometry hashes to (a stale or tampered write), or its partitioner
-// cannot serve its hierarchy's dimension — resumes nothing and is
-// quarantined like byte damage.
+// geometry hashes to (a stale or tampered write) — resumes nothing and
+// is quarantined like byte damage. (TestVolumetricRequests holds the
+// same for a snapshot whose hierarchy is not 2-D.)
 func TestSessionResumeInconsistentSnapshotQuarantined(t *testing.T) {
 	srv, ts := newTestServer(t, Config{TierDir: t.TempDir(), TierSessions: true})
 
@@ -221,11 +221,6 @@ func TestSessionResumeInconsistentSnapshotQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireV := volumeHierarchy()
-	hv, err := wireV.toGrid()
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec, err := ParsePartitioner("domain")
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +230,6 @@ func TestSessionResumeInconsistentSnapshotQuarantined(t *testing.T) {
 	for name, ss := range map[string]*tier.SessionSnapshot{
 		// One geometry's signature around another geometry.
 		"stale signature": {Name: spec.Name(), NProcs: 8, Hierarchy: hb, Sig: ha.Signature()},
-		// Self-consistent, but a pair POST /v1/session would refuse.
-		"volumetric pair": {Name: spec.Name(), NProcs: 8, Hierarchy: hv, Sig: hv.Signature()},
 	} {
 		if err := srv.Tier().Disk().Put(key, tier.EncodeSessionSnapshot(ss)); err != nil {
 			t.Fatal(err)

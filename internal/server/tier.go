@@ -76,11 +76,10 @@ func tierEnabled(cfg Config) bool {
 // repair-less fleet byte-identical to the previous release.
 func (s *Server) initTier() error {
 	t, err := tier.New(tier.Config{
-		Dir:      s.cfg.TierDir,
-		MaxBytes: s.cfg.TierMaxBytes,
-		Peers:    s.cfg.TierPeers,
-		Self:     s.cfg.TierSelf,
-		Faults:   s.cfg.Faults,
+		Dir:    s.cfg.TierDir,
+		Peers:  s.cfg.TierPeers,
+		Self:   s.cfg.TierSelf,
+		Faults: s.cfg.Faults,
 	})
 	if err != nil {
 		return err

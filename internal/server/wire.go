@@ -17,8 +17,8 @@ import (
 // arrays) so clients in any language can produce it without knowing the
 // internal IntVect padding convention.
 
-// Box is the wire form of geom.Box: lo inclusive, hi exclusive, dim 2
-// or 3. Lo and Hi carry exactly dim components.
+// Box is the wire form of geom.Box: lo inclusive, hi exclusive, dim 2.
+// Lo and Hi carry exactly dim components.
 type Box struct {
 	Dim int   `json:"dim"`
 	Lo  []int `json:"lo"`
@@ -47,21 +47,17 @@ func fromGeomBox(b geom.Box) Box {
 	return w
 }
 
+// toGeom is where the wire refuses anything but a 2-D box (every
+// endpoint that takes geometry goes through it); grid.Hierarchy.Validate
+// holds the same rule for hierarchies that arrive any other way.
 func (w Box) toGeom() (geom.Box, error) {
-	if w.Dim != 2 && w.Dim != 3 {
-		return geom.Box{}, fmt.Errorf("box dim must be 2 or 3, got %d", w.Dim)
+	if w.Dim != 2 {
+		return geom.Box{}, fmt.Errorf("box dim must be 2, got %d", w.Dim)
 	}
 	if len(w.Lo) != w.Dim || len(w.Hi) != w.Dim {
 		return geom.Box{}, fmt.Errorf("box lo/hi must carry %d components, got %d/%d", w.Dim, len(w.Lo), len(w.Hi))
 	}
-	b := geom.Box{Dim: w.Dim}
-	for d := 0; d < geom.MaxDim; d++ {
-		b.Lo[d], b.Hi[d] = 0, 1 // padding convention for unused axes
-	}
-	for d := 0; d < w.Dim; d++ {
-		b.Lo[d], b.Hi[d] = w.Lo[d], w.Hi[d]
-	}
-	return b, nil
+	return geom.NewBox2(w.Lo[0], w.Lo[1], w.Hi[0], w.Hi[1]), nil
 }
 
 // FromHierarchy converts an in-process hierarchy to its wire form; Go

@@ -7,7 +7,9 @@
 //
 // The paper's hybrid partitioner (Nature+Fable) uses a partially ordered
 // space-filling curve; both curves here are fully ordered, and Curve is
-// the seam where other orders can be plugged in.
+// the seam where other orders can be plugged in. There is no 3-D index:
+// every hierarchy the partitioners see is two-dimensional
+// (grid.Hierarchy.Validate).
 package sfc
 
 // Curve enumerates the supported space-filling curve families.
@@ -42,9 +44,7 @@ func (c Curve) String() string {
 const maxOrder = 21
 
 // Index returns the one-dimensional position of the 2-D point (x, y)
-// along the curve. Coordinates must be non-negative. Higher-dimensional
-// use coarsens to the first two coordinates (the paper's evaluation is
-// 2-D throughout).
+// along the curve. Coordinates must be non-negative.
 func Index(c Curve, x, y int) int64 {
 	switch c {
 	case Hilbert:
@@ -123,33 +123,4 @@ func HilbertPoint(d int64) (x, y int) {
 		t /= 4
 	}
 	return int(ux), int(uy)
-}
-
-// maxOrder3 is the per-coordinate bit budget for the 3-D Morton index:
-// 3*21 = 63 bits fit in int64.
-const maxOrder3 = 21
-
-// Index3 returns the 3-D Morton (Z-order) position of (x, y, z); the
-// Hilbert and RowMajor curves fall back to layering the 2-D index by z,
-// which preserves intra-plane locality. Coordinates must be
-// non-negative. The paper's evaluation is 2-D; 3-D ordering exists for
-// the volumetric applications the framework targets.
-func Index3(c Curve, x, y, z int) int64 {
-	switch c {
-	case Morton:
-		return int64(spread3(uint64(x)) | spread3(uint64(y))<<1 | spread3(uint64(z))<<2)
-	default:
-		return int64(z)<<(2*maxOrder) | Index(c, x, y)
-	}
-}
-
-// spread3 inserts two zero bits between every bit of the low 21 bits.
-func spread3(v uint64) uint64 {
-	v &= (1 << maxOrder3) - 1
-	v = (v | v<<32) & 0x1F00000000FFFF
-	v = (v | v<<16) & 0x1F0000FF0000FF
-	v = (v | v<<8) & 0x100F00F00F00F00F
-	v = (v | v<<4) & 0x10C30C30C30C30C3
-	v = (v | v<<2) & 0x1249249249249249
-	return v
 }

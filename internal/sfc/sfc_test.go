@@ -153,47 +153,3 @@ func BenchmarkMortonIndex(b *testing.B) {
 		Index(Morton, i&0xFFFFF, (i>>1)&0xFFFFF)
 	}
 }
-
-func TestMorton3DistinctAndOrdered(t *testing.T) {
-	seen := map[int64][3]int{}
-	for x := 0; x < 8; x++ {
-		for y := 0; y < 8; y++ {
-			for z := 0; z < 8; z++ {
-				idx := Index3(Morton, x, y, z)
-				if idx < 0 {
-					t.Fatalf("negative 3-D Morton index at (%d,%d,%d)", x, y, z)
-				}
-				if prev, dup := seen[idx]; dup {
-					t.Fatalf("3-D Morton collision: (%d,%d,%d) and %v", x, y, z, prev)
-				}
-				seen[idx] = [3]int{x, y, z}
-			}
-		}
-	}
-	// The first eight indices trace the unit cube in Z order.
-	if Index3(Morton, 0, 0, 0) != 0 || Index3(Morton, 1, 0, 0) != 1 ||
-		Index3(Morton, 0, 1, 0) != 2 || Index3(Morton, 0, 0, 1) != 4 {
-		t.Error("3-D Morton corner order wrong")
-	}
-}
-
-func TestIndex3LayeredFallback(t *testing.T) {
-	// Hilbert/RowMajor layer by z: same plane ordering, higher z wins.
-	if Index3(Hilbert, 5, 5, 0) >= Index3(Hilbert, 0, 0, 1) {
-		t.Error("layered 3-D index should order by z first")
-	}
-	if Index3(Hilbert, 1, 2, 3) == Index3(Hilbert, 2, 1, 3) {
-		t.Error("in-plane ordering lost")
-	}
-}
-
-func TestMorton3HighBits(t *testing.T) {
-	// Large coordinates stay within int64 and preserve quadrant order.
-	big := 1 << 20
-	if Index3(Morton, big, big, big) < 0 {
-		t.Error("3-D Morton overflowed int64")
-	}
-	if Index3(Morton, big, 0, 0) >= Index3(Morton, big, big, big) {
-		t.Error("3-D Morton monotonicity violated on high bits")
-	}
-}

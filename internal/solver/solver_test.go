@@ -416,7 +416,7 @@ func randomEulerPatch(r *rand.Rand, w, h int, rough bool) *field.Patch {
 				}
 			}
 			for c := 0; c < 4; c++ {
-				p.Set(c, x, y, st[c])
+				p.Row(c, y)[x-gb.Lo[0]] = st[c]
 			}
 		}
 	}

@@ -318,7 +318,7 @@ func TestTierSelfOwnedKeySkipsHTTP(t *testing.T) {
 	var selfKey, otherKey string
 	for i := 0; selfKey == "" || otherKey == ""; i++ {
 		key := Key("probe", string(rune(i)))
-		if tr.Ring().Owner(key) == self {
+		if tr.ring.Owner(key) == self {
 			selfKey = key
 		} else {
 			otherKey = key

@@ -3,7 +3,6 @@ package tier
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -80,12 +79,15 @@ func NewRepairer(t *Tier, cfg RepairConfig) (*Repairer, error) {
 	return &Repairer{t: t, cfg: cfg}, nil
 }
 
-// eachOwed lists every available peer's manifest, in ring order, and
-// calls visit(peer, key) for each advertised key this member owns and
-// lacks locally. visit reports whether it settled the key; an unsettled
-// key is offered again if a later peer advertises it too. A manifest
-// that cannot be fetched counts one failure and skips that peer.
-func (r *Repairer) eachOwed(ctx context.Context, visit func(peer, key string) bool) {
+// Round performs one bounded repair pass and returns the number of
+// keys pulled: it lists every available peer's manifest, in ring order,
+// and pulls each advertised key this member owns and lacks locally.
+// Keys past the round's key/byte bounds (and failed pulls) are left for
+// the next round and counted in the Missing gauge; a manifest that
+// cannot be fetched counts one failure and skips that peer.
+func (r *Repairer) Round(ctx context.Context) int {
+	pulled, missing := 0, 0
+	var pulledBytes int64
 	settled := make(map[string]bool)
 	self := r.t.ring.Self()
 	for _, peer := range r.t.ring.Peers() {
@@ -98,66 +100,44 @@ func (r *Repairer) eachOwed(ctx context.Context, visit func(peer, key string) bo
 			continue
 		}
 		for _, key := range keys {
-			if !settled[key] && r.t.ring.OwnedBySelf(key) && !r.t.disk.Has(key) {
-				settled[key] = visit(peer, key)
+			if settled[key] || !r.t.ring.OwnedBySelf(key) || r.t.disk.Has(key) {
+				continue
 			}
+			if pulled >= r.cfg.MaxKeysPerRound || pulledBytes >= maxBytesPerRound || ctx.Err() != nil {
+				missing++
+				settled[key] = true
+				continue
+			}
+			blob, err := r.t.client.Fetch(ctx, peer, key)
+			if err == ErrPeerMiss {
+				// Evicted between the peer's manifest and this pull:
+				// nothing failed, and a later peer advertising the key
+				// too may still supply it this round.
+				continue
+			}
+			settled[key] = true
+			// The same envelope gate as ServePut: a damaged pull never
+			// lands on disk (and is retried from the fleet next round).
+			if err == nil {
+				_, _, err = Open(blob)
+			}
+			if err == nil {
+				err = r.t.disk.Put(key, blob)
+			}
+			if err != nil {
+				r.failures.Add(1)
+				missing++
+				continue
+			}
+			pulled++
+			pulledBytes += int64(len(blob))
 		}
 	}
-}
-
-// Round performs one bounded repair pass and returns the number of
-// keys pulled. Keys past the round's key/byte bounds (and failed
-// pulls) are left for the next round and counted in the Missing gauge.
-func (r *Repairer) Round(ctx context.Context) int {
-	pulled, missing := 0, 0
-	var pulledBytes int64
-	r.eachOwed(ctx, func(peer, key string) bool {
-		if pulled >= r.cfg.MaxKeysPerRound || pulledBytes >= maxBytesPerRound || ctx.Err() != nil {
-			missing++
-			return true
-		}
-		blob, err := r.t.client.Fetch(ctx, peer, key)
-		if err == ErrPeerMiss {
-			// Evicted between the peer's manifest and this pull: nothing
-			// failed, and another peer may still supply it this round.
-			return false
-		}
-		// The same envelope gate as ServePut: a damaged pull never lands
-		// on disk (and is retried from the fleet next round).
-		if err == nil {
-			_, _, err = Open(blob)
-		}
-		if err == nil {
-			err = r.t.disk.Put(key, blob)
-		}
-		if err != nil {
-			r.failures.Add(1)
-			missing++
-			return true
-		}
-		pulled++
-		pulledBytes += int64(len(blob))
-		return true
-	})
 	r.rounds.Add(1)
 	r.keysPulled.Add(uint64(pulled))
 	r.bytesPulled.Add(uint64(pulledBytes))
 	r.missing.Store(int64(missing))
 	return pulled
-}
-
-// Missing returns the current owned-key deficit — every key some
-// available peer holds that this member owns but lacks locally —
-// sorted and deduped. The chaos suite asserts it converges to empty;
-// it never pulls anything.
-func (r *Repairer) Missing(ctx context.Context) []string {
-	out := []string{}
-	r.eachOwed(ctx, func(_, key string) bool {
-		out = append(out, key)
-		return true
-	})
-	sort.Strings(out)
-	return out
 }
 
 // Run repairs every Interval until ctx is cancelled. The first round

@@ -95,7 +95,7 @@ func TestServeManifestAndFetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys, ok := a.tr.Client().Manifest(bg, b.ts.URL)
+	keys, ok := a.tr.client.Manifest(bg, b.ts.URL)
 	if !ok || len(keys) != len(want) {
 		t.Fatalf("Manifest = (%v, %v), want %d keys", keys, ok, len(want))
 	}
@@ -113,25 +113,25 @@ func TestServeManifestAndFetch(t *testing.T) {
 	// older build — reports an empty manifest and stays healthy.
 	old := httptest.NewServer(tierHandler(map[string][]byte{}))
 	defer old.Close()
-	keys, ok = a.tr.Client().Manifest(bg, old.URL)
+	keys, ok = a.tr.client.Manifest(bg, old.URL)
 	if !ok || len(keys) != 0 {
 		t.Fatalf("routeless peer Manifest = (%v, %v), want empty and ok", keys, ok)
 	}
-	if got := breakerStateOf(a.tr.Client(), old.URL); got != BreakerClosed {
+	if got := breakerStateOf(a.tr.client, old.URL); got != BreakerClosed {
 		t.Fatalf("routeless peer breaker = %q, want closed", got)
 	}
 }
 
 // TestRepairConvergence is the rejoin scenario: member A's disk is
 // empty (wiped) while member B holds blobs for keys A owns. Bounded
-// rounds pull them all back, after which Missing is empty and further
+// rounds pull them all back, the Missing gauge falling to 0, and further
 // rounds are pure manifest exchanges — also across a key the peer
 // evicted between manifest and fetch, and a peer restart with a
 // different key set.
 func TestRepairConvergence(t *testing.T) {
 	ms := newMembers(t, 2)
 	a, b := ms[0], ms[1]
-	owned := keysOwnedBy(t, a.tr.Ring(), a.ts.URL, 7)
+	owned := keysOwnedBy(t, a.tr.ring, a.ts.URL, 7)
 	owned, ghost, later := owned[:5], owned[5], owned[6]
 	for _, key := range owned {
 		if err := b.tr.Disk().Put(key, smallBlob()); err != nil {
@@ -139,7 +139,7 @@ func TestRepairConvergence(t *testing.T) {
 		}
 	}
 	// A non-owned key on B must never be pulled.
-	foreign := keysOwnedBy(t, a.tr.Ring(), b.ts.URL, 1)[0]
+	foreign := keysOwnedBy(t, a.tr.ring, b.ts.URL, 1)[0]
 	if err := b.tr.Disk().Put(foreign, smallBlob()); err != nil {
 		t.Fatal(err)
 	}
@@ -148,19 +148,18 @@ func TestRepairConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Missing(bg); len(got) != len(owned) {
-		t.Fatalf("initial Missing = %d keys, want %d", len(got), len(owned))
-	}
 
-	// MaxKeysPerRound 2 over 5 keys: exactly ceil(5/2) = 3 rounds.
-	pulls := []int{2, 2, 1}
-	for i, want := range pulls {
+	// MaxKeysPerRound 2 over 5 keys: exactly ceil(5/2) = 3 rounds, each
+	// leaving the rest of the deficit in the gauge.
+	left := len(owned)
+	for i, want := range []int{2, 2, 1} {
 		if got := rep.Round(bg); got != want {
 			t.Fatalf("round %d pulled %d keys, want %d", i+1, got, want)
 		}
-	}
-	if got := rep.Missing(bg); len(got) != 0 {
-		t.Fatalf("Missing after convergence = %v, want empty", got)
+		left -= want
+		if got := rep.Stats().Missing; got != left {
+			t.Fatalf("round %d left Missing = %d, want %d", i+1, got, left)
+		}
 	}
 	for _, key := range owned {
 		blob, ok := a.tr.Disk().Get(key)
@@ -234,7 +233,7 @@ func TestRepairConvergence(t *testing.T) {
 func TestRepairRejectsCorruptPull(t *testing.T) {
 	ms := newMembers(t, 2)
 	a, b := ms[0], ms[1]
-	key := keysOwnedBy(t, a.tr.Ring(), a.ts.URL, 1)[0]
+	key := keysOwnedBy(t, a.tr.ring, a.ts.URL, 1)[0]
 	bad := fault.Damage(smallBlob())
 	if err := b.tr.Disk().Put(key, bad); err != nil {
 		t.Fatal(err)
@@ -272,7 +271,7 @@ func TestFailoverReadAndStore(t *testing.T) {
 	var key, owner, standIn string
 	for i := 0; standIn == ""; i++ {
 		k := Key("failover", fmt.Sprint(i))
-		ranked := self.tr.Ring().Ranked(k)
+		ranked := self.tr.ring.Ranked(k)
 		if ranked[0] == self.ts.URL {
 			continue
 		}
@@ -285,7 +284,7 @@ func TestFailoverReadAndStore(t *testing.T) {
 	}
 
 	// Open the owner's breaker as self sees it (default FailLimit 3).
-	c := self.tr.Client()
+	c := self.tr.client
 	for i := 0; i < 3; i++ {
 		c.report(owner, false)
 	}
@@ -309,12 +308,12 @@ func TestFailoverReadAndStore(t *testing.T) {
 	key2 := ""
 	for i := 0; key2 == ""; i++ {
 		k := Key("failover-store", fmt.Sprint(i))
-		if self.tr.Ring().Owner(k) == owner {
+		if self.tr.ring.Owner(k) == owner {
 			key2 = k
 		}
 	}
 	self.tr.Store(key2, smallBlob())
-	ranked2 := self.tr.Ring().Ranked(key2)
+	ranked2 := self.tr.ring.Ranked(key2)
 	var standIn2 string
 	for _, p := range ranked2[1:] {
 		if p != self.ts.URL {

@@ -100,9 +100,6 @@ func OpenDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 // flag only); it must be called before the store sees concurrent use.
 func (s *DiskStore) SetFaults(in *fault.Injector) { s.faults = in }
 
-// Dir returns the store's directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 // validKey gates every path derived from a wire-supplied key: tier
 // keys are fixed-length lowercase hex (a content hash), which is both
 // filesystem- and URL-safe and cannot traverse out of the directory.

@@ -40,11 +40,10 @@ func Key(parts ...string) string {
 
 // Config assembles a Tier; at least one of Dir and Peers must be set.
 type Config struct {
-	// Dir roots the disk store ("" disables the disk level — the tier
-	// is then a pure peer client and cannot serve the peer protocol).
+	// Dir roots the disk store, at OpenDiskStore's default bound (""
+	// disables the disk level — the tier is then a pure peer client and
+	// cannot serve the peer protocol).
 	Dir string
-	// MaxBytes bounds the disk store (<= 0 selects 256 MiB).
-	MaxBytes int64
 	// Peers lists every fleet member's base URL, identically across
 	// the fleet (the ring sorts and dedupes). Empty disables the peer
 	// level.
@@ -80,7 +79,7 @@ func New(cfg Config) (*Tier, error) {
 	t := &Tier{}
 	if cfg.Dir != "" {
 		var err error
-		if t.disk, err = OpenDiskStore(cfg.Dir, cfg.MaxBytes); err != nil {
+		if t.disk, err = OpenDiskStore(cfg.Dir, 0); err != nil {
 			return nil, err
 		}
 		t.disk.SetFaults(cfg.Faults)
@@ -99,9 +98,6 @@ func New(cfg Config) (*Tier, error) {
 // Disk returns the disk store (nil when the disk level is disabled);
 // internal/server serves the peer protocol from it.
 func (t *Tier) Disk() *DiskStore { return t.disk }
-
-// Ring returns the peer ring (nil when the peer level is disabled).
-func (t *Tier) Ring() *Ring { return t.ring }
 
 // peerFor picks the single peer to consult for key: the ring owner
 // while its breaker admits traffic, otherwise the next available peer
@@ -314,10 +310,6 @@ func (t *Tier) ServeManifest(w http.ResponseWriter) {
 		io.WriteString(w, "\n") //nolint:errcheck
 	}
 }
-
-// Client returns the peer client (nil when the peer level is
-// disabled); the repairer and tests reach breaker state through it.
-func (t *Tier) Client() *PeerClient { return t.client }
 
 // ServePut is the peer-protocol write handler body: it verifies the
 // blob envelope (magic, version, checksum — garbage is rejected before

@@ -17,38 +17,40 @@
 //     meta-partitioner that selects and configures partitioners from
 //     application state at run time.
 //
-// This facade re-exports the names most programs need; the full API
-// lives in the internal packages (importable within this module), one
-// per subsystem. Every execution entry point (partitioning, evaluation,
-// trace simulation) takes a context.Context: partitioners poll it at
-// box-batch granularity, so a cancelled or over-deadline call aborts
-// promptly with the context's error and never returns a partial
-// result. Typical use:
+// This facade re-exports what a program needs to build a hierarchy, read
+// its penalties, partition it and evaluate the result. Trace generation,
+// the classifier, the meta-partitioner and the trace simulator live in
+// the internal packages (importable within this module), one per
+// subsystem; the other examples and the binaries take them from there.
+// Every execution entry point takes a context.Context: partitioners
+// poll it at box-batch granularity, so a cancelled or over-deadline
+// call aborts promptly with the context's error and never returns a
+// partial result. Typical use (examples/quickstart is this, run end to
+// end):
 //
+//	h := samr.NewHierarchy(samr.NewBox2(0, 0, 64, 64), 2)
+//	h.Levels = append(h.Levels, grid.Level{
+//	    Boxes: samr.BoxList{samr.NewBox2(20, 20, 60, 60)},
+//	})
+//	fmt.Println(samr.CommunicationPenalty(h), samr.LoadPenalty(h))
 //	ctx := context.Background()
-//	tr, _ := samr.GenerateTrace(ctx, "BL2D", samr.PaperConfig(), 100)
-//	meta := samr.NewMetaPartitioner(core.DefaultPartitionCost)
-//	m := samr.DefaultMachine()
-//	for _, snap := range tr.Snapshots {
-//	    p := meta.Select(snap.H, m.TimeSlot(snap.H, 16))
-//	    a, err := p.Partition(ctx, snap.H, 16)
-//	    _, _ = a, err
+//	for _, p := range []samr.Partitioner{
+//	    samr.NewDomainSFC(), samr.NewPatchBased(), samr.NewNatureFable(),
+//	} {
+//	    a, _ := p.Partition(ctx, h, 8)
+//	    sm, _ := samr.Evaluate(ctx, h, a, samr.DefaultMachine())
+//	    fmt.Println(p.Name(), sm.Imbalance, sm.RelativeComm)
 //	}
 package samr
 
 import (
 	"context"
 
-	"samr/internal/amr"
-	"samr/internal/apps"
 	"samr/internal/core"
-	"samr/internal/experiments"
 	"samr/internal/geom"
 	"samr/internal/grid"
 	"samr/internal/partition"
 	"samr/internal/sim"
-	"samr/internal/solver"
-	"samr/internal/trace"
 )
 
 // Re-exported substrate types.
@@ -59,12 +61,6 @@ type (
 	BoxList = geom.BoxList
 	// Hierarchy is a snapshot of an adaptive grid hierarchy.
 	Hierarchy = grid.Hierarchy
-	// Trace is a partition-independent sequence of hierarchy snapshots.
-	Trace = trace.Trace
-	// Config configures the Berger–Colella AMR driver.
-	Config = amr.Config
-	// Kernel is an application's numerics on one patch.
-	Kernel = solver.Kernel
 )
 
 // Re-exported partitioning and simulation types.
@@ -79,34 +75,12 @@ type (
 	StepMetrics = sim.StepMetrics
 )
 
-// Re-exported model types (the paper's contribution).
-type (
-	// Classifier maps hierarchy snapshots onto the classification space.
-	Classifier = core.Classifier
-	// Sample is one classification outcome.
-	Sample = core.Sample
-	// MetaPartitioner selects a partitioner from application state.
-	MetaPartitioner = core.MetaPartitioner
-)
-
 // NewBox2 returns the 2-D box [x0,x1) x [y0,y1).
 func NewBox2(x0, y0, x1, y1 int) Box { return geom.NewBox2(x0, y0, x1, y1) }
 
 // NewHierarchy returns a hierarchy whose base level covers domain.
 func NewHierarchy(domain Box, refRatio int) *Hierarchy {
 	return grid.NewHierarchy(domain, refRatio)
-}
-
-// PaperConfig is the paper's experimental driver configuration: 5
-// levels of factor-2 refinement, regrid every 4 steps, granularity 2.
-func PaperConfig() Config { return apps.PaperConfig() }
-
-// GenerateTrace runs the named application (RM2D, BL2D, SC2D, TP2D) for
-// the given number of coarse steps and returns its trace. The AMR run
-// fans per-patch work over the worker pool and honours ctx: a
-// cancelled generation returns a nil trace and the context's error.
-func GenerateTrace(ctx context.Context, app string, cfg Config, steps int) (*Trace, error) {
-	return apps.Generate(ctx, app, cfg, steps)
 }
 
 // MigrationPenalty is beta_m: the paper's ab-initio data-migration
@@ -121,17 +95,6 @@ func CommunicationPenalty(h *Hierarchy) float64 { return core.CommunicationPenal
 // hierarchy.
 func LoadPenalty(h *Hierarchy) float64 { return core.LoadPenalty(h) }
 
-// NewClassifier returns a classification-space classifier;
-// partitionCost is the estimated seconds per repartitioning
-// (core.DefaultPartitionCost unless the caller has its own).
-func NewClassifier(partitionCost float64) *Classifier { return core.NewClassifier(partitionCost) }
-
-// NewMetaPartitioner returns the meta-partitioner with its default
-// stable and thresholds.
-func NewMetaPartitioner(partitionCost float64) *MetaPartitioner {
-	return core.NewMetaPartitioner(partitionCost)
-}
-
 // NewDomainSFC returns the Hilbert domain-based partitioner.
 func NewDomainSFC() Partitioner { return partition.NewDomainSFC() }
 
@@ -142,11 +105,6 @@ func NewPatchBased() Partitioner { return partition.NewPatchBased() }
 // default configuration.
 func NewNatureFable() Partitioner { return partition.NewNatureFable() }
 
-// NewPostMapped wraps a partitioner with the post-mapping label remap:
-// the dimension-III migration remedy (identical decomposition, labels
-// permuted to maximize overlap with the previous assignment).
-func NewPostMapped(inner Partitioner) Partitioner { return partition.NewPostMapped(inner) }
-
 // DefaultMachine returns the commodity-cluster machine model.
 func DefaultMachine() Machine { return sim.DefaultMachine() }
 
@@ -155,14 +113,3 @@ func DefaultMachine() Machine { return sim.DefaultMachine() }
 func Evaluate(ctx context.Context, h *Hierarchy, a *Assignment, m Machine) (StepMetrics, error) {
 	return sim.Evaluate(ctx, h, a, m)
 }
-
-// SimulateTrace partitions every trace snapshot with p and evaluates
-// each step, chaining assignments for the migration metric. The run is
-// bounded by ctx: cancellation aborts mid-trace with no partial result.
-func SimulateTrace(ctx context.Context, tr *Trace, p Partitioner, nprocs int, m Machine) (*sim.Result, error) {
-	return sim.SimulateTrace(ctx, tr, p, nprocs, m)
-}
-
-// DefaultProcs is the processor count of the paper-style validation
-// experiments.
-const DefaultProcs = experiments.DefaultProcs

@@ -4,36 +4,30 @@ import (
 	"context"
 	"testing"
 
-	"samr/internal/core"
+	"samr/internal/grid"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	// Tiny end-to-end pass through the public API: generate a trace,
-	// classify it, select partitioners, partition and evaluate.
-	cfg := PaperConfig()
-	cfg.BaseSize = 16
-	cfg.MaxLevels = 3
-	tr, err := GenerateTrace(context.Background(), "TP2D", cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 7 {
-		t.Fatalf("trace length = %d", tr.Len())
-	}
-	meta := NewMetaPartitioner(core.DefaultPartitionCost)
-	m := DefaultMachine()
+	// The quickstart's pass through the public API: build a hierarchy,
+	// move its refinement, read the migration penalty, partition each
+	// state and evaluate the result.
 	ctx := context.Background()
+	m := DefaultMachine()
 	var prev *Hierarchy
-	for _, snap := range tr.Snapshots {
-		p := meta.Select(snap.H, 1e-3)
-		a, err := p.Partition(ctx, snap.H, 4)
+	for x := 20; x <= 60; x += 20 {
+		h := NewHierarchy(NewBox2(0, 0, 64, 64), 2)
+		h.Levels = append(h.Levels, grid.Level{Boxes: BoxList{NewBox2(x, 20, x+40, 60)}})
+		if err := h.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewNatureFable().Partition(ctx, h, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Validate(snap.H); err != nil {
+		if err := a.Validate(h); err != nil {
 			t.Fatal(err)
 		}
-		sm, err := Evaluate(ctx, snap.H, a, m)
+		sm, err := Evaluate(ctx, h, a, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,11 +35,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Error("non-positive execution-time estimate")
 		}
 		if prev != nil {
-			if b := MigrationPenalty(prev, snap.H); b < 0 || b > 1 {
-				t.Fatalf("beta_m out of range: %f", b)
+			if b := MigrationPenalty(prev, h); b <= 0 || b > 1 {
+				t.Fatalf("beta_m of a moved patch = %f, want in (0, 1]", b)
 			}
 		}
-		prev = snap.H
+		prev = h
 	}
 }
 
@@ -72,22 +66,5 @@ func TestFacadePartitioners(t *testing.T) {
 		if err := a.Validate(h); err != nil {
 			t.Errorf("%s: %v", p.Name(), err)
 		}
-	}
-}
-
-func TestFacadeSimulateTrace(t *testing.T) {
-	cfg := PaperConfig()
-	cfg.BaseSize = 16
-	cfg.MaxLevels = 2
-	tr, err := GenerateTrace(context.Background(), "SC2D", cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SimulateTrace(context.Background(), tr, NewNatureFable(), 4, DefaultMachine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Steps) != tr.Len() {
-		t.Errorf("steps = %d, want %d", len(res.Steps), tr.Len())
 	}
 }
