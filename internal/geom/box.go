@@ -20,6 +20,9 @@ func NewBox2(x0, y0, x1, y1 int) Box {
 
 // Empty reports whether the box contains no cells.
 func (b Box) Empty() bool {
+	if b.Dim == 2 {
+		return b.Hi[0] <= b.Lo[0] || b.Hi[1] <= b.Lo[1]
+	}
 	if b.Dim == 0 {
 		return true
 	}
@@ -35,6 +38,9 @@ func (b Box) Empty() bool {
 func (b Box) Volume() int64 {
 	if b.Empty() {
 		return 0
+	}
+	if b.Dim == 2 {
+		return int64(b.Hi[0]-b.Lo[0]) * int64(b.Hi[1]-b.Lo[1])
 	}
 	v := int64(1)
 	for d := 0; d < b.Dim; d++ {
@@ -88,21 +94,44 @@ func (b Box) ContainsBox(o Box) bool {
 
 // Intersect returns the overlap of b and o (possibly empty).
 func (b Box) Intersect(o Box) Box {
-	r := Box{Lo: b.Lo.Max(o.Lo), Hi: b.Hi.Min(o.Hi), Dim: b.Dim}
+	r := Box{Dim: b.Dim}
+	for d := range r.Lo {
+		r.Lo[d], r.Hi[d] = max(b.Lo[d], o.Lo[d]), min(b.Hi[d], o.Hi[d])
+	}
 	if r.Empty() {
-		return Box{Dim: b.Dim, Lo: r.Lo, Hi: r.Lo}
+		r.Hi = r.Lo
 	}
 	return r
 }
 
+// overlap returns a.Intersect(*b).Volume() without building the box.
+func overlap(a, b *Box) int64 {
+	if a.Dim != 2 {
+		return a.Intersect(*b).Volume()
+	}
+	lo0, hi0 := max(a.Lo[0], b.Lo[0]), min(a.Hi[0], b.Hi[0])
+	lo1, hi1 := max(a.Lo[1], b.Lo[1]), min(a.Hi[1], b.Hi[1])
+	if hi0 <= lo0 || hi1 <= lo1 {
+		return 0
+	}
+	return int64(hi0-lo0) * int64(hi1-lo1)
+}
+
 // Intersects reports whether b and o share at least one cell.
-func (b Box) Intersects(o Box) bool {
-	for d := 0; d < b.Dim; d++ {
-		if b.Hi[d] <= o.Lo[d] || o.Hi[d] <= b.Lo[d] {
+func (b Box) Intersects(o Box) bool { return intersects(&b, &o) }
+
+// intersects is Intersects through pointers, for scans over lists.
+func intersects(a, b *Box) bool {
+	if a.Dim == 2 {
+		return a.Lo[0] < b.Hi[0] && b.Lo[0] < a.Hi[0] && a.Lo[1] < b.Hi[1] && b.Lo[1] < a.Hi[1] &&
+			!a.Empty() && !b.Empty()
+	}
+	for d := 0; d < a.Dim; d++ {
+		if a.Hi[d] <= b.Lo[d] || b.Hi[d] <= a.Lo[d] {
 			return false
 		}
 	}
-	return !b.Empty() && !o.Empty()
+	return !a.Empty() && !b.Empty()
 }
 
 // Union returns the smallest box containing both b and o.

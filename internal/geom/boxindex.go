@@ -19,7 +19,11 @@ import (
 //
 // The index is immutable after New: all query methods are safe for
 // concurrent use, which the parallel simulation pipeline relies on.
-// Bins key the x/y extents; the final Intersects test filters exactly.
+// Bins key the x/y extents; the per-candidate test is exact, and is one
+// of the package's planar kernels (intersects under Query, overlap
+// under QueryVolume), so a member whose Dim is not 2 is tested and
+// measured over its own active dimensions, as Box.Intersects and
+// Box.Intersect(..).Volume() would.
 type BoxIndex struct {
 	boxes BoxList // the indexed boxes, original order and indices
 
@@ -111,7 +115,7 @@ func (ix *BoxIndex) AppendQuery(out []int, b Box) []int {
 	}
 	start := len(out)
 	for _, i := range ix.overflow {
-		if ix.boxes[i].Intersects(b) {
+		if intersects(&ix.boxes[i], &b) {
 			out = append(out, int(i))
 		}
 	}
@@ -120,7 +124,7 @@ func (ix *BoxIndex) AppendQuery(out []int, b Box) []int {
 		for by := y0; by <= y1; by++ {
 			for bx := x0; bx <= x1; bx++ {
 				for _, i := range ix.bins[by*ix.nx+bx] {
-					if ix.boxes[i].Intersects(b) {
+					if intersects(&ix.boxes[i], &b) {
 						out = append(out, int(i))
 					}
 				}
@@ -151,14 +155,14 @@ func (ix *BoxIndex) QueryVolume(b Box) int64 {
 	}
 	var total int64
 	for _, i := range ix.overflow {
-		total += ix.boxes[i].Intersect(b).Volume()
+		total += overlap(&ix.boxes[i], &b)
 	}
 	if len(ix.bins) > 0 {
 		x0, x1, y0, y1 := ix.binRange(b)
 		for by := y0; by <= y1; by++ {
 			for bx := x0; bx <= x1; bx++ {
 				for _, i := range ix.bins[by*ix.nx+bx] {
-					total += ix.boxes[i].Intersect(b).Volume()
+					total += overlap(&ix.boxes[i], &b)
 				}
 			}
 		}

@@ -143,9 +143,9 @@ func OverlapVolume(a, b BoxList) int64 {
 // OverlapVolume, kept as a test oracle.
 func OverlapVolumeNaive(a, b BoxList) int64 {
 	var total int64
-	for _, x := range a {
-		for _, y := range b {
-			total += x.Intersect(y).Volume()
+	for i := range a {
+		for j := range b {
+			total += overlap(&a[i], &b[j])
 		}
 	}
 	return total
@@ -169,60 +169,89 @@ func OverlapVolumeNaive(a, b BoxList) int64 {
 // next, the first row never examined. That is the merge sequence of
 // the restart-from-the-top loop (kept as the test oracle) at O(n)
 // instead of O(n^2) pair checks per merge.
+//
+// A deleted row is unlinked, not moved over: after[i] is the row that
+// follows row i among those still present (len(out) when none does),
+// so rows keep their indices while the loop runs and one pass at the
+// end closes the gaps. Row 0 is never deleted (a merge deletes the
+// later row of its pair), so the walk always starts there.
 func (bl BoxList) Simplify() BoxList {
 	out := bl.Clone()
-	next := 0
-	for cur := 0; cur < len(out); {
-		j := cur + 1
-		for ; j < len(out); j++ {
-			if m, ok := tryMerge(out[cur], out[j]); ok {
-				out[cur] = m
-				break
-			}
+	n := int32(len(out))
+	after := make([]int32, n)
+	for i := range after {
+		after[i] = int32(i) + 1
+	}
+	var next int32
+	for cur := int32(0); cur < n; {
+		before, j := cur, after[cur]
+		for j < n && (planarMiss(&out[cur], &out[j]) || !tryMerge(&out[cur], &out[j])) {
+			before, j = j, after[j]
 		}
-		if j == len(out) { // row cur is settled
+		if j == n { // row cur is settled
 			if cur == next {
-				next++
+				next = after[next]
 			}
 			cur = next
 			continue
 		}
-		out = slices.Delete(out, j, j+1)
-		if j < next {
-			next--
+		after[before] = after[j]
+		if j == next {
+			next = after[j]
 		}
-		for a := 0; a < cur; a++ {
-			if m, ok := tryMerge(out[a], out[cur]); ok {
-				out[a] = m
-				out = slices.Delete(out, cur, cur+1)
-				if cur < next {
-					next--
-				}
-				cur, a = a, -1 // the changed box is at a now: try (0, a) .. (a-1, a)
+		for a := int32(0); a != cur; {
+			if planarMiss(&out[a], &out[cur]) || !tryMerge(&out[a], &out[cur]) {
+				a = after[a]
+				continue
 			}
+			for before = a; after[before] != cur; {
+				before = after[before]
+			}
+			after[before] = after[cur]
+			if cur == next {
+				next = after[cur]
+			}
+			cur, a = a, 0 // the changed box is at a now: try (0, a) up to the row before a
 		}
 	}
-	return out
+	w := 0
+	for i := int32(0); i < n; i = after[i] {
+		out[w] = out[i]
+		w++
+	}
+	return out[:w]
 }
 
-func tryMerge(a, b Box) (Box, bool) {
-	diff := -1
+// planarMiss reports that two-dimensional a and b differ in both
+// extents, so tryMerge would refuse them: nearly every pair Simplify
+// tries. It is small enough to inline into Simplify's scans and reads
+// both boxes through pointers; for any other Dim it reports false and
+// tryMerge decides.
+func planarMiss(a, b *Box) bool {
+	return a.Dim == 2 && (a.Lo[0] != b.Lo[0] || a.Hi[0] != b.Hi[0]) && (a.Lo[1] != b.Lo[1] || a.Hi[1] != b.Hi[1])
+}
+
+// tryMerge merges b into a when the two are identical or share a full
+// face, and reports whether it did; the union is built only on a hit.
+func tryMerge(a, b *Box) bool {
+	diff := -1 // the one dimension in which the extents differ
 	for d := 0; d < a.Dim; d++ {
 		if a.Lo[d] == b.Lo[d] && a.Hi[d] == b.Hi[d] {
 			continue
 		}
 		if diff >= 0 {
-			return Box{}, false
+			return false
 		}
 		diff = d
 	}
 	if diff < 0 {
-		return a, true // identical boxes
+		return true // identical boxes
 	}
-	if a.Hi[diff] == b.Lo[diff] || b.Hi[diff] == a.Lo[diff] {
-		return a.Union(b), true
+	if a.Hi[diff] != b.Lo[diff] && b.Hi[diff] != a.Lo[diff] {
+		return false
 	}
-	return Box{}, false
+	*a = a.Union(*b)
+	return true
 }
 
 // MergedAxis merges boxes that are adjacent along dimension d and have

@@ -145,7 +145,7 @@ func simplifyNaive(bl BoxList) BoxList {
 	outer:
 		for i := 0; i < len(out); i++ {
 			for j := i + 1; j < len(out); j++ {
-				if m, ok := tryMerge(out[i], out[j]); ok {
+				if m, ok := tryMergeGeneric(out[i], out[j]); ok {
 					out[i] = m
 					out = append(out[:j], out[j+1:]...)
 					merged = true
@@ -211,6 +211,15 @@ func TestSimplifyMatchesNaive(t *testing.T) {
 	// disjoint list.
 	for trial := 0; trial < 300; trial++ {
 		checkSimplifyMatchesNaive(t, randomBoxList(r, 1+r.Intn(30)))
+	}
+	// Every Dim a decoder can produce, zero and inverted extents, on a
+	// lattice small enough that most lists merge several times.
+	for trial := 0; trial < 3000; trial++ {
+		bl := make(BoxList, 1+r.Intn(12))
+		for i := range bl {
+			bl[i] = kernelBox(r)
+		}
+		checkSimplifyMatchesNaive(t, bl)
 	}
 }
 

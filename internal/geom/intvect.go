@@ -17,6 +17,20 @@
 // corners keep MaxDim (3) components because hierarchy signatures, .trc
 // files and tier blobs encode all three, and grid.Hierarchy.Validate
 // refuses a box whose Dim is not 2.
+//
+// Box.Empty, Box.Volume, the unexported overlap (a.Intersect(b).Volume()
+// without the box, under QueryVolume and OverlapVolumeNaive), intersects
+// (Box.Intersects through pointers, under AppendQuery) and planarMiss
+// (Simplify's pre-test) are planar kernels: when the receiver's Dim is
+// 2 they read the x and y corners directly. A box decoded from a .trc
+// or a tier blob carries whatever Dim was written until Validate
+// refuses it, and Box{} (Dim 0) is the identity of Union, so each
+// kernel keeps, behind its Dim == 2 branch, the loop over the active
+// dimensions, and answers for every other Dim what that loop answers:
+// a Dim 0 box is empty, a Dim 1 box is an interval on x, a Dim 3 box
+// has depth. For those Dims nothing changed, by construction; for Dim
+// 2 the branch is the loop written out, and planar_test.go checks it
+// box for box against the loops.
 package geom
 
 import "fmt"

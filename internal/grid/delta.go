@@ -161,10 +161,15 @@ func restoreDigest(d hash.Hash, state []byte) bool {
 // len(step) levels, so appending a level is a step one entry longer
 // and dropping one is a step one entry shorter.
 //
-// The delta is validated incrementally — only replaced levels and
-// their immediate neighbors are checked for disjointness, domain
-// containment, and nesting — and the signature cache is carried over:
-// only replaced levels are re-encoded and re-digested, and the top
+// The delta is validated by Validate's own check, restricted to what a
+// replacement can break: a replaced level's dimensionality, extent,
+// disjointness, domain containment and (level 0) cover, and nesting
+// across every boundary with a replaced level on either side. That
+// costs, for each replaced level, a spatial index over it and one over
+// its refined parent with one window query per box in each; for a kept
+// level under a replaced parent the second of those; nothing for the
+// other levels. The signature cache is carried over: only replaced
+// levels are re-encoded and re-digested, and the top
 // signature resumes from the midstate of the first change (on a level
 // count change the length header forces a re-hash of the cached level
 // encodings, with no re-encoding). An error leaves every state, cache
@@ -192,7 +197,7 @@ func (h *Hierarchy) WithDelta(step []LevelDelta) (*Hierarchy, error) {
 		}
 	}
 	out := &Hierarchy{Domain: h.Domain, RefRatio: h.RefRatio, Levels: levels}
-	if err := out.validateDelta(changed); err != nil {
+	if err := out.check("delta level", changed); err != nil {
 		return nil, err
 	}
 
@@ -245,48 +250,5 @@ func (h *Hierarchy) ApplyDelta(step []LevelDelta) error {
 		return err
 	}
 	*h = *out
-	return nil
-}
-
-// validateDelta checks exactly the structural invariants a per-level
-// replacement can break: each replaced level's boxes are disjoint and
-// inside the level domain, level 0 (if replaced) still covers the
-// domain, and nesting holds across every boundary touched by a change
-// (a replaced level against its parent, and its child against it). The
-// cost is proportional to the replaced levels and their immediate
-// neighbors' box counts, never the whole hierarchy.
-func (h *Hierarchy) validateDelta(changed []bool) error {
-	if h.RefRatio < 2 {
-		return fmt.Errorf("grid: refinement ratio %d < 2", h.RefRatio)
-	}
-	for l, lev := range h.Levels {
-		if changed[l] {
-			if !lev.Boxes.Disjoint() {
-				return fmt.Errorf("grid: delta level %d has overlapping boxes", l)
-			}
-			ld := h.LevelDomain(l)
-			for _, b := range lev.Boxes {
-				if err := planar(b); err != nil {
-					return fmt.Errorf("grid: delta level %d: %w", l, err)
-				}
-				if !ld.ContainsBox(b) {
-					return fmt.Errorf("grid: delta level %d box %v outside level domain %v", l, b, ld)
-				}
-			}
-			if l == 0 && !lev.Boxes.CoversBox(h.Domain) {
-				return fmt.Errorf("grid: delta level 0 does not cover the domain %v", h.Domain)
-			}
-		}
-		// Nesting can break when either side of the boundary moved —
-		// including a kept level whose new parent shrank.
-		if l > 0 && (changed[l] || changed[l-1]) {
-			parent := h.Levels[l-1].Boxes.Refine(h.RefRatio)
-			for _, b := range lev.Boxes {
-				if !parent.CoversBox(b) {
-					return fmt.Errorf("grid: delta level %d box %v not nested in level %d", l, b, l-1)
-				}
-			}
-		}
-	}
 	return nil
 }

@@ -8,6 +8,7 @@ package grid
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 
 	"samr/internal/geom"
 )
@@ -176,48 +177,96 @@ func (h *Hierarchy) Clone() *Hierarchy {
 }
 
 // Validate checks the structural invariants of a hierarchy: the domain
-// and every box are two-dimensional, level 0 covers the domain, every
-// level's boxes are disjoint and inside the level domain, and every
-// level l >= 1 nests inside level l-1's footprint. The penalties, the
-// unit-chain partitioners and the simulator compute in the x-y plane,
-// so this is where any other dimensionality is refused, however the
-// hierarchy arrived (wire, .trc file, session snapshot); validateDelta
-// holds the same rule for a session step's boxes.
+// and every box are two-dimensional, the finest level's index space
+// fits maxCoord, every level's boxes are disjoint and inside the level
+// domain, level 0 covers the domain, and every level l >= 1 nests
+// inside level l-1's footprint. The penalties, the unit-chain
+// partitioners and the simulator compute in the x-y plane, so this is
+// where any other dimensionality is refused, however the hierarchy
+// arrived (wire, .trc file, session snapshot); WithDelta holds the same
+// rules for a session step through the same check.
 func (h *Hierarchy) Validate() error {
 	if len(h.Levels) == 0 {
 		return fmt.Errorf("grid: hierarchy has no levels")
 	}
+	return h.check("level", nil)
+}
+
+// check is Validate over the levels marked in changed (nil: all of
+// them), naming a level as what in its errors. A level not marked is
+// taken to satisfy its own invariants already — it did when the state a
+// delta starts from was checked — and is only read as the parent or the
+// child of a marked one.
+//
+// The geometric tests are equalities between volumes rather than box
+// subtraction. A level is disjoint when each box meets no box of its
+// level but itself; a disjoint level 0 inside the domain covers it when
+// the volumes sum to the domain's; and a box nests when its overlap
+// with the refined parent level, already known to be disjoint, equals
+// its own volume. Both scans go through a geom.BoxIndex, so a level of
+// n boxes costs two index builds and 2n window queries, with no
+// allocation per box. Volumes can be trusted because nothing is
+// multiplied before every corner is known to lie within maxCoord, and
+// no sum is taken over boxes that may overlap: dimensionality and
+// extent are checked before any geometry runs, containment in the
+// level domain before the level's volumes are used.
+func (h *Hierarchy) check(what string, changed []bool) error {
 	if h.RefRatio < 2 {
 		return fmt.Errorf("grid: refinement ratio %d < 2", h.RefRatio)
 	}
 	if err := planar(h.Domain); err != nil {
 		return fmt.Errorf("grid: domain: %w", err)
 	}
+	marked := func(l int) bool { return changed == nil || changed[l] }
 	for l, lev := range h.Levels {
+		if !marked(l) {
+			continue
+		}
 		for _, b := range lev.Boxes {
 			if err := planar(b); err != nil {
-				return fmt.Errorf("grid: level %d: %w", l, err)
+				return fmt.Errorf("grid: %s %d: %w", what, l, err)
 			}
 		}
 	}
-	if !h.Levels[0].Boxes.CoversBox(h.Domain) {
-		return fmt.Errorf("grid: level 0 does not cover the domain %v", h.Domain)
+	if err := h.checkExtent(); err != nil {
+		return err
 	}
+	var hits []int
 	for l, lev := range h.Levels {
-		if !lev.Boxes.Disjoint() {
-			return fmt.Errorf("grid: level %d has overlapping boxes", l)
-		}
-		ld := h.LevelDomain(l)
-		for _, b := range lev.Boxes {
-			if !ld.ContainsBox(b) {
-				return fmt.Errorf("grid: level %d box %v outside level domain %v", l, b, ld)
+		if marked(l) {
+			ld := h.LevelDomain(l)
+			outside := slices.IndexFunc(lev.Boxes, func(b geom.Box) bool { return !ld.ContainsBox(b) })
+			disjoint := true
+			if outside >= 0 {
+				// An index must not be built over a box out there; the
+				// pairwise scan only compares corners.
+				disjoint = lev.Boxes.Disjoint()
+			} else {
+				own := geom.NewBoxIndex(lev.Boxes)
+				for _, b := range lev.Boxes {
+					if hits = own.AppendQuery(hits[:0], b); len(hits) > 1 {
+						disjoint = false
+						break
+					}
+				}
+			}
+			if !disjoint {
+				return fmt.Errorf("grid: %s %d has overlapping boxes", what, l)
+			}
+			if outside >= 0 {
+				return fmt.Errorf("grid: %s %d box %v outside level domain %v", what, l, lev.Boxes[outside], ld)
+			}
+			if l == 0 && lev.Boxes.TotalVolume() != h.Domain.Volume() {
+				return fmt.Errorf("grid: %s 0 does not cover the domain %v", what, h.Domain)
 			}
 		}
-		if l > 0 {
-			parent := h.Levels[l-1].Boxes.Refine(h.RefRatio)
+		// Nesting can break when either side of the boundary moved —
+		// including a kept level whose new parent shrank.
+		if l > 0 && (marked(l) || marked(l-1)) {
+			parent := geom.NewBoxIndex(h.Levels[l-1].Boxes.Refine(h.RefRatio))
 			for _, b := range lev.Boxes {
-				if !parent.CoversBox(b) {
-					return fmt.Errorf("grid: level %d box %v not nested in level %d", l, b, l-1)
+				if parent.QueryVolume(b) != b.Volume() {
+					return fmt.Errorf("grid: %s %d box %v not nested in level %d", what, l, b, l-1)
 				}
 			}
 		}
@@ -229,6 +278,36 @@ func (h *Hierarchy) Validate() error {
 func planar(b geom.Box) error {
 	if b.Dim != 2 {
 		return fmt.Errorf("box %v has dim %d; hierarchies are 2-D", b, b.Dim)
+	}
+	return nil
+}
+
+// maxCoord bounds the corner coordinates of every level's index space
+// in magnitude: an extent is then at most 2^31 and a volume at most
+// 2^62, so no product or sum check forms can wrap an int64, and a
+// level domain is what LevelDomain's repeated multiplication says it
+// is, however large the refinement ratio.
+const (
+	maxCoordBits = 30
+	maxCoord     = 1 << maxCoordBits
+)
+
+// checkExtent refuses a hierarchy whose finest level domain has a
+// corner beyond maxCoord. It divides the bound instead of multiplying
+// the corner, so nothing it computes can overflow.
+func (h *Hierarchy) checkExtent() error {
+	for axis := 0; axis < 2; axis++ {
+		lo, hi := h.Domain.Lo[axis], h.Domain.Hi[axis]
+		limit := maxCoord // on a level-0 corner, for level l's to fit
+		for l := range h.Levels {
+			if l > 0 {
+				limit /= h.RefRatio
+			}
+			if min(lo, hi) < -limit || max(lo, hi) > limit {
+				return fmt.Errorf("grid: level %d index space exceeds ±2^%d on axis %d (domain %v, refinement ratio %d)",
+					l, maxCoordBits, axis, h.Domain, h.RefRatio)
+			}
+		}
 	}
 	return nil
 }

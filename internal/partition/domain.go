@@ -40,6 +40,12 @@ func (d *DomainSFC) Name() string {
 // content-addressed chain cache; only the chain cut and fragment
 // generation run per call.
 func (d *DomainSFC) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
+	return merged(d.fragments(ctx, h, nprocs))
+}
+
+// fragments is Partition before coalescing: one fragment per unit per
+// level box it meets, in chain order.
+func (d *DomainSFC) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -66,6 +72,5 @@ func (d *DomainSFC) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int
 		}
 		hi.columnFragments(u.box, owners[i], &a.Fragments)
 	}
-	a.Fragments = mergeFragments(a.Fragments)
 	return a, nil
 }

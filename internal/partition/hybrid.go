@@ -67,6 +67,13 @@ func (nf *NatureFable) Name() string {
 // processor split, chain cuts, and per-group bi-level blocking run per
 // call.
 func (nf *NatureFable) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
+	return merged(nf.fragments(ctx, h, nprocs))
+}
+
+// fragments is Partition before coalescing: the hue blocks, then each
+// core group's bi-levels, one fragment per owned unit per level box it
+// meets.
+func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -124,7 +131,6 @@ func (nf *NatureFable) Partition(ctx context.Context, h *grid.Hierarchy, nprocs 
 			return nil, err
 		}
 	}
-	a.Fragments = mergeFragments(a.Fragments)
 	return a, nil
 }
 

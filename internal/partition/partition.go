@@ -8,10 +8,8 @@
 package partition
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
@@ -295,17 +293,34 @@ func minInt(a, b int) int {
 	return b
 }
 
+// merged finishes a partitioner's Partition: the assignment its
+// fragments method built, coalesced per (level, owner).
+func merged(a *Assignment, err error) (*Assignment, error) {
+	if err != nil {
+		return nil, err
+	}
+	a.Fragments = mergeFragments(a.Fragments)
+	return a, nil
+}
+
 // mergeFragments coalesces mergeable same-level same-owner fragments to
 // reduce fragment-count pressure on the simulator. Coverage is
-// unchanged. The grouping is a stable in-place (level, owner) sort
-// followed by a group sweep writing back into the caller's slice —
+// unchanged. Levels and owners are small non-negative integers (the
+// level count and NumProcs bound them), so the (level, owner) grouping
+// is two counting passes, least significant key first; a pass keeps
+// equal keys in the order they arrived, which Simplify's result
+// depends on. A group sweep then writes back into the caller's slice —
 // each group's boxes are staged in a scratch list before its (never
-// longer) merged form overwrites consumed positions, so no per-call
-// map or key slice is built.
+// longer) merged form overwrites consumed positions.
 func mergeFragments(frags []Fragment) []Fragment {
-	slices.SortStableFunc(frags, func(a, b Fragment) int {
-		return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Owner, b.Owner))
-	})
+	levels, owners := 0, 0
+	for i := range frags {
+		levels, owners = max(levels, frags[i].Level+1), max(owners, frags[i].Owner+1)
+	}
+	byOwner := make([]Fragment, len(frags))
+	countingPass(byOwner, frags, owners, func(f *Fragment) int { return f.Owner })
+	countingPass(frags, byOwner, levels, func(f *Fragment) int { return f.Level })
+
 	out := frags[:0]
 	var scratch geom.BoxList
 	for start := 0; start < len(frags); {
@@ -326,4 +341,21 @@ func mergeFragments(frags []Fragment) []Fragment {
 		start = end
 	}
 	return out
+}
+
+// countingPass copies src into dst in ascending key order, fragments of
+// equal key in the order src has them. Keys lie in [0, keys).
+func countingPass(dst, src []Fragment, keys int, key func(*Fragment) int) {
+	next := make([]int32, keys+1) // next[k]: where the next fragment of key k goes
+	for i := range src {
+		next[key(&src[i])+1]++
+	}
+	for k := 1; k < keys; k++ {
+		next[k] += next[k-1]
+	}
+	for i := range src {
+		k := key(&src[i])
+		dst[next[k]] = src[i]
+		next[k]++
+	}
 }

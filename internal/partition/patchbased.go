@@ -45,6 +45,12 @@ func (p *PatchBased) MemoKey() string {
 // Partition implements Partitioner. Cancellation is polled per level
 // and per batch of pieces during bin packing.
 func (p *PatchBased) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
+	return merged(p.fragments(ctx, h, nprocs))
+}
+
+// fragments is Partition before coalescing: the packed pieces, level by
+// level in packing order.
+func (p *PatchBased) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
 	over := p.MaxOverIdeal
 	if over <= 0 {
 		over = 1
@@ -101,7 +107,6 @@ func (p *PatchBased) Partition(ctx context.Context, h *grid.Hierarchy, nprocs in
 			loads[min] += b.Volume() * w
 		}
 	}
-	a.Fragments = mergeFragments(a.Fragments)
 	return a, nil
 }
 
