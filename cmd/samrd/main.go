@@ -54,7 +54,7 @@
 // layer down through the worker pool, the partitioners, and the
 // simulator; no layer ignores cancellation. The -request-timeout flag
 // caps each request's handling (default 2m, 0 disables; a negative
-// duration here, for -tier-repair or for -session-ttl fails startup): a
+// duration here or for -session-ttl fails startup): a
 // request whose deadline expires — including one that arrives already
 // past it — returns 504 Gateway Timeout with a JSON error body, without
 // running (or while aborting, mid-batch) the partitioner. A client that
@@ -197,37 +197,28 @@
 // and responses are byte-identical to a build without it. Tier
 // counters appear under "tier" in /v1/stats.
 //
-// # Fault tolerance and repair
+// # When a member dies, and when it comes back empty
 //
-// The fleet heals itself along two axes. Failover reads are always on:
-// each peer carries a circuit breaker (consecutive transport/5xx
-// failures open it; after a cooldown one probe half-opens it), and
-// when a key's owner is open the lookup — and the post-compute store
-// offer — diverts to the next peer in rendezvous order, one hop, so a
-// dead owner degrades its shard to a fleet-wide stand-in instead of a
-// recompute per request. Anti-entropy repair is the opt-in second
-// axis:
+// Each peer carries a circuit breaker: consecutive transport/5xx
+// failures open it, and after a cooldown one probe half-opens it. While
+// a key's owner is open, the lookup — and the post-compute store offer
+// — diverts to the next peer in rendezvous order, one hop, so a dead
+// member degrades its shard to a fleet-wide stand-in instead of a
+// recompute per request per member. Nothing else is lost: every other
+// key still has its owner.
 //
-//	samrd ... -tier-repair 30s
-//
-// With -tier-repair set, each daemon serves its resident key list at
-// GET /v1/tier/manifest and periodically pulls the keys it owns under
-// rendezvous hashing from its peers (checksum-verified, at most 256
-// keys a round), so a wiped or rejoined member converges back to a warm
-// shard within interval-plus-a-few-rounds instead of serving cold
-// forever. Repair is pull-only and idempotent; enable it
-// fleet-wide (a member without the flag still answers probes but
-// serves no manifest). With the flag unset nothing changes: no route,
-// no goroutine, stats byte-identical to a repair-less build.
+// A member that returns with an empty -tier-dir needs no help either.
+// A key another member owns is fetched from that owner in one hop and
+// written through to the local disk; a key it owns itself is a miss,
+// computed once and stored, after which it is warm again — and the
+// offers its peers send once its breaker closes fill in the rest.
+// There is no background repair to enable or to watch.
 //
 // Operators watch the self-healing layer in /v1/stats under "tier":
 // "breakers" lists non-closed peer breakers (state and consecutive
 // failures), "failover_reads"/"failover_stores" count diverted
-// exchanges, "corrupt" counts quarantined blobs, and "repair" holds
-// {rounds, keys_pulled, bytes_pulled, failures, missing} — "missing"
-// is the owned-key deficit still to be pulled; it falling to 0 is a
-// rejoined member finishing convergence. All of these are omitted
-// while zero, so a healthy fleet's stats are unchanged.
+// exchanges, and "corrupt" counts quarantined blobs. The first three
+// are omitted while zero, so a healthy fleet's stats are unchanged.
 //
 // # Session durability and failover
 //
@@ -270,8 +261,8 @@
 //
 //	samrd ... -faults 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1'
 //
-// Points: disk.get, disk.put, peer.get, peer.put, peer.manifest in the
-// tier; session.snapshot.put, session.snapshot.get on the session
+// Points: disk.get, disk.put, peer.get, peer.put in the tier;
+// session.snapshot.put, session.snapshot.get on the session
 // durability path; and admit.accept, admit.shed in admission control
 // (a plan on any other name fails startup). Modes are error, latency,
 // corrupt, enospc, scheduled by every/after/count/prob and derived
@@ -313,7 +304,6 @@ func main() {
 		tierDir    = flag.String("tier-dir", "", "fleet tier disk store directory, bounded at 256 MiB (empty disables the tier)")
 		tierPeers  = flag.String("tier-peers", "", "comma-separated base URLs of every fleet member, identical across the fleet")
 		tierSelf   = flag.String("tier-self", "", "this daemon's own base URL; required with -tier-peers and must be one of them")
-		tierRepair = flag.Duration("tier-repair", 0, "anti-entropy repair interval, up to 256 keys a round (0 disables; needs -tier-dir and -tier-peers)")
 		tierSess   = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
 		faultSpec  = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
 		sessionTTL = flag.Duration("session-ttl", 15*time.Minute, "idle expiry for streaming sessions (the table holds 256)")
@@ -351,7 +341,6 @@ func main() {
 		TierDir:        *tierDir,
 		TierPeers:      peers,
 		TierSelf:       *tierSelf,
-		TierRepair:     *tierRepair,
 		TierSessions:   *tierSess,
 		Faults:         injector,
 		SessionTTL:     *sessionTTL,
@@ -404,9 +393,6 @@ func main() {
 	if s.Tier() != nil {
 		log.Printf("samrd: fleet tier on (dir %q, %d peers, %d byte bound)", *tierDir, len(peers), s.Tier().Stats().DiskMaxBytes)
 	}
-	if s.Repairer() != nil {
-		log.Printf("samrd: anti-entropy repair on (every %s)", *tierRepair)
-	}
 	if *tierSess {
 		log.Printf("samrd: durable sessions on (snapshots through the fleet tier, peers resume)")
 	}
@@ -427,7 +413,6 @@ func main() {
 	}
 	stop()
 	<-drained
-	s.Close() // stop the repair loop after the HTTP drain
 	hits, misses, shared := s.Cache().Stats()
 	log.Printf("samrd: shut down (cache hits %d, misses %d, shared %d)", hits, misses, shared)
 }

@@ -23,7 +23,8 @@ func buildSamrd(t *testing.T) string {
 // doing something other than what they say — a negative duration read
 // as "off" or "the default", a -tier-self the ring does not list — are
 // startup errors that name the setting, and so is each flag that had
-// one value in use and became a constant.
+// one value in use and became a constant or whose mechanism was
+// removed, and a -faults plan on a point that went with one.
 func TestNonsenseFlagsFailStartup(t *testing.T) {
 	bin := buildSamrd(t)
 	peers := "http://127.0.0.1:1,http://127.0.0.1:2"
@@ -33,13 +34,14 @@ func TestNonsenseFlagsFailStartup(t *testing.T) {
 	}{
 		{[]string{"-request-timeout", "-5s"}, "RequestTimeout -5s"},
 		{[]string{"-session-ttl", "-1m"}, "SessionTTL -1m"},
-		{[]string{"-tier-dir", t.TempDir(), "-tier-peers", peers, "-tier-self", "http://127.0.0.1:1", "-tier-repair", "-30s"}, "TierRepair -30s"},
 		{[]string{"-tier-dir", t.TempDir(), "-tier-peers", peers, "-tier-self", "http://127.0.0.1:3"}, "TierSelf"},
 		{[]string{"-tier-dir", t.TempDir(), "-tier-peers", peers}, "TierSelf"},
 		{[]string{"-queue-depth", "32"}, "not defined: -queue-depth"},
 		{[]string{"-tier-max-bytes", "1048576"}, "not defined: -tier-max-bytes"},
 		{[]string{"-max-sessions", "8"}, "not defined: -max-sessions"},
 		{[]string{"-fault-seed", "7"}, "not defined: -fault-seed"},
+		{[]string{"-tier-repair", "30s"}, "not defined: -tier-repair"},
+		{[]string{"-tier-dir", t.TempDir(), "-faults", "peer.manifest:error"}, `unknown point "peer.manifest"`},
 	} {
 		out, err := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, c.args...)...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), c.want) {

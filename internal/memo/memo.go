@@ -122,9 +122,9 @@ func (c *Cache[K, V]) SetOnFlight(hook func(k K, leader bool)) { c.onFlight = ho
 // miss path (nil disables it). Unlike SetOnFlight it may be swapped at
 // any time: each flight captures the tier installed when it became
 // leader, so in-flight computes finish against the tier they started
-// with. Everything tier-side — fleet failover, anti-entropy repair,
-// corrupt-blob quarantine — stays behind the Tier interface; this
-// cache only ever sees hit-or-miss.
+// with. Everything tier-side — fleet failover, corrupt-blob
+// quarantine — stays behind the Tier interface; this cache only ever
+// sees hit-or-miss.
 func (c *Cache[K, V]) SetTier(t Tier[K, V]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -48,7 +48,7 @@ const (
 
 // faultPoints is every injection point a Config.Faults plan can arm.
 var faultPoints = []string{
-	tier.FaultDiskGet, tier.FaultDiskPut, tier.FaultPeerGet, tier.FaultPeerPut, tier.FaultPeerManifest,
+	tier.FaultDiskGet, tier.FaultDiskPut, tier.FaultPeerGet, tier.FaultPeerPut,
 	admit.FaultAccept, admit.FaultShed,
 	FaultSnapshotPut, FaultSnapshotGet,
 }
@@ -201,6 +201,9 @@ func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*sess
 		}
 		if err := ss.PrevHierarchy.Validate(); err != nil {
 			return nil, fmt.Errorf("snapshot history hierarchy: %w", err)
+		}
+		if ss.PrevAssignment.NumProcs != ss.NProcs {
+			return nil, fmt.Errorf("snapshot history assignment is for %d processors, the session for %d", ss.PrevAssignment.NumProcs, ss.NProcs)
 		}
 		pm.SetHistory(ss.PrevHierarchy, ss.PrevAssignment)
 	}

@@ -134,13 +134,6 @@ type Config struct {
 	// fetched from itself over HTTP. It must be one of TierPeers: a
 	// member the ring does not list owns no key and never says so.
 	TierSelf string
-	// TierRepair enables anti-entropy repair at this interval (0
-	// disables it — the default; requires the disk store and peers).
-	// With repair on, the daemon serves its key manifest at
-	// GET /v1/tier/manifest and periodically pulls the keys it owns
-	// under rendezvous hashing from its peers, 256 a round, so a wiped
-	// or rejoined member converges instead of serving cold forever.
-	TierRepair time.Duration
 	// TierSessions makes streaming sessions fleet-resumable: after
 	// every committed step the session's state is snapshotted through
 	// the tier's store/offer path, and a step or delete naming a token
@@ -221,10 +214,7 @@ type Server struct {
 	mux      *http.ServeMux
 	admit    *admit.Controller // nil = admission disabled
 
-	tier         *tier.Tier     // nil = fleet tier disabled
-	repairer     *tier.Repairer // nil = anti-entropy repair disabled
-	repairCancel context.CancelFunc
-	repairDone   chan struct{}
+	tier *tier.Tier // nil = fleet tier disabled
 
 	sessions *sessionTable
 
@@ -238,22 +228,17 @@ type Server struct {
 // TraceDir is not.
 func New(cfg Config) (*Server, error) {
 	// Zero means off (or the default TTL); negative means a typo.
-	if cfg.RequestTimeout < 0 || cfg.TierRepair < 0 || cfg.SessionTTL < 0 {
-		return nil, fmt.Errorf("server: negative duration (RequestTimeout %s, TierRepair %s, SessionTTL %s)", cfg.RequestTimeout, cfg.TierRepair, cfg.SessionTTL)
+	if cfg.RequestTimeout < 0 || cfg.SessionTTL < 0 {
+		return nil, fmt.Errorf("server: negative duration (RequestTimeout %s, SessionTTL %s)", cfg.RequestTimeout, cfg.SessionTTL)
 	}
 	cfg = cfg.withDefaults()
 	// Compared as the ring canonicalizes: a trailing slash is no mismatch.
 	if ring := tier.NewRing(cfg.TierSelf, cfg.TierPeers); len(ring.Peers()) > 0 && !slices.Contains(ring.Peers(), ring.Self()) {
 		return nil, fmt.Errorf("server: TierSelf %q is not one of TierPeers %q (every member lists itself)", cfg.TierSelf, cfg.TierPeers)
 	}
-	if !tierEnabled(cfg) {
-		// Fail fast on settings that would otherwise be silently off.
-		switch {
-		case cfg.TierSessions:
-			return nil, fmt.Errorf("server: TierSessions requires the fleet tier (set TierDir and/or TierPeers)")
-		case cfg.TierRepair > 0:
-			return nil, fmt.Errorf("server: TierRepair requires the fleet tier (set TierDir and/or TierPeers)")
-		}
+	if cfg.TierSessions && !tierEnabled(cfg) {
+		// Fail fast on a setting that would otherwise be silently off.
+		return nil, fmt.Errorf("server: TierSessions requires the fleet tier (set TierDir and/or TierPeers)")
 	}
 	// A plan on a name no layer consults would arm nothing, and a chaos
 	// drill with a typo would report a clean pass.
@@ -322,16 +307,10 @@ func (s *Server) Admission() *admit.Controller { return s.admit }
 // normally. The daemon calls it on SIGTERM before http.Server.Shutdown.
 func (s *Server) BeginShutdown() { s.shuttingDown.Store(true) }
 
-// Close releases the server's background work: it stops the repair
-// loop (waiting for an in-flight round to notice). Safe to call on a
-// server without one; the daemon calls it after the HTTP drain, tests
-// via t.Cleanup.
-func (s *Server) Close() {
-	if s.repairCancel != nil {
-		s.repairCancel()
-		<-s.repairDone
-	}
-}
+// Close is a no-op: the server owns no goroutine and no file handle
+// to release. It stays because bench/ calls it (ROADMAP 1(b) drops
+// that call; the method follows).
+func (s *Server) Close() {}
 
 // ServeHTTP implements http.Handler. The body-size limit is the first
 // middleware: it precedes admission, which precedes the deadline.
@@ -348,7 +327,7 @@ const unguarded admit.Priority = -1
 
 // counters returns the named entry of the /v1/stats endpoint map,
 // creating it on first use; routes registered under one name (the
-// tier's GET/PUT/manifest) share one counter pair.
+// tier's GET/PUT) share one counter pair.
 func (s *Server) counters(name string) *endpointStats {
 	es := s.endpoints[name]
 	if es == nil {
@@ -829,10 +808,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.tier != nil {
 		resp.Cache.Tier = s.cache.TierHits()
 		st := s.tier.Stats()
-		if s.repairer != nil {
-			rs := s.repairer.Stats()
-			st.Repair = &rs
-		}
 		resp.Tier = &st
 	}
 	if st := s.sessions.stats(); st != nil {

@@ -560,7 +560,7 @@ func TestVolumetricRequests(t *testing.T) {
 	if r := post(t, ts.URL+"/v1/session/"+id+"/step", keep, nil); r.StatusCode != http.StatusGone {
 		t.Errorf("resume from a volumetric snapshot: status %d, want 410", r.StatusCode)
 	}
-	if srv.Tier().Disk().Has(key) {
+	if diskHas(srv, key) {
 		t.Error("volumetric snapshot not quarantined")
 	}
 	var st StatsResponse

@@ -20,16 +20,16 @@ import (
 // — headers, stats body, and the unknown-token 410 — is byte-identical
 // to a build without the resume layer.
 
-// TestTierSessionsRequiresTier pins the config contract: the settings
-// that depend on the fleet tier — durable sessions need somewhere
-// durable to put them, repair needs a store to repair — fail fast
-// without one instead of starting quietly disabled. So does a fault
-// plan on a point nothing consults: a mistyped name, or the pool's
-// retired dispatch point, would otherwise arm a drill that cannot fire.
-// So does a TierSelf the ring does not list — that member would own no
-// key, fetch and offer its own keys over HTTP, and report a converged
-// repair for ever — and a negative duration, which would read as "off"
-// (RequestTimeout, TierRepair) or "the default" (SessionTTL).
+// TestTierSessionsRequiresTier pins the config contract: the setting
+// that depends on the fleet tier — durable sessions need somewhere
+// durable to put them — fails fast without one instead of starting
+// quietly disabled. So does a fault plan on a point nothing consults: a
+// mistyped name, or a retired point (the pool's dispatch, the peer
+// client's manifest fetch), would otherwise arm a drill that cannot
+// fire. So does a TierSelf the ring does not list — that member would
+// own no key and fetch and offer its own keys over HTTP — and a
+// negative duration, which would read as "off" (RequestTimeout) or "the
+// default" (SessionTTL).
 func TestTierSessionsRequiresTier(t *testing.T) {
 	armed := func(point string) *fault.Injector {
 		in, err := fault.New(1, fault.Plan{Point: point, Mode: fault.NoSpace, Every: 7})
@@ -41,14 +41,13 @@ func TestTierSessionsRequiresTier(t *testing.T) {
 	peers := []string{"http://a:8347", "http://b:8347"}
 	for name, cfg := range map[string]Config{
 		"TierSessions without a tier":  {TierSessions: true},
-		"TierRepair without a tier":    {TierRepair: 30 * time.Second},
 		"fault plan on disk.putt":      {TierDir: t.TempDir(), Faults: armed("disk.putt")},
 		"fault plan on pool.dispatch":  {Faults: armed("pool.dispatch")},
+		"fault plan on peer.manifest":  {TierDir: t.TempDir(), Faults: armed("peer.manifest")},
 		"TierSelf with a typo":         {TierDir: t.TempDir(), TierPeers: peers, TierSelf: "http://a:8348"},
 		"TierSelf with another scheme": {TierDir: t.TempDir(), TierPeers: peers, TierSelf: "https://a:8347"},
 		"TierPeers without TierSelf":   {TierDir: t.TempDir(), TierPeers: peers},
 		"negative RequestTimeout":      {RequestTimeout: -5 * time.Second},
-		"negative TierRepair":          {TierDir: t.TempDir(), TierPeers: peers, TierSelf: peers[0], TierRepair: -time.Second},
 		"negative SessionTTL":          {SessionTTL: -time.Minute},
 	} {
 		if _, err := New(cfg); err == nil {
@@ -158,7 +157,7 @@ func TestSessionDeleteAfterFailover(t *testing.T) {
 	if r.Header.Get(SessionResumedHeader) != "1" {
 		t.Errorf("failover delete did not mark the resume")
 	}
-	if srv2.Tier().Disk().Has(sessionSnapshotKey(create.Session)) {
+	if diskHas(srv2, sessionSnapshotKey(create.Session)) {
 		t.Error("delete left the local snapshot copy behind")
 	}
 	if r := del(t, ts2.URL+"/v1/session/"+create.Session); r.StatusCode != http.StatusGone {
@@ -193,7 +192,7 @@ func TestSessionResumeCorruptSnapshotQuarantined(t *testing.T) {
 	if r.StatusCode != http.StatusGone || errorCode(t, r) != CodeSessionExpired {
 		t.Fatalf("resume from damaged snapshot: status %d, want the plain 410", r.StatusCode)
 	}
-	if srv2.Tier().Disk().Has(key) {
+	if diskHas(srv2, key) {
 		t.Error("damaged snapshot not quarantined")
 	}
 	var st StatsResponse
@@ -238,7 +237,7 @@ func TestSessionResumeInconsistentSnapshotQuarantined(t *testing.T) {
 		if r.StatusCode != http.StatusGone {
 			t.Fatalf("%s: resume status %d, want 410", name, r.StatusCode)
 		}
-		if srv.Tier().Disk().Has(key) {
+		if diskHas(srv, key) {
 			t.Errorf("%s: snapshot not quarantined", name)
 		}
 	}
@@ -276,7 +275,7 @@ func TestTierSessionsOffWireIdentity(t *testing.T) {
 
 	srv2, ts2 := newTestServer(t, Config{TierDir: dir}) // resume layer off
 	key := sessionSnapshotKey(create.Session)
-	if !srv2.Tier().Disk().Has(key) {
+	if !diskHas(srv2, key) {
 		t.Fatal("planted snapshot missing; the no-consult assertion would be vacuous")
 	}
 	r := post(t, ts2.URL+"/v1/session/"+create.Session+"/step", finestStep(8), nil)
@@ -286,7 +285,7 @@ func TestTierSessionsOffWireIdentity(t *testing.T) {
 	if got := r.Header.Get(SessionResumedHeader); got != "" {
 		t.Errorf("410 carried %s = %q", SessionResumedHeader, got)
 	}
-	if !srv2.Tier().Disk().Has(key) {
+	if !diskHas(srv2, key) {
 		t.Error("resume-off 410 touched the snapshot (tier consulted)")
 	}
 

@@ -46,9 +46,11 @@ func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (*partition.Ass
 		return nil, false
 	}
 	a, err := tier.DecodeAssignment(blob)
-	if err != nil {
-		// A damaged blob is a miss, never a wrong answer; drop the
-		// local copy so it is not served again.
+	if err != nil || a.NumProcs != k.NProcs {
+		// A damaged blob — or a sealed one for another processor count,
+		// which the result builder would size its load vector by — is a
+		// miss, never a wrong answer; drop the local copy so it is not
+		// served again.
 		at.t.ReportCorrupt(key)
 		return nil, false
 	}
@@ -70,10 +72,7 @@ func tierEnabled(cfg Config) bool {
 // initTier assembles the tier from the config, hooks it under the
 // partition cache, and registers the peer protocol. Called only when
 // tierEnabled: with the tier off, the server's routes, stats body, and
-// responses are byte-identical to a tier-less build. The repair layer
-// is a second opt-in: without TierRepair the manifest route is not
-// registered and no background goroutine exists, keeping a
-// repair-less fleet byte-identical to the previous release.
+// responses are byte-identical to a tier-less build.
 func (s *Server) initTier() error {
 	t, err := tier.New(tier.Config{
 		Dir:    s.cfg.TierDir,
@@ -91,37 +90,12 @@ func (s *Server) initTier() error {
 	es := s.counters("tier")
 	s.mux.HandleFunc("GET /v1/tier/{key}", s.route(es, unguarded, s.handleTierGet))
 	s.mux.HandleFunc("PUT /v1/tier/{key}", s.route(es, unguarded, s.handleTierPut))
-	if s.cfg.TierRepair > 0 {
-		rep, err := tier.NewRepairer(t, tier.RepairConfig{Interval: s.cfg.TierRepair})
-		if err != nil {
-			return err
-		}
-		s.repairer = rep
-		// The literal "manifest" segment outranks the {key} wildcard in
-		// the mux, and no valid key collides with it (keys are 64 hex).
-		s.mux.HandleFunc("GET /v1/tier/manifest", s.route(es, unguarded, s.handleTierManifest))
-		ctx, cancel := context.WithCancel(context.Background())
-		s.repairCancel = cancel
-		s.repairDone = make(chan struct{})
-		go func() {
-			defer close(s.repairDone)
-			rep.Run(ctx)
-		}()
-	}
 	return nil
 }
 
 // Tier exposes the fleet tier (nil when disabled) for stats reporting
 // and tests.
 func (s *Server) Tier() *tier.Tier { return s.tier }
-
-// Repairer exposes the anti-entropy repairer (nil when repair is
-// disabled); tests drive deterministic rounds through it.
-func (s *Server) Repairer() *tier.Repairer { return s.repairer }
-
-func (s *Server) handleTierManifest(w http.ResponseWriter, _ *http.Request) {
-	s.tier.ServeManifest(w)
-}
 
 func (s *Server) handleTierGet(w http.ResponseWriter, r *http.Request) {
 	s.tier.ServeGet(w, r.PathValue("key"))

@@ -14,10 +14,18 @@
 //
 // Tier composes them into the memo.Tier shape (Lookup consults disk
 // then the key's owner peer; Store writes disk and offers the blob to
-// the owner), and the codec gives partition assignments and session
-// snapshots a versioned, checksummed binary encoding, so a corrupt or
-// truncated entry — disk bit-rot, a torn peer response — degrades to a
-// cache miss, never a wrong answer.
+// the owner; while an owner's breaker is open both go to the next peer
+// in rendezvous order instead, and a member that comes back empty
+// refills from its own misses and the offers it is sent — nothing runs
+// in the background), and the codec gives partition assignments and
+// session snapshots a versioned, checksummed binary encoding, so a
+// corrupt or truncated entry — disk bit-rot, a torn peer response —
+// degrades to a cache miss, never a wrong answer. The checksum is an
+// envelope, not a signature: anyone who can reach the peer protocol can
+// seal a blob, so the typed decoders also refuse what no caller could
+// survive (a box that is not planar, an owner past the processor count,
+// a level past maxLevel). A peer that lies with a well-formed value is a
+// matter for authentication, which the tier does not have.
 //
 // The tier is an optimization layer by contract: every failure path
 // (peer down, circuit open, corrupt blob, disk error) reports a miss
@@ -30,6 +38,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
@@ -64,8 +73,9 @@ const headerLen = 6
 const checksumLen = sha256.Size
 
 // ErrCorrupt is returned by the decoders for any blob that is not a
-// byte-exact encoding: wrong magic/version/kind, failed checksum,
-// truncation, or trailing garbage. Callers treat it as a cache miss.
+// byte-exact encoding of a value in bounds: wrong magic/version/kind,
+// failed checksum, truncation, trailing garbage, or a box, owner, level
+// or processor count out of range. Callers treat it as a cache miss.
 var ErrCorrupt = fmt.Errorf("tier: corrupt blob")
 
 func corrupt(format string, args ...any) error {
@@ -192,6 +202,8 @@ func (r *reader) count(n uint64, minBytes int) int {
 	return int(n)
 }
 
+// box decodes one box and holds it to the layout every box in the
+// program has: two-dimensional, third component pinned to Lo 0 / Hi 1.
 func (r *reader) box() geom.Box {
 	var b geom.Box
 	b.Dim = int(r.uvarint())
@@ -201,24 +213,36 @@ func (r *reader) box() geom.Box {
 	for d := 0; d < geom.MaxDim; d++ {
 		b.Hi[d] = int(r.varint())
 	}
+	if r.err == nil && (b.Dim != 2 || b.Lo[2] != 0 || b.Hi[2] != 1) {
+		r.err = corrupt("box %v: dim %d, third component [%d,%d)", b, b.Dim, b.Lo[2], b.Hi[2])
+	}
 	return b
 }
 
+// maxLevel bounds a decoded fragment's level, like the .trc reader's
+// level count: grid.Hierarchy.StepFactor loops that many times.
+const maxLevel = 64
+
 func (r *reader) assignment() *partition.Assignment {
-	a := &partition.Assignment{NumProcs: int(r.uvarint())}
+	nprocs := r.uvarint()
 	// A fragment is level, owner, and a box: >= 2 + boxMinBytes.
 	n := r.count(r.uvarint(), 2+boxMinBytes)
+	if r.err == nil && (nprocs < 1 || nprocs > math.MaxInt) {
+		r.err = corrupt("nprocs %d", nprocs)
+	}
 	if r.err != nil {
 		return nil
 	}
+	a := &partition.Assignment{NumProcs: int(nprocs)}
 	if n > 0 {
 		a.Fragments = make([]partition.Fragment, n)
 	}
 	for i := range a.Fragments {
-		f := &a.Fragments[i]
-		f.Level = int(r.uvarint())
-		f.Owner = int(r.uvarint())
-		f.Box = r.box()
+		level, owner := r.uvarint(), r.uvarint()
+		if r.err == nil && (level > maxLevel || owner >= nprocs) {
+			r.err = corrupt("fragment %d: level %d, owner %d of %d", i, level, owner, nprocs)
+		}
+		a.Fragments[i] = partition.Fragment{Level: int(level), Owner: int(owner), Box: r.box()}
 	}
 	if r.err != nil {
 		return nil

@@ -9,30 +9,105 @@ import (
 	"testing"
 
 	"samr/internal/geom"
+	"samr/internal/grid"
 	"samr/internal/partition"
 )
 
-// randAssignment builds a structurally arbitrary assignment: the codec
-// must round-trip anything, not just valid decompositions.
+// randAssignment builds a structurally arbitrary assignment within the
+// decoder's bounds: the codec must round-trip any of them, not just
+// valid decompositions.
 func randAssignment(rng *rand.Rand) *partition.Assignment {
 	a := &partition.Assignment{NumProcs: 1 + rng.IntN(64)}
 	n := rng.IntN(40)
 	for i := 0; i < n; i++ {
-		dim := 2 + rng.IntN(2)
-		b := geom.Box{Dim: dim}
-		for d := 0; d < geom.MaxDim; d++ {
-			// Unused axes carry the 0/1 padding convention sometimes,
-			// arbitrary values other times: both must survive.
-			b.Lo[d] = rng.IntN(2048) - 1024
-			b.Hi[d] = b.Lo[d] + rng.IntN(256)
-		}
+		x, y := rng.IntN(2048)-1024, rng.IntN(2048)-1024
 		a.Fragments = append(a.Fragments, partition.Fragment{
 			Level: rng.IntN(6),
-			Box:   b,
+			Box:   geom.NewBox2(x, y, x+rng.IntN(256), y+rng.IntN(256)),
 			Owner: rng.IntN(a.NumProcs),
 		})
 	}
 	return a
+}
+
+// hostileAssignments are sealed blobs no caller could survive: each
+// passes the envelope check (anyone can seal) and would, served as a
+// tier hit, allocate NumProcs words, index past the load vector, index
+// past a box's three components, or loop 2^62 times in StepFactor.
+func hostileAssignments() map[string]*partition.Assignment {
+	frag := func(level, owner int, b geom.Box) []partition.Fragment {
+		return []partition.Fragment{{Level: level, Owner: owner, Box: b}}
+	}
+	unit := geom.NewBox2(0, 0, 4, 4)
+	unpinned := unit
+	unpinned.Hi[2] = 7
+	return map[string]*partition.Assignment{
+		"nprocs 2^40":      {NumProcs: 1 << 40, Fragments: frag(0, 1<<39, unit)},
+		"nprocs 0":         {NumProcs: 0},
+		"owner 9 of 4":     {NumProcs: 4, Fragments: frag(0, 9, unit)},
+		"dim 5":            {NumProcs: 4, Fragments: frag(0, 1, geom.Box{Lo: unit.Lo, Hi: unit.Hi, Dim: 5})},
+		"unpinned z":       {NumProcs: 4, Fragments: frag(0, 1, unpinned)},
+		"level 2^62":       {NumProcs: 4, Fragments: frag(1<<62, 1, unit)},
+		"level maxLevel+1": {NumProcs: 4, Fragments: frag(maxLevel+1, 1, unit)},
+	}
+}
+
+// TestDecodersRefuseOutOfBounds: a sealed blob is not a trusted blob.
+// Every hostile assignment is ErrCorrupt to DecodeAssignment and, as a
+// snapshot's mapping history, to DecodeSessionSnapshot; so is a
+// snapshot whose hierarchy carries a non-planar box.
+func TestDecodersRefuseOutOfBounds(t *testing.T) {
+	for name, a := range hostileAssignments() {
+		if name == "nprocs 2^40" {
+			// In bounds for the decoder (the owner is below it); the
+			// server holds NumProcs to the key's own count.
+			if _, err := DecodeAssignment(EncodeAssignment(a)); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			continue
+		}
+		if _, err := DecodeAssignment(EncodeAssignment(a)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeAssignment = %v, want ErrCorrupt", name, err)
+		}
+		h := snapshotHierarchy(0)
+		ss := &SessionSnapshot{Name: "postmap(domain)", NProcs: 4, Hierarchy: h, Sig: h.Signature(),
+			Stateful: true, PrevHierarchy: snapshotHierarchy(4), PrevAssignment: a}
+		if _, err := DecodeSessionSnapshot(EncodeSessionSnapshot(ss)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeSessionSnapshot = %v, want ErrCorrupt", name, err)
+		}
+	}
+	h := snapshotHierarchy(0)
+	h.Levels[1].Boxes[0].Dim = 5
+	ss := &SessionSnapshot{Name: "domain", NProcs: 4, Hierarchy: h}
+	if _, err := DecodeSessionSnapshot(EncodeSessionSnapshot(ss)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("non-planar hierarchy box: DecodeSessionSnapshot = %v, want ErrCorrupt", err)
+	}
+	// The largest values in bounds still decode.
+	edge := &partition.Assignment{NumProcs: 4, Fragments: []partition.Fragment{{Level: maxLevel, Owner: 3, Box: geom.NewBox2(0, 0, 4, 4)}}}
+	if got, err := DecodeAssignment(EncodeAssignment(edge)); err != nil || !reflect.DeepEqual(got, edge) {
+		t.Errorf("edge of bounds: %+v, %v", got, err)
+	}
+}
+
+// pinned reports the one box layout the decoders let through.
+func pinned(b geom.Box) bool { return b.Dim == 2 && b.Lo[2] == 0 && b.Hi[2] == 1 }
+
+// checkDecodedAssignment is the fuzz property behind both decoders:
+// whatever decodes without error is in bounds, so the loops that serve
+// a tier hit cannot panic on it.
+func checkDecodedAssignment(t *testing.T, a *partition.Assignment) {
+	t.Helper()
+	if a.NumProcs < 1 {
+		t.Fatalf("decoded NumProcs %d", a.NumProcs)
+	}
+	for _, f := range a.Fragments {
+		if f.Owner < 0 || f.Owner >= a.NumProcs || f.Level < 0 || f.Level > maxLevel || !pinned(f.Box) {
+			t.Fatalf("decoded fragment out of bounds: %+v of %d procs", f, a.NumProcs)
+		}
+	}
+	if a.NumProcs <= 1<<10 { // Loads allocates NumProcs words
+		a.Loads(grid.NewHierarchy(geom.NewBox2(0, 0, 8, 8), 2))
+	}
 }
 
 func TestAssignmentRoundTripProperty(t *testing.T) {
@@ -122,11 +197,24 @@ func FuzzDecodeAssignment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeAssignment(randAssignment(rng)))
 	f.Add(seal(2, appendAssignment(nil, randAssignment(rng)))) // retired kind
+	for _, a := range hostileAssignments() {
+		f.Add(EncodeAssignment(a))
+		f.Add(appendAssignment(nil, a))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic or over-allocate; errors are expected.
-		a, err := DecodeAssignment(data)
-		if err == nil && a == nil {
-			t.Fatal("nil assignment with nil error")
+		// Must never panic or over-allocate; errors are expected. The
+		// input is read as a blob and, sealed here, as a payload: a
+		// mutation never survives the checksum, so only the second
+		// reading reaches the bounds.
+		for _, blob := range [][]byte{data, seal(KindAssignment, data)} {
+			a, err := DecodeAssignment(blob)
+			if err != nil {
+				continue
+			}
+			if a == nil {
+				t.Fatal("nil assignment with nil error")
+			}
+			checkDecodedAssignment(t, a)
 		}
 	})
 }

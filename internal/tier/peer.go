@@ -1,7 +1,6 @@
 package tier
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,12 +194,12 @@ func retryAfter(r *http.Response) time.Duration {
 	return 0
 }
 
-// exchange is the one round trip behind Fetch, Put, and Manifest:
+// exchange is the one round trip behind Fetch and Put:
 // breaker gate → counter → fault point → retried request → status
 // class → breaker report. An injected error sends nothing and feeds
 // the breaker a failure; 429/503 retry under the peer's Retry-After;
 // every other status goes to handle, which consumes the ones its
-// caller understands and returns statusErr for the rest. ErrPeerMiss
+// caller understands and returns statusErr for the rest. errPeerMiss
 // from handle is the one error that reports the peer healthy. The
 // returned corrupt flag is the fault decision's: a request body is
 // damaged here (on a private copy — the caller's blob may also back
@@ -211,9 +209,7 @@ func (c *PeerClient) exchange(ctx context.Context, peer, point string, count *at
 	if !c.allowed(peer) {
 		return false, fmt.Errorf("tier: peer %s: breaker open", peer)
 	}
-	if count != nil {
-		count.Add(1)
-	}
+	count.Add(1)
 	d := c.faults.Hit(point)
 	d.Sleep()
 	if d.Err != nil {
@@ -248,7 +244,7 @@ func (c *PeerClient) exchange(ctx context.Context, peer, point string, count *at
 		}
 		return handle(resp)
 	})
-	c.report(peer, err == nil || err == ErrPeerMiss)
+	c.report(peer, err == nil || err == errPeerMiss)
 	return d.Corrupt, err
 }
 
@@ -256,12 +252,12 @@ func statusErr(peer string, resp *http.Response) error {
 	return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
 }
 
-// Fetch fetches key from peer: it returns the blob, or ErrPeerMiss when
+// Fetch fetches key from peer: it returns the blob, or errPeerMiss when
 // the peer is healthy but lacks the key (it answered 404 — the one
 // outcome that proves absence), or another error for every failure
 // where the peer's holdings stay unknown (breaker open, transport
-// error, 5xx). The tier degrades to a local compute on any error; the
-// repairer skips a clean miss without counting a failure.
+// error, 5xx). The tier degrades to a local compute on any error; only
+// the breaker tells a clean miss from the rest.
 func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error) {
 	var blob []byte
 	corrupt, err := c.exchange(ctx, peer, FaultPeerGet, &c.gets, http.MethodGet, "/v1/tier/"+key, nil,
@@ -271,12 +267,12 @@ func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error
 				blob, err = io.ReadAll(io.LimitReader(resp.Body, maxPeerBlobBytes))
 				return err
 			case http.StatusNotFound:
-				return ErrPeerMiss
+				return errPeerMiss
 			}
 			return statusErr(peer, resp)
 		})
 	if err != nil {
-		if err == ErrPeerMiss {
+		if err == errPeerMiss {
 			c.misses.Add(1)
 		}
 		return nil, err
@@ -289,9 +285,9 @@ func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error
 	return blob, nil
 }
 
-// ErrPeerMiss is Fetch's clean-miss sentinel: the peer answered and
+// errPeerMiss is Fetch's clean-miss sentinel: the peer answered and
 // provably lacks the key.
-var ErrPeerMiss = fmt.Errorf("tier: peer miss")
+var errPeerMiss = fmt.Errorf("tier: peer miss")
 
 // Put offers key's blob to peer, best-effort: the return value is
 // informational and no failure propagates to the caller's request.
@@ -304,37 +300,4 @@ func (c *PeerClient) Put(ctx context.Context, peer, key string, blob []byte) boo
 			return statusErr(peer, resp)
 		})
 	return err == nil
-}
-
-// maxManifestBytes bounds a manifest read: 16 MiB holds ~250k keys,
-// far beyond any bounded disk store.
-const maxManifestBytes = 16 << 20
-
-// Manifest fetches peer's resident key list (GET /v1/tier/manifest):
-// one key per line, invalid lines dropped. A peer without the route —
-// repair disabled there, or an older build — reports an empty manifest
-// (the peer is healthy; it just shares nothing), like 404 on Fetch.
-func (c *PeerClient) Manifest(ctx context.Context, peer string) ([]string, bool) {
-	var keys []string
-	_, err := c.exchange(ctx, peer, FaultPeerManifest, nil, http.MethodGet, "/v1/tier/manifest", nil,
-		func(resp *http.Response) error {
-			keys = keys[:0]
-			switch resp.StatusCode {
-			case http.StatusOK:
-				sc := bufio.NewScanner(io.LimitReader(resp.Body, maxManifestBytes))
-				for sc.Scan() {
-					if key := strings.TrimSpace(sc.Text()); validKey(key) {
-						keys = append(keys, key)
-					}
-				}
-				return sc.Err()
-			case http.StatusNotFound:
-				return nil
-			}
-			return statusErr(peer, resp)
-		})
-	if err != nil {
-		return nil, false
-	}
-	return keys, true
 }

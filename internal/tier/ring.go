@@ -98,9 +98,3 @@ func (r *Ring) Ranked(key string) []string {
 	}
 	return out
 }
-
-// OwnedBySelf reports whether this process owns key (false when self
-// is unset).
-func (r *Ring) OwnedBySelf(key string) bool {
-	return r.self != "" && r.Owner(key) == r.self
-}

@@ -145,11 +145,40 @@ func FuzzDecodeSessionSnapshot(f *testing.F) {
 	}))
 	f.Add(kind3Snapshot(&SessionSnapshot{Name: "domain", NProcs: 1, Hierarchy: snapshotHierarchy(0)}))
 	f.Add(EncodeAssignment(&partition.Assignment{NumProcs: 2}))
+	for _, a := range hostileAssignments() {
+		h := snapshotHierarchy(0)
+		blob := EncodeSessionSnapshot(&SessionSnapshot{Name: "postmap(domain)", NProcs: 4, Hierarchy: h, Sig: h.Signature(),
+			Stateful: true, PrevHierarchy: snapshotHierarchy(4), PrevAssignment: a})
+		f.Add(blob)
+		f.Add(blob[headerLen : len(blob)-checksumLen])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic or over-allocate; errors are expected.
+		// Must never panic or over-allocate; errors are expected. As in
+		// FuzzDecodeAssignment the input is also sealed as a payload.
 		ss, err := DecodeSessionSnapshot(data)
-		if err == nil && ss == nil {
+		if err != nil {
+			if ss, err = DecodeSessionSnapshot(seal(KindSessionSnapshot, data)); err != nil {
+				return
+			}
+		}
+		if ss == nil {
 			t.Fatal("nil snapshot with nil error")
+		}
+		hs := []*grid.Hierarchy{ss.Hierarchy}
+		if ss.PrevAssignment != nil {
+			checkDecodedAssignment(t, ss.PrevAssignment)
+			hs = append(hs, ss.PrevHierarchy)
+		}
+		for _, h := range hs {
+			boxes := geom.BoxList{h.Domain}
+			for _, lev := range h.Levels {
+				boxes = append(boxes, lev.Boxes...)
+			}
+			for _, b := range boxes {
+				if !pinned(b) {
+					t.Fatalf("decoded hierarchy box out of bounds: %+v", b)
+				}
+			}
 		}
 	})
 }

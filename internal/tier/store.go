@@ -22,13 +22,12 @@ const (
 	// FaultDiskPut covers DiskStore.Put: an error decision (typically
 	// enospc) fails the write before it starts.
 	FaultDiskPut = "disk.put"
-	// FaultPeerGet / FaultPeerPut / FaultPeerManifest cover the
-	// corresponding PeerClient exchanges; an error decision counts as a
-	// transport failure (feeding the breaker) without touching the
-	// network, and a corrupt decision damages a fetched blob.
-	FaultPeerGet      = "peer.get"
-	FaultPeerPut      = "peer.put"
-	FaultPeerManifest = "peer.manifest"
+	// FaultPeerGet / FaultPeerPut cover the corresponding PeerClient
+	// exchanges; an error decision counts as a transport failure
+	// (feeding the breaker) without touching the network, and a corrupt
+	// decision damages a fetched blob.
+	FaultPeerGet = "peer.get"
+	FaultPeerPut = "peer.put"
 )
 
 // suffix marks tier entries on disk; anything else in the directory is
@@ -271,30 +270,6 @@ func (s *DiskStore) evictLocked(keep string) {
 			s.evictions.Add(1)
 		}
 	}
-}
-
-// Keys lists the resident entry keys, sorted; the anti-entropy
-// manifest is served from it.
-func (s *DiskStore) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries := s.entriesLocked()
-	keys := make([]string, 0, len(entries))
-	for _, e := range entries {
-		keys = append(keys, e.key)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Has reports whether key is resident, without reading the blob or
-// touching its LRU clock (the repair loop's membership probe).
-func (s *DiskStore) Has(key string) bool {
-	if !validKey(key) {
-		return false
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
 }
 
 // Len returns the number of resident entries.

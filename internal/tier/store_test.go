@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -200,27 +199,8 @@ func TestDiskStoreCleansCrashedPutTemp(t *testing.T) {
 	if s.Len() != 1 || s.Bytes() != int64(len("committed")) {
 		t.Fatalf("occupancy = (%d, %d), want only the committed entry", s.Len(), s.Bytes())
 	}
-	if keys := s.Keys(); len(keys) != 1 || keys[0] != k(1) {
-		t.Fatalf("Keys = %v, want only %s", keys, k(1))
-	}
-}
-
-func TestDiskStoreKeysAndHas(t *testing.T) {
-	s, err := OpenDiskStore(t.TempDir(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := byte(3); i > 0; i-- { // insertion order != sorted order
-		if err := s.Put(k(i), []byte{i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := s.Keys()
-	if len(keys) != 3 || !sort.StringsAreSorted(keys) {
-		t.Fatalf("Keys = %v, want 3 sorted keys", keys)
-	}
-	if !s.Has(k(1)) || s.Has(k(9)) || s.Has("not-a-key") {
-		t.Fatal("Has disagrees with residency")
+	if _, ok := s.Get(k(1)); !ok {
+		t.Fatalf("committed entry %s is not served", k(1))
 	}
 }
 
@@ -241,7 +221,7 @@ func TestDiskStoreInjectedFaults(t *testing.T) {
 		if !errors.Is(err, syscall.ENOSPC) {
 			t.Fatalf("Put error = %v, want ENOSPC", err)
 		}
-		if s.Has(k(1)) || s.errors.Load() == 0 {
+		if s.Len() != 0 || s.errors.Load() == 0 {
 			t.Fatal("failed put landed an entry or went uncounted")
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -105,8 +104,8 @@ func (t *Tier) Disk() *DiskStore { return t.disk }
 // Self never appears (its disk store is consulted directly), and ""
 // means no peer is worth asking. Breaker state thus feeds the ring:
 // an open owner degrades its shard to the fleet-wide stand-in that
-// every member computes identically, and repair backfills the owner
-// when it returns.
+// every member computes identically; once its breaker closes the owner
+// refills from the offers it is sent and from its own misses.
 func (t *Tier) peerFor(key string) (peer string, failover bool) {
 	self := t.ring.Self()
 	owner := t.ring.Owner(key)
@@ -172,8 +171,8 @@ func (t *Tier) Store(key string, blob []byte) {
 	// A self-owned key needs no offer: the local disk write above is
 	// where the fleet will look for it. An open owner breaker diverts
 	// the offer to the owner's rendezvous stand-in — the same peer
-	// failover reads consult — so the result stays reachable until
-	// repair backfills the owner.
+	// failover reads consult — so the result stays reachable while the
+	// owner is away.
 	if t.ring != nil && t.client != nil {
 		if peer, failover := t.peerFor(key); peer != "" {
 			if failover {
@@ -230,16 +229,13 @@ type Stats struct {
 	DiskEvictions uint64 `json:"disk_evictions"`
 	// Self-healing accounting, all omitted while zero/absent so a
 	// healthy fleet's stats body is byte-identical to a build without
-	// the repair layer. FailoverReads/FailoverStores count exchanges
-	// diverted past an open owner breaker to its rendezvous stand-in.
+	// it. FailoverReads/FailoverStores count exchanges diverted past an
+	// open owner breaker to its rendezvous stand-in.
 	FailoverReads  uint64 `json:"failover_reads,omitempty"`
 	FailoverStores uint64 `json:"failover_stores,omitempty"`
 	// Breakers lists only non-trivial peer breakers (open, half-open,
 	// or accumulating failures); a healthy fleet exports none.
 	Breakers []BreakerState `json:"breakers,omitempty"`
-	// Repair is the anti-entropy loop's accounting (nil when repair is
-	// disabled); internal/server fills it in.
-	Repair *RepairStats `json:"repair,omitempty"`
 }
 
 // Stats snapshots the tier.
@@ -293,22 +289,6 @@ func (t *Tier) ServeGet(w http.ResponseWriter, key string) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(blob) //nolint:errcheck
-}
-
-// ServeManifest is the anti-entropy read handler body: it answers the
-// disk store's full resident key list as text/plain, one key per line,
-// sorted. internal/server routes GET /v1/tier/manifest here when repair
-// is enabled.
-func (t *Tier) ServeManifest(w http.ResponseWriter) {
-	if t.disk == nil {
-		http.Error(w, "no disk store", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, key := range t.disk.Keys() {
-		io.WriteString(w, key)  //nolint:errcheck
-		io.WriteString(w, "\n") //nolint:errcheck
-	}
 }
 
 // ServePut is the peer-protocol write handler body: it verifies the
