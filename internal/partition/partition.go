@@ -185,16 +185,20 @@ func (hi *hierIndex) unitsOf(region geom.BoxList, unitSize int) ([]unit, error) 
 
 // unitsOfWeighted is unitsOf with a caller-chosen unit weight (the
 // hybrid partitioner weights units by a level band rather than the full
-// column).
+// column). Units are chopped by the extent left in the region, which
+// Validate's coordinate bound keeps far from overflow, so a unit edge
+// near MaxInt is one unit, never a corner that wraps.
 func (hi *hierIndex) unitsOfWeighted(region geom.BoxList, unitSize int, weight func(geom.Box) int64) ([]unit, error) {
 	var out []unit
 	for _, rb := range region {
-		for y := rb.Lo[1]; y < rb.Hi[1]; y += unitSize {
+		for y, dy := rb.Lo[1], 0; y < rb.Hi[1]; y += dy {
 			if err := hi.check(); err != nil {
 				return nil, err
 			}
-			for x := rb.Lo[0]; x < rb.Hi[0]; x += unitSize {
-				ub := geom.NewBox2(x, y, minInt(x+unitSize, rb.Hi[0]), minInt(y+unitSize, rb.Hi[1]))
+			dy = min(unitSize, rb.Hi[1]-y)
+			for x, dx := rb.Lo[0], 0; x < rb.Hi[0]; x += dx {
+				dx = min(unitSize, rb.Hi[0]-x)
+				ub := geom.NewBox2(x, y, x+dx, y+dy)
 				out = append(out, unit{box: ub, weight: weight(ub)})
 			}
 		}
@@ -284,13 +288,6 @@ func cutChain(units []unit, parts int) []int {
 		acc += u.weight
 	}
 	return owners
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // merged finishes a partitioner's Partition: the assignment its

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -349,13 +350,41 @@ func TestPartitionersOnRandomHierarchies(t *testing.T) {
 	}
 }
 
+// offOriginHierarchy is a two-level hierarchy whose base domain does not
+// start at 0: a unit edge near MaxInt carried the chop's running corner
+// past MaxInt there, and the unit chain wrapped.
+func offOriginHierarchy() *grid.Hierarchy {
+	h := grid.NewHierarchy(geom.NewBox2(3, 5, 35, 37), 2)
+	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{geom.NewBox2(10, 14, 40, 44)}})
+	return h
+}
+
+// TestHugeUnitsCoverOffOrigin: a unit larger than the region is the
+// region, whatever its edge, for both unit-chain families.
+func TestHugeUnitsCoverOffOrigin(t *testing.T) {
+	h := offOriginHierarchy()
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []int{1 << 31, 1 << 62, math.MaxInt64} {
+		for _, p := range []Partitioner{
+			&DomainSFC{Curve: sfc.Hilbert, UnitSize: u},
+			&NatureFable{Curve: sfc.Hilbert, AtomicUnit: u, Groups: 4, FractionalBlocking: true},
+		} {
+			if err := mustPartition(t, p, h, 4).Validate(h); err != nil {
+				t.Errorf("%s: %v", p.Name(), err)
+			}
+		}
+	}
+}
+
 // randomHierarchy builds a random valid 2-3 level hierarchy.
 func randomHierarchy(r *rand.Rand) *grid.Hierarchy {
 	h := grid.NewHierarchy(geom.NewBox2(0, 0, 32, 32), 2)
 	var l1 geom.BoxList
 	for i := 0; i < 1+r.Intn(3); i++ {
 		x, y := r.Intn(48), r.Intn(48)
-		b := geom.NewBox2(x, y, minInt(x+4+r.Intn(12), 64), minInt(y+4+r.Intn(12), 64))
+		b := geom.NewBox2(x, y, min(x+4+r.Intn(12), 64), min(y+4+r.Intn(12), 64))
 		ok := true
 		for _, e := range l1 {
 			if e.Intersects(b) {

@@ -56,6 +56,25 @@
 // balancer drains before requests are shed; GET /healthz stays pure
 // liveness. With MaxInFlight zero (the default) admission is disabled
 // and every response is exactly the pre-admission behavior.
+//
+// # Wire codec
+//
+// The three partition-shaped routes (/v1/partition, /v1/session and
+// /v1/session/{id}/step) bypass reflection on both sides of a request,
+// which on a cache hit would cost more than the rest of the handler
+// together. A recogniser (codec.go) reads the body into a pooled buffer
+// and accepts only a canonical subset: keys spelled exactly, in any
+// order, each at most once; strings without escapes or non-ASCII;
+// integers without fraction, exponent or leading zeros; 2-D boxes,
+// built straight into geom.Box. Any other body — and one that fills MaxBodyBytes — goes to
+// encoding/json over the same bytes, so every 400 and 413, every
+// field-matching rule and the indifference to trailing bytes stay
+// exactly encoding/json's; an accepted body meets the same parsing,
+// validation and cache path as a decoded one. The answer is appended
+// straight from each assignment into a pooled buffer, byte for byte
+// what json.Encoder wrote for PartitionResponse. encoding/json stays the
+// oracle of both halves in the tests (FuzzPartitionWire, the encoder's
+// byte-equality suite) and the codec for every other route.
 package server
 
 import (
@@ -63,6 +82,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -478,8 +498,8 @@ func writeFailure(w http.ResponseWriter, err error) {
 	}
 }
 
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+func decode(w http.ResponseWriter, body io.Reader, v any) bool {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
@@ -539,7 +559,7 @@ func (s *Server) checkLive(w http.ResponseWriter, r *http.Request) bool {
 // in-process hysteresis behavior exactly.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req SelectRequest
-	if !decode(w, r, &req) {
+	if !decode(w, r.Body, &req) {
 		return
 	}
 	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies)
@@ -580,7 +600,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var req PartitionRequest
-	if !decode(w, r, &req) {
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	canonical, err := ParsePartitioner(req.Partitioner)
@@ -601,14 +621,14 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 
 	name := canonical.Name()
-	results := make([]PartitionResult, len(hs))
+	outs := make([]partitionOut, len(hs))
 	err = pool.MapCtx(ctx, pool.Workers(), len(hs), func(i int) error {
 		sig := hierarchySignature(hs[i])
 		a, disp, err := s.partitionCached(ctx, hs[i], sig, name, req.NProcs)
 		if err != nil {
 			return err
 		}
-		results[i] = buildPartitionResult(hs[i], sig, name, req.NProcs, a, disp)
+		outs[i] = partitionOut{h: hs[i], sig: sig, a: a, disp: disp}
 		return nil
 	})
 	if err != nil {
@@ -616,8 +636,8 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.writeCacheHeaders(w, results)
-	writeJSON(w, http.StatusOK, PartitionResponse{Results: results})
+	s.writeCacheHeaders(w, outs)
+	writePartitionResponse(w, name, req.NProcs, outs)
 }
 
 // partitionCached is the one path from a hierarchy to its assignment
@@ -653,39 +673,27 @@ func hierarchySignature(h *grid.Hierarchy) geom.Signature {
 	return sig
 }
 
-// buildPartitionResult renders one assignment as its wire result. Both
-// the one-shot partition path and the session step path go through it,
-// which is what makes a step response byte-identical to the equivalent
-// full post.
-func buildPartitionResult(h *grid.Hierarchy, sig geom.Signature, name string, nprocs int, a *partition.Assignment, disp string) PartitionResult {
-	res := PartitionResult{
-		Signature:   sig.String(),
-		Partitioner: name,
-		NProcs:      nprocs,
-		Fragments:   make([]Fragment, len(a.Fragments)),
-		Loads:       a.Loads(h),
-		Imbalance:   a.Imbalance(h),
-		Cached:      disp == CacheHit || disp == CacheTier,
-		Cache:       disp,
-	}
-	for j, f := range a.Fragments {
-		res.Fragments[j] = Fragment{Level: f.Level, Box: fromGeomBox(f.Box), Owner: f.Owner}
-	}
-	return res
+// partitionOut is one hierarchy's answer on a partition-shaped route,
+// before writePartitionResponse renders it as a PartitionResult. Both
+// the one-shot partition path and the session step path go through that
+// one writer and writeCacheHeaders, which is what makes a step response
+// byte-identical to the equivalent full post.
+type partitionOut struct {
+	h    *grid.Hierarchy
+	sig  geom.Signature
+	a    *partition.Assignment
+	disp string // CacheHit, CacheMiss, CacheShared or CacheTier
 }
 
 // writeCacheHeaders emits the cache headers of a partition-shaped
-// response: the per-request disposition plus the cumulative
-// process-wide counters, so operators (and the acceptance test) can
-// watch hit and coalescing rates without polling /v1/stats.
-func (s *Server) writeCacheHeaders(w http.ResponseWriter, results []PartitionResult) {
-	counts := map[string]int{}
-	for _, res := range results {
-		counts[res.Cache]++
-	}
+// response: the per-request disposition ("mixed" unless every result
+// shares one) plus the cumulative process-wide counters, so operators
+// (and the acceptance test) can watch hit and coalescing rates without
+// polling /v1/stats.
+func (s *Server) writeCacheHeaders(w http.ResponseWriter, outs []partitionOut) {
 	disposition := "mixed"
 	for _, d := range []string{CacheHit, CacheMiss, CacheShared, CacheTier} {
-		if counts[d] == len(results) {
+		if !slices.ContainsFunc(outs, func(o partitionOut) bool { return o.disp != d }) {
 			disposition = d
 		}
 	}
@@ -698,8 +706,8 @@ func (s *Server) writeCacheHeaders(w http.ResponseWriter, results []PartitionRes
 	if s.tier != nil {
 		hdr.Set("X-Samr-Cache-Tier", strconv.FormatUint(s.cache.TierHits(), 10))
 	}
-	if len(results) == 1 {
-		hdr.Set("X-Samr-Signature", results[0].Signature)
+	if len(outs) == 1 {
+		hdr.Set("X-Samr-Signature", outs[0].sig.String())
 	}
 }
 
@@ -709,7 +717,7 @@ func (s *Server) writeCacheHeaders(w http.ResponseWriter, results []PartitionRes
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var req SimulateRequest
-	if !decode(w, r, &req) {
+	if !decode(w, r.Body, &req) {
 		return
 	}
 	tr, ok := s.registry.Get(req.Trace)

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"samr/internal/geom"
 	"samr/internal/grid"
 	"samr/internal/partition"
 )
@@ -269,7 +268,7 @@ func writeSessionGone(w http.ResponseWriter, id string) {
 // tracking from this state on.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionCreateRequest
-	if !decode(w, r, &req) {
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Hierarchy == nil {
@@ -332,33 +331,13 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	id := r.PathValue("id")
 	var req SessionStepRequest
-	if !decode(w, r, &req) {
+	if !s.decodeRequest(w, r, &req) {
 		return
 	}
-	step := make([]grid.LevelDelta, len(req.Levels))
-	for l, op := range req.Levels {
-		switch op.Op {
-		case LevelKeep:
-			if len(op.Boxes) > 0 {
-				writeErr(w, http.StatusBadRequest, "level %d: op %q carries boxes", l, LevelKeep)
-				return
-			}
-			step[l] = grid.Keep()
-		case LevelReplace:
-			boxes := make(geom.BoxList, len(op.Boxes))
-			for i, wb := range op.Boxes {
-				b, err := wb.toGeom()
-				if err != nil {
-					writeErr(w, http.StatusBadRequest, "level %d box %d: %v", l, i, err)
-					return
-				}
-				boxes[i] = b
-			}
-			step[l] = grid.Replace(boxes)
-		default:
-			writeErr(w, http.StatusBadRequest, "level %d: unknown op %q (have %q, %q)", l, op.Op, LevelKeep, LevelReplace)
-			return
-		}
+	step, err := req.deltas()
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	sess := s.sessions.lookup(id)
 	if sess == nil {
@@ -413,11 +392,10 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	s.sessions.steps.Add(1)
 	s.storeSessionSnapshot(sess)
 
-	res := buildPartitionResult(next, sig, sess.name, sess.nprocs, a, disp)
-	results := []PartitionResult{res}
-	s.writeCacheHeaders(w, results)
+	outs := []partitionOut{{h: next, sig: sig, a: a, disp: disp}}
+	s.writeCacheHeaders(w, outs)
 	w.Header().Set(SessionHeader, sess.id)
-	writeJSON(w, http.StatusOK, PartitionResponse{Results: results})
+	writePartitionResponse(w, sess.name, sess.nprocs, outs)
 }
 
 // handleSessionDelete closes a session. Deleting a live session

@@ -30,6 +30,11 @@ type Hierarchy struct {
 	Domain   Box     `json:"domain"`
 	RefRatio int     `json:"ref_ratio"`
 	Levels   [][]Box `json:"levels"`
+
+	// pre is the geometry the request recogniser (codec.go) read
+	// straight into grid form, unvalidated; the fields above are then
+	// empty.
+	pre *grid.Hierarchy
 }
 
 // Fragment is the wire form of partition.Fragment.
@@ -79,6 +84,21 @@ func fromGridHierarchy(h *grid.Hierarchy) Hierarchy {
 
 // toGrid converts and structurally validates a submitted hierarchy.
 func (w Hierarchy) toGrid() (*grid.Hierarchy, error) {
+	h, err := w.geometry()
+	if err != nil {
+		return nil, err
+	}
+	if err := h.Validate(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// geometry converts a submitted hierarchy without validating it.
+func (w Hierarchy) geometry() (*grid.Hierarchy, error) {
+	if w.pre != nil {
+		return w.pre, nil
+	}
 	dom, err := w.Domain.toGeom()
 	if err != nil {
 		return nil, fmt.Errorf("domain: %w", err)
@@ -92,9 +112,6 @@ func (w Hierarchy) toGrid() (*grid.Hierarchy, error) {
 			}
 		}
 		h.Levels = append(h.Levels, grid.Level{Boxes: boxes})
-	}
-	if err := h.Validate(); err != nil {
-		return nil, err
 	}
 	return h, nil
 }
@@ -310,6 +327,41 @@ type SessionStepRequest struct {
 	// 409 session-base-mismatch instead of silently applying the delta
 	// to a drifted state.
 	Base string `json:"base,omitempty"`
+
+	// pre is the step the request recogniser (codec.go) read straight
+	// into delta form; Levels is then empty.
+	pre []grid.LevelDelta
+}
+
+// deltas converts the step's level ops, refusing a keep that carries
+// boxes, a box that is not 2-D and an unknown op.
+func (req SessionStepRequest) deltas() ([]grid.LevelDelta, error) {
+	if req.pre != nil {
+		return req.pre, nil
+	}
+	step := make([]grid.LevelDelta, len(req.Levels))
+	for l, op := range req.Levels {
+		switch op.Op {
+		case LevelKeep:
+			if len(op.Boxes) > 0 {
+				return nil, fmt.Errorf("level %d: op %q carries boxes", l, LevelKeep)
+			}
+			step[l] = grid.Keep()
+		case LevelReplace:
+			boxes := make(geom.BoxList, len(op.Boxes))
+			for i, wb := range op.Boxes {
+				b, err := wb.toGeom()
+				if err != nil {
+					return nil, fmt.Errorf("level %d box %d: %w", l, i, err)
+				}
+				boxes[i] = b
+			}
+			step[l] = grid.Replace(boxes)
+		default:
+			return nil, fmt.Errorf("level %d: unknown op %q (have %q, %q)", l, op.Op, LevelKeep, LevelReplace)
+		}
+	}
+	return step, nil
 }
 
 // SessionCounters is the session layer's accounting in /v1/stats.
