@@ -3,6 +3,7 @@ package grid
 import (
 	"crypto/sha256"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"samr/internal/geom"
@@ -222,6 +223,115 @@ func TestCloneDropsTracking(t *testing.T) {
 	if c.Signature() != h.Signature() {
 		t.Fatal("clone signature differs")
 	}
+}
+
+// deltaFromBytes decodes one session step against h from the front of
+// data and returns it with the bytes it did not read (a byte past the
+// end reads as 0). The first byte sets the step's level count, 0 to 5.
+// Each level then takes an op byte: a multiple of 3 keeps the level; 1
+// mod 3 replaces it with its anchors — the domain for level 0, else the
+// step's own level l-1 refined — which nest by construction; 2 mod 3
+// replaces it with one to three boxes placed by four bytes each in and
+// around the first anchor (a signed offset per axis from its corner, an
+// extent per axis), which are sometimes valid and otherwise wrong the
+// ways a client can be wrong: overlapping, outside the level domain,
+// not nested, not covering the domain, empty.
+func deltaFromBytes(h *Hierarchy, data []byte) ([]LevelDelta, []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	step := make([]LevelDelta, next()%6)
+	for l := range step {
+		op := next()
+		if op%3 == 0 {
+			step[l] = Keep()
+			continue
+		}
+		anchors := geom.BoxList{h.Domain}
+		if l > 0 {
+			parent := step[l-1].Boxes
+			if step[l-1].Keep && l-1 < len(h.Levels) {
+				parent = h.Levels[l-1].Boxes
+			}
+			anchors = parent.Refine(h.RefRatio)
+		}
+		if op%3 == 1 || len(anchors) == 0 {
+			step[l] = Replace(anchors)
+			continue
+		}
+		a := anchors[0]
+		var boxes geom.BoxList
+		for n := 1 + int(op/3)%3; n > 0; n-- {
+			x := a.Lo[0] + int(int8(next()))%(a.Size(0)+1)
+			y := a.Lo[1] + int(int8(next()))%(a.Size(1)+1)
+			boxes = append(boxes, geom.NewBox2(x, y, x+int(next())%(a.Size(0)+1), y+int(next())%(a.Size(1)+1)))
+		}
+		step[l] = Replace(boxes)
+	}
+	return step, data
+}
+
+// sameLevels reports whether a and b hold the same boxes level by level.
+func sameLevels(a, b []Level) bool {
+	return slices.EqualFunc(a, b, func(x, y Level) bool { return slices.Equal(x.Boxes, y.Boxes) })
+}
+
+// FuzzApplyDelta: from a tracked random valid hierarchy (seeded), up to
+// eight fuzzed steps. Each step WithDelta either refuses, leaving the
+// receiver's signature and levels as they were, or yields a state that
+// Validate accepts and whose tracked signature and level sub-digests
+// equal a cold re-hash; ApplyDelta agrees with it in place. An accepted
+// step is the base of the next.
+func FuzzApplyDelta(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{2, 0, 1})                         // keep level 0, replace level 1 by its anchors
+	f.Add(int64(3), []byte{1, 0, 1, 0})                      // drop every refined level, then keep
+	f.Add(int64(4), []byte{5, 0, 0, 0, 0, 0})                // keep a level the base lacks
+	f.Add(int64(5), []byte{3, 0, 1, 2, 1, 1, 2, 2})          // replace level 2 with a box inside its anchor
+	f.Add(int64(6), []byte{2, 2, 0, 0, 4, 4, 1})             // level 0 no longer covers the domain
+	f.Add(int64(7), []byte{2, 0, 5, 255, 255, 9, 9, 1, 1})   // overlapping boxes poking out of the anchor
+	f.Add(int64(8), []byte{0})                               // no levels
+	f.Add(int64(9), []byte{3, 0, 0, 1, 3, 0, 0, 2, 0, 0, 1}) // refine, then a two-level chain
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		h := randomValid(rand.New(rand.NewSource(seed)))
+		h.TrackSignature()
+		for steps := 0; steps < 8 && len(data) > 0; steps++ {
+			var step []LevelDelta
+			step, data = deltaFromBytes(h, data)
+			before, levels := h.Signature(), h.Clone().Levels
+			next, err := h.WithDelta(step)
+			if h.Signature() != before || coldSignature(h) != before || !sameLevels(h.Levels, levels) {
+				t.Fatalf("step %d: WithDelta (err %v) disturbed its receiver", steps, err)
+			}
+			in := *h
+			if inErr := in.ApplyDelta(step); (inErr == nil) != (err == nil) {
+				t.Fatalf("step %d: WithDelta says %v, ApplyDelta %v", steps, err, inErr)
+			}
+			if err != nil {
+				if in.Signature() != before || !sameLevels(in.Levels, levels) {
+					t.Fatalf("step %d: refused ApplyDelta (%v) disturbed its receiver", steps, err)
+				}
+				continue
+			}
+			if err := next.Validate(); err != nil {
+				t.Fatalf("step %d: accepted step %v gives an invalid hierarchy: %v", steps, step, err)
+			}
+			if got, want := next.Signature(), coldSignature(next); got != want || in.Signature() != want {
+				t.Fatalf("step %d: tracked signature %s, in place %s, cold re-hash %s", steps, got, in.Signature(), want)
+			}
+			for l := range next.Levels {
+				if got, want := next.LevelSignature(l), geom.Signature(sha256.Sum256(next.Levels[l].Boxes.AppendEncoding(nil))); got != want {
+					t.Fatalf("step %d: level %d sub-digest %s, cold %s", steps, l, got, want)
+				}
+			}
+			h = next
+		}
+	})
 }
 
 // BenchmarkSignatureDeltaVsFull measures the tentpole's grid half: the

@@ -7,10 +7,11 @@
 // key, with singleflight coalescing of concurrent identical misses:
 // while one caller (the leader) computes a key, every other caller of
 // the same key waits for that result instead of recomputing it. A
-// leader whose compute fails — in this repository cancellation is the
-// only error source — reports the error only to itself and to the
-// followers whose own context is also dead; followers with a live
-// context retry and may lead the recompute, so one caller's
+// leader whose compute fails — in this repository by cancellation, or
+// by the partitioners' refusal of a hierarchy past their unit budget,
+// which they make before any work — reports the error only to itself
+// and to the followers whose own context is also dead; followers with a
+// live context retry and may lead the recompute, so one caller's
 // cancellation never poisons the cache for another (nothing is stored
 // on failure).
 //

@@ -53,6 +53,9 @@ func (d *DomainSFC) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int
 	if us < 1 {
 		us = 1
 	}
+	if err := checkUnits(h.Levels[0].Boxes, us); err != nil {
+		return nil, err
+	}
 	sig := h.Signature()
 	hi, err := sharedHierIndex(ctx, h, sig)
 	if err != nil {
@@ -62,7 +65,7 @@ func (d *DomainSFC) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int
 	if err != nil {
 		return nil, err
 	}
-	owners := cutChain(chain, nprocs)
+	owners := cutChain(unitWeights(chain), nprocs)
 	a := &Assignment{NumProcs: nprocs}
 	for i, u := range chain {
 		if i%ctxBatch == 0 {

@@ -59,13 +59,16 @@ func (nf *NatureFable) Name() string {
 	return fmt.Sprintf("nature+fable-%s-u%d-q%d-%s", nf.Curve, nf.AtomicUnit, nf.Groups, fb)
 }
 
-// Partition implements Partitioner. Cancellation is polled per phase
-// (hue separation, coarse core cut, per-group bi-level blocking) and
-// per unit batch inside the blocking machinery. The hue/core
-// separation and both reusable unit chains — everything independent of
-// nprocs — are served from the content-addressed prep cache; the
-// processor split, chain cuts, and per-group bi-level blocking run per
-// call.
+// Partition implements Partitioner. Everything independent of nprocs —
+// the hue/core separation, both unit chains, the hue's merged cover,
+// and each core unit's weight and fragments per bi-level — comes from
+// the content-addressed prep cache. What runs per call is the processor
+// split between hues and cores, the hue cut (or, with one hue
+// processor, the stored cover), the coarse cut of the core chain into
+// groups, and per group and bi-level a cut by the stored weights that
+// labels whole units' stored fragments and clips split units' fragments
+// to their pieces; then mergeFragments. Cancellation is polled per
+// group and per unit batch.
 func (nf *NatureFable) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
 	return merged(nf.fragments(ctx, h, nprocs))
 }
@@ -80,6 +83,11 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 	us := nf.AtomicUnit
 	if us < 1 {
 		us = 1
+	}
+	// The hue and core regions tile the base level, so its chop is what
+	// the two chains hold.
+	if err := checkUnits(h.Levels[0].Boxes, us); err != nil {
+		return nil, err
 	}
 	a := &Assignment{NumProcs: nprocs}
 	sig := h.Signature()
@@ -114,11 +122,30 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 	}
 
 	// Hues: blocking over processors [coreProcs, nprocs).
-	if hueProcs > 0 && hueW > 0 {
-		if err := nf.blockOrdered(hi, prep.hueUnits, 0, 0, coreProcs, hueProcs, &a.Fragments); err != nil {
-			return nil, err
+	switch {
+	case hueW == 0:
+	case hueProcs == 1:
+		// One processor owns every hue unit whole, so the hue's
+		// fragments are the prep's units' level-0 fragments, and the
+		// stored cover is what mergeFragments makes of them: core owners
+		// are below coreProcs, so the (level 0, coreProcs) group holds
+		// hue fragments only, and the cover, simplified already, has no
+		// mergeable pair, so the merge's Simplify and sort return it
+		// unchanged.
+		for _, b := range prep.hueCover {
+			a.Fragments = append(a.Fragments, Fragment{Level: 0, Box: b, Owner: coreProcs})
 		}
-	} else if hueW > 0 {
+	case hueProcs > 1:
+		units := prep.hueUnits
+		for i, ou := range nf.cutUnits(units, unitWeights(units), hueProcs) {
+			if i%ctxBatch == 0 {
+				if err := hi.check(); err != nil {
+					return nil, err
+				}
+			}
+			hi.bandFragments(ou.box, 0, 0, coreProcs+ou.owner, &a.Fragments)
+		}
+	default:
 		// No dedicated hue processors: fold hues into processor 0.
 		for _, b := range hue {
 			a.Fragments = append(a.Fragments, Fragment{Level: 0, Box: b, Owner: 0})
@@ -127,7 +154,7 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 
 	// Cores: coarse partition into groups, then bi-level blocking.
 	if coreProcs > 0 && coreW > 0 {
-		if err := nf.partitionCores(hi, prep.coreUnits, coreProcs, &a.Fragments); err != nil {
+		if err := nf.partitionCores(hi, prep, coreProcs, &a.Fragments); err != nil {
 			return nil, err
 		}
 	}
@@ -152,11 +179,12 @@ func (nf *NatureFable) coreRegions(h *grid.Hierarchy) geom.BoxList {
 	return makeCoreRegions(fp)
 }
 
-// partitionCores coarse-partitions the (already SFC-ordered) core unit
+// partitionCores coarse-partitions the prep's (SFC-ordered) core unit
 // chain into processor groups and block-partitions each bi-level
-// within its group. The chain is shared cache state: it is cut and
+// within its group. The prep is shared cache state: it is cut and
 // scanned, never mutated.
-func (nf *NatureFable) partitionCores(hi *hierIndex, units []unit, coreProcs int, out *[]Fragment) error {
+func (nf *NatureFable) partitionCores(hi *hierIndex, prep *nfPrep, coreProcs int, out *[]Fragment) error {
+	units := prep.coreUnits
 	groups := nf.Groups
 	if groups < 1 {
 		groups = 1
@@ -164,14 +192,15 @@ func (nf *NatureFable) partitionCores(hi *hierIndex, units []unit, coreProcs int
 	if groups > coreProcs {
 		groups = coreProcs
 	}
-	groupOf := cutChain(units, groups)
+	w := unitWeights(units)
+	groupOf := cutChain(w, groups)
 
 	// Processors per group, proportional to group workload.
 	groupW := make([]int64, groups)
 	var totalW int64
-	for i, u := range units {
-		groupW[groupOf[i]] += u.weight
-		totalW += u.weight
+	for i, wi := range w {
+		groupW[groupOf[i]] += wi
+		totalW += wi
 	}
 	procStart := make([]int, groups+1)
 	assigned := 0
@@ -195,90 +224,91 @@ func (nf *NatureFable) partitionCores(hi *hierIndex, units []unit, coreProcs int
 	}
 	procStart[groups] = coreProcs
 
-	// Bi-level partitioning within each group.
-	maxLevel := len(hi.h.Levels) - 1
-	for g := 0; g < groups; g++ {
+	// Bi-level partitioning within each group. groupOf is non-decreasing,
+	// so a group is one contiguous range of the chain.
+	for g, start := 0, 0; g < groups; g++ {
 		if err := hi.check(); err != nil {
 			return err
 		}
-		var gUnits geom.BoxList
-		for i, u := range units {
-			if groupOf[i] == g {
-				gUnits = append(gUnits, u.box)
-			}
+		end := start
+		for end < len(units) && groupOf[end] == g {
+			end++
 		}
-		if len(gUnits) == 0 {
+		if end == start {
 			continue
 		}
 		gProcs := procStart[g+1] - procStart[g]
 		if gProcs < 1 {
 			gProcs = 1
 		}
-		for lo := 0; lo <= maxLevel; lo += 2 {
-			band := lo + 1
-			if band > maxLevel {
-				band = maxLevel
-			}
-			if err := nf.blockRegion(hi, gUnits, lo, band, procStart[g], gProcs, out); err != nil {
+		for b := range prep.bands {
+			if err := nf.blockBand(hi, &prep.bands[b], units, start, end, procStart[g], gProcs, out); err != nil {
 				return err
 			}
 		}
+		start = end
 	}
 	return nil
 }
 
-// blockRegion distributes the cells of levels [loLevel, hiLevel] lying
-// over the base-space region across procs processors starting at
-// procBase, by SFC-ordered blocking of the region's atomic units. With
-// fractional blocking, the unit straddling a processor-portion boundary
-// is split between the two portions instead of rounding to whole
-// blocks, trading a little extra surface for tighter balance.
-func (nf *NatureFable) blockRegion(hi *hierIndex, region geom.BoxList, loLevel, hiLevel, procBase, procs int, out *[]Fragment) error {
-	us := nf.AtomicUnit
-	if us < 1 {
-		us = 1
-	}
-	units, err := hi.unitsOfWeighted(region, us, func(ub geom.Box) int64 {
-		return hi.bandWeight(ub, loLevel, hiLevel)
-	})
-	if err != nil {
-		return err
-	}
-	orderUnitsByCurve(units, nf.Curve, us)
-	return nf.blockOrdered(hi, units, loLevel, hiLevel, procBase, procs, out)
-}
-
-// blockOrdered is blockRegion's cutting half: it distributes an
-// already SFC-ordered unit chain (possibly shared cache state — read
-// only) across procs processors starting at procBase.
-func (nf *NatureFable) blockOrdered(hi *hierIndex, units []unit, loLevel, hiLevel, procBase, procs int, out *[]Fragment) error {
-	owned := nf.cutUnits(units, procs)
-	for i, ou := range owned {
-		if i%ctxBatch == 0 {
+// blockBand distributes one bi-level of the core units [start, end)
+// across procs processors starting at procBase, cutting the units by
+// their band weights. With fractional blocking, the unit straddling a
+// processor-portion boundary is split between the two portions instead
+// of rounding to whole blocks, trading a little extra surface for
+// tighter balance. A whole unit takes its stored band fragments. A
+// split piece takes them clipped to the piece refined to each level,
+// which is what bandFragments gives the piece: a level box meets the
+// piece only if it meets the unit, and the stored fragments keep the
+// index query's box order.
+func (nf *NatureFable) blockBand(hi *hierIndex, band *coreBand, units []unit, start, end, procBase, procs int, out *[]Fragment) error {
+	for k, ou := range nf.cutUnits(units[start:end], band.weights[start:end], procs) {
+		if k%ctxBatch == 0 {
 			if err := hi.check(); err != nil {
 				return err
 			}
 		}
-		hi.bandFragments(ou.box, loLevel, hiLevel, procBase+ou.owner, out)
+		i := start + ou.src
+		frags := band.frags[band.start[i]:band.start[i+1]]
+		owner := procBase + ou.owner
+		if ou.box == units[i].box {
+			for _, f := range frags {
+				*out = append(*out, Fragment{Level: int(f.level), Box: f.box(), Owner: owner})
+			}
+			continue
+		}
+		fine, l := ou.box, 0
+		for _, f := range frags {
+			for ; l < int(f.level); l++ {
+				fine = fine.Refine(hi.h.RefRatio)
+			}
+			if iv := f.box().Intersect(fine); !iv.Empty() {
+				*out = append(*out, Fragment{Level: l, Box: iv, Owner: owner})
+			}
+		}
 	}
 	return nil
 }
 
-// ownedUnit is a base-space box with its processor-portion index.
+// ownedUnit is a base-space box with its processor-portion index and
+// src, the index in the cut chain of the unit it is or is a piece of.
 type ownedUnit struct {
 	box   geom.Box
 	owner int
+	src   int
 }
 
-// cutUnits cuts the ordered units into parts portions. Whole-block mode
-// delegates to cutChain; fractional mode splits the unit that straddles
-// each portion boundary proportionally to the remaining weight.
-func (nf *NatureFable) cutUnits(units []unit, parts int) []ownedUnit {
+// cutUnits cuts the ordered units into parts portions, unit i weighing
+// w[i] (the units give the boxes; their own weights are not read).
+// Whole-block mode delegates to cutChain; fractional mode splits the
+// unit that straddles each portion boundary proportionally to the
+// remaining weight.
+func (nf *NatureFable) cutUnits(units []unit, w []int64, parts int) []ownedUnit {
 	if !nf.FractionalBlocking {
-		owners := cutChain(units, parts)
+		owners := cutChain(w, parts)
 		out := make([]ownedUnit, len(units))
 		for i, u := range units {
-			out[i] = ownedUnit{box: u.box, owner: owners[i]}
+			out[i] = ownedUnit{box: u.box, owner: owners[i], src: i}
 		}
 		return out
 	}
@@ -286,42 +316,42 @@ func (nf *NatureFable) cutUnits(units []unit, parts int) []ownedUnit {
 		parts = 1
 	}
 	var total int64
-	for _, u := range units {
-		total += u.weight
+	for _, wi := range w {
+		total += wi
 	}
-	var out []ownedUnit
+	out := make([]ownedUnit, 0, len(units)+parts)
 	var acc int64
 	p := 0
-	for _, u := range units {
-		rem := u
+	for i, u := range units {
+		box, weight := u.box, w[i]
 		for p < parts-1 {
 			boundary := total * int64(p+1) / int64(parts)
-			if acc+rem.weight <= boundary || rem.weight == 0 {
+			if acc+weight <= boundary || weight == 0 {
 				break
 			}
 			// The unit straddles the boundary: split off the share that
 			// belongs to portion p (area-proportional approximation of
 			// the weight share).
-			share := float64(boundary-acc) / float64(rem.weight)
-			d := rem.box.LongestDim()
-			at := rem.box.Lo[d] + int(share*float64(rem.box.Size(d))+0.5)
-			lo, hi := rem.box.ChopDim(d, at)
+			share := float64(boundary-acc) / float64(weight)
+			d := box.LongestDim()
+			at := box.Lo[d] + int(share*float64(box.Size(d))+0.5)
+			lo, hi := box.ChopDim(d, at)
 			if !lo.Empty() {
-				out = append(out, ownedUnit{box: lo, owner: p})
+				out = append(out, ownedUnit{box: lo, owner: p, src: i})
 			}
 			// Weight consumed by the lower piece, proportionally.
-			consumed := int64(share * float64(rem.weight))
+			consumed := int64(share * float64(weight))
 			acc += consumed
-			rem = unit{box: hi, weight: rem.weight - consumed}
+			box, weight = hi, weight-consumed
 			p++
 			if hi.Empty() {
-				rem.weight = 0
+				weight = 0
 				break
 			}
 		}
-		if !rem.box.Empty() {
-			out = append(out, ownedUnit{box: rem.box, owner: p})
-			acc += rem.weight
+		if !box.Empty() {
+			out = append(out, ownedUnit{box: box, owner: p, src: i})
+			acc += weight
 		}
 	}
 	return out

@@ -49,31 +49,39 @@ type fragmenter interface {
 	fragments(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error)
 }
 
-// quickPreMergeLists returns the fragment list every partitioner hands
-// mergeFragments for every distinct snapshot of the four quick traces.
-func quickPreMergeLists(tb testing.TB, nprocs int) [][]Fragment {
+// quickHierarchies returns the distinct snapshots of each of the four
+// quick traces, in trace order.
+func quickHierarchies(tb testing.TB) []*grid.Hierarchy {
 	tb.Helper()
-	ctx := context.Background()
-	var lists [][]Fragment
+	var hs []*grid.Hierarchy
 	for _, app := range apps.Names {
-		tr, err := apps.QuickTrace(ctx, app)
+		tr, err := apps.QuickTrace(context.Background(), app)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		seen := map[geom.Signature]bool{}
 		for _, snap := range tr.Snapshots {
-			if sig := snap.H.Signature(); seen[sig] {
-				continue
-			} else {
+			if sig := snap.H.Signature(); !seen[sig] {
 				seen[sig] = true
+				hs = append(hs, snap.H)
 			}
-			for _, p := range allPartitioners() {
-				a, err := p.(fragmenter).fragments(ctx, snap.H, nprocs)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				lists = append(lists, a.Fragments)
+		}
+	}
+	return hs
+}
+
+// quickPreMergeLists returns the fragment list every partitioner hands
+// mergeFragments for every distinct snapshot of the four quick traces.
+func quickPreMergeLists(tb testing.TB, nprocs int) [][]Fragment {
+	tb.Helper()
+	var lists [][]Fragment
+	for _, h := range quickHierarchies(tb) {
+		for _, p := range allPartitioners() {
+			a, err := p.(fragmenter).fragments(context.Background(), h, nprocs)
+			if err != nil {
+				tb.Fatal(err)
 			}
+			lists = append(lists, a.Fragments)
 		}
 	}
 	return lists

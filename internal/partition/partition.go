@@ -9,6 +9,7 @@ package partition
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"samr/internal/geom"
@@ -38,7 +39,11 @@ type Assignment struct {
 // against context.Canceled / context.DeadlineExceeded holds) — never a
 // partial result. A nil error implies the Assignment covers every cell
 // of every level exactly once, for any hierarchy grid.Hierarchy.Validate
-// accepts (two-dimensional, disjoint, nested).
+// accepts (two-dimensional, disjoint, nested). A hierarchy Validate
+// accepts can still be unaffordable: the unit-chain partitioners
+// (DomainSFC, NatureFable, and anything wrapping them) refuse one whose
+// base level would chop into more than maxUnits atomic units with an
+// error wrapping ErrTooManyUnits, before building anything for it.
 type Partitioner interface {
 	// Name identifies the partitioner in experiment output.
 	Name() string
@@ -61,6 +66,38 @@ func checkCtx(ctx context.Context) error {
 // over atomic units or fragments re-check their context every ctxBatch
 // iterations.
 const ctxBatch = 64
+
+// ErrTooManyUnits is the refusal of a hierarchy whose base level chops
+// into more than maxUnits atomic units. It depends on the request alone
+// (hierarchy and unit size), so retrying cannot help.
+var ErrTooManyUnits = errors.New("partition: too many atomic units")
+
+// maxUnits is the atomic-unit budget of one unit-chain partition: a
+// thousand times the largest input the repository builds (1024 units, a
+// 32² base at unit 1). A unit carries its box and weights in the chains
+// and preps and a fragment or more per level: an unbounded chop of a
+// 65536² base at unit 2 (2^30 units) held about a gigabyte of heap one
+// second in.
+const maxUnits = 1 << 20
+
+// checkUnits refuses a region that chopping into units of edge unitSize
+// would turn into more than maxUnits units. It counts with the chop's
+// own arithmetic (unitsOfWeighted): each box yields ceil(extent /
+// unitSize) units per axis, the ceiling taken without forming extent +
+// unitSize, which could wrap for a huge unit.
+func checkUnits(region geom.BoxList, unitSize int) error {
+	var n int64
+	for _, b := range region {
+		if !b.Empty() {
+			n += int64((b.Size(0)-1)/unitSize+1) * int64((b.Size(1)-1)/unitSize+1)
+		}
+	}
+	if n > maxUnits {
+		return fmt.Errorf("%w: the base level chops into %d units of edge %d, past the budget of %d",
+			ErrTooManyUnits, n, unitSize, maxUnits)
+	}
+	return nil
+}
 
 // LevelBoxes returns the fragments of level l grouped per owner.
 func (a *Assignment) LevelBoxes(level int) map[int]geom.BoxList {
@@ -264,30 +301,40 @@ func (hi *hierIndex) columnFragments(ub geom.Box, owner int, out *[]Fragment) {
 	hi.bandFragments(ub, 0, len(hi.levels)-1, owner, out)
 }
 
-// cutChain splits the (already ordered) units into parts contiguous
-// chunks of near-equal weight (chains-on-chains greedy) and returns the
-// part index of each unit.
-func cutChain(units []unit, parts int) []int {
-	owners := make([]int, len(units))
+// cutChain splits an (already ordered) chain whose unit i weighs w[i]
+// into parts contiguous chunks of near-equal weight (chains-on-chains
+// greedy) and returns the part index of each unit. The part index is
+// non-decreasing along the chain.
+func cutChain(w []int64, parts int) []int {
+	owners := make([]int, len(w))
 	if parts < 1 {
 		parts = 1
 	}
 	var total int64
-	for _, u := range units {
-		total += u.weight
+	for _, wi := range w {
+		total += wi
 	}
 	var acc int64
 	p := 0
-	for i, u := range units {
+	for i, wi := range w {
 		// Advance to the next part when the running total passes the
 		// proportional boundary, keeping the last part non-starved.
-		for p < parts-1 && acc+u.weight/2 >= total*int64(p+1)/int64(parts) {
+		for p < parts-1 && acc+wi/2 >= total*int64(p+1)/int64(parts) {
 			p++
 		}
 		owners[i] = p
-		acc += u.weight
+		acc += wi
 	}
 	return owners
+}
+
+// unitWeights returns the weight of each unit of a chain, in order.
+func unitWeights(units []unit) []int64 {
+	w := make([]int64, len(units))
+	for i, u := range units {
+		w[i] = u.weight
+	}
+	return w
 }
 
 // merged finishes a partitioner's Partition: the assignment its

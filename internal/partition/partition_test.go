@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,8 @@ import (
 )
 
 // mustPartition runs p with a background context and fails the test on
-// error (impossible without cancellation).
+// error (impossible without cancellation, on a hierarchy within the
+// unit budget).
 func mustPartition(t testing.TB, p Partitioner, h *grid.Hierarchy, np int) *Assignment {
 	t.Helper()
 	a, err := p.Partition(context.Background(), h, np)
@@ -261,11 +263,11 @@ func TestValidateCatchesGaps(t *testing.T) {
 }
 
 func TestCutChainProportions(t *testing.T) {
-	units := make([]unit, 100)
-	for i := range units {
-		units[i] = unit{weight: 10}
+	w := make([]int64, 100)
+	for i := range w {
+		w[i] = 10
 	}
-	owners := cutChain(units, 4)
+	owners := cutChain(w, 4)
 	counts := map[int]int{}
 	for _, o := range owners {
 		counts[o]++
@@ -284,8 +286,7 @@ func TestCutChainProportions(t *testing.T) {
 }
 
 func TestCutChainZeroWeights(t *testing.T) {
-	units := make([]unit, 10) // all zero weight
-	owners := cutChain(units, 3)
+	owners := cutChain(make([]int64, 10), 3) // all zero weight
 	for _, o := range owners {
 		if o < 0 || o > 2 {
 			t.Fatalf("owner %d out of range", o)
@@ -375,6 +376,38 @@ func TestHugeUnitsCoverOffOrigin(t *testing.T) {
 				t.Errorf("%s: %v", p.Name(), err)
 			}
 		}
+	}
+}
+
+// TestUnitBudget: the count is the chop's, ceil(extent / unit) per axis
+// summed over the base boxes, and past 2^20 every unit-chain
+// partitioner refuses with ErrTooManyUnits and no assignment, while a
+// unit large enough brings the same base inside the budget.
+func TestUnitBudget(t *testing.T) {
+	for _, tc := range []struct {
+		region geom.BoxList
+		unit   int
+		ok     bool
+	}{
+		{geom.BoxList{geom.NewBox2(0, 0, 1024, 1024)}, 1, true},
+		{geom.BoxList{geom.NewBox2(0, 0, 1024, 1025)}, 1, false},
+		{geom.BoxList{geom.NewBox2(0, 0, 2048, 2048)}, 2, true},
+		{geom.BoxList{geom.NewBox2(0, 0, 2049, 2048)}, 2, false},                                 // 1025 × 1024
+		{geom.BoxList{geom.NewBox2(0, 0, 1024, 1024), geom.NewBox2(1024, 0, 1025, 1)}, 1, false}, // one unit over
+		{geom.BoxList{geom.NewBox2(-1<<30, -1<<30, 1<<30, 1<<30)}, math.MaxInt64, true},
+	} {
+		if err := checkUnits(tc.region, tc.unit); (err == nil) != tc.ok || err != nil && !errors.Is(err, ErrTooManyUnits) {
+			t.Errorf("%v at unit %d: %v", tc.region, tc.unit, err)
+		}
+	}
+	h := grid.NewHierarchy(geom.NewBox2(0, 0, 1<<16, 1<<16), 2)
+	for _, p := range []Partitioner{NewDomainSFC(), NewNatureFable(), NewPostMapped(NewDomainSFC())} {
+		if a, err := p.Partition(context.Background(), h, 4); a != nil || !errors.Is(err, ErrTooManyUnits) {
+			t.Errorf("%s on a 65536² base: (%v, %v), want ErrTooManyUnits", p.Name(), a, err)
+		}
+	}
+	if err := mustPartition(t, &NatureFable{Curve: sfc.Hilbert, AtomicUnit: 1 << 16, Groups: 4}, h, 4).Validate(h); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"samr/internal/partition"
+	"samr/internal/trace"
 )
 
 // TestExpiredDeadlineIsWireErrorWithoutCompute: a request whose
@@ -35,6 +37,64 @@ func TestExpiredDeadlineIsWireErrorWithoutCompute(t *testing.T) {
 	// Simulate and select are bounded the same way.
 	if r := post(t, ts.URL+"/v1/select", SelectRequest{Hierarchy: &h}, nil); r.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("select status = %d, want 504", r.StatusCode)
+	}
+}
+
+// TestUnaffordableHierarchyIsBadRequest: a valid 171-byte post whose
+// one-box base level, 65536² cells, chops into 2^30 units of edge 2 is
+// refused with a 400 naming the count and the budget, well inside its
+// one-second deadline, on every route that partitions: a one-shot post,
+// a session step and a simulated trace. Before the unit budget it ran
+// until the deadline's 504, holding about a gigabyte of heap, and under
+// the default two-minute timeout until the daemon was killed. A refusal
+// caches nothing.
+func TestUnaffordableHierarchyIsBadRequest(t *testing.T) {
+	srv, ts := newTestServer(t, Config{RequestTimeout: time.Second})
+	huge := Hierarchy{
+		Domain:   Box{Dim: 2, Lo: []int{0, 0}, Hi: []int{65536, 65536}},
+		RefRatio: 2,
+		Levels:   [][]Box{{{Dim: 2, Lo: []int{0, 0}, Hi: []int{65536, 65536}}}},
+	}
+	refused := func(route string, send func() *http.Response) {
+		t.Helper()
+		start := time.Now()
+		r := send()
+		if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+			t.Errorf("%s: answered after %v", route, elapsed)
+		}
+		var e ErrorResponse
+		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
+			t.Fatalf("%s: body not the JSON error: %v", route, err)
+		}
+		if r.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "1073741824 units") || !strings.Contains(e.Error, "1048576") {
+			t.Errorf("%s: status %d, error %q; want 400 naming 1073741824 units and the budget 1048576", route, r.StatusCode, e.Error)
+		}
+	}
+
+	post1 := PartitionRequest{Hierarchy: &huge, Partitioner: "nature+fable", NProcs: 4}
+	if body, _ := json.Marshal(post1); len(body) != 171 {
+		t.Fatalf("request body is %d bytes, want the 171 of the report", len(body))
+	}
+	refused("partition", func() *http.Response { return post(t, ts.URL+"/v1/partition", post1, nil) })
+
+	sess := createSession(t, ts.URL, huge, "nature+fable", 4)
+	refused("session step", func() *http.Response {
+		return post(t, ts.URL+"/v1/session/"+sess.Session+"/step", SessionStepRequest{Levels: []LevelOp{{Op: LevelKeep}}}, nil)
+	})
+
+	h, err := huge.toGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &trace.Trace{App: "HUGE", RefRatio: 2, MaxLevels: 1, Domain: h.Domain}
+	tr.Append(0, 0, h)
+	srv.Registry().Register("huge", tr)
+	refused("simulate", func() *http.Response {
+		return post(t, ts.URL+"/v1/simulate", SimulateRequest{Trace: "huge", Partitioner: "nature+fable", NProcs: 4}, nil)
+	})
+
+	if n := srv.Cache().Len(); n != 0 {
+		t.Errorf("a refused request left %d cache entries", n)
 	}
 }
 

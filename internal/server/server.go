@@ -483,12 +483,16 @@ func writeErrCode(w http.ResponseWriter, status int, code, format string, args .
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-// writeFailure maps an execution error onto the wire: an exceeded
+// writeFailure maps an execution error onto the wire: a hierarchy too
+// large for the partitioner's unit budget is 400 (the request alone
+// causes it; the message names the count and the budget), an exceeded
 // deadline is 504 Gateway Timeout, a client cancellation is 499, and
-// anything else (none today: cancellation is the only error source
-// below the handlers) is a 500.
+// anything else (none today) is a 500. None of these is cached or
+// tiered: the caches store successes only.
 func writeFailure(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, partition.ErrTooManyUnits):
+		writeErr(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusGatewayTimeout, "request deadline exceeded: %v", err)
 	case errors.Is(err, context.Canceled):
