@@ -255,20 +255,6 @@
 // uploads, resumes count failovers). With the flag off, every route,
 // header, and stats body is byte-identical to a build without durable
 // sessions.
-//
-// For chaos drills only, -faults arms deterministic fault injection
-// on the non-client-facing paths, e.g.
-//
-//	samrd ... -faults 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1'
-//
-// Points: disk.get, disk.put, peer.get, peer.put in the tier;
-// session.snapshot.put, session.snapshot.get on the session
-// durability path; and admit.accept, admit.shed in admission control
-// (a plan on any other name fails startup). Modes are error, latency,
-// corrupt, enospc, scheduled by every/after/count/prob and derived
-// purely from the spec (same spec, same schedule). The contract
-// under any schedule: degraded performance or a well-formed 429, never
-// a wrong byte or a malformed client-visible error.
 package main
 
 import (
@@ -284,12 +270,8 @@ import (
 	"syscall"
 	"time"
 
-	"samr/internal/fault"
 	"samr/internal/server"
 )
-
-// faultSeed derives the -faults schedule; the spec alone names a drill.
-const faultSeed = 1
 
 func main() {
 	var (
@@ -305,7 +287,6 @@ func main() {
 		tierPeers  = flag.String("tier-peers", "", "comma-separated base URLs of every fleet member, identical across the fleet")
 		tierSelf   = flag.String("tier-self", "", "this daemon's own base URL; required with -tier-peers and must be one of them")
 		tierSess   = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
-		faultSpec  = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
 		sessionTTL = flag.Duration("session-ttl", 15*time.Minute, "idle expiry for streaming sessions (the table holds 256)")
 	)
 	flag.Parse()
@@ -314,19 +295,6 @@ func main() {
 	for _, p := range strings.Split(*tierPeers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			peers = append(peers, p)
-		}
-	}
-
-	var injector *fault.Injector
-	if *faultSpec != "" {
-		plans, err := fault.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "samrd:", err)
-			os.Exit(1)
-		}
-		if injector, err = fault.New(faultSeed, plans...); err != nil {
-			fmt.Fprintln(os.Stderr, "samrd:", err)
-			os.Exit(1)
 		}
 	}
 
@@ -342,7 +310,6 @@ func main() {
 		TierPeers:      peers,
 		TierSelf:       *tierSelf,
 		TierSessions:   *tierSess,
-		Faults:         injector,
 		SessionTTL:     *sessionTTL,
 	})
 	if err != nil {
@@ -395,9 +362,6 @@ func main() {
 	}
 	if *tierSess {
 		log.Printf("samrd: durable sessions on (snapshots through the fleet tier, peers resume)")
-	}
-	if injector != nil {
-		log.Printf("samrd: FAULT INJECTION ARMED (chaos drill): %s", injector)
 	}
 	if *inflight > 0 {
 		log.Printf("samrd: admission control on (max in-flight %d, queue %d, tenant rate %g/s)",

@@ -24,7 +24,7 @@ func buildSamrd(t *testing.T) string {
 // as "off" or "the default", a -tier-self the ring does not list — are
 // startup errors that name the setting, and so is each flag that had
 // one value in use and became a constant or whose mechanism was
-// removed, and a -faults plan on a point that went with one.
+// removed.
 func TestNonsenseFlagsFailStartup(t *testing.T) {
 	bin := buildSamrd(t)
 	peers := "http://127.0.0.1:1,http://127.0.0.1:2"
@@ -41,7 +41,7 @@ func TestNonsenseFlagsFailStartup(t *testing.T) {
 		{[]string{"-max-sessions", "8"}, "not defined: -max-sessions"},
 		{[]string{"-fault-seed", "7"}, "not defined: -fault-seed"},
 		{[]string{"-tier-repair", "30s"}, "not defined: -tier-repair"},
-		{[]string{"-tier-dir", t.TempDir(), "-faults", "peer.manifest:error"}, `unknown point "peer.manifest"`},
+		{[]string{"-faults", "disk.put:enospc"}, "not defined: -faults"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, c.args...)...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), c.want) {

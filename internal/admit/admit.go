@@ -39,24 +39,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"samr/internal/fault"
-)
-
-// Injection points of the admission layer, armed via Config.Faults by
-// tests and the -faults flag (production runs carry a nil injector).
-// They widen chaos testing from the tier onto the compute path itself.
-const (
-	// FaultAccept covers the top of every Admit call: an error decision
-	// sheds the request (ReasonInjected — a well-formed 429, since an
-	// admission fault is a refusal by definition), a latency decision
-	// stalls the admission decision.
-	FaultAccept = "admit.accept"
-	// FaultShed covers every shed path: a latency decision delays the
-	// fast-fail reply, modelling a slow rejection under pressure. Error
-	// and corrupt decisions are meaningless on a path already failing
-	// and are ignored.
-	FaultShed = "admit.shed"
 )
 
 // Priority is a request's dispatch class. Interactive requests
@@ -105,8 +87,6 @@ const (
 	// produce a late failure; shedding now lets the client retry
 	// elsewhere immediately.
 	ReasonDeadline = "deadline"
-	// ReasonInjected: an error plan armed on FaultAccept forced the shed.
-	ReasonInjected = "injected"
 )
 
 // ShedError reports a load-shedding decision: the request was refused
@@ -141,9 +121,6 @@ type Config struct {
 	// request has completed (default 100ms). Once requests flow, an
 	// EWMA of observed service times replaces it.
 	DefaultServiceTime time.Duration
-	// Faults arms the admission injection points (FaultAccept,
-	// FaultShed) for chaos testing; nil in production: zero-cost.
-	Faults *fault.Injector
 }
 
 func (c Config) withDefaults() Config {
@@ -199,7 +176,6 @@ type Controller struct {
 	shedQueue    uint64
 	shedRate     uint64
 	shedDeadline uint64
-	shedInjected uint64
 }
 
 // New builds a controller; cfg.MaxInFlight must be positive (callers
@@ -226,20 +202,6 @@ func New(cfg Config) *Controller {
 // queue wait is shed immediately (ReasonDeadline) rather than queued to
 // fail late. A deadline already on ctx is used the same way.
 func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority, budget time.Duration) (release func(), err error) {
-	// The admit.accept injection point: an injected error is an
-	// injected shed (admission's only failure mode is refusal, so the
-	// fault surfaces as a well-formed 429, never a malformed reply);
-	// injected latency stalls the decision before any lock is taken.
-	if d := c.cfg.Faults.Hit(FaultAccept); d.Err != nil || d.Delay > 0 {
-		d.Sleep()
-		if d.Err != nil {
-			c.mu.Lock()
-			c.shedInjected++
-			c.tenantLocked(tenant).shed++
-			c.mu.Unlock()
-			return nil, &ShedError{Reason: ReasonInjected, RetryAfter: time.Second}
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -264,7 +226,6 @@ func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority, bud
 			ten.throttled++
 			c.shedRate++
 			c.mu.Unlock()
-			c.shedDelay()
 			return nil, &ShedError{Reason: ReasonRateLimit, RetryAfter: wait}
 		}
 		ten.tokens--
@@ -287,7 +248,6 @@ func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority, bud
 		c.shedQueue++
 		ten.shed++
 		c.mu.Unlock()
-		c.shedDelay()
 		return nil, &ShedError{Reason: ReasonQueueFull, RetryAfter: est}
 	}
 	est := c.waitEstimateLocked(c.queued)
@@ -301,7 +261,6 @@ func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority, bud
 		c.shedDeadline++
 		ten.shed++
 		c.mu.Unlock()
-		c.shedDelay()
 		return nil, &ShedError{Reason: ReasonDeadline, RetryAfter: est}
 	}
 	w := &waiter{tenant: tenant, pri: pri, ready: make(chan struct{})}
@@ -332,10 +291,6 @@ func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority, bud
 		return nil, ctx.Err()
 	}
 }
-
-// shedDelay applies the admit.shed injection point's latency (only;
-// see FaultShed) outside the controller mutex.
-func (c *Controller) shedDelay() { c.cfg.Faults.Hit(FaultShed).Sleep() }
 
 // releaseFunc builds the idempotent slot-return closure for an admitted
 // request.
@@ -484,7 +439,6 @@ type Stats struct {
 	ShedQueueFull uint64 `json:"shed_queue_full"`
 	ShedRateLimit uint64 `json:"shed_rate_limit"`
 	ShedDeadline  uint64 `json:"shed_deadline"`
-	ShedInjected  uint64 `json:"shed_injected"`
 	// ServiceEWMANanos is the smoothed observed service time feeding
 	// the queue-wait estimator (0 until the first request completes).
 	ServiceEWMANanos int64                  `json:"service_ewma_nanos"`
@@ -494,7 +448,7 @@ type Stats struct {
 // ShedTotal sums the shed counters; it is monotone over a controller's
 // lifetime (the saturation smoke test's invariant).
 func (s Stats) ShedTotal() uint64 {
-	return s.ShedQueueFull + s.ShedRateLimit + s.ShedDeadline + s.ShedInjected
+	return s.ShedQueueFull + s.ShedRateLimit + s.ShedDeadline
 }
 
 // Stats snapshots the controller.
@@ -511,7 +465,6 @@ func (c *Controller) Stats() Stats {
 		ShedQueueFull:    c.shedQueue,
 		ShedRateLimit:    c.shedRate,
 		ShedDeadline:     c.shedDeadline,
-		ShedInjected:     c.shedInjected,
 		ServiceEWMANanos: int64(c.svcEWMA),
 		Tenants:          make(map[string]TenantStats, len(c.tenants)),
 	}

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"samr/internal/fault"
 )
 
 func newTestController(t *testing.T, cfg Config) *Controller {
@@ -415,64 +413,42 @@ func TestConcurrentAdmissionAccounting(t *testing.T) {
 	}
 }
 
-// TestInjectedAcceptError pins the admit.accept fault point: an
-// injected error surfaces as a well-formed injected-reason shed — the
-// admission layer's only failure mode is refusal, never a malformed
-// reply — counted like any other shed, while uninjected requests admit
-// normally.
+// TestInjectedAcceptError: a refusal forced from outside the
+// controller — its one slot held, no queue — is a well-formed shed with
+// a retry hint, counted like any other and booked to the tenant that
+// was refused, while requests that find the slot free admit normally
+// and no slot leaks.
 func TestInjectedAcceptError(t *testing.T) {
-	in, err := fault.New(5, fault.Plan{Point: FaultAccept, Mode: fault.Error, Every: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newTestController(t, Config{MaxInFlight: 8, Faults: in})
+	c := newTestController(t, Config{MaxInFlight: 1})
 	admitted, shed := 0, 0
 	for i := 0; i < 6; i++ {
+		var hold func()
+		if i%2 == 1 {
+			hold = mustAdmit(t, c, "holder", Interactive)
+		}
 		release, err := c.Admit(context.Background(), "tenant", Interactive, 0)
+		if hold != nil {
+			hold()
+		}
 		if err == nil {
 			admitted++
 			release()
 			continue
 		}
 		var se *ShedError
-		if !errors.As(err, &se) || se.Reason != ReasonInjected {
-			t.Fatalf("injected accept error = %v, want a ReasonInjected shed", err)
+		if !errors.As(err, &se) || se.Reason != ReasonQueueFull {
+			t.Fatalf("Admit with the slot held = %v, want a queue-full shed", err)
 		}
 		if se.RetryAfter <= 0 {
-			t.Errorf("injected shed RetryAfter = %v, want positive", se.RetryAfter)
+			t.Errorf("shed RetryAfter = %v, want positive", se.RetryAfter)
 		}
 		shed++
 	}
 	if admitted != 3 || shed != 3 {
-		t.Fatalf("admitted %d / shed %d under Every:2, want 3 / 3", admitted, shed)
+		t.Fatalf("admitted %d / shed %d with the slot held every other time, want 3 / 3", admitted, shed)
 	}
 	st := c.Stats()
-	if st.ShedInjected != 3 || st.Tenants["tenant"].Shed != 3 || st.InFlight != 0 {
-		t.Fatalf("stats = %+v, want 3 injected sheds booked to the tenant and no leaked slots", st)
-	}
-}
-
-// TestInjectedShedLatency pins the admit.shed fault point: injected
-// latency stalls the refusal itself (slow rejection, the nastier
-// overload shape) without changing its outcome or accounting.
-func TestInjectedShedLatency(t *testing.T) {
-	const delay = 30 * time.Millisecond
-	in, err := fault.New(6, fault.Plan{Point: FaultShed, Mode: fault.Latency, Delay: delay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newTestController(t, Config{MaxInFlight: 1, Faults: in})
-	release := mustAdmit(t, c, "", Interactive)
-	defer release()
-
-	start := time.Now()
-	_, aerr := c.Admit(context.Background(), "", Interactive, 0)
-	elapsed := time.Since(start)
-	var se *ShedError
-	if !errors.As(aerr, &se) || se.Reason != ReasonQueueFull {
-		t.Fatalf("over-cap Admit error = %v, want queue-full shed", aerr)
-	}
-	if elapsed < delay/2 {
-		t.Errorf("shed returned in %v, want the injected %v stall", elapsed, delay)
+	if st.ShedQueueFull != 3 || st.Tenants["tenant"].Shed != 3 || st.Tenants["holder"].Shed != 0 || st.InFlight != 0 {
+		t.Fatalf("stats = %+v, want 3 sheds booked to the refused tenant and no leaked slots", st)
 	}
 }

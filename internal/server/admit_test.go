@@ -13,11 +13,9 @@ import (
 	"time"
 
 	"samr/internal/admit"
-	"samr/internal/fault"
 )
 
-// admitTestConfig enables admission with roomy limits so only the
-// injected/forced paths shed.
+// admitTestConfig enables admission with roomy limits so nothing sheds.
 func admitTestConfig() Config {
 	return Config{MaxInFlight: 8, QueueDepth: 8}
 }
@@ -92,25 +90,50 @@ func checkShedResponse(t *testing.T, r *http.Response, wantReason string) {
 	}
 }
 
-// injectedSheds arms admit.accept to refuse the first count admissions
-// (0: every one).
-func injectedSheds(t *testing.T, count int) *fault.Injector {
+// saturate holds the one admission slot of srv (MaxInFlight 1) and
+// fills its accept queue, so every compute request sheds for real
+// (queue-full) until the returned func, or the test's end, gives the
+// slot back.
+func saturate(t *testing.T, srv *Server) (release func()) {
 	t.Helper()
-	in, err := fault.New(1, fault.Plan{Point: admit.FaultAccept, Mode: fault.Error, Count: count})
+	adm := srv.Admission()
+	hold, err := adm.Admit(context.Background(), "", admit.Interactive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return in
+	depth := adm.Stats().QueueDepth
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for range depth {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if r, err := adm.Admit(ctx, "", admit.Interactive, 0); err == nil {
+				r()
+			}
+		}()
+	}
+	for adm.Stats().Queued != depth {
+		time.Sleep(100 * time.Microsecond)
+	}
+	release = sync.OnceFunc(func() {
+		// The waiters leave before the slot frees up, so none is granted.
+		cancel()
+		wg.Wait()
+		hold()
+	})
+	t.Cleanup(release)
+	return release
 }
 
-// TestInjectedShedNeverExecutesPartitioner is the fault-injection
-// acceptance test: a request shed by an admit.accept fault must return
-// the documented 429 without running any partitioner, without touching
-// the partition cache, and without leaking goroutines.
+// TestInjectedShedNeverExecutesPartitioner is the shed acceptance
+// test: a request shed because admission is saturated — its one slot
+// held, its queue full — must return the documented 429 without
+// running any partitioner, without touching the partition cache, and
+// without leaking goroutines.
 func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
-	cfg := admitTestConfig()
-	cfg.Faults = injectedSheds(t, 8)
-	srv, ts := newTestServer(t, cfg)
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 1})
+	release := saturate(t, srv)
 
 	// Close keep-alive connections before counting so lingering HTTP
 	// conn goroutines (client and server side) don't mask a real leak.
@@ -125,7 +148,7 @@ func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
 	req := PartitionRequest{Hierarchy: &h, Partitioner: "nature+fable", NProcs: 8}
 	for i := 0; i < 8; i++ {
 		r := postTenant(t, ts.URL+"/v1/partition", "evil", 0, req, nil)
-		checkShedResponse(t, r, admit.ReasonInjected)
+		checkShedResponse(t, r, admit.ReasonQueueFull)
 	}
 
 	// No partitioner ran, nothing entered any cache.
@@ -136,8 +159,8 @@ func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
 		t.Fatalf("shed requests stored %d cache entries", n)
 	}
 	st := srv.Admission().Stats()
-	if st.ShedInjected != 8 || st.Admitted != 0 {
-		t.Fatalf("admission stats = %+v, want 8 injected sheds / 0 admits", st)
+	if st.ShedQueueFull != 8 || st.Admitted != 1 {
+		t.Fatalf("admission stats = %+v, want 8 queue-full sheds / only the held slot admitted", st)
 	}
 	if ten := st.Tenants["evil"]; ten.Shed != 8 || ten.InFlight != 0 {
 		t.Fatalf("evil tenant stats = %+v, want 8 sheds / 0 in flight", ten)
@@ -156,7 +179,8 @@ func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The plan is spent: the next request computes normally.
+	// With the slot back, the next request computes normally.
+	release()
 	var resp PartitionResponse
 	if r := postTenant(t, ts.URL+"/v1/partition", "good", 0, req, &resp); r.StatusCode != http.StatusOK {
 		t.Fatalf("good tenant status = %d after evil's sheds", r.StatusCode)
@@ -450,8 +474,8 @@ func TestAdmissionDisabledIsTransparent(t *testing.T) {
 }
 
 // TestSimulateIsBatchClassAndGuarded: /v1/simulate passes through
-// admission like the interactive endpoints (an injected shed reaches
-// it) — the class split is about priority, not about bypassing the
+// admission like the interactive endpoints (a saturated gate sheds it)
+// — the class split is about priority, not about bypassing the
 // gate: a simulate queued ahead of a partition is still granted the
 // freed slot after it.
 func TestSimulateIsBatchClassAndGuarded(t *testing.T) {
@@ -489,10 +513,10 @@ func TestSimulateIsBatchClassAndGuarded(t *testing.T) {
 		t.Errorf("the partition computed with %d requests queued behind it, want 1: simulate must queue as Batch", queuedBehind)
 	}
 
-	cfg := admitTestConfig()
-	cfg.Faults = injectedSheds(t, 0)
-	_, ts = newTestServer(t, cfg)
-	checkShedResponse(t, postTenant(t, ts.URL+"/v1/simulate", "", 0, simulate, nil), admit.ReasonInjected)
+	srv, ts = newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 1})
+	srv.Registry().Register("synthetic", testTrace(4))
+	saturate(t, srv)
+	checkShedResponse(t, postTenant(t, ts.URL+"/v1/simulate", "", 0, simulate, nil), admit.ReasonQueueFull)
 
 	// Observability endpoints bypass admission even when everything
 	// compute-shaped is shed.

@@ -1,142 +1,177 @@
 package server
 
 import (
-	"net"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"samr/internal/fault"
 	"samr/internal/tier"
 )
 
-// The chaos suite: an in-process fleet driven through seeded fault
-// schedules — corrupt resident blobs, injected disk-full, dropped peer
-// exchanges, a member killed and later rejoining wiped — asserting the
-// self-healing contract: zero client-visible errors, bodies
-// byte-identical to a fault-free run, and a wiped member refilling from
-// what it is asked for. Everything here is deterministic apart from
-// which member owns which key (httptest ports feed the rendezvous
-// hash), so assertions never depend on a particular ownership draw.
+// The chaos suite: an in-process fleet broken from outside the program,
+// through the handler in front of each member and the bytes on its
+// disk — dropped and failed peer fetches, delayed offers, flipped
+// bytes on the wire and on disk, a member killed and later rejoining
+// wiped — asserting the self-healing contract: zero client-visible
+// errors, bodies byte-identical to a fault-free run, and a wiped member
+// refilling from what it is asked for. Faults follow per-member request
+// counts, and the suites post sequentially (a computed result's store
+// and peer offer finish before its response), so the same request
+// sequence meets the same faults. Which member owns which key depends on
+// the httptest ports that feed the rendezvous hash, so assertions never
+// depend on a particular ownership draw.
 
-// chaosMember is one fleet daemon that can be killed and restarted on
-// its original URL (listeners have SO_REUSEADDR, so re-binding the
-// address works as soon as the old listener is closed).
+// chaosSchedule says when a member's handler breaks its peer traffic:
+// every failGet-th GET /v1/tier/ fails (a 500, or every other time a
+// connection closed without an answer), every delayPut-th PUT
+// /v1/tier/ is held 2 ms, and one byte of every flipBody-th 200 GET body
+// is flipped. Zero turns a fault off.
+type chaosSchedule struct {
+	failGet, delayPut, flipBody uint64
+}
+
+// chaosMember is one fleet daemon behind a handler the test owns. The
+// handler counts the member's peer-protocol requests and breaks them on
+// its schedule; its dead switch drops every connection, like a crashed
+// daemon; and start swaps a fresh Server in behind the same listener,
+// so a restart never re-binds a port.
 type chaosMember struct {
-	srv  *Server
-	ts   *httptest.Server
-	url  string
-	addr string
-	cfg  Config
-	in   *fault.Injector
+	url   string
+	cfg   Config
+	sched chaosSchedule
+	srv   atomic.Pointer[Server]
+	dead  atomic.Bool
+
+	gets, puts, bodies       atomic.Uint64 // peer GETs, PUTs and 200 GET bodies seen
+	failed, delayed, flipped atomic.Uint64 // faults injected
 }
 
-// chaosPlans is the suite's standing fault schedule: periodic resident
-// blob corruption, periodic disk-full writes, periodic dropped peer
-// fetches, and latency on peer offers.
-func chaosPlans() []fault.Plan {
-	return []fault.Plan{
-		{Point: tier.FaultDiskGet, Mode: fault.Corrupt, Every: 5},
-		{Point: tier.FaultDiskPut, Mode: fault.NoSpace, Every: 7},
-		{Point: tier.FaultPeerGet, Mode: fault.Error, Every: 6},
-		{Point: tier.FaultPeerPut, Mode: fault.Latency, Every: 4, Delay: 2 * time.Millisecond},
-	}
-}
-
-// newChaosFleet is newFleet with a per-member seeded injector: member i
-// runs the shared plan set from seed+i, so every run of the suite
-// replays the identical fault schedule per member. A non-nil mutate
-// hook adjusts each member's config before the server is built.
-func newChaosFleet(t *testing.T, n int, seed int64, plans []fault.Plan, mutate func(*Config)) []*chaosMember {
+// newChaosFleet is newFleet with every member behind a chaos handler
+// on sched. A non-nil mutate hook adjusts each member's config before
+// its server is built.
+func newChaosFleet(t *testing.T, n int, sched chaosSchedule, mutate func(*Config)) []*chaosMember {
 	t.Helper()
 	members := make([]*chaosMember, n)
 	urls := make([]string, n)
-	listeners := make([]net.Listener, n)
 	for i := range members {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
+		m := &chaosMember{sched: sched}
+		ts := httptest.NewServer(m)
+		t.Cleanup(ts.Close)
+		m.url = ts.URL
+		members[i], urls[i] = m, ts.URL
 	}
-	for i := range members {
-		in, err := fault.New(seed+int64(i), plans...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{
-			TierDir:   t.TempDir(),
-			TierPeers: urls,
-			TierSelf:  urls[i],
-			Faults:    in,
-		}
+	for i, m := range members {
+		cfg := Config{TierDir: t.TempDir(), TierPeers: urls, TierSelf: urls[i]}
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		srv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewUnstartedServer(srv)
-		ts.Listener.Close() //nolint:errcheck
-		ts.Listener = listeners[i]
-		ts.Start()
-		t.Cleanup(srv.Close)
-		t.Cleanup(ts.Close)
-		members[i] = &chaosMember{
-			srv: srv, ts: ts, url: urls[i],
-			addr: listeners[i].Addr().String(), cfg: cfg, in: in,
-		}
+		m.start(t, cfg)
 	}
 	return members
 }
 
-// kill stops the member's listener mid-flood, like a crashed daemon.
-func (m *chaosMember) kill() {
-	m.ts.Close()
-	// Drop pooled keep-alive connections so later requests to surviving
-	// members never ride a connection the dead one owned.
-	http.DefaultClient.CloseIdleConnections()
-}
-
-// restart brings the member back on its original URL with cfg (the
-// rejoin scenario passes a fresh TierDir: a wiped disk).
-func (m *chaosMember) restart(t *testing.T, cfg Config) {
+// start runs a fresh daemon over cfg behind the member's listener; the
+// rejoin scenario passes a fresh TierDir, a wiped disk.
+func (m *chaosMember) start(t *testing.T, cfg Config) {
 	t.Helper()
-	m.ts.Close()
-	var ln net.Listener
-	var err error
-	for i := 0; i < 100; i++ {
-		if ln, err = net.Listen("tcp", m.addr); err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("re-binding %s: %v", m.addr, err)
-	}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewUnstartedServer(srv)
-	ts.Listener.Close() //nolint:errcheck
-	ts.Listener = ln
-	ts.Start()
-	t.Cleanup(srv.Close)
-	t.Cleanup(ts.Close)
-	m.srv, m.ts, m.cfg = srv, ts, cfg
-	http.DefaultClient.CloseIdleConnections()
+	m.cfg = cfg
+	m.srv.Store(srv)
+	m.dead.Store(false)
+}
+
+// kill makes the member drop every connection, like a crashed daemon.
+func (m *chaosMember) kill() { m.dead.Store(true) }
+
+func (m *chaosMember) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if m.dead.Load() {
+		hangUp(w)
+		return
+	}
+	srv := m.srv.Load()
+	if !strings.HasPrefix(r.URL.Path, "/v1/tier/") {
+		srv.ServeHTTP(w, r)
+		return
+	}
+	switch r.Method {
+	case http.MethodPut:
+		if nth(m.puts.Add(1), m.sched.delayPut) {
+			m.delayed.Add(1)
+			time.Sleep(2 * time.Millisecond)
+		}
+	case http.MethodGet:
+		if n := m.gets.Add(1); nth(n, m.sched.failGet) {
+			m.failed.Add(1)
+			if n/m.sched.failGet%2 == 0 {
+				hangUp(w)
+			} else {
+				http.Error(w, "injected failure", http.StatusInternalServerError)
+			}
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if rec.Code == http.StatusOK && nth(m.bodies.Add(1), m.sched.flipBody) {
+			m.flipped.Add(1)
+			body[len(body)/2] ^= 0xFF
+		}
+		maps.Copy(w.Header(), rec.Header())
+		w.WriteHeader(rec.Code)
+		w.Write(body) //nolint:errcheck
+		return
+	}
+	srv.ServeHTTP(w, r)
+}
+
+// nth reports whether the n-th event is one an every-th schedule hits.
+func nth(n, every uint64) bool { return every > 0 && n%every == 0 }
+
+// hangUp closes the request's connection without an answer.
+func hangUp(w http.ResponseWriter) {
+	conn, _, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		panic(http.ErrAbortHandler) // closes the connection too
+	}
+	conn.Close() //nolint:errcheck
+}
+
+// rot flips one byte of each resident tier entry in dir in place — bit
+// rot — and returns how many it damaged.
+func rot(t *testing.T, dir string) int {
+	t.Helper()
+	entries, err := filepath.Glob(filepath.Join(dir, "*.tier"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range entries {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0xFF
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return len(entries)
 }
 
 // TestChaosFleetServesBaselineBodiesUnderFaults is the headline chaos
-// property: a fleet under the standing fault schedule — including one
-// member killed mid-flood and rejoining wiped — answers every request
-// with 200 and a body byte-identical to the fault-free baseline, and
-// the rejoined member's disk store refills with the keys it is asked
-// for.
+// property: a fleet whose peer traffic fails, stalls and flips bytes on
+// a schedule, with one member's disk rotted, one member killed
+// mid-flood and rejoining wiped, answers every request with 200 and a
+// body byte-identical to the fault-free baseline, and the rejoined
+// member's disk store refills with the keys it is asked for.
 func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	const nHier = 24
 
@@ -156,7 +191,7 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 		want[i] = normalizedBody(t, resp)
 	}
 
-	fleet := newChaosFleet(t, 3, 42, chaosPlans(), nil)
+	fleet := newChaosFleet(t, 3, chaosSchedule{failGet: 4, delayPut: 4, flipBody: 3}, nil)
 	check := func(pass int, m *chaosMember, hi int) {
 		t.Helper()
 		req := PartitionRequest{Partitioner: "domain", NProcs: 4}
@@ -174,29 +209,38 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 		}
 	}
 
-	// Pass 1: the whole fleet serves under faults.
+	// Pass 1: the whole fleet serves under the peer faults.
 	for i := 0; i < nHier; i++ {
 		check(1, fleet[i%3], i)
 	}
 
+	// Every entry on member 0's disk rots.
+	if rot(t, fleet[0].cfg.TierDir) == 0 {
+		t.Fatal("member 0 holds no disk entry to rot")
+	}
+
 	// Pass 2: member 2 is dead; the survivors absorb the flood (their
-	// breakers for the dead member open along the way, diverting offers
-	// and reads to the rendezvous stand-in).
+	// breakers for the dead member count its dropped connections,
+	// diverting offers and reads to the rendezvous stand-in once open).
 	fleet[2].kill()
 	for i := 0; i < nHier; i++ {
 		check(2, fleet[i%2], i)
 	}
+	noticed := false
+	for _, m := range fleet[:2] {
+		for _, b := range m.srv.Load().Tier().Stats().Breakers {
+			noticed = noticed || b.Peer == fleet[2].url
+		}
+	}
+	if !noticed {
+		t.Error("no survivor's breaker counts a failure against the dead member")
+	}
 
-	// Member 2 rejoins wiped: fresh disk, fresh seeded injector.
+	// Member 2 rejoins wiped: a fresh daemon over a fresh disk.
+	corrupt := fleet[2].srv.Load().Tier().Stats().Corrupt
 	cfg := fleet[2].cfg
 	cfg.TierDir = t.TempDir()
-	in2, err := fault.New(999, chaosPlans()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = in2
-	fleet[2].restart(t, cfg)
-	fleet[2].in = in2
+	fleet[2].start(t, cfg)
 
 	// Pass 3: the whole fleet again, shifted so every member serves
 	// hierarchies it has not answered before.
@@ -204,41 +248,32 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 		check(3, fleet[(i+1)%3], i)
 	}
 
-	// The schedules actually fired on every member — the passes above
-	// ran under live faults, not an idle injector.
-	for i, m := range fleet {
-		fired := uint64(0)
-		for _, ps := range m.in.Stats() {
-			fired += ps.Injected
-		}
-		if fired == 0 {
-			t.Errorf("member %d: no fault ever fired; the chaos run was fault-free", i)
-		}
-	}
-
 	// Pass 4: the rejoined member answers every hierarchy with the
 	// baseline body, and what it was asked for is what refilled it: one
-	// disk entry per key, less the writes its schedule refused.
+	// disk entry per key.
 	for i := 0; i < nHier; i++ {
 		check(4, fleet[2], i)
 	}
-	refused := int(in2.Stats()[tier.FaultDiskPut].Injected)
-	if got := fleet[2].srv.Tier().Stats().DiskEntries; got > nHier || got < nHier-refused {
-		t.Errorf("rejoined member holds %d disk entries after being asked for %d keys with %d writes refused", got, nHier, refused)
+	if got := fleet[2].srv.Load().Tier().Stats().DiskEntries; got != nHier {
+		t.Errorf("rejoined member holds %d disk entries after being asked for %d keys", got, nHier)
 	}
-}
 
-// takeoverPlans is the session-chaos schedule: latency on both session
-// snapshot injection points and the peer offer path, plus periodic
-// dropped peer fetches (the resume path on a non-owner rides peer
-// GETs, so those drops are the ones that can surface as a recoverable
-// 410).
-func takeoverPlans() []fault.Plan {
-	return []fault.Plan{
-		{Point: FaultSnapshotPut, Mode: fault.Latency, Every: 2, Delay: time.Millisecond},
-		{Point: FaultSnapshotGet, Mode: fault.Latency, Delay: time.Millisecond},
-		{Point: tier.FaultPeerPut, Mode: fault.Latency, Every: 3, Delay: time.Millisecond},
-		{Point: tier.FaultPeerGet, Mode: fault.Error, Every: 6},
+	// The schedules fired — the passes above ran under live faults — and
+	// the daemons noticed: every flipped body met a decoder that refused
+	// it (rotted entries add to the count).
+	var failed, delayed, flipped uint64
+	for _, m := range fleet {
+		failed += m.failed.Load()
+		delayed += m.delayed.Load()
+		flipped += m.flipped.Load()
+		corrupt += m.srv.Load().Tier().Stats().Corrupt
+	}
+	t.Logf("%d failed GETs, %d delayed PUTs, %d flipped bodies, %d corrupt blobs refused", failed, delayed, flipped, corrupt)
+	if failed == 0 || delayed == 0 || flipped == 0 {
+		t.Errorf("faults injected: %d failed GETs, %d delayed PUTs, %d flipped bodies; want each > 0", failed, delayed, flipped)
+	}
+	if corrupt < flipped {
+		t.Errorf("tier.corrupt across the fleet = %d, want at least the %d flipped bodies", corrupt, flipped)
 	}
 }
 
@@ -246,11 +281,12 @@ func takeoverPlans() []fault.Plan {
 // session whose owning daemon is killed mid-trajectory continues on a
 // peer under the same token — resumed from the fleet-tier snapshot the
 // owner wrote on its last committed step — with every step body
-// byte-identical to an uninterrupted fault-free baseline. At most one
-// recoverable 410 (an injected peer fetch drop on the resume path) is
-// tolerated per takeover; everything else must be 200. Both the
-// stateless and the stateful (carried postmap history) paths are
-// driven.
+// byte-identical to an uninterrupted fault-free baseline, while the
+// fleet's peer fetches fail and its offers (snapshots among them) stall
+// on a schedule. At most one recoverable 410 (a failed peer fetch on
+// the resume path) is tolerated per takeover; everything else must be
+// 200. Both the stateless and the stateful (carried postmap history)
+// paths are driven.
 func TestChaosSessionTakeover(t *testing.T) {
 	const preSteps, postSteps = 3, 3
 	for _, spec := range []string{"domain", "postmap(domain)"} {
@@ -269,7 +305,7 @@ func TestChaosSessionTakeover(t *testing.T) {
 				want[i] = normalizedBody(t, resp)
 			}
 
-			fleet := newChaosFleet(t, 3, 29, takeoverPlans(), func(cfg *Config) {
+			fleet := newChaosFleet(t, 3, chaosSchedule{failGet: 2, delayPut: 3}, func(cfg *Config) {
 				cfg.TierSessions = true
 			})
 			byURL := map[string]*chaosMember{}
@@ -314,9 +350,9 @@ func TestChaosSessionTakeover(t *testing.T) {
 					var resp PartitionResponse
 					r := post(t, m.url+"/v1/session/"+id+"/step", finestStep(4*i), &resp)
 					if r.StatusCode == http.StatusGone && gone == 0 && attempt == 0 {
-						// The one recoverable miss the contract allows: an
-						// injected peer drop failed the snapshot fetch. No
-						// state advanced, so the identical retry applies.
+						// The one recoverable miss the contract allows: a
+						// failed peer fetch lost the snapshot. No state
+						// advanced, so the identical retry applies.
 						gone++
 						continue
 					}
@@ -344,7 +380,7 @@ func TestChaosSessionTakeover(t *testing.T) {
 			fleet[0].kill()
 
 			// Takeover: the snapshot key's ring owner holds the last
-			// committed snapshot on local disk, immune to peer drops.
+			// committed snapshot on local disk, immune to peer faults.
 			resumed := false
 			for i := preSteps + 1; i <= preSteps+postSteps; i++ {
 				resumed = step(owner, i) || resumed
@@ -353,8 +389,8 @@ func TestChaosSessionTakeover(t *testing.T) {
 				t.Error("no post-kill step was served off a resume")
 			}
 			// And a second takeover hop: the remaining member resumes via
-			// a peer fetch from the ring owner (this is the path an
-			// injected peer drop can turn into the one recoverable 410).
+			// a peer fetch from the ring owner (this is the path a failed
+			// peer fetch can turn into the one recoverable 410).
 			if !step(third, preSteps+postSteps+1) {
 				t.Errorf("step on %s after the owner-side steps did not resume", third.url)
 			}
@@ -369,76 +405,98 @@ func TestChaosSessionTakeover(t *testing.T) {
 				t.Errorf("owner session stats = %+v, want >=1 resumed and 0 created", st.Sessions)
 			}
 
-			// The schedules actually fired: the run was not fault-free.
-			for i, m := range fleet {
-				fired := uint64(0)
-				for _, ps := range m.in.Stats() {
-					fired += ps.Injected
-				}
-				if fired == 0 {
-					t.Errorf("member %d: no fault ever fired; the takeover ran fault-free", i)
-				}
+			// The schedule fired: the snapshot offers ran stalled.
+			var failed, delayed uint64
+			for _, m := range fleet {
+				failed += m.failed.Load()
+				delayed += m.delayed.Load()
+			}
+			t.Logf("%d failed GETs, %d delayed PUTs, %d recoverable 410s", failed, delayed, gone)
+			if delayed == 0 {
+				t.Error("no peer offer was ever delayed; the takeover ran fault-free")
 			}
 		})
 	}
 }
 
-// TestChaosCorruptResidentBlobQuarantined pins the deterministic
-// corrupt path: an always-corrupt disk read is rejected by the decoder,
-// quarantined, recomputed, and invisible to the client.
+// TestChaosCorruptResidentBlobQuarantined pins the corrupt path: a
+// byte of bit rot in the entry a key's owner holds is served over the
+// peer protocol, refused by the fetching member's decoder, quarantined
+// there and recomputed, invisibly to the client, and the recompute's
+// offer replaces the rotted entry at the owner.
 func TestChaosCorruptResidentBlobQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	req := PartitionRequest{Partitioner: "domain", NProcs: 8}
+	fleet := newFleet(t, 3)
 	h := testHierarchy(11)
-	req.Hierarchy = &h
-
-	// A fault-free daemon computes and persists the entry.
-	_, ts1 := newTestServer(t, Config{TierDir: dir})
-	var resp1 PartitionResponse
-	post(t, ts1.URL+"/v1/partition", req, &resp1)
-
-	// A restarted daemon (cold memory cache, same dir) reads every
-	// resident blob damaged.
-	in, err := fault.New(7, fault.Plan{Point: tier.FaultDiskGet, Mode: fault.Corrupt})
-	if err != nil {
-		t.Fatal(err)
+	req := PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 8}
+	key := partitionTierKey(t, h, req.Partitioner, req.NProcs)
+	ownerURL := tier.NewRing("", fleetURLs(fleet)).Owner(key)
+	var owner *fleetMember
+	var others []*fleetMember
+	for _, m := range fleet {
+		if m.url == ownerURL {
+			owner = m
+		} else {
+			others = append(others, m)
+		}
 	}
-	srv2, ts2 := newTestServer(t, Config{TierDir: dir, Faults: in})
+
+	// A member that does not own the key computes it and offers it to
+	// the owner, where it rots.
+	var resp1 PartitionResponse
+	post(t, others[0].url+"/v1/partition", req, &resp1)
+	if rot(t, owner.dir) != 1 {
+		t.Fatal("the owner does not hold exactly the offered entry")
+	}
+
+	// The third member is served the rotted bytes.
 	var resp2 PartitionResponse
-	r := post(t, ts2.URL+"/v1/partition", req, &resp2)
+	r := post(t, others[1].url+"/v1/partition", req, &resp2)
 	if r.StatusCode != http.StatusOK {
-		t.Fatalf("status %d under corrupt reads", r.StatusCode)
+		t.Fatalf("status %d over a rotted peer entry", r.StatusCode)
+	}
+	if got := r.Header.Get("X-Samr-Cache"); got != CacheMiss {
+		t.Errorf("X-Samr-Cache = %q, want miss (a corrupt blob is a miss)", got)
 	}
 	if got, wantBody := normalizedBody(t, resp2), normalizedBody(t, resp1); got != wantBody {
 		t.Error("recompute after quarantine differs from original body")
 	}
-	if st := srv2.Tier().Stats(); st.Corrupt != 1 {
+	if st := others[1].srv.Tier().Stats(); st.Corrupt != 1 {
 		t.Errorf("corrupt counter = %d, want 1", st.Corrupt)
+	}
+	for _, m := range []*fleetMember{others[1], owner} {
+		if blob, ok := m.srv.Tier().Disk().Get(key); !ok {
+			t.Errorf("%s holds no entry after the recompute", m.url)
+		} else if _, err := tier.DecodeAssignment(blob); err != nil {
+			t.Errorf("%s still holds a corrupt entry: %v", m.url, err)
+		}
 	}
 }
 
-// TestChaosDiskFullDegradesToCompute pins the deterministic disk-full
-// path: with every tier write failing ENOSPC, requests still succeed
-// and the failure is visible only as store_errors.
+// TestChaosDiskFullDegradesToCompute pins the failed-disk path: with
+// the tier directory replaced by a regular file, every tier write and
+// read fails, yet requests still succeed and the failure is visible
+// only as store_errors.
 func TestChaosDiskFullDegradesToCompute(t *testing.T) {
-	in, err := fault.New(3, fault.Plan{Point: tier.FaultDiskPut, Mode: fault.NoSpace})
-	if err != nil {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{TierDir: dir})
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, Config{TierDir: t.TempDir(), Faults: in})
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	req := PartitionRequest{Partitioner: "domain", NProcs: 8}
 	h := testHierarchy(13)
 	req.Hierarchy = &h
 	for i := 0; i < 2; i++ {
 		if r := post(t, ts.URL+"/v1/partition", req, nil); r.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d under injected disk-full", i, r.StatusCode)
+			t.Fatalf("request %d: status %d on a failed disk", i, r.StatusCode)
 		}
 	}
-	st := srv.Tier().Stats()
-	if st.StoreErrors == 0 {
-		t.Error("injected disk-full never counted a store error")
+	if srv.Tier().Stats().StoreErrors == 0 {
+		t.Error("the failed disk never counted a store error")
 	}
 	if srv.Tier().Disk().Len() != 0 {
-		t.Error("entry landed on a full disk")
+		t.Error("an entry landed on the failed disk")
 	}
 }

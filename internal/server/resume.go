@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"samr/internal/admit"
-	"samr/internal/fault"
 	"samr/internal/partition"
 	"samr/internal/tier"
 )
@@ -31,27 +29,6 @@ import (
 // SessionResumedHeader marks a session response whose session was not
 // in this daemon's table and was rebuilt from a fleet-tier snapshot.
 const SessionResumedHeader = "X-Samr-Session-Resumed"
-
-// Fault injection points of the session snapshot path (armed by
-// Config.Faults, zero-cost when nil).
-const (
-	// FaultSnapshotPut fires once per snapshot write: an error decision
-	// skips the write (the soft-state degradation), corrupt damages the
-	// sealed blob before it is stored, latency stalls the write.
-	FaultSnapshotPut = "session.snapshot.put"
-	// FaultSnapshotGet fires once per resume attempt: an error decision
-	// forces a resume miss, corrupt damages the fetched blob (which the
-	// envelope then rejects and quarantines), latency stalls the
-	// lookup.
-	FaultSnapshotGet = "session.snapshot.get"
-)
-
-// faultPoints is every injection point a Config.Faults plan can arm.
-var faultPoints = []string{
-	tier.FaultDiskGet, tier.FaultDiskPut, tier.FaultPeerGet, tier.FaultPeerPut,
-	admit.FaultAccept, admit.FaultShed,
-	FaultSnapshotPut, FaultSnapshotGet,
-}
 
 // tierSessions reports whether durable sessions are active.
 func (s *Server) tierSessions() bool {
@@ -86,17 +63,7 @@ func (s *Server) storeSessionSnapshot(sess *session) {
 			ss.PrevHierarchy, ss.PrevAssignment = pm.History()
 		}
 	}
-	blob := tier.EncodeSessionSnapshot(ss)
-	if d := s.cfg.Faults.Hit(FaultSnapshotPut); d.Err != nil || d.Delay > 0 || d.Corrupt {
-		d.Sleep()
-		if d.Err != nil {
-			return // skipped write: the session merely loses durability
-		}
-		if d.Corrupt {
-			fault.Damage(blob)
-		}
-	}
-	s.tier.Store(sessionSnapshotKey(sess.id), blob)
+	s.tier.Store(sessionSnapshotKey(sess.id), tier.EncodeSessionSnapshot(ss))
 }
 
 // dropSessionSnapshot removes the local snapshot copy after an
@@ -123,19 +90,10 @@ func (s *Server) resumeSession(ctx context.Context, id string) *session {
 		return nil
 	}
 	key := sessionSnapshotKey(id)
-	d := s.cfg.Faults.Hit(FaultSnapshotGet)
-	d.Sleep()
-	if d.Err != nil {
-		s.sessions.resumeMisses.Add(1)
-		return nil
-	}
 	blob, ok := s.tier.Lookup(ctx, key)
 	if !ok {
 		s.sessions.resumeMisses.Add(1)
 		return nil
-	}
-	if d.Corrupt {
-		fault.Damage(blob)
 	}
 	ss, err := tier.DecodeSessionSnapshot(blob)
 	if err != nil {

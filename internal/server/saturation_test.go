@@ -116,8 +116,7 @@ func uniqueRequest() PartitionRequest {
 // runFlood hammers /v1/partition from `workers` closed-loop clients for
 // `duration`, each request carrying a client-side deadline of
 // `timeout`. Shed workers pause `shedPause` before retrying (a
-// minimal client courtesy, far cruder than honoring Retry-After the way
-// backoff.Retry and the tier's peer client do).
+// minimal client courtesy, far cruder than honoring Retry-After).
 func runFlood(tb testing.TB, url string, workers int, duration, timeout, shedPause time.Duration) floodResult {
 	tb.Helper()
 	client := &http.Client{

@@ -87,14 +87,12 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"samr/internal/admit"
 	"samr/internal/core"
-	"samr/internal/fault"
 	"samr/internal/geom"
 	"samr/internal/grid"
 	"samr/internal/partition"
@@ -164,11 +162,6 @@ type Config struct {
 	// Requires the tier (TierDir and/or TierPeers); with it off every
 	// response is byte-identical to a build without durable sessions.
 	TierSessions bool
-	// Faults arms the fault-injection points of the tier, admission and
-	// session-snapshot layers for chaos testing (nil in production: the
-	// registry is zero-cost when disarmed). New rejects a plan on a point
-	// none of them consults.
-	Faults *fault.Injector
 	// MaxSessions bounds the streaming-session table (default 256);
 	// past it the least recently used session is evicted and its next
 	// step answers 410 session-expired.
@@ -260,13 +253,6 @@ func New(cfg Config) (*Server, error) {
 		// Fail fast on a setting that would otherwise be silently off.
 		return nil, fmt.Errorf("server: TierSessions requires the fleet tier (set TierDir and/or TierPeers)")
 	}
-	// A plan on a name no layer consults would arm nothing, and a chaos
-	// drill with a typo would report a clean pass.
-	for point := range cfg.Faults.Stats() {
-		if !slices.Contains(faultPoints, point) {
-			return nil, fmt.Errorf("server: fault plan on unknown point %q (known: %s)", point, strings.Join(faultPoints, ", "))
-		}
-	}
 	s := &Server{
 		cfg:       cfg,
 		cache:     NewPartitionCache(cfg.CacheSize),
@@ -279,7 +265,6 @@ func New(cfg Config) (*Server, error) {
 			MaxInFlight: cfg.MaxInFlight,
 			QueueDepth:  cfg.QueueDepth,
 			TenantRate:  cfg.TenantRate,
-			Faults:      cfg.Faults,
 		})
 	}
 	if _, err := s.registry.LoadDir(); err != nil {

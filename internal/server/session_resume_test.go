@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"samr/internal/fault"
 	"samr/internal/tier"
 )
 
@@ -23,27 +22,14 @@ import (
 // TestTierSessionsRequiresTier pins the config contract: the setting
 // that depends on the fleet tier — durable sessions need somewhere
 // durable to put them — fails fast without one instead of starting
-// quietly disabled. So does a fault plan on a point nothing consults: a
-// mistyped name, or a retired point (the pool's dispatch, the peer
-// client's manifest fetch), would otherwise arm a drill that cannot
-// fire. So does a TierSelf the ring does not list — that member would
-// own no key and fetch and offer its own keys over HTTP — and a
-// negative duration, which would read as "off" (RequestTimeout) or "the
-// default" (SessionTTL).
+// quietly disabled. So does a TierSelf the ring does not list — that
+// member would own no key and fetch and offer its own keys over HTTP —
+// and a negative duration, which would read as "off" (RequestTimeout)
+// or "the default" (SessionTTL).
 func TestTierSessionsRequiresTier(t *testing.T) {
-	armed := func(point string) *fault.Injector {
-		in, err := fault.New(1, fault.Plan{Point: point, Mode: fault.NoSpace, Every: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return in
-	}
 	peers := []string{"http://a:8347", "http://b:8347"}
 	for name, cfg := range map[string]Config{
 		"TierSessions without a tier":  {TierSessions: true},
-		"fault plan on disk.putt":      {TierDir: t.TempDir(), Faults: armed("disk.putt")},
-		"fault plan on pool.dispatch":  {Faults: armed("pool.dispatch")},
-		"fault plan on peer.manifest":  {TierDir: t.TempDir(), Faults: armed("peer.manifest")},
 		"TierSelf with a typo":         {TierDir: t.TempDir(), TierPeers: peers, TierSelf: "http://a:8348"},
 		"TierSelf with another scheme": {TierDir: t.TempDir(), TierPeers: peers, TierSelf: "https://a:8347"},
 		"TierPeers without TierSelf":   {TierDir: t.TempDir(), TierPeers: peers},
@@ -55,10 +41,9 @@ func TestTierSessionsRequiresTier(t *testing.T) {
 		}
 	}
 	for name, cfg := range map[string]Config{
-		"fault plan on " + tier.FaultDiskPut: {TierDir: t.TempDir(), Faults: armed(tier.FaultDiskPut)},
-		"TierSelf in TierPeers":              {TierDir: t.TempDir(), TierPeers: peers, TierSelf: peers[1]},
-		"TierSelf with a trailing slash":     {TierDir: t.TempDir(), TierPeers: peers, TierSelf: peers[1] + "/"},
-		"TierPeers with a trailing slash":    {TierDir: t.TempDir(), TierPeers: []string{peers[0] + "/", peers[1]}, TierSelf: peers[0]},
+		"TierSelf in TierPeers":           {TierDir: t.TempDir(), TierPeers: peers, TierSelf: peers[1]},
+		"TierSelf with a trailing slash":  {TierDir: t.TempDir(), TierPeers: peers, TierSelf: peers[1] + "/"},
+		"TierPeers with a trailing slash": {TierDir: t.TempDir(), TierPeers: []string{peers[0] + "/", peers[1]}, TierSelf: peers[0]},
 	} {
 		if _, err := New(cfg); err != nil {
 			t.Errorf("%s refused: %v", name, err)
@@ -184,7 +169,8 @@ func TestSessionResumeCorruptSnapshotQuarantined(t *testing.T) {
 	if !ok {
 		t.Fatal("no snapshot on disk after a committed step")
 	}
-	if err := srv2.Tier().Disk().Put(key, fault.Damage(blob)); err != nil {
+	blob[len(blob)/2] ^= 0xFF
+	if err := srv2.Tier().Disk().Put(key, blob); err != nil {
 		t.Fatal(err)
 	}
 

@@ -75,10 +75,9 @@ func tierEnabled(cfg Config) bool {
 // responses are byte-identical to a tier-less build.
 func (s *Server) initTier() error {
 	t, err := tier.New(tier.Config{
-		Dir:    s.cfg.TierDir,
-		Peers:  s.cfg.TierPeers,
-		Self:   s.cfg.TierSelf,
-		Faults: s.cfg.Faults,
+		Dir:   s.cfg.TierDir,
+		Peers: s.cfg.TierPeers,
+		Self:  s.cfg.TierSelf,
 	})
 	if err != nil {
 		return err

@@ -9,8 +9,9 @@
 //   - Ring: a rendezvous-hash ring over a static peer set, assigning
 //     every key an owner daemon consistently across the fleet.
 //   - PeerClient: a retrying HTTP client for the GET/PUT /v1/tier/{key}
-//     peer protocol served by internal/server, honouring Retry-After
-//     and breaking the circuit on repeatedly failing peers.
+//     peer protocol served by internal/server, with jittered retries
+//     that never wait out a Retry-After, and a circuit breaker on
+//     repeatedly failing peers.
 //
 // Tier composes them into the memo.Tier shape (Lookup consults disk
 // then the key's owner peer; Store writes disk and offers the blob to

@@ -5,39 +5,36 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"samr/internal/backoff"
-	"samr/internal/fault"
 )
 
 // Peer protocol: GET /v1/tier/{key} answers 200 with the blob or 404
-// for a miss; PUT /v1/tier/{key} stores the body and answers 204.
-// Overloaded or draining peers answer 429/503 with Retry-After, which
-// the client honours through the shared backoff policy.
+// for a miss; PUT /v1/tier/{key} stores the body and answers 204. A 429
+// or 503 is retried like a transport failure, on the retry policy's own
+// jittered step: the client does not wait out a Retry-After, because a
+// slow tier lookup is worse than a local recompute.
 
 // maxPeerBlobBytes bounds a peer response read: far above any real
 // assignment blob, far below a memory hazard.
 const maxPeerBlobBytes = 64 << 20
 
 // PeerClient fetches and offers tier blobs over HTTP, wrapping every
-// exchange in the repository's shared retry policy and a per-peer
-// circuit breaker: after FailLimit consecutive transport/5xx failures
-// a peer is skipped entirely for Cooldown, so a dead daemon costs each
-// request nothing instead of a connect timeout. Every failure mode
-// reports a miss — the tier contract — and 404 is a clean miss that
-// resets the breaker (the peer is healthy, it just lacks the key).
+// exchange in a jittered retry policy and a per-peer circuit breaker:
+// after FailLimit consecutive transport/5xx failures a peer is skipped
+// entirely for Cooldown, so a dead daemon costs each request nothing
+// instead of a connect timeout. Every failure mode reports a miss — the
+// tier contract — and 404 is a clean miss that resets the breaker (the
+// peer is healthy, it just lacks the key).
 type PeerClient struct {
 	hc        *http.Client
-	policy    backoff.Policy
+	policy    RetryPolicy
 	failLimit int
 	cooldown  time.Duration
-	faults    *fault.Injector  // nil in production: zero-cost
 	now       func() time.Time // breaker clock; tests inject a fake
 
 	mu       sync.Mutex
@@ -77,17 +74,26 @@ type BreakerState struct {
 type PeerConfig struct {
 	// Client is the underlying HTTP client (default: 2s timeout).
 	Client *http.Client
-	// Retry shapes per-exchange retries (default: 2 attempts, 25ms base).
-	Retry backoff.Policy
+	// Retry shapes per-exchange retries (default: 2 attempts, 25ms base,
+	// 5s cap).
+	Retry RetryPolicy
 	// FailLimit opens a peer's breaker after this many consecutive
 	// failures (default 3).
 	FailLimit int
 	// Cooldown is how long an open breaker skips its peer before
 	// probing again (default 5s).
 	Cooldown time.Duration
-	// Faults arms the client's injection points (tests and the -faults
-	// flag only; nil in production).
-	Faults *fault.Injector
+}
+
+// RetryPolicy shapes the retries of one peer exchange.
+type RetryPolicy struct {
+	// Attempts is the maximum number of tries including the first.
+	Attempts int
+	// Base is the pre-jitter wait before the second attempt; each
+	// further wait doubles it.
+	Base time.Duration
+	// Max caps the pre-jitter wait.
+	Max time.Duration
 }
 
 // NewPeerClient builds a client from cfg.
@@ -101,6 +107,9 @@ func NewPeerClient(cfg PeerConfig) *PeerClient {
 	if cfg.Retry.Base <= 0 {
 		cfg.Retry.Base = 25 * time.Millisecond
 	}
+	if cfg.Retry.Max <= 0 {
+		cfg.Retry.Max = 5 * time.Second
+	}
 	if cfg.FailLimit <= 0 {
 		cfg.FailLimit = 3
 	}
@@ -112,7 +121,6 @@ func NewPeerClient(cfg PeerConfig) *PeerClient {
 		policy:    cfg.Retry,
 		failLimit: cfg.FailLimit,
 		cooldown:  cfg.Cooldown,
-		faults:    cfg.Faults,
 		now:       time.Now,
 		breakers:  make(map[string]*breaker),
 	}
@@ -186,66 +194,71 @@ func (c *PeerClient) BreakerStates() []BreakerState {
 	return out
 }
 
-// retryAfter reads a response's Retry-After seconds (0 if absent).
-func retryAfter(r *http.Response) time.Duration {
-	if secs, err := strconv.Atoi(r.Header.Get("Retry-After")); err == nil && secs > 0 {
-		return time.Duration(secs) * time.Second
+// retry runs op until it succeeds, fails for good, exhausts
+// p.Attempts, or ctx ends. op reports whether its failure is worth
+// another attempt; any other failure returns at once. Each wait is the
+// exponential step plus full jitter (a uniform extra step), so
+// synchronized clients spread out, and ctx interrupts it: a cancelled
+// caller gets ctx's error without sleeping out the wait. When attempts
+// run out, the last attempt's error is returned.
+func retry(ctx context.Context, p RetryPolicy, op func(context.Context) (again bool, err error)) error {
+	wait := p.Base
+	for attempt := 1; ; attempt++ {
+		again, err := op(ctx)
+		if err == nil || !again || attempt >= p.Attempts {
+			return err
+		}
+		step := min(wait, p.Max)
+		t := time.NewTimer(step + rand.N(step))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
+		}
+		wait *= 2
 	}
-	return 0
 }
 
 // exchange is the one round trip behind Fetch and Put:
-// breaker gate → counter → fault point → retried request → status
-// class → breaker report. An injected error sends nothing and feeds
-// the breaker a failure; 429/503 retry under the peer's Retry-After;
-// every other status goes to handle, which consumes the ones its
-// caller understands and returns statusErr for the rest. errPeerMiss
-// from handle is the one error that reports the peer healthy. The
-// returned corrupt flag is the fault decision's: a request body is
-// damaged here (on a private copy — the caller's blob may also back
-// the local disk entry), a response body by the caller.
-func (c *PeerClient) exchange(ctx context.Context, peer, point string, count *atomic.Uint64,
-	method, url string, body []byte, handle func(*http.Response) error) (corrupt bool, err error) {
+// breaker gate → counter → retried request → status class → breaker
+// report. Transport errors, 429 and 503 are retried; every other
+// status goes to handle, which consumes the ones its caller understands
+// and returns statusErr for the rest. errPeerMiss from handle is the
+// one error that reports the peer healthy.
+func (c *PeerClient) exchange(ctx context.Context, peer string, count *atomic.Uint64,
+	method, url string, body []byte, handle func(*http.Response) error) error {
 	if !c.allowed(peer) {
-		return false, fmt.Errorf("tier: peer %s: breaker open", peer)
+		return fmt.Errorf("tier: peer %s: breaker open", peer)
 	}
 	count.Add(1)
-	d := c.faults.Hit(point)
-	d.Sleep()
-	if d.Err != nil {
-		c.report(peer, false)
-		return false, d.Err
-	}
-	if d.Corrupt && body != nil {
-		body = fault.Damage(append([]byte(nil), body...))
-	}
-	err = backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
+	err := retry(ctx, c.policy, func(ctx context.Context) (bool, error) {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, peer+url, rd)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/octet-stream")
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			return backoff.Retryable(err)
+			return true, err
 		}
 		defer func() {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for keep-alive
 			resp.Body.Close()
 		}()
 		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			return backoff.RetryableAfter(statusErr(peer, resp), retryAfter(resp))
+			return true, statusErr(peer, resp)
 		}
-		return handle(resp)
+		return false, handle(resp)
 	})
 	c.report(peer, err == nil || err == errPeerMiss)
-	return d.Corrupt, err
+	return err
 }
 
 func statusErr(peer string, resp *http.Response) error {
@@ -260,7 +273,7 @@ func statusErr(peer string, resp *http.Response) error {
 // the breaker tells a clean miss from the rest.
 func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error) {
 	var blob []byte
-	corrupt, err := c.exchange(ctx, peer, FaultPeerGet, &c.gets, http.MethodGet, "/v1/tier/"+key, nil,
+	err := c.exchange(ctx, peer, &c.gets, http.MethodGet, "/v1/tier/"+key, nil,
 		func(resp *http.Response) (err error) {
 			switch resp.StatusCode {
 			case http.StatusOK:
@@ -277,11 +290,6 @@ func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error
 		}
 		return nil, err
 	}
-	if corrupt {
-		// The fetched blob is this call's private copy; damage
-		// simulates on-the-wire corruption (the decoder quarantines).
-		fault.Damage(blob)
-	}
 	return blob, nil
 }
 
@@ -292,7 +300,7 @@ var errPeerMiss = fmt.Errorf("tier: peer miss")
 // Put offers key's blob to peer, best-effort: the return value is
 // informational and no failure propagates to the caller's request.
 func (c *PeerClient) Put(ctx context.Context, peer, key string, blob []byte) bool {
-	_, err := c.exchange(ctx, peer, FaultPeerPut, &c.puts, http.MethodPut, "/v1/tier/"+key, blob,
+	err := c.exchange(ctx, peer, &c.puts, http.MethodPut, "/v1/tier/"+key, blob,
 		func(resp *http.Response) error {
 			if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK {
 				return nil

@@ -3,6 +3,7 @@ package tier
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,8 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"samr/internal/backoff"
-	"samr/internal/fault"
 	"samr/internal/partition"
 )
 
@@ -23,7 +22,7 @@ var bg = context.Background()
 func fastPeer() *PeerClient {
 	return NewPeerClient(PeerConfig{
 		Client:    &http.Client{Timeout: time.Second},
-		Retry:     backoff.Policy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond},
+		Retry:     RetryPolicy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond},
 		FailLimit: 2,
 		Cooldown:  50 * time.Millisecond,
 	})
@@ -67,29 +66,121 @@ func TestPeerClientGetPut(t *testing.T) {
 	}
 }
 
-func TestPeerClientHonorsRetryAfter(t *testing.T) {
+// TestPeerClientIgnoresRetryAfter: a peer answering 503 with a
+// Retry-After of 30 s costs a lookup the default policy's two quick
+// attempts, not the 30 s it names. The lookup is a miss, and the
+// failure feeds the breaker.
+func TestPeerClientIgnoresRetryAfter(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "busy", http.StatusTooManyRequests)
-			return
-		}
-		w.Write([]byte("late blob")) //nolint:errcheck
+		calls.Add(1)
+		w.Header().Set("Retry-After", "30")
+		http.Error(w, "busy", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	c := fastPeer()
+	tr, err := New(Config{Peers: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	start := time.Now()
-	got, err := c.Fetch(bg, ts.URL, Key("a"))
-	if err != nil || string(got) != "late blob" {
-		t.Fatalf("Fetch = (%q, %v), want success on retry", got, err)
+	_, ok := tr.Lookup(bg, Key("a"))
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("lookup took %v against a 503 + Retry-After: 30 peer, want well under 1s", took)
 	}
-	if waited := time.Since(start); waited < time.Second {
-		t.Fatalf("waited %v, want >= the 1s Retry-After floor", waited)
+	if ok {
+		t.Fatal("a 503 peer served a hit")
 	}
 	if calls.Load() != 2 {
-		t.Fatalf("server saw %d calls, want 2", calls.Load())
+		t.Errorf("peer saw %d requests, want the policy's 2 attempts", calls.Load())
+	}
+	st := tr.Stats()
+	if st.Misses != 1 || len(st.Breakers) != 1 || st.Breakers[0].Fails != 1 {
+		t.Errorf("stats = %+v, want one miss and one failure on the peer's breaker", st)
+	}
+}
+
+// fastRetry keeps the retry loop's waits well under a second.
+var fastRetry = RetryPolicy{Attempts: 4, Base: time.Millisecond, Max: 4 * time.Millisecond}
+
+func TestRetrySucceedsFirstTry(t *testing.T) {
+	calls := 0
+	if err := retry(bg, fastRetry, func(context.Context) (bool, error) { calls++; return false, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("calls = %d, want 1", calls)
+	}
+}
+
+func TestRetryRetriesOnlyRetryable(t *testing.T) {
+	terminal := errors.New("terminal")
+	calls := 0
+	err := retry(bg, fastRetry, func(context.Context) (bool, error) { calls++; return false, terminal })
+	if !errors.Is(err, terminal) || calls != 1 {
+		t.Fatalf("terminal error: err=%v calls=%d, want immediate return", err, calls)
+	}
+
+	calls = 0
+	err = retry(bg, fastRetry, func(context.Context) (bool, error) {
+		calls++
+		if calls < 3 {
+			return true, fmt.Errorf("flaky %d", calls)
+		}
+		return false, nil
+	})
+	if err != nil || calls != 3 {
+		t.Fatalf("flaky op: err=%v calls=%d, want success on 3rd", err, calls)
+	}
+}
+
+func TestRetryAttemptsExhaustedReturnsLastError(t *testing.T) {
+	calls := 0
+	err := retry(bg, fastRetry, func(context.Context) (bool, error) {
+		calls++
+		return true, fmt.Errorf("attempt %d", calls)
+	})
+	if calls != fastRetry.Attempts {
+		t.Fatalf("calls = %d, want %d", calls, fastRetry.Attempts)
+	}
+	if err == nil || err.Error() != "attempt 4" {
+		t.Fatalf("err = %v, want last attempt's error", err)
+	}
+}
+
+func TestRetryContextCancelsSleep(t *testing.T) {
+	ctx, cancel := context.WithCancel(bg)
+	calls := 0
+	done := make(chan error, 1)
+	go func() {
+		done <- retry(ctx, RetryPolicy{Attempts: 3, Base: time.Hour, Max: time.Hour}, func(context.Context) (bool, error) {
+			calls++
+			return true, errors.New("busy")
+		})
+	}()
+	time.Sleep(10 * time.Millisecond) // let the op fail and the sleep start
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("cancelled retry kept sleeping")
+	}
+	if calls != 1 {
+		t.Fatalf("calls = %d, want 1", calls)
+	}
+}
+
+func TestRetryDeadContextBeforeFirstAttempt(t *testing.T) {
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	// The op still runs once (it sees the dead ctx itself); the retry
+	// sleep is what ctx interrupts.
+	err := retry(ctx, fastRetry, func(c context.Context) (bool, error) { return true, c.Err() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want canceled", err)
 	}
 }
 
@@ -260,7 +351,7 @@ func TestTierComposite(t *testing.T) {
 	tr, err := New(Config{
 		Dir:   t.TempDir(),
 		Peers: []string{owner.URL},
-		Peer:  PeerConfig{Retry: backoff.Policy{Attempts: 2, Base: time.Millisecond}},
+		Peer:  PeerConfig{Retry: RetryPolicy{Attempts: 2, Base: time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +466,7 @@ func newMembers(t *testing.T, n int) []*member {
 			Dir:   t.TempDir(),
 			Peers: urls,
 			Self:  m.ts.URL,
-			Peer:  PeerConfig{Retry: backoff.Policy{Attempts: 2, Base: time.Millisecond}},
+			Peer:  PeerConfig{Retry: RetryPolicy{Attempts: 2, Base: time.Millisecond}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -470,35 +561,6 @@ func TestFailoverReadAndStore(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("stats breakers = %+v, want the owner open", st.Breakers)
-	}
-}
-
-// TestPeerClientInjectedFaults pins the injection contract: an injected
-// peer.get error feeds the breaker without sending any request.
-func TestPeerClientInjectedFaults(t *testing.T) {
-	var calls int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		http.Error(w, "not found", http.StatusNotFound)
-	}))
-	defer ts.Close()
-	in, err := fault.New(7, fault.Plan{Point: FaultPeerGet, Mode: fault.Error})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewPeerClient(PeerConfig{
-		Retry:     backoff.Policy{Attempts: 2, Base: time.Millisecond},
-		FailLimit: 1,
-		Faults:    in,
-	})
-	if _, err := c.Fetch(bg, ts.URL, Key("a")); err == nil {
-		t.Fatal("injected transport failure reported a hit")
-	}
-	if calls != 0 {
-		t.Fatal("injected failure still sent a request")
-	}
-	if got := breakerStateOf(c, ts.URL); got != BreakerOpen {
-		t.Fatalf("breaker after injected failure = %q, want open (FailLimit 1)", got)
 	}
 }
 

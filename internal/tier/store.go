@@ -9,25 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"samr/internal/fault"
-)
-
-// Injection points of the fleet tier, armed only by tests and the
-// -faults flag (production runs carry a nil injector).
-const (
-	// FaultDiskGet covers DiskStore.Get: error (read failure) and
-	// corrupt (a damaged resident blob) decisions apply.
-	FaultDiskGet = "disk.get"
-	// FaultDiskPut covers DiskStore.Put: an error decision (typically
-	// enospc) fails the write before it starts.
-	FaultDiskPut = "disk.put"
-	// FaultPeerGet / FaultPeerPut cover the corresponding PeerClient
-	// exchanges; an error decision counts as a transport failure
-	// (feeding the breaker) without touching the network, and a corrupt
-	// decision damages a fetched blob.
-	FaultPeerGet = "peer.get"
-	FaultPeerPut = "peer.put"
 )
 
 // suffix marks tier entries on disk; anything else in the directory is
@@ -48,7 +29,6 @@ const suffix = ".tier"
 type DiskStore struct {
 	dir      string
 	maxBytes int64
-	faults   *fault.Injector // nil in production: zero-cost
 
 	mu    sync.Mutex
 	bytes int64 // resident entry bytes, maintained incrementally
@@ -95,10 +75,6 @@ func OpenDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
 	return s, nil
 }
 
-// SetFaults arms the store's injection points (tests and the -faults
-// flag only); it must be called before the store sees concurrent use.
-func (s *DiskStore) SetFaults(in *fault.Injector) { s.faults = in }
-
 // validKey gates every path derived from a wire-supplied key: tier
 // keys are fixed-length lowercase hex (a content hash), which is both
 // filesystem- and URL-safe and cannot traverse out of the directory.
@@ -124,23 +100,12 @@ func (s *DiskStore) Get(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
 	}
-	d := s.faults.Hit(FaultDiskGet)
-	d.Sleep()
-	if d.Err != nil {
-		s.errors.Add(1)
-		return nil, false
-	}
 	blob, err := os.ReadFile(s.path(key))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.errors.Add(1)
 		}
 		return nil, false
-	}
-	if d.Corrupt {
-		// ReadFile returned a private copy; damaging it simulates a
-		// torn or bit-rotted resident entry without touching the file.
-		fault.Damage(blob)
 	}
 	now := time.Now()
 	os.Chtimes(s.path(key), now, now) //nolint:errcheck // LRU hint only
@@ -154,13 +119,6 @@ func (s *DiskStore) Get(key string) ([]byte, bool) {
 func (s *DiskStore) Put(key string, blob []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("tier: invalid key %q", key)
-	}
-	if d := s.faults.Hit(FaultDiskPut); d.Err != nil || d.Delay > 0 {
-		d.Sleep()
-		if d.Err != nil {
-			s.errors.Add(1)
-			return fmt.Errorf("tier: %w", d.Err)
-		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

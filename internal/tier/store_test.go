@@ -2,15 +2,11 @@ package tier
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
-
-	"samr/internal/fault"
 )
 
 // k returns a distinct valid tier key per index.
@@ -204,72 +200,77 @@ func TestDiskStoreCleansCrashedPutTemp(t *testing.T) {
 	}
 }
 
+// TestDiskStoreInjectedFaults breaks the store from outside, through
+// the directory and the bytes it owns. A tier directory replaced by a
+// regular file, which is how a failed or full disk looks here, fails
+// every write and read: each failure is counted, never a hit, never an
+// entry. A byte flipped in a resident file is real bit rot: the store
+// serves it as it lies on disk, and the envelope refuses it.
 func TestDiskStoreInjectedFaults(t *testing.T) {
-	blob := []byte("resident blob bytes")
-
-	t.Run("put enospc", func(t *testing.T) {
-		in, err := fault.New(1, fault.Plan{Point: FaultDiskPut, Mode: fault.NoSpace})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenDiskStore(t.TempDir(), 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetFaults(in)
-		err = s.Put(k(1), blob)
-		if !errors.Is(err, syscall.ENOSPC) {
-			t.Fatalf("Put error = %v, want ENOSPC", err)
-		}
-		if s.Len() != 0 || s.errors.Load() == 0 {
-			t.Fatal("failed put landed an entry or went uncounted")
-		}
-	})
-
-	t.Run("get error", func(t *testing.T) {
-		in, err := fault.New(1, fault.Plan{Point: FaultDiskGet, Mode: fault.Error})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenDiskStore(t.TempDir(), 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Put(k(1), blob); err != nil {
-			t.Fatal(err)
-		}
-		s.SetFaults(in)
-		if _, ok := s.Get(k(1)); ok {
-			t.Fatal("injected read failure still reported a hit")
-		}
-		if s.errors.Load() == 0 {
-			t.Fatal("injected read failure went uncounted")
-		}
-	})
-
-	t.Run("get corrupt", func(t *testing.T) {
-		in, err := fault.New(1, fault.Plan{Point: FaultDiskGet, Mode: fault.Corrupt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
+	blob := smallBlob()
+	open := func(t *testing.T, dir string) *DiskStore {
+		t.Helper()
 		s, err := OpenDiskStore(dir, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return s
+	}
+	lose := func(t *testing.T, dir string) {
+		t.Helper()
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("put on a lost directory", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		lose(t, dir)
+		if err := s.Put(k(1), blob); err == nil {
+			t.Fatal("Put into a lost directory succeeded")
+		}
+		if s.errors.Load() == 0 || s.Len() != 0 {
+			t.Fatal("failed put went uncounted or landed an entry")
+		}
+	})
+
+	t.Run("get on a lost directory", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir)
 		if err := s.Put(k(1), blob); err != nil {
 			t.Fatal(err)
 		}
-		s.SetFaults(in)
-		got, ok := s.Get(k(1))
-		if !ok || len(got) != len(blob) || bytes.Equal(got, blob) {
-			t.Fatalf("corrupt Get = (%q, %v), want same-length damaged blob", got, ok)
+		lose(t, dir)
+		if _, ok := s.Get(k(1)); ok {
+			t.Fatal("a read from a lost directory reported a hit")
 		}
-		// The damage is to the returned copy only: the resident file is
-		// untouched (a fault-free reader still sees the good bytes).
-		raw, err := os.ReadFile(filepath.Join(dir, k(1)+suffix))
-		if err != nil || !bytes.Equal(raw, blob) {
-			t.Fatalf("resident file changed: (%q, %v)", raw, err)
+		if s.errors.Load() == 0 {
+			t.Fatal("failed read went uncounted")
+		}
+	})
+
+	t.Run("get corrupt", func(t *testing.T) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		if err := s.Put(k(1), blob); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, k(1)+suffix)
+		rotted := bytes.Clone(blob)
+		rotted[len(rotted)/2] ^= 0xFF
+		if err := os.WriteFile(path, rotted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(k(1))
+		if !ok || !bytes.Equal(got, rotted) {
+			t.Fatalf("Get of a rotted entry = (%x, %v), want its bytes as they lie on disk", got, ok)
+		}
+		if _, _, err := Open(got); err == nil {
+			t.Fatal("the envelope accepted a rotted blob")
 		}
 	})
 }

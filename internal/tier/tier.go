@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
-
-	"samr/internal/fault"
 )
 
 // keyLen is the length of every tier key: lowercase hex sha256.
@@ -53,9 +51,6 @@ type Config struct {
 	Self string
 	// Peer tunes the HTTP client, retry policy, and circuit breaker.
 	Peer PeerConfig
-	// Faults arms the tier's injection points — disk store and peer
-	// client — for chaos testing (nil in production: zero-cost).
-	Faults *fault.Injector
 }
 
 // Tier is the composed second-level cache: a disk store consulted
@@ -81,15 +76,10 @@ func New(cfg Config) (*Tier, error) {
 		if t.disk, err = OpenDiskStore(cfg.Dir, 0); err != nil {
 			return nil, err
 		}
-		t.disk.SetFaults(cfg.Faults)
 	}
 	if len(cfg.Peers) > 0 {
 		t.ring = NewRing(cfg.Self, cfg.Peers)
-		pc := cfg.Peer
-		if pc.Faults == nil {
-			pc.Faults = cfg.Faults
-		}
-		t.client = NewPeerClient(pc)
+		t.client = NewPeerClient(cfg.Peer)
 	}
 	return t, nil
 }

@@ -21,8 +21,6 @@ import (
 // function body, and reference implementations and read-only accessors
 // that a named test holds a production path against.
 var unreachedAllowed = map[string]string{
-	"backoff.Hint.Unwrap": "called by errors.Is/As, which Retry and the peer client's callers go through",
-
 	"core.NewOctantClassifier":       "the paper's section 3 octant baseline; TestOctantDiscretenessVsContinuous holds the continuous space against it",
 	"core.OctantClassifier.Classify": "the octant baseline itself; the TestOctantClassifier* suite and TestOctantDiscretenessVsContinuous",
 	"sfc.HilbertPoint":               "inverse of the Hilbert index; TestHilbertBijectiveOnGrid and TestHilbertAdjacency walk the curve with it",
