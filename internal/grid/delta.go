@@ -165,10 +165,10 @@ func restoreDigest(d hash.Hash, state []byte) bool {
 // replacement can break: a replaced level's dimensionality, extent,
 // disjointness, domain containment and (level 0) cover, and nesting
 // across every boundary with a replaced level on either side. That
-// costs, for each replaced level, a spatial index over it and one over
-// its refined parent with one window query per box in each; for a kept
-// level under a replaced parent the second of those; nothing for the
-// other levels. The signature cache is carried over: only replaced
+// costs, for each replaced level, a plane sweep over it and one over it
+// and its refined parent; for a kept level under a replaced parent the
+// second of those; nothing for the other levels. The signature cache is
+// carried over: only replaced
 // levels are re-encoded and re-digested, and the top
 // signature resumes from the midstate of the first change (on a level
 // count change the length header forces a re-hash of the cached level

@@ -185,6 +185,12 @@ func (h *Hierarchy) Clone() *Hierarchy {
 // where any other dimensionality is refused, however the hierarchy
 // arrived (wire, .trc file, session snapshot); WithDelta holds the same
 // rules for a session step through the same check.
+//
+// Disjointness and nesting are decided by plane sweeps over x with a
+// range-add/max segment tree over the compressed y coordinates, so a
+// hierarchy of n boxes validates in O(n log n) time and O(n) space, and
+// a nesting refusal, which names the first box out, in O(n log² n),
+// whatever the shapes of the boxes.
 func (h *Hierarchy) Validate() error {
 	if len(h.Levels) == 0 {
 		return fmt.Errorf("grid: hierarchy has no levels")
@@ -198,17 +204,21 @@ func (h *Hierarchy) Validate() error {
 // delta starts from was checked — and is only read as the parent or the
 // child of a marked one.
 //
-// The geometric tests are equalities between volumes rather than box
-// subtraction. A level is disjoint when each box meets no box of its
-// level but itself; a disjoint level 0 inside the domain covers it when
-// the volumes sum to the domain's; and a box nests when its overlap
-// with the refined parent level, already known to be disjoint, equals
-// its own volume. Both scans go through a geom.BoxIndex, so a level of
-// n boxes costs two index builds and 2n window queries, with no
-// allocation per box. Volumes can be trusted because nothing is
-// multiplied before every corner is known to lie within maxCoord, and
-// no sum is taken over boxes that may overlap: dimensionality and
-// extent are checked before any geometry runs, containment in the
+// The geometric tests are plane sweeps (sweep.go), not box subtraction
+// or pairwise scans. A level is disjoint when its cover never exceeds 1;
+// a disjoint level 0 inside the domain covers it when the volumes sum to
+// the domain's; and level l nests when its cover less that of level
+// l-1's refined boxes, the parent already known to be disjoint, never
+// exceeds 0. That last sweep also proves level l disjoint, so a valid
+// level l > 0 costs one sweep, and the disjointness sweep of its own
+// runs only for level 0 and to word a refusal. On a nesting failure a
+// binary search over prefixes of the level names its first box out. A
+// level of n boxes under a parent of p boxes so costs O((n+p) log(n+p)),
+// and a refusal for nesting O(log n) times that, whatever the boxes'
+// shapes. The sweeps only compare corners; the one sum, level 0's
+// volume, is taken after every corner is known to lie within maxCoord
+// and the level to be disjoint and inside the domain: dimensionality
+// and extent are checked before any geometry runs, containment in the
 // level domain before the level's volumes are used.
 func (h *Hierarchy) check(what string, changed []bool) error {
 	if h.RefRatio < 2 {
@@ -231,44 +241,29 @@ func (h *Hierarchy) check(what string, changed []bool) error {
 	if err := h.checkExtent(); err != nil {
 		return err
 	}
-	var hits []int
+	s := sweeps.Get().(*sweep)
+	defer putSweep(s)
 	for l, lev := range h.Levels {
+		// Nesting can break when either side of the boundary moved —
+		// including a kept level whose new parent shrank.
+		nesting := l > 0 && (marked(l) || marked(l-1))
+		nested := nesting && s.nests(lev.Boxes, h.Levels[l-1].Boxes, h.RefRatio)
 		if marked(l) {
-			ld := h.LevelDomain(l)
-			outside := slices.IndexFunc(lev.Boxes, func(b geom.Box) bool { return !ld.ContainsBox(b) })
-			disjoint := true
-			if outside >= 0 {
-				// An index must not be built over a box out there; the
-				// pairwise scan only compares corners.
-				disjoint = lev.Boxes.Disjoint()
-			} else {
-				own := geom.NewBoxIndex(lev.Boxes)
-				for _, b := range lev.Boxes {
-					if hits = own.AppendQuery(hits[:0], b); len(hits) > 1 {
-						disjoint = false
-						break
-					}
-				}
-			}
-			if !disjoint {
+			// A level nested in its disjoint parent is disjoint itself.
+			if !nested && !s.disjoint(lev.Boxes) {
 				return fmt.Errorf("grid: %s %d has overlapping boxes", what, l)
 			}
-			if outside >= 0 {
-				return fmt.Errorf("grid: %s %d box %v outside level domain %v", what, l, lev.Boxes[outside], ld)
+			ld := h.LevelDomain(l)
+			if i := slices.IndexFunc(lev.Boxes, func(b geom.Box) bool { return !ld.ContainsBox(b) }); i >= 0 {
+				return fmt.Errorf("grid: %s %d box %v outside level domain %v", what, l, lev.Boxes[i], ld)
 			}
 			if l == 0 && lev.Boxes.TotalVolume() != h.Domain.Volume() {
 				return fmt.Errorf("grid: %s 0 does not cover the domain %v", what, h.Domain)
 			}
 		}
-		// Nesting can break when either side of the boundary moved —
-		// including a kept level whose new parent shrank.
-		if l > 0 && (marked(l) || marked(l-1)) {
-			parent := geom.NewBoxIndex(h.Levels[l-1].Boxes.Refine(h.RefRatio))
-			for _, b := range lev.Boxes {
-				if parent.QueryVolume(b) != b.Volume() {
-					return fmt.Errorf("grid: %s %d box %v not nested in level %d", what, l, b, l-1)
-				}
-			}
+		if nesting && !nested {
+			i := s.firstUnnested(lev.Boxes, h.Levels[l-1].Boxes, h.RefRatio)
+			return fmt.Errorf("grid: %s %d box %v not nested in level %d", what, l, lev.Boxes[i], l-1)
 		}
 	}
 	return nil

@@ -2,9 +2,11 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"samr/internal/geom"
 )
@@ -431,6 +433,52 @@ func FuzzValidate(f *testing.F) {
 			t.Fatalf("%v\n%v", err, h.Levels)
 		}
 	})
+}
+
+// strips is the hierarchy on which an index-based check was quadratic: a
+// one-cell base domain, refinement ratio 2^15, and n one-row strips on
+// level 1, two to a row, each half the level wide. At 65536 strips its
+// wire form is a 3 MB body.
+func strips(n int) *Hierarchy {
+	const ratio = 1 << 15
+	h := NewHierarchy(geom.NewBox2(0, 0, 1, 1), ratio)
+	boxes := make(geom.BoxList, n)
+	for i := range boxes {
+		x := i % 2 * ratio / 2
+		boxes[i] = geom.NewBox2(x, i/2, x+ratio/2, i/2+1)
+	}
+	h.Levels = append(h.Levels, Level{Boxes: boxes})
+	return h
+}
+
+// TestValidateIsNotQuadratic: wide boxes defeat a spatial index's bins,
+// and an index-based check spent 1.04 s on 16384 strips and 21.7 s on
+// 65536. Each quadrupling of the strips must cost at most ten times as
+// much (sixteen is quadratic; two doublings leave room for a noisy
+// one), and 65536 must validate in under a second. The best of three
+// runs is timed.
+func TestValidateIsNotQuadratic(t *testing.T) {
+	const ceiling = time.Second
+	var times []time.Duration
+	for n := 1 << 12; n <= 1<<16; n *= 2 {
+		h := strips(n)
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			start := time.Now()
+			if err := h.Validate(); err != nil {
+				t.Fatalf("%d strips: %v", n, err)
+			}
+			best = min(best, time.Since(start))
+		}
+		t.Logf("%d strips: %v", n, best)
+		if best > ceiling {
+			t.Fatalf("%d strips took %v, over %v", n, best, ceiling)
+		}
+		if k := len(times) - 2; k >= 0 && best > 10*times[k] {
+			t.Fatalf("%d strips took %v, ×%.1f the time of a quarter as many", n, best, float64(best)/float64(times[k]))
+		}
+		times = append(times, best)
+	}
 }
 
 // tileN cuts b into n disjoint boxes that cover it, always halving the

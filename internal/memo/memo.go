@@ -153,6 +153,16 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return v, true
 }
 
+// Contains reports whether a value is stored for k without counting a
+// hit or refreshing its recency: a probe that leaves the cache exactly
+// as it found it.
+func (c *Cache[K, V]) Contains(k K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[k]
+	return ok
+}
+
 // GetOrCompute returns the value for k, computing it at most once
 // across concurrent callers: a stored result is a hit; the first
 // caller of an uncached key becomes the leader, runs compute, and

@@ -318,3 +318,57 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("unit-chain occupancy = %d/%d", st.UnitChains.Entries, st.UnitChains.Capacity)
 	}
 }
+
+// wideStrips is the wire hierarchy on which Validate was quadratic: a
+// one-cell base domain, refinement ratio 2^15, and 65536 one-row strips
+// on level 1, two to a row, each half the level wide; a 3 MB body.
+func wideStrips() Hierarchy {
+	const ratio = 1 << 15
+	strips := make([]Box, 1<<16)
+	for i := range strips {
+		x := i % 2 * ratio / 2
+		strips[i] = Box{Dim: 2, Lo: []int{x, i / 2}, Hi: []int{x + ratio/2, i/2 + 1}}
+	}
+	cell := Box{Dim: 2, Lo: []int{0, 0}, Hi: []int{1, 1}}
+	return Hierarchy{Domain: cell, RefRatio: ratio, Levels: [][]Box{{cell}, strips}}
+}
+
+// TestWideStripsAnsweredInTime: Validate held the wide-strip body for
+// 21.7 s, which no deadline can stop, on every route that takes a full
+// hierarchy. Posted with nprocs out of range, which each route checks
+// after validating and before any partitioner or classifier runs, the
+// body must be refused for its nprocs well inside the request timeout.
+func TestWideStripsAnsweredInTime(t *testing.T) {
+	const timeout = 20 * time.Second
+	_, ts := newTestServer(t, Config{RequestTimeout: timeout})
+	h := wideStrips()
+	for _, c := range []struct {
+		route string
+		req   any
+	}{
+		{"/v1/partition", PartitionRequest{Hierarchy: &h, Partitioner: "nature+fable", NProcs: maxProcs + 1}},
+		{"/v1/session", SessionCreateRequest{Hierarchy: &h, Partitioner: "nature+fable", NProcs: maxProcs + 1}},
+		{"/v1/select", SelectRequest{Hierarchy: &h, NProcs: maxProcs + 1}},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		r, err := http.Post(ts.URL+c.route, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		err = json.NewDecoder(r.Body).Decode(&e)
+		r.Body.Close()
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: body not the JSON error: %v", c.route, err)
+		}
+		if r.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "nprocs") || elapsed > timeout/4 {
+			t.Errorf("%s: status %d, error %q after %v; want the 400 for nprocs inside %v", c.route, r.StatusCode, e.Error, elapsed, timeout/4)
+		}
+		t.Logf("%s: %d bytes refused after %v", c.route, len(body), elapsed)
+	}
+}

@@ -157,6 +157,22 @@ func (c *canon) int() int {
 	return n
 }
 
+// key reads an object key among keys that seen does not hold yet, and
+// the colon after it, adding it to seen and returning its index (-1,
+// with bad set, for any other key).
+func (c *canon) key(keys []string, seen *uint) int {
+	name := c.str()
+	for k, key := range keys {
+		if string(name) == key && *seen&(1<<k) == 0 {
+			*seen |= 1 << k
+			c.need(':')
+			return k
+		}
+	}
+	c.bad = true
+	return -1
+}
+
 // object reads an object whose keys are among keys, each at most once,
 // calling field with the key's index and the cursor before its value.
 func (c *canon) object(keys []string, field func(int)) {
@@ -166,18 +182,10 @@ func (c *canon) object(keys []string, field func(int)) {
 	}
 	var seen uint
 	for !c.bad {
-		name, k := c.str(), -1
-		for i, key := range keys {
-			if string(name) == key {
-				k = i
-			}
-		}
-		if k < 0 || seen&(1<<k) != 0 {
-			c.bad = true
+		k := c.key(keys, &seen)
+		if k < 0 {
 			return
 		}
-		seen |= 1 << k
-		c.need(':')
 		field(k)
 		if !c.eat(',') {
 			c.need('}')
@@ -202,29 +210,32 @@ func (c *canon) array(elem func()) {
 	}
 }
 
+// The readers of the innermost, most repeated values — a box, its
+// corners, a list of boxes — are plain loops rather than object and
+// array callbacks: a deep hierarchy is mostly boxes, and a cache hit
+// spends much of its time reading them.
+
 // pair reads an array of exactly two integers into v.
 func (c *canon) pair(v *[2]int) {
-	n := 0
-	c.array(func() {
-		if n == len(v) {
-			c.bad = true
-			return
-		}
-		v[n] = c.int()
-		n++
-	})
-	if n != len(v) {
-		c.bad = true
-	}
+	c.need('[')
+	v[0] = c.int()
+	c.need(',')
+	v[1] = c.int()
+	c.need(']')
 }
 
-// box reads a wire box with all three keys, dim 2, two-element lo and
-// hi: the boxes Box.toGeom accepts.
+// box reads a wire box with all three keys, each once, dim 2, and
+// two-element lo and hi: the boxes Box.toGeom accepts.
 func (c *canon) box() geom.Box {
-	var dim, fields int
+	var dim int
 	var lo, hi [2]int
-	c.object(boxKeys, func(k int) {
-		switch k {
+	var seen uint
+	c.need('{')
+	for i := range boxKeys {
+		if i > 0 {
+			c.need(',')
+		}
+		switch c.key(boxKeys, &seen) {
 		case 0:
 			dim = c.int()
 		case 1:
@@ -232,9 +243,9 @@ func (c *canon) box() geom.Box {
 		case 2:
 			c.pair(&hi)
 		}
-		fields++
-	})
-	if dim != 2 || fields != len(boxKeys) {
+	}
+	c.need('}')
+	if dim != 2 {
 		c.bad = true
 	}
 	return geom.NewBox2(lo[0], lo[1], hi[0], hi[1])
@@ -244,7 +255,17 @@ func (c *canon) box() geom.Box {
 // conversions make it.
 func (c *canon) boxes() geom.BoxList {
 	out := geom.BoxList{}
-	c.array(func() { out = append(out, c.box()) })
+	c.need('[')
+	if c.eat(']') {
+		return out
+	}
+	for !c.bad {
+		out = append(out, c.box())
+		if !c.eat(',') {
+			c.need(']')
+			break
+		}
+	}
 	return out
 }
 

@@ -75,9 +75,23 @@
 // what json.Encoder wrote for PartitionResponse. encoding/json stays the
 // oracle of both halves in the tests (FuzzPartitionWire, the encoder's
 // byte-equality suite) and the codec for every other route.
+//
+// On /v1/partition a cache hit is decoded, signed, looked up and
+// written: a hierarchy whose key is resident is not validated again.
+// The signature of an unvalidated hierarchy is well defined, because
+// grid.Hierarchy.AppendEncoding writes any domain, ratio and levels
+// without arithmetic, and it is injective over every field Validate
+// reads. Only validated content enters the cache (posts, session steps,
+// resumed snapshots, and tier answers fetched behind a local
+// validation), so a resident key proves, barring a SHA-256 collision,
+// that an identical hierarchy was validated. A key that is not resident
+// is validated before the cache or the tier is consulted, and the
+// probe counts nothing, so counters, headers and bodies, refusals and
+// batches included, are those of a server that validates first.
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -501,8 +515,9 @@ func decode(w http.ResponseWriter, body io.Reader, v any) bool {
 }
 
 // gatherHierarchies merges the single/batch forms of a request into one
-// ordered slice of validated hierarchies.
-func gatherHierarchies(single *Hierarchy, batch []Hierarchy) ([]*grid.Hierarchy, error) {
+// ordered slice of hierarchies, each converted and then passed to check
+// (which validates it), in order; the first refusal is the answer.
+func gatherHierarchies(single *Hierarchy, batch []Hierarchy, check func(*grid.Hierarchy) error) ([]*grid.Hierarchy, error) {
 	ws := batch
 	if single != nil {
 		ws = append([]Hierarchy{*single}, batch...)
@@ -512,7 +527,10 @@ func gatherHierarchies(single *Hierarchy, batch []Hierarchy) ([]*grid.Hierarchy,
 	}
 	out := make([]*grid.Hierarchy, len(ws))
 	for i, w := range ws {
-		h, err := w.toGrid()
+		h, err := w.geometry()
+		if err == nil {
+			err = check(h)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy %d: %w", i, err)
 		}
@@ -551,7 +569,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r.Body, &req) {
 		return
 	}
-	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies)
+	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies, (*grid.Hierarchy).Validate)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -597,7 +615,20 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies)
+	// Each hierarchy is signed as it arrives and validated only when its
+	// key is not resident (see "Wire codec" above); nprocs defaults as
+	// checkProcs will default it.
+	name := canonical.Name()
+	nprocs := cmp.Or(req.NProcs, s.cfg.DefaultProcs)
+	var sigs []geom.Signature
+	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies, func(h *grid.Hierarchy) error {
+		sig := hierarchySignature(h)
+		sigs = append(sigs, sig)
+		if s.cache.Contains(CacheKey{Sig: sig, Partitioner: name, NProcs: nprocs}) {
+			return nil
+		}
+		return h.Validate()
+	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -609,15 +640,13 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	name := canonical.Name()
 	outs := make([]partitionOut, len(hs))
 	err = pool.MapCtx(ctx, pool.Workers(), len(hs), func(i int) error {
-		sig := hierarchySignature(hs[i])
-		a, disp, err := s.partitionCached(ctx, hs[i], sig, name, req.NProcs)
+		a, disp, err := s.partitionCached(ctx, hs[i], sigs[i], name, req.NProcs)
 		if err != nil {
 			return err
 		}
-		outs[i] = partitionOut{h: hs[i], sig: sig, a: a, disp: disp}
+		outs[i] = partitionOut{h: hs[i], sig: sigs[i], a: a, disp: disp}
 		return nil
 	})
 	if err != nil {
