@@ -3,11 +3,11 @@ package geom
 import "fmt"
 
 // Box is an axis-aligned integer rectangle of grid cells. Lo is
-// inclusive, Hi is exclusive. Dim is the number of active dimensions:
-// 2 in every box this repository builds (grid.Hierarchy.Validate refuses
-// anything else); the unused third component of Lo/Hi is pinned at Lo=0,
-// Hi=1, the layout hierarchy signatures, .trc files and tier blobs
-// encode.
+// inclusive, Hi is exclusive. Dim is 2 in every box this repository
+// builds and the unused third component of Lo/Hi is pinned at Lo=0,
+// Hi=1: the layout hierarchy signatures, .trc files and tier blobs
+// encode, and the only one their decoders admit (see the package
+// comment). The methods compute in the x-y plane.
 type Box struct {
 	Lo, Hi IntVect
 	Dim    int
@@ -19,77 +19,38 @@ func NewBox2(x0, y0, x1, y1 int) Box {
 }
 
 // Empty reports whether the box contains no cells.
-func (b Box) Empty() bool {
-	if b.Dim == 2 {
-		return b.Hi[0] <= b.Lo[0] || b.Hi[1] <= b.Lo[1]
-	}
-	if b.Dim == 0 {
-		return true
-	}
-	for d := 0; d < b.Dim; d++ {
-		if b.Hi[d] <= b.Lo[d] {
-			return true
-		}
-	}
-	return false
-}
+func (b Box) Empty() bool { return b.Hi[0] <= b.Lo[0] || b.Hi[1] <= b.Lo[1] }
 
 // Volume returns the number of cells in the box (0 if empty).
 func (b Box) Volume() int64 {
 	if b.Empty() {
 		return 0
 	}
-	if b.Dim == 2 {
-		return int64(b.Hi[0]-b.Lo[0]) * int64(b.Hi[1]-b.Lo[1])
-	}
-	v := int64(1)
-	for d := 0; d < b.Dim; d++ {
-		v *= int64(b.Hi[d] - b.Lo[d])
-	}
-	return v
+	return int64(b.Hi[0]-b.Lo[0]) * int64(b.Hi[1]-b.Lo[1])
 }
 
 // Size returns the extent of the box along dimension d.
 func (b Box) Size(d int) int { return b.Hi[d] - b.Lo[d] }
 
 // Surface returns the number of boundary faces of the box, i.e. the count
-// of (cell, face) pairs on the box surface. For a 2-D box of size nx x ny
-// this is 2*(nx+ny); it is the ghost-exchange volume for a one-cell-wide
-// halo.
+// of (cell, face) pairs on the box surface: 2*(nx+ny) for a box of size
+// nx x ny. It is the ghost-exchange volume for a one-cell-wide halo.
 func (b Box) Surface() int64 {
 	if b.Empty() {
 		return 0
 	}
-	var s int64
-	for d := 0; d < b.Dim; d++ {
-		face := int64(1)
-		for e := 0; e < b.Dim; e++ {
-			if e != d {
-				face *= int64(b.Hi[e] - b.Lo[e])
-			}
-		}
-		s += 2 * face
-	}
-	return s
+	return 2 * (int64(b.Size(0)) + int64(b.Size(1)))
 }
 
 // Contains reports whether cell p lies inside the box.
 func (b Box) Contains(p IntVect) bool {
-	for d := 0; d < b.Dim; d++ {
-		if p[d] < b.Lo[d] || p[d] >= b.Hi[d] {
-			return false
-		}
-	}
-	return !b.Empty()
+	return b.Lo[0] <= p[0] && p[0] < b.Hi[0] && b.Lo[1] <= p[1] && p[1] < b.Hi[1]
 }
 
 // ContainsBox reports whether o is entirely inside b. An empty o is
 // contained in anything.
 func (b Box) ContainsBox(o Box) bool {
-	if o.Empty() {
-		return true
-	}
-	return o.Lo.AllGE(b.Lo, b.Dim) && o.Hi.AllLE(b.Hi, b.Dim)
+	return o.Empty() || b.Lo[0] <= o.Lo[0] && b.Lo[1] <= o.Lo[1] && o.Hi[0] <= b.Hi[0] && o.Hi[1] <= b.Hi[1]
 }
 
 // Intersect returns the overlap of b and o (possibly empty).
@@ -106,9 +67,6 @@ func (b Box) Intersect(o Box) Box {
 
 // overlap returns a.Intersect(*b).Volume() without building the box.
 func overlap(a, b *Box) int64 {
-	if a.Dim != 2 {
-		return a.Intersect(*b).Volume()
-	}
 	lo0, hi0 := max(a.Lo[0], b.Lo[0]), min(a.Hi[0], b.Hi[0])
 	lo1, hi1 := max(a.Lo[1], b.Lo[1]), min(a.Hi[1], b.Hi[1])
 	if hi0 <= lo0 || hi1 <= lo1 {
@@ -122,16 +80,8 @@ func (b Box) Intersects(o Box) bool { return intersects(&b, &o) }
 
 // intersects is Intersects through pointers, for scans over lists.
 func intersects(a, b *Box) bool {
-	if a.Dim == 2 {
-		return a.Lo[0] < b.Hi[0] && b.Lo[0] < a.Hi[0] && a.Lo[1] < b.Hi[1] && b.Lo[1] < a.Hi[1] &&
-			!a.Empty() && !b.Empty()
-	}
-	for d := 0; d < a.Dim; d++ {
-		if a.Hi[d] <= b.Lo[d] || b.Hi[d] <= a.Lo[d] {
-			return false
-		}
-	}
-	return !a.Empty() && !b.Empty()
+	return a.Lo[0] < b.Hi[0] && b.Lo[0] < a.Hi[0] && a.Lo[1] < b.Hi[1] && b.Lo[1] < a.Hi[1] &&
+		!a.Empty() && !b.Empty()
 }
 
 // Union returns the smallest box containing both b and o.
@@ -146,10 +96,14 @@ func (b Box) Union(o Box) Box {
 }
 
 // Grow returns the box expanded by n cells in every direction (negative n
-// shrinks). The result may be empty for negative n.
+// shrinks). The result may be empty for negative n. Box{}, the identity
+// of Union, stays Box{}.
 func (b Box) Grow(n int) Box {
+	if b == (Box{}) {
+		return b
+	}
 	r := b
-	for d := 0; d < b.Dim; d++ {
+	for d := 0; d < 2; d++ {
 		r.Lo[d] -= n
 		r.Hi[d] += n
 	}
@@ -160,7 +114,7 @@ func (b Box) Grow(n int) Box {
 // by r. Refining then coarsening is the identity.
 func (b Box) Refine(r int) Box {
 	res := b
-	for d := 0; d < b.Dim; d++ {
+	for d := 0; d < 2; d++ {
 		res.Lo[d] = b.Lo[d] * r
 		res.Hi[d] = b.Hi[d] * r
 	}
@@ -172,7 +126,7 @@ func (b Box) Refine(r int) Box {
 // ceiling for Hi).
 func (b Box) Coarsen(r int) Box {
 	res := b
-	for d := 0; d < b.Dim; d++ {
+	for d := 0; d < 2; d++ {
 		res.Lo[d] = floorDiv(b.Lo[d], r)
 		res.Hi[d] = ceilDiv(b.Hi[d], r)
 	}
@@ -208,7 +162,7 @@ func (b Box) ChopDim(d, c int) (lo, hi Box) {
 // LongestDim returns the dimension along which the box is largest.
 func (b Box) LongestDim() int {
 	best, bd := -1, 0
-	for d := 0; d < b.Dim; d++ {
+	for d := 0; d < 2; d++ {
 		if s := b.Size(d); s > best {
 			best, bd = s, d
 		}
@@ -228,7 +182,7 @@ func (b Box) Subtract(o Box) []Box {
 	}
 	var out []Box
 	rem := b
-	for d := 0; d < b.Dim; d++ {
+	for d := 0; d < 2; d++ {
 		if rem.Lo[d] < ov.Lo[d] {
 			lo, hi := rem.ChopDim(d, ov.Lo[d])
 			if !lo.Empty() {

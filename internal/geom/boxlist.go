@@ -222,20 +222,19 @@ func (bl BoxList) Simplify() BoxList {
 	return out[:w]
 }
 
-// planarMiss reports that two-dimensional a and b differ in both
-// extents, so tryMerge would refuse them: nearly every pair Simplify
-// tries. It is small enough to inline into Simplify's scans and reads
-// both boxes through pointers; for any other Dim it reports false and
-// tryMerge decides.
+// planarMiss reports that a and b differ in both extents, so tryMerge
+// would refuse them: nearly every pair Simplify tries. It is small
+// enough to inline into Simplify's scans and reads both boxes through
+// pointers.
 func planarMiss(a, b *Box) bool {
-	return a.Dim == 2 && (a.Lo[0] != b.Lo[0] || a.Hi[0] != b.Hi[0]) && (a.Lo[1] != b.Lo[1] || a.Hi[1] != b.Hi[1])
+	return (a.Lo[0] != b.Lo[0] || a.Hi[0] != b.Hi[0]) && (a.Lo[1] != b.Lo[1] || a.Hi[1] != b.Hi[1])
 }
 
 // tryMerge merges b into a when the two are identical or share a full
 // face, and reports whether it did; the union is built only on a hit.
 func tryMerge(a, b *Box) bool {
 	diff := -1 // the one dimension in which the extents differ
-	for d := 0; d < a.Dim; d++ {
+	for d := 0; d < 2; d++ {
 		if a.Lo[d] == b.Lo[d] && a.Hi[d] == b.Hi[d] {
 			continue
 		}

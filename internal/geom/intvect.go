@@ -15,22 +15,20 @@
 // bounds, i.e. a Box{Lo, Hi} covers the cells Lo <= c < Hi in each
 // dimension. Geometry is two-dimensional, as the paper's evaluation is:
 // corners keep MaxDim (3) components because hierarchy signatures, .trc
-// files and tier blobs encode all three, and grid.Hierarchy.Validate
-// refuses a box whose Dim is not 2.
+// files and tier blobs encode all three.
 //
-// Box.Empty, Box.Volume, the unexported overlap (a.Intersect(b).Volume()
-// without the box, under QueryVolume and OverlapVolumeNaive), intersects
-// (Box.Intersects through pointers, under AppendQuery) and planarMiss
-// (Simplify's pre-test) are planar kernels: when the receiver's Dim is
-// 2 they read the x and y corners directly. A box decoded from a .trc
-// or a tier blob carries whatever Dim was written until Validate
-// refuses it, and Box{} (Dim 0) is the identity of Union, so each
-// kernel keeps, behind its Dim == 2 branch, the loop over the active
-// dimensions, and answers for every other Dim what that loop answers:
-// a Dim 0 box is empty, a Dim 1 box is an interval on x, a Dim 3 box
-// has depth. For those Dims nothing changed, by construction; for Dim
-// 2 the branch is the loop written out, and planar_test.go checks it
-// box for box against the loops.
+// Every kernel computes in the x-y plane and reads the x and y corners
+// directly; there is no loop over a Dim. That is sound because no box
+// of another layout reaches one: every door geometry comes in by
+// refuses it as it decodes — the wire (server's Box.toGeom and its
+// request recogniser), the tier's blobs and the .trc reader (both
+// through grid.CheckLayout: dim 2, third component Lo 0 / Hi 1) — and
+// grid.Hierarchy.Validate refuses any Dim but 2 in a hierarchy built in
+// memory. The zero Box{} is the one box of Dim 0 the program makes, as
+// the identity of Union; it is empty with no cells, meets nothing, and
+// Refine, Coarsen and Grow leave it as it is (box_test.go pins that).
+// planar_test.go keeps the loops over the active dimensions that the
+// kernels replaced, and checks the kernels box for box against them.
 package geom
 
 import "fmt"
@@ -64,28 +62,6 @@ func (v IntVect) Max(w IntVect) IntVect {
 		}
 	}
 	return v
-}
-
-// AllGE reports whether every component of v is >= the matching component
-// of w, considering only the first dim components.
-func (v IntVect) AllGE(w IntVect, dim int) bool {
-	for d := 0; d < dim; d++ {
-		if v[d] < w[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// AllLE reports whether every component of v is <= the matching component
-// of w, considering only the first dim components.
-func (v IntVect) AllLE(w IntVect, dim int) bool {
-	for d := 0; d < dim; d++ {
-		if v[d] > w[d] {
-			return false
-		}
-	}
-	return true
 }
 
 func (v IntVect) String() string {

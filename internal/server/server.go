@@ -18,7 +18,8 @@
 // Hierarchies are two-dimensional on every endpoint that takes one: a
 // wire box whose dim is not 2 is a 400 (Box.toGeom), and a hierarchy
 // that arrives past the wire — a session snapshot from a peer, a .trc in
-// the trace directory — meets the same rule in grid.Hierarchy.Validate.
+// the trace directory — meets the same rule as it is decoded
+// (grid.CheckLayout) and again in grid.Hierarchy.Validate.
 //
 // Three properties make it a service rather than an RPC wrapper.
 // Results of /v1/partition are kept in a content-addressed LRU cache

@@ -21,12 +21,16 @@
 // in the background), and the codec gives partition assignments and
 // session snapshots a versioned, checksummed binary encoding, so a
 // corrupt or truncated entry — disk bit-rot, a torn peer response —
-// degrades to a cache miss, never a wrong answer. The checksum is an
-// envelope, not a signature: anyone who can reach the peer protocol can
-// seal a blob, so the typed decoders also refuse what no caller could
-// survive (a box that is not planar, an owner past the processor count,
-// a level past maxLevel). A peer that lies with a well-formed value is a
-// matter for authentication, which the tier does not have.
+// degrades to a cache miss, never a wrong answer. Geometry inside a
+// blob (a snapshot's hierarchies, a fragment's box) is written and read
+// by grid's geometry codec (grid.AppendHierarchy, grid.Reader), the
+// strict reader that checks every count against the bytes left and
+// refuses a box that is not planar. The checksum is an envelope, not a
+// signature: anyone who can reach the peer protocol can seal a blob, so
+// the typed decoders also refuse what no caller could survive (that
+// box, an owner past the processor count, a level past maxLevel). A
+// peer that lies with a well-formed value is a matter for
+// authentication, which the tier does not have.
 //
 // The tier is an optimization layer by contract: every failure path
 // (peer down, circuit open, corrupt blob, disk error) reports a miss
@@ -126,22 +130,14 @@ func Open(blob []byte) (payload []byte, kind byte, err error) {
 	return body[headerLen:], blob[5], nil
 }
 
-// appendBox appends one box: dim plus every MaxDim lo/hi component, so
-// padding conventions round-trip bit-exactly.
-func appendBox(buf []byte, b geom.Box) []byte {
-	buf = binary.AppendUvarint(buf, uint64(b.Dim))
-	for d := 0; d < geom.MaxDim; d++ {
-		buf = binary.AppendVarint(buf, int64(b.Lo[d]))
+// done ends a decode: the reader's error, or trailing bytes, is
+// ErrCorrupt.
+func done(r *grid.Reader) error {
+	if err := r.Done(); err != nil {
+		return corrupt("%v", err)
 	}
-	for d := 0; d < geom.MaxDim; d++ {
-		buf = binary.AppendVarint(buf, int64(b.Hi[d]))
-	}
-	return buf
+	return nil
 }
-
-// boxMinBytes is the least encoded size of one box: 1 + 2*MaxDim
-// single-byte varints.
-const boxMinBytes = 1 + 2*geom.MaxDim
 
 // appendAssignment appends the canonical payload encoding of a:
 // NumProcs, fragment count, then each fragment's level, owner, and box.
@@ -151,87 +147,23 @@ func appendAssignment(buf []byte, a *partition.Assignment) []byte {
 	for _, f := range a.Fragments {
 		buf = binary.AppendUvarint(buf, uint64(f.Level))
 		buf = binary.AppendUvarint(buf, uint64(f.Owner))
-		buf = appendBox(buf, f.Box)
+		buf = grid.AppendBox(buf, f.Box)
 	}
 	return buf
 }
 
-// reader is a strict little decoder over a payload: any short read
-// marks the payload corrupt.
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.err = corrupt("bad uvarint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.err = corrupt("bad varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-// count validates a declared element count against the bytes actually
-// remaining (each element takes at least minBytes), bounding
-// allocations on crafted or damaged payloads.
-func (r *reader) count(n uint64, minBytes int) int {
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(len(r.buf)/minBytes) {
-		r.err = corrupt("count %d exceeds remaining payload", n)
-		return 0
-	}
-	return int(n)
-}
-
-// box decodes one box and holds it to the layout every box in the
-// program has: two-dimensional, third component pinned to Lo 0 / Hi 1.
-func (r *reader) box() geom.Box {
-	var b geom.Box
-	b.Dim = int(r.uvarint())
-	for d := 0; d < geom.MaxDim; d++ {
-		b.Lo[d] = int(r.varint())
-	}
-	for d := 0; d < geom.MaxDim; d++ {
-		b.Hi[d] = int(r.varint())
-	}
-	if r.err == nil && (b.Dim != 2 || b.Lo[2] != 0 || b.Hi[2] != 1) {
-		r.err = corrupt("box %v: dim %d, third component [%d,%d)", b, b.Dim, b.Lo[2], b.Hi[2])
-	}
-	return b
-}
-
-// maxLevel bounds a decoded fragment's level, like the .trc reader's
-// level count: grid.Hierarchy.StepFactor loops that many times.
+// maxLevel bounds a decoded fragment's level: grid.Hierarchy.StepFactor
+// loops that many times.
 const maxLevel = 64
 
-func (r *reader) assignment() *partition.Assignment {
-	nprocs := r.uvarint()
-	// A fragment is level, owner, and a box: >= 2 + boxMinBytes.
-	n := r.count(r.uvarint(), 2+boxMinBytes)
-	if r.err == nil && (nprocs < 1 || nprocs > math.MaxInt) {
-		r.err = corrupt("nprocs %d", nprocs)
+func readAssignment(r *grid.Reader) *partition.Assignment {
+	nprocs := r.Uvarint()
+	// A fragment is level, owner, and a box: >= 2 + grid.BoxMinBytes.
+	n := r.Count(r.Uvarint(), 2+grid.BoxMinBytes)
+	if r.Err() == nil && (nprocs < 1 || nprocs > math.MaxInt) {
+		r.Fail(fmt.Errorf("nprocs %d", nprocs))
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	a := &partition.Assignment{NumProcs: int(nprocs)}
@@ -239,24 +171,16 @@ func (r *reader) assignment() *partition.Assignment {
 		a.Fragments = make([]partition.Fragment, n)
 	}
 	for i := range a.Fragments {
-		level, owner := r.uvarint(), r.uvarint()
-		if r.err == nil && (level > maxLevel || owner >= nprocs) {
-			r.err = corrupt("fragment %d: level %d, owner %d of %d", i, level, owner, nprocs)
+		level, owner := r.Uvarint(), r.Uvarint()
+		if r.Err() == nil && (level > maxLevel || owner >= nprocs) {
+			r.Fail(fmt.Errorf("fragment %d: level %d, owner %d of %d", i, level, owner, nprocs))
 		}
-		a.Fragments[i] = partition.Fragment{Level: int(level), Owner: int(owner), Box: r.box()}
+		a.Fragments[i] = partition.Fragment{Level: int(level), Owner: int(owner), Box: r.Box()}
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	return a
-}
-
-// done flags trailing garbage after a complete decode.
-func (r *reader) done() error {
-	if r.err == nil && len(r.buf) != 0 {
-		r.err = corrupt("%d trailing bytes", len(r.buf))
-	}
-	return r.err
 }
 
 // EncodeAssignment seals a into a versioned, checksummed blob.
@@ -271,9 +195,9 @@ func DecodeAssignment(blob []byte) (*partition.Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{buf: payload}
-	a := r.assignment()
-	if err := r.done(); err != nil {
+	r := grid.NewReader(payload)
+	a := readAssignment(r)
+	if err := done(r); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -305,92 +229,10 @@ type SessionSnapshot struct {
 	PrevAssignment *partition.Assignment
 }
 
-// appendHierarchy appends h's geometry: domain, refinement ratio, and
-// every level's box list.
-func appendHierarchy(buf []byte, h *grid.Hierarchy) []byte {
-	buf = appendBox(buf, h.Domain)
-	buf = binary.AppendUvarint(buf, uint64(h.RefRatio))
-	buf = binary.AppendUvarint(buf, uint64(len(h.Levels)))
-	for _, lev := range h.Levels {
-		buf = binary.AppendUvarint(buf, uint64(len(lev.Boxes)))
-		for _, b := range lev.Boxes {
-			buf = appendBox(buf, b)
-		}
-	}
-	return buf
-}
-
-func (r *reader) hierarchy() *grid.Hierarchy {
-	h := &grid.Hierarchy{Domain: r.box(), RefRatio: int(r.uvarint())}
-	nLevels := r.count(r.uvarint(), 1)
-	if r.err != nil {
-		return nil
-	}
-	h.Levels = make([]grid.Level, nLevels)
-	for l := range h.Levels {
-		nBoxes := r.count(r.uvarint(), boxMinBytes)
-		if r.err != nil {
-			return nil
-		}
-		if nBoxes > 0 {
-			h.Levels[l].Boxes = make(geom.BoxList, nBoxes)
-		}
-		for i := range h.Levels[l].Boxes {
-			h.Levels[l].Boxes[i] = r.box()
-		}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return h
-}
-
 // appendBytes appends a length-prefixed byte string.
 func appendBytes(buf, b []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(b)))
 	return append(buf, b...)
-}
-
-func (r *reader) bytes() []byte {
-	n := r.count(r.uvarint(), 1)
-	if r.err != nil {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.buf[:n])
-	r.buf = r.buf[n:]
-	return b
-}
-
-func (r *reader) signature() geom.Signature {
-	var s geom.Signature
-	if r.err != nil {
-		return s
-	}
-	if len(r.buf) < len(s) {
-		r.err = corrupt("short signature")
-		return s
-	}
-	copy(s[:], r.buf)
-	r.buf = r.buf[len(s):]
-	return s
-}
-
-func (r *reader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.buf) < 1 {
-		r.err = corrupt("short bool")
-		return false
-	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	if v > 1 {
-		r.err = corrupt("bad bool %d", v)
-		return false
-	}
-	return v == 1
 }
 
 func appendBool(buf []byte, v bool) []byte {
@@ -400,18 +242,26 @@ func appendBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
+func readBool(r *grid.Reader) bool {
+	b := r.Bytes(1)
+	if len(b) == 1 && b[0] > 1 {
+		r.Fail(fmt.Errorf("bad bool %d", b[0]))
+	}
+	return len(b) == 1 && b[0] == 1
+}
+
 // EncodeSessionSnapshot seals ss into a versioned, checksummed blob.
 func EncodeSessionSnapshot(ss *SessionSnapshot) []byte {
 	payload := appendBytes(nil, []byte(ss.Name))
 	payload = binary.AppendUvarint(payload, uint64(ss.NProcs))
-	payload = appendHierarchy(payload, ss.Hierarchy)
+	payload = grid.AppendHierarchy(payload, ss.Hierarchy)
 	payload = append(payload, ss.Sig[:]...)
 	payload = appendBool(payload, ss.Stateful)
 	if ss.Stateful {
 		hasHistory := ss.PrevHierarchy != nil && ss.PrevAssignment != nil
 		payload = appendBool(payload, hasHistory)
 		if hasHistory {
-			payload = appendHierarchy(payload, ss.PrevHierarchy)
+			payload = grid.AppendHierarchy(payload, ss.PrevHierarchy)
 			payload = appendAssignment(payload, ss.PrevAssignment)
 		}
 	}
@@ -427,20 +277,18 @@ func DecodeSessionSnapshot(blob []byte) (*SessionSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{buf: payload}
+	r := grid.NewReader(payload)
 	ss := &SessionSnapshot{}
-	ss.Name = string(r.bytes())
-	ss.NProcs = int(r.uvarint())
-	ss.Hierarchy = r.hierarchy()
-	ss.Sig = r.signature()
-	ss.Stateful = r.bool()
-	if r.err == nil && ss.Stateful {
-		if r.bool() {
-			ss.PrevHierarchy = r.hierarchy()
-			ss.PrevAssignment = r.assignment()
-		}
+	ss.Name = string(r.Bytes(r.Count(r.Uvarint(), 1)))
+	ss.NProcs = int(r.Uvarint())
+	ss.Hierarchy = r.Hierarchy()
+	copy(ss.Sig[:], r.Bytes(len(ss.Sig)))
+	ss.Stateful = readBool(r)
+	if ss.Stateful && readBool(r) {
+		ss.PrevHierarchy = r.Hierarchy()
+		ss.PrevAssignment = readAssignment(r)
 	}
-	if err := r.done(); err != nil {
+	if err := done(r); err != nil {
 		return nil, err
 	}
 	return ss, nil

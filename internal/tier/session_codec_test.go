@@ -127,7 +127,7 @@ func TestSessionSnapshotMutationDetected(t *testing.T) {
 func kind3Snapshot(ss *SessionSnapshot) []byte {
 	payload := appendBytes(nil, []byte(ss.Name))
 	payload = binary.AppendUvarint(payload, uint64(ss.NProcs))
-	payload = appendHierarchy(payload, ss.Hierarchy)
+	payload = grid.AppendHierarchy(payload, ss.Hierarchy)
 	payload = append(payload, ss.Sig[:]...)
 	for l := range ss.Hierarchy.Levels {
 		dig := ss.Hierarchy.LevelSignature(l)

@@ -4,13 +4,31 @@
 // process the paper uses ("this trace captures the state of the SAMR
 // grid hierarchy for the application at the regrid step and is
 // independent of any partitioning").
+//
+// A trace is stored as a .trc file (Write, Read; samrtrace writes them)
+// in format version 1: the magic "SAMRTRC1", then little-endian 8-byte
+// words —
+//
+//	app        its length, then its bytes
+//	header     refinement ratio, max levels, domain box
+//	snapshots  their count, then per snapshot its step, its time as
+//	           float64 bits and its level count, and per level a box
+//	           count and the boxes
+//
+// — where a box is seven words: dim, then the three Lo and the three Hi
+// components. Read holds a file to exactly that, through grid.Reader:
+// every count is checked against the bytes left before anything is made
+// for it, every box must pass grid.CheckLayout (dim 2, third component
+// Lo 0 / Hi 1), and bytes after the last snapshot are refused. So a
+// file Read accepts is, byte for byte, what Write writes for the trace
+// it returns.
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
@@ -67,171 +85,112 @@ func (t *Trace) Validate() error {
 // format version.
 var magic = [8]byte{'S', 'A', 'M', 'R', 'T', 'R', 'C', '1'}
 
+// The least sizes of the format's items, which Read checks counts by.
+const (
+	wordLen     = 8
+	boxLen      = 7 * wordLen
+	snapshotLen = 3 * wordLen // step, time, level count
+)
+
 // Write serializes the trace in the versioned binary format.
 func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	writeString(bw, t.App)
-	writeI64(bw, int64(t.RefRatio))
-	writeI64(bw, int64(t.MaxLevels))
-	writeBox(bw, t.Domain)
-	writeI64(bw, int64(len(t.Snapshots)))
+	buf := append([]byte(nil), magic[:]...)
+	buf = appendWord(buf, int64(len(t.App)))
+	buf = append(buf, t.App...)
+	buf = appendWord(buf, int64(t.RefRatio))
+	buf = appendWord(buf, int64(t.MaxLevels))
+	buf = appendBox(buf, t.Domain)
+	buf = appendWord(buf, int64(len(t.Snapshots)))
 	for _, s := range t.Snapshots {
-		writeI64(bw, int64(s.Step))
-		if err := binary.Write(bw, binary.LittleEndian, s.Time); err != nil {
-			return err
-		}
-		writeI64(bw, int64(len(s.H.Levels)))
+		buf = appendWord(buf, int64(s.Step))
+		buf = appendWord(buf, int64(math.Float64bits(s.Time)))
+		buf = appendWord(buf, int64(len(s.H.Levels)))
 		for _, lev := range s.H.Levels {
-			writeI64(bw, int64(len(lev.Boxes)))
+			buf = appendWord(buf, int64(len(lev.Boxes)))
 			for _, b := range lev.Boxes {
-				writeBox(bw, b)
+				buf = appendBox(buf, b)
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// Read deserializes a trace written by Write.
+func appendWord(buf []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(v))
+}
+
+func appendBox(buf []byte, b geom.Box) []byte {
+	buf = appendWord(buf, int64(b.Dim))
+	for _, v := range b.Lo {
+		buf = appendWord(buf, int64(v))
+	}
+	for _, v := range b.Hi {
+		buf = appendWord(buf, int64(v))
+	}
+	return buf
+}
+
+// Read deserializes a trace written by Write, and refuses anything
+// Write would not have written (see the package comment).
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", m[:])
-	}
-	t := &Trace{}
-	var err error
-	if t.App, err = readString(br); err != nil {
-		return nil, err
-	}
-	rr, err := readI64(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	t.RefRatio = int(rr)
-	ml, err := readI64(br)
-	if err != nil {
-		return nil, err
+	if len(data) < len(magic) || [8]byte(data) != magic {
+		return nil, fmt.Errorf("trace: bad magic %q", data[:min(len(data), len(magic))])
 	}
-	t.MaxLevels = int(ml)
-	if t.Domain, err = readBox(br); err != nil {
-		return nil, err
+	d := decoder{grid.NewReader(data[len(magic):])}
+	t := &Trace{App: string(d.Bytes(d.count(1)))}
+	t.RefRatio, t.MaxLevels = int(d.word()), int(d.word())
+	t.Domain = d.box()
+	if n := d.count(snapshotLen); n > 0 {
+		t.Snapshots = make([]Snapshot, n)
 	}
-	nSnap, err := readI64(br)
-	if err != nil {
-		return nil, err
-	}
-	if nSnap < 0 || nSnap > 1<<24 {
-		return nil, fmt.Errorf("trace: implausible snapshot count %d", nSnap)
-	}
-	for i := int64(0); i < nSnap; i++ {
-		var s Snapshot
-		st, err := readI64(br)
-		if err != nil {
-			return nil, err
-		}
-		s.Step = int(st)
-		if err := binary.Read(br, binary.LittleEndian, &s.Time); err != nil {
-			return nil, err
-		}
-		nLev, err := readI64(br)
-		if err != nil {
-			return nil, err
-		}
-		if nLev < 0 || nLev > 64 {
-			return nil, fmt.Errorf("trace: implausible level count %d", nLev)
-		}
-		h := &grid.Hierarchy{Domain: t.Domain, RefRatio: t.RefRatio}
-		for l := int64(0); l < nLev; l++ {
-			nBox, err := readI64(br)
-			if err != nil {
-				return nil, err
+	for i := range t.Snapshots {
+		s := &t.Snapshots[i]
+		s.Step, s.Time = int(d.word()), math.Float64frombits(uint64(d.word()))
+		s.H = &grid.Hierarchy{Domain: t.Domain, RefRatio: t.RefRatio, Levels: make([]grid.Level, d.count(wordLen))}
+		for l := range s.H.Levels {
+			boxes := make(geom.BoxList, d.count(boxLen))
+			for j := range boxes {
+				boxes[j] = d.box()
 			}
-			if nBox < 0 || nBox > 1<<24 {
-				return nil, fmt.Errorf("trace: implausible box count %d", nBox)
-			}
-			lev := grid.Level{Boxes: make(geom.BoxList, nBox)}
-			for bi := int64(0); bi < nBox; bi++ {
-				if lev.Boxes[bi], err = readBox(br); err != nil {
-					return nil, err
-				}
-			}
-			h.Levels = append(h.Levels, lev)
+			s.H.Levels[l].Boxes = boxes
 		}
-		s.H = h
-		t.Snapshots = append(t.Snapshots, s)
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return t, nil
 }
 
-func writeI64(w io.Writer, v int64) {
-	binary.Write(w, binary.LittleEndian, v) //nolint:errcheck // bufio defers errors to Flush
+// decoder reads the format's words through grid's strict reader.
+type decoder struct{ *grid.Reader }
+
+func (d decoder) word() int64 {
+	b := d.Bytes(wordLen)
+	if b == nil {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint64(b))
 }
 
-func readI64(r io.Reader) (int64, error) {
-	var v int64
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
+// count reads an item count and checks it against the bytes left, each
+// item taking at least minBytes.
+func (d decoder) count(minBytes int) int { return d.Count(uint64(d.word()), minBytes) }
 
-func writeString(w *bufio.Writer, s string) {
-	writeI64(w, int64(len(s)))
-	w.WriteString(s) //nolint:errcheck
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readI64(r)
-	if err != nil {
-		return "", err
+func (d decoder) box() geom.Box {
+	b := geom.Box{Dim: int(d.word())}
+	for i := range b.Lo {
+		b.Lo[i] = int(d.word())
 	}
-	if n < 0 || n > 1<<16 {
-		return "", fmt.Errorf("trace: implausible string length %d", n)
+	for i := range b.Hi {
+		b.Hi[i] = int(d.word())
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	if d.Err() == nil {
+		d.Fail(grid.CheckLayout(b))
 	}
-	return string(buf), nil
-}
-
-func writeBox(w io.Writer, b geom.Box) {
-	writeI64(w, int64(b.Dim))
-	for d := 0; d < geom.MaxDim; d++ {
-		writeI64(w, int64(b.Lo[d]))
-	}
-	for d := 0; d < geom.MaxDim; d++ {
-		writeI64(w, int64(b.Hi[d]))
-	}
-}
-
-func readBox(r io.Reader) (geom.Box, error) {
-	var b geom.Box
-	dim, err := readI64(r)
-	if err != nil {
-		return b, err
-	}
-	if dim < 0 || dim > geom.MaxDim {
-		return b, fmt.Errorf("trace: bad box dimension %d", dim)
-	}
-	b.Dim = int(dim)
-	for d := 0; d < geom.MaxDim; d++ {
-		v, err := readI64(r)
-		if err != nil {
-			return b, err
-		}
-		b.Lo[d] = int(v)
-	}
-	for d := 0; d < geom.MaxDim; d++ {
-		v, err := readI64(r)
-		if err != nil {
-			return b, err
-		}
-		b.Hi[d] = int(v)
-	}
-	return b, nil
+	return b
 }

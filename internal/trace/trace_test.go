@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -110,6 +111,102 @@ func TestValidate(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("Validate should reject overlapping level boxes")
 	}
+}
+
+// hugeBoxCount is a 128-byte .trc whose one snapshot declares one level
+// of 2^24 boxes and carries none of them: a reader that believes the
+// count before checking it against the bytes left makes 896 MB of boxes
+// first.
+func hugeBoxCount() []byte {
+	b := append([]byte(nil), magic[:]...)
+	for _, w := range []int64{
+		0,                           // app ""
+		2, 3, 2, 0, 0, 0, 16, 16, 1, // ratio, max levels, domain
+		1,       // one snapshot
+		0, 0, 1, // step, time, one level
+		1 << 24, // of 2^24 boxes
+	} {
+		b = appendWord(b, w)
+	}
+	return b
+}
+
+// encoded writes tr, for seeds and fixtures.
+func encoded(tb testing.TB, tr *Trace) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readAllocs reads data and reports the bytes the read allocated.
+func readAllocs(data []byte) (*Trace, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	return tr, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestReadRefusesWhatWriteWouldNot: counts past the bytes left, boxes
+// off the planar layout and trailing bytes are refused as the file is
+// read, and the 128-byte file that declares 2^24 boxes is refused
+// before it costs anything like them.
+func TestReadRefusesWhatWriteWouldNot(t *testing.T) {
+	if len(hugeBoxCount()) != 128 {
+		t.Fatalf("repro is %d bytes, want 128", len(hugeBoxCount()))
+	}
+	_, alloc, err := readAllocs(hugeBoxCount())
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("2^24 declared boxes: %v, want a count refusal", err)
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("refusing the 128-byte repro allocated %d bytes, want under 1 MiB", alloc)
+	}
+
+	dim3 := sampleTrace()
+	dim3.Snapshots[1].H.Levels[1].Boxes[0].Dim = 3
+	unpinned := sampleTrace()
+	unpinned.Snapshots[2].H.Levels[1].Boxes[0].Hi[2] = 4
+	flat := sampleTrace()
+	flat.Domain.Dim = 1
+	for name, data := range map[string][]byte{
+		"dim 3 box":      encoded(t, dim3),
+		"unpinned third": encoded(t, unpinned),
+		"dim 1 domain":   encoded(t, flat),
+		"trailing byte":  append(encoded(t, sampleTrace()), 0),
+		"version 2":      append([]byte("SAMRTRC2"), encoded(t, sampleTrace())[8:]...),
+	} {
+		if _, err := Read(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: read cleanly", name)
+		}
+	}
+}
+
+// FuzzReadTrace holds Read to its contract on any input: it fails, or
+// it returns a trace that Write turns back into the same bytes and that
+// Validate judges without panicking; either way it allocates at most a
+// fixed multiple of the input's length.
+func FuzzReadTrace(f *testing.F) {
+	f.Add(encoded(f, sampleTrace()))
+	f.Add(encoded(f, &Trace{App: "X", RefRatio: 2, MaxLevels: 1, Domain: geom.NewBox2(0, 0, 4, 4)}))
+	f.Add(hugeBoxCount())
+	f.Add(magic[:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, alloc, err := readAllocs(data)
+		if limit := 64*uint64(len(data)) + 1<<16; alloc > limit {
+			t.Fatalf("reading %d bytes allocated %d, over %d", len(data), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		if out := encoded(t, tr); !bytes.Equal(out, data) {
+			t.Fatalf("read %d bytes cleanly, re-encoded to %d other bytes", len(data), len(out))
+		}
+		tr.Validate() //nolint:errcheck // judged, not trusted: it must only not panic
+	})
 }
 
 func TestEmptyTraceRoundTrip(t *testing.T) {
