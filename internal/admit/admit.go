@@ -8,7 +8,7 @@
 //
 // A Controller combines three mechanisms, applied in order:
 //
-//  1. Per-tenant token buckets (Config.TenantRate/TenantBurst, keyed by
+//  1. Per-tenant token buckets (Config.TenantRate, keyed by
 //     the X-Samr-Tenant header value the server passes down): a tenant
 //     over its rate is throttled immediately with a Retry-After equal
 //     to the time until its next token accrues, so one tenant's burst
@@ -37,6 +37,7 @@ package admit
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -112,32 +113,15 @@ type Config struct {
 	// shed immediately.
 	QueueDepth int
 	// TenantRate is each tenant's sustained admission rate in requests
-	// per second (0 disables rate limiting).
+	// per second (0 disables rate limiting). A tenant's bucket holds
+	// ceil(TenantRate) tokens, at least 1.
 	TenantRate float64
-	// TenantBurst is each tenant's token-bucket capacity (default:
-	// ceil(TenantRate), minimum 1).
-	TenantBurst int
-	// DefaultServiceTime seeds the queue-wait estimator before any
-	// request has completed (default 100ms). Once requests flow, an
-	// EWMA of observed service times replaces it.
-	DefaultServiceTime time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.TenantBurst <= 0 {
-		c.TenantBurst = int(c.TenantRate)
-		if float64(c.TenantBurst) < c.TenantRate {
-			c.TenantBurst++
-		}
-		if c.TenantBurst < 1 {
-			c.TenantBurst = 1
-		}
-	}
-	if c.DefaultServiceTime <= 0 {
-		c.DefaultServiceTime = 100 * time.Millisecond
-	}
-	return c
-}
+// defaultServiceTime seeds the queue-wait estimator before any request
+// has completed. Once requests flow, an EWMA of observed service times
+// replaces it.
+const defaultServiceTime = 100 * time.Millisecond
 
 // waiter is one queued admission request.
 type waiter struct {
@@ -161,7 +145,8 @@ type tenantState struct {
 // Controller is the admission gate. Construct with New; the zero value
 // is not usable.
 type Controller struct {
-	cfg Config
+	cfg   Config
+	burst float64 // tenant bucket capacity: ceil(TenantRate), at least 1
 
 	mu             sync.Mutex
 	inFlight       int
@@ -185,7 +170,8 @@ func New(cfg Config) *Controller {
 		panic("admit: MaxInFlight must be positive (use no controller to disable admission)")
 	}
 	return &Controller{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
+		burst:   max(1, math.Ceil(cfg.TenantRate)),
 		tenants: make(map[string]*tenantState),
 	}
 }
@@ -214,11 +200,9 @@ func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority, bud
 		now := time.Now()
 		if !ten.last.IsZero() {
 			ten.tokens += now.Sub(ten.last).Seconds() * c.cfg.TenantRate
-			if max := float64(c.cfg.TenantBurst); ten.tokens > max {
-				ten.tokens = max
-			}
+			ten.tokens = min(ten.tokens, c.burst)
 		} else {
-			ten.tokens = float64(c.cfg.TenantBurst)
+			ten.tokens = c.burst
 		}
 		ten.last = now
 		if ten.tokens < 1 {
@@ -376,7 +360,7 @@ func (c *Controller) popLocked() *waiter {
 func (c *Controller) waitEstimateLocked(position int) time.Duration {
 	svc := c.svcEWMA
 	if svc <= 0 {
-		svc = c.cfg.DefaultServiceTime
+		svc = defaultServiceTime
 	}
 	waves := position/c.cfg.MaxInFlight + 1
 	return time.Duration(waves) * svc

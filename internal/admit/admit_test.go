@@ -205,11 +205,12 @@ func TestQueueFullSheds(t *testing.T) {
 // deadline) cannot survive the estimated queue wait is shed immediately
 // instead of queued to fail late.
 func TestDeadlineAwareShed(t *testing.T) {
-	c := newTestController(t, Config{MaxInFlight: 1, QueueDepth: 8, DefaultServiceTime: 100 * time.Millisecond})
+	c := newTestController(t, Config{MaxInFlight: 1, QueueDepth: 8})
 	holder := mustAdmit(t, c, "", Interactive)
 	defer holder()
 
-	// Declared budget below the 100ms default service estimate: shed.
+	// Declared budget below the 100ms service estimate a controller
+	// starts from: shed.
 	_, err := c.Admit(context.Background(), "", Interactive, 10*time.Millisecond)
 	var shed *ShedError
 	if !errors.As(err, &shed) || shed.Reason != ReasonDeadline {
@@ -287,9 +288,10 @@ func TestQueuedWaiterCancellation(t *testing.T) {
 }
 
 func TestTenantTokenBucket(t *testing.T) {
-	c := newTestController(t, Config{MaxInFlight: 16, TenantRate: 10, TenantBurst: 2})
+	// The bucket holds ceil(TenantRate) = 10 tokens.
+	c := newTestController(t, Config{MaxInFlight: 16, TenantRate: 10})
 	// The burst admits immediately.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 10; i++ {
 		mustAdmit(t, c, "alice", Interactive)()
 	}
 	// The bucket is empty: throttled with a positive retry hint.
@@ -322,6 +324,25 @@ func TestTenantTokenBucket(t *testing.T) {
 	}
 	if st.Tenants["bob"].Admitted != 1 || st.Tenants["bob"].Throttled != 0 {
 		t.Errorf("bob stats = %+v, want 1 admit / 0 throttles", st.Tenants["bob"])
+	}
+}
+
+// TestTenantBurstIsRateRoundedUp: a fresh tenant's bucket holds its
+// rate rounded up, and at least one token.
+func TestTenantBurstIsRateRoundedUp(t *testing.T) {
+	for rate, want := range map[float64]int{0.5: 1, 1: 1, 2.5: 3, 3: 3} {
+		c := newTestController(t, Config{MaxInFlight: 16, TenantRate: rate})
+		admitted := 0
+		for ; admitted <= want; admitted++ {
+			release, err := c.Admit(context.Background(), "alice", Interactive, 0)
+			if err != nil {
+				break
+			}
+			release()
+		}
+		if admitted != want {
+			t.Errorf("rate %g: burst admitted %d, want %d", rate, admitted, want)
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ func memoPartitioners() map[string]func() Partitioner {
 		"domain-morton":  func() Partitioner { return &DomainSFC{Curve: sfc.Morton, UnitSize: 4} },
 		"domain-rowmaj":  func() Partitioner { return &DomainSFC{Curve: sfc.RowMajor, UnitSize: 1} },
 		"patch":          func() Partitioner { return NewPatchBased() },
-		"patch-o2":       func() Partitioner { return &PatchBased{MaxOverIdeal: 2} },
 		"hybrid-default": func() Partitioner { return NewNatureFable() },
 		"hybrid-whole": func() Partitioner {
 			return &NatureFable{Curve: sfc.Morton, AtomicUnit: 8, Groups: 2, FractionalBlocking: false}

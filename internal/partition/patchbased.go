@@ -2,7 +2,6 @@ package partition
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"samr/internal/geom"
@@ -11,36 +10,20 @@ import (
 
 // PatchBased distributes each refinement level independently, in the
 // style of SAMRAI/LPARX/KeLP that the paper describes: each newly
-// created grid is assigned as a whole to a processor (split first if it
-// is much larger than the ideal per-processor share), using
+// created grid is assigned as a whole to a processor (split first if its
+// workload exceeds the ideal per-processor share), using
 // longest-processing-time (LPT) bin packing per level.
 //
 // Its characteristic weaknesses — inter-level communication (parents and
 // children usually land on different processors) — appear naturally in
 // the execution simulator.
-type PatchBased struct {
-	// MaxOverIdeal splits any patch whose workload exceeds this multiple
-	// of the ideal per-processor load; 0 means the default of 1.
-	MaxOverIdeal float64
-}
+type PatchBased struct{}
 
-// NewPatchBased returns a patch-based partitioner with default
-// splitting.
-func NewPatchBased() *PatchBased { return &PatchBased{MaxOverIdeal: 1} }
+// NewPatchBased returns the patch-based partitioner.
+func NewPatchBased() *PatchBased { return &PatchBased{} }
 
 // Name implements Partitioner.
 func (p *PatchBased) Name() string { return "patch-lpt" }
-
-// MemoKey implements the optional content-key interface of the
-// memoization layers: the display name omits MaxOverIdeal, but the
-// partitioner's output depends on it, so the cache key must not.
-func (p *PatchBased) MemoKey() string {
-	over := p.MaxOverIdeal
-	if over <= 0 {
-		over = 1
-	}
-	return fmt.Sprintf("patch-lpt-o%g", over)
-}
 
 // Partition implements Partitioner. Cancellation is polled per level
 // and per batch of pieces during bin packing.
@@ -51,10 +34,6 @@ func (p *PatchBased) Partition(ctx context.Context, h *grid.Hierarchy, nprocs in
 // fragments is Partition before coalescing: the packed pieces, level by
 // level in packing order.
 func (p *PatchBased) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
-	over := p.MaxOverIdeal
-	if over <= 0 {
-		over = 1
-	}
 	a := &Assignment{NumProcs: nprocs}
 	loads := make([]int64, nprocs) // global loads: balance across levels too
 	for l, lev := range h.Levels {
@@ -70,13 +49,13 @@ func (p *PatchBased) fragments(ctx context.Context, h *grid.Hierarchy, nprocs in
 			continue
 		}
 		ideal := float64(total) / float64(nprocs)
-		// Split oversized patches so no piece exceeds over*ideal.
+		// Split oversized patches so no piece exceeds ideal.
 		var pieces geom.BoxList
 		queue := lev.Boxes.Clone()
 		for len(queue) > 0 {
 			b := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			if float64(b.Volume()*w) > over*ideal && b.Size(b.LongestDim()) >= 2 {
+			if float64(b.Volume()*w) > ideal && b.Size(b.LongestDim()) >= 2 {
 				d := b.LongestDim()
 				lo, hi := b.ChopDim(d, (b.Lo[d]+b.Hi[d])/2)
 				queue = append(queue, lo, hi)

@@ -17,7 +17,7 @@ import (
 
 // admitTestConfig enables admission with roomy limits so nothing sheds.
 func admitTestConfig() Config {
-	return Config{MaxInFlight: 8, QueueDepth: 8}
+	return Config{MaxInFlight: 8}
 }
 
 // postTenant posts with admission headers.
@@ -132,7 +132,7 @@ func saturate(t *testing.T, srv *Server) (release func()) {
 // running any partitioner, without touching the partition cache, and
 // without leaking goroutines.
 func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 1})
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1})
 	release := saturate(t, srv)
 
 	// Close keep-alive connections before counting so lingering HTTP
@@ -188,46 +188,54 @@ func TestInjectedShedNeverExecutesPartitioner(t *testing.T) {
 }
 
 // TestQueueFullShedBeforeCompute: with the single slot held by a
-// blocked compute and no queue, the next request is shed with the
-// queue-full 429 — and its shed path never starts a partitioner.
+// blocked compute and its four queue places (four per in-flight slot)
+// taken, the next request is shed with the queue-full 429 — and its
+// shed path never starts a partitioner.
 func TestQueueFullShedBeforeCompute(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 1})
+	for _, n := range []int{1, 3, 8} {
+		s, err := New(Config{MaxInFlight: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Admission().Stats().QueueDepth; got != 4*n {
+			t.Fatalf("queue depth = %d with MaxInFlight %d, want %d", got, n, 4*n)
+		}
+	}
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1})
+	const depth = 4
 	holderIn := make(chan struct{})
 	holderGo := make(chan struct{})
 	var leaders atomic.Int32
 	// Block only the first compute leader (the slot holder); later
-	// leaders (the queued request, once granted) run through.
+	// leaders (the queued requests, once granted) run through.
 	srv.Cache().SetOnFlight(func(k CacheKey, leader bool) {
 		if leader && leaders.Add(1) == 1 {
 			close(holderIn)
 			<-holderGo
 		}
 	})
+	send := func(x int) *http.Response {
+		h := testHierarchy(x)
+		return postTenant(t, ts.URL+"/v1/partition", "", 0, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // the slot holder, blocked inside its compute
-		defer wg.Done()
-		h := testHierarchy(0)
-		postTenant(t, ts.URL+"/v1/partition", "", 0, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
-	}()
+	go func() { defer wg.Done(); send(0) }() // the slot holder, blocked inside its compute
 	<-holderIn
 
-	// Fill the one queue slot with a second request.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		h := testHierarchy(1)
-		postTenant(t, ts.URL+"/v1/partition", "", 0, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
-	}()
-	for srv.Admission().Stats().Queued != 1 {
+	// Fill the queue, one distinct request a place.
+	for i := 1; i <= depth; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); send(i) }()
+	}
+	for srv.Admission().Stats().Queued != depth {
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	// The third request finds cap reached and queue full: fast 429.
-	h := testHierarchy(2)
+	// The next request finds cap reached and queue full: fast 429.
 	start := time.Now()
-	r := postTenant(t, ts.URL+"/v1/partition", "", 0, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
+	r := send(depth + 1)
 	shedLatency := time.Since(start)
 	checkShedResponse(t, r, admit.ReasonQueueFull)
 	if shedLatency > 2*time.Second {
@@ -236,14 +244,14 @@ func TestQueueFullShedBeforeCompute(t *testing.T) {
 
 	close(holderGo)
 	wg.Wait()
-	// Exactly the two admitted requests computed; the shed one never
+	// Exactly the admitted requests computed; the shed one never
 	// reached a partitioner.
-	if _, misses, _ := srv.Cache().Stats(); misses != 2 {
-		t.Errorf("partitioner executions = %d, want 2 (holder + queued; never the shed)", misses)
+	if _, misses, _ := srv.Cache().Stats(); misses != 1+depth {
+		t.Errorf("partitioner executions = %d, want %d (holder + queued; never the shed)", misses, 1+depth)
 	}
 	st := srv.Admission().Stats()
-	if st.ShedQueueFull != 1 || st.Admitted != 2 {
-		t.Errorf("admission stats = %+v, want 1 queue-full shed / 2 admits", st)
+	if st.ShedQueueFull != 1 || st.Admitted != 1+depth {
+		t.Errorf("admission stats = %+v, want 1 queue-full shed / %d admits", st, 1+depth)
 	}
 	if st.InFlight != 0 || st.Queued != 0 {
 		t.Errorf("gauges after drain = %+v, want zero", st)
@@ -254,7 +262,7 @@ func TestQueueFullShedBeforeCompute(t *testing.T) {
 // than the estimated queue wait sheds with 429 instead of queueing the
 // request to die.
 func TestDeadlineBudgetShedsUpFront(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 8})
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1})
 	holderIn := make(chan struct{})
 	holderGo := make(chan struct{})
 	var leaders atomic.Int32
@@ -315,7 +323,7 @@ func TestDeadlineBudgetShedsUpFront(t *testing.T) {
 // with 429 + Retry-After while other tenants are unaffected.
 func TestTenantRateLimitIsolation(t *testing.T) {
 	// The bucket holds ceil(TenantRate) = 1 token.
-	srv, ts := newTestServer(t, Config{MaxInFlight: 8, QueueDepth: 8, TenantRate: 0.5})
+	srv, ts := newTestServer(t, Config{MaxInFlight: 8, TenantRate: 0.5})
 	h := testHierarchy(3)
 	req := PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}
 
@@ -342,7 +350,7 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 // 200 when idle, 503 while the accept queue is saturated, 503 after
 // BeginShutdown — and /healthz answers ok throughout.
 func TestReadyzLifecycle(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 1})
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1})
 
 	checkReady := func(wantCode int, wantReason string) {
 		t.Helper()
@@ -377,7 +385,7 @@ func TestReadyzLifecycle(t *testing.T) {
 	checkReady(http.StatusOK, "")
 	checkHealth()
 
-	// Saturate: block the slot, fill the queue.
+	// Saturate: block the slot, fill the queue's four places.
 	holderIn := make(chan struct{})
 	holderGo := make(chan struct{})
 	var leaders atomic.Int32
@@ -388,7 +396,7 @@ func TestReadyzLifecycle(t *testing.T) {
 		}
 	})
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 1+4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -479,7 +487,7 @@ func TestAdmissionDisabledIsTransparent(t *testing.T) {
 // gate: a simulate queued ahead of a partition is still granted the
 // freed slot after it.
 func TestSimulateIsBatchClassAndGuarded(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 8})
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1})
 	srv.Registry().Register("synthetic", testTrace(4))
 	simulate := SimulateRequest{Trace: "synthetic", Partitioner: "domain", NProcs: 4}
 
@@ -513,7 +521,7 @@ func TestSimulateIsBatchClassAndGuarded(t *testing.T) {
 		t.Errorf("the partition computed with %d requests queued behind it, want 1: simulate must queue as Batch", queuedBehind)
 	}
 
-	srv, ts = newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 1})
+	srv, ts = newTestServer(t, Config{MaxInFlight: 1})
 	srv.Registry().Register("synthetic", testTrace(4))
 	saturate(t, srv)
 	checkShedResponse(t, postTenant(t, ts.URL+"/v1/simulate", "", 0, simulate, nil), admit.ReasonQueueFull)

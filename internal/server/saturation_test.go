@@ -191,10 +191,11 @@ func runFlood(tb testing.TB, url string, workers int, duration, timeout, shedPau
 
 // saturationServer builds a server whose per-request compute is the
 // calibrated spin (injected via the compute-leader hook), admission
-// per maxInFlight/queueDepth (0 = disabled).
-func saturationServer(tb testing.TB, spin int, maxInFlight, queueDepth int) (*Server, *httptest.Server) {
+// per maxInFlight (0 = disabled), with the server's four queue places
+// per slot.
+func saturationServer(tb testing.TB, spin int, maxInFlight int) (*Server, *httptest.Server) {
 	tb.Helper()
-	s, err := New(Config{MaxInFlight: maxInFlight, QueueDepth: queueDepth})
+	s, err := New(Config{MaxInFlight: maxInFlight})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -213,12 +214,11 @@ func saturationServer(tb testing.TB, spin int, maxInFlight, queueDepth int) (*Se
 // deadline is 20x the solo service time.
 func overloadFlood(tb testing.TB, solo, duration time.Duration, admission bool) (*Server, floodResult) {
 	cores := runtime.GOMAXPROCS(0)
-	maxInFlight, queueDepth := 0, 0
+	maxInFlight := 0
 	if admission {
-		// Capacity-matched in-flight cap, small queue.
-		maxInFlight, queueDepth = cores, max(2, cores/2)
+		maxInFlight = cores // capacity-matched in-flight cap
 	}
-	srv, ts := saturationServer(tb, calibrateSpin(solo), maxInFlight, queueDepth)
+	srv, ts := saturationServer(tb, calibrateSpin(solo), maxInFlight)
 	return srv, runFlood(tb, ts.URL, 32*cores, duration, 20*solo, solo/2)
 }
 
@@ -265,7 +265,7 @@ func TestGracefulDegradationUnderOverload(t *testing.T) {
 func TestSaturationRampShedMonotonicity(t *testing.T) {
 	const solo = 3 * time.Millisecond
 	spin := calibrateSpin(solo)
-	srv, ts := saturationServer(t, spin, 1, 1)
+	srv, ts := saturationServer(t, spin, 1)
 
 	cores := runtime.GOMAXPROCS(0)
 	var last uint64

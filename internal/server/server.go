@@ -119,6 +119,11 @@ import (
 // maxProcs rejects absurd processor counts.
 const maxProcs = 1 << 16
 
+// maxSessions bounds the streaming-session table; past it the least
+// recently used session is evicted and its next step answers 410
+// session-expired.
+const maxSessions = 256
+
 // machine is the simulator's machine model.
 var machine = sim.DefaultMachine()
 
@@ -141,14 +146,12 @@ type Config struct {
 	// without inviting abuse).
 	MaxBodyBytes int64
 	// MaxInFlight caps concurrently admitted compute requests
-	// (select/partition/simulate). Zero disables admission control
-	// entirely: no queueing, no shedding, no per-tenant limits —
-	// responses are byte-identical to the pre-admission server.
+	// (select/partition/simulate); four times as many wait in the
+	// accept queue behind them, and requests past the queue are shed
+	// with 429. Zero disables admission control entirely: no queueing,
+	// no shedding, no per-tenant limits — responses are byte-identical
+	// to the pre-admission server.
 	MaxInFlight int
-	// QueueDepth bounds requests waiting for an in-flight slot when
-	// MaxInFlight is reached (default 4×MaxInFlight; meaningful only
-	// with MaxInFlight > 0). Requests past the queue are shed with 429.
-	QueueDepth int
 	// TenantRate is each tenant's sustained admission rate in requests
 	// per second, keyed by the X-Samr-Tenant header (0 disables tenant
 	// rate limiting; meaningful only with MaxInFlight > 0). A tenant's
@@ -177,10 +180,6 @@ type Config struct {
 	// Requires the tier (TierDir and/or TierPeers); with it off every
 	// response is byte-identical to a build without durable sessions.
 	TierSessions bool
-	// MaxSessions bounds the streaming-session table (default 256);
-	// past it the least recently used session is evicted and its next
-	// step answers 410 session-expired.
-	MaxSessions int
 	// SessionTTL expires sessions idle longer than this (default 15m).
 	SessionTTL time.Duration
 }
@@ -194,12 +193,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.MaxInFlight > 0 && c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.MaxInFlight
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 256
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 15 * time.Minute
@@ -272,13 +265,13 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		cache:     NewPartitionCache(cfg.CacheSize),
 		registry:  NewTraceRegistry(cfg.TraceDir),
-		sessions:  newSessionTable(cfg.MaxSessions, cfg.SessionTTL),
+		sessions:  newSessionTable(maxSessions, cfg.SessionTTL),
 		endpoints: make(map[string]*endpointStats),
 	}
 	if cfg.MaxInFlight > 0 {
 		s.admit = admit.New(admit.Config{
 			MaxInFlight: cfg.MaxInFlight,
-			QueueDepth:  cfg.QueueDepth,
+			QueueDepth:  4 * cfg.MaxInFlight,
 			TenantRate:  cfg.TenantRate,
 		})
 	}

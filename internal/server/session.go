@@ -38,7 +38,7 @@ import (
 // tier, exactly as in the one-shot path.
 //
 // Sessions are soft state in a bounded, TTL'd, mtime-LRU table
-// (Config.MaxSessions / Config.SessionTTL): an expired, evicted, or
+// (maxSessions entries, Config.SessionTTL): an expired, evicted, or
 // unknown session answers 410 Gone with the machine-readable error
 // code "session-expired", and the client re-creates the session from
 // its current full state — nothing is lost but one full upload.

@@ -186,27 +186,47 @@ func TestSessionExpiry(t *testing.T) {
 	}
 }
 
-// TestSessionEviction covers the capacity bound: past MaxSessions the
-// least recently used session is evicted and answers 410 like an
-// expired one, while the surviving session keeps working.
+// TestSessionEviction covers the capacity bound: the table holds 256
+// sessions, past that the least recently used session is evicted and
+// answers 410 like an expired one, while the surviving sessions keep
+// working.
 func TestSessionEviction(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSessions: 1})
+	const capacity = 256
+	_, ts := newTestServer(t, Config{})
 	first := createSession(t, ts.URL, wideHierarchy(0), "domain", 8)
-	second := createSession(t, ts.URL, wideHierarchy(8), "domain", 8)
+	var last SessionCreateResponse
+	for range capacity {
+		last = createSession(t, ts.URL, wideHierarchy(8), "domain", 8)
+	}
 
 	r := post(t, ts.URL+"/v1/session/"+first.Session+"/step", finestStep(16), nil)
 	if r.StatusCode != http.StatusGone || errorCode(t, r) != CodeSessionExpired {
 		t.Fatalf("evicted step: status %d", r.StatusCode)
 	}
-	if r := post(t, ts.URL+"/v1/session/"+second.Session+"/step", finestStep(16), nil); r.StatusCode != http.StatusOK {
+	if r := post(t, ts.URL+"/v1/session/"+last.Session+"/step", finestStep(16), nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("surviving step: status %d", r.StatusCode)
 	}
 
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.Sessions.Evicted != 1 || st.Sessions.Active != 1 || st.Sessions.Capacity != 1 {
+	if st.Sessions.Evicted != 1 || st.Sessions.Active != capacity || st.Sessions.Capacity != capacity {
 		t.Fatalf("stats after eviction: %+v", st.Sessions)
 	}
+}
+
+// newSmallSessionServer is newTestServer with a session table of
+// capacity entries instead of 256, for the eviction races, which need
+// the table full after one or two creates.
+func newSmallSessionServer(t *testing.T, capacity int) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.sessions.max = capacity
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return s, ts
 }
 
 // TestSessionLifecycleErrors walks the remaining error surface: base
@@ -439,7 +459,7 @@ func TestSessionStepCancelLeavesStateUntouched(t *testing.T) {
 // session object, which the table eviction does not destroy — and the
 // token answers 410 from then on.
 func TestSessionStepEvictionRace(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxSessions: 1})
+	srv, ts := newSmallSessionServer(t, 1)
 	first := createSession(t, ts.URL, wideHierarchy(0), "domain", 8)
 
 	entered := make(chan struct{})
@@ -467,7 +487,7 @@ func TestSessionStepEvictionRace(t *testing.T) {
 	}()
 	<-entered // the step is parked mid-compute as the flight leader
 
-	// Creating a second session under MaxSessions: 1 evicts the first
+	// Creating a second session in a one-entry table evicts the first
 	// while its step is still running (creates never enter the cache,
 	// so this does not park).
 	second := createSession(t, ts.URL, wideHierarchy(16), "domain", 8)
@@ -504,7 +524,7 @@ func TestSessionStepEvictionRace(t *testing.T) {
 // either evicted or is still active, and no request ever saw anything
 // but 200 or the documented 410/409.
 func TestSessionTableConcurrentStepsAndEvictions(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSessions: 2})
+	_, ts := newSmallSessionServer(t, 2)
 
 	const workers, iters = 4, 25
 	var wg sync.WaitGroup

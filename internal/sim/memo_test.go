@@ -149,32 +149,6 @@ func TestMachineModelKeysCache(t *testing.T) {
 	}
 }
 
-// TestPatchBasedConfigKeysCache: PatchBased configurations share a
-// display name but not results; the MemoKey discriminator must keep
-// them in separate cache slots.
-func TestPatchBasedConfigKeysCache(t *testing.T) {
-	tr := repeatTrace(1)
-	const np = 7
-	m := DefaultMachine()
-	p1 := partition.NewPatchBased()
-	p2 := &partition.PatchBased{MaxOverIdeal: 8}
-	flushStepCaches()
-	r1, err := SimulateTrace(bg, tr, p1, np, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := SimulateTrace(bg, tr, p2, np, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, naiveSimulate(t, tr, p1, np, m)) {
-		t.Error("default PatchBased diverged from naive reference")
-	}
-	if !reflect.DeepEqual(r2, naiveSimulate(t, tr, p2, np, m)) {
-		t.Error("MaxOverIdeal=8 PatchBased diverged from naive reference (cache collision?)")
-	}
-}
-
 // TestMemoStatsAdvance: a warm rerun must register memoized
 // partitions, evaluations, and migration savings.
 func TestMemoStatsAdvance(t *testing.T) {

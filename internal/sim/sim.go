@@ -438,9 +438,9 @@ func MemoStats() (partitions, evaluations, migrations uint64) {
 }
 
 // stepKey addresses the content-addressed result of partitioning and
-// evaluating one snapshot: hierarchy content hash, canonical
-// partitioner memo key, processor count, and machine model (EstTime
-// depends on it). Equal keys imply bit-identical results for stateless
+// evaluating one snapshot: hierarchy content hash, partitioner Name()
+// (which spells every setting its output depends on), processor
+// count, and machine model (EstTime depends on it). Equal keys imply bit-identical results for stateless
 // partitioners, which is the only kind ever cached.
 type stepKey struct {
 	sig    geom.Signature
@@ -465,17 +465,6 @@ type stepArtifact struct {
 const stepCacheCap = 2048
 
 var stepCache = memo.New[stepKey, stepArtifact](stepCacheCap)
-
-// memoName returns the canonical content key of a partitioner for the
-// memoization layer: Name(), unless the partitioner implements MemoKey
-// to disambiguate configuration its display name omits (patch-lpt's
-// MaxOverIdeal).
-func memoName(p partition.Partitioner) string {
-	if k, ok := p.(interface{ MemoKey() string }); ok {
-		return k.MemoKey()
-	}
-	return p.Name()
-}
 
 // flushStepCaches drops the content-addressed step cache (tests use it
 // to compare memoized runs against cold ones).
@@ -563,7 +552,7 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		}
 		for i := range ps {
 			if !stateful(ps[i]) {
-				names[i] = memoName(ps[i])
+				names[i] = ps[i].Name()
 			}
 		}
 	}

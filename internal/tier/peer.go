@@ -25,14 +25,14 @@ const maxPeerBlobBytes = 64 << 20
 
 // PeerClient fetches and offers tier blobs over HTTP, wrapping every
 // exchange in a jittered retry policy and a per-peer circuit breaker:
-// after FailLimit consecutive transport/5xx failures a peer is skipped
-// entirely for Cooldown, so a dead daemon costs each request nothing
+// after failLimit consecutive transport/5xx failures a peer is skipped
+// entirely for cooldown, so a dead daemon costs each request nothing
 // instead of a connect timeout. Every failure mode reports a miss — the
 // tier contract — and 404 is a clean miss that resets the breaker (the
 // peer is healthy, it just lacks the key).
 type PeerClient struct {
 	hc        *http.Client
-	policy    RetryPolicy
+	policy    retryPolicy
 	failLimit int
 	cooldown  time.Duration
 	now       func() time.Time // breaker clock; tests inject a fake
@@ -68,25 +68,20 @@ type BreakerState struct {
 	Fails int `json:"fails"`
 }
 
-// PeerConfig tunes a PeerClient; zero values select defaults suited to
-// a same-datacenter fleet (tight timeout, few retries: a slow tier
-// lookup is worse than a local recompute).
-type PeerConfig struct {
-	// Client is the underlying HTTP client (default: 2s timeout).
-	Client *http.Client
-	// Retry shapes per-exchange retries (default: 2 attempts, 25ms base,
-	// 5s cap).
-	Retry RetryPolicy
-	// FailLimit opens a peer's breaker after this many consecutive
-	// failures (default 3).
-	FailLimit int
-	// Cooldown is how long an open breaker skips its peer before
-	// probing again (default 5s).
-	Cooldown time.Duration
-}
+// The peer client's settings suit a same-datacenter fleet: a tight
+// timeout and few retries, because a slow tier lookup is worse than a
+// local recompute.
+const (
+	peerTimeout   = 2 * time.Second // per HTTP request
+	retryAttempts = 2               // tries per exchange, the first included
+	retryBase     = 25 * time.Millisecond
+	retryMax      = 5 * time.Second
+	peerFailLimit = 3               // consecutive failures that open a breaker
+	peerCooldown  = 5 * time.Second // how long an open breaker skips its peer
+)
 
-// RetryPolicy shapes the retries of one peer exchange.
-type RetryPolicy struct {
+// retryPolicy shapes the retries of one peer exchange.
+type retryPolicy struct {
 	// Attempts is the maximum number of tries including the first.
 	Attempts int
 	// Base is the pre-jitter wait before the second attempt; each
@@ -96,31 +91,13 @@ type RetryPolicy struct {
 	Max time.Duration
 }
 
-// NewPeerClient builds a client from cfg.
-func NewPeerClient(cfg PeerConfig) *PeerClient {
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 2 * time.Second}
-	}
-	if cfg.Retry.Attempts <= 0 {
-		cfg.Retry.Attempts = 2
-	}
-	if cfg.Retry.Base <= 0 {
-		cfg.Retry.Base = 25 * time.Millisecond
-	}
-	if cfg.Retry.Max <= 0 {
-		cfg.Retry.Max = 5 * time.Second
-	}
-	if cfg.FailLimit <= 0 {
-		cfg.FailLimit = 3
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
+// newPeerClient builds a client with the fleet's settings.
+func newPeerClient() *PeerClient {
 	return &PeerClient{
-		hc:        cfg.Client,
-		policy:    cfg.Retry,
-		failLimit: cfg.FailLimit,
-		cooldown:  cfg.Cooldown,
+		hc:        &http.Client{Timeout: peerTimeout},
+		policy:    retryPolicy{Attempts: retryAttempts, Base: retryBase, Max: retryMax},
+		failLimit: peerFailLimit,
+		cooldown:  peerCooldown,
 		now:       time.Now,
 		breakers:  make(map[string]*breaker),
 	}
@@ -201,7 +178,7 @@ func (c *PeerClient) BreakerStates() []BreakerState {
 // synchronized clients spread out, and ctx interrupts it: a cancelled
 // caller gets ctx's error without sleeping out the wait. When attempts
 // run out, the last attempt's error is returned.
-func retry(ctx context.Context, p RetryPolicy, op func(context.Context) (again bool, err error)) error {
+func retry(ctx context.Context, p retryPolicy, op func(context.Context) (again bool, err error)) error {
 	wait := p.Base
 	for attempt := 1; ; attempt++ {
 		again, err := op(ctx)
@@ -257,7 +234,12 @@ func (c *PeerClient) exchange(ctx context.Context, peer string, count *atomic.Ui
 		}
 		return false, handle(resp)
 	})
-	c.report(peer, err == nil || err == errPeerMiss)
+	// A failure after the caller's own context ended (client gone,
+	// request timeout, a tiny deadline budget) says nothing about the
+	// peer, so it does not feed the breaker.
+	if err == nil || ctx.Err() == nil {
+		c.report(peer, err == nil || err == errPeerMiss)
+	}
 	return err
 }
 

@@ -20,12 +20,18 @@ var bg = context.Background()
 
 // fastPeer is a client whose retries and cooldowns keep tests quick.
 func fastPeer() *PeerClient {
-	return NewPeerClient(PeerConfig{
-		Client:    &http.Client{Timeout: time.Second},
-		Retry:     RetryPolicy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond},
-		FailLimit: 2,
-		Cooldown:  50 * time.Millisecond,
-	})
+	c := newPeerClient()
+	c.hc = &http.Client{Timeout: time.Second}
+	c.policy = retryPolicy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond}
+	c.failLimit = 2
+	c.cooldown = 50 * time.Millisecond
+	return c
+}
+
+// quickRetries shortens tr's retry waits to a millisecond base while
+// keeping the fleet's attempt count and cap.
+func quickRetries(tr *Tier) {
+	tr.client.policy.Base = time.Millisecond
 }
 
 // tierHandler is a minimal in-memory peer-protocol server.
@@ -101,7 +107,7 @@ func TestPeerClientIgnoresRetryAfter(t *testing.T) {
 }
 
 // fastRetry keeps the retry loop's waits well under a second.
-var fastRetry = RetryPolicy{Attempts: 4, Base: time.Millisecond, Max: 4 * time.Millisecond}
+var fastRetry = retryPolicy{Attempts: 4, Base: time.Millisecond, Max: 4 * time.Millisecond}
 
 func TestRetrySucceedsFirstTry(t *testing.T) {
 	calls := 0
@@ -153,7 +159,7 @@ func TestRetryContextCancelsSleep(t *testing.T) {
 	calls := 0
 	done := make(chan error, 1)
 	go func() {
-		done <- retry(ctx, RetryPolicy{Attempts: 3, Base: time.Hour, Max: time.Hour}, func(context.Context) (bool, error) {
+		done <- retry(ctx, retryPolicy{Attempts: 3, Base: time.Hour, Max: time.Hour}, func(context.Context) (bool, error) {
 			calls++
 			return true, errors.New("busy")
 		})
@@ -329,6 +335,48 @@ func TestPeerClientBreakerFailedProbeReopens(t *testing.T) {
 	}
 }
 
+// TestPeerClientCallerCancellationIsNoPeerFailure: fetches that end
+// because the caller's own deadline passed, against a peer that is
+// merely slow, leave the breaker closed however many there are; the
+// same number of real 5xx answers opens it.
+func TestPeerClientCallerCancellationIsNoPeerFailure(t *testing.T) {
+	hanging := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // answers only once the caller gives up
+	}))
+	defer hanging.Close()
+	c := fastPeer() // FailLimit 2
+	for i := 0; i < c.failLimit+2; i++ {
+		ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
+		_, err := c.Fetch(ctx, hanging.URL, Key("a"))
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("fetch %d against a hanging peer: err = %v, want the caller's deadline", i, err)
+		}
+	}
+	if !c.Available(hanging.URL) || breakerStateOf(c, hanging.URL) == BreakerOpen {
+		t.Fatalf("caller cancellations opened the breaker: %+v", c.BreakerStates())
+	}
+	for _, b := range c.BreakerStates() {
+		if b.Fails != 0 {
+			t.Fatalf("breaker %+v counts caller cancellations as failures", b)
+		}
+	}
+	if n := c.failures.Load(); n != 0 {
+		t.Fatalf("failures = %d, want 0", n)
+	}
+
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer failing.Close()
+	for i := 0; i < c.failLimit+2; i++ {
+		c.Fetch(bg, failing.URL, Key("a"))
+	}
+	if c.Available(failing.URL) || breakerStateOf(c, failing.URL) != BreakerOpen || c.failures.Load() == 0 {
+		t.Fatalf("5xx answers left the breaker closed: %+v, failures %d", c.BreakerStates(), c.failures.Load())
+	}
+}
+
 func TestPeerClientDeadPeerIsMiss(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	ts.Close() // nothing listens anymore
@@ -348,14 +396,11 @@ func TestTierComposite(t *testing.T) {
 	owner := httptest.NewServer(tierHandler(ownerStore))
 	defer owner.Close()
 
-	tr, err := New(Config{
-		Dir:   t.TempDir(),
-		Peers: []string{owner.URL},
-		Peer:  PeerConfig{Retry: RetryPolicy{Attempts: 2, Base: time.Millisecond}},
-	})
+	tr, err := New(Config{Dir: t.TempDir(), Peers: []string{owner.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	quickRetries(tr)
 
 	key := Key("x")
 	if _, ok := tr.Lookup(bg, key); ok {
@@ -462,15 +507,11 @@ func newMembers(t *testing.T, n int) []*member {
 		ms[i] = m
 	}
 	for _, m := range ms {
-		tr, err := New(Config{
-			Dir:   t.TempDir(),
-			Peers: urls,
-			Self:  m.ts.URL,
-			Peer:  PeerConfig{Retry: RetryPolicy{Attempts: 2, Base: time.Millisecond}},
-		})
+		tr, err := New(Config{Dir: t.TempDir(), Peers: urls, Self: m.ts.URL})
 		if err != nil {
 			t.Fatal(err)
 		}
+		quickRetries(tr)
 		m.tr = tr
 	}
 	return ms

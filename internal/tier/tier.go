@@ -49,8 +49,6 @@ type Config struct {
 	// it owns are never fetched over HTTP (self-short-circuit: the
 	// disk store was already consulted).
 	Self string
-	// Peer tunes the HTTP client, retry policy, and circuit breaker.
-	Peer PeerConfig
 }
 
 // Tier is the composed second-level cache: a disk store consulted
@@ -79,7 +77,7 @@ func New(cfg Config) (*Tier, error) {
 	}
 	if len(cfg.Peers) > 0 {
 		t.ring = NewRing(cfg.Self, cfg.Peers)
-		t.client = NewPeerClient(cfg.Peer)
+		t.client = newPeerClient()
 	}
 	return t, nil
 }

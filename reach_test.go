@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -39,6 +40,48 @@ var unreachedAllowed = map[string]string{
 	"memo.Cache.SetOnFlight":         "flight-start hook; the singleflight and cancelled-leader suites of memo and server's cancel, admit, session and saturation tests hold a compute open with it to make their interleavings deterministic",
 }
 
+// unsetAllowed lists the settings (fields of an exported struct type
+// under internal/ named Config or ending in Config or Policy) that no
+// non-test file outside the declaring package sets, each with the
+// reason it stays a field rather than a constant.
+var unsetAllowed = map[string]string{
+	"amr.Config.CFL":       "the paper's time-step safety factor, spelled once in DefaultConfig beside the setup it belongs to",
+	"amr.Config.TagBuffer": "the paper's tag buffer, spelled once in DefaultConfig beside the setup it belongs to",
+	"amr.Config.Workers":   "per-patch fan-out width; amr's golden-equivalence suite sets it to prove results identical at every worker count",
+}
+
+// rootCensus is the census of the repository, shared by the tests that
+// read it.
+var rootCensus = sync.OnceValues(func() (*censusResult, error) { return census(".", "samr") })
+
+// TestSettingsAreSet is the executable form of "a setting that nothing
+// sets is a constant": every field of an exported Config, …Config or
+// …Policy struct under internal/ is set, as a composite-literal key or
+// by assignment, by a non-test file outside its own package (cmd/,
+// examples/ and bench/ included), or carries a reason in unsetAllowed.
+func TestSettingsAreSet(t *testing.T) {
+	c, err := rootCensus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unset []string
+	for key, pos := range c.settings {
+		if !c.set[key] && unsetAllowed[key] == "" {
+			unset = append(unset, pos.String()+": "+key)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is set by no non-test file outside its package: make it a constant, or give it a reason in unsetAllowed", u)
+	}
+	for key := range unsetAllowed {
+		if _, ok := c.settings[key]; !ok || c.set[key] {
+			t.Errorf("unsetAllowed[%q] is stale: the setting is gone or is set now", key)
+		}
+	}
+	t.Logf("%d settings, %d unset and allow-listed", len(c.settings), len(unsetAllowed))
+}
+
 // TestExportedFunctionsAreReached is the executable form of "nothing
 // stays because only a test calls it": every exported function, method,
 // type, package-level variable or constant, and field of a struct
@@ -47,10 +90,11 @@ var unreachedAllowed = map[string]string{
 // (cmd/, examples/ and bench/ included) or carry a reason in
 // unreachedAllowed.
 func TestExportedFunctionsAreReached(t *testing.T) {
-	decls, reached, err := census(".", "samr")
+	c, err := rootCensus()
 	if err != nil {
 		t.Fatal(err)
 	}
+	decls, reached := c.decls, c.reached
 	if len(decls) < 500 {
 		t.Fatalf("census found only %d exported names: run from the repository root", len(decls))
 	}
@@ -78,12 +122,15 @@ func TestExportedFunctionsAreReached(t *testing.T) {
 // TestCensusOnPlantedModule runs the census over testdata/census, which
 // plants what matching by bare identifier masked: a method sharing its
 // name with a reached function, a method reached only through an
-// interface, and a type only a test uses.
+// interface, and a type only a test uses; and settings set from
+// another package by key and by assignment, and one set only by its
+// own package.
 func TestCensusOnPlantedModule(t *testing.T) {
-	decls, reached, err := census("testdata/census", "planted")
+	c, err := census("testdata/census", "planted")
 	if err != nil {
 		t.Fatal(err)
 	}
+	decls, reached := c.decls, c.reached
 	for key, want := range map[string]bool{
 		"lib.Sub":         true,
 		"lib.Vec.Sub":     false,
@@ -96,6 +143,33 @@ func TestCensusOnPlantedModule(t *testing.T) {
 			t.Errorf("%s: reached = %v, want %v", key, reached[key], want)
 		}
 	}
+	for key, want := range map[string]bool{
+		"lib.Config.Set":          true,
+		"lib.Config.Unset":        false,
+		"lib.RetryPolicy.Retries": true,
+	} {
+		if _, ok := c.settings[key]; !ok {
+			t.Errorf("the census does not list the setting %s", key)
+		} else if c.set[key] != want {
+			t.Errorf("%s: set = %v, want %v", key, c.set[key], want)
+		}
+	}
+	if _, ok := c.settings["lib.Vec.X"]; ok {
+		t.Error("the census lists lib.Vec.X as a setting; Vec is not a Config or Policy")
+	}
+}
+
+// censusResult is what census finds.
+type censusResult struct {
+	// decls are the exported names, reached the subset that is reached.
+	decls   map[string]token.Position
+	reached map[string]bool
+	// settings are the fields of the exported struct types under
+	// internal/ named Config or ending in Config or Policy, keyed
+	// "pkg.Type.Field"; set is the subset that a non-test file outside
+	// the declaring package sets.
+	settings map[string]token.Position
+	set      map[string]bool
 }
 
 // census type-checks every non-test package under root, whose go.mod
@@ -103,7 +177,11 @@ func TestCensusOnPlantedModule(t *testing.T) {
 // module/<dir>), and returns the exported names the root package and
 // the packages under internal/ declare, keyed "pkg.Name",
 // "pkg.Type.Method" or "pkg.Type.Field", with the subset that is
-// reached. A name is reached
+// reached, and the settings under internal/ with the subset that is
+// set. A setting is set when a non-test file of another package names
+// it as a composite-literal key, lists it in an unkeyed literal, or
+// assigns to it (as any selector of an assignment's left-hand side).
+// A name is reached
 // when a non-test file mentions it outside its own declaration (for a
 // type, outside its methods too), or, for a method, when its receiver
 // satisfies an interface declaring it: any interface type a non-test
@@ -112,7 +190,7 @@ func TestCensusOnPlantedModule(t *testing.T) {
 // not transitive: a caller that is itself unreached still counts, and
 // falls out on the next run once it is deleted. Build constraints are
 // not evaluated; no non-test file of the repository carries one.
-func census(root, module string) (map[string]token.Position, map[string]bool, error) {
+func census(root, module string) (*censusResult, error) {
 	c := &checker{
 		fset:   token.NewFileSet(),
 		module: module,
@@ -150,17 +228,18 @@ func census(root, module string) (map[string]token.Position, map[string]bool, er
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for pkgPath := range c.files {
 		if _, err := c.Import(pkgPath); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
 	// Every object a non-test file mentions, and every interface type
 	// one writes down or could be handed by the standard library.
 	used := map[types.Object]bool{}
+	setOutside := map[types.Object]bool{} // fields another package sets
 	ifaces := map[*types.Interface]bool{} // value: declared with type parameters
 	addIface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok {
@@ -173,6 +252,11 @@ func census(root, module string) (map[string]token.Position, map[string]bool, er
 		for _, f := range c.files[pkgPath] {
 			for _, decl := range f.Decls {
 				markUses(info, decl, used)
+				markSets(info, decl, func(fld *types.Var) {
+					if fld.Pkg().Path() != pkgPath {
+						setOutside[fld] = true
+					}
+				})
 			}
 		}
 		for _, tv := range info.Types {
@@ -197,12 +281,16 @@ func census(root, module string) (map[string]token.Position, map[string]bool, er
 		}
 	}
 
-	decls := map[string]token.Position{}
-	reached := map[string]bool{}
+	r := &censusResult{
+		decls:    map[string]token.Position{},
+		reached:  map[string]bool{},
+		settings: map[string]token.Position{},
+		set:      map[string]bool{},
+	}
 	add := func(key string, obj types.Object, isReached bool) {
-		decls[key] = c.fset.Position(obj.Pos())
+		r.decls[key] = c.fset.Position(obj.Pos())
 		if isReached {
-			reached[key] = true
+			r.reached[key] = true
 		}
 	}
 	for pkgPath, pkg := range c.pkgs {
@@ -230,7 +318,20 @@ func census(root, module string) (map[string]token.Position, map[string]bool, er
 				}
 			}
 			st, ok := named.Underlying().(*types.Struct)
-			if !ok || !obj.Exported() || hasJSONTag(st) {
+			if !ok || !obj.Exported() {
+				continue
+			}
+			if pkgPath != module && isSettings(name) {
+				for i := 0; i < st.NumFields(); i++ {
+					fld := st.Field(i)
+					key := pkg.Name() + "." + name + "." + fld.Name()
+					r.settings[key] = c.fset.Position(fld.Pos())
+					if setOutside[fld] {
+						r.set[key] = true
+					}
+				}
+			}
+			if hasJSONTag(st) {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
@@ -240,7 +341,12 @@ func census(root, module string) (map[string]token.Position, map[string]bool, er
 			}
 		}
 	}
-	return decls, reached, nil
+	return r, nil
+}
+
+// isSettings reports whether a struct type of this name holds settings.
+func isSettings(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Policy")
 }
 
 // checker parses once and type-checks on demand: module packages from
@@ -327,6 +433,60 @@ func markUses(info *types.Info, decl ast.Decl, used map[types.Object]bool) {
 					used[origin(st.Field(i))] = true
 				}
 			}
+		}
+		return true
+	})
+}
+
+// markSets calls set for every struct field decl sets: a key of a
+// keyed composite literal, every field of an unkeyed one, and every
+// field selected on the left-hand side of an assignment or an
+// increment (in cfg.Cluster.MinBlock = 2, both Cluster and MinBlock).
+func markSets(info *types.Info, decl ast.Decl, set func(*types.Var)) {
+	field := func(id *ast.Ident) {
+		if v, ok := origin(info.Uses[id]).(*types.Var); ok && v.IsField() {
+			set(v)
+		}
+	}
+	lhs := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				field(x.Sel)
+				e = x.X
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						field(id)
+					}
+				} else if i < st.NumFields() {
+					set(origin(st.Field(i)).(*types.Var))
+				}
+			}
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				lhs(e)
+			}
+		case *ast.IncDecStmt:
+			lhs(n.X)
 		}
 		return true
 	})

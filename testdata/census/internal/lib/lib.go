@@ -22,3 +22,16 @@ func (s Square) Area() int { return s.Side * s.Side }
 
 // Probe is used by lib_test.go only.
 type Probe struct{}
+
+// Config is a settings type: cmd/tool sets Set by key; only this
+// package's DefaultConfig sets Unset, which does not count.
+type Config struct {
+	Set   int
+	Unset int
+}
+
+// DefaultConfig is the settings' own package setting Unset.
+func DefaultConfig() Config { return Config{Unset: 1} }
+
+// RetryPolicy is a settings type: cmd/tool assigns Retries.
+type RetryPolicy struct{ Retries int }
