@@ -1,17 +1,29 @@
 // Command samrbench reproduces the paper's evaluation figures and the
 // repository's ablations, printing each figure's data series and
-// agreement statistics as text tables.
+// agreement statistics as text tables. The experiments and their
+// order live in internal/experiments (Run); this command parses the
+// flags, builds the trace loader and calls it.
 //
-// Figure mapping (paper -> experiment):
+// The menu (experiment -> what it prints):
 //
-//	fig1 -> BL2D dynamic behaviour under a static partitioner
+//	fig1 -> BL2D dynamic behaviour under a static partitioner (paper Figure 1)
 //	fig4 -> RM2D  model vs actual (communication and data migration)
 //	fig5 -> BL2D  model vs actual
 //	fig6 -> SC2D  model vs actual
 //	fig7 -> TP2D  model vs actual
 //	trajectory -> Figure 3 (right): classification-space locus
-//	ablationA..E -> DESIGN.md ablations
-//	sweep -> BL2D static hybrid across a processor-count ladder
+//	ablationA..E -> DESIGN.md ablations (C: meta-partitioner vs static choices)
+//	all -> the eleven above, in this order
+//	sweep -> BL2D static hybrid across a processor-count ladder (standalone)
+//	selections -> the Figure 2 meta-partitioner's choice at every step of
+//	              each application, with the classification sample behind
+//	              it (standalone)
+//
+// The programs that used to re-print parts of this menu are gone:
+// metapart's per-step trace, the shockwave example's trajectory and the
+// metapartitioner example's selection counts are selections; the
+// meta-vs-static table both printed is ablationC; the oilreservoir
+// example is fig1 and fig5.
 //
 // Usage:
 //
@@ -19,7 +31,11 @@
 //	samrbench -experiment all -procs 16
 //	samrbench -experiment fig4 -quick      (reduced scale, for smoke tests)
 //	samrbench -experiment fig1 -trace bl2d.trc
+//	samrbench -experiment selections -quick -procs 32
 //	samrbench -experiment sweep -cachestats  (memoization counters on stderr)
+//
+// -procs below 1 and a -format other than table or csv are usage
+// errors (exit status 2).
 package main
 
 import (
@@ -30,8 +46,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"slices"
-	"sort"
 	"syscall"
 
 	"samr/internal/apps"
@@ -43,7 +57,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("experiment", "all", "fig1, fig4, fig5, fig6, fig7, trajectory, ablationA, ablationB, ablationC, ablationD, ablationE, sweep, or all (the paper set; sweep runs standalone only)")
+		exp        = flag.String("experiment", "all", "fig1, fig4, fig5, fig6, fig7, trajectory, ablationA, ablationB, ablationC, ablationD, ablationE, sweep, selections, or all (the paper set; sweep and selections run standalone only)")
 		procs      = flag.Int("procs", experiments.DefaultProcs, "number of processors to simulate")
 		quick      = flag.Bool("quick", false, "use reduced-scale traces (16x16 base, 3 levels, 20 steps)")
 		trPath     = flag.String("trace", "", "use a trace file instead of generating the experiment's default trace")
@@ -53,6 +67,11 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
+	if *procs < 1 || *format != "table" && *format != "csv" {
+		fmt.Fprintln(os.Stderr, "samrbench: -procs must be at least 1 and -format table or csv")
+		flag.Usage()
+		os.Exit(2)
+	}
 	// Ctrl-C cancels the context; the cancellation threads through the
 	// experiment pipeline into every partitioner, which aborts mid-batch
 	// instead of running the remaining figures to completion.
@@ -113,23 +132,8 @@ func profiled(cpuprofile, memprofile string, f func() error) error {
 	return nil
 }
 
-// emit prints a figure in the selected format.
-func emit(f *experiments.Figure, csvOut bool) error {
-	if csvOut {
-		return f.WriteCSV(os.Stdout)
-	}
-	f.Print(os.Stdout)
-	return nil
-}
-
-// figApps maps model-vs-actual figures to their applications.
-var figApps = map[string]string{
-	"fig4": "RM2D",
-	"fig5": "BL2D",
-	"fig6": "SC2D",
-	"fig7": "TP2D",
-}
-
+// run builds the trace loader -trace, -quick or the paper scale asks
+// for and runs the experiment through it.
 func run(ctx context.Context, exp string, procs int, quick bool, trPath string, csvOut bool) error {
 	load := func(app string) (*trace.Trace, error) {
 		if trPath != "" {
@@ -145,148 +149,5 @@ func run(ctx context.Context, exp string, procs int, quick bool, trPath string, 
 		}
 		return apps.PaperTrace(ctx, app)
 	}
-
-	one := func(name string) error {
-		switch {
-		case name == "fig1":
-			tr, err := load("BL2D")
-			if err != nil {
-				return err
-			}
-			f, err := experiments.Fig1(ctx, tr, procs)
-			if err != nil {
-				return err
-			}
-			if err := emit(f, csvOut); err != nil {
-				return err
-			}
-		case figApps[name] != "":
-			tr, err := load(figApps[name])
-			if err != nil {
-				return err
-			}
-			v, err := experiments.FigModelVsActual(ctx, tr, procs)
-			if err != nil {
-				return err
-			}
-			if !csvOut {
-				fmt.Printf("--- %s (paper Figure %s) ---\n", v.App, name[3:])
-			}
-			if err := emit(v.Comm, csvOut); err != nil {
-				return err
-			}
-			if err := emit(v.Mig, csvOut); err != nil {
-				return err
-			}
-		case name == "trajectory":
-			tr, err := load("BL2D")
-			if err != nil {
-				return err
-			}
-			f, err := experiments.ClassificationTrajectory(ctx, tr, procs)
-			if err != nil {
-				return err
-			}
-			if err := emit(f, csvOut); err != nil {
-				return err
-			}
-		case name == "ablationA":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				f, err := experiments.AblationDenominator(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				if err := emit(f, csvOut); err != nil {
-					return err
-				}
-			}
-		case name == "ablationB":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				tb, err := experiments.AblationPartitioners(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				tb.Print(os.Stdout)
-			}
-		case name == "ablationC":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				tb, err := experiments.MetaVsStatic(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				tb.Print(os.Stdout)
-			}
-		case name == "ablationD":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				f, err := experiments.AblationAbsoluteImportance(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				if err := emit(f, csvOut); err != nil {
-					return err
-				}
-			}
-		case name == "ablationE":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				tb, err := experiments.AblationPostMapping(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				tb.Print(os.Stdout)
-			}
-		case name == "sweep":
-			tr, err := load("BL2D")
-			if err != nil {
-				return err
-			}
-			// The sweep is a ladder view; -procs widens the default
-			// ladder with the requested count instead of replacing it.
-			ladder := append([]int(nil), experiments.DefaultProcsLadder...)
-			if !slices.Contains(ladder, procs) {
-				ladder = append(ladder, procs)
-				sort.Ints(ladder)
-			}
-			tb, err := experiments.ProcsSweep(ctx, tr, partition.NewNatureFable(), ladder)
-			if err != nil {
-				return err
-			}
-			tb.Print(os.Stdout)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
-	}
-
-	if exp == "all" {
-		// "all" is pinned to the paper's evaluation set: its output is
-		// the byte-identity baseline the perf PRs diff against, so new
-		// experiments (sweep) run standalone instead of growing it.
-		for _, name := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "trajectory", "ablationA", "ablationB", "ablationC", "ablationD", "ablationE"} {
-			if err := one(name); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return one(exp)
+	return experiments.Run(ctx, exp, load, procs, csvOut, os.Stdout)
 }

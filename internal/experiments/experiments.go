@@ -1,9 +1,11 @@
 // Package experiments reproduces the paper's evaluation: every figure
 // of section 5 (Figure 1 and Figures 4-7), the classification-space
-// trajectory of Figure 3 (right), and the ablations DESIGN.md calls
-// out. Each experiment returns printable series/tables carrying exactly
-// the quantities the paper plots, plus correlation statistics that make
-// the paper's visual comparison reproducible as text.
+// trajectory of Figure 3 (right), the Figure 2 meta-partitioner's
+// per-step selections, and the ablations DESIGN.md calls out. Each
+// experiment returns printable series/tables carrying exactly the
+// quantities the paper plots, plus correlation statistics that make
+// the paper's visual comparison reproducible as text. Run is the menu:
+// it prints any one experiment, or the paper set, by name.
 package experiments
 
 import (
@@ -323,4 +325,50 @@ func ClassificationTrajectory(ctx context.Context, tr *trace.Trace, nprocs int) 
 		fmt.Sprintf("dimIII: %s", stats.Summarize(d3.Values)),
 	)
 	return f, nil
+}
+
+// selections runs the meta-partitioner of Figure 2 over the trace: one
+// row per step, with the classification sample behind the choice and
+// the partitioner selected after hysteresis. The notes count the steps
+// each partitioner of the stable was selected on and name the step of
+// the largest dimIII.
+func selections(ctx context.Context, tr *trace.Trace, nprocs int) (*Table, error) {
+	m := sim.DefaultMachine()
+	meta := core.NewMetaPartitioner(core.DefaultPartitionCost)
+	t := &Table{
+		ID:      "selections",
+		Title:   fmt.Sprintf("%s: meta-partitioner selection per step, %d procs", tr.App, nprocs),
+		Columns: []string{"step", "dimI", "dimII", "dimIII", "size_norm", "points", "levels", "selected"},
+	}
+	selected := map[string]int{}
+	var peak core.Sample
+	peakStep := 0
+	for i, snap := range tr.Snapshots {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p := meta.Select(snap.H, m.TimeSlot(snap.H, nprocs))
+		s, _ := meta.LastSample()
+		selected[p.Name()]++
+		if i == 0 || s.DimIII > peak.DimIII {
+			peak, peakStep = s, snap.Step
+		}
+		t.Rows = append(t.Rows, []string{
+			strconv.Itoa(snap.Step),
+			fmt.Sprintf("%.3f", s.DimI),
+			fmt.Sprintf("%.3f", s.DimII),
+			fmt.Sprintf("%.3f", s.DimIII),
+			fmt.Sprintf("%.3f", s.SizeNorm),
+			strconv.FormatInt(s.Points, 10),
+			strconv.Itoa(len(snap.H.Levels)),
+			p.Name(),
+		})
+	}
+	for _, p := range meta.Stable() {
+		t.Notes = append(t.Notes, fmt.Sprintf("%s selected on %d of %d steps", p.Name(), selected[p.Name()], len(tr.Snapshots)))
+	}
+	if len(tr.Snapshots) > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("largest dimIII %.3f at step %d", peak.DimIII, peakStep))
+	}
+	return t, nil
 }

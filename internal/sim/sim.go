@@ -401,7 +401,11 @@ func SimulateTrace(ctx context.Context, tr *trace.Trace, p partition.Partitioner
 // SimulateTraceSelect is SimulateTrace with a per-step partitioner
 // choice: the hook the meta-partitioner uses to realize fully dynamic
 // PACs (partitioner as a function of application state and time).
+// A processor count below one is an error, returned before any work.
 func SimulateTraceSelect(ctx context.Context, tr *trace.Trace, choose func(step int, h *grid.Hierarchy) partition.Partitioner, nprocs int, m Machine) (*Result, error) {
+	if nprocs < 1 {
+		return nil, fmt.Errorf("sim: %d processors, want at least 1", nprocs)
+	}
 	return simulateTrace(ctx, tr, choose, nprocs, m, pool.Workers())
 }
 

@@ -351,6 +351,25 @@ func TestSimulateTraceCancelled(t *testing.T) {
 	}
 }
 
+// TestSimulateTraceRefusesNoProcessors: a processor count below one
+// used to panic deep in the evaluation (an index into zero loads, or a
+// negative makeslice). It is an error, before the choice hook runs.
+func TestSimulateTraceRefusesNoProcessors(t *testing.T) {
+	for _, nprocs := range []int{0, -3} {
+		chosen := 0
+		res, err := SimulateTraceSelect(bg, sampleTrace(), func(int, *grid.Hierarchy) partition.Partitioner {
+			chosen++
+			return partition.NewNatureFable()
+		}, nprocs, DefaultMachine())
+		if err == nil || res != nil || chosen != 0 {
+			t.Errorf("nprocs %d: result %v, err %v, %d choices; want an error before any work", nprocs, res, err, chosen)
+		}
+		if _, err := SimulateTrace(bg, sampleTrace(), partition.NewNatureFable(), nprocs, DefaultMachine()); err == nil {
+			t.Errorf("SimulateTrace with nprocs %d returned no error", nprocs)
+		}
+	}
+}
+
 func TestEvaluateCancelled(t *testing.T) {
 	h := flat(32)
 	a := halves(h)
@@ -362,9 +381,9 @@ func TestEvaluateCancelled(t *testing.T) {
 }
 
 // TestTimeSlotMatchesInlineFormula holds Machine.TimeSlot to the
-// expression it replaced in the server, the experiments, metapart and
-// the examples, bit for bit: samrbench's trajectory prints DimII, which
-// is computed from it, and bench/golden pins those bytes.
+// expression it replaced in the server, the experiments and the
+// command-line programs, bit for bit: samrbench's trajectory prints
+// DimII, which is computed from it, and bench/golden pins those bytes.
 func TestTimeSlotMatchesInlineFormula(t *testing.T) {
 	m := DefaultMachine()
 	for _, snap := range quickTrace(t).Snapshots {

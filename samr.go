@@ -21,7 +21,9 @@
 // its penalties, partition it and evaluate the result. Trace generation,
 // the classifier, the meta-partitioner and the trace simulator live in
 // the internal packages (importable within this module), one per
-// subsystem; the other examples and the binaries take them from there.
+// subsystem. The binaries and examples/service take them from there,
+// and cmd/samrbench prints the paper's evaluation from them, the
+// meta-partitioner's per-step selections included.
 // Every execution entry point takes a context.Context: partitioners
 // poll it at box-batch granularity, so a cancelled or over-deadline
 // call aborts promptly with the context's error and never returns a
