@@ -112,17 +112,6 @@ func (h *Hierarchy) Footprint(l int) geom.BoxList {
 	return bl
 }
 
-// RefinedFootprint returns the union footprint (level 0 index space) of
-// all levels >= 1: the Core region of the Nature+Fable decomposition.
-// The result may contain overlapping boxes.
-func (h *Hierarchy) RefinedFootprint() geom.BoxList {
-	var out geom.BoxList
-	for l := 1; l < len(h.Levels); l++ {
-		out = append(out, h.Footprint(l)...)
-	}
-	return out
-}
-
 // AppendEncoding appends the canonical encoding of the hierarchy —
 // domain, refinement ratio, and every level's box list in order — to
 // buf and returns the extended slice. The header and per-level

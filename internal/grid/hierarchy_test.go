@@ -68,10 +68,6 @@ func TestFootprint(t *testing.T) {
 	if len(fp) != 1 || fp[0] != geom.NewBox2(4, 4, 12, 12) {
 		t.Errorf("Footprint = %v", fp)
 	}
-	rf := h.RefinedFootprint()
-	if rf.TotalVolume() != 64 {
-		t.Errorf("RefinedFootprint volume = %d", rf.TotalVolume())
-	}
 }
 
 func TestValidateCatchesBadNesting(t *testing.T) {

@@ -73,7 +73,7 @@ func (d *DomainSFC) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int
 				return nil, err
 			}
 		}
-		hi.columnFragments(u.box, owners[i], &a.Fragments)
+		hi.columnFragments(u.box(), owners[i], &a.Fragments)
 	}
 	return a, nil
 }

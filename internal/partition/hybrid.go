@@ -169,22 +169,12 @@ func makeCoreRegions(fp geom.BoxList) geom.BoxList {
 	return regions
 }
 
-// coreRegions returns disjoint base-space boxes covering all refined
-// footprints.
-func (nf *NatureFable) coreRegions(h *grid.Hierarchy) geom.BoxList {
-	fp := h.RefinedFootprint()
-	if len(fp) == 0 {
-		return nil
-	}
-	return makeCoreRegions(fp)
-}
-
 // partitionCores coarse-partitions the prep's (SFC-ordered) core unit
-// chain into processor groups and block-partitions each bi-level
-// within its group. The prep is shared cache state: it is cut and
-// scanned, never mutated.
+// chain, by the units' column weights, into processor groups and
+// block-partitions each bi-level within its group. The prep is shared
+// cache state: it is cut and scanned, never mutated.
 func (nf *NatureFable) partitionCores(hi *hierIndex, prep *nfPrep, coreProcs int, out *[]Fragment) error {
-	units := prep.coreUnits
+	units, w := prep.coreUnits, prep.coreW
 	groups := nf.Groups
 	if groups < 1 {
 		groups = 1
@@ -192,7 +182,6 @@ func (nf *NatureFable) partitionCores(hi *hierIndex, prep *nfPrep, coreProcs int
 	if groups > coreProcs {
 		groups = coreProcs
 	}
-	w := unitWeights(units)
 	groupOf := cutChain(w, groups)
 
 	// Processors per group, proportional to group workload.
@@ -271,7 +260,7 @@ func (nf *NatureFable) blockBand(hi *hierIndex, band *coreBand, units []unit, st
 		i := start + ou.src
 		frags := band.frags[band.start[i]:band.start[i+1]]
 		owner := procBase + ou.owner
-		if ou.box == units[i].box {
+		if ou.box == units[i].box() {
 			for _, f := range frags {
 				*out = append(*out, Fragment{Level: int(f.level), Box: f.box(), Owner: owner})
 			}
@@ -308,7 +297,7 @@ func (nf *NatureFable) cutUnits(units []unit, w []int64, parts int) []ownedUnit 
 		owners := cutChain(w, parts)
 		out := make([]ownedUnit, len(units))
 		for i, u := range units {
-			out[i] = ownedUnit{box: u.box, owner: owners[i], src: i}
+			out[i] = ownedUnit{box: u.box(), owner: owners[i], src: i}
 		}
 		return out
 	}
@@ -323,7 +312,7 @@ func (nf *NatureFable) cutUnits(units []unit, w []int64, parts int) []ownedUnit 
 	var acc int64
 	p := 0
 	for i, u := range units {
-		box, weight := u.box, w[i]
+		box, weight := u.box(), w[i]
 		for p < parts-1 {
 			boundary := total * int64(p+1) / int64(parts)
 			if acc+weight <= boundary || weight == 0 {

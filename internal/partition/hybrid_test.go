@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -17,7 +18,9 @@ import (
 // re-fragmented each core group per bi-level, and cut the hue through
 // bandFragments whatever its processor count. The four methods below
 // are that body verbatim, except that the cuts take the chain's weights
-// as a slice, and that fragments records in took which branch of the
+// as a slice, that partitionCores weights the core units by their
+// columns itself (the prep no longer stores those weights on the
+// units), and that fragments records in took which branch of the
 // processor split it ran. It shares the prep cache with NatureFable,
 // reading only the fields the old prep had.
 type natureFableReference struct {
@@ -120,14 +123,18 @@ func (nf *natureFableReference) partitionCores(hi *hierIndex, units []unit, core
 	if groups > coreProcs {
 		groups = coreProcs
 	}
-	groupOf := cutChain(unitWeights(units), groups)
+	w := make([]int64, len(units))
+	for i, u := range units {
+		w[i] = hi.columnWeight(u.box())
+	}
+	groupOf := cutChain(w, groups)
 
 	// Processors per group, proportional to group workload.
 	groupW := make([]int64, groups)
 	var totalW int64
-	for i, u := range units {
-		groupW[groupOf[i]] += u.weight
-		totalW += u.weight
+	for i, wi := range w {
+		groupW[groupOf[i]] += wi
+		totalW += wi
 	}
 	procStart := make([]int, groups+1)
 	assigned := 0
@@ -160,7 +167,7 @@ func (nf *natureFableReference) partitionCores(hi *hierIndex, units []unit, core
 		var gUnits geom.BoxList
 		for i, u := range units {
 			if groupOf[i] == g {
-				gUnits = append(gUnits, u.box)
+				gUnits = append(gUnits, u.box())
 			}
 		}
 		if len(gUnits) == 0 {
@@ -298,6 +305,272 @@ func TestNatureFableMatchesReference(t *testing.T) {
 	}
 }
 
+// bandWeight is columnWeight restricted to levels [lo, hiLevel]: how
+// the reference bodies weight hue units and per-group core units.
+func (hi *hierIndex) bandWeight(ub geom.Box, lo, hiLevel int) int64 {
+	var w int64
+	fine := ub
+	for l := 0; l <= hiLevel && l < len(hi.levels); l++ {
+		if l > 0 {
+			fine = fine.Refine(hi.h.RefRatio)
+		}
+		if l < lo {
+			continue
+		}
+		w += hi.levels[l].QueryVolume(fine) * hi.h.StepFactor(l)
+	}
+	return w
+}
+
+// nfPrepReference is nfPrepOf as it shipped before the prep was split
+// into a base and bands, verbatim but for the layout it returns: the
+// cores come from the union of every refined level's footprint, the
+// hue units are weighted by a level-0 index query and the core units
+// by their columns, and no cache is read or written. The core units'
+// column weights are also returned as coreW.
+func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, unitSize int) (*nfPrep, error) {
+	hi := newHierIndex(ctx, h)
+	var fp geom.BoxList
+	for l := 1; l < len(h.Levels); l++ {
+		fp = append(fp, h.Footprint(l)...)
+	}
+	var cores geom.BoxList
+	if len(fp) > 0 {
+		cores = makeCoreRegions(fp)
+	}
+	hue := h.Levels[0].Boxes.Subtract(cores).Simplify()
+	hue.SortByLo()
+	p := &nfPrep{nfBase: &nfBase{hue: hue, hueW: hue.TotalVolume()}}
+	if p.hueW > 0 {
+		units, err := hi.unitsOfWeighted(hue, unitSize, func(ub geom.Box) int64 {
+			return hi.bandWeight(ub, 0, 0)
+		})
+		if err != nil {
+			return nil, err
+		}
+		orderUnitsByCurve(units, curve, unitSize)
+		p.hueUnits = units
+		var frags []Fragment
+		for _, u := range units {
+			hi.bandFragments(u.box(), 0, 0, 0, &frags)
+		}
+		cover := make(geom.BoxList, len(frags))
+		for i, f := range frags {
+			cover[i] = f.Box
+		}
+		p.hueCover = cover.Simplify()
+		p.hueCover.SortByLo()
+	}
+	if len(cores) > 0 {
+		units, err := hi.unitsOf(cores, unitSize)
+		if err != nil {
+			return nil, err
+		}
+		orderUnitsByCurve(units, curve, unitSize)
+		p.coreUnits = units
+		p.coreW = unitWeights(units)
+		for lo := 0; lo < len(h.Levels); lo += 2 {
+			band, err := hi.coreBandOf(units, lo, min(lo+1, len(h.Levels)-1))
+			if err != nil {
+				return nil, err
+			}
+			p.bands = append(p.bands, band)
+		}
+	}
+	return p, nil
+}
+
+// prepMismatch names the first field in which the composite prep got
+// differs from the reference's want, or returns "".
+func prepMismatch(got, want *nfPrep) string {
+	boxes := func(us []unit) []geom.Box {
+		bs := make([]geom.Box, len(us))
+		for i, u := range us {
+			bs[i] = u.box()
+		}
+		return bs
+	}
+	switch {
+	case !slices.Equal(got.hue, want.hue):
+		return "hue"
+	case got.hueW != want.hueW:
+		return "hueW"
+	case !slices.Equal(got.hueUnits, want.hueUnits):
+		return "hue units"
+	case !slices.Equal(got.hueCover, want.hueCover):
+		return "hue cover"
+	case !slices.Equal(boxes(got.coreUnits), boxes(want.coreUnits)):
+		return "core unit boxes"
+	case !slices.Equal(got.coreW, want.coreW):
+		return "coreW"
+	case len(got.bands) != len(want.bands):
+		return "band count"
+	}
+	for b := range want.bands {
+		g, w := got.bands[b], want.bands[b]
+		if !slices.Equal(g.weights, w.weights) || !slices.Equal(g.start, w.start) || !slices.Equal(g.frags, w.frags) {
+			return fmt.Sprintf("band %d", b)
+		}
+	}
+	return ""
+}
+
+// prepChain is a hand-built regrid chain over testHierarchy, each step
+// with whether it must build a new base. The steps keep levels 0-1
+// while replacing the finer levels, grow and shrink the level count,
+// change only the ratio, only the domain, and then level 1; the last
+// two steps share a base, and the last one's level 4 is the level 2
+// before it, which must not share a band.
+func prepChain(t *testing.T) ([]*grid.Hierarchy, []bool) {
+	t.Helper()
+	h0 := testHierarchy()
+	l2 := grid.Level{Boxes: geom.BoxList{geom.NewBox2(8, 8, 20, 20), geom.NewBox2(80, 80, 100, 110)}}
+	l3 := grid.Level{Boxes: geom.BoxList{geom.NewBox2(20, 20, 36, 36)}}
+	l4 := grid.Level{Boxes: geom.BoxList{geom.NewBox2(44, 44, 60, 60)}}
+	with := func(h *grid.Hierarchy, levels ...grid.Level) *grid.Hierarchy {
+		n := h.Clone()
+		n.Levels = append(n.Levels[:2], levels...)
+		return n
+	}
+	replaced := with(h0, l2)
+	grown := with(h0, l2, l3)
+	grown2 := with(h0, l2, l3, l4)
+	shrunk := with(h0)
+	ratio := shrunk.Clone()
+	ratio.RefRatio = 4
+	x := grid.Level{Boxes: geom.BoxList{geom.NewBox2(40, 40, 48, 48)}}
+	newL1 := grid.NewHierarchy(h0.Domain, 2)
+	newL1.Levels = append(newL1.Levels, grid.Level{Boxes: geom.BoxList{geom.NewBox2(2, 2, 30, 30)}}, x)
+	deep := with(newL1,
+		grid.Level{Boxes: geom.BoxList{geom.NewBox2(8, 8, 16, 16)}},
+		grid.Level{Boxes: geom.BoxList{geom.NewBox2(20, 20, 24, 24)}},
+		x)
+	valid := []*grid.Hierarchy{h0, replaced, grown, grown2, shrunk, ratio, newL1, deep}
+	for i, h := range valid {
+		if err := h.Validate(); err != nil {
+			t.Fatalf("valid chain hierarchy %d: %v", i, err)
+		}
+	}
+	// Level 0 no longer covers the domain, so Validate refuses this one;
+	// nothing under test reads the domain, and the key must still hold it.
+	domain := shrunk.Clone()
+	domain.Domain = geom.NewBox2(0, 0, 48, 48)
+	return []*grid.Hierarchy{h0, replaced, grown, grown2, shrunk, ratio, domain, newL1, deep},
+		[]bool{true, false, false, false, false, true, true, true, false}
+}
+
+// TestNatureFablePrepMatchesReference holds the prep assembled from
+// shared bases and bands to the body it replaced, field by field, on
+// every distinct quick-trace snapshot in trace order,
+// TestNatureFableMatchesReference's random hierarchies and a
+// hand-built chain, for both curves and units 1, 2, 3 and 2^31.
+// Nothing is flushed between hierarchies, so consecutive ones share
+// bases and bands; the hand-built chain checks which of its steps build
+// a base.
+func TestNatureFablePrepMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	hs := quickHierarchies(t)
+	r := rand.New(rand.NewSource(29))
+	for i := 0; i < 15; i++ {
+		hs = append(hs, randomHierarchy(r))
+	}
+	chain, builds := prepChain(t)
+	flushChainCaches()
+	hitsBefore, _, _ := nfBases.Stats()
+	for _, curve := range []sfc.Curve{sfc.Hilbert, sfc.Morton} {
+		for _, us := range []int{1, 2, 3, 1 << 31} {
+			for hn, h := range append(slices.Clone(hs), chain...) {
+				_, missesBefore, _ := nfBases.Stats()
+				sig := h.Signature()
+				hi, err := sharedHierIndex(ctx, h, sig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := nfPrepOf(hi, sig, curve, us)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := nfPrepReference(ctx, h, curve, us)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if field := prepMismatch(got, want); field != "" {
+					t.Fatalf("hierarchy %d %v u%d: %s differs from the reference", hn, curve, us, field)
+				}
+				if c := hn - len(hs); c >= 0 {
+					if _, missesAfter, _ := nfBases.Stats(); (missesAfter > missesBefore) != builds[c] {
+						t.Errorf("%v u%d chain step %d: built a base %v, want %v", curve, us, c, missesAfter > missesBefore, builds[c])
+					}
+				}
+			}
+		}
+	}
+	if hitsAfter, _, _ := nfBases.Stats(); hitsAfter == hitsBefore {
+		t.Error("no two hierarchies shared a base")
+	}
+}
+
+// TestNatureFablePrepSharing pins the sharing as build counts: walking
+// the four quick traces' chains of distinct snapshots with the default
+// NatureFable at 16 processors builds one base per distinct
+// (domain, ratio, level 0, level 1) and one band per distinct bi-level
+// content past the first over a distinct base, and a second walk builds
+// nothing.
+func TestNatureFablePrepSharing(t *testing.T) {
+	const wantPreps, wantBases, wantBands = 35, 17, 34
+	hs := quickHierarchies(t)
+	levels := func(ls []grid.Level) string {
+		s := fmt.Sprintf("%d levels", len(ls))
+		for _, l := range ls {
+			s += fmt.Sprint(l.Boxes)
+		}
+		return s
+	}
+	bases, bands := map[string]bool{}, map[string]bool{}
+	for _, h := range hs {
+		prefix := fmt.Sprint(h.Domain, h.RefRatio, levels(h.Levels[:min(2, len(h.Levels))]))
+		bases[prefix] = true
+		if len(h.Levels) < 2 || len(h.Footprint(1)) == 0 {
+			continue
+		}
+		for lo := 2; lo < len(h.Levels); lo += 2 {
+			bands[fmt.Sprint(prefix, lo, levels(h.Levels[lo:min(lo+2, len(h.Levels))]))] = true
+		}
+	}
+
+	nf := NewNatureFable()
+	walk := func() (preps, bases, bands uint64) {
+		_, p0, _ := nfPreps.Stats()
+		_, b0, _ := nfBases.Stats()
+		_, d0, _ := nfBands.Stats()
+		for _, h := range hs {
+			mustPartition(t, nf, h, 16)
+		}
+		_, p1, _ := nfPreps.Stats()
+		_, b1, _ := nfBases.Stats()
+		_, d1, _ := nfBands.Stats()
+		return p1 - p0, b1 - b0, d1 - d0
+	}
+	flushChainCaches()
+	preps, builtBases, builtBands := walk()
+	t.Logf("%d snapshots: %d preps, %d bases, %d bands built", len(hs), preps, builtBases, builtBands)
+	if preps != uint64(len(hs)) || builtBases != uint64(len(bases)) || builtBands != uint64(len(bands)) {
+		t.Errorf("built %d preps, %d bases, %d bands; want %d, %d, %d",
+			preps, builtBases, builtBands, len(hs), len(bases), len(bands))
+	}
+	if preps != wantPreps || builtBases != wantBases || builtBands != wantBands {
+		t.Errorf("built %d preps, %d bases, %d bands; pinned %d, %d, %d",
+			preps, builtBases, builtBands, wantPreps, wantBases, wantBands)
+	}
+	_, missesBefore, _, _, _ := CacheStats()
+	if preps, builtBases, builtBands := walk(); preps+builtBases+builtBands != 0 {
+		t.Errorf("second walk built %d preps, %d bases, %d bands", preps, builtBases, builtBands)
+	}
+	if _, missesAfter, _, _, _ := CacheStats(); missesAfter != missesBefore {
+		t.Errorf("second walk missed %d times", missesAfter-missesBefore)
+	}
+}
+
 // BenchmarkNatureFableWarm times what a warm NatureFable call still
 // does, on what a session step asks for: the paper's default
 // configuration over every distinct quick-trace snapshot at each count
@@ -322,4 +595,25 @@ func BenchmarkNatureFableWarm(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(hs)*len(ladder)), "calls/op")
+}
+
+// BenchmarkNatureFableCold times what a session pays building preps: the
+// paper's default configuration at 16 processors over every distinct
+// quick-trace snapshot in chain order, every cache flushed once per
+// iteration, so each snapshot builds its prep from the base and bands
+// the snapshots before it left.
+func BenchmarkNatureFableCold(b *testing.B) {
+	ctx := context.Background()
+	hs := quickHierarchies(b)
+	nf := NewNatureFable()
+	b.ReportAllocs()
+	for b.Loop() {
+		flushChainCaches()
+		for _, h := range hs {
+			if _, err := nf.Partition(ctx, h, 16); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(hs)), "calls/op")
 }

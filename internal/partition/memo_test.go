@@ -111,7 +111,8 @@ func TestChainSharedAcrossNProcs(t *testing.T) {
 // TestCancelledPartitionNeverPoisonsMemo: a Partition aborted by
 // cancellation (the leader of a cold chain build) must leave the memo
 // empty of partial artifacts — the next live call recomputes and
-// matches a fully fresh run.
+// matches a fully fresh run. A NatureFable call cancelled inside a band
+// build stores no band.
 func TestCancelledPartitionNeverPoisonsMemo(t *testing.T) {
 	h := testHierarchy()
 	const np = 8
@@ -138,6 +139,46 @@ func TestCancelledPartitionNeverPoisonsMemo(t *testing.T) {
 				t.Errorf("%s: post-cancel result diverged from fresh", pname)
 			}
 		}
+	}
+
+	// NatureFable cancelled at the first poll inside the build of a band
+	// past the first: the band cache stays empty (the base, finished
+	// before, stays), and the next live call matches a fresh run.
+	nf := NewNatureFable()
+	flushChainCaches()
+	fresh := mustPartition(t, nf, h, np)
+	// Count the polls made before the band build starts.
+	flushChainCaches()
+	ctx := newCountdownCtx(1 << 30)
+	before := -1
+	nfBands.SetOnFlight(func(_ bandKey, leader bool) {
+		if leader && before < 0 {
+			before = ctx.polls
+		}
+	})
+	_, err := nf.Partition(ctx, h, np)
+	nfBands.SetOnFlight(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before < 0 {
+		t.Fatal("no band was built")
+	}
+	flushChainCaches()
+	if a, err := nf.Partition(newCountdownCtx(before), h, np); a != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel at poll %d: (%v, %v), want (nil, Canceled)", before, a, err)
+	}
+	if n := nfBands.Len(); n != 0 {
+		t.Fatalf("band cache holds %d entries after a cancelled band build", n)
+	}
+	if n := nfBases.Len(); n != 1 {
+		t.Fatalf("base cache holds %d entries, want the base built before the band", n)
+	}
+	if n := nfPreps.Len(); n != 0 {
+		t.Fatalf("prep cache holds %d entries after a cancelled band build", n)
+	}
+	if got := mustPartition(t, nf, h, np); !reflect.DeepEqual(fresh, got) {
+		t.Error("post-cancel result diverged from fresh")
 	}
 }
 

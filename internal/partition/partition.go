@@ -180,10 +180,17 @@ func (a *Assignment) Validate(h *grid.Hierarchy) error {
 }
 
 // unit is an atomic partitioning unit: a base-level box plus the
-// composite workload of the grid column above it.
+// workload it carries, in 24 bytes against a geom.Box's 56 plus the
+// weight. Validate bounds every level's index space to ±2^30, so the
+// base-level corners fit int32 exactly (the bandFrag argument), and box
+// restores the planar box.
 type unit struct {
-	box    geom.Box // base-level index space
-	weight int64
+	x0, y0, x1, y1 int32 // base-level index space
+	weight         int64
+}
+
+func (u unit) box() geom.Box {
+	return geom.NewBox2(int(u.x0), int(u.y0), int(u.x1), int(u.y1))
 }
 
 // hierIndex is a per-partition-call cache of one BoxIndex per hierarchy
@@ -221,10 +228,11 @@ func (hi *hierIndex) unitsOf(region geom.BoxList, unitSize int) ([]unit, error) 
 }
 
 // unitsOfWeighted is unitsOf with a caller-chosen unit weight (the
-// hybrid partitioner weights units by a level band rather than the full
-// column). Units are chopped by the extent left in the region, which
-// Validate's coordinate bound keeps far from overflow, so a unit edge
-// near MaxInt is one unit, never a corner that wraps.
+// hybrid partitioner weights hue units by their volume, and leaves core
+// units' weights to its per-band artifacts). Units are chopped by the
+// extent left in the region, which Validate's coordinate bound keeps
+// far from overflow, so a unit edge near MaxInt is one unit, never a
+// corner that wraps.
 func (hi *hierIndex) unitsOfWeighted(region geom.BoxList, unitSize int, weight func(geom.Box) int64) ([]unit, error) {
 	var out []unit
 	for _, rb := range region {
@@ -235,8 +243,8 @@ func (hi *hierIndex) unitsOfWeighted(region geom.BoxList, unitSize int, weight f
 			dy = min(unitSize, rb.Hi[1]-y)
 			for x, dx := rb.Lo[0], 0; x < rb.Hi[0]; x += dx {
 				dx = min(unitSize, rb.Hi[0]-x)
-				ub := geom.NewBox2(x, y, x+dx, y+dy)
-				out = append(out, unit{box: ub, weight: weight(ub)})
+				w := weight(geom.NewBox2(x, y, x+dx, y+dy))
+				out = append(out, unit{x0: int32(x), y0: int32(y), x1: int32(x + dx), y1: int32(y + dy), weight: w})
 			}
 		}
 	}
@@ -252,22 +260,6 @@ func (hi *hierIndex) columnWeight(ub geom.Box) int64 {
 	for l := range hi.levels {
 		if l > 0 {
 			fine = fine.Refine(hi.h.RefRatio)
-		}
-		w += hi.levels[l].QueryVolume(fine) * hi.h.StepFactor(l)
-	}
-	return w
-}
-
-// bandWeight is columnWeight restricted to levels [lo, hiLevel].
-func (hi *hierIndex) bandWeight(ub geom.Box, lo, hiLevel int) int64 {
-	var w int64
-	fine := ub
-	for l := 0; l <= hiLevel && l < len(hi.levels); l++ {
-		if l > 0 {
-			fine = fine.Refine(hi.h.RefRatio)
-		}
-		if l < lo {
-			continue
 		}
 		w += hi.levels[l].QueryVolume(fine) * hi.h.StepFactor(l)
 	}

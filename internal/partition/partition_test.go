@@ -183,15 +183,16 @@ func TestPatchBasedSplitsHugePatches(t *testing.T) {
 
 func TestNatureFableSeparatesHuesAndCores(t *testing.T) {
 	h := testHierarchy()
-	nf := NewNatureFable()
-	cores := nf.coreRegions(h)
+	cores := makeCoreRegions(h.Footprint(1))
 	if len(cores) == 0 {
 		t.Fatal("no core regions found for a refined hierarchy")
 	}
-	// Core regions must cover both refined footprints.
-	for _, fp := range h.RefinedFootprint() {
-		if !cores.CoversBox(fp) {
-			t.Errorf("core regions do not cover footprint %v", fp)
+	// Core regions made from level 1 must cover every refined footprint.
+	for l := 1; l < len(h.Levels); l++ {
+		for _, fp := range h.Footprint(l) {
+			if !cores.CoversBox(fp) {
+				t.Errorf("core regions do not cover level %d footprint %v", l, fp)
+			}
 		}
 	}
 	// And be disjoint.
