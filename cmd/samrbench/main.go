@@ -12,7 +12,7 @@
 //	fig6 -> SC2D  model vs actual
 //	fig7 -> TP2D  model vs actual
 //	trajectory -> Figure 3 (right): classification-space locus
-//	ablationA..E -> DESIGN.md ablations (C: meta-partitioner vs static choices)
+//	ablationA..E -> the ablations of internal/experiments/ablations.go (C: meta-partitioner vs static choices)
 //	all -> the eleven above, in this order
 //	sweep -> BL2D static hybrid across a processor-count ladder (standalone)
 //	selections -> the Figure 2 meta-partitioner's choice at every step of

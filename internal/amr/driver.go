@@ -5,11 +5,11 @@
 // application trace, reproducing the trace-generation side of the
 // paper's experimental process.
 //
-// Simplifications relative to a production AMR code (documented in
-// DESIGN.md): piecewise-constant prolongation, no refluxing (flux
-// correction), and no time interpolation of coarse boundary data. None
-// of these affect the shape of the hierarchy dynamics the partitioning
-// model consumes.
+// Simplifications relative to a production AMR code: prolongation is
+// bilinear interpolation (field.ProlongLinear), there is no refluxing
+// (flux correction), and coarse boundary data is not interpolated in
+// time. None of these affect the shape of the hierarchy dynamics the
+// partitioning model consumes.
 //
 // # Parallel execution
 //
@@ -437,9 +437,11 @@ func (d *Driver) clusterLevel(ctx context.Context, l int) (geom.BoxList, error) 
 	dom := d.levelDomain(l)
 	boxes := cluster.ClusterPoints(pts, dom, d.cfg.Cluster)
 	// Buffer each patch, restore disjointness among the grown boxes
-	// (cheap: cluster output is small), then clip to the level's own
-	// boxes for proper nesting. Intersections of two disjoint lists are
-	// disjoint, so no quadratic clean-up pass is needed afterwards.
+	// (MakeDisjoint subtracts from each box only the kept boxes it
+	// meets, though finding them is a scan quadratic in the cluster
+	// count), then clip to the level's own boxes for proper nesting.
+	// Intersections of two disjoint lists are disjoint, so no quadratic
+	// clean-up pass is needed afterwards.
 	grown := make(geom.BoxList, 0, len(boxes))
 	for _, b := range boxes {
 		grown = append(grown, b.Grow(d.cfg.TagBuffer).Intersect(dom))

@@ -115,3 +115,19 @@ func (k *initCounter) Init(p *field.Patch, g solver.Geometry) {
 	k.inits.Add(1)
 	k.Kernel.Init(p, g)
 }
+
+// BenchmarkGenerate times generating each application's trace at the
+// quick scale (QuickTrace's configuration, generated afresh), with its
+// allocations.
+func BenchmarkGenerate(b *testing.B) {
+	for _, app := range Names {
+		b.Run(app, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Generate(context.Background(), app, goldenConfig(0), goldenSteps); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

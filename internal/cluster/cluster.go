@@ -211,20 +211,27 @@ func absInt(v int) int {
 }
 
 // MakeDisjoint rewrites the list so no two boxes overlap, preserving the
-// covered region. Berger–Rigoutsos recursion on disjoint halves already
-// yields disjoint boxes, but enforceMinWidth growth can introduce small
-// overlaps; regridding calls this to restore the level invariant.
+// covered region: each non-empty box, less the boxes kept before it.
+// Berger–Rigoutsos recursion on disjoint halves already yields disjoint
+// boxes, but enforceMinWidth growth can introduce small overlaps;
+// regridding calls this to restore the level invariant.
+//
+// Only the kept boxes that meet a box are subtracted from it:
+// subtracting one that misses it returns every piece unchanged, so the
+// output is that of subtracting them all, box for box and in order.
 func MakeDisjoint(bl geom.BoxList) geom.BoxList {
 	var out geom.BoxList
 	for _, b := range bl {
-		out = append(out, geom.BoxList{b}.Subtract(out)...)
-	}
-	// Drop empties.
-	kept := out[:0]
-	for _, b := range out {
-		if !b.Empty() {
-			kept = append(kept, b)
+		if b.Empty() {
+			continue
 		}
+		pieces := geom.BoxList{b}
+		for _, o := range out {
+			if o.Intersects(b) {
+				pieces = pieces.SubtractBox(o)
+			}
+		}
+		out = append(out, pieces...)
 	}
-	return kept
+	return out
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"samr/internal/geom"
@@ -180,6 +181,49 @@ func TestMakeDisjoint(t *testing.T) {
 	// Covered region: union volume = 16 + 16 - 4 = 28.
 	if dj.TotalVolume() != 28 {
 		t.Errorf("disjoint volume = %d, want 28", dj.TotalVolume())
+	}
+}
+
+// makeDisjointReference is the old MakeDisjoint body: each box less
+// every box kept before it, empties dropped at the end.
+func makeDisjointReference(bl geom.BoxList) geom.BoxList {
+	var out geom.BoxList
+	for _, b := range bl {
+		out = append(out, geom.BoxList{b}.Subtract(out)...)
+	}
+	kept := out[:0]
+	for _, b := range out {
+		if !b.Empty() {
+			kept = append(kept, b)
+		}
+	}
+	return kept
+}
+
+// TestMakeDisjointMatchesReference holds MakeDisjoint, which subtracts
+// only the kept boxes that meet a box, to the reference that subtracts
+// them all, box for box and in order, on random lists with overlaps,
+// duplicates and empty boxes.
+func TestMakeDisjointMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 2000; trial++ {
+		var bl geom.BoxList
+		for i, n := 0, r.Intn(24); i < n; i++ {
+			switch {
+			case i > 0 && r.Intn(6) == 0:
+				bl = append(bl, bl[r.Intn(i)]) // duplicate
+			case r.Intn(8) == 0:
+				x, y := r.Intn(32), r.Intn(32)
+				bl = append(bl, geom.NewBox2(x, y, x-r.Intn(3), y+r.Intn(4))) // empty
+			default:
+				x, y := r.Intn(32), r.Intn(32)
+				bl = append(bl, geom.NewBox2(x, y, x+1+r.Intn(12), y+1+r.Intn(12)))
+			}
+		}
+		got, want := MakeDisjoint(slices.Clone(bl)), makeDisjointReference(slices.Clone(bl))
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: MakeDisjoint(%v)\n = %v\nwant %v", trial, bl, got, want)
+		}
 	}
 }
 

@@ -40,7 +40,8 @@ func MigrationPenalty(prev, cur *grid.Hierarchy) float64 {
 }
 
 // MigrationPenaltyDenominator selects the normalization of the overlap
-// sum, for the denominator ablation (DESIGN.md, Ablation A).
+// sum, for the denominator ablation (Ablation A,
+// experiments.AblationDenominator).
 type MigrationPenaltyDenominator int
 
 const (

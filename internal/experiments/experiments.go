@@ -1,11 +1,12 @@
 // Package experiments reproduces the paper's evaluation: every figure
 // of section 5 (Figure 1 and Figures 4-7), the classification-space
 // trajectory of Figure 3 (right), the Figure 2 meta-partitioner's
-// per-step selections, and the ablations DESIGN.md calls out. Each
-// experiment returns printable series/tables carrying exactly the
-// quantities the paper plots, plus correlation statistics that make
-// the paper's visual comparison reproducible as text. Run is the menu:
-// it prints any one experiment, or the paper set, by name.
+// per-step selections, and the repository's ablations A-E
+// (ablations.go). Each experiment returns printable series/tables
+// carrying exactly the quantities the paper plots, plus correlation
+// statistics that make the paper's visual comparison reproducible as
+// text. Run is the menu: it prints any one experiment, or the paper
+// set, by name.
 package experiments
 
 import (

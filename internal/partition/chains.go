@@ -14,8 +14,8 @@
 // cached chain and queries the level indexes for every unit's column
 // fragments. NatureFable's prep holds everything nprocs-independent it
 // uses: the hue and core chains, the hue's merged level-0 cover, and,
-// per bi-level, every core unit's band weight and owner-free band
-// fragments. A warm NatureFable call splits the processors, cuts
+// per bi-level, every core unit's band weight and packed, owner-free
+// band fragments. A warm NatureFable call splits the processors, cuts
 // chains, labels whole units' stored fragments, and clips the stored
 // fragments of the few units a fractional cut splits; it makes no index
 // query.
@@ -82,8 +82,8 @@ type bandKey struct {
 }
 
 // Cache bounds: on a paper-scale snapshot (32² base, five levels, unit
-// 2) a NatureFable base holds about 7 KB of units and 1-6 KB of
-// bi-level 0-1, each further bi-level 1-7 KB, a prep of its own under
+// 2) a NatureFable base holds about 7 KB of units and 0.5-7 KB of
+// bi-level 0-1, each further bi-level 1-8.5 KB, a prep of its own under
 // 1 KB of core weights, and a domain chain 6 KB of units. Experiment
 // pipelines revisit a few hundred distinct snapshots, so these bounds
 // keep the whole working set resident without letting a long-running
@@ -233,26 +233,13 @@ type nfBase struct {
 
 // coreBand is one bi-level of the core chain: per core unit, the
 // band's workload over the unit and the band's fragments over it,
-// without an owner. Unit i's fragments are frags[start[i]:start[i+1]],
-// exactly what bandFragments appends for the unit, in that order.
+// packed with owner 0 (a call labels them). Unit i's fragments are
+// frags[start[i]:start[i+1]], exactly what bandFragments appends for
+// the unit, in that order.
 type coreBand struct {
 	weights []int64
 	start   []int32
-	frags   []bandFrag
-}
-
-// bandFrag is a fragment without its owner in 20 bytes, against a
-// Fragment's 72: Validate bounds every level's index space to ±2^30, so
-// the corners fit int32 exactly, and every box the partitioners are
-// given is planar with the third component pinned to [0, 1), which box
-// restores.
-type bandFrag struct {
-	level          uint8
-	x0, y0, x1, y1 int32
-}
-
-func (f bandFrag) box() geom.Box {
-	return geom.NewBox2(int(f.x0), int(f.y0), int(f.x1), int(f.y1))
+	frags   []packedFrag
 }
 
 // nfPrepOf returns the cached Nature+Fable pre-partitioning artifact
@@ -387,8 +374,11 @@ func (hi *hierIndex) coreBandOf(units []unit, lo, hiLevel int) (coreBand, error)
 		hi.bandFragments(u.box(), lo, hiLevel, 0, &frags)
 		for _, f := range frags {
 			b.weights[i] += f.Box.Volume() * hi.h.StepFactor(f.Level)
-			b.frags = append(b.frags, bandFrag{level: uint8(f.Level),
-				x0: int32(f.Box.Lo[0]), y0: int32(f.Box.Lo[1]), x1: int32(f.Box.Hi[0]), y1: int32(f.Box.Hi[1])})
+			pf, err := packFrag(f)
+			if err != nil {
+				return coreBand{}, err
+			}
+			b.frags = append(b.frags, pf)
 		}
 		b.start[i+1] = int32(len(b.frags))
 	}

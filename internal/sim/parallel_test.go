@@ -108,3 +108,40 @@ func TestSimulateTraceParallelDynamic(t *testing.T) {
 	}
 	requireIdentical(t, run(1), run(4))
 }
+
+// BenchmarkSimulateTraceWarm times the simulator over the four quick
+// traces under every partitioner of the meta-partitioner's stable at 16
+// processors, the step cache warm: what a replayed experiment pays for
+// cache hits, the copies of the assignments the migration scans read,
+// and the scans (the stateful post-mapped wrapper, reset before each
+// trace, partitions afresh).
+func BenchmarkSimulateTraceWarm(b *testing.B) {
+	var trs []*trace.Trace
+	for _, app := range apps.Names {
+		tr, err := apps.QuickTrace(bg, app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trs = append(trs, tr)
+	}
+	stable := core.NewMetaPartitioner(core.DefaultPartitionCost).Stable()
+	m := DefaultMachine()
+	run := func() {
+		for _, tr := range trs {
+			for _, p := range stable {
+				if st, ok := p.(interface{ Reset() }); ok {
+					st.Reset()
+				}
+				if _, err := SimulateTrace(bg, tr, p, 16, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	run()
+	b.ReportAllocs()
+	for b.Loop() {
+		run()
+	}
+	b.ReportMetric(float64(len(trs)*len(stable)), "runs/op")
+}

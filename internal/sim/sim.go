@@ -435,8 +435,8 @@ var (
 // answered without recomputation because an identical
 // (signature, partitioner, nprocs, machine) step had already been
 // computed — in the same run, an earlier run, or a concurrent one.
-// The migration counter covers consecutive steps sharing one
-// assignment, between which exactly zero points move.
+// The migration counter covers consecutive steps with one step key,
+// between which exactly zero points move.
 func MemoStats() (partitions, evaluations, migrations uint64) {
 	return partitionsMemoized.Load(), evaluationsMemoized.Load(), migrationsShortCut.Load()
 }
@@ -453,19 +453,23 @@ type stepKey struct {
 	m      Machine
 }
 
-// stepArtifact is one cached step: the assignment plus its evaluated
-// metrics with the per-run fields (Step, Migration, RelativeMigration,
-// the migration share of EstTime) still unset. Both are shared across
-// runs and treated as immutable by every reader.
+// stepArtifact is one cached step: the packed assignment plus its
+// evaluated metrics with the per-run fields (Step, Migration,
+// RelativeMigration, the migration share of EstTime) still unset. Both
+// are shared across runs and treated as immutable by every reader; a
+// run that needs the assignment unpacks a copy of its own.
 type stepArtifact struct {
-	a  *partition.Assignment
+	a  partition.Packed
 	sm StepMetrics
 }
 
-// stepCacheCap bounds the step cache: artifacts are a few KB each (an
-// assignment's fragments plus a metrics row), so the bound comfortably
-// holds the working set of a full experiment sweep while bounding a
-// long-running daemon.
+// stepCacheCap bounds the step cache. Measured over `samrbench
+// -experiment all` on the four 16-step paper-scale traces at 16
+// processors, which leaves 612 artifacts, an artifact takes 5.4 KB of
+// heap (24 B a fragment, the metrics row, the key and the entry),
+// against 37 KB when it held the unpacked Assignment. A full cache is
+// then about 11 MB: it holds the working set of a full experiment
+// sweep while bounding a long-running daemon.
 const stepCacheCap = 2048
 
 var stepCache = memo.New[stepKey, stepArtifact](stepCacheCap)
@@ -494,9 +498,11 @@ func flushStepCaches() { stepCache.Flush() }
 // content (regrid-sparse traces), repeated configurations (the
 // meta-vs-static and ablation sweeps replay the same snapshots many
 // times), and concurrent identical runs all compute each distinct step
-// once. Steps sharing a key share one Assignment and metrics row
-// (immutable by contract); the migration scan short-circuits to its
-// exact value of zero when consecutive steps share one assignment.
+// once. The cache holds each assignment packed and no caller ever holds
+// cache state: a run unpacks its own copy of each assignment its
+// migration scans read. Consecutive steps with one key have
+// bit-identical hierarchies and assignments, so their migration scan
+// short-circuits to its exact value of zero.
 // Stateful partitioners (the post-mapping wrapper) keep the full
 // sequential chain and are never cached: their output depends on
 // carried state, not content alone.
@@ -538,8 +544,7 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 			break
 		}
 	}
-	sigs := make([]geom.Signature, n)
-	names := make([]string, n)
+	keys := make([]stepKey, n)
 	var err error
 	if !allStateful {
 		err = pool.MapCtx(ctx, workers, n, func(i int) error {
@@ -548,7 +553,7 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 				// stay zero and unread.
 				return nil
 			}
-			sigs[i] = tr.Snapshots[i].H.Signature()
+			keys[i].sig = tr.Snapshots[i].H.Signature()
 			return nil
 		})
 		if err != nil {
@@ -556,9 +561,13 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		}
 		for i := range ps {
 			if !stateful(ps[i]) {
-				names[i] = ps[i].Name()
+				keys[i].name, keys[i].nprocs, keys[i].m = ps[i].Name(), nprocs, m
 			}
 		}
+	}
+	// sameStep reports whether steps i and i+1 are one cached step.
+	sameStep := func(i int) bool {
+		return !stateful(ps[i]) && !stateful(ps[i+1]) && keys[i] == keys[i+1]
 	}
 
 	// Phase 2+3: partition and evaluate every snapshot. A stateless
@@ -571,8 +580,10 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 	as := make([]*partition.Assignment, n)
 	res.Steps = make([]StepMetrics, n)
 	cachedStep := func(i int) error {
-		key := stepKey{sig: sigs[i], name: names[i], nprocs: nprocs, m: m}
-		art, disp, err := stepCache.GetOrCompute(ctx, key, func() (stepArtifact, error) {
+		// The leader keeps the assignment it computed; the cache gets a
+		// packed copy.
+		var own *partition.Assignment
+		art, disp, err := stepCache.GetOrCompute(ctx, keys[i], func() (stepArtifact, error) {
 			a, err := ps[i].Partition(ctx, tr.Snapshots[i].H, nprocs)
 			if err != nil {
 				return stepArtifact{}, err
@@ -581,7 +592,12 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 			if err != nil {
 				return stepArtifact{}, err
 			}
-			return stepArtifact{a: a, sm: sm}, nil
+			packed, err := partition.Pack(a)
+			if err != nil {
+				return stepArtifact{}, fmt.Errorf("sim: step %d: %w", tr.Snapshots[i].Step, err)
+			}
+			own = a
+			return stepArtifact{a: packed, sm: sm}, nil
 		})
 		if err != nil {
 			return err
@@ -590,7 +606,14 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 			partitionsMemoized.Add(1)
 			evaluationsMemoized.Add(1)
 		}
-		as[i] = art.a
+		// Phase 4 reads step i's assignment only when a neighbour is a
+		// different step.
+		if (i > 0 && !sameStep(i-1)) || (i+1 < n && !sameStep(i)) {
+			if own == nil {
+				own = art.a.Unpack()
+			}
+			as[i] = own
+		}
 		sm := art.sm
 		// The artifact (and its Loads vector) is shared cache state;
 		// the Result hands Loads to callers the public API makes no
@@ -634,14 +657,14 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 	}
 
 	// Phase 4 (parallel over consecutive pairs): chain the migration
-	// metric over the precomputed assignments. Consecutive steps
-	// sharing one cached assignment over content-identical hierarchies
-	// move nothing — every point keeps its owner — so the overlap scan
-	// short-circuits to its exact result of zero.
+	// metric over the precomputed assignments. Consecutive steps with
+	// one key have content-identical hierarchies and bit-identical
+	// assignments, so nothing moves — every point keeps its owner — and
+	// the overlap scan short-circuits to its exact result of zero.
 	err = pool.MapCtx(ctx, workers, n-1, func(j int) error {
 		i := j + 1
 		sm := &res.Steps[i]
-		if as[i-1] == as[i] {
+		if sameStep(j) {
 			migrationsShortCut.Add(1)
 		} else {
 			sm.Migration = Migration(tr.Snapshots[i-1].H, tr.Snapshots[i].H, as[i-1], as[i])
