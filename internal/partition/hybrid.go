@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"samr/internal/cluster"
 	"samr/internal/geom"
@@ -89,7 +90,6 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 	if err := checkUnits(h.Levels[0].Boxes, us); err != nil {
 		return nil, err
 	}
-	a := &Assignment{NumProcs: nprocs}
 	sig := h.Signature()
 	hi, err := sharedHierIndex(ctx, h, sig)
 	if err != nil {
@@ -121,6 +121,7 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 		hueProcs, coreProcs = nprocs, 0
 	}
 
+	a := &Assignment{NumProcs: nprocs, Fragments: make([]Fragment, 0, prep.fragmentsHint(hueProcs, coreProcs))}
 	// Hues: blocking over processors [coreProcs, nprocs).
 	switch {
 	case hueW == 0:
@@ -137,7 +138,8 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 		}
 	case hueProcs > 1:
 		units := prep.hueUnits
-		for i, ou := range nf.cutUnits(units, unitWeights(units), hueProcs) {
+		hi.cut = nf.appendCut(hi.cut[:0], units, unitWeights(units), hueProcs)
+		for i, ou := range hi.cut {
 			if i%ctxBatch == 0 {
 				if err := hi.check(); err != nil {
 					return nil, err
@@ -159,6 +161,33 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 		}
 	}
 	return a, nil
+}
+
+// fragmentsHint is the capacity a call's pre-merge fragment list
+// starts with, from what the prep stores: the hue's share (its cover
+// when one processor owns it whole, a fragment per hue unit and per cut
+// when several block it, its boxes when there is no hue processor) and
+// every band's fragments, plus one per band and core processor for the
+// pieces the cuts split off. No list of the quick traces' snapshots at
+// 1, 3, 16, 20, 24, 36 or 64 processors outgrows it; one that does
+// grows as any slice does.
+func (p *nfPrep) fragmentsHint(hueProcs, coreProcs int) int {
+	n := 0
+	switch {
+	case p.hueW == 0:
+	case hueProcs == 1:
+		n = len(p.hueCover)
+	case hueProcs > 1:
+		n = len(p.hueUnits) + hueProcs
+	default:
+		n = len(p.hue)
+	}
+	if coreProcs > 0 {
+		for _, b := range p.bands {
+			n += len(b.frags) + coreProcs
+		}
+	}
+	return n
 }
 
 // makeCoreRegions returns disjoint base-space boxes covering the given
@@ -251,7 +280,8 @@ func (nf *NatureFable) partitionCores(hi *hierIndex, prep *nfPrep, coreProcs int
 // piece only if it meets the unit, and the stored fragments keep the
 // index query's box order.
 func (nf *NatureFable) blockBand(hi *hierIndex, band *coreBand, units []unit, start, end, procBase, procs int, out *[]Fragment) error {
-	for k, ou := range nf.cutUnits(units[start:end], band.weights[start:end], procs) {
+	hi.cut = nf.appendCut(hi.cut[:0], units[start:end], band.weights[start:end], procs)
+	for k, ou := range hi.cut {
 		if k%ctxBatch == 0 {
 			if err := hi.check(); err != nil {
 				return err
@@ -288,16 +318,22 @@ type ownedUnit struct {
 }
 
 // cutUnits cuts the ordered units into parts portions, unit i weighing
-// w[i] (the units give the boxes; their own weights are not read).
-// Whole-block mode delegates to cutChain; fractional mode splits the
-// unit that straddles each portion boundary proportionally to the
-// remaining weight.
+// w[i] (the units give the boxes; their own weights are not read), into
+// a new slice. natureFableReference, the old body NatureFable is tested
+// against, cuts through it.
 func (nf *NatureFable) cutUnits(units []unit, w []int64, parts int) []ownedUnit {
+	return nf.appendCut(nil, units, w, parts)
+}
+
+// appendCut is cutUnits appending to out, so that a call reuses one
+// slice for all its cuts. Whole-block mode delegates to cutChain;
+// fractional mode splits the unit that straddles each portion boundary
+// proportionally to the remaining weight.
+func (nf *NatureFable) appendCut(out []ownedUnit, units []unit, w []int64, parts int) []ownedUnit {
 	if !nf.FractionalBlocking {
-		owners := cutChain(w, parts)
-		out := make([]ownedUnit, len(units))
-		for i, u := range units {
-			out[i] = ownedUnit{box: u.box(), owner: owners[i], src: i}
+		out = slices.Grow(out, len(units))
+		for i, owner := range cutChain(w, parts) {
+			out = append(out, ownedUnit{box: units[i].box(), owner: owner, src: i})
 		}
 		return out
 	}
@@ -308,7 +344,7 @@ func (nf *NatureFable) cutUnits(units []unit, w []int64, parts int) []ownedUnit 
 	for _, wi := range w {
 		total += wi
 	}
-	out := make([]ownedUnit, 0, len(units)+parts)
+	out = slices.Grow(out, len(units)+parts)
 	var acc int64
 	p := 0
 	for i, u := range units {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"samr/internal/geom"
+	"samr/internal/grid"
 )
 
 // packedFrag is a Fragment in 24 bytes against its 72: the corners and
@@ -15,8 +16,9 @@ import (
 // so a packed fragment always unpacks to the one it was packed from.
 //
 // It is the repository's one compact fragment: Packed holds whole
-// assignments in it for the simulator's step cache, and a Nature+Fable
-// core band holds its owner-free fragments in it with owner 0.
+// assignments in it for the simulator's step cache and the daemon's
+// result cache, and a Nature+Fable core band holds its owner-free
+// fragments in it with owner 0.
 type packedFrag struct {
 	x0, y0, x1, y1 int32
 	owner          int32
@@ -44,10 +46,33 @@ func packFrag(f Fragment) (packedFrag, error) {
 }
 
 // Packed is an Assignment held in packed fragments, a third of its
-// size: the form in which the simulator caches assignments.
+// size: the form in which the simulator and the daemon cache
+// assignments. Its fragments are shared by every copy of it, which
+// treats them as immutable.
 type Packed struct {
 	numProcs int
 	frags    []packedFrag
+}
+
+// MakePacked returns an assignment of nprocs processors and no
+// fragments, with room for n that Append fills without growing.
+func MakePacked(nprocs, n int) Packed {
+	p := Packed{numProcs: nprocs}
+	if n > 0 {
+		p.frags = make([]packedFrag, 0, n)
+	}
+	return p
+}
+
+// Append packs f after p's fragments, or refuses it as Pack does and
+// leaves p as it was.
+func (p *Packed) Append(f Fragment) error {
+	pf, err := packFrag(f)
+	if err != nil {
+		return err
+	}
+	p.frags = append(p.frags, pf)
+	return nil
 }
 
 // Pack packs a, fragment for fragment in order. A fragment the packed
@@ -56,16 +81,36 @@ type Packed struct {
 func Pack(a *Assignment) (Packed, error) {
 	p := Packed{numProcs: a.NumProcs}
 	if a.Fragments != nil {
-		p.frags = make([]packedFrag, len(a.Fragments))
+		p.frags = make([]packedFrag, 0, len(a.Fragments))
 	}
-	for i, f := range a.Fragments {
-		pf, err := packFrag(f)
-		if err != nil {
+	for _, f := range a.Fragments {
+		if err := p.Append(f); err != nil {
 			return Packed{}, err
 		}
-		p.frags[i] = pf
 	}
 	return p, nil
+}
+
+// NumProcs is the processor count of the assignment.
+func (p Packed) NumProcs() int { return p.numProcs }
+
+// Len is the number of fragments.
+func (p Packed) Len() int { return len(p.frags) }
+
+// Fragment returns fragment i as it was packed.
+func (p Packed) Fragment(i int) Fragment {
+	f := p.frags[i]
+	return Fragment{Level: int(f.level), Box: f.box(), Owner: int(f.owner)}
+}
+
+// Loads is Assignment.Loads over the packed fragments: the same sums in
+// the same order, so the same vector.
+func (p Packed) Loads(h *grid.Hierarchy) []int64 {
+	loads := make([]int64, p.numProcs)
+	for _, f := range p.frags {
+		loads[f.owner] += f.box().Volume() * h.StepFactor(int(f.level))
+	}
+	return loads
 }
 
 // Unpack returns a new Assignment equal to the one p was packed from.
@@ -75,8 +120,8 @@ func (p Packed) Unpack() *Assignment {
 	if p.frags != nil {
 		a.Fragments = make([]Fragment, len(p.frags))
 	}
-	for i, f := range p.frags {
-		a.Fragments[i] = Fragment{Level: int(f.level), Box: f.box(), Owner: int(f.owner)}
+	for i := range p.frags {
+		a.Fragments[i] = p.Fragment(i)
 	}
 	return a
 }

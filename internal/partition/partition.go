@@ -205,6 +205,7 @@ type hierIndex struct {
 	h      *grid.Hierarchy
 	levels []*geom.BoxIndex
 	buf    []int
+	cut    []ownedUnit // NatureFable's cuts, one at a time
 }
 
 func newHierIndex(ctx context.Context, h *grid.Hierarchy) *hierIndex {
@@ -343,19 +344,27 @@ func merged(a *Assignment, err error) (*Assignment, error) {
 // reduce fragment-count pressure on the simulator. Coverage is
 // unchanged. Levels and owners are small non-negative integers (the
 // level count and NumProcs bound them), so the (level, owner) grouping
-// is two counting passes, least significant key first; a pass keeps
-// equal keys in the order they arrived, which Simplify's result
-// depends on. A group sweep then writes back into the caller's slice —
-// each group's boxes are staged in a scratch list before its (never
-// longer) merged form overwrites consumed positions.
+// is two counting passes over fragment indices, least significant key
+// first, and one in-place permutation of the fragments; a pass keeps
+// equal keys in the order they arrived, which Simplify's result depends
+// on. The indices take 8 bytes a fragment, where a by-owner copy of the
+// list took 72. A group sweep then writes back into the caller's slice
+// — each group's boxes are staged in a scratch list before its (never
+// longer) merged form overwrites consumed positions. A group of one box
+// is its own merged form and skips Simplify.
 func mergeFragments(frags []Fragment) []Fragment {
 	levels, owners := 0, 0
 	for i := range frags {
 		levels, owners = max(levels, frags[i].Level+1), max(owners, frags[i].Owner+1)
 	}
-	byOwner := make([]Fragment, len(frags))
-	countingPass(byOwner, frags, owners, func(f *Fragment) int { return f.Owner })
-	countingPass(frags, byOwner, levels, func(f *Fragment) int { return f.Level })
+	order := make([]int32, 2*len(frags))
+	arrived, byOwner := order[:len(frags)], order[len(frags):]
+	for i := range arrived {
+		arrived[i] = int32(i)
+	}
+	countingPass(byOwner, arrived, frags, owners, func(f *Fragment) int { return f.Owner })
+	countingPass(arrived, byOwner, frags, levels, func(f *Fragment) int { return f.Level })
+	permute(frags, arrived)
 
 	out := frags[:0]
 	var scratch geom.BoxList
@@ -364,6 +373,11 @@ func mergeFragments(frags []Fragment) []Fragment {
 		end := start + 1
 		for end < len(frags) && frags[end].Level == level && frags[end].Owner == owner {
 			end++
+		}
+		if end == start+1 {
+			out = append(out, frags[start])
+			start = end
+			continue
 		}
 		scratch = scratch[:0]
 		for _, f := range frags[start:end] {
@@ -379,19 +393,42 @@ func mergeFragments(frags []Fragment) []Fragment {
 	return out
 }
 
-// countingPass copies src into dst in ascending key order, fragments of
-// equal key in the order src has them. Keys lie in [0, keys).
-func countingPass(dst, src []Fragment, keys int, key func(*Fragment) int) {
-	next := make([]int32, keys+1) // next[k]: where the next fragment of key k goes
-	for i := range src {
-		next[key(&src[i])+1]++
+// countingPass writes the fragment indices src lists into dst in
+// ascending key order, indices of equal key in the order src has them.
+// Keys lie in [0, keys).
+func countingPass(dst, src []int32, frags []Fragment, keys int, key func(*Fragment) int) {
+	next := make([]int32, keys+1) // next[k]: where the next index of key k goes
+	for _, i := range src {
+		next[key(&frags[i])+1]++
 	}
 	for k := 1; k < keys; k++ {
 		next[k] += next[k-1]
 	}
-	for i := range src {
-		k := key(&src[i])
-		dst[next[k]] = src[i]
+	for _, i := range src {
+		k := key(&frags[i])
+		dst[next[k]] = i
 		next[k]++
+	}
+}
+
+// permute moves, in place, the fragment at index order[j] to position
+// j, for every j. order must be a permutation; it is consumed, each
+// entry set to -1 once its cycle is followed.
+func permute(frags []Fragment, order []int32) {
+	for i := range order {
+		if order[i] < 0 {
+			continue
+		}
+		f := frags[i]
+		for j := i; ; {
+			k := int(order[j])
+			order[j] = -1
+			if k == i {
+				frags[j] = f
+				break
+			}
+			frags[j] = frags[k]
+			j = k
+		}
 	}
 }

@@ -34,16 +34,25 @@ const (
 	CacheTier = memo.TierHit
 )
 
-// PartitionCache is the bounded LRU of partitioning results shared by
+// answerCache is the bounded LRU of partitioning results shared by
 // every request the server handles, with singleflight coalescing of
 // concurrent identical misses: the process-shared memoization
-// substrate (internal/memo) instantiated at the server's key and value.
-// Stored assignments are treated as immutable by all readers, and
-// misses count actual partitioner executions through GetOrCompute.
+// substrate (internal/memo) instantiated at the server's key and at
+// partition.Packed, 24 bytes a fragment against an Assignment's 72. A
+// miss packs its answer once; a hit renders the wire body straight
+// from the packed fragments. Stored values are treated as immutable by
+// all readers, and misses count actual partitioner executions through
+// GetOrCompute.
+type answerCache = memo.Cache[CacheKey, partition.Packed]
+
+// PartitionCache is the same LRU over unpacked assignments. The server
+// does not use it: it stays only because bench/'s replay builds its memo
+// stage from it and NewPartitionCache (ROADMAP 1(b) drops that use, and
+// then both go).
 type PartitionCache = memo.Cache[CacheKey, *partition.Assignment]
 
-// NewPartitionCache returns a cache holding at most capacity results
-// (minimum 1).
+// NewPartitionCache returns a PartitionCache holding at most capacity
+// results (minimum 1).
 func NewPartitionCache(capacity int) *PartitionCache {
 	return memo.New[CacheKey, *partition.Assignment](capacity)
 }

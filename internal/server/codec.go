@@ -377,7 +377,8 @@ func appendPartitionResponse(b []byte, name string, nprocs int, outs []partition
 		b = append(b, `","nprocs":`...)
 		b = strconv.AppendInt(b, int64(nprocs), 10)
 		b = append(b, `,"fragments":[`...)
-		for j, f := range o.a.Fragments {
+		for j := range o.a.Len() {
+			f := o.a.Fragment(j)
 			if j > 0 {
 				b = append(b, ',')
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"samr/internal/apps"
@@ -43,7 +45,7 @@ func buildPartitionResult(h *grid.Hierarchy, sig geom.Signature, name string, np
 func oracleResponse(tb testing.TB, name string, nprocs int, outs []partitionOut) []byte {
 	resp := PartitionResponse{Results: make([]PartitionResult, len(outs))}
 	for i, o := range outs {
-		resp.Results[i] = buildPartitionResult(o.h, o.sig, name, nprocs, o.a, o.disp)
+		resp.Results[i] = buildPartitionResult(o.h, o.sig, name, nprocs, o.a.Unpack(), o.disp)
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
@@ -79,7 +81,7 @@ func TestEncoderMatchesJSON(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					a, err := p.Partition(ctx, h, np)
+					a, err := packed(p.Partition(ctx, h, np))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -98,6 +100,152 @@ func TestEncoderMatchesJSON(t *testing.T) {
 	}
 	if answers < 100 {
 		t.Fatalf("only %d answers compared", answers)
+	}
+}
+
+// TestServedAnswersMatchOracle: every way a partition answer is served
+// — a miss, a hit, a shared flight, a tier hit, a mixed batch, a
+// session step and a postmap session step — answers encoding/json's
+// bytes for a fresh partitioner run's unpacked assignment (the form the
+// result cache no longer holds), with the disposition, signature and
+// content-type headers that answer makes.
+func TestServedAnswersMatchOracle(t *testing.T) {
+	ctx := context.Background()
+	tr, err := apps.QuickTrace(ctx, "RM2D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs []*grid.Hierarchy
+	seen := map[geom.Signature]bool{}
+	for _, snap := range tr.Snapshots {
+		if sig := snap.H.Signature(); !seen[sig] && len(hs) < 4 {
+			seen[sig] = true
+			hs = append(hs, snap.H)
+		}
+	}
+	type answer struct {
+		h    *grid.Hierarchy
+		a    *partition.Assignment
+		disp string
+	}
+	check := func(what string, rec *httptest.ResponseRecorder, name string, nprocs int, want ...answer) {
+		t.Helper()
+		resp := PartitionResponse{Results: make([]PartitionResult, len(want))}
+		disp := want[0].disp
+		for i, w := range want {
+			resp.Results[i] = buildPartitionResult(w.h, w.h.Signature(), name, nprocs, w.a, w.disp)
+			if w.disp != disp {
+				disp = "mixed"
+			}
+		}
+		var body bytes.Buffer
+		if err := json.NewEncoder(&body).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), body.Bytes()) {
+			t.Fatalf("%s: status %d, body\n%s\nwant\n%s", what, rec.Code, rec.Body, body.Bytes())
+		}
+		sig := ""
+		if len(want) == 1 {
+			sig = want[0].h.Signature().String()
+		}
+		hdr := rec.Header()
+		if hdr.Get("Content-Type") != "application/json" || hdr.Get("X-Samr-Cache") != disp || hdr.Get("X-Samr-Signature") != sig {
+			t.Errorf("%s: headers %v, want cache %q and signature %q", what, hdr, disp, sig)
+		}
+	}
+	fresh := func(spec string, h *grid.Hierarchy, nprocs int) *partition.Assignment {
+		t.Helper()
+		p, err := ParsePartitioner(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := p.Partition(ctx, h, nprocs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	partitionBody := func(nprocs int, hs ...*grid.Hierarchy) string {
+		req := PartitionRequest{Partitioner: "nature+fable", NProcs: nprocs}
+		for _, h := range hs {
+			req.Hierarchies = append(req.Hierarchies, FromHierarchy(h))
+		}
+		return mustMarshal(t, req)
+	}
+	nf, err := ParsePartitioner("nature+fable")
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := nf.Name()
+
+	dir := t.TempDir()
+	srv, err := New(Config{TierDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(Config{TierDir: dir}) // an empty result cache over srv's disk tier
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0 := fresh("nature+fable", hs[0], 16)
+	check("miss", wireAnswer(srv, "/v1/partition", partitionBody(16, hs[0])), name, 16, answer{hs[0], a0, CacheMiss})
+	check("hit", wireAnswer(srv, "/v1/partition", partitionBody(16, hs[0])), name, 16, answer{hs[0], a0, CacheHit})
+	check("tier", wireAnswer(twin, "/v1/partition", partitionBody(16, hs[0])), name, 16, answer{hs[0], a0, CacheTier})
+	check("batch", wireAnswer(srv, "/v1/partition", partitionBody(16, hs[0], hs[1])), name, 16,
+		answer{hs[0], a0, CacheHit}, answer{hs[1], fresh("nature+fable", hs[1], 16), CacheMiss})
+
+	// Two concurrent posts of one key: the leader waits for the follower
+	// to join its flight.
+	joined := make(chan struct{})
+	srv.Cache().SetOnFlight(func(_ CacheKey, leader bool) {
+		if leader {
+			<-joined
+		} else {
+			close(joined)
+		}
+	})
+	recs := make([]*httptest.ResponseRecorder, 2)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = wireAnswer(srv, "/v1/partition", partitionBody(16, hs[2]))
+		}()
+	}
+	wg.Wait()
+	srv.Cache().SetOnFlight(nil)
+	if recs[0].Header().Get("X-Samr-Cache") == CacheShared {
+		recs[0], recs[1] = recs[1], recs[0]
+	}
+	a2 := fresh("nature+fable", hs[2], 16)
+	check("shared flight's leader", recs[0], name, 16, answer{hs[2], a2, CacheMiss})
+	check("shared flight's follower", recs[1], name, 16, answer{hs[2], a2, CacheShared})
+
+	// Sessions step through every hierarchy, each level replaced.
+	for _, spec := range []string{"nature+fable", "postmap(domain-morton-u4)"} {
+		p, err := ParsePartitioner(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := FromHierarchy(hs[0])
+		create := wireAnswer(srv, "/v1/session", mustMarshal(t, SessionCreateRequest{Hierarchy: &wire, Partitioner: spec, NProcs: 24}))
+		if create.Code != http.StatusOK {
+			t.Fatalf("%s: create status %d", spec, create.Code)
+		}
+		stepPath := "/v1/session/" + create.Header().Get(SessionHeader) + "/step"
+		for i, h := range hs[1:] {
+			step := SessionStepRequest{Levels: make([]LevelOp, len(h.Levels))}
+			for l, boxes := range FromHierarchy(h).Levels {
+				step.Levels[l] = LevelOp{Op: LevelReplace, Boxes: boxes}
+			}
+			a, err := p.Partition(ctx, h, 24) // one instance: a postmap carries its history
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s step %d", spec, i+1), wireAnswer(srv, stepPath, mustMarshal(t, step)), p.Name(), 24, answer{h, a, CacheMiss})
+		}
 	}
 }
 
@@ -547,7 +695,7 @@ func BenchmarkPartitionWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := p.Partition(ctx, h, 16)
+	a, err := packed(p.Partition(ctx, h, 16))
 	if err != nil {
 		b.Fatal(err)
 	}

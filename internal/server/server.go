@@ -110,6 +110,7 @@ import (
 	"samr/internal/core"
 	"samr/internal/geom"
 	"samr/internal/grid"
+	"samr/internal/memo"
 	"samr/internal/partition"
 	"samr/internal/pool"
 	"samr/internal/sim"
@@ -230,7 +231,7 @@ type endpointStats struct {
 // Server is the samrd HTTP service.
 type Server struct {
 	cfg      Config
-	cache    *PartitionCache
+	cache    *answerCache
 	registry *TraceRegistry
 	mux      *http.ServeMux
 	admit    *admit.Controller // nil = admission disabled
@@ -263,7 +264,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		cache:     NewPartitionCache(cfg.CacheSize),
+		cache:     memo.New[CacheKey, partition.Packed](cfg.CacheSize),
 		registry:  NewTraceRegistry(cfg.TraceDir),
 		sessions:  newSessionTable(maxSessions, cfg.SessionTTL),
 		endpoints: make(map[string]*endpointStats),
@@ -309,7 +310,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Registry() *TraceRegistry { return s.registry }
 
 // Cache exposes the partition cache for stats reporting.
-func (s *Server) Cache() *PartitionCache { return s.cache }
+func (s *Server) Cache() *memo.Cache[CacheKey, partition.Packed] { return s.cache }
 
 // Admission exposes the admission controller (nil when disabled) for
 // stats reporting and operational tooling.
@@ -659,15 +660,24 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // instance (canonical names round-trip through the parser), which
 // keeps stateful wrappers (postmap) from sharing state across
 // goroutines and every cached result a pure function of its key.
-func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, name string, nprocs int) (*partition.Assignment, string, error) {
+func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, name string, nprocs int) (partition.Packed, string, error) {
 	key := CacheKey{Sig: sig, Partitioner: name, NProcs: nprocs}
-	return s.cache.GetOrCompute(ctx, key, func() (*partition.Assignment, error) {
+	return s.cache.GetOrCompute(ctx, key, func() (partition.Packed, error) {
 		p, err := ParsePartitioner(name)
 		if err != nil {
-			return nil, err
+			return partition.Packed{}, err
 		}
-		return p.Partition(ctx, h, nprocs)
+		return packed(p.Partition(ctx, h, nprocs))
 	})
+}
+
+// packed packs a partitioner's answer. Every answer of a hierarchy
+// Validate accepts packs, so the error is the partitioner's own.
+func packed(a *partition.Assignment, err error) (partition.Packed, error) {
+	if err != nil {
+		return partition.Packed{}, err
+	}
+	return partition.Pack(a)
 }
 
 // sigScratch recycles the encoding buffers behind hierarchySignature:
@@ -693,7 +703,7 @@ func hierarchySignature(h *grid.Hierarchy) geom.Signature {
 type partitionOut struct {
 	h    *grid.Hierarchy
 	sig  geom.Signature
-	a    *partition.Assignment
+	a    partition.Packed
 	disp string // CacheHit, CacheMiss, CacheShared or CacheTier
 }
 

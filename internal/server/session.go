@@ -369,13 +369,14 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sig := next.Signature()
-	var a *partition.Assignment
+	var a partition.Packed
 	disp := CacheMiss
 	if sess.stateful {
 		// The session's own instance carries the previous-assignment
 		// state; results depend on it, so the cache and tier stay out
-		// of the way. A cancelled call leaves that state untouched.
-		a, err = sess.part.Partition(ctx, next, sess.nprocs)
+		// of the way. A cancelled call leaves that state untouched. The
+		// answer is packed to go through the one response writer.
+		a, err = packed(sess.part.Partition(ctx, next, sess.nprocs))
 	} else {
 		a, disp, err = s.partitionCached(ctx, next, sig, sess.name, sess.nprocs)
 	}

@@ -29,39 +29,40 @@ func tierKeyOf(k CacheKey) string {
 }
 
 // assignmentTier adapts a *tier.Tier (blobs) to the partition cache's
-// memo.Tier (assignments) — the one memo↔tier binding: it owns the key
-// derivation, the codec, the stateful-spec exclusion, and the
-// corrupt-entry quarantine.
+// memo.Tier (packed assignments) — the one memo↔tier binding: it owns
+// the key derivation, the codec, the stateful-spec exclusion, and the
+// corrupt-entry quarantine. Blobs are read into and written from the
+// packed form directly.
 type assignmentTier struct {
 	t *tier.Tier
 }
 
-func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (*partition.Assignment, bool) {
+func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (partition.Packed, bool) {
 	if statefulSpec(k.Partitioner) {
-		return nil, false
+		return partition.Packed{}, false
 	}
 	key := tierKeyOf(k)
 	blob, ok := at.t.Lookup(ctx, key)
 	if !ok {
-		return nil, false
+		return partition.Packed{}, false
 	}
-	a, err := tier.DecodeAssignment(blob)
-	if err != nil || a.NumProcs != k.NProcs {
-		// A damaged blob — or a sealed one for another processor count,
-		// which the result builder would size its load vector by — is a
-		// miss, never a wrong answer; drop the local copy so it is not
-		// served again.
+	p, err := tier.DecodePacked(blob)
+	if err != nil || p.NumProcs() != k.NProcs {
+		// A damaged blob, one the packed form cannot hold, or a sealed
+		// one for another processor count, which the result writer would
+		// size its load vector by, is a miss, never a wrong answer; drop
+		// the local copy so it is not served again.
 		at.t.ReportCorrupt(key)
-		return nil, false
+		return partition.Packed{}, false
 	}
-	return a, true
+	return p, true
 }
 
-func (at assignmentTier) Store(k CacheKey, a *partition.Assignment) {
+func (at assignmentTier) Store(k CacheKey, p partition.Packed) {
 	if statefulSpec(k.Partitioner) {
 		return
 	}
-	at.t.Store(tierKeyOf(k), tier.EncodeAssignment(a))
+	at.t.Store(tierKeyOf(k), tier.EncodePacked(p))
 }
 
 // tierEnabled reports whether the config asks for a tier at all.

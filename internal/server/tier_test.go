@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -414,7 +415,9 @@ func diskHas(srv *Server, key string) bool {
 // and must then cost a recompute (or, as a snapshot's mapping history, a
 // plain 410), a quarantine and a corrupt count, never the daemon:
 // served as decoded, the first allocates NumProcs words, the rest index
-// past a load vector or a box, or loop 2^62 times. The "well-formed" row
+// past a load vector or a box, loop 2^62 times, or do not fit the
+// packed form the result cache holds (a level past a byte, a corner
+// outside int32), which is never truncated. The "well-formed" row
 // is the control: the same two doors serve an honest blob, so the
 // others are refused for what they carry.
 func TestHostileBlobDegradesToCompute(t *testing.T) {
@@ -450,6 +453,9 @@ func TestHostileBlobDegradesToCompute(t *testing.T) {
 		{"owner 9 of 4", mutate(func(a *partition.Assignment) { a.Fragments[0].Owner = 9 }), false},
 		{"dim 5", mutate(func(a *partition.Assignment) { a.Fragments[0].Box.Dim = 5 }), false},
 		{"level 2^62", mutate(func(a *partition.Assignment) { a.Fragments[0].Level = 1 << 62 }), false},
+		{"level 256", mutate(func(a *partition.Assignment) { a.Fragments[0].Level = 256 }), false},
+		{"corner past int32", mutate(func(a *partition.Assignment) { a.Fragments[0].Box.Hi[0] = 1 << 33 }), false},
+		{"corner below int32", mutate(func(a *partition.Assignment) { a.Fragments[0].Box.Lo[1] = math.MinInt32 - 1 }), false},
 		{"nprocs 8 under an nprocs 4 key", at(8), false},
 	}
 

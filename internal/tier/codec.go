@@ -28,7 +28,9 @@
 // refuses a box that is not planar. The checksum is an envelope, not a
 // signature: anyone who can reach the peer protocol can seal a blob, so
 // the typed decoders also refuse what no caller could survive (that
-// box, an owner past the processor count, a level past maxLevel). A
+// box, an owner past the processor count, a level past maxLevel) and
+// what the packed form a decoded assignment is read into cannot hold
+// (a corner or an owner outside int32). A
 // peer that lies with a well-formed value is a matter for
 // authentication, which the tier does not have.
 //
@@ -139,12 +141,14 @@ func done(r *grid.Reader) error {
 	return nil
 }
 
-// appendAssignment appends the canonical payload encoding of a:
+// appendFragments appends the canonical payload encoding of an
+// assignment of nprocs processors whose n fragments frag gives:
 // NumProcs, fragment count, then each fragment's level, owner, and box.
-func appendAssignment(buf []byte, a *partition.Assignment) []byte {
-	buf = binary.AppendUvarint(buf, uint64(a.NumProcs))
-	buf = binary.AppendUvarint(buf, uint64(len(a.Fragments)))
-	for _, f := range a.Fragments {
+func appendFragments(buf []byte, nprocs, n int, frag func(int) partition.Fragment) []byte {
+	buf = binary.AppendUvarint(buf, uint64(nprocs))
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i := range n {
+		f := frag(i)
 		buf = binary.AppendUvarint(buf, uint64(f.Level))
 		buf = binary.AppendUvarint(buf, uint64(f.Owner))
 		buf = grid.AppendBox(buf, f.Box)
@@ -152,11 +156,20 @@ func appendAssignment(buf []byte, a *partition.Assignment) []byte {
 	return buf
 }
 
+// appendAssignment appends a's payload encoding.
+func appendAssignment(buf []byte, a *partition.Assignment) []byte {
+	return appendFragments(buf, a.NumProcs, len(a.Fragments), func(i int) partition.Fragment { return a.Fragments[i] })
+}
+
 // maxLevel bounds a decoded fragment's level: grid.Hierarchy.StepFactor
 // loops that many times.
 const maxLevel = 64
 
-func readAssignment(r *grid.Reader) *partition.Assignment {
+// readPacked reads an assignment's payload straight into its packed
+// form. A fragment the packed form cannot hold — a corner outside
+// int32, an owner past int32 — fails the reader like any other value
+// out of bounds, so it is never truncated.
+func readPacked(r *grid.Reader) partition.Packed {
 	nprocs := r.Uvarint()
 	// A fragment is level, owner, and a box: >= 2 + grid.BoxMinBytes.
 	n := r.Count(r.Uvarint(), 2+grid.BoxMinBytes)
@@ -164,23 +177,47 @@ func readAssignment(r *grid.Reader) *partition.Assignment {
 		r.Fail(fmt.Errorf("nprocs %d", nprocs))
 	}
 	if r.Err() != nil {
-		return nil
+		return partition.Packed{}
 	}
-	a := &partition.Assignment{NumProcs: int(nprocs)}
-	if n > 0 {
-		a.Fragments = make([]partition.Fragment, n)
-	}
-	for i := range a.Fragments {
+	p := partition.MakePacked(int(nprocs), n)
+	for i := 0; i < n && r.Err() == nil; i++ {
 		level, owner := r.Uvarint(), r.Uvarint()
 		if r.Err() == nil && (level > maxLevel || owner >= nprocs) {
 			r.Fail(fmt.Errorf("fragment %d: level %d, owner %d of %d", i, level, owner, nprocs))
 		}
-		a.Fragments[i] = partition.Fragment{Level: int(level), Owner: int(owner), Box: r.Box()}
+		box := r.Box()
+		if r.Err() == nil {
+			if err := p.Append(partition.Fragment{Level: int(level), Owner: int(owner), Box: box}); err != nil {
+				r.Fail(fmt.Errorf("fragment %d: %v", i, err))
+			}
+		}
 	}
 	if r.Err() != nil {
-		return nil
+		return partition.Packed{}
 	}
-	return a
+	return p
+}
+
+// EncodePacked seals p into a versioned, checksummed blob: the bytes
+// EncodeAssignment seals for the assignment p was packed from.
+func EncodePacked(p partition.Packed) []byte {
+	return seal(KindAssignment, appendFragments(nil, p.NumProcs(), p.Len(), p.Fragment))
+}
+
+// DecodePacked reverses EncodePacked and EncodeAssignment. Any altered,
+// truncated, or mis-kinded blob, and any whose fragments the packed
+// form cannot hold, returns an error wrapping ErrCorrupt.
+func DecodePacked(blob []byte) (partition.Packed, error) {
+	payload, err := open(KindAssignment, blob)
+	if err != nil {
+		return partition.Packed{}, err
+	}
+	r := grid.NewReader(payload)
+	p := readPacked(r)
+	if err := done(r); err != nil {
+		return partition.Packed{}, err
+	}
+	return p, nil
 }
 
 // EncodeAssignment seals a into a versioned, checksummed blob.
@@ -188,19 +225,13 @@ func EncodeAssignment(a *partition.Assignment) []byte {
 	return seal(KindAssignment, appendAssignment(nil, a))
 }
 
-// DecodeAssignment reverses EncodeAssignment. Any altered, truncated,
-// or mis-kinded blob returns an error wrapping ErrCorrupt.
+// DecodeAssignment is DecodePacked, unpacked.
 func DecodeAssignment(blob []byte) (*partition.Assignment, error) {
-	payload, err := open(KindAssignment, blob)
+	p, err := DecodePacked(blob)
 	if err != nil {
 		return nil, err
 	}
-	r := grid.NewReader(payload)
-	a := readAssignment(r)
-	if err := done(r); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return p.Unpack(), nil
 }
 
 // SessionSnapshot is the durable form of one streaming session — the
@@ -286,7 +317,7 @@ func DecodeSessionSnapshot(blob []byte) (*SessionSnapshot, error) {
 	ss.Stateful = readBool(r)
 	if ss.Stateful && readBool(r) {
 		ss.PrevHierarchy = r.Hierarchy()
-		ss.PrevAssignment = readAssignment(r)
+		ss.PrevAssignment = readPacked(r).Unpack()
 	}
 	if err := done(r); err != nil {
 		return nil, err

@@ -1,11 +1,14 @@
 package tier
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"samr/internal/geom"
@@ -33,7 +36,9 @@ func randAssignment(rng *rand.Rand) *partition.Assignment {
 // hostileAssignments are sealed blobs no caller could survive: each
 // passes the envelope check (anyone can seal) and would, served as a
 // tier hit, allocate NumProcs words, index past the load vector, index
-// past a box's three components, or loop 2^62 times in StepFactor.
+// past a box's three components, loop 2^62 times in StepFactor, or not
+// fit the packed form the daemon caches (a corner outside int32, a
+// level past a byte).
 func hostileAssignments() map[string]*partition.Assignment {
 	frag := func(level, owner int, b geom.Box) []partition.Fragment {
 		return []partition.Fragment{{Level: level, Owner: owner, Box: b}}
@@ -42,13 +47,16 @@ func hostileAssignments() map[string]*partition.Assignment {
 	unpinned := unit
 	unpinned.Hi[2] = 7
 	return map[string]*partition.Assignment{
-		"nprocs 2^40":      {NumProcs: 1 << 40, Fragments: frag(0, 1<<39, unit)},
+		"nprocs 2^40":      {NumProcs: 1 << 40, Fragments: frag(0, 1<<30, unit)},
 		"nprocs 0":         {NumProcs: 0},
 		"owner 9 of 4":     {NumProcs: 4, Fragments: frag(0, 9, unit)},
 		"dim 5":            {NumProcs: 4, Fragments: frag(0, 1, geom.Box{Lo: unit.Lo, Hi: unit.Hi, Dim: 5})},
 		"unpinned z":       {NumProcs: 4, Fragments: frag(0, 1, unpinned)},
 		"level 2^62":       {NumProcs: 4, Fragments: frag(1<<62, 1, unit)},
 		"level maxLevel+1": {NumProcs: 4, Fragments: frag(maxLevel+1, 1, unit)},
+		"level 256":        {NumProcs: 4, Fragments: frag(256, 1, unit)},
+		"corner 2^33":      {NumProcs: 4, Fragments: frag(0, 1, geom.NewBox2(0, 0, 1<<33, 4))},
+		"corner -2^31-1":   {NumProcs: 4, Fragments: frag(0, 1, geom.NewBox2(math.MinInt32-1, 0, 4, 4))},
 	}
 }
 
@@ -101,7 +109,8 @@ func checkDecodedAssignment(t *testing.T, a *partition.Assignment) {
 		t.Fatalf("decoded NumProcs %d", a.NumProcs)
 	}
 	for _, f := range a.Fragments {
-		if f.Owner < 0 || f.Owner >= a.NumProcs || f.Level < 0 || f.Level > maxLevel || !pinned(f.Box) {
+		if f.Owner < 0 || f.Owner >= a.NumProcs || f.Level < 0 || f.Level > maxLevel || !pinned(f.Box) ||
+			slices.ContainsFunc(append(f.Box.Lo[:2:2], f.Box.Hi[:2]...), func(c int) bool { return c != int(int32(c)) }) {
 			t.Fatalf("decoded fragment out of bounds: %+v of %d procs", f, a.NumProcs)
 		}
 	}
@@ -118,6 +127,13 @@ func TestAssignmentRoundTripProperty(t *testing.T) {
 		got, err := DecodeAssignment(blob)
 		if err != nil {
 			t.Fatalf("iteration %d: decode: %v", i, err)
+		}
+		p, err := partition.Pack(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodePacked(p), blob) {
+			t.Fatalf("iteration %d: the packed form seals other bytes", i)
 		}
 		if !reflect.DeepEqual(a, got) {
 			t.Fatalf("iteration %d: round trip mismatch:\n in: %+v\nout: %+v", i, a, got)
