@@ -90,8 +90,8 @@ func main() {
 
 // printCacheStats reports the memoization counters of the run to
 // stderr (stderr so table/CSV output stays pipeline-clean): the
-// partition-layer content-addressed caches (unit chains, hybrid preps,
-// level indexes) and the simulator's in-run dedup savings.
+// partition-layer content-addressed caches (unit chains, hybrid prep
+// bases and bands) and the simulator's in-run dedup savings.
 func printCacheStats() {
 	hits, misses, shared, entries, capacity := partition.CacheStats()
 	parts, evals, migs := sim.MemoStats()

@@ -1,6 +1,6 @@
 // Package memo provides the bounded, concurrency-safe memoization
 // substrate the content-addressed layers of the repository share: the
-// in-process unit-chain and level-index caches under the partitioners,
+// in-process unit-chain, prep-base and band caches under the partitioners,
 // and the HTTP partition cache of internal/server.
 //
 // A Cache is an LRU keyed by a comparable (typically content-hash)

@@ -10,32 +10,35 @@
 // those artifacts by content and share them across DomainSFC, the
 // hybrid family, and every nprocs sweep.
 //
-// What each partitioner still does per call differs. DomainSFC cuts its
-// cached chain and queries the level indexes for every unit's column
-// fragments. NatureFable's prep holds everything nprocs-independent it
-// uses: the hue and core chains, the hue's merged level-0 cover, and,
-// per bi-level, every core unit's band weight and packed, owner-free
-// band fragments. A warm NatureFable call splits the processors, cuts
-// chains, labels whole units' stored fragments, and clips the stored
-// fragments of the few units a fractional cut splits; it makes no index
-// query.
+// Indexes are not cached: a call builds its own hierIndex, whose level
+// BoxIndexes are made over the hierarchy's own boxes the first time a
+// level is queried. DomainSFC serves its unit chain from domainChains,
+// keyed by the hierarchy signature, and queries the call's indexes for
+// every unit's column fragments. NatureFable keeps no cache keyed by
+// the whole hierarchy: each call assembles its prep from a base keyed
+// by the domain, the ratio and levels 0 and 1, and one band per further
+// bi-level keyed by the base and that bi-level's levels. The base holds
+// the hue and core chains, the hue's level-0 band and merged cover, and
+// the core chain's bi-level 0-1; each band holds, per core unit, its
+// weight and packed, owner-free fragments. A warm NatureFable call
+// hashes the levels, sums the band weights, splits the processors, cuts
+// the chains, labels whole units' stored fragments, and clips the
+// stored fragments of the few units a fractional cut splits; it builds
+// no index and makes no index query.
 //
-// The prep is keyed by the whole hierarchy, but it is assembled from
-// pieces keyed by exactly the levels they read. The base (hue, hue
-// chain and cover, core chain, bi-level 0-1) reads the domain, the
-// ratio and levels 0 and 1; each further bi-level reads the base's core
-// chain and its own levels. A regrid usually replaces only the finest
-// levels, so consecutive snapshots of a trace or session share the
-// base, and snapshots whose replaced levels come back share bands too:
-// building a prep pays for the bands that changed, and the preps of a
-// trace hold one copy of each shared piece.
+// A regrid usually replaces only the finest levels, so consecutive
+// snapshots of a trace or session share the base, and snapshots whose
+// replaced levels come back share bands too: a cold call pays for the
+// bands that changed, and the calls along a trace hold one copy of each
+// shared piece.
 //
 // Cached artifacts are immutable: readers cut and scan them but never
 // reorder or reweight in place. SAMR traces are regrid-sparse
 // (consecutive snapshots are usually content-identical), experiments
 // replay the same snapshots under many configurations, and a service
-// asked for one hierarchy at several processor counts hits the prep on
-// every count after the first, which is what makes this layer pay.
+// asked for one hierarchy at several processor counts hits the chain,
+// base and bands on every count after the first, which is what makes
+// this layer pay.
 //
 // Everything here is bit-identical to building without caches: each
 // piece reads only what its key digests, and equal digests imply equal
@@ -49,7 +52,6 @@
 package partition
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"sort"
@@ -61,10 +63,10 @@ import (
 )
 
 // chainKey addresses one cached decomposition artifact: a content hash
-// plus the curve and (clamped) atomic-unit size. For domainChains and
-// nfPreps the hash is the hierarchy signature; for nfBases it is
-// baseDigest's. The band and region of each artifact are implied by
-// the cache it lives in.
+// plus the curve and (clamped) atomic-unit size. For domainChains the
+// hash is the hierarchy signature; for nfBases it is baseDigest's. The
+// band and region of each artifact are implied by the cache it lives
+// in.
 type chainKey struct {
 	sig   geom.Signature
 	curve sfc.Curve
@@ -81,46 +83,35 @@ type bandKey struct {
 	levels geom.Signature
 }
 
-// Cache bounds: on a paper-scale snapshot (32² base, five levels, unit
-// 2) a NatureFable base holds about 7 KB of units and 0.5-7 KB of
-// bi-level 0-1, each further bi-level 1-8.5 KB, a prep of its own under
-// 1 KB of core weights, and a domain chain 6 KB of units. Experiment
-// pipelines revisit a few hundred distinct snapshots, so these bounds
-// keep the whole working set resident without letting a long-running
-// daemon grow unbounded.
-const (
-	chainCacheCap = 512
-	indexCacheCap = 256
-)
+// chainCacheCap bounds each cache: on a paper-scale snapshot (32² base,
+// five levels, unit 2) a NatureFable base holds about 7 KB of units and
+// 0.5-7 KB of bi-level 0-1, each further bi-level 1-8.5 KB, and a domain
+// chain 6 KB of units. Experiment pipelines revisit a few hundred
+// distinct snapshots, so the bound keeps the whole working set resident
+// without letting a long-running daemon grow unbounded.
+const chainCacheCap = 512
 
 var (
 	// domainChains caches the DomainSFC artifact: the base domain
 	// chopped into units, weighted by the full column, SFC-ordered.
 	domainChains = memo.New[chainKey, []unit](chainCacheCap)
-	// nfPreps caches the Nature+Fable pre-partitioning artifact by
-	// hierarchy signature: a base, the further bands, and the core
-	// units' column weights.
-	nfPreps = memo.New[chainKey, *nfPrep](chainCacheCap)
-	// nfBases caches the part of a prep that reads levels 0 and 1 only,
-	// keyed by baseDigest.
+	// nfBases caches the part of a Nature+Fable prep that reads levels
+	// 0 and 1 only, keyed by baseDigest.
 	nfBases = memo.New[chainKey, *nfBase](chainCacheCap)
 	// nfBands caches the core chain's bi-levels from level 2 on.
 	nfBands = memo.New[bandKey, coreBand](chainCacheCap)
-	// levelIndexes caches one BoxIndex per hierarchy level, keyed by
-	// content signature. The indexes capture cloned box lists, so a
-	// cached entry never aliases caller-owned storage.
-	levelIndexes = memo.New[geom.Signature, []*geom.BoxIndex](indexCacheCap)
 )
 
 // CacheStats returns the summed hit/miss/shared counters and occupancy
-// of the partition-layer memo caches (unit chains, hybrid preps, bases
-// and bands, level indexes), for /v1/stats and samrbench -cachestats.
+// of the partition-layer memo caches (DomainSFC's unit chains,
+// NatureFable's bases and bands), for /v1/stats and samrbench
+// -cachestats.
 func CacheStats() (hits, misses, shared uint64, entries, capacity int) {
 	for _, s := range []interface {
 		Stats() (uint64, uint64, uint64)
 		Len() int
 		Capacity() int
-	}{domainChains, nfPreps, nfBases, nfBands, levelIndexes} {
+	}{domainChains, nfBases, nfBands} {
 		h, m, sh := s.Stats()
 		hits += h
 		misses += m
@@ -135,34 +126,8 @@ func CacheStats() (hits, misses, shared uint64, entries, capacity int) {
 // compare memoized results against cold recomputation).
 func flushChainCaches() {
 	domainChains.Flush()
-	nfPreps.Flush()
 	nfBases.Flush()
 	nfBands.Flush()
-	levelIndexes.Flush()
-}
-
-// sharedHierIndex returns the per-level BoxIndexes of h, cached by
-// content signature, wrapped in a per-call hierIndex carrying the
-// call's context and scratch buffer. The indexes are built over cloned
-// box lists and are safe for concurrent queries; the hierIndex wrapper
-// itself must not be shared across goroutines.
-func sharedHierIndex(ctx context.Context, h *grid.Hierarchy, sig geom.Signature) (*hierIndex, error) {
-	levels, _, err := levelIndexes.GetOrCompute(ctx, sig, func() ([]*geom.BoxIndex, error) {
-		ls := make([]*geom.BoxIndex, len(h.Levels))
-		for l, lev := range h.Levels {
-			ls[l] = geom.NewBoxIndex(lev.Boxes.Clone())
-		}
-		return ls, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(levels) != len(h.Levels) {
-		// A content-hash collision would be needed to get here; rebuild
-		// privately rather than serve a wrong shape.
-		return newHierIndex(ctx, h), nil
-	}
-	return &hierIndex{ctx: ctx, h: h, levels: levels}, nil
 }
 
 // domainChain returns the SFC-ordered full-column unit chain of h's
@@ -182,13 +147,15 @@ func domainChain(hi *hierIndex, sig geom.Signature, curve sfc.Curve, unitSize in
 
 // nfPrep is the nprocs-independent part of a Nature+Fable partition:
 // the hue/core natural-region separation, the two unit chains (hue
-// band, coarse core column), the hue's merged cover, and each core
-// unit's weight and fragments per bi-level. What stays per call is what
-// depends on nprocs: the processor split, the chain cuts, the owner
-// labels, and clipping the units a fractional cut splits.
+// band, coarse core column), the hue's level-0 band and merged cover,
+// and each core unit's weight and fragments per bi-level. What stays
+// per call is what depends on nprocs: the processor split, the chain
+// cuts, the owner labels, and clipping the units a fractional cut
+// splits.
 //
-// A prep shares its base and bands with every other prep built from the
-// same levels; of its own it holds only the core units' column weights.
+// A call assembles its prep from the cached base and bands, which every
+// hierarchy with the same levels shares; of its own it holds only the
+// list of its bands and the core units' column weights.
 type nfPrep struct {
 	*nfBase
 	// coreW is each core unit's column workload: the sum of its band
@@ -215,13 +182,16 @@ type nfBase struct {
 	hue geom.BoxList
 	// hueW is the hue workload (level 0 only, step factor 1).
 	hueW int64
-	// hueUnits is the hue region chopped into units, SFC-ordered. A
-	// unit weighs its volume: the hue lies in level 0, which is
-	// disjoint, so that is its level-0 workload.
+	// hueUnits is the hue region chopped into units, SFC-ordered: the
+	// hue blocking chain. Their own weights are zero; a hue unit's
+	// workload is its hueBand weight.
 	hueUnits []unit
+	// hueBand is the hue chain's level-0 band. A unit's weight is its
+	// volume: the hue lies in level 0, which is disjoint.
+	hueBand coreBand
 	// hueCover is what mergeFragments makes of the hue when one
-	// processor owns it: the hue units' level-0 fragments in chain
-	// order, simplified and sorted by Lo.
+	// processor owns it: hueBand's fragments in chain order, simplified
+	// and sorted by Lo.
 	hueCover geom.BoxList
 	// coreUnits is the core region chopped into units, SFC-ordered: the
 	// coarse-partitioning chain. Their own weights are zero; a core
@@ -231,56 +201,56 @@ type nfBase struct {
 	band01 coreBand
 }
 
-// coreBand is one bi-level of the core chain: per core unit, the
-// band's workload over the unit and the band's fragments over it,
-// packed with owner 0 (a call labels them). Unit i's fragments are
-// frags[start[i]:start[i+1]], exactly what bandFragments appends for
-// the unit, in that order.
+// coreBand is one band of a unit chain (a bi-level of the core chain,
+// or level 0 of the hue chain): per unit, the band's workload over the
+// unit and the band's fragments over it, packed with owner 0 (a call
+// labels them). Unit i's fragments are frags[start[i]:start[i+1]],
+// exactly what bandFragments appends for the unit, in that order.
 type coreBand struct {
 	weights []int64
 	start   []int32
 	frags   []packedFrag
 }
 
-// nfPrepOf returns the cached Nature+Fable pre-partitioning artifact
-// for h under (curve, unit size). A miss assembles it from the cached
-// base and bands, building only the pieces no earlier prep left.
-func nfPrepOf(hi *hierIndex, sig geom.Signature, curve sfc.Curve, unitSize int) (*nfPrep, error) {
-	prep, _, err := nfPreps.GetOrCompute(hi.ctx, chainKey{sig: sig, curve: curve, unit: unitSize}, func() (*nfPrep, error) {
-		h := hi.h
-		key := chainKey{sig: baseDigest(h), curve: curve, unit: unitSize}
-		base, err := nfBaseOf(hi, key)
+// nfPrepOf assembles the Nature+Fable pre-partitioning artifact for
+// hi's hierarchy under (curve, unit size) from the cached base and
+// bands, building only the pieces no earlier call left.
+func nfPrepOf(hi *hierIndex, curve sfc.Curve, unitSize int) (*nfPrep, error) {
+	h := hi.h
+	key := chainKey{sig: baseDigest(h), curve: curve, unit: unitSize}
+	base, err := nfBaseOf(hi, key)
+	if err != nil {
+		return nil, err
+	}
+	p := &nfPrep{nfBase: base}
+	if len(base.coreUnits) == 0 {
+		return p, nil
+	}
+	p.bands = make([]coreBand, 1, (len(h.Levels)+1)/2)
+	p.bands[0] = base.band01
+	for lo := 2; lo < len(h.Levels); lo += 2 {
+		band, err := nfBandOf(hi, key, base.coreUnits, lo)
 		if err != nil {
 			return nil, err
 		}
-		p := &nfPrep{nfBase: base}
-		if len(base.coreUnits) == 0 {
-			return p, nil
+		p.bands = append(p.bands, band)
+	}
+	p.coreW = make([]int64, len(base.coreUnits))
+	for _, b := range p.bands {
+		for i, w := range b.weights {
+			p.coreW[i] += w
 		}
-		p.bands = []coreBand{base.band01}
-		for lo := 2; lo < len(h.Levels); lo += 2 {
-			band, err := nfBandOf(hi, key, base.coreUnits, lo)
-			if err != nil {
-				return nil, err
-			}
-			p.bands = append(p.bands, band)
-		}
-		p.coreW = make([]int64, len(base.coreUnits))
-		for _, b := range p.bands {
-			for i, w := range b.weights {
-				p.coreW[i] += w
-			}
-		}
-		return p, nil
-	})
-	return prep, err
+	}
+	return p, nil
 }
 
 // baseDigest hashes h's domain, ratio, and the signatures of levels 0
 // and 1 (one signature when level 1 is absent, which the preimage's
 // length tells apart): everything an nfBase reads of h, and the domain.
+// The preimage is built in a stack buffer.
 func baseDigest(h *grid.Hierarchy) geom.Signature {
-	buf := geom.BoxList{h.Domain}.AppendEncoding(nil)
+	var pre [256]byte
+	buf := geom.BoxList{h.Domain}.AppendEncoding(pre[:0])
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(h.RefRatio)))
 	for l := range min(2, len(h.Levels)) {
 		sig := h.LevelSignature(l)
@@ -306,32 +276,26 @@ func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 			return nil, err
 		}
 		b := &nfBase{hue: hue, hueW: hue.TotalVolume()}
+		var err error
 		if b.hueW > 0 {
-			units, err := hi.unitsOfWeighted(hue, key.unit, geom.Box.Volume)
-			if err != nil {
+			if b.hueUnits, err = hi.chainOf(hue, key); err != nil {
 				return nil, err
 			}
-			orderUnitsByCurve(units, key.curve, key.unit)
-			b.hueUnits = units
-			var frags []Fragment
-			for _, u := range units {
-				hi.bandFragments(u.box(), 0, 0, 0, &frags)
+			if b.hueBand, err = hi.coreBandOf(b.hueUnits, 0, 0); err != nil {
+				return nil, err
 			}
-			cover := make(geom.BoxList, len(frags))
-			for i, f := range frags {
-				cover[i] = f.Box
+			cover := make(geom.BoxList, len(b.hueBand.frags))
+			for i, f := range b.hueBand.frags {
+				cover[i] = f.box()
 			}
 			b.hueCover = cover.Simplify()
 			b.hueCover.SortByLo()
 		}
 		if len(cores) > 0 {
-			units, err := hi.unitsOfWeighted(cores, key.unit, func(geom.Box) int64 { return 0 })
-			if err != nil {
+			if b.coreUnits, err = hi.chainOf(cores, key); err != nil {
 				return nil, err
 			}
-			orderUnitsByCurve(units, key.curve, key.unit)
-			b.coreUnits = units
-			if b.band01, err = hi.coreBandOf(units, 0, 1); err != nil {
+			if b.band01, err = hi.coreBandOf(b.coreUnits, 0, 1); err != nil {
 				return nil, err
 			}
 		}
@@ -340,27 +304,38 @@ func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 	return base, err
 }
 
+// chainOf chops region into units of key's size, weightless (the bands
+// weigh them), and orders them along key's curve.
+func (hi *hierIndex) chainOf(region geom.BoxList, key chainKey) ([]unit, error) {
+	units, err := hi.unitsOfWeighted(region, key.unit, func(geom.Box) int64 { return 0 })
+	if err != nil {
+		return nil, err
+	}
+	orderUnitsByCurve(units, key.curve, key.unit)
+	return units, nil
+}
+
 // nfBandOf returns the cached bi-level of h's levels from lo (lo+1
 // too, when h has it) over the core chain units of the base under
-// base.
+// base. The level digests are gathered in a stack buffer.
 func nfBandOf(hi *hierIndex, base chainKey, units []unit, lo int) (coreBand, error) {
 	top := min(lo+1, len(hi.h.Levels)-1)
-	var buf []byte
+	var pre [2 * sha256.Size]byte
+	n := 0
 	for l := lo; l <= top; l++ {
 		sig := hi.h.LevelSignature(l)
-		buf = append(buf, sig[:]...)
+		n += copy(pre[n:], sig[:])
 	}
-	band, _, err := nfBands.GetOrCompute(hi.ctx, bandKey{base: base, lo: lo, levels: sha256.Sum256(buf)}, func() (coreBand, error) {
+	band, _, err := nfBands.GetOrCompute(hi.ctx, bandKey{base: base, lo: lo, levels: sha256.Sum256(pre[:n])}, func() (coreBand, error) {
 		return hi.coreBandOf(units, lo, top)
 	})
 	return band, err
 }
 
-// coreBandOf builds the bi-level artifact of levels [lo, hiLevel] over
-// the core chain. A unit's band weight is its fragments' volumes times
-// their levels' step factors: the band's terms of the unit's
-// columnWeight, since the fragments are exactly the non-empty overlaps
-// it measures.
+// coreBandOf builds the band of levels [lo, hiLevel] over a unit chain.
+// A unit's band weight is its fragments' volumes times their levels'
+// step factors: the band's terms of the unit's columnWeight, since the
+// fragments are exactly the non-empty overlaps it measures.
 func (hi *hierIndex) coreBandOf(units []unit, lo, hiLevel int) (coreBand, error) {
 	b := coreBand{weights: make([]int64, len(units)), start: make([]int32, len(units)+1)}
 	var frags []Fragment

@@ -37,8 +37,8 @@ func (d *DomainSFC) Name() string {
 
 // Partition implements Partitioner. The SFC-ordered unit chain — the
 // nprocs-independent bulk of the work — is served from the
-// content-addressed chain cache; only the chain cut and fragment
-// generation run per call.
+// content-addressed chain cache; the chain cut, the level indexes the
+// call builds, and fragment generation run per call.
 func (d *DomainSFC) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
 	return merged(d.fragments(ctx, h, nprocs))
 }
@@ -56,12 +56,8 @@ func (d *DomainSFC) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int
 	if err := checkUnits(h.Levels[0].Boxes, us); err != nil {
 		return nil, err
 	}
-	sig := h.Signature()
-	hi, err := sharedHierIndex(ctx, h, sig)
-	if err != nil {
-		return nil, err
-	}
-	chain, err := domainChain(hi, sig, d.Curve, us)
+	hi := newHierIndex(ctx, h)
+	chain, err := domainChain(hi, h.Signature(), d.Curve, us)
 	if err != nil {
 		return nil, err
 	}

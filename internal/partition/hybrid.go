@@ -61,15 +61,16 @@ func (nf *NatureFable) Name() string {
 }
 
 // Partition implements Partitioner. Everything independent of nprocs —
-// the hue/core separation, both unit chains, the hue's merged cover,
-// and each core unit's weight and fragments per bi-level — comes from
-// the content-addressed prep cache. What runs per call is the processor
-// split between hues and cores, the hue cut (or, with one hue
-// processor, the stored cover), the coarse cut of the core chain into
-// groups, and per group and bi-level a cut by the stored weights that
-// labels whole units' stored fragments and clips split units' fragments
-// to their pieces; then mergeFragments. Cancellation is polled per
-// group and per unit batch.
+// the hue/core separation, both unit chains, the hue's band and merged
+// cover, and each core unit's weight and fragments per bi-level — comes
+// from the prep, assembled from the content-addressed base and band
+// caches. What runs per call is the processor split between hues and
+// cores, the hue cut by its band (or, with one hue processor, the
+// stored cover), the coarse cut of the core chain into groups, and per
+// group and bi-level a cut by the stored weights that labels whole
+// units' stored fragments and clips split units' fragments to their
+// pieces; then mergeFragments. Cancellation is polled per group and per
+// unit batch.
 func (nf *NatureFable) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
 	return merged(nf.fragments(ctx, h, nprocs))
 }
@@ -90,12 +91,8 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 	if err := checkUnits(h.Levels[0].Boxes, us); err != nil {
 		return nil, err
 	}
-	sig := h.Signature()
-	hi, err := sharedHierIndex(ctx, h, sig)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := nfPrepOf(hi, sig, nf.Curve, us)
+	hi := newHierIndex(ctx, h)
+	prep, err := nfPrepOf(hi, nf.Curve, us)
 	if err != nil {
 		return nil, err
 	}
@@ -137,15 +134,8 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 			a.Fragments = append(a.Fragments, Fragment{Level: 0, Box: b, Owner: coreProcs})
 		}
 	case hueProcs > 1:
-		units := prep.hueUnits
-		hi.cut = nf.appendCut(hi.cut[:0], units, unitWeights(units), hueProcs)
-		for i, ou := range hi.cut {
-			if i%ctxBatch == 0 {
-				if err := hi.check(); err != nil {
-					return nil, err
-				}
-			}
-			hi.bandFragments(ou.box, 0, 0, coreProcs+ou.owner, &a.Fragments)
+		if err := nf.blockBand(hi, &prep.hueBand, prep.hueUnits, 0, len(prep.hueUnits), coreProcs, hueProcs, &a.Fragments); err != nil {
+			return nil, err
 		}
 	default:
 		// No dedicated hue processors: fold hues into processor 0.
@@ -165,10 +155,10 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 
 // fragmentsHint is the capacity a call's pre-merge fragment list
 // starts with, from what the prep stores: the hue's share (its cover
-// when one processor owns it whole, a fragment per hue unit and per cut
-// when several block it, its boxes when there is no hue processor) and
-// every band's fragments, plus one per band and core processor for the
-// pieces the cuts split off. No list of the quick traces' snapshots at
+// when one processor owns it whole, its band's fragments and one per
+// hue processor when several block it, its boxes when there is no hue
+// processor) and every core band's fragments, plus one per band and
+// core processor for the pieces the cuts split off. No list of the quick traces' snapshots at
 // 1, 3, 16, 20, 24, 36 or 64 processors outgrows it; one that does
 // grows as any slice does.
 func (p *nfPrep) fragmentsHint(hueProcs, coreProcs int) int {
@@ -178,7 +168,7 @@ func (p *nfPrep) fragmentsHint(hueProcs, coreProcs int) int {
 	case hueProcs == 1:
 		n = len(p.hueCover)
 	case hueProcs > 1:
-		n = len(p.hueUnits) + hueProcs
+		n = len(p.hueBand.frags) + hueProcs
 	default:
 		n = len(p.hue)
 	}
@@ -317,18 +307,12 @@ type ownedUnit struct {
 	src   int
 }
 
-// cutUnits cuts the ordered units into parts portions, unit i weighing
-// w[i] (the units give the boxes; their own weights are not read), into
-// a new slice. natureFableReference, the old body NatureFable is tested
-// against, cuts through it.
-func (nf *NatureFable) cutUnits(units []unit, w []int64, parts int) []ownedUnit {
-	return nf.appendCut(nil, units, w, parts)
-}
-
-// appendCut is cutUnits appending to out, so that a call reuses one
-// slice for all its cuts. Whole-block mode delegates to cutChain;
-// fractional mode splits the unit that straddles each portion boundary
-// proportionally to the remaining weight.
+// appendCut cuts the ordered units into parts portions, unit i
+// weighing w[i] (the units give the boxes; their own weights are not
+// read), appending to out, so that a call reuses one slice for all its
+// cuts. Whole-block mode delegates to cutChain; fractional mode splits
+// the unit that straddles each portion boundary proportionally to the
+// remaining weight.
 func (nf *NatureFable) appendCut(out []ownedUnit, units []unit, w []int64, parts int) []ownedUnit {
 	if !nf.FractionalBlocking {
 		out = slices.Grow(out, len(units))

@@ -20,9 +20,12 @@ import (
 // are that body verbatim, except that the cuts take the chain's weights
 // as a slice, that partitionCores weights the core units by their
 // columns itself (the prep no longer stores those weights on the
-// units), and that fragments records in took which branch of the
-// processor split it ran. It shares the prep cache with NatureFable,
-// reading only the fields the old prep had.
+// units), that fragments records in took which branch of the
+// processor split it ran, and that the hue is blocked through
+// blockRegion, which chops and weights it as the old prep did (the prep
+// no longer stores the hue units' weights either). It shares the prep
+// with NatureFable, reading only the hue, its workload and the core
+// units.
 type natureFableReference struct {
 	*NatureFable
 	took map[string]int
@@ -44,12 +47,8 @@ func (nf *natureFableReference) fragments(ctx context.Context, h *grid.Hierarchy
 		us = 1
 	}
 	a := &Assignment{NumProcs: nprocs}
-	sig := h.Signature()
-	hi, err := sharedHierIndex(ctx, h, sig)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := nfPrepOf(hi, sig, nf.Curve, us)
+	hi := newHierIndex(ctx, h)
+	prep, err := nfPrepOf(hi, nf.Curve, us)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +91,7 @@ func (nf *natureFableReference) fragments(ctx context.Context, h *grid.Hierarchy
 
 	// Hues: blocking over processors [coreProcs, nprocs).
 	if hueProcs > 0 && hueW > 0 {
-		if err := nf.blockOrdered(hi, prep.hueUnits, 0, 0, coreProcs, hueProcs, &a.Fragments); err != nil {
+		if err := nf.blockRegion(hi, hue, 0, 0, coreProcs, hueProcs, &a.Fragments); err != nil {
 			return nil, err
 		}
 	} else if hueW > 0 {
@@ -215,7 +214,7 @@ func (nf *natureFableReference) blockRegion(hi *hierIndex, region geom.BoxList, 
 // already SFC-ordered unit chain (possibly shared cache state — read
 // only) across procs processors starting at procBase.
 func (nf *natureFableReference) blockOrdered(hi *hierIndex, units []unit, loLevel, hiLevel, procBase, procs int, out *[]Fragment) error {
-	owned := nf.cutUnits(units, unitWeights(units), procs)
+	owned := nf.appendCut(nil, units, unitWeights(units), procs)
 	for i, ou := range owned {
 		if i%ctxBatch == 0 {
 			if err := hi.check(); err != nil {
@@ -272,12 +271,7 @@ func TestNatureFableMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				sig := h.Signature()
-				hi, err := sharedHierIndex(ctx, h, sig)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prep, err := nfPrepOf(hi, sig, curve, us)
+				prep, err := nfPrepOf(newHierIndex(ctx, h), curve, us)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -310,14 +304,14 @@ func TestNatureFableMatchesReference(t *testing.T) {
 func (hi *hierIndex) bandWeight(ub geom.Box, lo, hiLevel int) int64 {
 	var w int64
 	fine := ub
-	for l := 0; l <= hiLevel && l < len(hi.levels); l++ {
+	for l := 0; l <= hiLevel && l < len(hi.h.Levels); l++ {
 		if l > 0 {
 			fine = fine.Refine(hi.h.RefRatio)
 		}
 		if l < lo {
 			continue
 		}
-		w += hi.levels[l].QueryVolume(fine) * hi.h.StepFactor(l)
+		w += hi.level(l).QueryVolume(fine) * hi.h.StepFactor(l)
 	}
 	return w
 }
@@ -327,7 +321,9 @@ func (hi *hierIndex) bandWeight(ub geom.Box, lo, hiLevel int) int64 {
 // cores come from the union of every refined level's footprint, the
 // hue units are weighted by a level-0 index query and the core units
 // by their columns, and no cache is read or written. The core units'
-// column weights are also returned as coreW.
+// column weights are also returned as coreW, and the hue band is built
+// the old way too: per hue unit, its level-0 bandFragments, with the
+// unit's own weight (its volume) as its band weight.
 func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, unitSize int) (*nfPrep, error) {
 	hi := newHierIndex(ctx, h)
 	var fp geom.BoxList
@@ -350,9 +346,18 @@ func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, un
 		}
 		orderUnitsByCurve(units, curve, unitSize)
 		p.hueUnits = units
+		p.hueBand = coreBand{weights: unitWeights(units), start: make([]int32, len(units)+1)}
 		var frags []Fragment
-		for _, u := range units {
+		for i, u := range units {
 			hi.bandFragments(u.box(), 0, 0, 0, &frags)
+			p.hueBand.start[i+1] = int32(len(frags))
+		}
+		for _, f := range frags {
+			pf, err := packFrag(f)
+			if err != nil {
+				return nil, err
+			}
+			p.hueBand.frags = append(p.hueBand.frags, pf)
 		}
 		cover := make(geom.BoxList, len(frags))
 		for i, f := range frags {
@@ -395,8 +400,12 @@ func prepMismatch(got, want *nfPrep) string {
 		return "hue"
 	case got.hueW != want.hueW:
 		return "hueW"
-	case !slices.Equal(got.hueUnits, want.hueUnits):
-		return "hue units"
+	case !slices.Equal(boxes(got.hueUnits), boxes(want.hueUnits)):
+		return "hue unit boxes"
+	case !slices.Equal(got.hueBand.weights, want.hueBand.weights) ||
+		!slices.Equal(got.hueBand.start, want.hueBand.start) ||
+		!slices.Equal(got.hueBand.frags, want.hueBand.frags):
+		return "hue band"
 	case !slices.Equal(got.hueCover, want.hueCover):
 		return "hue cover"
 	case !slices.Equal(boxes(got.coreUnits), boxes(want.coreUnits)):
@@ -481,12 +490,7 @@ func TestNatureFablePrepMatchesReference(t *testing.T) {
 		for _, us := range []int{1, 2, 3, 1 << 31} {
 			for hn, h := range append(slices.Clone(hs), chain...) {
 				_, missesBefore, _ := nfBases.Stats()
-				sig := h.Signature()
-				hi, err := sharedHierIndex(ctx, h, sig)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := nfPrepOf(hi, sig, curve, us)
+				got, err := nfPrepOf(newHierIndex(ctx, h), curve, us)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -517,7 +521,7 @@ func TestNatureFablePrepMatchesReference(t *testing.T) {
 // content past the first over a distinct base, and a second walk builds
 // nothing.
 func TestNatureFablePrepSharing(t *testing.T) {
-	const wantPreps, wantBases, wantBands = 35, 17, 34
+	const wantBases, wantBands = 17, 34
 	hs := quickHierarchies(t)
 	levels := func(ls []grid.Level) string {
 		s := fmt.Sprintf("%d levels", len(ls))
@@ -539,32 +543,30 @@ func TestNatureFablePrepSharing(t *testing.T) {
 	}
 
 	nf := NewNatureFable()
-	walk := func() (preps, bases, bands uint64) {
-		_, p0, _ := nfPreps.Stats()
+	walk := func() (bases, bands uint64) {
 		_, b0, _ := nfBases.Stats()
 		_, d0, _ := nfBands.Stats()
 		for _, h := range hs {
 			mustPartition(t, nf, h, 16)
 		}
-		_, p1, _ := nfPreps.Stats()
 		_, b1, _ := nfBases.Stats()
 		_, d1, _ := nfBands.Stats()
-		return p1 - p0, b1 - b0, d1 - d0
+		return b1 - b0, d1 - d0
 	}
 	flushChainCaches()
-	preps, builtBases, builtBands := walk()
-	t.Logf("%d snapshots: %d preps, %d bases, %d bands built", len(hs), preps, builtBases, builtBands)
-	if preps != uint64(len(hs)) || builtBases != uint64(len(bases)) || builtBands != uint64(len(bands)) {
-		t.Errorf("built %d preps, %d bases, %d bands; want %d, %d, %d",
-			preps, builtBases, builtBands, len(hs), len(bases), len(bands))
+	builtBases, builtBands := walk()
+	t.Logf("%d snapshots: %d bases, %d bands built", len(hs), builtBases, builtBands)
+	if builtBases != uint64(len(bases)) || builtBands != uint64(len(bands)) {
+		t.Errorf("built %d bases, %d bands; want %d, %d",
+			builtBases, builtBands, len(bases), len(bands))
 	}
-	if preps != wantPreps || builtBases != wantBases || builtBands != wantBands {
-		t.Errorf("built %d preps, %d bases, %d bands; pinned %d, %d, %d",
-			preps, builtBases, builtBands, wantPreps, wantBases, wantBands)
+	if builtBases != wantBases || builtBands != wantBands {
+		t.Errorf("built %d bases, %d bands; pinned %d, %d",
+			builtBases, builtBands, wantBases, wantBands)
 	}
 	_, missesBefore, _, _, _ := CacheStats()
-	if preps, builtBases, builtBands := walk(); preps+builtBases+builtBands != 0 {
-		t.Errorf("second walk built %d preps, %d bases, %d bands", preps, builtBases, builtBands)
+	if builtBases, builtBands := walk(); builtBases+builtBands != 0 {
+		t.Errorf("second walk built %d bases, %d bands", builtBases, builtBands)
 	}
 	if _, missesAfter, _, _, _ := CacheStats(); missesAfter != missesBefore {
 		t.Errorf("second walk missed %d times", missesAfter-missesBefore)
@@ -589,6 +591,31 @@ func BenchmarkNatureFableWarm(b *testing.B) {
 		for _, h := range hs {
 			for _, np := range ladder {
 				if _, err := nf.Partition(ctx, h, np); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(len(hs)*len(ladder)), "calls/op")
+}
+
+// BenchmarkDomainSFCWarm is BenchmarkNatureFableWarm for the paper's
+// default DomainSFC: every chain cached, so a call pays for hashing the
+// hierarchy, cutting the chain, building the level indexes its column
+// queries need, and the fragments and merge.
+func BenchmarkDomainSFCWarm(b *testing.B) {
+	ctx := context.Background()
+	hs := quickHierarchies(b)
+	ladder := []int{16, 20, 24, 28, 32, 36}
+	d := NewDomainSFC()
+	for _, h := range hs {
+		mustPartition(b, d, h, ladder[0])
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, h := range hs {
+			for _, np := range ladder {
+				if _, err := d.Partition(ctx, h, np); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -174,9 +174,6 @@ func TestCancelledPartitionNeverPoisonsMemo(t *testing.T) {
 	if n := nfBases.Len(); n != 1 {
 		t.Fatalf("base cache holds %d entries, want the base built before the band", n)
 	}
-	if n := nfPreps.Len(); n != 0 {
-		t.Fatalf("prep cache holds %d entries after a cancelled band build", n)
-	}
 	if got := mustPartition(t, nf, h, np); !reflect.DeepEqual(fresh, got) {
 		t.Error("post-cancel result diverged from fresh")
 	}
@@ -216,8 +213,9 @@ func TestConcurrentPartitionsShareAndAgree(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPreCancelledSharedIndex: a pre-cancelled context fails inside the
-// shared-index lookup too, with a proper context error.
+// TestPreCancelledSharedIndex: a pre-cancelled context fails a cold
+// DomainSFC call before it builds its chain or any level index, with a
+// proper context error.
 func TestPreCancelledSharedIndex(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -193,27 +193,37 @@ func (u unit) box() geom.Box {
 	return geom.NewBox2(int(u.x0), int(u.y0), int(u.x1), int(u.y1))
 }
 
-// hierIndex is a per-partition-call cache of one BoxIndex per hierarchy
-// level, carrying the call's context for batch-granular cancellation.
-// Column weights, band weights, and fragment generation all scan
-// "this unit's footprint against every box of level l"; the index turns
-// each such scan from O(boxes) into a candidate lookup. A hierIndex is
-// built once per Partition invocation and is not shared across
-// goroutines (the scratch buffer is not synchronized).
+// hierIndex is a partition call's view of its hierarchy: one BoxIndex
+// per level, each built over the level's own boxes the first time the
+// level is queried (a warm NatureFable call queries none), and the
+// call's context for batch-granular cancellation. Column weights, band
+// weights, and fragment generation all scan "this unit's footprint
+// against every box of level l"; the index turns each such scan from
+// O(boxes) into a candidate lookup. A hierIndex belongs to one
+// Partition invocation and is not shared across goroutines (the lazy
+// indexes and the scratch buffers are not synchronized); the hierarchy
+// must not change under it.
 type hierIndex struct {
 	ctx    context.Context
 	h      *grid.Hierarchy
-	levels []*geom.BoxIndex
+	levels []*geom.BoxIndex // by level, nil until first queried
 	buf    []int
 	cut    []ownedUnit // NatureFable's cuts, one at a time
 }
 
 func newHierIndex(ctx context.Context, h *grid.Hierarchy) *hierIndex {
-	hi := &hierIndex{ctx: ctx, h: h, levels: make([]*geom.BoxIndex, len(h.Levels))}
-	for l, lev := range h.Levels {
-		hi.levels[l] = geom.NewBoxIndex(lev.Boxes)
+	return &hierIndex{ctx: ctx, h: h}
+}
+
+// level returns level l's index, building it on first use.
+func (hi *hierIndex) level(l int) *geom.BoxIndex {
+	if hi.levels == nil {
+		hi.levels = make([]*geom.BoxIndex, len(hi.h.Levels))
 	}
-	return hi
+	if hi.levels[l] == nil {
+		hi.levels[l] = geom.NewBoxIndex(hi.h.Levels[l].Boxes)
+	}
+	return hi.levels[l]
 }
 
 // check polls the partition call's context.
@@ -229,8 +239,8 @@ func (hi *hierIndex) unitsOf(region geom.BoxList, unitSize int) ([]unit, error) 
 }
 
 // unitsOfWeighted is unitsOf with a caller-chosen unit weight (the
-// hybrid partitioner weights hue units by their volume, and leaves core
-// units' weights to its per-band artifacts). Units are chopped by the
+// hybrid partitioner leaves its units' weights to its per-band
+// artifacts). Units are chopped by the
 // extent left in the region, which Validate's coordinate bound keeps
 // far from overflow, so a unit edge near MaxInt is one unit, never a
 // corner that wraps.
@@ -258,11 +268,11 @@ func (hi *hierIndex) unitsOfWeighted(region geom.BoxList, unitSize int, weight f
 func (hi *hierIndex) columnWeight(ub geom.Box) int64 {
 	var w int64
 	fine := ub
-	for l := range hi.levels {
+	for l := range hi.h.Levels {
 		if l > 0 {
 			fine = fine.Refine(hi.h.RefRatio)
 		}
-		w += hi.levels[l].QueryVolume(fine) * hi.h.StepFactor(l)
+		w += hi.level(l).QueryVolume(fine) * hi.h.StepFactor(l)
 	}
 	return w
 }
@@ -272,16 +282,17 @@ func (hi *hierIndex) columnWeight(ub geom.Box) int64 {
 // box order of the hierarchy.
 func (hi *hierIndex) bandFragments(ub geom.Box, loLevel, hiLevel, owner int, out *[]Fragment) {
 	fine := ub
-	for l := 0; l <= hiLevel && l < len(hi.levels); l++ {
+	for l := 0; l <= hiLevel && l < len(hi.h.Levels); l++ {
 		if l > 0 {
 			fine = fine.Refine(hi.h.RefRatio)
 		}
 		if l < loLevel {
 			continue
 		}
-		hi.buf = hi.levels[l].AppendQuery(hi.buf[:0], fine)
+		ix := hi.level(l)
+		hi.buf = ix.AppendQuery(hi.buf[:0], fine)
 		for _, bi := range hi.buf {
-			if iv := hi.levels[l].Box(bi).Intersect(fine); !iv.Empty() {
+			if iv := ix.Box(bi).Intersect(fine); !iv.Empty() {
 				*out = append(*out, Fragment{Level: l, Box: iv, Owner: owner})
 			}
 		}
@@ -291,7 +302,7 @@ func (hi *hierIndex) bandFragments(ub geom.Box, loLevel, hiLevel, owner int, out
 // columnFragments converts one owned base-space unit into per-level
 // fragments: the unit's column intersected with every level's boxes.
 func (hi *hierIndex) columnFragments(ub geom.Box, owner int, out *[]Fragment) {
-	hi.bandFragments(ub, 0, len(hi.levels)-1, owner, out)
+	hi.bandFragments(ub, 0, len(hi.h.Levels)-1, owner, out)
 }
 
 // cutChain splits an (already ordered) chain whose unit i weighs w[i]

@@ -444,8 +444,8 @@ type ReadyResponse struct {
 type StatsResponse struct {
 	Cache CacheCounters `json:"cache"`
 	// UnitChains is the partition-layer memoization accounting: the
-	// content-addressed unit-chain, hybrid-prep, and level-index caches
-	// under the partitioners (summed).
+	// content-addressed caches under the partitioners (DomainSFC's unit
+	// chains, NatureFable's prep bases and bi-level bands), summed.
 	UnitChains CacheCounters `json:"unit_chains"`
 	// SimMemo is the simulator's trace-run memoization accounting.
 	SimMemo MemoCounters `json:"sim_memo"`
