@@ -209,10 +209,12 @@
 //
 // A member that returns with an empty -tier-dir needs no help either.
 // A key another member owns is fetched from that owner in one hop and
-// written through to the local disk; a key it owns itself is a miss,
-// computed once and stored, after which it is warm again — and the
-// offers its peers send once its breaker closes fill in the rest.
-// There is no background repair to enable or to watch.
+// kept in the partition cache only: a tier hit writes nothing to disk,
+// so a member's disk holds the keys it computed and the keys it owns.
+// A key it owns itself is a miss, computed once and stored, after which
+// it is warm again — and the offers its peers send once its breaker
+// closes fill in the rest. There is no background repair to enable or
+// to watch.
 //
 // Operators watch the self-healing layer in /v1/stats under "tier":
 // "breakers" lists non-closed peer breakers (state and consecutive

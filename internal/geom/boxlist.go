@@ -2,6 +2,7 @@ package geom
 
 import (
 	"cmp"
+	"context"
 	"slices"
 	"sort"
 )
@@ -176,14 +177,36 @@ func OverlapVolumeNaive(a, b BoxList) int64 {
 // end closes the gaps. Row 0 is never deleted (a merge deletes the
 // later row of its pair), so the walk always starts there.
 func (bl BoxList) Simplify() BoxList {
+	out, _ := bl.SimplifyContext(context.Background())
+	return out
+}
+
+// simplifyPollPairs bounds the pair checks between two of
+// SimplifyContext's polls of its context. A row scan checks fewer pairs
+// than the list has boxes, so a list of n boxes is polled every
+// simplifyPollPairs/n row scans: a few hundred for the lists the
+// partitioners merge, every scan for the largest.
+const simplifyPollPairs = 1 << 16
+
+// SimplifyContext is Simplify polling ctx between row scans (each scan
+// of row cur, and each restart of the walk over the settled rows after
+// a merge into an earlier row), since a list of n boxes costs O(n^2)
+// pair checks. It returns ctx.Err() once ctx is done, so a deadline
+// stays tellable from a cancellation.
+func (bl BoxList) SimplifyContext(ctx context.Context) (BoxList, error) {
 	out := bl.Clone()
 	n := int32(len(out))
 	after := make([]int32, n)
 	for i := range after {
 		after[i] = int32(i) + 1
 	}
+	stride := max(1, simplifyPollPairs/max(1, len(out)))
+	poll := &poller{ctx: ctx, stride: stride, left: stride}
 	var next int32
 	for cur := int32(0); cur < n; {
+		if poll.stop() {
+			return nil, ctx.Err()
+		}
 		before, j := cur, after[cur]
 		for j < n && (planarMiss(&out[cur], &out[j]) || !tryMerge(&out[cur], &out[j])) {
 			before, j = j, after[j]
@@ -212,6 +235,9 @@ func (bl BoxList) Simplify() BoxList {
 				next = after[cur]
 			}
 			cur, a = a, 0 // the changed box is at a now: try (0, a) up to the row before a
+			if poll.stop() {
+				return nil, ctx.Err()
+			}
 		}
 	}
 	w := 0
@@ -219,7 +245,23 @@ func (bl BoxList) Simplify() BoxList {
 		out[w] = out[i]
 		w++
 	}
-	return out[:w]
+	return out[:w], nil
+}
+
+// poller polls a context every stride calls of stop.
+type poller struct {
+	ctx          context.Context
+	stride, left int
+}
+
+// stop counts one row scan and reports, every stride scans, whether the
+// context is done.
+func (p *poller) stop() bool {
+	if p.left--; p.left > 0 {
+		return false
+	}
+	p.left = p.stride
+	return p.ctx.Err() != nil
 }
 
 // planarMiss reports that a and b differ in both extents, so tryMerge

@@ -1,9 +1,12 @@
 package geom
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 )
 
 // randomDisjointList builds a disjoint list by carving random boxes out of
@@ -220,6 +223,28 @@ func TestSimplifyMatchesNaive(t *testing.T) {
 			bl[i] = kernelBox(r)
 		}
 		checkSimplifyMatchesNaive(t, bl)
+	}
+}
+
+// TestSimplifyContextStopsWhenDone: a list long enough to be polled
+// stops with the context's own error, so a deadline is not reported as
+// a cancellation, and a live context yields Simplify's result.
+func TestSimplifyContextStopsWhenDone(t *testing.T) {
+	bl := make(BoxList, 1024) // a diagonal: no pair merges, 64 scans a poll
+	for i := range bl {
+		bl[i] = NewBox2(i, i, i+1, i+1)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, ctx := range []context.Context{cancelled, expired} {
+		if got, err := bl.SimplifyContext(ctx); got != nil || !errors.Is(err, ctx.Err()) {
+			t.Fatalf("SimplifyContext under %v = (%d boxes, %v), want (nil, %v)", ctx.Err(), len(got), err, ctx.Err())
+		}
+	}
+	if got, err := bl.SimplifyContext(context.Background()); err != nil || !slices.Equal(got, bl.Simplify()) {
+		t.Fatalf("SimplifyContext under a live context = (%d boxes, %v), want Simplify's %d", len(got), err, len(bl))
 	}
 }
 

@@ -54,6 +54,7 @@ package partition
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"samr/internal/geom"
@@ -270,13 +271,12 @@ func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 				cores = makeCoreRegions(fp)
 			}
 		}
-		hue := h.Levels[0].Boxes.Subtract(cores).Simplify()
-		hue.SortByLo()
-		if err := hi.check(); err != nil {
-			return nil, err
+		hue, err := h.Levels[0].Boxes.Subtract(cores).SimplifyContext(hi.ctx)
+		if err != nil {
+			return nil, fmt.Errorf("partition: %w", err)
 		}
+		hue.SortByLo()
 		b := &nfBase{hue: hue, hueW: hue.TotalVolume()}
-		var err error
 		if b.hueW > 0 {
 			if b.hueUnits, err = hi.chainOf(hue, key); err != nil {
 				return nil, err
@@ -288,7 +288,9 @@ func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 			for i, f := range b.hueBand.frags {
 				cover[i] = f.box()
 			}
-			b.hueCover = cover.Simplify()
+			if b.hueCover, err = cover.SimplifyContext(hi.ctx); err != nil {
+				return nil, fmt.Errorf("partition: %w", err)
+			}
 			b.hueCover.SortByLo()
 		}
 		if len(cores) > 0 {

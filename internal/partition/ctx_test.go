@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"samr/internal/geom"
 	"samr/internal/grid"
+	"samr/internal/sfc"
 )
 
 // countdownCtx is a deterministic cancellation harness: Err() returns
@@ -127,6 +129,32 @@ func TestPartitionDeadlineErrorKind(t *testing.T) {
 	_, err := NewNatureFable().Partition(ctx, h, 8)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want wrapped DeadlineExceeded", err)
+	}
+}
+
+// TestNatureFableBaseStopsAtDeadline: a 256x256 base at unit 1 makes
+// the hue's merged cover a quadratic merge of 65520 boxes that takes
+// seconds. The merge polls the deadline, so the call answers with
+// DeadlineExceeded close to it, and the cancelled base build stores
+// nothing.
+func TestNatureFableBaseStopsAtDeadline(t *testing.T) {
+	flushChainCaches()
+	defer flushChainCaches()
+	h := grid.NewHierarchy(geom.NewBox2(0, 0, 256, 256), 2)
+	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{geom.NewBox2(0, 0, 8, 8)}})
+	nf := &NatureFable{Curve: sfc.Hilbert, AtomicUnit: 1, Groups: 4, FractionalBlocking: true}
+	const timeout = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	start := time.Now()
+	a, err := nf.Partition(ctx, h, 4)
+	elapsed := time.Since(start)
+	if a != nil || !errors.Is(err, context.DeadlineExceeded) || elapsed > timeout+250*time.Millisecond {
+		t.Fatalf("Partition = (%v, %v) after %v, want (nil, DeadlineExceeded) within %v of the deadline",
+			a, err, elapsed, 250*time.Millisecond)
+	}
+	if n := nfBases.Len(); n != 0 {
+		t.Fatalf("the cancelled base build stored %d bases", n)
 	}
 }
 

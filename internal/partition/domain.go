@@ -40,7 +40,7 @@ func (d *DomainSFC) Name() string {
 // content-addressed chain cache; the chain cut, the level indexes the
 // call builds, and fragment generation run per call.
 func (d *DomainSFC) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
-	return merged(d.fragments(ctx, h, nprocs))
+	return merged(ctx, h, nprocs, d.fragments)
 }
 
 // fragments is Partition before coalescing: one fragment per unit per

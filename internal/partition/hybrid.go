@@ -72,7 +72,7 @@ func (nf *NatureFable) Name() string {
 // pieces; then mergeFragments. Cancellation is polled per group and per
 // unit batch.
 func (nf *NatureFable) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
-	return merged(nf.fragments(ctx, h, nprocs))
+	return merged(ctx, h, nprocs, nf.fragments)
 }
 
 // fragments is Partition before coalescing: the hue blocks, then each

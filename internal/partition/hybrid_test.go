@@ -32,7 +32,7 @@ type natureFableReference struct {
 }
 
 func (nf *natureFableReference) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
-	return merged(nf.fragments(ctx, h, nprocs))
+	return merged(ctx, h, nprocs, nf.fragments)
 }
 
 // fragments is Partition before coalescing: the hue blocks, then each
@@ -281,7 +281,7 @@ func TestNatureFableMatchesReference(t *testing.T) {
 					for i, b := range prep.hueCover {
 						frags[i] = Fragment{Level: 0, Box: b, Owner: 3}
 					}
-					if got := mergeFragments(slices.Clone(frags)); !slices.Equal(got, frags) {
+					if got := mergeUncancelled(slices.Clone(frags)); !slices.Equal(got, frags) {
 						t.Fatalf("hierarchy %d %v u%d: mergeFragments moves the hue cover (%d boxes to %d)",
 							hn, curve, us, len(frags), len(got))
 					}

@@ -87,10 +87,17 @@ func quickPreMergeLists(tb testing.TB, nprocs int) [][]Fragment {
 	return lists
 }
 
+// mergeUncancelled is mergeFragments under a context that is never
+// done, which cannot fail.
+func mergeUncancelled(frags []Fragment) []Fragment {
+	out, _ := mergeFragments(context.Background(), frags)
+	return out
+}
+
 func checkMergeMatchesReference(t *testing.T, frags []Fragment) {
 	t.Helper()
 	want := mergeFragmentsReference(slices.Clone(frags))
-	got := mergeFragments(slices.Clone(frags))
+	got := mergeUncancelled(slices.Clone(frags))
 	if !slices.Equal(got, want) {
 		t.Fatalf("mergeFragments differs from the reference on %d fragments: got %d, want %d", len(frags), len(got), len(want))
 	}
@@ -103,7 +110,7 @@ func TestMergeFragmentsMatchesReference(t *testing.T) {
 	for _, np := range []int{3, 16} {
 		for _, frags := range quickPreMergeLists(t, np) {
 			checkMergeMatchesReference(t, frags)
-			merges += len(frags) - len(mergeFragments(slices.Clone(frags)))
+			merges += len(frags) - len(mergeUncancelled(slices.Clone(frags)))
 			// The same boxes under shuffled arrival order and redrawn
 			// owners and levels: groups of every size, in orders no
 			// partitioner produces.
@@ -135,7 +142,7 @@ func BenchmarkMergeFragments(b *testing.B) {
 	for b.Loop() {
 		for i, l := range lists {
 			work[i] = append(work[i][:0], l...)
-			work[i] = mergeFragments(work[i])
+			work[i] = mergeUncancelled(work[i])
 		}
 	}
 	b.ReportMetric(float64(len(lists)), "lists/op")

@@ -341,13 +341,17 @@ func unitWeights(units []unit) []int64 {
 	return w
 }
 
-// merged finishes a partitioner's Partition: the assignment its
-// fragments method built, coalesced per (level, owner).
-func merged(a *Assignment, err error) (*Assignment, error) {
+// merged is a partitioner's Partition: the assignment its fragments
+// method builds, coalesced per (level, owner) under the same ctx.
+func merged(ctx context.Context, h *grid.Hierarchy, nprocs int,
+	fragments func(context.Context, *grid.Hierarchy, int) (*Assignment, error)) (*Assignment, error) {
+	a, err := fragments(ctx, h, nprocs)
 	if err != nil {
 		return nil, err
 	}
-	a.Fragments = mergeFragments(a.Fragments)
+	if a.Fragments, err = mergeFragments(ctx, a.Fragments); err != nil {
+		return nil, err
+	}
 	return a, nil
 }
 
@@ -362,8 +366,10 @@ func merged(a *Assignment, err error) (*Assignment, error) {
 // list took 72. A group sweep then writes back into the caller's slice
 // — each group's boxes are staged in a scratch list before its (never
 // longer) merged form overwrites consumed positions. A group of one box
-// is its own merged form and skips Simplify.
-func mergeFragments(frags []Fragment) []Fragment {
+// is its own merged form and skips Simplify. Each group's Simplify polls
+// ctx; once ctx is done the merge stops with its error, and frags is
+// left permuted and partly overwritten.
+func mergeFragments(ctx context.Context, frags []Fragment) ([]Fragment, error) {
 	levels, owners := 0, 0
 	for i := range frags {
 		levels, owners = max(levels, frags[i].Level+1), max(owners, frags[i].Owner+1)
@@ -394,14 +400,17 @@ func mergeFragments(frags []Fragment) []Fragment {
 		for _, f := range frags[start:end] {
 			scratch = append(scratch, f.Box)
 		}
-		merged := scratch.Simplify()
+		merged, err := scratch.SimplifyContext(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("partition: %w", err)
+		}
 		merged.SortByLo()
 		for _, b := range merged {
 			out = append(out, Fragment{Level: level, Box: b, Owner: owner})
 		}
 		start = end
 	}
-	return out
+	return out, nil
 }
 
 // countingPass writes the fragment indices src lists into dst in

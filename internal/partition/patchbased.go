@@ -28,7 +28,7 @@ func (p *PatchBased) Name() string { return "patch-lpt" }
 // Partition implements Partitioner. Cancellation is polled per level
 // and per batch of pieces during bin packing.
 func (p *PatchBased) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
-	return merged(p.fragments(ctx, h, nprocs))
+	return merged(ctx, h, nprocs, p.fragments)
 }
 
 // fragments is Partition before coalescing: the packed pieces, level by

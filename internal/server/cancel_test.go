@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -370,5 +371,39 @@ func TestWideStripsAnsweredInTime(t *testing.T) {
 			t.Errorf("%s: status %d, error %q after %v; want the 400 for nprocs inside %v", c.route, r.StatusCode, e.Error, elapsed, timeout/4)
 		}
 		t.Logf("%s: %d bytes refused after %v", c.route, len(body), elapsed)
+	}
+}
+
+// TestMergeAnsweredByDeadline: a 256x256 base box at unit 1 is 65536
+// units, well under the unit cap, but the per-owner merge of their
+// fragments is quadratic and takes seconds. The merge polls the request
+// context, so each post answers 200 or the deadline's 504 within a
+// small margin of the timeout.
+func TestMergeAnsweredByDeadline(t *testing.T) {
+	const timeout = time.Second
+	limit := timeout + max(50*time.Millisecond, timeout/4)
+	_, ts := newTestServer(t, Config{RequestTimeout: timeout})
+	base := Box{Dim: 2, Lo: []int{0, 0}, Hi: []int{256, 256}}
+	h := Hierarchy{Domain: base, RefRatio: 2, Levels: [][]Box{
+		{base},
+		{{Dim: 2, Lo: []int{0, 0}, Hi: []int{8, 8}}},
+	}}
+	for _, spec := range []string{"domain-hilbert-u1", "nature+fable-hilbert-u1-q4-frac"} {
+		body, err := json.Marshal(PartitionRequest{Hierarchy: &h, Partitioner: spec, NProcs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		r, err := http.Post(ts.URL+"/v1/partition", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		r.Body.Close()
+		elapsed := time.Since(start)
+		if (r.StatusCode != http.StatusOK && r.StatusCode != http.StatusGatewayTimeout) || elapsed > limit {
+			t.Errorf("%s: status %d after %v; want 200 or 504 within %v", spec, r.StatusCode, elapsed, limit)
+		}
+		t.Logf("%s: status %d after %v", spec, r.StatusCode, elapsed)
 	}
 }

@@ -20,9 +20,10 @@ import (
 // bytes on the wire and on disk, a member killed and later rejoining
 // wiped — asserting the self-healing contract: zero client-visible
 // errors, bodies byte-identical to a fault-free run, and a wiped member
-// refilling from what it is asked for. Faults follow per-member request
-// counts, and the suites post sequentially (a computed result's store
-// and peer offer finish before its response), so the same request
+// refilling with the keys it computes and the keys it owns (a
+// tier-served answer is kept in its LRU only). Faults follow per-member
+// request counts, and the suites post sequentially (a computed result's
+// store and peer offer finish before its response), so the same request
 // sequence meets the same faults. Which member owns which key depends on
 // the httptest ports that feed the rendezvous hash, so assertions never
 // depend on a particular ownership draw.
@@ -171,7 +172,9 @@ func rot(t *testing.T, dir string) int {
 // a schedule, with one member's disk rotted, one member killed
 // mid-flood and rejoining wiped, answers every request with 200 and a
 // body byte-identical to the fault-free baseline, and the rejoined
-// member's disk store refills with the keys it is asked for.
+// member's disk store refills with exactly what it computes and what it
+// owns: every entry is a key it owns or a key it answered as a miss, and
+// every key it owns is on its disk once it has been asked for it.
 func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	const nHier = 24
 
@@ -192,7 +195,8 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	}
 
 	fleet := newChaosFleet(t, 3, chaosSchedule{failGet: 4, delayPut: 4, flipBody: 3}, nil)
-	check := func(pass int, m *chaosMember, hi int) {
+	// check posts hierarchy hi to m and returns the answer's disposition.
+	check := func(pass int, m *chaosMember, hi int) string {
 		t.Helper()
 		req := PartitionRequest{Partitioner: "domain", NProcs: 4}
 		h := testHierarchy(hi)
@@ -207,6 +211,7 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 			t.Fatalf("pass %d hierarchy %d on %s: body differs from fault-free baseline\n got: %s\nwant: %s",
 				pass, hi, m.url, got, want[hi])
 		}
+		return r.Header.Get("X-Samr-Cache")
 	}
 
 	// Pass 1: the whole fleet serves under the peer faults.
@@ -243,20 +248,60 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	fleet[2].start(t, cfg)
 
 	// Pass 3: the whole fleet again, shifted so every member serves
-	// hierarchies it has not answered before.
+	// hierarchies it has not answered before. The rejoined member's
+	// computed keys are recorded.
+	rejoinedMiss := map[string]bool{}
+	keyOf := func(hi int) string {
+		return partitionTierKey(t, testHierarchy(hi), "domain", 4)
+	}
 	for i := 0; i < nHier; i++ {
-		check(3, fleet[(i+1)%3], i)
+		m := fleet[(i+1)%3]
+		if check(3, m, i) == CacheMiss && m == fleet[2] {
+			rejoinedMiss[keyOf(i)] = true
+		}
 	}
 
 	// Pass 4: the rejoined member answers every hierarchy with the
-	// baseline body, and what it was asked for is what refilled it: one
-	// disk entry per key.
+	// baseline body. Its disk holds what it computed and what it owns,
+	// and nothing it was served by a peer.
 	for i := 0; i < nHier; i++ {
-		check(4, fleet[2], i)
+		if check(4, fleet[2], i) == CacheMiss {
+			rejoinedMiss[keyOf(i)] = true
+		}
 	}
-	if got := fleet[2].srv.Load().Tier().Stats().DiskEntries; got != nHier {
-		t.Errorf("rejoined member holds %d disk entries after being asked for %d keys", got, nHier)
+	ring := tier.NewRing("", []string{fleet[0].url, fleet[1].url, fleet[2].url})
+	entries, err := filepath.Glob(filepath.Join(cfg.TierDir, "*.tier"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	held := map[string]bool{}
+	for _, e := range entries {
+		k := strings.TrimSuffix(filepath.Base(e), ".tier")
+		held[k] = true
+		if ring.Owner(k) != fleet[2].url && !rejoinedMiss[k] {
+			t.Errorf("rejoined member holds %s, a key it neither owns nor computed", k)
+		}
+	}
+	owned := 0
+	for i := 0; i < nHier; i++ {
+		k := keyOf(i)
+		if ring.Owner(k) != fleet[2].url {
+			continue
+		}
+		owned++
+		if !held[k] {
+			t.Errorf("rejoined member was asked for hierarchy %d, which it owns, and holds no entry", i)
+		}
+	}
+	for k := range rejoinedMiss {
+		if !held[k] {
+			t.Errorf("rejoined member computed %s and holds no entry", k)
+		}
+	}
+	if got := fleet[2].srv.Load().Tier().Stats().DiskEntries; got != len(entries) {
+		t.Errorf("rejoined member's stats count %d disk entries, its directory %d", got, len(entries))
+	}
+	t.Logf("rejoined member holds %d disk entries: owns %d keys, computed %d", len(entries), owned, len(rejoinedMiss))
 
 	// The schedules fired — the passes above ran under live faults — and
 	// the daemons noticed: every flipped body met a decoder that refused

@@ -50,8 +50,10 @@ func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (partition.Pack
 	if err != nil || p.NumProcs() != k.NProcs {
 		// A damaged blob, one the packed form cannot hold, or a sealed
 		// one for another processor count, which the result writer would
-		// size its load vector by, is a miss, never a wrong answer; drop
-		// the local copy so it is not served again.
+		// size its load vector by, is a miss, never a wrong answer. A
+		// disk-served blob's entry is dropped so it is not served again;
+		// a peer-served blob has no local copy to drop, and the recompute's
+		// offer replaces it at the peer.
 		at.t.ReportCorrupt(key)
 		return partition.Packed{}, false
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"math"
 	"net"
 	"net/http"
@@ -566,8 +567,11 @@ func fleetURLs(fleet []*fleetMember) []string {
 // exactly the keys it owns, is served every other key by that key's
 // owner in one hop, answers all of them with the baseline body, and
 // after one replay is warm — a second replay sends no peer GET and
-// computes nothing. (The wipe is done in place, so no listener is
-// re-bound: every disk entry deleted and the partition LRU flushed.)
+// computes nothing. A member's disk holds exactly the keys it computed
+// and the keys it owns (offered to it by whoever computed them); a
+// tier-served answer is kept in the partition LRU only. (The wipe is
+// done in place, so no listener is re-bound: every disk entry deleted
+// and the partition LRU flushed.)
 func TestWipedMemberRefillsFromMisses(t *testing.T) {
 	const nKeys, nprocs = 24, 4
 	fleet := newFleet(t, 3)
@@ -575,12 +579,34 @@ func TestWipedMemberRefillsFromMisses(t *testing.T) {
 	wiped := fleet[2]
 
 	// Every key is posted to the three members in rotation: the first
-	// computes and shares it, the other two are tier-served and keep a
-	// copy — the fleet-share benchmark's pattern.
+	// computes and shares it, the other two are tier-served and keep the
+	// answer in their LRU only — the fleet-share benchmark's pattern.
 	reqs := make([]PartitionRequest, nKeys)
 	want := make([]string, nKeys)
 	own := make([]bool, nKeys) // the wiped member is the key's ring owner
 	owned := 0
+	keys := make([]string, nKeys)
+	// onDisk is the set of tier keys the wiped member's disk must hold.
+	onDisk := func(include func(i int) bool) map[string]bool {
+		set := map[string]bool{}
+		for i, k := range keys {
+			if include(i) {
+				set[k] = true
+			}
+		}
+		return set
+	}
+	diskKeys := func() map[string]bool {
+		entries, err := filepath.Glob(filepath.Join(wiped.dir, "*.tier"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, e := range entries {
+			set[strings.TrimSuffix(filepath.Base(e), ".tier")] = true
+		}
+		return set
+	}
 	for i := range reqs {
 		h := testHierarchy(i)
 		reqs[i] = PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: nprocs}
@@ -591,7 +617,8 @@ func TestWipedMemberRefillsFromMisses(t *testing.T) {
 			}
 			want[i] = normalizedBody(t, resp)
 		}
-		if own[i] = ring.Owner(partitionTierKey(t, h, "domain", nprocs)) == wiped.url; own[i] {
+		keys[i] = partitionTierKey(t, h, "domain", nprocs)
+		if own[i] = ring.Owner(keys[i]) == wiped.url; own[i] {
 			owned++
 		}
 	}
@@ -599,12 +626,14 @@ func TestWipedMemberRefillsFromMisses(t *testing.T) {
 		t.Fatalf("the wiped member owns %d of %d keys: the draw cannot tell a miss from a peer hit", owned, nKeys)
 	}
 
-	entries, err := filepath.Glob(filepath.Join(wiped.dir, "*.tier"))
-	if err != nil || len(entries) != nKeys {
-		t.Fatalf("wiped member's disk entries before the wipe: %d (err %v), want %d", len(entries), err, nKeys)
+	// The wiped member computed the keys posted to it first (i%3 == 2)
+	// and was offered the keys it owns.
+	filled := onDisk(func(i int) bool { return i%3 == 2 || own[i] })
+	if got := diskKeys(); !maps.Equal(got, filled) {
+		t.Fatalf("wiped member's disk before the wipe: %d entries, want exactly the %d keys it computed or owns", len(got), len(filled))
 	}
-	for _, e := range entries {
-		wiped.srv.Tier().Disk().Delete(strings.TrimSuffix(filepath.Base(e), ".tier"))
+	for k := range filled {
+		wiped.srv.Tier().Disk().Delete(k)
 	}
 	wiped.srv.Cache().Flush()
 
@@ -643,8 +672,8 @@ func TestWipedMemberRefillsFromMisses(t *testing.T) {
 	if got := after.Tier.PeerGets - before.Tier.PeerGets; got != uint64(nKeys-owned) {
 		t.Errorf("replay 1 sent %d peer GETs, want one for each of the %d keys another member owns", got, nKeys-owned)
 	}
-	if after.Tier.DiskEntries != nKeys {
-		t.Errorf("disk entries after replay 1 = %d, want all %d back", after.Tier.DiskEntries, nKeys)
+	if got := diskKeys(); after.Tier.DiskEntries != owned || !maps.Equal(got, onDisk(func(i int) bool { return own[i] })) {
+		t.Errorf("disk after replay 1: %d entries (stats %d), want exactly the %d keys the member owns", len(got), after.Tier.DiskEntries, owned)
 	}
 
 	before = after

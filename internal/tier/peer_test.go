@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -390,7 +392,7 @@ func TestPeerClientDeadPeerIsMiss(t *testing.T) {
 }
 
 // TestTierComposite drives the assembled tier: disk first, then the
-// key's owner peer, write-through on a peer hit, owner offer on store.
+// key's owner peer, no local copy of a peer hit, owner offer on store.
 func TestTierComposite(t *testing.T) {
 	ownerStore := map[string][]byte{}
 	owner := httptest.NewServer(tierHandler(ownerStore))
@@ -416,16 +418,19 @@ func TestTierComposite(t *testing.T) {
 		t.Fatal("store never offered the blob to the key's owner")
 	}
 
-	// A peer-only key: lookup falls through disk to the owner and
-	// writes through.
+	// A peer-only key: lookup falls through disk to the owner, and the
+	// local disk still holds only the stored key.
 	key2 := Key("y")
 	ownerStore[key2] = smallBlob()
 	blob, ok := tr.Lookup(bg, key2)
 	if !ok || !bytes.Equal(blob, ownerStore[key2]) {
 		t.Fatal("peer-level lookup failed")
 	}
-	if _, ok := tr.Disk().Get(key2); !ok {
-		t.Fatal("peer hit was not written through to disk")
+	if _, ok := tr.Disk().Get(key2); ok {
+		t.Fatal("peer hit was written through to disk")
+	}
+	if n := tr.Disk().Len(); n != 1 {
+		t.Fatalf("disk holds %d entries after a store and a peer hit, want 1", n)
 	}
 	st := tr.Stats()
 	if st.DiskHits != 0 || st.PeerHits != 1 || st.Misses != 1 || st.Stores != 1 {
@@ -562,8 +567,8 @@ func TestFailoverReadAndStore(t *testing.T) {
 	if !ok || !bytes.Equal(blob, smallBlob()) {
 		t.Fatal("failover read missed a blob the stand-in holds")
 	}
-	if _, ok := self.tr.Disk().Get(key); !ok {
-		t.Fatal("failover read skipped the disk write-through")
+	if n := self.tr.Disk().Len(); n != 0 {
+		t.Fatalf("failover read left %d entries on the local disk, want 0", n)
 	}
 
 	// Failover store: the offer lands on the stand-in, not the owner.
@@ -602,6 +607,108 @@ func TestFailoverReadAndStore(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("stats breakers = %+v, want the owner open", st.Breakers)
+	}
+}
+
+// TestTierHitWritesNothing pins that a lookup answered by a peer
+// leaves the local disk as it found it: a peer hit, a failover read,
+// and a hit whose owner answers garbage bytes each change neither the
+// directory listing (no new entry, no put-*.tmp) nor the store's put
+// count. A peer-served blob is kept only by the caller.
+func TestTierHitWritesNothing(t *testing.T) {
+	ms := newMembers(t, 3)
+	self := ms[2]
+	byURL := map[string]*member{}
+	for _, m := range ms {
+		byURL[m.ts.URL] = m
+	}
+	// ownedBy finds a fresh key whose rendezvous order puts owner first;
+	// standIn is the first member after it other than self.
+	ownedBy := func(tag, owner string) (key, standIn string) {
+		for i := 0; ; i++ {
+			k := Key(tag, fmt.Sprint(i))
+			ranked := self.tr.ring.Ranked(k)
+			if ranked[0] != owner {
+				continue
+			}
+			for _, p := range ranked[1:] {
+				if p != self.ts.URL {
+					return k, p
+				}
+			}
+		}
+	}
+	owner, other := ms[0].ts.URL, ms[1].ts.URL
+
+	// The local disk holds one self-owned entry, so the listing under
+	// test is not trivially empty.
+	local, _ := ownedBy("local", self.ts.URL)
+	if err := self.tr.Disk().Put(local, smallBlob()); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() []string {
+		des, err := os.ReadDir(self.tr.Disk().dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(des))
+		for i, de := range des {
+			names[i] = de.Name()
+		}
+		return names
+	}
+	want := listing()
+	if len(want) != 1 || want[0] != local+suffix {
+		t.Fatalf("local listing = %v, want only %s%s", want, local, suffix)
+	}
+	puts := self.tr.Disk().puts.Load()
+	unchanged := func(what string) {
+		t.Helper()
+		if got := listing(); !slices.Equal(got, want) {
+			t.Fatalf("%s: local listing %v, want %v", what, got, want)
+		}
+		if n := self.tr.Disk().puts.Load(); n != puts {
+			t.Fatalf("%s: store put count %d, want %d", what, n, puts)
+		}
+	}
+
+	// A peer hit: the owner holds the blob.
+	hit, _ := ownedBy("hit", owner)
+	if err := byURL[owner].tr.Disk().Put(hit, smallBlob()); err != nil {
+		t.Fatal(err)
+	}
+	if blob, ok := self.tr.Lookup(bg, hit); !ok || !bytes.Equal(blob, smallBlob()) {
+		t.Fatal("peer hit missed")
+	}
+	unchanged("peer hit")
+
+	// Garbage: the owner's store holds bytes that are no sealed blob,
+	// and Lookup hands them to the caller unverified.
+	garbage, _ := ownedBy("garbage", owner)
+	if err := byURL[owner].tr.Disk().Put(garbage, []byte("not a blob")); err != nil {
+		t.Fatal(err)
+	}
+	if blob, ok := self.tr.Lookup(bg, garbage); !ok || string(blob) != "not a blob" {
+		t.Fatal("garbage answer was not handed to the caller")
+	}
+	unchanged("garbage answer")
+
+	// A failover read: other's breaker is open, so its stand-in answers.
+	c := self.tr.client
+	for i := 0; i < 3; i++ {
+		c.report(other, false)
+	}
+	fo, standIn := ownedBy("failover", other)
+	if err := byURL[standIn].tr.Disk().Put(fo, smallBlob()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := self.tr.Lookup(bg, fo); !ok {
+		t.Fatal("failover read missed")
+	}
+	unchanged("failover read")
+
+	if st := self.tr.Stats(); st.PeerHits != 3 || st.FailoverReads != 1 || st.DiskHits != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 3 peer hits, 1 of them a failover read", st)
 	}
 }
 

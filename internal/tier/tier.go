@@ -116,8 +116,9 @@ func (t *Tier) peerFor(key string) (peer string, failover bool) {
 // the local disk store, then the key's ring owner — or, when the
 // owner's breaker is open, the next peer in rendezvous order (a
 // failover read; still exactly one peer consultation). A peer-served
-// blob is written through to the local disk so the next lookup stays
-// local.
+// blob goes back to the caller only: nothing reachable from Lookup
+// writes to disk, so a peer's bytes reach this member's disk only
+// through ServePut, which checks the envelope first.
 func (t *Tier) Lookup(ctx context.Context, key string) ([]byte, bool) {
 	t.lookups.Add(1)
 	if t.disk != nil {
@@ -133,9 +134,6 @@ func (t *Tier) Lookup(ctx context.Context, key string) ([]byte, bool) {
 			}
 			if blob, err := t.client.Fetch(ctx, peer, key); err == nil {
 				t.peerHits.Add(1)
-				if t.disk != nil {
-					t.disk.Put(key, blob) //nolint:errcheck // write-through is best-effort
-				}
 				return blob, true
 			}
 		}

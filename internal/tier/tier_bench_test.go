@@ -3,6 +3,9 @@ package tier
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"samr/internal/geom"
@@ -25,10 +28,13 @@ func benchHierarchy() *grid.Hierarchy {
 	return h
 }
 
-// BenchmarkTierHitVsCompute compares the two ways a singleflight leader
-// can resolve a local cache miss: decoding a tier blob (disk read +
-// checksum + decode) versus running the partitioner. The gap is the
-// budget the fleet tier has for network hops before it stops paying.
+// BenchmarkTierHitVsCompute compares the ways a singleflight leader can
+// resolve a local cache miss: a disk hit (disk read + checksum + decode
+// to the packed form the daemon's LRU holds), a peer hit (Tier.Lookup
+// missing the local disk and fetching from the key's owner over HTTP,
+// then the same decode), and running the partitioner. The gap between
+// tier-hit and compute is the budget the fleet tier has for network
+// hops before it stops paying; peer-hit spends one.
 func BenchmarkTierHitVsCompute(b *testing.B) {
 	h := benchHierarchy()
 	p := partition.NewDomainSFC()
@@ -56,13 +62,48 @@ func BenchmarkTierHitVsCompute(b *testing.B) {
 			if !ok {
 				b.Fatal("tier entry vanished")
 			}
-			got, err := DecodeAssignment(raw)
+			got, err := DecodePacked(raw)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(got.Fragments) != len(a.Fragments) {
+			if got.Len() != len(a.Fragments) {
 				b.Fatal("decoded assignment lost fragments")
 			}
+		}
+	})
+	b.Run("peer-hit", func(b *testing.B) {
+		owner, err := New(Config{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := owner.Disk().Put(key, blob); err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			owner.ServeGet(w, strings.TrimPrefix(r.URL.Path, "/v1/tier/"))
+		}))
+		defer ts.Close()
+		member, err := New(Config{Dir: b.TempDir(), Peers: []string{ts.URL}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(blob)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			raw, ok := member.Lookup(ctx, key)
+			if !ok {
+				b.Fatal("the owner did not serve its entry")
+			}
+			got, err := DecodePacked(raw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got.Len() != len(a.Fragments) {
+				b.Fatal("decoded assignment lost fragments")
+			}
+		}
+		if st := member.Stats(); st.DiskHits != 0 || st.PeerHits != uint64(b.N) {
+			b.Fatalf("stats = %+v, want every lookup a peer hit", st)
 		}
 	})
 	b.Run("compute", func(b *testing.B) {
