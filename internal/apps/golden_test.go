@@ -116,18 +116,29 @@ func (k *initCounter) Init(p *field.Patch, g solver.Geometry) {
 	k.Kernel.Init(p, g)
 }
 
-// BenchmarkGenerate times generating each application's trace at the
-// quick scale (QuickTrace's configuration, generated afresh), with its
-// allocations.
+// BenchmarkGenerate times generating each application's trace, with
+// its allocations: at the quick scale (QuickTrace's configuration) and
+// at the paper configuration for 16 coarse steps (the bench module's
+// paper-16-steps scale), generated afresh every iteration.
 func BenchmarkGenerate(b *testing.B) {
-	for _, app := range Names {
-		b.Run(app, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := Generate(context.Background(), app, goldenConfig(0), goldenSteps); err != nil {
-					b.Fatal(err)
+	scales := []struct {
+		name  string
+		cfg   amr.Config
+		steps int
+	}{
+		{"quick", goldenConfig(0), goldenSteps},
+		{"paper-16-steps", PaperConfig(), 16},
+	}
+	for _, sc := range scales {
+		for _, app := range Names {
+			b.Run(sc.name+"/"+app, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := Generate(context.Background(), app, sc.cfg, sc.steps); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

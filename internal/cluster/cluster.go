@@ -11,6 +11,8 @@
 package cluster
 
 import (
+	"math"
+
 	"samr/internal/geom"
 )
 
@@ -34,14 +36,21 @@ func DefaultOptions() Options {
 	return Options{MinEfficiency: 0.7, MinWidth: 2, MaxWidth: 0}
 }
 
-// signature returns the per-plane histogram of the points along dim d
-// relative to box b. Points must lie inside b.
-func signature(pts []geom.IntVect, b geom.Box, d int) []int {
-	sig := make([]int, b.Size(d))
-	for _, p := range pts {
-		sig[p[d]-b.Lo[d]]++
-	}
-	return sig
+// point is a tagged cell relative to the tag set's bounding box: 8
+// bytes instead of a 24-byte geom.IntVect, so the recursion's
+// partitioning and histogram passes stream a third of the memory.
+type point [2]int32
+
+// clusterer carries the state one ClusterPoints call shares across its
+// recursion: the frame the points are stored in, the options, the
+// histogram buffers every split reuses, and the output.
+type clusterer struct {
+	origin geom.IntVect // absolute coordinates of point{0, 0}
+	domain geom.Box
+	opts   Options
+	sig    []int // per-plane histogram of the box being split
+	lap    []int // its discrete Laplacian
+	out    geom.BoxList
 }
 
 // ClusterPoints covers the tagged cells pts with patches meeting opts.
@@ -52,92 +61,141 @@ func signature(pts []geom.IntVect, b geom.Box, d int) []int {
 // driver's per-patch tag scan never produces any, since patch interiors
 // are disjoint). The output is independent of the order of pts: every
 // splitting decision is made on bounding boxes and per-plane histograms
-// of the point set.
+// of the point set, which is what lets the recursion partition its
+// points in place. The points inside domain are stored relative to
+// their bounding box, whose extents must fit an int32 (the histograms
+// of a wider box would not fit in memory anyway).
 func ClusterPoints(pts []geom.IntVect, domain geom.Box, opts Options) geom.BoxList {
-	in := pts[:0:0]
+	n := 0
+	var lo, hi geom.IntVect
 	for _, p := range pts {
-		if domain.Contains(p) {
-			in = append(in, p)
+		if !domain.Contains(p) {
+			continue
 		}
+		if n == 0 {
+			lo, hi = p, p
+		}
+		lo, hi = lo.Min(p), hi.Max(p)
+		n++
 	}
-	if len(in) == 0 {
+	if n == 0 {
 		return nil
 	}
-	var out geom.BoxList
-	recurse(in, domain, opts, &out, 0)
-	return out
+	if hi[0]-lo[0] > math.MaxInt32 || hi[1]-lo[1] > math.MaxInt32 {
+		panic("cluster: tag set wider than 2^31 cells")
+	}
+	in := make([]point, 0, n)
+	for _, p := range pts {
+		if domain.Contains(p) {
+			in = append(in, point{int32(p[0] - lo[0]), int32(p[1] - lo[1])})
+		}
+	}
+	c := clusterer{origin: geom.IV2(lo[0], lo[1]), domain: domain, opts: opts}
+	c.recurse(in, 0)
+	return c.out
 }
 
 // maxClusterDepth bounds recursion; at 64 the box would have been
 // bisected far below any practical patch size.
 const maxClusterDepth = 64
 
-func recurse(pts []geom.IntVect, domain geom.Box, opts Options, out *geom.BoxList, depth int) {
+func (c *clusterer) recurse(pts []point, depth int) {
 	if len(pts) == 0 {
 		return
 	}
 	// The working box is the exact bounding box of the points.
-	b := boundsOf(pts)
+	b := c.boundsOf(pts)
+	opts := c.opts
 	eff := float64(len(pts)) / float64(b.Volume())
 	tooWide := opts.MaxWidth > 0 && (b.Size(0) > opts.MaxWidth || b.Size(1) > opts.MaxWidth)
 	splittable := b.Size(0) >= 2*opts.MinWidth || b.Size(1) >= 2*opts.MinWidth
 	if depth >= maxClusterDepth || (!tooWide && (eff >= opts.MinEfficiency || !splittable)) {
-		*out = append(*out, enforceMinWidth(b, domain, opts.MinWidth))
+		c.out = append(c.out, enforceMinWidth(b, c.domain, opts.MinWidth))
 		return
 	}
-	d, at, ok := split(pts, b, opts.MinWidth)
+	d, at, ok := c.split(pts, b)
 	if !ok {
-		*out = append(*out, enforceMinWidth(b, domain, opts.MinWidth))
+		c.out = append(c.out, enforceMinWidth(b, c.domain, opts.MinWidth))
 		return
 	}
-	// Partition the points in place around the cut plane.
-	lo := pts[:0:len(pts)]
-	var hi []geom.IntVect
-	for _, p := range pts {
-		if p[d] < at {
-			lo = append(lo, p)
-		} else {
-			hi = append(hi, p)
+	// Partition the points in place around the cut plane: those below
+	// it first.
+	cut := int32(at - c.origin[d])
+	n := 0
+	for i, p := range pts {
+		if p[d] < cut {
+			pts[n], pts[i] = pts[i], pts[n]
+			n++
 		}
 	}
-	recurse(lo, domain, opts, out, depth+1)
-	recurse(hi, domain, opts, out, depth+1)
+	c.recurse(pts[:n], depth+1)
+	c.recurse(pts[n:], depth+1)
 }
 
-// boundsOf returns the bounding box of a non-empty point set.
-func boundsOf(pts []geom.IntVect) geom.Box {
+// boundsOf returns the absolute bounding box of a non-empty point set.
+func (c *clusterer) boundsOf(pts []point) geom.Box {
 	lo, hi := pts[0], pts[0]
 	for _, p := range pts[1:] {
-		lo = lo.Min(p)
-		hi = hi.Max(p)
+		lo = point{min(lo[0], p[0]), min(lo[1], p[1])}
+		hi = point{max(hi[0], p[0]), max(hi[1], p[1])}
 	}
-	return geom.NewBox2(lo[0], lo[1], hi[0]+1, hi[1]+1)
+	ox, oy := c.origin[0], c.origin[1]
+	return geom.NewBox2(ox+int(lo[0]), oy+int(lo[1]), ox+int(hi[0])+1, oy+int(hi[1])+1)
+}
+
+// signature returns the per-plane histogram of the points along dim d
+// relative to box b, in the clusterer's reused buffer. Points must lie
+// inside b.
+func (c *clusterer) signature(pts []point, b geom.Box, d int) []int {
+	n := b.Size(d)
+	if cap(c.sig) < n {
+		c.sig = make([]int, n)
+	}
+	sig := c.sig[:n]
+	clear(sig)
+	off := int32(b.Lo[d] - c.origin[d])
+	for _, p := range pts {
+		sig[p[d]-off]++
+	}
+	return sig
 }
 
 // split chooses a bisection plane for the points in b: first a signature
 // hole, then the strongest Laplacian inflection, then the
-// longest-dimension midpoint. Both halves are kept at least minW wide.
-// It returns the dimension and absolute cut coordinate.
-func split(pts []geom.IntVect, b geom.Box, minW int) (dim, at int, ok bool) {
+// longest-dimension midpoint. Both halves are kept at least MinWidth
+// wide. It returns the dimension and absolute cut coordinate.
+func (c *clusterer) split(pts []point, b geom.Box) (dim, at int, ok bool) {
 	type cut struct {
 		d, at int
 	}
-	var holes []cut
+	minW := c.opts.MinWidth
+	// The hole closest to the box centre (best balance), the first
+	// found on a tie.
+	var bestHole cut
+	bestHoleDist := -1
 	var bestInf cut
 	bestInfMag := -1
 	for d := 0; d < 2; d++ {
 		if b.Size(d) < 2*minW {
 			continue
 		}
-		sig := signature(pts, b, d)
+		sig := c.signature(pts, b, d)
+		mid := (b.Lo[d] + b.Hi[d]) / 2
 		// Holes: zero planes strictly inside the feasible cut range.
 		for i := minW; i <= len(sig)-minW; i++ {
 			if i < len(sig) && sig[i] == 0 {
-				holes = append(holes, cut{d, b.Lo[d] + i})
+				at := b.Lo[d] + i
+				if dist := absInt(at - mid); bestHoleDist < 0 || dist < bestHoleDist {
+					bestHoleDist, bestHole = dist, cut{d, at}
+				}
 			}
 		}
 		// Laplacian inflections: sign change of the second difference.
-		lap := make([]int, len(sig))
+		if cap(c.lap) < len(sig) {
+			c.lap = make([]int, len(sig))
+		}
+		lap := c.lap[:len(sig)]
+		lap[0], lap[len(lap)-1] = 0, 0
 		for i := 1; i < len(sig)-1; i++ {
 			lap[i] = sig[i-1] - 2*sig[i] + sig[i+1]
 		}
@@ -154,19 +212,8 @@ func split(pts []geom.IntVect, b geom.Box, minW int) (dim, at int, ok bool) {
 	feasible := func(c cut) bool {
 		return c.at-b.Lo[c.d] >= minW && b.Hi[c.d]-c.at >= minW
 	}
-	// Prefer the hole closest to the box centre (best balance).
-	if len(holes) > 0 {
-		best := holes[0]
-		bestDist := 1 << 30
-		for _, h := range holes {
-			mid := (b.Lo[h.d] + b.Hi[h.d]) / 2
-			if d := absInt(h.at - mid); d < bestDist {
-				bestDist, best = d, h
-			}
-		}
-		if feasible(best) {
-			return best.d, best.at, true
-		}
+	if bestHoleDist >= 0 && feasible(bestHole) {
+		return bestHole.d, bestHole.at, true
 	}
 	if bestInfMag >= 0 && feasible(bestInf) {
 		return bestInf.d, bestInf.at, true
@@ -179,11 +226,11 @@ func split(pts []geom.IntVect, b geom.Box, minW int) (dim, at int, ok bool) {
 			return 0, 0, false
 		}
 	}
-	c := cut{d, (b.Lo[d] + b.Hi[d]) / 2}
-	if !feasible(c) {
+	mc := cut{d, (b.Lo[d] + b.Hi[d]) / 2}
+	if !feasible(mc) {
 		return 0, 0, false
 	}
-	return c.d, c.at, true
+	return mc.d, mc.at, true
 }
 
 // enforceMinWidth grows b to at least minW cells per dimension, staying

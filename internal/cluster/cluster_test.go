@@ -260,15 +260,183 @@ func TestSignatureHoleSplitPreferred(t *testing.T) {
 	}
 }
 
+// clusterPointsReference is ClusterPoints' body before it moved to
+// compact points partitioned in place: the recursion over
+// []geom.IntVect, a fresh histogram per signature and a fresh slice for
+// every upper half. TestClusterPointsMatchesReference and the trace-tag
+// test in tags_test.go hold ClusterPoints to it box for box.
+func clusterPointsReference(pts []geom.IntVect, domain geom.Box, opts Options) geom.BoxList {
+	in := pts[:0:0]
+	for _, p := range pts {
+		if domain.Contains(p) {
+			in = append(in, p)
+		}
+	}
+	if len(in) == 0 {
+		return nil
+	}
+	var out geom.BoxList
+	referenceRecurse(in, domain, opts, &out, 0)
+	return out
+}
+
+func referenceRecurse(pts []geom.IntVect, domain geom.Box, opts Options, out *geom.BoxList, depth int) {
+	if len(pts) == 0 {
+		return
+	}
+	b := referenceBounds(pts)
+	eff := float64(len(pts)) / float64(b.Volume())
+	tooWide := opts.MaxWidth > 0 && (b.Size(0) > opts.MaxWidth || b.Size(1) > opts.MaxWidth)
+	splittable := b.Size(0) >= 2*opts.MinWidth || b.Size(1) >= 2*opts.MinWidth
+	if depth >= maxClusterDepth || (!tooWide && (eff >= opts.MinEfficiency || !splittable)) {
+		*out = append(*out, enforceMinWidth(b, domain, opts.MinWidth))
+		return
+	}
+	d, at, ok := referenceSplit(pts, b, opts.MinWidth)
+	if !ok {
+		*out = append(*out, enforceMinWidth(b, domain, opts.MinWidth))
+		return
+	}
+	lo := pts[:0:len(pts)]
+	var hi []geom.IntVect
+	for _, p := range pts {
+		if p[d] < at {
+			lo = append(lo, p)
+		} else {
+			hi = append(hi, p)
+		}
+	}
+	referenceRecurse(lo, domain, opts, out, depth+1)
+	referenceRecurse(hi, domain, opts, out, depth+1)
+}
+
+func referenceBounds(pts []geom.IntVect) geom.Box {
+	lo, hi := pts[0], pts[0]
+	for _, p := range pts[1:] {
+		lo = lo.Min(p)
+		hi = hi.Max(p)
+	}
+	return geom.NewBox2(lo[0], lo[1], hi[0]+1, hi[1]+1)
+}
+
+func referenceSignature(pts []geom.IntVect, b geom.Box, d int) []int {
+	sig := make([]int, b.Size(d))
+	for _, p := range pts {
+		sig[p[d]-b.Lo[d]]++
+	}
+	return sig
+}
+
+func referenceSplit(pts []geom.IntVect, b geom.Box, minW int) (dim, at int, ok bool) {
+	type cut struct {
+		d, at int
+	}
+	var holes []cut
+	var bestInf cut
+	bestInfMag := -1
+	for d := 0; d < 2; d++ {
+		if b.Size(d) < 2*minW {
+			continue
+		}
+		sig := referenceSignature(pts, b, d)
+		for i := minW; i <= len(sig)-minW; i++ {
+			if i < len(sig) && sig[i] == 0 {
+				holes = append(holes, cut{d, b.Lo[d] + i})
+			}
+		}
+		lap := make([]int, len(sig))
+		for i := 1; i < len(sig)-1; i++ {
+			lap[i] = sig[i-1] - 2*sig[i] + sig[i+1]
+		}
+		for i := minW; i <= len(sig)-minW && i < len(sig)-1; i++ {
+			if lap[i-1]*lap[i] < 0 {
+				mag := absInt(lap[i-1] - lap[i])
+				if mag > bestInfMag {
+					bestInfMag = mag
+					bestInf = cut{d, b.Lo[d] + i}
+				}
+			}
+		}
+	}
+	feasible := func(c cut) bool {
+		return c.at-b.Lo[c.d] >= minW && b.Hi[c.d]-c.at >= minW
+	}
+	if len(holes) > 0 {
+		best := holes[0]
+		bestDist := 1 << 30
+		for _, h := range holes {
+			mid := (b.Lo[h.d] + b.Hi[h.d]) / 2
+			if d := absInt(h.at - mid); d < bestDist {
+				bestDist, best = d, h
+			}
+		}
+		if feasible(best) {
+			return best.d, best.at, true
+		}
+	}
+	if bestInfMag >= 0 && feasible(bestInf) {
+		return bestInf.d, bestInf.at, true
+	}
+	d := b.LongestDim()
+	if b.Size(d) < 2*minW {
+		d = 1 - d
+		if b.Size(d) < 2*minW {
+			return 0, 0, false
+		}
+	}
+	c := cut{d, (b.Lo[d] + b.Hi[d]) / 2}
+	if !feasible(c) {
+		return 0, 0, false
+	}
+	return c.d, c.at, true
+}
+
+// TestClusterPointsMatchesReference holds ClusterPoints to
+// clusterPointsReference on random tag sets: scattered cells, blobs,
+// duplicates, points outside the domain, negative corners and a range
+// of options, in a random order each time.
+func TestClusterPointsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		x0, y0 := r.Intn(200)-100, r.Intn(200)-100
+		dom := geom.NewBox2(x0, y0, x0+8+r.Intn(120), y0+8+r.Intn(120))
+		opts := Options{
+			MinEfficiency: []float64{0.5, 0.7, 0.9}[r.Intn(3)],
+			MinWidth:      1 + r.Intn(4),
+		}
+		if r.Intn(3) == 0 {
+			opts.MaxWidth = opts.MinWidth + r.Intn(24)
+		}
+		var pts []geom.IntVect
+		for blob := r.Intn(5); blob >= 0; blob-- {
+			cx, cy := dom.Lo[0]+r.Intn(dom.Size(0)), dom.Lo[1]+r.Intn(dom.Size(1))
+			rad := 1 + r.Intn(12)
+			for n := r.Intn(200); n > 0; n-- {
+				// Some land outside the domain, and some repeat.
+				pts = append(pts, geom.IV2(cx+r.Intn(2*rad+1)-rad, cy+r.Intn(2*rad+1)-rad))
+			}
+		}
+		for n := r.Intn(40); n > 0; n-- {
+			pts = append(pts, geom.IV2(dom.Lo[0]+r.Intn(dom.Size(0)), dom.Lo[1]+r.Intn(dom.Size(1))))
+		}
+		r.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		want := clusterPointsReference(slices.Clone(pts), dom, opts)
+		if got := ClusterPoints(pts, dom, opts); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d points, domain %v, %+v):\n got %v\nwant %v", trial, len(pts), dom, opts, got, want)
+		}
+	}
+}
+
 func BenchmarkClusterRandomTags(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	tags := tagSet{}
 	for i := 0; i < 500; i++ {
 		tags.Set(geom.IV2(r.Intn(128), r.Intn(128)))
 	}
+	pts := tags.points()
 	dom := geom.NewBox2(0, 0, 128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ClusterPoints(tags.points(), dom, DefaultOptions())
+	b.ReportAllocs()
+	for b.Loop() {
+		ClusterPoints(pts, dom, DefaultOptions())
 	}
 }

@@ -212,15 +212,6 @@ func ExchangeGhosts(patches []*Patch) {
 	}
 }
 
-// ExchangeGhostsWith is ExchangeGhosts decomposed for a parallel
-// driver: it fills only the ghosts of patches[di] from its siblings,
-// using a BoxIndex over the interiors of the same patch list. Each destination patch writes only its own halo and reads
-// only sibling interiors, so concurrent calls on distinct di are
-// race-free and the result is bit-identical to ExchangeGhosts.
-func ExchangeGhostsWith(patches []*Patch, ix *geom.BoxIndex, di int, buf []int) []int {
-	return exchangeInto(patches, ix, di, buf)
-}
-
 // interiorIndex builds the sibling-lookup BoxIndex over the patch
 // interiors.
 func interiorIndex(patches []*Patch) *geom.BoxIndex {

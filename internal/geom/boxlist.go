@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sort"
 )
 
 // BoxList is an ordered collection of boxes on one refinement level. The
@@ -297,26 +296,28 @@ func tryMerge(a, b *Box) bool {
 
 // MergedAxis merges boxes that are adjacent along dimension d and have
 // identical extents in every other dimension. It is O(n log n) and is
-// the building block of Compact.
+// the building block of Compact. It sorts by the other dimensions'
+// extents, then by Lo along d: on the disjoint lists Compact passes,
+// no two boxes share that key, so the order — and the output — does
+// not depend on the sorting algorithm.
 func (bl BoxList) MergedAxis(d int) BoxList {
 	if len(bl) < 2 {
 		return bl.Clone()
 	}
 	out := bl.Clone()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	slices.SortFunc(out, func(a, b Box) int {
 		for e := 0; e < MaxDim; e++ {
 			if e == d {
 				continue
 			}
-			if a.Lo[e] != b.Lo[e] {
-				return a.Lo[e] < b.Lo[e]
+			if c := cmp.Compare(a.Lo[e], b.Lo[e]); c != 0 {
+				return c
 			}
-			if a.Hi[e] != b.Hi[e] {
-				return a.Hi[e] < b.Hi[e]
+			if c := cmp.Compare(a.Hi[e], b.Hi[e]); c != 0 {
+				return c
 			}
 		}
-		return a.Lo[d] < b.Lo[d]
+		return cmp.Compare(a.Lo[d], b.Lo[d])
 	})
 	merged := out[:1]
 	for _, b := range out[1:] {

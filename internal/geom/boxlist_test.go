@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -307,6 +308,74 @@ func BenchmarkSimplifyFragments(b *testing.B) {
 	for b.Loop() {
 		if got := frags.Simplify(); got.TotalVolume() != 64*64 {
 			b.Fatalf("Simplify changed the covered volume: %v", got)
+		}
+	}
+}
+
+// mergedAxisReference is MergedAxis' body before it moved to
+// slices.SortFunc: the same key through the reflective sort.Slice.
+// TestMergedAxisMatchesReference holds MergedAxis to it.
+func mergedAxisReference(bl BoxList, d int) BoxList {
+	if len(bl) < 2 {
+		return bl.Clone()
+	}
+	out := bl.Clone()
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		for e := 0; e < MaxDim; e++ {
+			if e == d {
+				continue
+			}
+			if a.Lo[e] != b.Lo[e] {
+				return a.Lo[e] < b.Lo[e]
+			}
+			if a.Hi[e] != b.Hi[e] {
+				return a.Hi[e] < b.Hi[e]
+			}
+		}
+		return a.Lo[d] < b.Lo[d]
+	})
+	merged := out[:1]
+	for _, b := range out[1:] {
+		last := &merged[len(merged)-1]
+		same := true
+		for e := 0; e < MaxDim; e++ {
+			if e != d && (last.Lo[e] != b.Lo[e] || last.Hi[e] != b.Hi[e]) {
+				same = false
+				break
+			}
+		}
+		if same && last.Hi[d] == b.Lo[d] {
+			last.Hi[d] = b.Hi[d]
+		} else {
+			merged = append(merged, b)
+		}
+	}
+	return merged
+}
+
+// TestMergedAxisMatchesReference holds MergedAxis to its sort.Slice
+// reference, box for box and along both axes, on random disjoint lists:
+// tilings of a box with pieces dropped (many neighbours to merge) and
+// scattered boxes (few), in a random order.
+func TestMergedAxisMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		var bl BoxList
+		if trial%2 == 0 {
+			for _, b := range subdivide(r, NewBox2(-20, -10, 20+r.Intn(40), 10+r.Intn(40)), 2, nil) {
+				if r.Intn(5) > 0 {
+					bl = append(bl, b)
+				}
+			}
+		} else {
+			bl = randomDisjointList(r, 1+r.Intn(40))
+		}
+		r.Shuffle(len(bl), func(i, j int) { bl[i], bl[j] = bl[j], bl[i] })
+		for d := 0; d < 2; d++ {
+			if got, want := bl.MergedAxis(d), mergedAxisReference(bl, d); !slices.Equal(got, want) {
+				t.Fatalf("trial %d axis %d on %v:\n got %v\nwant %v", trial, d, bl, got, want)
+			}
 		}
 	}
 }

@@ -181,12 +181,41 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	// The fault-free baseline fleet fixes the expected body per
 	// hierarchy (tier members and a tier-less recompute already agree;
 	// see TestFleetTierServesPeerComputedPartition).
+	hiers := make([]Hierarchy, nHier, nHier+1)
+	for i := range hiers {
+		hiers[i] = testHierarchy(i)
+	}
+	keyOf := func(hi int) string {
+		return partitionTierKey(t, hiers[hi], "domain", 4)
+	}
+	fleet := newChaosFleet(t, 3, chaosSchedule{failGet: 4, delayPut: 4, flipBody: 3}, nil)
+	ring := tier.NewRing("", []string{fleet[0].url, fleet[1].url, fleet[2].url})
+	// One more hierarchy, extra, whose key the ring gives member 2:
+	// pass 2's lookup of it on a survivor that never answered it must
+	// ask the dead member, whichever keys the ring draws for the rest.
+	// testHierarchy's fine patch slides through x; lowering its y edge
+	// gives four times as many distinct hierarchies to draw from.
+	extra := nHier
+	for j := 0; ; j++ {
+		if j == 4*nHier {
+			t.Fatal("member 2 owns none of the candidate hierarchies")
+		}
+		h := testHierarchy(j % nHier)
+		h.Levels[1][0].Lo[1] = 6 - 2*(j/nHier)
+		hiers = append(hiers[:extra], h)
+		if ring.Owner(keyOf(extra)) == fleet[2].url {
+			break
+		}
+	}
+
+	// The fault-free baseline fleet fixes the expected body per
+	// hierarchy (tier members and a tier-less recompute already agree;
+	// see TestFleetTierServesPeerComputedPartition).
 	base := newFleet(t, 3)
-	want := make([]string, nHier)
-	for i := 0; i < nHier; i++ {
+	want := make([]string, len(hiers))
+	for i := range hiers {
 		req := PartitionRequest{Partitioner: "domain", NProcs: 4}
-		h := testHierarchy(i)
-		req.Hierarchy = &h
+		req.Hierarchy = &hiers[i]
 		var resp PartitionResponse
 		if r := post(t, base[i%3].url+"/v1/partition", req, &resp); r.StatusCode != http.StatusOK {
 			t.Fatalf("baseline hierarchy %d: status %d", i, r.StatusCode)
@@ -194,13 +223,11 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 		want[i] = normalizedBody(t, resp)
 	}
 
-	fleet := newChaosFleet(t, 3, chaosSchedule{failGet: 4, delayPut: 4, flipBody: 3}, nil)
 	// check posts hierarchy hi to m and returns the answer's disposition.
 	check := func(pass int, m *chaosMember, hi int) string {
 		t.Helper()
 		req := PartitionRequest{Partitioner: "domain", NProcs: 4}
-		h := testHierarchy(hi)
-		req.Hierarchy = &h
+		req.Hierarchy = &hiers[hi]
 		var resp PartitionResponse
 		r := post(t, m.url+"/v1/partition", req, &resp)
 		if r.StatusCode != http.StatusOK {
@@ -214,10 +241,12 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 		return r.Header.Get("X-Samr-Cache")
 	}
 
-	// Pass 1: the whole fleet serves under the peer faults.
+	// Pass 1: the whole fleet serves under the peer faults; member 2
+	// answers extra, so neither survivor holds it in its LRU.
 	for i := 0; i < nHier; i++ {
 		check(1, fleet[i%3], i)
 	}
+	check(1, fleet[2], extra)
 
 	// Every entry on member 0's disk rots.
 	if rot(t, fleet[0].cfg.TierDir) == 0 {
@@ -231,6 +260,7 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	for i := 0; i < nHier; i++ {
 		check(2, fleet[i%2], i)
 	}
+	check(2, fleet[0], extra)
 	noticed := false
 	for _, m := range fleet[:2] {
 		for _, b := range m.srv.Load().Tier().Stats().Breakers {
@@ -251,9 +281,6 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	// hierarchies it has not answered before. The rejoined member's
 	// computed keys are recorded.
 	rejoinedMiss := map[string]bool{}
-	keyOf := func(hi int) string {
-		return partitionTierKey(t, testHierarchy(hi), "domain", 4)
-	}
 	for i := 0; i < nHier; i++ {
 		m := fleet[(i+1)%3]
 		if check(3, m, i) == CacheMiss && m == fleet[2] {
@@ -269,7 +296,6 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 			rejoinedMiss[keyOf(i)] = true
 		}
 	}
-	ring := tier.NewRing("", []string{fleet[0].url, fleet[1].url, fleet[2].url})
 	entries, err := filepath.Glob(filepath.Join(cfg.TierDir, "*.tier"))
 	if err != nil {
 		t.Fatal(err)

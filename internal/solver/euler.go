@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"sync"
 
 	"samr/internal/field"
 )
@@ -142,13 +143,23 @@ func (k *Euler) derive(row []eulerCell, p *field.Patch, y, x0 int) {
 // l and r, its neighbour in the positive direction of axis (0 = x,
 // 1 = y).
 func rusanov(l, r *eulerCell, axis int) (out [4]float64) {
-	smax := math.Max(l.s[axis], r.s[axis])
+	smax := max(l.s[axis], r.s[axis])
 	fl, fr := &l.f[axis], &r.f[axis]
 	for c := 0; c < 4; c++ {
 		out[c] = 0.5*(fl[c]+fr[c]) - 0.5*smax*(r.q[c]-l.q[c])
 	}
 	return out
 }
+
+// eulerScratch is Step's working storage: two rows of derived cells
+// and a row of y-fluxes, kept between steps by eulerScratchPool so a
+// patch step allocates nothing.
+type eulerScratch struct {
+	cells []eulerCell
+	fy    [][4]float64
+}
+
+var eulerScratchPool = sync.Pool{New: func() any { return new(eulerScratch) }}
 
 // Step updates the patch in place, without the whole-patch clone the
 // other kernels take: lo and hi hold the derived cells of rows j and
@@ -165,9 +176,14 @@ func (k *Euler) Step(p *field.Patch, t, dt float64, g Geometry) {
 	lam := dt / g.Dx
 	b := p.Box
 	w := b.Size(0)
-	cells := make([]eulerCell, 2*(w+2))
-	lo, hi := cells[:w+2], cells[w+2:]
-	fy := make([][4]float64, w)
+	sc := eulerScratchPool.Get().(*eulerScratch)
+	defer eulerScratchPool.Put(sc)
+	if cap(sc.fy) < w {
+		sc.cells = make([]eulerCell, 2*(w+2))
+		sc.fy = make([][4]float64, w)
+	}
+	lo, hi := sc.cells[:w+2], sc.cells[w+2:2*(w+2)]
+	fy := sc.fy[:w]
 	k.derive(lo, p, b.Lo[1]-1, b.Lo[0]-1)
 	k.derive(hi, p, b.Lo[1], b.Lo[0]-1)
 	for i := range fy {

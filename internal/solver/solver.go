@@ -225,7 +225,7 @@ func (k *ScalarWave) Init(p *field.Patch, g Geometry) {
 // sponge returns the absorption factor at (x, y): 1 in the interior,
 // falling towards 0 inside a boundary layer of width 0.1.
 func sponge(x, y float64) float64 {
-	edge := math.Min(math.Min(x, 1-x), math.Min(y, 1-y))
+	edge := min(min(x, 1-x), min(y, 1-y))
 	const w = 0.1
 	if edge >= w {
 		return 1
