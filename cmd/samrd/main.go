@@ -280,7 +280,6 @@ func main() {
 		addr       = flag.String("addr", ":8347", "listen address")
 		dir        = flag.String("traces", "", "directory of .trc trace files (loaded at startup and on demand)")
 		cache      = flag.Int("cache", 256, "partition cache capacity (results)")
-		procs      = flag.Int("procs", 16, "default processor count for requests that omit nprocs")
 		reqTimeout = flag.Duration("request-timeout", 2*time.Minute, "per-request deadline threaded into partitioners and simulator (0 disables)")
 		maxBody    = flag.Int64("max-body-bytes", 64<<20, "request body size limit in bytes")
 		inflight   = flag.Int("max-inflight", 0, "max concurrently computing requests, with four times as many queued behind them; 0 disables admission control")
@@ -303,7 +302,6 @@ func main() {
 	s, err := server.New(server.Config{
 		TraceDir:       *dir,
 		CacheSize:      *cache,
-		DefaultProcs:   *procs,
 		RequestTimeout: *reqTimeout,
 		MaxBodyBytes:   *maxBody,
 		MaxInFlight:    *inflight,

@@ -43,7 +43,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	s, err := server.New(server.Config{DefaultProcs: 8})
+	s, err := server.New(server.Config{})
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func run() error {
 		wire[i] = server.FromHierarchy(tr.Snapshots[i].H)
 	}
 	var sel server.SelectResponse
-	if _, err := call(http.MethodPost, ts.URL+"/v1/select", server.SelectRequest{Hierarchies: wire}, &sel); err != nil {
+	if _, err := call(http.MethodPost, ts.URL+"/v1/select", server.SelectRequest{Hierarchies: wire, NProcs: 8}, &sel); err != nil {
 		return err
 	}
 	fmt.Println("\nmeta-partitioner selection over the first regrid states:")

@@ -506,7 +506,10 @@ func (d *Driver) clusterLevel(ctx context.Context, l int) (geom.BoxList, error) 
 	for _, b := range boxes {
 		grown = append(grown, b.Grow(d.cfg.TagBuffer).Intersect(dom))
 	}
-	grown = cluster.MakeDisjoint(grown)
+	grown, err = cluster.MakeDisjoint(ctx, grown)
+	if err != nil {
+		return nil, err
+	}
 	lix := ls.interiorIndex()
 	var nested geom.BoxList
 	var buf []int

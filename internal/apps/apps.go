@@ -2,18 +2,19 @@
 // paper's experimental configuration (section 5.1.1): 5 levels of
 // factor-2 refinement in space and time, regridding every 4 steps on
 // each level, 100 coarse time steps, minimum block dimension
-// (granularity) 2. It also caches generated traces per process so the
-// experiment harness and benchmarks do not pay trace generation
-// repeatedly.
+// (granularity) 2. It also caches generated traces per process, in a
+// memo.Cache, so the experiment harness and benchmarks do not pay trace
+// generation repeatedly: a cached trace is returned at once, and
+// concurrent callers of one uncached trace share one generation.
 package apps
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"samr/internal/amr"
+	"samr/internal/memo"
 	"samr/internal/solver"
 	"samr/internal/trace"
 )
@@ -78,55 +79,41 @@ func Generate(ctx context.Context, name string, cfg amr.Config, steps int) (*tra
 	return amr.Run(ctx, k, cfg, steps)
 }
 
-var (
-	cacheMu sync.Mutex
-	cache   = map[string]*trace.Trace{}
-)
+// traces holds every generated trace under its scale and name: two
+// scales of four applications, and nothing else is ever stored (a
+// failed generation, including an unknown name's, stores nothing).
+var traces = memo.New[string, *trace.Trace](2 * len(Names))
 
 // PaperTrace returns the named application's paper-configuration trace,
 // generating it on first use and caching it for the life of the
 // process. The returned trace is shared: callers must not mutate it. A
-// cancelled ctx aborts the caller's own generation (nothing is
-// cached); note the cache lock is held across generation, so a caller
-// that loses the race waits for the winner's run before its ctx is
-// consulted — a cached hit is then returned regardless of ctx.
+// cached trace is returned whatever ctx; otherwise ctx bounds the call.
+// A caller that finds another caller generating the same trace waits
+// for that run, or returns ctx's error once ctx ends; a cancelled
+// generation caches nothing. Different applications never wait on each
+// other.
 func PaperTrace(ctx context.Context, name string) (*trace.Trace, error) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if tr, ok := cache[name]; ok {
-		return tr, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tr, err := Generate(ctx, name, PaperConfig(), PaperSteps)
-	if err != nil {
-		return nil, err
-	}
-	cache[name] = tr
-	return tr, nil
+	return cachedTrace(ctx, "paper/", name, PaperConfig(), PaperSteps)
 }
 
 // QuickTrace returns a reduced-scale trace (16x16 base, 3 levels, 20
 // steps) of the named application, cached like PaperTrace. Tests and
 // examples use it to keep runtimes low.
 func QuickTrace(ctx context.Context, name string) (*trace.Trace, error) {
-	key := "quick/" + name
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if tr, ok := cache[key]; ok {
-		return tr, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	cfg := PaperConfig()
 	cfg.BaseSize = 16
 	cfg.MaxLevels = 3
-	tr, err := Generate(ctx, name, cfg, 20)
-	if err != nil {
-		return nil, err
-	}
-	cache[key] = tr
-	return tr, nil
+	return cachedTrace(ctx, "quick/", name, cfg, 20)
+}
+
+// cachedTrace is PaperTrace and QuickTrace: the trace of name at one
+// scale, keyed by the scale's prefix.
+func cachedTrace(ctx context.Context, scale, name string, cfg amr.Config, steps int) (*trace.Trace, error) {
+	tr, _, err := traces.GetOrCompute(ctx, scale+name, func() (*trace.Trace, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return Generate(ctx, name, cfg, steps)
+	})
+	return tr, err
 }

@@ -2,8 +2,11 @@ package apps
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"samr/internal/trace"
 )
 
 func TestKernelLookup(t *testing.T) {
@@ -90,6 +93,49 @@ func TestNormalize(t *testing.T) {
 			t.Errorf("Normalize(%q) should fail", bad)
 		} else if !strings.Contains(err.Error(), "RM2D, BL2D, SC2D, TP2D") {
 			t.Errorf("Normalize(%q) error %q does not list valid kernels", bad, err)
+		}
+	}
+}
+
+// TestTraceCacheContract pins the trace cache's promises: a cached
+// trace is returned whatever the ctx; an uncached trace under a dead
+// ctx is the ctx's error and stores nothing; an unknown application is
+// refused and stores nothing; and the paper and quick traces of one
+// application never alias.
+func TestTraceCacheContract(t *testing.T) {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	want, err := QuickTrace(context.Background(), "BL2D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := QuickTrace(dead, "BL2D"); got != want || err != nil {
+		t.Errorf("cached QuickTrace under a dead ctx = (%p, %v), want (%p, nil)", got, err, want)
+	}
+
+	if traces.Contains("paper/BL2D") {
+		t.Fatal("paper/BL2D is cached before the test asks for it")
+	}
+	if got, err := PaperTrace(dead, "BL2D"); got != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("uncached PaperTrace under a dead ctx = (%p, %v), want (nil, %v)", got, err, context.Canceled)
+	}
+	if traces.Contains("paper/BL2D") {
+		t.Error("a cancelled PaperTrace stored a trace")
+	}
+
+	for _, c := range []struct {
+		get  func(context.Context, string) (*trace.Trace, error)
+		name string
+		key  string
+	}{
+		{QuickTrace, "NOPE", "quick/NOPE"},
+		{PaperTrace, "quick/BL2D", "paper/quick/BL2D"},
+	} {
+		if got, err := c.get(context.Background(), c.name); got != nil || err == nil || !strings.Contains(err.Error(), "unknown application") {
+			t.Errorf("trace of %q = (%p, %v), want an unknown-application error", c.name, got, err)
+		}
+		if traces.Contains(c.key) {
+			t.Errorf("the refused %q was cached", c.name)
 		}
 	}
 }

@@ -11,6 +11,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 
 	"samr/internal/geom"
@@ -266,9 +267,15 @@ func absInt(v int) int {
 // Only the kept boxes that meet a box are subtracted from it:
 // subtracting one that misses it returns every piece unchanged, so the
 // output is that of subtracting them all, box for box and in order.
-func MakeDisjoint(bl geom.BoxList) geom.BoxList {
+// Finding them is a scan over every kept box, quadratic in the list's
+// length, so ctx is polled before each box; once it is done the call
+// returns ctx.Err().
+func MakeDisjoint(ctx context.Context, bl geom.BoxList) (geom.BoxList, error) {
 	var out geom.BoxList
 	for _, b := range bl {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if b.Empty() {
 			continue
 		}
@@ -280,5 +287,5 @@ func MakeDisjoint(bl geom.BoxList) geom.BoxList {
 		}
 		out = append(out, pieces...)
 	}
-	return out
+	return out, nil
 }

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"samr/internal/geom"
 )
@@ -87,7 +90,7 @@ func TestClusterLShape(t *testing.T) {
 	geom.NewBox2(0, 4, 4, 20).Cells(func(p geom.IntVect) { tags.Set(p) })
 	patches := ClusterPoints(tags.points(), domain(), DefaultOptions())
 	coverAll(t, tags, patches)
-	if eff := efficiency(tags, MakeDisjoint(patches)); eff < 0.7 {
+	if eff := efficiency(tags, makeDisjoint(patches)); eff < 0.7 {
 		t.Errorf("L-shape efficiency = %f, want >= 0.7", eff)
 	}
 	if len(patches) < 2 {
@@ -102,7 +105,7 @@ func TestClusterEfficiencyThreshold(t *testing.T) {
 		tags.Set(geom.IV2(i, i))
 	}
 	opts := DefaultOptions()
-	patches := MakeDisjoint(ClusterPoints(tags.points(), domain(), opts))
+	patches := makeDisjoint(ClusterPoints(tags.points(), domain(), opts))
 	coverAll(t, tags, patches)
 	// Min width 2 caps achievable efficiency at 0.5 for single cells.
 	if eff := efficiency(tags, patches); eff < 0.2 {
@@ -168,13 +171,19 @@ func TestClusterMaxWidth(t *testing.T) {
 	coverAll(t, tags, patches)
 }
 
+// makeDisjoint is MakeDisjoint under a context that is never done.
+func makeDisjoint(bl geom.BoxList) geom.BoxList {
+	out, _ := MakeDisjoint(context.Background(), bl)
+	return out
+}
+
 func TestMakeDisjoint(t *testing.T) {
 	bl := geom.BoxList{
 		geom.NewBox2(0, 0, 4, 4),
 		geom.NewBox2(2, 2, 6, 6),
 		geom.NewBox2(2, 2, 6, 6), // duplicate
 	}
-	dj := MakeDisjoint(bl)
+	dj := makeDisjoint(bl)
 	if !dj.Disjoint() {
 		t.Fatalf("MakeDisjoint produced overlaps: %v", dj)
 	}
@@ -184,12 +193,27 @@ func TestMakeDisjoint(t *testing.T) {
 	}
 }
 
+// TestMakeDisjointStopsWhenDone: a done context stops MakeDisjoint
+// with the context's own error and no list.
+func TestMakeDisjointStopsWhenDone(t *testing.T) {
+	bl := geom.BoxList{geom.NewBox2(0, 0, 4, 4), geom.NewBox2(2, 2, 6, 6)}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if got, err := MakeDisjoint(expired, bl); got != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("MakeDisjoint under an expired deadline = (%v, %v), want (nil, %v)", got, err, context.DeadlineExceeded)
+	}
+}
+
 // makeDisjointReference is the old MakeDisjoint body: each box less
 // every box kept before it, empties dropped at the end.
 func makeDisjointReference(bl geom.BoxList) geom.BoxList {
 	var out geom.BoxList
 	for _, b := range bl {
-		out = append(out, geom.BoxList{b}.Subtract(out)...)
+		pieces := geom.BoxList{b}
+		for _, o := range out {
+			pieces = pieces.SubtractBox(o)
+		}
+		out = append(out, pieces...)
 	}
 	kept := out[:0]
 	for _, b := range out {
@@ -220,7 +244,7 @@ func TestMakeDisjointMatchesReference(t *testing.T) {
 				bl = append(bl, geom.NewBox2(x, y, x+1+r.Intn(12), y+1+r.Intn(12)))
 			}
 		}
-		got, want := MakeDisjoint(slices.Clone(bl)), makeDisjointReference(slices.Clone(bl))
+		got, want := makeDisjoint(slices.Clone(bl)), makeDisjointReference(slices.Clone(bl))
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: MakeDisjoint(%v)\n = %v\nwant %v", trial, bl, got, want)
 		}
@@ -237,7 +261,7 @@ func TestClusterDisjointOutputAfterMakeDisjoint(t *testing.T) {
 			geom.NewBox2(cx, cy, cx+2+r.Intn(6), cy+2+r.Intn(6)).
 				Cells(func(p geom.IntVect) { tags.Set(p) })
 		}
-		patches := MakeDisjoint(ClusterPoints(tags.points(), domain(), DefaultOptions()))
+		patches := makeDisjoint(ClusterPoints(tags.points(), domain(), DefaultOptions()))
 		if !patches.Disjoint() {
 			t.Fatalf("trial %d: overlapping patches %v", trial, patches)
 		}

@@ -9,7 +9,7 @@ import (
 // BoxList is an ordered collection of boxes on one refinement level. The
 // boxes of a well-formed SAMR level are pairwise disjoint, but BoxList
 // itself does not enforce disjointness; use Disjoint to check and
-// Simplify to canonicalize.
+// SimplifyContext to canonicalize.
 type BoxList []Box
 
 // TotalVolume returns the sum of the member volumes. For a disjoint list
@@ -80,15 +80,6 @@ func (bl BoxList) SubtractBox(b Box) BoxList {
 	return out
 }
 
-// Subtract returns the region of bl not covered by any box of other.
-func (bl BoxList) Subtract(other BoxList) BoxList {
-	cur := bl.Clone()
-	for _, b := range other {
-		cur = cur.SubtractBox(b)
-	}
-	return cur
-}
-
 // ContainsPoint reports whether any member contains p.
 func (bl BoxList) ContainsPoint(p IntVect) bool {
 	for _, b := range bl {
@@ -151,9 +142,17 @@ func OverlapVolumeNaive(a, b BoxList) int64 {
 	return total
 }
 
-// Simplify merges mergeable neighbours (boxes that share a full face and
-// together form a box) until no merge applies. It reduces fragmentation
-// after Subtract chains; the covered region is unchanged.
+// simplifyPollPairs bounds the pair checks between two of
+// SimplifyContext's polls of its context. A row scan checks fewer pairs
+// than the list has boxes, so a list of n boxes is polled every
+// simplifyPollPairs/n row scans: a few hundred for the lists the
+// partitioners merge, every scan for the largest.
+const simplifyPollPairs = 1 << 16
+
+// SimplifyContext merges mergeable neighbours (boxes that share a full
+// face and together form a box) until no merge applies. It reduces
+// fragmentation after SubtractBox chains; the covered region is
+// unchanged.
 //
 // The result is order-dependent and the order is part of the contract
 // (partition fragments, and with them every golden, follow from it):
@@ -175,23 +174,12 @@ func OverlapVolumeNaive(a, b BoxList) int64 {
 // so rows keep their indices while the loop runs and one pass at the
 // end closes the gaps. Row 0 is never deleted (a merge deletes the
 // later row of its pair), so the walk always starts there.
-func (bl BoxList) Simplify() BoxList {
-	out, _ := bl.SimplifyContext(context.Background())
-	return out
-}
-
-// simplifyPollPairs bounds the pair checks between two of
-// SimplifyContext's polls of its context. A row scan checks fewer pairs
-// than the list has boxes, so a list of n boxes is polled every
-// simplifyPollPairs/n row scans: a few hundred for the lists the
-// partitioners merge, every scan for the largest.
-const simplifyPollPairs = 1 << 16
-
-// SimplifyContext is Simplify polling ctx between row scans (each scan
-// of row cur, and each restart of the walk over the settled rows after
-// a merge into an earlier row), since a list of n boxes costs O(n^2)
-// pair checks. It returns ctx.Err() once ctx is done, so a deadline
-// stays tellable from a cancellation.
+//
+// It polls ctx between row scans (each scan of row cur, and each
+// restart of the walk over the settled rows after a merge into an
+// earlier row), since a list of n boxes costs O(n^2) pair checks. It
+// returns ctx.Err() once ctx is done, so a deadline stays tellable from
+// a cancellation.
 func (bl BoxList) SimplifyContext(ctx context.Context) (BoxList, error) {
 	out := bl.Clone()
 	n := int32(len(out))
@@ -264,9 +252,9 @@ func (p *poller) stop() bool {
 }
 
 // planarMiss reports that a and b differ in both extents, so tryMerge
-// would refuse them: nearly every pair Simplify tries. It is small
-// enough to inline into Simplify's scans and reads both boxes through
-// pointers.
+// would refuse them: nearly every pair SimplifyContext tries. It is
+// small enough to inline into SimplifyContext's scans and reads both
+// boxes through pointers.
 func planarMiss(a, b *Box) bool {
 	return (a.Lo[0] != b.Lo[0] || a.Hi[0] != b.Hi[0]) && (a.Lo[1] != b.Lo[1] || a.Hi[1] != b.Hi[1])
 }
@@ -339,8 +327,9 @@ func (bl BoxList) MergedAxis(d int) BoxList {
 }
 
 // Compact reduces fragmentation of a disjoint list by repeated
-// axis-aligned merging. Unlike Simplify it is near-linear, suitable for
-// lists of thousands of boxes; the covered region is unchanged.
+// axis-aligned merging. Unlike SimplifyContext it is near-linear,
+// suitable for lists of thousands of boxes; the covered region is
+// unchanged.
 func (bl BoxList) Compact() BoxList {
 	cur := bl
 	for pass := 0; pass < 4; pass++ {
@@ -355,10 +344,10 @@ func (bl BoxList) Compact() BoxList {
 
 // SortByLo orders the list lexicographically by Lo corner; useful for
 // deterministic output. On the non-empty disjoint lists it is called
-// with (Simplify has just folded any duplicates) no two boxes share a
-// Lo, so the comparison is a strict total order and the result does not
-// depend on the sorting algorithm; boxes that do share a Lo end up
-// adjacent in unspecified relative order.
+// with (SimplifyContext has just folded any duplicates) no two boxes
+// share a Lo, so the comparison is a strict total order and the result
+// does not depend on the sorting algorithm; boxes that do share a Lo
+// end up adjacent in unspecified relative order.
 func (bl BoxList) SortByLo() {
 	slices.SortFunc(bl, func(a, b Box) int {
 		for d := MaxDim - 1; d >= 0; d-- {

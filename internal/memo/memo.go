@@ -1,7 +1,8 @@
 // Package memo provides the bounded, concurrency-safe memoization
 // substrate the content-addressed layers of the repository share: the
 // in-process unit-chain, prep-base and band caches under the partitioners,
-// and the HTTP partition cache of internal/server.
+// the simulator's step cache, the trace cache of internal/apps, and the
+// HTTP partition cache of internal/server.
 //
 // A Cache is an LRU keyed by a comparable (typically content-hash)
 // key, with singleflight coalescing of concurrent identical misses:

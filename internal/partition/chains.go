@@ -268,10 +268,21 @@ func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 		var cores geom.BoxList
 		if len(h.Levels) > 1 {
 			if fp := h.Footprint(1); len(fp) > 0 {
-				cores = makeCoreRegions(fp)
+				var err error
+				if cores, err = makeCoreRegions(hi.ctx, fp); err != nil {
+					return nil, err
+				}
 			}
 		}
-		hue, err := h.Levels[0].Boxes.Subtract(cores).SimplifyContext(hi.ctx)
+		// Each subtraction scans the whole remainder, so every one polls.
+		hue := h.Levels[0].Boxes
+		for _, c := range cores {
+			if err := hi.check(); err != nil {
+				return nil, err
+			}
+			hue = hue.SubtractBox(c)
+		}
+		hue, err := hue.SimplifyContext(hi.ctx)
 		if err != nil {
 			return nil, fmt.Errorf("partition: %w", err)
 		}
@@ -365,42 +376,19 @@ func (hi *hierIndex) coreBandOf(units []unit, lo, hiLevel int) (coreBand, error)
 // orderUnitsByCurve sorts units stably along the curve (in place) by
 // the index of each unit's lower corner coarsened by the unit size.
 // The sort orders an index permutation keyed by a parallel key slice
-// and applies it with a cycle walk, so no per-call pair slice or
-// second unit copy is allocated.
+// and applies it with permute, so no per-call pair slice or second unit
+// copy is allocated.
 func orderUnitsByCurve(units []unit, c sfc.Curve, unitSize int) {
 	n := len(units)
 	if n < 2 {
 		return
 	}
 	keys := make([]int64, n)
-	perm := make([]int, n)
+	order := make([]int32, n)
 	for i, u := range units {
 		keys[i] = sfc.Index(c, int(u.x0)/unitSize, int(u.y0)/unitSize)
-		perm[i] = i
+		order[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-	applyPermutation(units, perm)
-}
-
-// applyPermutation rearranges units so that units[i] becomes the
-// former units[perm[i]], destroying perm (entries are marked -1 as
-// their cycles are applied).
-func applyPermutation(units []unit, perm []int) {
-	for i := range perm {
-		j := perm[i]
-		if j < 0 || j == i {
-			perm[i] = -1
-			continue
-		}
-		tmp := units[i]
-		k := i
-		for j != i {
-			units[k] = units[j]
-			perm[k] = -1
-			k = j
-			j = perm[j]
-		}
-		units[k] = tmp
-		perm[k] = -1
-	}
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	permute(units, order)
 }

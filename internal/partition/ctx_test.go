@@ -180,3 +180,43 @@ func TestPostMappedCancelPreservesState(t *testing.T) {
 		t.Errorf("post-cancel migration = %d, want 0 (state preserved)", mv)
 	}
 }
+
+// TestNatureFableCheckerboardAnsweredByDeadline: a side-n base whose
+// level 1 is a checkerboard of n²/8 boxes, each 2×2, makes the
+// nature+fable base build quadratic in the box count three times over
+// (the core regions' MakeDisjoint and merge, and the hue's
+// subtraction). Each polls the call's context, so under a deadline T
+// the cold call returns the deadline's error within T + max(50 ms,
+// T/4), the bound of ROADMAP item 18(b). Side 256 (8192 boxes) ran for
+// seconds before the polls; -short runs side 128 (2048 boxes).
+func TestNatureFableCheckerboardAnsweredByDeadline(t *testing.T) {
+	n := 256
+	if testing.Short() {
+		n = 128
+	}
+	h := grid.NewHierarchy(geom.NewBox2(0, 0, n, n), 2)
+	var board geom.BoxList
+	for i := 0; i < n/2; i++ {
+		for j := 0; j < n/2; j++ {
+			if (i+j)%2 == 0 {
+				board = append(board, geom.NewBox2(2*i, 2*j, 2*i+2, 2*j+2))
+			}
+		}
+	}
+	h.Levels = append(h.Levels, grid.Level{Boxes: board})
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	flushChainCaches()
+	const timeout = 50 * time.Millisecond
+	limit := timeout + max(50*time.Millisecond, timeout/4)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	start := time.Now()
+	a, err := NewNatureFable().Partition(ctx, h, 4)
+	elapsed := time.Since(start)
+	if a != nil || !errors.Is(err, context.DeadlineExceeded) || elapsed > limit {
+		t.Fatalf("side %d, %d boxes: Partition = (%v, %v) after %v; want the deadline's error within %v", n, len(board), a != nil, err, elapsed, limit)
+	}
+	t.Logf("side %d, %d boxes: %v after %v", n, len(board), err, elapsed)
+}

@@ -128,8 +128,8 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 		// stored cover is what mergeFragments makes of them: core owners
 		// are below coreProcs, so the (level 0, coreProcs) group holds
 		// hue fragments only, and the cover, simplified already, has no
-		// mergeable pair, so the merge's Simplify and sort return it
-		// unchanged.
+		// mergeable pair, so the merge's SimplifyContext and sort return
+		// it unchanged.
 		for _, b := range prep.hueCover {
 			a.Fragments = append(a.Fragments, Fragment{Level: 0, Box: b, Owner: coreProcs})
 		}
@@ -181,11 +181,18 @@ func (p *nfPrep) fragmentsHint(hueProcs, coreProcs int) int {
 }
 
 // makeCoreRegions returns disjoint base-space boxes covering the given
-// refined footprint: the "natural regions" separation.
-func makeCoreRegions(fp geom.BoxList) geom.BoxList {
-	regions := cluster.MakeDisjoint(fp).Simplify()
+// refined footprint: the "natural regions" separation. Both of its
+// passes are quadratic in the footprint's length and poll ctx.
+func makeCoreRegions(ctx context.Context, fp geom.BoxList) (geom.BoxList, error) {
+	regions, err := cluster.MakeDisjoint(ctx, fp)
+	if err == nil {
+		regions, err = regions.SimplifyContext(ctx)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
+	}
 	regions.SortByLo()
-	return regions
+	return regions, nil
 }
 
 // partitionCores coarse-partitions the prep's (SFC-ordered) core unit

@@ -332,9 +332,19 @@ func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, un
 	}
 	var cores geom.BoxList
 	if len(fp) > 0 {
-		cores = makeCoreRegions(fp)
+		var err error
+		if cores, err = makeCoreRegions(ctx, fp); err != nil {
+			return nil, err
+		}
 	}
-	hue := h.Levels[0].Boxes.Subtract(cores).Simplify()
+	hue := h.Levels[0].Boxes
+	for _, c := range cores {
+		hue = hue.SubtractBox(c)
+	}
+	hue, err := hue.SimplifyContext(ctx)
+	if err != nil {
+		return nil, err
+	}
 	hue.SortByLo()
 	p := &nfPrep{nfBase: &nfBase{hue: hue, hueW: hue.TotalVolume()}}
 	if p.hueW > 0 {
@@ -363,7 +373,9 @@ func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, un
 		for i, f := range frags {
 			cover[i] = f.Box
 		}
-		p.hueCover = cover.Simplify()
+		if p.hueCover, err = cover.SimplifyContext(ctx); err != nil {
+			return nil, err
+		}
 		p.hueCover.SortByLo()
 	}
 	if len(cores) > 0 {

@@ -32,7 +32,7 @@ func mergeFragmentsReference(frags []Fragment) []Fragment {
 		for _, f := range frags[start:end] {
 			scratch = append(scratch, f.Box)
 		}
-		merged := scratch.Simplify()
+		merged, _ := scratch.SimplifyContext(context.Background())
 		merged.SortByLo()
 		for _, b := range merged {
 			out = append(out, Fragment{Level: level, Box: b, Owner: owner})

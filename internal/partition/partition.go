@@ -361,14 +361,15 @@ func merged(ctx context.Context, h *grid.Hierarchy, nprocs int,
 // level count and NumProcs bound them), so the (level, owner) grouping
 // is two counting passes over fragment indices, least significant key
 // first, and one in-place permutation of the fragments; a pass keeps
-// equal keys in the order they arrived, which Simplify's result depends
-// on. The indices take 8 bytes a fragment, where a by-owner copy of the
-// list took 72. A group sweep then writes back into the caller's slice
-// — each group's boxes are staged in a scratch list before its (never
-// longer) merged form overwrites consumed positions. A group of one box
-// is its own merged form and skips Simplify. Each group's Simplify polls
-// ctx; once ctx is done the merge stops with its error, and frags is
-// left permuted and partly overwritten.
+// equal keys in the order they arrived, which SimplifyContext's result
+// depends on. The indices take 8 bytes a fragment, where a by-owner
+// copy of the list took 72. A group sweep then writes back into the
+// caller's slice — each group's boxes are staged in a scratch list
+// before its (never longer) merged form overwrites consumed positions.
+// A group of one box is its own merged form and skips SimplifyContext,
+// which polls ctx for every other group; once ctx is done the merge
+// stops with its error, and frags is left permuted and partly
+// overwritten.
 func mergeFragments(ctx context.Context, frags []Fragment) ([]Fragment, error) {
 	levels, owners := 0, 0
 	for i := range frags {
@@ -431,23 +432,23 @@ func countingPass(dst, src []int32, frags []Fragment, keys int, key func(*Fragme
 	}
 }
 
-// permute moves, in place, the fragment at index order[j] to position
+// permute moves, in place, the element at index order[j] to position
 // j, for every j. order must be a permutation; it is consumed, each
 // entry set to -1 once its cycle is followed.
-func permute(frags []Fragment, order []int32) {
+func permute[T any](s []T, order []int32) {
 	for i := range order {
 		if order[i] < 0 {
 			continue
 		}
-		f := frags[i]
+		v := s[i]
 		for j := i; ; {
 			k := int(order[j])
 			order[j] = -1
 			if k == i {
-				frags[j] = f
+				s[j] = v
 				break
 			}
-			frags[j] = frags[k]
+			s[j] = s[k]
 			j = k
 		}
 	}

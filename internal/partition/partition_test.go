@@ -183,7 +183,10 @@ func TestPatchBasedSplitsHugePatches(t *testing.T) {
 
 func TestNatureFableSeparatesHuesAndCores(t *testing.T) {
 	h := testHierarchy()
-	cores := makeCoreRegions(h.Footprint(1))
+	cores, err := makeCoreRegions(context.Background(), h.Footprint(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cores) == 0 {
 		t.Fatal("no core regions found for a refined hierarchy")
 	}

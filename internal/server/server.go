@@ -120,6 +120,10 @@ import (
 // maxProcs rejects absurd processor counts.
 const maxProcs = 1 << 16
 
+// defaultProcs is the processor count of a request that omits nprocs:
+// 16, the paper's validation setup.
+const defaultProcs = 16
+
 // maxSessions bounds the streaming-session table; past it the least
 // recently used session is evicted and its next step answers 410
 // session-expired.
@@ -134,9 +138,6 @@ type Config struct {
 	TraceDir string
 	// CacheSize bounds the partition cache (results; default 256).
 	CacheSize int
-	// DefaultProcs is the processor count used when a request omits
-	// nprocs (default 16, the paper's validation setup).
-	DefaultProcs int
 	// RequestTimeout caps each request's handling: the request context
 	// is given this deadline and every layer below (pool dispatch,
 	// partitioners, simulator) aborts once it expires. Zero disables
@@ -188,9 +189,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 256
-	}
-	if c.DefaultProcs <= 0 {
-		c.DefaultProcs = 16
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
@@ -536,7 +534,7 @@ func gatherHierarchies(single *Hierarchy, batch []Hierarchy, check func(*grid.Hi
 
 func (s *Server) checkProcs(w http.ResponseWriter, nprocs *int) bool {
 	if *nprocs == 0 {
-		*nprocs = s.cfg.DefaultProcs
+		*nprocs = defaultProcs
 	}
 	if *nprocs < 1 || *nprocs > maxProcs {
 		writeErr(w, http.StatusBadRequest, "nprocs %d out of range [1, %d]", *nprocs, maxProcs)
@@ -614,7 +612,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// key is not resident (see "Wire codec" above); nprocs defaults as
 	// checkProcs will default it.
 	name := canonical.Name()
-	nprocs := cmp.Or(req.NProcs, s.cfg.DefaultProcs)
+	nprocs := cmp.Or(req.NProcs, defaultProcs)
 	var sigs []geom.Signature
 	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies, func(h *grid.Hierarchy) error {
 		sig := hierarchySignature(h)

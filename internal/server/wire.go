@@ -123,8 +123,7 @@ func (w Hierarchy) geometry() (*grid.Hierarchy, error) {
 type SelectRequest struct {
 	Hierarchy   *Hierarchy  `json:"hierarchy,omitempty"`
 	Hierarchies []Hierarchy `json:"hierarchies,omitempty"`
-	// NProcs sizes the per-step time slot estimate; defaults to the
-	// server's configured processor count.
+	// NProcs sizes the per-step time slot estimate; defaults to 16.
 	NProcs int `json:"nprocs,omitempty"`
 	// PartitionCost (seconds per repartitioning) seeds the dimension-II
 	// model; 0 uses core.DefaultPartitionCost.

@@ -10,18 +10,17 @@
 // components load balance, communication, data migration, and
 // overheads").
 //
-// Architecture: the simulator is built for throughput. Geometry scans
-// (halo imports, inter-level footprints, migration overlap) go through
-// geom.BoxIndex instead of all-pairs intersection, and the per-snapshot
-// work units of a trace run fan out over a bounded worker pool
-// (internal/pool) in four phases — sequential partitioner choice,
-// partitioning (parallel unless a chosen partitioner is stateful),
-// parallel per-step evaluation writing into pre-sized slots by index,
-// and migration chaining over consecutive precomputed assignments. The
-// phases are arranged so the output is bit-identical to a sequential
-// run at any worker count. Every phase honours the caller's context:
-// cancellation stops the pool dispatch, aborts partitioners mid-flight,
-// and returns a nil result with the context's error.
+// Architecture: the simulator is built for throughput. Evaluate's two
+// communication terms, the halo each level imports from its own
+// fragments and the footprint it exchanges with the level below, are
+// one owner-pair scan (commScan) run with two queries over a
+// geom.BoxIndex per level; the migration overlap goes through
+// geom.BoxIndex too. The per-snapshot work units of a trace run fan out
+// over a bounded worker pool (internal/pool) in the phases
+// simulateTrace lists, arranged so the output is bit-identical to a
+// sequential run at any worker count. Every phase honours the caller's
+// context: cancellation stops the pool dispatch, aborts partitioners
+// mid-flight, and returns a nil result with the context's error.
 package sim
 
 import (
@@ -206,8 +205,6 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 	defer evalScratchPool.Put(sc)
 	sc.comm = grow64(sc.comm, nprocs)
 	sc.msgs = grow64(sc.msgs, nprocs)
-	commPerProc := sc.comm
-	msgsPerProc := sc.msgs
 
 	// One BoxIndex per level over the fragment boxes serves both the
 	// intra-level halo scan (query the grown box) and the level-above
@@ -236,81 +233,21 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 		}
 		indexes[l] = geom.NewBoxIndex(bl)
 	}
-	buf := sc.buf
-
-	// Intra-level ghost exchange: for every fragment, the one-cell halo
-	// cells covered by a different owner's fragment are imported every
-	// local step. The halo overlap |(Grow(1) \ Box) x g| is computed as
-	// |Grow(1) x g| - |Box x g| (the halo pieces tile exactly that
-	// difference), avoiding the per-pair halo BoxList rebuild. Messages
-	// are aggregated per (receiver, sender) pair per local step — real
-	// ghost-exchange implementations pack all fragment transfers
-	// between two processors into one message — in the flat pair set.
+	// Each level imports its one-cell halo from its own fragments every
+	// local step, and exchanges its footprint with the level below once
+	// per coarse local step.
+	footprint := func(b geom.Box) (geom.Box, geom.Box) { return b.Coarsen(h.RefRatio), geom.Box{} }
 	for l, frags := range perLevel {
-		steps := h.StepFactor(l)
-		sc.pairs.reset(nprocs)
-		for i, f := range frags {
-			if i%256 == 0 {
-				if err := checkCtx(ctx); err != nil {
-					sc.buf = buf
-					return StepMetrics{}, err
-				}
-			}
-			grown := f.Box.Grow(1)
-			buf = indexes[l].AppendQuery(buf[:0], grown)
-			for _, j := range buf {
-				g := frags[j]
-				if i == j || f.Owner == g.Owner {
-					continue
-				}
-				vol := grown.Intersect(g.Box).Volume() - f.Box.Intersect(g.Box).Volume()
-				if vol > 0 {
-					sm.IntraLevelComm += vol * steps
-					commPerProc[f.Owner] += vol * steps
-					sc.pairs.add(f.Owner*nprocs + g.Owner)
-				}
-			}
+		if err := sc.commScan(ctx, frags, frags, indexes[l], halo, h.StepFactor(l), &sm.IntraLevelComm, &sm.Messages); err != nil {
+			return StepMetrics{}, err
 		}
-		sm.Messages += int64(len(sc.pairs.keys)) * steps
-		for _, k := range sc.pairs.keys {
-			msgsPerProc[k/nprocs] += steps
+		if l == 0 {
+			continue
+		}
+		if err := sc.commScan(ctx, frags, perLevel[l-1], indexes[l-1], footprint, h.StepFactor(l-1), &sm.InterLevelComm, &sm.Messages); err != nil {
+			return StepMetrics{}, err
 		}
 	}
-
-	// Inter-level transfers: fine fragments exchange boundary data and
-	// restriction results with the underlying coarse fragments once per
-	// coarse local step when the owners differ.
-	for l := 1; l < len(h.Levels); l++ {
-		coarseSteps := h.StepFactor(l - 1)
-		sc.pairs.reset(nprocs)
-		for fi, f := range perLevel[l] {
-			if fi%256 == 0 {
-				if err := checkCtx(ctx); err != nil {
-					sc.buf = buf
-					return StepMetrics{}, err
-				}
-			}
-			under := f.Box.Coarsen(h.RefRatio)
-			buf = indexes[l-1].AppendQuery(buf[:0], under)
-			for _, ci := range buf {
-				c := perLevel[l-1][ci]
-				if f.Owner == c.Owner {
-					continue
-				}
-				vol := under.Intersect(c.Box).Volume()
-				if vol > 0 {
-					sm.InterLevelComm += vol * coarseSteps
-					commPerProc[f.Owner] += vol * coarseSteps
-					sc.pairs.add(f.Owner*nprocs + c.Owner)
-				}
-			}
-		}
-		sm.Messages += int64(len(sc.pairs.keys)) * coarseSteps
-		for _, k := range sc.pairs.keys {
-			msgsPerProc[k/nprocs] += coarseSteps
-		}
-	}
-	sc.buf = buf
 
 	if w := h.Workload(); w > 0 {
 		sm.RelativeComm = float64(sm.TotalComm()) / float64(w)
@@ -322,14 +259,58 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 	var worst float64
 	for p := 0; p < a.NumProcs; p++ {
 		t := float64(sm.Loads[p])*m.CellTime +
-			float64(commPerProc[p])/m.PointBandwidth +
-			float64(msgsPerProc[p])*m.MessageLatency
+			float64(sc.comm[p])/m.PointBandwidth +
+			float64(sc.msgs[p])*m.MessageLatency
 		if t > worst {
 			worst = t
 		}
 	}
 	sm.EstTime = worst
 	return sm, nil
+}
+
+// halo is the intra-level query: a fragment imports the one-cell ring
+// around its box. The ring's overlap |(Grow(1) \ Box) x g| is computed
+// as |Grow(1) x g| - |Box x g| (the ring's pieces tile exactly that
+// difference), avoiding a per-pair ring BoxList.
+func halo(b geom.Box) (reach, inner geom.Box) { return b.Grow(1), b }
+
+// commScan adds one communication term of Evaluate. For each fragment f
+// of frags, the cells of reach less inner (query(f.Box)) that a
+// fragment of targets (indexed by idx) with another owner covers are
+// transferred steps times: they add to *total and to f's owner's
+// volume. Messages are aggregated per (receiver, sender) pair per step
+// — real exchanges pack every fragment transfer between two processors
+// into one message — so each pair the scan finds adds steps to *msgs
+// and to the receiver's count.
+func (sc *evalScratch) commScan(ctx context.Context, frags, targets []partition.Fragment, idx *geom.BoxIndex, query func(geom.Box) (reach, inner geom.Box), steps int64, total, msgs *int64) error {
+	nprocs := len(sc.comm)
+	sc.pairs.reset(nprocs)
+	for i, f := range frags {
+		if i%256 == 0 {
+			if err := checkCtx(ctx); err != nil {
+				return err
+			}
+		}
+		reach, inner := query(f.Box)
+		sc.buf = idx.AppendQuery(sc.buf[:0], reach)
+		for _, j := range sc.buf {
+			g := targets[j]
+			if f.Owner == g.Owner {
+				continue
+			}
+			if vol := reach.Intersect(g.Box).Volume() - inner.Intersect(g.Box).Volume(); vol > 0 {
+				*total += vol * steps
+				sc.comm[f.Owner] += vol * steps
+				sc.pairs.add(f.Owner*nprocs + g.Owner)
+			}
+		}
+	}
+	*msgs += int64(len(sc.pairs.keys)) * steps
+	for _, k := range sc.pairs.keys {
+		sc.msgs[k/nprocs] += steps
+	}
+	return nil
 }
 
 // Migration returns the number of grid points that exist in both
@@ -424,11 +405,9 @@ func stateful(p partition.Partitioner) bool {
 // /v1/stats and samrbench -cachestats: snapshots whose partitioning,
 // evaluation, or migration scan was answered by the content-addressed
 // step cache (or an identical in-flight step) instead of recomputed.
-var (
-	partitionsMemoized  atomic.Uint64
-	evaluationsMemoized atomic.Uint64
-	migrationsShortCut  atomic.Uint64
-)
+// A memoized step skips both its partition call and its evaluation, so
+// one counter backs both counts.
+var stepsMemoized, migrationsShortCut atomic.Uint64
 
 // MemoStats returns the cumulative memoization counters of the trace
 // pipeline: partition calls, Evaluate calls, and migration scans
@@ -438,7 +417,8 @@ var (
 // The migration counter covers consecutive steps with one step key,
 // between which exactly zero points move.
 func MemoStats() (partitions, evaluations, migrations uint64) {
-	return partitionsMemoized.Load(), evaluationsMemoized.Load(), migrationsShortCut.Load()
+	s := stepsMemoized.Load()
+	return s, s, migrationsShortCut.Load()
 }
 
 // stepKey addresses the content-addressed result of partitioning and
@@ -479,18 +459,20 @@ var stepCache = memo.New[stepKey, stepArtifact](stepCacheCap)
 func flushStepCaches() { stepCache.Flush() }
 
 // simulateTrace is the worker-pool implementation behind
-// SimulateTrace/SimulateTraceSelect. The per-snapshot work units are
-// independent except for two sequential strands, which are preserved
-// exactly: the choose hook may carry classifier state (hysteresis), so
-// it runs in snapshot order up front; and stateful partitioners chain
-// assignments, so partitioning falls back to snapshot order when any
-// chosen partitioner is stateful. Evaluation — the bulk of the cost —
-// always fans out, with each goroutine writing Steps[i] by index, and a
-// cheap sequential-equivalent pass chains the migration metric over the
-// precomputed per-step assignments. The result is bit-identical to the
-// workers=1 path for any worker count. Cancellation propagates into
-// every phase through pool.MapCtx and the partitioners' own polls; a
-// cancelled run returns nil.
+// SimulateTrace/SimulateTraceSelect, in five phases:
+//  1. the choose hook runs in snapshot order, since it may carry
+//     classifier state (hysteresis);
+//  2. one parallel pass builds every stateless step's whole step key;
+//  3. the stateful steps partition in snapshot order, since they chain
+//     carried state;
+//  4. every step is evaluated in parallel (a stateless one partitioned
+//     too, through the step cache), each writing Steps[i] by index;
+//  5. a parallel pass over consecutive pairs chains the migration
+//     metric over the per-step assignments.
+//
+// The result is bit-identical to the workers=1 path for any worker
+// count. Cancellation propagates into every phase through pool.MapCtx
+// and the partitioners' own polls; a cancelled run returns nil.
 //
 // Memoization: a stateless partitioner's step is a pure function of
 // (hierarchy content, configuration, nprocs, machine), so each step is
@@ -516,15 +498,13 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		return res, nil
 	}
 
-	// Phase 1 (sequential): per-step partitioner choice.
+	// Phase 1.
 	ps := make([]partition.Partitioner, n)
-	anyStateful := false
 	for i, snap := range tr.Snapshots {
 		if err := checkCtx(ctx); err != nil {
 			return nil, err
 		}
 		ps[i] = choose(snap.Step, snap.H)
-		anyStateful = anyStateful || stateful(ps[i])
 	}
 	res.PartitionerName = ps[0].Name()
 	for i := 1; i < n; i++ {
@@ -534,49 +514,27 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		}
 	}
 
-	// Content signatures and canonical names for the memo keys (pure,
-	// index-slotted). A run whose every step is stateful never consults
-	// the caches, so it skips the hashing entirely.
-	allStateful := true
-	for i := range ps {
-		if !stateful(ps[i]) {
-			allStateful = false
-			break
-		}
-	}
+	// Phase 2. Stateful steps never consult a cache: their key slots
+	// stay zero and unread.
 	keys := make([]stepKey, n)
-	var err error
-	if !allStateful {
-		err = pool.MapCtx(ctx, workers, n, func(i int) error {
-			if stateful(ps[i]) {
-				// Stateful steps never consult a cache: their key slots
-				// stay zero and unread.
-				return nil
-			}
-			keys[i].sig = tr.Snapshots[i].H.Signature()
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	err := pool.MapCtx(ctx, workers, n, func(i int) error {
+		if !stateful(ps[i]) {
+			keys[i] = stepKey{sig: tr.Snapshots[i].H.Signature(), name: ps[i].Name(), nprocs: nprocs, m: m}
 		}
-		for i := range ps {
-			if !stateful(ps[i]) {
-				keys[i].name, keys[i].nprocs, keys[i].m = ps[i].Name(), nprocs, m
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// sameStep reports whether steps i and i+1 are one cached step.
 	sameStep := func(i int) bool {
 		return !stateful(ps[i]) && !stateful(ps[i+1]) && keys[i] == keys[i+1]
 	}
 
-	// Phase 2+3: partition and evaluate every snapshot. A stateless
-	// partitioner's step is a pure function of (content, configuration,
-	// nprocs, machine), so it is served from the process-wide
-	// content-addressed cache — computed at most once across runs, and
-	// across concurrent runs via the cache's singleflight. Stateful
-	// partitioners run sequentially in snapshot order and are never
-	// cached.
+	// A stateless partitioner's step is a pure function of (content,
+	// configuration, nprocs, machine), so it is served from the
+	// process-wide content-addressed cache — computed at most once across
+	// runs, and across concurrent runs via the cache's singleflight.
 	as := make([]*partition.Assignment, n)
 	res.Steps = make([]StepMetrics, n)
 	cachedStep := func(i int) error {
@@ -603,10 +561,9 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 			return err
 		}
 		if disp != memo.Miss {
-			partitionsMemoized.Add(1)
-			evaluationsMemoized.Add(1)
+			stepsMemoized.Add(1)
 		}
-		// Phase 4 reads step i's assignment only when a neighbour is a
+		// Phase 5 reads step i's assignment only when a neighbour is a
 		// different step.
 		if (i > 0 && !sameStep(i-1)) || (i+1 < n && !sameStep(i)) {
 			if own == nil {
@@ -622,22 +579,19 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		res.Steps[i] = sm
 		return nil
 	}
-	// Sequential strand: only the stateful steps chain carried state,
-	// and their chaining depends solely on their own relative order, so
-	// they partition in snapshot order here while every stateless step
-	// (partition + evaluation, via the cache) fans out below.
-	if anyStateful {
-		for i := range tr.Snapshots {
-			if !stateful(ps[i]) {
-				continue
-			}
-			a, err := ps[i].Partition(ctx, tr.Snapshots[i].H, nprocs)
-			if err != nil {
-				return nil, err
-			}
-			as[i] = a
+	// Phase 3: the stateful steps' chaining depends solely on their own
+	// relative order.
+	for i := range tr.Snapshots {
+		if !stateful(ps[i]) {
+			continue
 		}
+		a, err := ps[i].Partition(ctx, tr.Snapshots[i].H, nprocs)
+		if err != nil {
+			return nil, err
+		}
+		as[i] = a
 	}
+	// Phase 4.
 	err = pool.MapCtx(ctx, workers, n, func(i int) error {
 		if stateful(ps[i]) {
 			sm, err := Evaluate(ctx, tr.Snapshots[i].H, as[i], m)
@@ -656,11 +610,10 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		res.Steps[i].Step = tr.Snapshots[i].Step
 	}
 
-	// Phase 4 (parallel over consecutive pairs): chain the migration
-	// metric over the precomputed assignments. Consecutive steps with
-	// one key have content-identical hierarchies and bit-identical
-	// assignments, so nothing moves — every point keeps its owner — and
-	// the overlap scan short-circuits to its exact result of zero.
+	// Phase 5. Consecutive steps with one key have content-identical
+	// hierarchies and bit-identical assignments, so nothing moves —
+	// every point keeps its owner — and the overlap scan short-circuits
+	// to its exact result of zero.
 	err = pool.MapCtx(ctx, workers, n-1, func(j int) error {
 		i := j + 1
 		sm := &res.Steps[i]

@@ -40,7 +40,7 @@ type PeerClient struct {
 	mu       sync.Mutex
 	breakers map[string]*breaker
 
-	gets, puts, misses, failures, skips atomic.Uint64
+	gets, puts, failures, skips atomic.Uint64
 }
 
 type breaker struct {
@@ -267,9 +267,6 @@ func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error
 			return statusErr(peer, resp)
 		})
 	if err != nil {
-		if err == errPeerMiss {
-			c.misses.Add(1)
-		}
 		return nil, err
 	}
 	return blob, nil

@@ -33,8 +33,7 @@ type DiskStore struct {
 	mu    sync.Mutex
 	bytes int64 // resident entry bytes, maintained incrementally
 
-	gets, hits, puts, evictions atomic.Uint64
-	errors                      atomic.Uint64
+	puts, evictions, errors atomic.Uint64
 }
 
 // OpenDiskStore opens (creating if needed) a store under dir bounded
@@ -96,7 +95,6 @@ func (s *DiskStore) path(key string) string { return filepath.Join(s.dir, key+su
 // Get returns the blob stored under key. A read marks the entry
 // recently used (best-effort mtime touch).
 func (s *DiskStore) Get(key string) ([]byte, bool) {
-	s.gets.Add(1)
 	if !validKey(key) {
 		return nil, false
 	}
@@ -109,7 +107,6 @@ func (s *DiskStore) Get(key string) ([]byte, bool) {
 	}
 	now := time.Now()
 	os.Chtimes(s.path(key), now, now) //nolint:errcheck // LRU hint only
-	s.hits.Add(1)
 	return blob, true
 }
 
