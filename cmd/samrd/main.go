@@ -54,7 +54,7 @@
 // layer down through the worker pool, the partitioners, and the
 // simulator; no layer ignores cancellation. The -request-timeout flag
 // caps each request's handling (default 2m, 0 disables; a negative
-// duration here or for -session-ttl fails startup): a
+// duration fails startup): a
 // request whose deadline expires — including one that arrives already
 // past it — returns 504 Gateway Timeout with a JSON error body, without
 // running (or while aborting, mid-batch) the partitioner. A client that
@@ -70,7 +70,7 @@
 //
 //	curl localhost:8347/v1/stats
 //
-// Slow-client protection: -max-body-bytes bounds request bodies, and
+// Slow-client protection: request bodies are bounded at 64 MiB, and
 // the HTTP server runs with read/write timeouts derived from
 // -request-timeout so a stalled connection cannot pin a handler
 // forever.
@@ -155,7 +155,7 @@
 // request). Stateful results bypass the cache and tier, as always.
 //
 // Sessions are soft state: the table holds 256 (LRU eviction past it)
-// and -session-ttl expires idle sessions. A step or delete on an
+// and a session idle for 15 minutes expires. A step or delete on an
 // expired, evicted, or unknown session answers 410 Gone
 // with code "session-expired"; the client re-creates the session from
 // its current full state and loses nothing but one upload. DELETE
@@ -281,14 +281,12 @@ func main() {
 		dir        = flag.String("traces", "", "directory of .trc trace files (loaded at startup and on demand)")
 		cache      = flag.Int("cache", 256, "partition cache capacity (results)")
 		reqTimeout = flag.Duration("request-timeout", 2*time.Minute, "per-request deadline threaded into partitioners and simulator (0 disables)")
-		maxBody    = flag.Int64("max-body-bytes", 64<<20, "request body size limit in bytes")
 		inflight   = flag.Int("max-inflight", 0, "max concurrently computing requests, with four times as many queued behind them; 0 disables admission control")
 		tenantRate = flag.Float64("tenant-rate", 0, "per-tenant admission rate limit in requests/second (burst: the rate rounded up); 0 disables")
 		tierDir    = flag.String("tier-dir", "", "fleet tier disk store directory, bounded at 256 MiB (empty disables the tier)")
 		tierPeers  = flag.String("tier-peers", "", "comma-separated base URLs of every fleet member, identical across the fleet")
 		tierSelf   = flag.String("tier-self", "", "this daemon's own base URL; required with -tier-peers and must be one of them")
 		tierSess   = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
-		sessionTTL = flag.Duration("session-ttl", 15*time.Minute, "idle expiry for streaming sessions (the table holds 256)")
 	)
 	flag.Parse()
 
@@ -303,14 +301,12 @@ func main() {
 		TraceDir:       *dir,
 		CacheSize:      *cache,
 		RequestTimeout: *reqTimeout,
-		MaxBodyBytes:   *maxBody,
 		MaxInFlight:    *inflight,
 		TenantRate:     *tenantRate,
 		TierDir:        *tierDir,
 		TierPeers:      peers,
 		TierSelf:       *tierSelf,
 		TierSessions:   *tierSess,
-		SessionTTL:     *sessionTTL,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "samrd:", err)

@@ -21,7 +21,7 @@ func buildSamrd(t *testing.T) string {
 
 // TestNonsenseFlagsFailStartup: settings that used to start a daemon
 // doing something other than what they say — a negative duration read
-// as "off" or "the default", a -tier-self the ring does not list — are
+// as "off", a -tier-self the ring does not list — are
 // startup errors that name the setting, and so is each flag that had
 // one value in use and became a constant or whose mechanism was
 // removed.
@@ -33,7 +33,6 @@ func TestNonsenseFlagsFailStartup(t *testing.T) {
 		want string
 	}{
 		{[]string{"-request-timeout", "-5s"}, "RequestTimeout -5s"},
-		{[]string{"-session-ttl", "-1m"}, "SessionTTL -1m"},
 		{[]string{"-tier-dir", t.TempDir(), "-tier-peers", peers, "-tier-self", "http://127.0.0.1:3"}, "TierSelf"},
 		{[]string{"-tier-dir", t.TempDir(), "-tier-peers", peers}, "TierSelf"},
 		{[]string{"-queue-depth", "32"}, "not defined: -queue-depth"},
@@ -42,6 +41,8 @@ func TestNonsenseFlagsFailStartup(t *testing.T) {
 		{[]string{"-fault-seed", "7"}, "not defined: -fault-seed"},
 		{[]string{"-tier-repair", "30s"}, "not defined: -tier-repair"},
 		{[]string{"-faults", "disk.put:enospc"}, "not defined: -faults"},
+		{[]string{"-session-ttl", "-1m"}, "not defined: -session-ttl"},
+		{[]string{"-max-body-bytes", "1048576"}, "not defined: -max-body-bytes"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, c.args...)...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), c.want) {

@@ -119,35 +119,6 @@ func TestApplyDeltaSignatureMatchesColdRehash(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaInPlace covers the mutating form: same state and
-// signature as WithDelta, and an invalid step leaves the hierarchy
-// exactly as it was.
-func TestApplyDeltaInPlace(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	h := randomHierarchy(r)
-	h.TrackSignature()
-	d := randomDelta(r, h)
-	want, err := h.WithDelta(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ApplyDelta(d); err != nil {
-		t.Fatal(err)
-	}
-	if h.Signature() != want.Signature() {
-		t.Fatalf("ApplyDelta signature %s != WithDelta %s", h.Signature(), want.Signature())
-	}
-
-	before := h.Signature()
-	bad := []LevelDelta{Keep(), Replace(geom.BoxList{geom.NewBox2(-100, -100, -90, -90)})}
-	if err := h.ApplyDelta(bad); err == nil {
-		t.Fatal("out-of-domain replacement accepted")
-	}
-	if h.Signature() != before || coldSignature(h) != before {
-		t.Fatal("failed ApplyDelta disturbed the hierarchy")
-	}
-}
-
 // TestDeltaValidation walks the rejection surface: empty steps, keeps
 // of nonexistent levels, overlap, nesting breaks from either side of a
 // level boundary, and level-0 domain coverage.
@@ -177,7 +148,7 @@ func TestDeltaValidation(t *testing.T) {
 	for _, tc := range cases {
 		h := base()
 		before := h.Signature()
-		if err := h.ApplyDelta(tc.step); err == nil {
+		if _, err := h.WithDelta(tc.step); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 		if h.Signature() != before {
@@ -189,19 +160,20 @@ func TestDeltaValidation(t *testing.T) {
 	// a pure-keep step (signature unchanged).
 	h := base()
 	sig := h.Signature()
-	if err := h.ApplyDelta([]LevelDelta{Keep(), Keep(), Keep()}); err != nil {
+	h, err := h.WithDelta([]LevelDelta{Keep(), Keep(), Keep()})
+	if err != nil {
 		t.Fatalf("pure-keep step rejected: %v", err)
 	}
 	if h.Signature() != sig {
 		t.Fatal("pure-keep step changed the signature")
 	}
-	if err := h.ApplyDelta([]LevelDelta{Keep(), Keep()}); err != nil {
+	if h, err = h.WithDelta([]LevelDelta{Keep(), Keep()}); err != nil {
 		t.Fatalf("drop-level step rejected: %v", err)
 	}
 	if len(h.Levels) != 2 || h.Signature() == sig {
 		t.Fatal("drop-level step did not take effect")
 	}
-	if err := h.ApplyDelta([]LevelDelta{Keep(), Keep(), Replace(geom.BoxList{geom.NewBox2(20, 20, 60, 60)})}); err != nil {
+	if h, err = h.WithDelta([]LevelDelta{Keep(), Keep(), Replace(geom.BoxList{geom.NewBox2(20, 20, 60, 60)})}); err != nil {
 		t.Fatalf("append-level step rejected: %v", err)
 	}
 	if h.Signature() != sig || coldSignature(h) != sig {
@@ -282,11 +254,11 @@ func sameLevels(a, b []Level) bool {
 }
 
 // FuzzApplyDelta: from a tracked random valid hierarchy (seeded), up to
-// eight fuzzed steps. Each step WithDelta either refuses, leaving the
-// receiver's signature and levels as they were, or yields a state that
+// eight fuzzed steps applied through WithDelta, the only mutation of a
+// tracked hierarchy. Each step either refuses, or yields a state that
 // Validate accepts and whose tracked signature and level sub-digests
-// equal a cold re-hash; ApplyDelta agrees with it in place. An accepted
-// step is the base of the next.
+// equal a cold re-hash; either way the receiver's signature and levels
+// are as they were. An accepted step is the base of the next.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{2, 0, 1})                         // keep level 0, replace level 1 by its anchors
@@ -308,21 +280,14 @@ func FuzzApplyDelta(f *testing.F) {
 			if h.Signature() != before || coldSignature(h) != before || !sameLevels(h.Levels, levels) {
 				t.Fatalf("step %d: WithDelta (err %v) disturbed its receiver", steps, err)
 			}
-			in := *h
-			if inErr := in.ApplyDelta(step); (inErr == nil) != (err == nil) {
-				t.Fatalf("step %d: WithDelta says %v, ApplyDelta %v", steps, err, inErr)
-			}
 			if err != nil {
-				if in.Signature() != before || !sameLevels(in.Levels, levels) {
-					t.Fatalf("step %d: refused ApplyDelta (%v) disturbed its receiver", steps, err)
-				}
 				continue
 			}
 			if err := next.Validate(); err != nil {
 				t.Fatalf("step %d: accepted step %v gives an invalid hierarchy: %v", steps, step, err)
 			}
-			if got, want := next.Signature(), coldSignature(next); got != want || in.Signature() != want {
-				t.Fatalf("step %d: tracked signature %s, in place %s, cold re-hash %s", steps, got, in.Signature(), want)
+			if got, want := next.Signature(), coldSignature(next); got != want {
+				t.Fatalf("step %d: tracked signature %s, cold re-hash %s", steps, got, want)
 			}
 			for l := range next.Levels {
 				if got, want := next.LevelSignature(l), geom.Signature(sha256.Sum256(next.Levels[l].Boxes.AppendEncoding(nil))); got != want {
@@ -359,9 +324,11 @@ func BenchmarkSignatureDeltaVsFull(b *testing.B) {
 		h.TrackSignature()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := h.ApplyDelta([]LevelDelta{Keep(), Keep(), Replace(finest(i))}); err != nil {
+			next, err := h.WithDelta([]LevelDelta{Keep(), Keep(), Replace(finest(i))})
+			if err != nil {
 				b.Fatal(err)
 			}
+			h = next
 			_ = h.Signature()
 		}
 	})

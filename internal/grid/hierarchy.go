@@ -41,8 +41,8 @@ type Hierarchy struct {
 	Levels []Level
 
 	// sig is the incremental signature cache of a tracked hierarchy
-	// (see delta.go); nil for the common untracked case. Tracked
-	// hierarchies must be mutated only through ApplyDelta/WithDelta.
+	// (see delta.go); nil for the common untracked case. WithDelta is
+	// the only legal mutation of a tracked hierarchy.
 	sig *sigCache
 }
 
@@ -131,7 +131,7 @@ func (h *Hierarchy) AppendEncoding(buf []byte) []byte {
 // hierarchies, which is what makes the hash usable as a content-
 // addressed cache key — a partitioner's output is a pure function of
 // (hierarchy structure, configuration, nprocs). A tracked hierarchy
-// (TrackSignature/ApplyDelta, see delta.go) answers from its
+// (TrackSignature/WithDelta, see delta.go) answers from its
 // incrementally maintained cache — the same value, without re-encoding
 // or re-hashing anything.
 func (h *Hierarchy) Signature() geom.Signature {

@@ -422,65 +422,6 @@ func TestReadyzLifecycle(t *testing.T) {
 	checkHealth()
 }
 
-// TestAdmissionDisabledIsTransparent: with MaxInFlight 0 the admission
-// layer must vanish — no admission headers, no admission stats block,
-// and partition responses byte-identical to an admission-enabled
-// server's for the same request (the disabled path adds or removes
-// nothing from the wire).
-func TestAdmissionDisabledIsTransparent(t *testing.T) {
-	srvOff, tsOff := newTestServer(t, Config{})
-	_, tsOn := newTestServer(t, admitTestConfig())
-
-	h := testHierarchy(5)
-	req := PartitionRequest{Hierarchy: &h, Partitioner: "domain-hilbert-u2", NProcs: 8}
-	read := func(ts string) ([]byte, http.Header) {
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := http.Post(ts+"/v1/partition", "application/json", jsonReader(t, body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", r.StatusCode)
-		}
-		raw, err := io.ReadAll(r.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw, r.Header
-	}
-	offBody, offHdr := read(tsOff.URL)
-	onBody, _ := read(tsOn.URL)
-	if string(offBody) != string(onBody) {
-		t.Errorf("partition responses differ between admission off/on:\noff: %s\non:  %s", offBody, onBody)
-	}
-	for _, hdr := range []string{"Retry-After", ShedHeader} {
-		if v := offHdr.Get(hdr); v != "" {
-			t.Errorf("disabled server emitted %s=%q", hdr, v)
-		}
-	}
-
-	// The disabled server's stats carry no admission block at all.
-	r, err := http.Get(tsOff.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := raw["admission"]; ok {
-		t.Error("disabled server reports an admission stats block")
-	}
-	if srvOff.Admission() != nil {
-		t.Error("disabled server exposes an admission controller")
-	}
-}
-
 // TestSimulateIsBatchClassAndGuarded: /v1/simulate passes through
 // admission like the interactive endpoints (a saturated gate sheds it)
 // — the class split is about priority, not about bypassing the

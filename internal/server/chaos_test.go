@@ -53,8 +53,9 @@ type chaosMember struct {
 	failed, delayed, flipped atomic.Uint64 // faults injected
 }
 
-// newChaosFleet is newFleet with every member behind a chaos handler
-// on sched. A non-nil mutate hook adjusts each member's config before
+// newChaosFleet starts n daemons that know each other as tier peers,
+// each behind a chaos handler on sched; a zero schedule breaks
+// nothing. A non-nil mutate hook adjusts each member's config before
 // its server is built.
 func newChaosFleet(t *testing.T, n int, sched chaosSchedule, mutate func(*Config)) []*chaosMember {
 	t.Helper()
@@ -211,7 +212,7 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 	// The fault-free baseline fleet fixes the expected body per
 	// hierarchy (tier members and a tier-less recompute already agree;
 	// see TestFleetTierServesPeerComputedPartition).
-	base := newFleet(t, 3)
+	base := newChaosFleet(t, 3, chaosSchedule{}, nil)
 	want := make([]string, len(hiers))
 	for i := range hiers {
 		req := PartitionRequest{Partitioner: "domain", NProcs: 4}
@@ -496,13 +497,13 @@ func TestChaosSessionTakeover(t *testing.T) {
 // there and recomputed, invisibly to the client, and the recompute's
 // offer replaces the rotted entry at the owner.
 func TestChaosCorruptResidentBlobQuarantined(t *testing.T) {
-	fleet := newFleet(t, 3)
+	fleet := newChaosFleet(t, 3, chaosSchedule{}, nil)
 	h := testHierarchy(11)
 	req := PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 8}
 	key := partitionTierKey(t, h, req.Partitioner, req.NProcs)
 	ownerURL := tier.NewRing("", fleetURLs(fleet)).Owner(key)
-	var owner *fleetMember
-	var others []*fleetMember
+	var owner *chaosMember
+	var others []*chaosMember
 	for _, m := range fleet {
 		if m.url == ownerURL {
 			owner = m
@@ -515,7 +516,7 @@ func TestChaosCorruptResidentBlobQuarantined(t *testing.T) {
 	// the owner, where it rots.
 	var resp1 PartitionResponse
 	post(t, others[0].url+"/v1/partition", req, &resp1)
-	if rot(t, owner.dir) != 1 {
+	if rot(t, owner.cfg.TierDir) != 1 {
 		t.Fatal("the owner does not hold exactly the offered entry")
 	}
 
@@ -531,11 +532,11 @@ func TestChaosCorruptResidentBlobQuarantined(t *testing.T) {
 	if got, wantBody := normalizedBody(t, resp2), normalizedBody(t, resp1); got != wantBody {
 		t.Error("recompute after quarantine differs from original body")
 	}
-	if st := others[1].srv.Tier().Stats(); st.Corrupt != 1 {
+	if st := others[1].srv.Load().Tier().Stats(); st.Corrupt != 1 {
 		t.Errorf("corrupt counter = %d, want 1", st.Corrupt)
 	}
-	for _, m := range []*fleetMember{others[1], owner} {
-		if blob, ok := m.srv.Tier().Disk().Get(key); !ok {
+	for _, m := range []*chaosMember{others[1], owner} {
+		if blob, ok := m.srv.Load().Tier().Disk().Get(key); !ok {
 			t.Errorf("%s holds no entry after the recompute", m.url)
 		} else if _, err := tier.DecodeAssignment(blob); err != nil {
 			t.Errorf("%s still holds a corrupt entry: %v", m.url, err)

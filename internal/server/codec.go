@@ -39,8 +39,8 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bo
 	defer putWireBuf(buf)
 	// Reading at most the limit never trips it; a body that fills it, or
 	// whose read fails, is decode's to answer.
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, s.cfg.MaxBodyBytes))
-	if err == nil && int64(buf.Len()) < s.cfg.MaxBodyBytes && recognise(buf.Bytes(), v) {
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, s.maxBody))
+	if err == nil && int64(buf.Len()) < s.maxBody && recognise(buf.Bytes(), v) {
 		return true
 	}
 	return decode(w, io.MultiReader(buf, r.Body), v)

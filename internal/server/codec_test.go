@@ -487,7 +487,7 @@ func wireAnswer(srv *Server, path, body string) *httptest.ResponseRecorder {
 }
 
 // TestWireAnswersMatchDecode holds the codec to the decode path on every
-// wireBody and on bodies at and over MaxBodyBytes: status, headers and
+// wireBody and on bodies at and over the body limit: status, headers and
 // body. Where decode refuses a body, its own answer is the reference;
 // where it accepts one, the reference is a twin server's answer to the
 // same body with a byte appended — encoding/json's Decoder stops at the
@@ -495,15 +495,15 @@ func wireAnswer(srv *Server, path, body string) *httptest.ResponseRecorder {
 // recogniser, which wants the body to end there, declines.
 func TestWireAnswersMatchDecode(t *testing.T) {
 	const limit = 4 << 10
-	cfg := Config{MaxBodyBytes: limit}
-	fast, err := New(cfg)
+	fast, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(cfg)
+	twin, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fast.maxBody, twin.maxBody = limit, limit
 	// One session each, on the same state, stepped in lockstep.
 	h := testHierarchy(0)
 	createBody := mustMarshal(t, SessionCreateRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4})

@@ -67,15 +67,15 @@
 // and accepts only a canonical subset: keys spelled exactly, in any
 // order, each at most once; strings without escapes or non-ASCII;
 // integers without fraction, exponent or leading zeros; 2-D boxes,
-// built straight into geom.Box. Any other body — and one that fills MaxBodyBytes — goes to
-// encoding/json over the same bytes, so every 400 and 413, every
-// field-matching rule and the indifference to trailing bytes stay
-// exactly encoding/json's; an accepted body meets the same parsing,
-// validation and cache path as a decoded one. The answer is appended
-// straight from each assignment into a pooled buffer, byte for byte
-// what json.Encoder wrote for PartitionResponse. encoding/json stays the
-// oracle of both halves in the tests (FuzzPartitionWire, the encoder's
-// byte-equality suite) and the codec for every other route.
+// built straight into geom.Box. Any other body — and one that fills the
+// body limit — goes to encoding/json over the same bytes, so every 400
+// and 413, every field-matching rule and the indifference to trailing
+// bytes stay exactly encoding/json's; an accepted body meets the same
+// parsing, validation and cache path as a decoded one. The answer is
+// appended straight from each assignment into a pooled buffer, byte for
+// byte what json.Encoder wrote for PartitionResponse. encoding/json
+// stays the oracle of both halves in the tests (FuzzPartitionWire, the
+// encoder's byte-equality suite) and the codec for every other route.
 //
 // On /v1/partition a cache hit is decoded, signed, looked up and
 // written: a hierarchy whose key is resident is not validated again.
@@ -129,6 +129,13 @@ const defaultProcs = 16
 // session-expired.
 const maxSessions = 256
 
+// maxBodyBytes bounds request bodies: deep hierarchies are a few MB of
+// JSON, so 64 MiB is ample headroom without inviting abuse.
+const maxBodyBytes = 64 << 20
+
+// sessionTTL expires streaming sessions idle longer than this.
+const sessionTTL = 15 * time.Minute
+
 // machine is the simulator's machine model.
 var machine = sim.DefaultMachine()
 
@@ -143,10 +150,6 @@ type Config struct {
 	// partitioners, simulator) aborts once it expires. Zero disables
 	// the cap (the client's own context still cancels).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 64 MB — deep
-	// hierarchies are a few MB of JSON, so that is ample headroom
-	// without inviting abuse).
-	MaxBodyBytes int64
 	// MaxInFlight caps concurrently admitted compute requests
 	// (select/partition/simulate); four times as many wait in the
 	// accept queue behind them, and requests past the queue are shed
@@ -182,19 +185,11 @@ type Config struct {
 	// Requires the tier (TierDir and/or TierPeers); with it off every
 	// response is byte-identical to a build without durable sessions.
 	TierSessions bool
-	// SessionTTL expires sessions idle longer than this (default 15m).
-	SessionTTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.SessionTTL <= 0 {
-		c.SessionTTL = 15 * time.Minute
 	}
 	return c
 }
@@ -229,6 +224,7 @@ type endpointStats struct {
 // Server is the samrd HTTP service.
 type Server struct {
 	cfg      Config
+	maxBody  int64 // maxBodyBytes; tests lower it
 	cache    *answerCache
 	registry *TraceRegistry
 	mux      *http.ServeMux
@@ -247,9 +243,9 @@ type Server struct {
 // cfg.TraceDir. A missing or unreadable directory is an error; an empty
 // TraceDir is not.
 func New(cfg Config) (*Server, error) {
-	// Zero means off (or the default TTL); negative means a typo.
-	if cfg.RequestTimeout < 0 || cfg.SessionTTL < 0 {
-		return nil, fmt.Errorf("server: negative duration (RequestTimeout %s, SessionTTL %s)", cfg.RequestTimeout, cfg.SessionTTL)
+	// Zero means off; negative means a typo.
+	if cfg.RequestTimeout < 0 {
+		return nil, fmt.Errorf("server: negative duration (RequestTimeout %s)", cfg.RequestTimeout)
 	}
 	cfg = cfg.withDefaults()
 	// Compared as the ring canonicalizes: a trailing slash is no mismatch.
@@ -262,9 +258,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
+		maxBody:   maxBodyBytes,
 		cache:     memo.New[CacheKey, partition.Packed](cfg.CacheSize),
 		registry:  NewTraceRegistry(cfg.TraceDir),
-		sessions:  newSessionTable(maxSessions, cfg.SessionTTL),
+		sessions:  newSessionTable(maxSessions),
 		endpoints: make(map[string]*endpointStats),
 	}
 	if cfg.MaxInFlight > 0 {
@@ -327,7 +324,7 @@ func (s *Server) Close() {}
 // ServeHTTP implements http.Handler. The body-size limit is the first
 // middleware: it precedes admission, which precedes the deadline.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	s.mux.ServeHTTP(w, r)
 }
 

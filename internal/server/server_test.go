@@ -85,11 +85,16 @@ func testTrace(steps int) *trace.Trace {
 	return tr
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer serves New(cfg) over HTTP, after adjust (if any) has
+// set the unexported limits a test lowers.
+func newTestServer(t *testing.T, cfg Config, adjust ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range adjust {
+		f(s)
 	}
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -357,13 +362,13 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBodyLimit pins Config.MaxBodyBytes on the three routes that read
+// TestBodyLimit pins the body limit on the three routes that read
 // a body of any size: a request one byte over the limit answers 413 and
 // leaves the cache, the session and the disk store as they were, and a
 // body of exactly the limit is served.
 func TestBodyLimit(t *testing.T) {
 	const limit = 1 << 10
-	srv, ts := newTestServer(t, Config{MaxBodyBytes: limit, TierDir: t.TempDir()})
+	srv, ts := newTestServer(t, Config{TierDir: t.TempDir()}, func(s *Server) { s.maxBody = limit })
 	// padded marshals v behind leading spaces, which the decoder has to
 	// read, to exactly n bytes.
 	padded := func(v any, n int) []byte {

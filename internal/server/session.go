@@ -38,7 +38,7 @@ import (
 // tier, exactly as in the one-shot path.
 //
 // Sessions are soft state in a bounded, TTL'd, mtime-LRU table
-// (maxSessions entries, Config.SessionTTL): an expired, evicted, or
+// (maxSessions entries, sessionTTL): an expired, evicted, or
 // unknown session answers 410 Gone with the machine-readable error
 // code "session-expired", and the client re-creates the session from
 // its current full state — nothing is lost but one full upload.
@@ -98,7 +98,6 @@ type session struct {
 type sessionTable struct {
 	mu       sync.Mutex
 	max      int
-	ttl      time.Duration
 	sessions map[string]*session
 	order    *list.List // front = most recently used
 	now      func() time.Time
@@ -108,10 +107,9 @@ type sessionTable struct {
 	http                             endpointStats
 }
 
-func newSessionTable(max int, ttl time.Duration) *sessionTable {
+func newSessionTable(max int) *sessionTable {
 	return &sessionTable{
 		max:      max,
-		ttl:      ttl,
 		sessions: make(map[string]*session),
 		order:    list.New(),
 		now:      time.Now,
@@ -128,7 +126,7 @@ func (t *sessionTable) lookup(id string) *session {
 		return nil
 	}
 	now := t.now()
-	if now.Sub(sess.lastUsed) > t.ttl {
+	if now.Sub(sess.lastUsed) > sessionTTL {
 		t.removeLocked(sess)
 		t.expired.Add(1)
 		return nil
@@ -145,7 +143,7 @@ func (t *sessionTable) put(sess *session) {
 	now := t.now()
 	for back := t.order.Back(); back != nil; back = t.order.Back() {
 		s := back.Value.(*session)
-		if now.Sub(s.lastUsed) <= t.ttl {
+		if now.Sub(s.lastUsed) <= sessionTTL {
 			break
 		}
 		t.removeLocked(s)
@@ -175,7 +173,7 @@ func (t *sessionTable) remove(id string) bool {
 	if !ok {
 		return false
 	}
-	live := t.now().Sub(sess.lastUsed) <= t.ttl
+	live := t.now().Sub(sess.lastUsed) <= sessionTTL
 	t.removeLocked(sess)
 	if !live {
 		t.expired.Add(1)
@@ -201,7 +199,7 @@ func (t *sessionTable) restore(sess *session) *session {
 	defer t.mu.Unlock()
 	now := t.now()
 	if cur, ok := t.sessions[sess.id]; ok {
-		if now.Sub(cur.lastUsed) <= t.ttl {
+		if now.Sub(cur.lastUsed) <= sessionTTL {
 			cur.lastUsed = now
 			t.order.MoveToFront(cur.elem)
 			return cur
@@ -309,7 +307,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		Partitioner: name,
 		NProcs:      req.NProcs,
 		Stateful:    sess.stateful,
-		TTLSeconds:  int(s.cfg.SessionTTL / time.Second),
+		TTLSeconds:  int(sessionTTL / time.Second),
 		Levels:      make([]string, h.NumLevels()),
 	}
 	for l := range resp.Levels {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"strings"
@@ -24,8 +23,7 @@ import (
 // durable to put them — fails fast without one instead of starting
 // quietly disabled. So does a TierSelf the ring does not list — that
 // member would own no key and fetch and offer its own keys over HTTP —
-// and a negative duration, which would read as "off" (RequestTimeout)
-// or "the default" (SessionTTL).
+// and a negative RequestTimeout, which would read as "off".
 func TestTierSessionsRequiresTier(t *testing.T) {
 	peers := []string{"http://a:8347", "http://b:8347"}
 	for name, cfg := range map[string]Config{
@@ -34,7 +32,6 @@ func TestTierSessionsRequiresTier(t *testing.T) {
 		"TierSelf with another scheme": {TierDir: t.TempDir(), TierPeers: peers, TierSelf: "https://a:8347"},
 		"TierPeers without TierSelf":   {TierDir: t.TempDir(), TierPeers: peers},
 		"negative RequestTimeout":      {RequestTimeout: -5 * time.Second},
-		"negative SessionTTL":          {SessionTTL: -time.Minute},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s accepted", name)
@@ -241,52 +238,5 @@ func TestSessionResumeInconsistentSnapshotQuarantined(t *testing.T) {
 	}
 	if r.Header.Get(SessionResumedHeader) != "1" {
 		t.Error("consistent snapshot resume not marked")
-	}
-}
-
-// TestTierSessionsOffWireIdentity pins the compatibility criterion:
-// with the tier on but TierSessions off, the session surface is
-// byte-identical to the pre-resume build — an unknown token answers
-// the plain 410 without consulting the tier (a perfectly resumable
-// snapshot sits there untouched), no response carries the resumed
-// header, and the stats body never grows the resume counters.
-func TestTierSessionsOffWireIdentity(t *testing.T) {
-	dir := t.TempDir()
-	_, ts1 := newTestServer(t, Config{TierDir: dir, TierSessions: true})
-	create := createSession(t, ts1.URL, wideHierarchy(0), "domain", 8)
-	if r := post(t, ts1.URL+"/v1/session/"+create.Session+"/step", finestStep(4), nil); r.StatusCode != http.StatusOK {
-		t.Fatalf("step: status %d", r.StatusCode)
-	}
-	ts1.Close()
-
-	srv2, ts2 := newTestServer(t, Config{TierDir: dir}) // resume layer off
-	key := sessionSnapshotKey(create.Session)
-	if !diskHas(srv2, key) {
-		t.Fatal("planted snapshot missing; the no-consult assertion would be vacuous")
-	}
-	r := post(t, ts2.URL+"/v1/session/"+create.Session+"/step", finestStep(8), nil)
-	if r.StatusCode != http.StatusGone || errorCode(t, r) != CodeSessionExpired {
-		t.Fatalf("unknown token with resume off: status %d, want the plain 410", r.StatusCode)
-	}
-	if got := r.Header.Get(SessionResumedHeader); got != "" {
-		t.Errorf("410 carried %s = %q", SessionResumedHeader, got)
-	}
-	if !diskHas(srv2, key) {
-		t.Error("resume-off 410 touched the snapshot (tier consulted)")
-	}
-
-	// A normal session on the same daemon: no resumed header anywhere,
-	// and the stats body carries no resume keys at all (omitempty keeps
-	// zero counters invisible — byte-identical to the previous build).
-	c2 := createSession(t, ts2.URL, wideHierarchy(0), "domain", 8)
-	r = post(t, ts2.URL+"/v1/session/"+c2.Session+"/step", finestStep(4), nil)
-	if r.StatusCode != http.StatusOK || r.Header.Get(SessionResumedHeader) != "" {
-		t.Fatalf("step with resume off: status %d, header %q", r.StatusCode, r.Header.Get(SessionResumedHeader))
-	}
-	raw := getRaw(t, ts2.URL+"/v1/stats")
-	for _, needle := range []string{`"resumed"`, `"resume_misses"`} {
-		if bytes.Contains(raw, []byte(needle)) {
-			t.Errorf("resume-off stats body contains %s: %s", needle, raw)
-		}
 	}
 }

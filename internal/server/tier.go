@@ -104,7 +104,7 @@ func (s *Server) handleTierGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTierPut(w http.ResponseWriter, r *http.Request) {
-	// The body limit middleware already caps reads at MaxBodyBytes.
+	// The body limit middleware already caps reads at maxBodyBytes.
 	blob, err := io.ReadAll(r.Body)
 	if err != nil {
 		code := http.StatusBadRequest

@@ -7,9 +7,7 @@ import (
 	"io"
 	"maps"
 	"math"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -20,51 +18,6 @@ import (
 	"samr/internal/partition"
 	"samr/internal/tier"
 )
-
-// fleetMember is one daemon of an in-process fleet.
-type fleetMember struct {
-	srv *Server
-	ts  *httptest.Server
-	url string
-	dir string
-}
-
-// newFleet starts n samrd instances that know each other as tier
-// peers. Listeners are allocated up front so every member's URL is
-// known before any server is built — the peer list must be identical
-// across the fleet.
-func newFleet(t *testing.T, n int) []*fleetMember {
-	t.Helper()
-	members := make([]*fleetMember, n)
-	urls := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range members {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	for i := range members {
-		dir := t.TempDir()
-		srv, err := New(Config{
-			TierDir:   dir,
-			TierPeers: urls,
-			TierSelf:  urls[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewUnstartedServer(srv)
-		ts.Listener.Close() //nolint:errcheck
-		ts.Listener = listeners[i]
-		ts.Start()
-		t.Cleanup(ts.Close)
-		members[i] = &fleetMember{srv: srv, ts: ts, url: urls[i], dir: dir}
-	}
-	return members
-}
 
 // normalize zeroes the per-request disposition fields, which are the
 // only part of a partition response that legitimately differs between
@@ -88,9 +41,10 @@ func normalizedBody(t *testing.T, resp PartitionResponse) string {
 
 // TestFleetTierServesPeerComputedPartition is the headline fleet
 // property: a partition computed by any member is served byte-identically
-// by every other member without recomputation.
+// by every other member without recomputation, and the exchanges leave
+// no breaker to report.
 func TestFleetTierServesPeerComputedPartition(t *testing.T) {
-	fleet := newFleet(t, 3)
+	fleet := newChaosFleet(t, 3, chaosSchedule{}, nil)
 	req := PartitionRequest{Partitioner: "domain", NProcs: 8}
 	h := testHierarchy(3)
 	req.Hierarchy = &h
@@ -140,7 +94,11 @@ func TestFleetTierServesPeerComputedPartition(t *testing.T) {
 		t.Errorf("cache.tier = %d, want 1", stats.Cache.Tier)
 	}
 	if stats.Tier == nil || stats.Tier.Lookups == 0 {
-		t.Errorf("stats.tier missing or empty: %+v", stats.Tier)
+		t.Fatalf("stats.tier missing or empty: %+v", stats.Tier)
+	}
+	// A healthy fleet's breakers are all closed, so none is listed.
+	if len(stats.Tier.Breakers) != 0 {
+		t.Errorf("a healthy fleet lists breakers: %+v", stats.Tier.Breakers)
 	}
 }
 
@@ -148,10 +106,10 @@ func TestFleetTierServesPeerComputedPartition(t *testing.T) {
 // floods the survivor: every response must succeed (by local compute at
 // worst); a dead peer is never a client-visible error.
 func TestFleetTierPeerDownFallsBackToCompute(t *testing.T) {
-	fleet := newFleet(t, 3)
+	fleet := newChaosFleet(t, 3, chaosSchedule{}, nil)
 	// One member is already dead; another is killed mid-flood. Every
 	// request to the survivor must still succeed.
-	fleet[1].ts.Close()
+	fleet[1].kill()
 	var killOnce sync.Once
 
 	var wg sync.WaitGroup
@@ -162,7 +120,7 @@ func TestFleetTierPeerDownFallsBackToCompute(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				if w == 0 && i == 3 {
-					killOnce.Do(fleet[2].ts.Close)
+					killOnce.Do(fleet[2].kill)
 				}
 				req := PartitionRequest{Partitioner: "domain", NProcs: 4}
 				h := testHierarchy((w*8 + i) % 24)
@@ -240,59 +198,11 @@ func TestTierCorruptDiskEntryFallsBack(t *testing.T) {
 	}
 }
 
-// TestTierOffWireIdentity pins the compatibility contract: with no tier
-// configured, routes, headers, and bodies are exactly the tier-less
-// server's.
-func TestTierOffWireIdentity(t *testing.T) {
-	srvOff, off := newTestServer(t, Config{})
-	_, on := newTestServer(t, Config{TierDir: t.TempDir()})
-	if srvOff.Tier() != nil {
-		t.Fatal("tier built without tier config")
-	}
-
-	req := PartitionRequest{Partitioner: "domain", NProcs: 8}
-	h := testHierarchy(7)
-	req.Hierarchy = &h
-
-	// A cold first request: both compute, bodies must be byte-identical
-	// (the tier only kicks in as a source of bytes, never a change to
-	// them) and the tier-off response must not carry tier headers.
-	rOff := post(t, off.URL+"/v1/partition", req, nil)
-	rOn := post(t, on.URL+"/v1/partition", req, nil)
-	bodyOff, _ := io.ReadAll(rOff.Body)
-	bodyOn, _ := io.ReadAll(rOn.Body)
-	if string(bodyOff) != string(bodyOn) {
-		t.Errorf("cold partition bodies differ:\n off: %s\n  on: %s", bodyOff, bodyOn)
-	}
-	if rOff.Header.Get("X-Samr-Cache-Tier") != "" {
-		t.Error("tier-off response carries X-Samr-Cache-Tier")
-	}
-	if rOn.Header.Get("X-Samr-Cache-Tier") == "" {
-		t.Error("tier-on response lacks X-Samr-Cache-Tier")
-	}
-
-	// The tier-off stats body has no tier key at all.
-	raw := getRaw(t, off.URL+"/v1/stats")
-	if strings.Contains(string(raw), `"tier"`) {
-		t.Errorf("tier-off stats body mentions tier: %s", raw)
-	}
-
-	// The peer protocol is not routed while the tier is off.
-	resp, err := http.Get(off.URL + "/v1/tier/" + tier.Key("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("tier-off GET /v1/tier = %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestPostmapSpecNeverTouchesTier pins the stateful-partitioner
 // exclusion: postmap results depend on request history, so the fleet
 // tier must neither serve nor store them.
 func TestPostmapSpecNeverTouchesTier(t *testing.T) {
-	fleet := newFleet(t, 2)
+	fleet := newChaosFleet(t, 2, chaosSchedule{}, nil)
 	req := PartitionRequest{Partitioner: "postmap(domain)", NProcs: 8}
 	h := testHierarchy(2)
 	req.Hierarchy = &h
@@ -303,7 +213,7 @@ func TestPostmapSpecNeverTouchesTier(t *testing.T) {
 		t.Errorf("postmap on second daemon X-Samr-Cache = %q, want miss", got)
 	}
 	for i, m := range fleet {
-		if st := m.srv.Tier().Stats(); st.Lookups != 0 || st.Stores != 0 {
+		if st := m.srv.Load().Tier().Stats(); st.Lookups != 0 || st.Stores != 0 {
 			t.Errorf("daemon %d tier touched by postmap: %+v", i, st)
 		}
 	}
@@ -333,37 +243,6 @@ func TestTierPeerProtocolValidates(t *testing.T) {
 	resp.Body.Close() //nolint:errcheck
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("absent key GET = %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestSelfHealingOffWireIdentity pins the self-healing compatibility
-// contract: with no faults, a healthy tier fleet's stats body carries
-// none of the self-healing keys (failover counters, breaker list) — the
-// wire surface is exactly the previous release's. GET /v1/tier/manifest
-// is no route: it falls to the {key} one, which no 8-letter key passes.
-func TestSelfHealingOffWireIdentity(t *testing.T) {
-	fleet := newFleet(t, 2)
-	req := PartitionRequest{Partitioner: "domain", NProcs: 8}
-	h := testHierarchy(9)
-	req.Hierarchy = &h
-	post(t, fleet[0].url+"/v1/partition", req, nil)
-	post(t, fleet[1].url+"/v1/partition", req, nil) // tier-served
-
-	for _, m := range fleet {
-		raw := string(getRaw(t, m.url+"/v1/stats"))
-		for _, key := range []string{"failover_reads", "failover_stores", "breakers"} {
-			if strings.Contains(raw, `"`+key+`"`) {
-				t.Errorf("%s: healthy stats body mentions %q: %s", m.url, key, raw)
-			}
-		}
-		resp, err := http.Get(m.url + "/v1/tier/manifest")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close() //nolint:errcheck
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: GET /v1/tier/manifest = %d, want 404", m.url, resp.StatusCode)
-		}
 	}
 }
 
@@ -554,7 +433,7 @@ func partitionTierKey(t *testing.T, wire Hierarchy, spec string, nprocs int) str
 }
 
 // fleetURLs lists the members' base URLs, the fleet's peer list.
-func fleetURLs(fleet []*fleetMember) []string {
+func fleetURLs(fleet []*chaosMember) []string {
 	urls := make([]string, len(fleet))
 	for i, m := range fleet {
 		urls[i] = m.url
@@ -574,7 +453,7 @@ func fleetURLs(fleet []*fleetMember) []string {
 // and the partition LRU flushed.)
 func TestWipedMemberRefillsFromMisses(t *testing.T) {
 	const nKeys, nprocs = 24, 4
-	fleet := newFleet(t, 3)
+	fleet := newChaosFleet(t, 3, chaosSchedule{}, nil)
 	ring := tier.NewRing("", fleetURLs(fleet))
 	wiped := fleet[2]
 
@@ -597,7 +476,7 @@ func TestWipedMemberRefillsFromMisses(t *testing.T) {
 		return set
 	}
 	diskKeys := func() map[string]bool {
-		entries, err := filepath.Glob(filepath.Join(wiped.dir, "*.tier"))
+		entries, err := filepath.Glob(filepath.Join(wiped.cfg.TierDir, "*.tier"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -633,9 +512,9 @@ func TestWipedMemberRefillsFromMisses(t *testing.T) {
 		t.Fatalf("wiped member's disk before the wipe: %d entries, want exactly the %d keys it computed or owns", len(got), len(filled))
 	}
 	for k := range filled {
-		wiped.srv.Tier().Disk().Delete(k)
+		wiped.srv.Load().Tier().Disk().Delete(k)
 	}
-	wiped.srv.Cache().Flush()
+	wiped.srv.Load().Cache().Flush()
 
 	replay := func(pass int) map[string]int {
 		disp := map[string]int{}
@@ -696,10 +575,10 @@ func TestWipedMemberRefillsFromMisses(t *testing.T) {
 // of the keys is computed twice.
 func TestFailoverSharesADeadOwnersKeys(t *testing.T) {
 	const nKeys, nprocs = 24, 8
-	fleet := newFleet(t, 3)
+	fleet := newChaosFleet(t, 3, chaosSchedule{}, nil)
 	ring := tier.NewRing("", fleetURLs(fleet))
 	dead, survivors := fleet[2], fleet[:2]
-	dead.ts.Close()
+	dead.kill()
 	http.DefaultClient.CloseIdleConnections()
 
 	// Throwaway keys open the dead member's breaker at both survivors
@@ -707,8 +586,8 @@ func TestFailoverSharesADeadOwnersKeys(t *testing.T) {
 	// survivor only: once the first breaker is open that survivor's
 	// diverted stores would serve the other from its own disk, and the
 	// other would never learn the owner is dead.
-	open := func(m *fleetMember) bool {
-		for _, b := range m.srv.Tier().Stats().Breakers {
+	open := func(m *chaosMember) bool {
+		for _, b := range m.srv.Load().Tier().Stats().Breakers {
 			if b.Peer == dead.url && b.State == tier.BreakerOpen {
 				return true
 			}
@@ -728,7 +607,7 @@ func TestFailoverSharesADeadOwnersKeys(t *testing.T) {
 	failovers := func() uint64 {
 		n := uint64(0)
 		for _, m := range survivors {
-			st := m.srv.Tier().Stats()
+			st := m.srv.Load().Tier().Stats()
 			n += st.FailoverReads + st.FailoverStores
 		}
 		return n
