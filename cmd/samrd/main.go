@@ -148,11 +148,13 @@
 // step leaves the session state untouched, so the client retries the
 // same delta.
 //
-// Stateful postmap(...) specs compose with sessions: the session keeps
-// one long-lived partitioner instance server-side, so the carried
-// previous-assignment state advances with the session (one-shot
-// /v1/partition posts cannot do this — they build a fresh instance per
-// request). Stateful results bypass the cache and tier, as always.
+// postmap(...) specs compose with sessions: the session keeps its
+// mapping history (the previous step's hierarchy and assignment)
+// server-side, and relabels each step's answer against it, so labels
+// follow the data from step to step. The answer itself is the inner
+// partitioner's, looked up through the cache and tier like any other;
+// the relabel happens after the lookup. A one-shot /v1/partition post
+// has no history, so a postmap post answers its inner spec's answer.
 //
 // Sessions are soft state: the table holds 256 (LRU eviction past it)
 // and a session idle for 15 minutes expires. A step or delete on an
@@ -190,8 +192,9 @@
 // the bytes came from the fleet, not from a partitioner run. The tier
 // is a pure optimization layer: a dead peer, a full or corrupt disk
 // store, or an open circuit breaker degrades to computing locally,
-// never to a client-visible error, and stateful postmap(...) specs
-// bypass the tier entirely (their results depend on request history).
+// never to a client-visible error. A postmap(...) spec shares its inner
+// spec's entries: the relabel against a session's history happens
+// after the lookup.
 // Each disk store is bounded at 256 MiB; the oldest entries are
 // evicted first. With no tier flags set, the tier is fully disabled
 // and responses are byte-identical to a build without it. Tier
@@ -229,8 +232,8 @@
 // gets 410 and re-creates elsewhere. -tier-sessions (requires the
 // fleet tier) makes sessions fleet-resumable: after every committed
 // step the daemon writes a sealed snapshot of the session — hierarchy,
-// its signature, partitioner spec, processor count, and any carried
-// postmap history — through the tier's store/offer path,
+// its signature, partitioner spec, processor count, and any postmap
+// mapping history — through the tier's store/offer path,
 // keyed by the session token, so the snapshot lands on the token's
 // rendezvous owner as well as the local disk store.
 //

@@ -144,29 +144,23 @@ func MetaVsStatic(ctx context.Context, tr *trace.Trace, nprocs int) (*Table, err
 		}
 	}
 
-	// Dynamic: meta-partitioner selects per step. This run shares the
-	// stable's partitioner instances (including the stateful post-mapped
-	// one), so it completes before the static runs start.
-	dyn, err := sim.SimulateTraceSelect(ctx, tr, func(step int, h *grid.Hierarchy) partition.Partitioner {
-		return meta.Select(h, m.TimeSlot(h, nprocs))
-	}, nprocs, m)
-	if err != nil {
-		return nil, err
-	}
-
-	// Statics: each stable entry is a distinct instance, reset inside
-	// its own worker, so the per-partitioner simulations fan out.
+	// The dynamic run (the meta-partitioner selects per step) and one
+	// run per static choice from its stable fan out together.
 	stable := meta.Stable()
 	t.Rows = make([][]string, 1+len(stable))
-	t.Rows[0] = row("meta-partitioner(dynamic)", dyn)
-	err = pool.MapCtx(ctx, pool.Workers(), len(stable), func(i int) error {
-		p := stable[i]
-		resetStateful(p)
-		res, err := sim.SimulateTrace(ctx, tr, p, nprocs, m)
+	err := pool.MapCtx(ctx, pool.Workers(), len(t.Rows), func(i int) error {
+		name, choose := "meta-partitioner(dynamic)", func(step int, h *grid.Hierarchy) partition.Partitioner {
+			return meta.Select(h, m.TimeSlot(h, nprocs))
+		}
+		if i > 0 {
+			p := stable[i-1]
+			name, choose = "static:"+p.Name(), func(int, *grid.Hierarchy) partition.Partitioner { return p }
+		}
+		res, err := sim.SimulateTraceSelect(ctx, tr, choose, nprocs, m)
 		if err != nil {
 			return err
 		}
-		t.Rows[1+i] = row("static:"+p.Name(), res)
+		t.Rows[i] = row(name, res)
 		return nil
 	})
 	if err != nil {
@@ -176,15 +170,6 @@ func MetaVsStatic(ctx context.Context, tr *trace.Trace, nprocs int) (*Table, err
 		"expected shape: dynamic <= best static on average, << worst static",
 	)
 	return t, nil
-}
-
-// resetStateful clears carried state from stateful partitioners (the
-// post-mapping wrapper remembers the previous assignment) so every
-// simulated run starts fresh.
-func resetStateful(p partition.Partitioner) {
-	if r, ok := p.(interface{ Reset() }); ok {
-		r.Reset()
-	}
 }
 
 // AblationPostMapping (Ablation E) measures the migration remedy the

@@ -22,9 +22,9 @@ var DefaultProcsLadder = []int{4, 8, 16, 32, 64}
 // chains and hue/core separations depend only on (hierarchy content,
 // curve, unit size), so across the whole ladder they are computed once
 // and only the chain cuts, fragment generation, and evaluation run per
-// nprocs. The per-nprocs simulations are independent (the partitioner
-// must be stateless) and fan out over the worker pool; each row is
-// written by index, keeping the table identical to a sequential run.
+// nprocs. The per-nprocs simulations are independent and fan out over
+// the worker pool; each row is written by index, keeping the table
+// identical to a sequential run.
 func ProcsSweep(ctx context.Context, tr *trace.Trace, p partition.Partitioner, ladder []int) (*Table, error) {
 	if len(ladder) == 0 {
 		ladder = DefaultProcsLadder
@@ -36,16 +36,7 @@ func ProcsSweep(ctx context.Context, tr *trace.Trace, p partition.Partitioner, l
 		Columns: []string{"nprocs", "est_time_s", "mean_imb_pct", "mean_rel_comm", "mean_rel_mig"},
 	}
 	t.Rows = make([][]string, len(ladder))
-	// A stateful partitioner (postmap) cannot share one instance across
-	// concurrent runs, and its carried state must not leak between
-	// ladder rungs: fall back to a sequential sweep with a reset per
-	// rung.
-	workers := pool.Workers()
-	if _, ok := p.(interface{ Reset() }); ok {
-		workers = 1
-	}
-	err := pool.MapCtx(ctx, workers, len(ladder), func(i int) error {
-		resetStateful(p)
+	err := pool.MapCtx(ctx, pool.Workers(), len(ladder), func(i int) error {
 		res, err := sim.SimulateTrace(ctx, tr, p, ladder[i], m)
 		if err != nil {
 			return err

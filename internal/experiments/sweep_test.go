@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -51,22 +52,26 @@ func TestProcsSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestProcsSweepStatefulSequential: a post-mapped partitioner must
-// still produce a complete, per-rung-reset sweep (sequential path).
-func TestProcsSweepStatefulSequential(t *testing.T) {
+// TestProcsSweepPostmapMatchesFreshRuns: a postmap partitioner sweeps
+// its rungs in parallel on one shared instance, and each row equals a
+// fresh single-rung sweep on a fresh instance: nothing of one rung's
+// relabel history reaches another.
+func TestProcsSweepPostmapMatchesFreshRuns(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	tr := quick(t, "TP2D")
-	pm := partition.NewPostMapped(partition.NewNatureFable())
-	tb, err := ProcsSweep(bg, tr, pm, []int{2, 4})
+	ladder := []int{2, 4, 7}
+	tb, err := ProcsSweep(bg, tr, partition.NewPostMapped(partition.NewNatureFable()), ladder)
 	noErr(t, err)
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tb.Rows))
+	if len(tb.Rows) != len(ladder) {
+		t.Fatalf("rows = %d, want %d", len(tb.Rows), len(ladder))
 	}
-	// Per-rung reset: rerunning the same rung fresh must reproduce it.
-	pm2 := partition.NewPostMapped(partition.NewNatureFable())
-	tb2, err := ProcsSweep(bg, tr, pm2, []int{2, 4})
-	noErr(t, err)
-	if !reflect.DeepEqual(tb.Rows, tb2.Rows) {
-		t.Fatal("stateful sweep not reproducible (state leaked between rungs)")
+	for i, np := range ladder {
+		fresh, err := ProcsSweep(bg, tr, partition.NewPostMapped(partition.NewNatureFable()), []int{np})
+		noErr(t, err)
+		if !reflect.DeepEqual(tb.Rows[i], fresh.Rows[0]) {
+			t.Errorf("rung %d: swept row %v, fresh run %v", np, tb.Rows[i], fresh.Rows[0])
+		}
 	}
 }
 

@@ -19,9 +19,9 @@
 // The memoization contract callers must uphold: the value stored under
 // a key must be a pure function of that key (content-addressing), and
 // stored values are shared — every reader must treat them as
-// immutable. Stateful computations (anything whose output depends on
-// carried state, like the post-mapped partitioner) must never be
-// cached.
+// immutable. A computation whose output depends on carried state must
+// never be cached; split the pure part off and cache that (post-mapping
+// caches its inner partition and relabels after the lookup).
 package memo
 
 import (

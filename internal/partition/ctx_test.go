@@ -158,29 +158,6 @@ func TestNatureFableBaseStopsAtDeadline(t *testing.T) {
 	}
 }
 
-// TestPostMappedCancelPreservesState: a cancelled call must not disturb
-// the wrapper's carried previous assignment — the next successful call
-// still aligns labels with the last successful one.
-func TestPostMappedCancelPreservesState(t *testing.T) {
-	h := testHierarchy()
-	pm := NewPostMapped(&relabelingPartitioner{inner: NewDomainSFC()})
-	a1, err := pm.Partition(context.Background(), h, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cancelled mid-flight: state untouched.
-	if _, err := pm.Partition(newCountdownCtx(2), h.Clone(), 4); err == nil {
-		t.Fatal("expected cancellation")
-	}
-	a2, err := pm.Partition(context.Background(), h.Clone(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv := migrationBetween(h, a1, a2); mv != 0 {
-		t.Errorf("post-cancel migration = %d, want 0 (state preserved)", mv)
-	}
-}
-
 // TestNatureFableCheckerboardAnsweredByDeadline: a side-n base whose
 // level 1 is a checkerboard of n²/8 boxes, each 2×2, makes the
 // nature+fable base build quadratic in the box count three times over

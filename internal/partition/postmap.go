@@ -3,31 +3,30 @@ package partition
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
 )
 
-// PostMapped wraps any partitioner with the post-mapping technique the
-// paper names as a data-migration remedy (section 4: "optimizing data
-// migration may be obtained by e.g. invoking some kind of post mapping
-// technique"). After the inner partitioner produces its decomposition,
-// the processor *labels* are permuted to maximize the number of grid
-// points that keep their previous owner: the geometric decomposition is
-// unchanged (load balance and communication are untouched), but the
-// assignment aligns with the previous one wherever possible, cutting
-// migration.
+// PostMapped names the post-mapping technique the paper gives as a
+// data-migration remedy (section 4: "optimizing data migration may be
+// obtained by e.g. invoking some kind of post mapping technique"):
+// after the inner partitioner produces its decomposition, the processor
+// *labels* are permuted to maximize the number of grid points that keep
+// their previous owner. The geometric decomposition is unchanged (load
+// balance and communication are untouched); only the labels align with
+// the previous assignment, cutting migration.
 //
-// The label permutation is chosen greedily on the overlap matrix
-// (points shared between previous owner p's region and new part q's
-// region), which is the standard linear-assignment heuristic for
-// repartitioning remap.
+// The permutation depends on the previous assignment, which belongs to
+// whoever walks the sequence of steps, not to the partitioner. So
+// PostMapped partitions exactly as its inner partitioner does, and its
+// caller relabels each answer with Remap against its own history.
+// Name() keeps the postmap(...) spelling: it is the wire spec and the
+// row label in experiment output.
 type PostMapped struct {
 	// Inner produces the decomposition being remapped.
 	Inner Partitioner
-
-	prevH *grid.Hierarchy
-	prevA *Assignment
 }
 
 // NewPostMapped wraps inner with post-mapping.
@@ -36,139 +35,117 @@ func NewPostMapped(inner Partitioner) *PostMapped { return &PostMapped{Inner: in
 // Name implements Partitioner.
 func (pm *PostMapped) Name() string { return fmt.Sprintf("postmap(%s)", pm.Inner.Name()) }
 
-// Reset forgets the previous assignment (for replaying a new trace).
-func (pm *PostMapped) Reset() {
-	pm.prevH = nil
-	pm.prevA = nil
-}
-
-// History returns the carried previous-call state: the hierarchy and
-// assignment the next Partition call will remap against (both nil
-// before the first completed call). The returned values are the live
-// state — callers must treat them as immutable.
-func (pm *PostMapped) History() (*grid.Hierarchy, *Assignment) { return pm.prevH, pm.prevA }
-
-// SetHistory replaces the carried state wholesale, as if h/a were the
-// previous completed call. It exists for session resumption: a daemon
-// rebuilding a postmap session from a fleet snapshot restores the
-// mapping history so the resumed stream relabels exactly as the
-// uninterrupted one would. pm takes ownership of both values.
-func (pm *PostMapped) SetHistory(h *grid.Hierarchy, a *Assignment) {
-	pm.prevH = h
-	pm.prevA = a
-}
-
-// Partition implements Partitioner: it runs the inner partitioner and
-// permutes the part labels to maximize overlap with the previous call's
-// assignment. A cancelled call leaves the carried previous-assignment
-// state untouched, so an aborted invocation never poisons the next one.
+// Partition implements Partitioner: the inner partitioner's answer,
+// which the caller relabels with Remap.
 func (pm *PostMapped) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
-	a, err := pm.Inner.Partition(ctx, h, nprocs)
+	return pm.Inner.Partition(ctx, h, nprocs)
+}
+
+// Remap relabels a, an assignment of h, so that as many grid points as
+// possible keep the owner they had under prevA, the assignment of the
+// previous step prevH. It returns a itself when there is nothing to
+// align with (prevA nil, or for another processor count), and otherwise
+// a new assignment with a's fragments in a's order under the permuted
+// labels; a is never modified. The label match is exact (Hungarian) and
+// keeps a label whenever relabeling gains nothing, so remapping an
+// already remapped answer against the same previous step is the
+// identity. ctx is polled throughout (see remapLabels); a cancelled
+// call returns nil and ctx's error.
+func Remap(ctx context.Context, prevH *grid.Hierarchy, prevA *Assignment, h *grid.Hierarchy, a *Assignment) (*Assignment, error) {
+	if prevA == nil || prevA.NumProcs != a.NumProcs {
+		return a, nil
+	}
+	perm, err := remapLabels(ctx, prevH, prevA, h, a)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCtx(ctx); err != nil {
-		return nil, err
+	out := &Assignment{NumProcs: a.NumProcs, Fragments: make([]Fragment, len(a.Fragments))}
+	for i, f := range a.Fragments {
+		f.Owner = perm[f.Owner]
+		out.Fragments[i] = f
 	}
-	if pm.prevA != nil && pm.prevA.NumProcs == nprocs {
-		perm := remapLabels(pm.prevH, pm.prevA, h, a)
-		remapped := &Assignment{NumProcs: nprocs, Fragments: make([]Fragment, len(a.Fragments))}
-		for i, f := range a.Fragments {
-			f.Owner = perm[f.Owner]
-			remapped.Fragments[i] = f
-		}
-		a = remapped
-	}
-	pm.prevH = h.Clone()
-	pm.prevA = a
-	return a, nil
+	return out, nil
 }
 
 // remapLabels returns a permutation newOwner -> relabeledOwner that
 // maximizes the total point overlap with the previous assignment,
-// solved exactly with the Hungarian algorithm (processor counts are
-// small, so O(n^3) is negligible next to partitioning itself). Identity
-// is preferred among optima: the overlap of keeping a part's own label
-// gets an infinitesimal bonus, so label churn never happens without a
-// real gain.
-func remapLabels(prevH *grid.Hierarchy, prevA *Assignment, curH *grid.Hierarchy, curA *Assignment) []int {
+// solved exactly with the Hungarian algorithm. Identity is preferred
+// among optima: the overlap of keeping a part's own label gets an
+// infinitesimal bonus, so label churn never happens without a real
+// gain. The n×n benefit matrix is the one allocation that grows with
+// the square of the processor count. ctx is polled before each part's
+// row of the overlap count and of the benefit, and in the match.
+func remapLabels(ctx context.Context, prevH *grid.Hierarchy, prevA *Assignment, curH *grid.Hierarchy, curA *Assignment) ([]int, error) {
 	n := curA.NumProcs
-	// overlap[q][p]: points of new part q lying in previous owner p's
-	// region (per level, weighted equally per point).
-	overlap := make([][]int64, n)
-	for q := range overlap {
-		overlap[q] = make([]int64, n)
-	}
-	levels := len(curH.Levels)
-	if len(prevH.Levels) < levels {
-		levels = len(prevH.Levels)
-	}
+	// benefit[q*n+p] first accumulates the points of new part q lying in
+	// previous owner p's region (per level, weighted equally per point).
+	benefit := make([]int64, n*n)
+	levels := min(len(curH.Levels), len(prevH.Levels))
 	for l := 0; l < levels; l++ {
 		prevOwned := prevA.LevelBoxes(l)
-		curOwned := curA.LevelBoxes(l)
-		for q, qb := range curOwned {
+		for q, qb := range curA.LevelBoxes(l) {
+			if err := checkCtx(ctx); err != nil {
+				return nil, err
+			}
+			row := benefit[q*n : (q+1)*n]
 			for p, pb := range prevOwned {
-				overlap[q][p] += geom.OverlapVolume(qb, pb)
+				row[p] += geom.OverlapVolume(qb, pb)
 			}
 		}
 	}
-	// Benefit matrix with identity preference: scale overlaps by 2 and
-	// add 1 on the diagonal so any strict overlap win dominates the
-	// bonus, but exact ties resolve to keeping labels.
-	benefit := make([][]int64, n)
+	// Identity preference: scale overlaps by 2 and add 1 on the diagonal
+	// so any strict overlap win dominates the bonus, but exact ties
+	// resolve to keeping labels.
 	var maxB int64
-	for q := range benefit {
-		benefit[q] = make([]int64, n)
-		for p := 0; p < n; p++ {
-			b := 2 * overlap[q][p]
-			if p == q {
-				b++
-			}
-			benefit[q][p] = b
-			if b > maxB {
-				maxB = b
-			}
+	for q := 0; q < n; q++ {
+		if err := checkCtx(ctx); err != nil {
+			return nil, err
 		}
-	}
-	// Hungarian solves minimization; convert to cost.
-	cost := make([][]int64, n)
-	for q := range cost {
-		cost[q] = make([]int64, n)
-		for p := 0; p < n; p++ {
-			cost[q][p] = maxB - benefit[q][p]
+		row := benefit[q*n : (q+1)*n]
+		for p := range row {
+			row[p] *= 2
 		}
+		row[q]++
+		maxB = max(maxB, slices.Max(row))
 	}
-	return hungarian(cost)
+	return hungarian(ctx, benefit, maxB, n)
 }
 
-// hungarian solves the square assignment problem, returning for each
-// row the column of a minimum-cost perfect matching. Standard
-// potentials-based O(n^3) implementation.
-func hungarian(cost [][]int64) []int {
-	n := len(cost)
+// hungarian solves the square assignment problem on the n×n row-major
+// benefit matrix, returning for each row the column of a perfect
+// matching of minimum cost maxB - benefit (maxB is the largest
+// benefit, so every cost is non-negative). Standard potentials-based
+// O(n^3) implementation, polling ctx once per step of each row's
+// augmenting-path search (each step scans a row, O(n)).
+func hungarian(ctx context.Context, benefit []int64, maxB int64, n int) ([]int, error) {
 	const inf = int64(1) << 62
 	u := make([]int64, n+1)
 	v := make([]int64, n+1)
 	p := make([]int, n+1) // p[col] = row matched to col (1-based)
 	way := make([]int, n+1)
+	minv := make([]int64, n+1)
+	used := make([]bool, n+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]int64, n+1)
-		used := make([]bool, n+1)
 		for j := 0; j <= n; j++ {
 			minv[j] = inf
+			used[j] = false
 		}
 		for {
+			if err := checkCtx(ctx); err != nil {
+				return nil, err
+			}
 			used[j0] = true
 			i0 := p[j0]
+			row := benefit[(i0-1)*n : i0*n]
 			delta := inf
 			j1 := 0
 			for j := 1; j <= n; j++ {
 				if used[j] {
 					continue
 				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
+				cur := maxB - row[j-1] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -203,5 +180,5 @@ func hungarian(cost [][]int64) []int {
 			out[p[j]-1] = j - 1
 		}
 	}
-	return out
+	return out, nil
 }

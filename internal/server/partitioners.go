@@ -21,8 +21,9 @@ import (
 //	nature+fable-<curve>-u<N>-q<Q>-<frac|whole>
 //	postmap(<inner spec>)       -> PostMapped wrapper
 //
-// Specs are case-insensitive. Every call returns a new instance, so
-// stateful wrappers (postmap) never leak state across requests.
+// Specs are case-insensitive. Every call returns a new instance. A
+// postmap spec partitions as its inner spec; the relabel against a
+// session's history happens after the cache lookup (postmapInner).
 func ParsePartitioner(spec string) (partition.Partitioner, error) {
 	s := strings.ToLower(strings.TrimSpace(spec))
 	switch {

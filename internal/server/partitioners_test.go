@@ -47,6 +47,6 @@ func TestParsePartitionerFreshInstances(t *testing.T) {
 	a, _ := ParsePartitioner("postmap(domain)")
 	b, _ := ParsePartitioner("postmap(domain)")
 	if a == b {
-		t.Error("stateful partitioners must not be shared between calls")
+		t.Error("ParsePartitioner returned one instance for two calls")
 	}
 }

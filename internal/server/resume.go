@@ -4,15 +4,14 @@ import (
 	"context"
 	"fmt"
 
-	"samr/internal/partition"
 	"samr/internal/tier"
 )
 
 // Fleet-resumable sessions: with Config.TierSessions on, every
 // committed session step writes a sealed snapshot of the session's
 // state — hierarchy geometry, its signature, partitioner spec,
-// processor count, and (for stateful postmap sessions) the
-// carried mapping history — through the fleet tier's store/offer path,
+// processor count, and (for postmap sessions) the mapping
+// history — through the fleet tier's store/offer path,
 // keyed by the session token. A daemon receiving a step or delete for
 // a token it does not hold consults the tier before answering 410: on
 // a snapshot hit it rebuilds the session and serves the request under
@@ -51,17 +50,15 @@ func (s *Server) storeSessionSnapshot(sess *session) {
 	if !s.tierSessions() {
 		return
 	}
+	_, postmap := postmapInner(sess.name)
 	ss := &tier.SessionSnapshot{
-		Name:      sess.name,
-		NProcs:    sess.nprocs,
-		Hierarchy: sess.h,
-		Sig:       sess.h.Signature(),
-		Stateful:  sess.stateful,
-	}
-	if sess.stateful {
-		if pm, ok := sess.part.(*partition.PostMapped); ok {
-			ss.PrevHierarchy, ss.PrevAssignment = pm.History()
-		}
+		Name:           sess.name,
+		NProcs:         sess.nprocs,
+		Hierarchy:      sess.h,
+		Sig:            sess.h.Signature(),
+		Stateful:       postmap,
+		PrevHierarchy:  sess.prevH,
+		PrevAssignment: sess.prevA,
 	}
 	s.tier.Store(sessionSnapshotKey(sess.id), tier.EncodeSessionSnapshot(ss))
 }
@@ -131,7 +128,7 @@ func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*sess
 	if canonical.Name() != ss.Name {
 		return nil, fmt.Errorf("snapshot partitioner %q is not canonical (parses to %q)", ss.Name, canonical.Name())
 	}
-	if statefulSpec(ss.Name) != ss.Stateful {
+	if _, postmap := postmapInner(ss.Name); postmap != ss.Stateful {
 		return nil, fmt.Errorf("snapshot statefulness disagrees with spec %q", ss.Name)
 	}
 	if ss.Hierarchy == nil {
@@ -145,25 +142,19 @@ func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*sess
 		return nil, fmt.Errorf("snapshot signature %s does not match its hierarchy's %s", ss.Sig, got)
 	}
 	sess := &session{
-		id:       id,
-		h:        ss.Hierarchy,
-		part:     canonical,
-		name:     ss.Name,
-		stateful: ss.Stateful,
-		nprocs:   ss.NProcs,
+		id:     id,
+		h:      ss.Hierarchy,
+		name:   ss.Name,
+		nprocs: ss.NProcs,
 	}
-	if ss.Stateful && ss.PrevHierarchy != nil && ss.PrevAssignment != nil {
-		pm, ok := canonical.(*partition.PostMapped)
-		if !ok {
-			return nil, fmt.Errorf("snapshot history for non-postmap partitioner %q", ss.Name)
-		}
+	if ss.PrevHierarchy != nil && ss.PrevAssignment != nil {
 		if err := ss.PrevHierarchy.Validate(); err != nil {
 			return nil, fmt.Errorf("snapshot history hierarchy: %w", err)
 		}
 		if ss.PrevAssignment.NumProcs != ss.NProcs {
 			return nil, fmt.Errorf("snapshot history assignment is for %d processors, the session for %d", ss.PrevAssignment.NumProcs, ss.NProcs)
 		}
-		pm.SetHistory(ss.PrevHierarchy, ss.PrevAssignment)
+		sess.prevH, sess.prevA = ss.PrevHierarchy, ss.PrevAssignment
 	}
 	return sess, nil
 }

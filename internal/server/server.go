@@ -608,13 +608,16 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// Each hierarchy is signed as it arrives and validated only when its
 	// key is not resident (see "Wire codec" above); nprocs defaults as
 	// checkProcs will default it.
+	// A post has no mapping history: a postmap spec's answer is its
+	// inner spec's, cached under the inner key and not relabeled.
 	name := canonical.Name()
+	key, _ := postmapInner(name)
 	nprocs := cmp.Or(req.NProcs, defaultProcs)
 	var sigs []geom.Signature
 	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies, func(h *grid.Hierarchy) error {
 		sig := hierarchySignature(h)
 		sigs = append(sigs, sig)
-		if s.cache.Contains(CacheKey{Sig: sig, Partitioner: name, NProcs: nprocs}) {
+		if s.cache.Contains(CacheKey{Sig: sig, Partitioner: key, NProcs: nprocs}) {
 			return nil
 		}
 		return h.Validate()
@@ -632,7 +635,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 	outs := make([]partitionOut, len(hs))
 	err = pool.MapCtx(ctx, pool.Workers(), len(hs), func(i int) error {
-		a, disp, err := s.partitionCached(ctx, hs[i], sigs[i], name, req.NProcs)
+		a, disp, err := s.partitionCached(ctx, hs[i], sigs[i], key, req.NProcs)
 		if err != nil {
 			return err
 		}
@@ -651,10 +654,9 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // partitionCached is the one path from a hierarchy to its assignment
 // through the partition cache (hence singleflight and the fleet tier),
 // shared by the one-shot and session-step handlers. name is the
-// canonical partitioner name; each compute parses it into a fresh
-// instance (canonical names round-trip through the parser), which
-// keeps stateful wrappers (postmap) from sharing state across
-// goroutines and every cached result a pure function of its key.
+// canonical name the answer is cached under (a postmap spec's inner
+// name, see postmapInner); each compute parses it into a fresh
+// instance, since canonical names round-trip through the parser.
 func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, name string, nprocs int) (partition.Packed, string, error) {
 	key := CacheKey{Sig: sig, Partitioner: name, NProcs: nprocs}
 	return s.cache.GetOrCompute(ctx, key, func() (partition.Packed, error) {

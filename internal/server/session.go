@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
@@ -29,13 +30,13 @@ import (
 // /v1/partition: a step response body is byte-identical to the
 // equivalent full post.
 //
-// Stateful partitioners finally compose with the service here: a
-// postmap(...) session keeps ONE long-lived partitioner instance whose
-// carried previous-assignment state lives server-side, advancing only
-// on successful steps (a cancelled step leaves both the session's
-// hierarchy and the postmap state untouched — the partitioner
-// contract). Stateful results are never cached or offered to the fleet
-// tier, exactly as in the one-shot path.
+// Post-mapping composes with the service here: a postmap(...) session
+// keeps its mapping history — the previous step's hierarchy and
+// relabeled assignment — server-side. Each step looks up the inner
+// partitioner's answer through the same cache and tier as any other
+// spec, then relabels it against that history (partition.Remap); the
+// history advances only on successful steps (a cancelled step leaves
+// both the session's hierarchy and its history untouched).
 //
 // Sessions are soft state in a bounded, TTL'd, mtime-LRU table
 // (maxSessions entries, sessionTTL): an expired, evicted, or
@@ -77,14 +78,14 @@ type session struct {
 	// re-hashes only what changed. Owned by the session; levels are
 	// immutable once attached.
 	h *grid.Hierarchy
-	// part is the session's long-lived partitioner instance; only the
-	// stateful (postmap) path runs it, so carried state accumulates
-	// here, server-side.
-	part partition.Partitioner
-	// name is the canonical partitioner name (the cache key component).
-	name     string
-	stateful bool
-	nprocs   int
+	// name is the canonical partitioner name.
+	name   string
+	nprocs int
+	// prevH and prevA are a postmap session's mapping history: the last
+	// committed step's hierarchy and relabeled assignment (nil before
+	// the first step). Both are immutable once attached.
+	prevH *grid.Hierarchy
+	prevA *partition.Assignment
 
 	// lastUsed is the LRU mtime, guarded by the table lock.
 	lastUsed time.Time
@@ -245,14 +246,17 @@ func newSessionID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// statefulSpec reports whether a canonical partitioner name names a
-// stateful (history-carrying) partitioner — the post-mapping wrapper.
-// Its results are not pure functions of (signature, name, nprocs):
-// sessions run them on one long-lived instance past the partition
-// cache, and the fleet tier refuses their keys, since caching them
-// fleet-wide would serve one daemon's history to another.
-func statefulSpec(canonical string) bool {
-	return strings.HasPrefix(canonical, "postmap(")
+// postmapInner splits a canonical partitioner name into the name its
+// answers are cached under and whether they are relabeled after the
+// lookup: a postmap(X) answer is X's, relabeled against the caller's
+// history, so the cache and the fleet tier hold only pure functions of
+// their keys.
+func postmapInner(canonical string) (key string, postmap bool) {
+	inner, ok := strings.CutPrefix(canonical, "postmap(")
+	if !ok {
+		return canonical, false
+	}
+	return strings.TrimSuffix(inner, ")"), true
 }
 
 // writeSessionGone emits the documented 410 session-expired wire error.
@@ -292,21 +296,20 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	h.TrackSignature()
 	name := canonical.Name()
 	sess := &session{
-		id:       newSessionID(),
-		h:        h,
-		part:     canonical,
-		name:     name,
-		stateful: statefulSpec(name),
-		nprocs:   req.NProcs,
+		id:     newSessionID(),
+		h:      h,
+		name:   name,
+		nprocs: req.NProcs,
 	}
 	s.sessions.put(sess)
+	_, postmap := postmapInner(name)
 
 	resp := SessionCreateResponse{
 		Session:     sess.id,
 		Signature:   h.Signature().String(),
 		Partitioner: name,
 		NProcs:      req.NProcs,
-		Stateful:    sess.stateful,
+		Stateful:    postmap,
 		TTLSeconds:  int(sessionTTL / time.Second),
 		Levels:      make([]string, h.NumLevels()),
 	}
@@ -323,8 +326,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // hierarchy: same result fields, same cache dispositions, same cache
 // headers — only the X-Samr-Session header marks the path. A failed
 // step (validation, cancellation, deadline) leaves the session state —
-// hierarchy and any carried postmap history — exactly as it was, so
-// the client retries the same delta.
+// hierarchy and any postmap history — exactly as it was, so the client
+// retries the same delta.
 func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	id := r.PathValue("id")
@@ -367,16 +370,11 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sig := next.Signature()
-	var a partition.Packed
-	disp := CacheMiss
-	if sess.stateful {
-		// The session's own instance carries the previous-assignment
-		// state; results depend on it, so the cache and tier stay out
-		// of the way. A cancelled call leaves that state untouched. The
-		// answer is packed to go through the one response writer.
-		a, err = packed(sess.part.Partition(ctx, next, sess.nprocs))
-	} else {
-		a, disp, err = s.partitionCached(ctx, next, sig, sess.name, sess.nprocs)
+	key, postmap := postmapInner(sess.name)
+	a, disp, err := s.partitionCached(ctx, next, sig, key, sess.nprocs)
+	var relabeled *partition.Assignment
+	if err == nil && postmap {
+		relabeled, a, err = remapPacked(ctx, sess.prevH, sess.prevA, next, a)
 	}
 	if err != nil {
 		writeFailure(w, err)
@@ -388,6 +386,9 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	// failed step leaves the previous snapshot — the last committed
 	// state — in place, which is exactly what a resuming peer may serve.
 	sess.h = next
+	if postmap {
+		sess.prevH, sess.prevA = next, relabeled
+	}
 	s.sessions.steps.Add(1)
 	s.storeSessionSnapshot(sess)
 
@@ -395,6 +396,19 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	s.writeCacheHeaders(w, outs)
 	w.Header().Set(SessionHeader, sess.id)
 	writePartitionResponse(w, sess.name, sess.nprocs, outs)
+}
+
+// remapPacked relabels a postmap session step's cached answer against
+// the session's history, returning the relabeled assignment (the next
+// history) and its packed form for the response writer.
+func remapPacked(ctx context.Context, prevH *grid.Hierarchy, prevA *partition.Assignment, h *grid.Hierarchy, p partition.Packed) (*partition.Assignment, partition.Packed, error) {
+	a := p.Unpack()
+	r, err := partition.Remap(ctx, prevH, prevA, h, a)
+	if err != nil || r == a {
+		return r, p, err
+	}
+	rp, err := partition.Pack(r)
+	return r, rp, err
 }
 
 // handleSessionDelete closes a session. Deleting a live session

@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"samr/internal/grid"
+	"samr/internal/partition"
 )
 
 // wideHierarchy builds a three-level wire hierarchy with a large static
@@ -284,12 +287,13 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	}
 }
 
-// TestSessionStatefulPostmap covers the stateful path: a postmap
-// session runs one long-lived partitioner instance server-side, so its
-// step results equal a sequential in-process run over the same states,
-// its results never touch the partition cache, and a failed step leaves
-// the carried history untouched (subsequent results stay in sync with
-// the reference, which never saw the failure).
+// TestSessionStatefulPostmap covers the postmap path: a postmap
+// session relabels each step's answer against its own history, so its
+// step results equal a sequential in-process Remap chain over the same
+// states; the answers themselves go through the partition cache under
+// the inner partitioner's key; and a failed step leaves the history
+// untouched (subsequent results stay in sync with the reference, which
+// never saw the failure).
 func TestSessionStatefulPostmap(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	base := testHierarchy(0)
@@ -299,10 +303,9 @@ func TestSessionStatefulPostmap(t *testing.T) {
 	}
 	stepURL := ts.URL + "/v1/session/" + create.Session + "/step"
 
-	ref, err := ParsePartitioner(create.Partitioner)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := partition.NewDomainSFC()
+	var prevH *grid.Hierarchy
+	var prevA *partition.Assignment
 	for i := 1; i <= 5; i++ {
 		wireH := testHierarchy(i * 4)
 		var resp PartitionResponse
@@ -314,42 +317,85 @@ func TestSessionStatefulPostmap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := ref.Partition(context.Background(), h, 8)
+		a, err := inner.Partition(context.Background(), h, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if a, err = partition.Remap(context.Background(), prevH, prevA, h, a); err != nil {
+			t.Fatal(err)
+		}
+		prevH, prevA = h, a
 		want := buildPartitionResult(h, h.Signature(), create.Partitioner, 8, a, CacheMiss)
 		got := resp.Results[0]
 		if got.Signature != want.Signature || got.Imbalance != want.Imbalance ||
 			len(got.Fragments) != len(want.Fragments) {
 			t.Fatalf("step %d: result diverged from sequential reference\ngot  %+v\nwant %+v", i, got, want)
 		}
-		if !reflect.DeepEqual(got.Fragments, want.Fragments) {
-			t.Fatalf("step %d: fragments diverged from sequential reference\ngot  %+v\nwant %+v", i, got.Fragments, want.Fragments)
+		if !reflect.DeepEqual(got.Fragments, want.Fragments) || !reflect.DeepEqual(got.Loads, want.Loads) {
+			t.Fatalf("step %d: fragments or loads diverged from sequential reference\ngot  %+v\nwant %+v", i, got, want)
 		}
 		if got.Cache != CacheMiss || got.Cached {
-			t.Fatalf("step %d: stateful disposition %q cached=%v", i, got.Cache, got.Cached)
+			t.Fatalf("step %d: disposition %q cached=%v, want a miss", i, got.Cache, got.Cached)
 		}
 
 		// Mid-sequence failure: an invalid delta must not advance the
-		// carried history — the next iteration's reference comparison
-		// would diverge if it did.
+		// history — the next iteration's reference comparison would
+		// diverge if it did.
 		if i == 3 {
 			badStep := SessionStepRequest{Levels: []LevelOp{{Op: LevelKeep}, {Op: LevelReplace, Boxes: []Box{
 				{Dim: 2, Lo: []int{0, 8}, Hi: []int{16, 32}}, {Dim: 2, Lo: []int{8, 8}, Hi: []int{24, 32}}}}}}
 			if r := post(t, stepURL, badStep, nil); r.StatusCode != http.StatusBadRequest {
-				t.Fatalf("invalid stateful step: status %d", r.StatusCode)
+				t.Fatalf("invalid postmap step: status %d", r.StatusCode)
 			}
 		}
 	}
 
-	// Stateful results are not pure functions of their key: nothing may
-	// have entered (or been served from) the partition cache.
-	if hits, misses, shared := srv.Cache().Stats(); hits != 0 || misses != 0 || shared != 0 {
-		t.Fatalf("stateful session touched the partition cache: hits=%d misses=%d shared=%d", hits, misses, shared)
+	// Each step's answer is the inner partitioner's, cached under its
+	// key: a post of the inner spec over the last state is a hit.
+	if hits, misses, shared := srv.Cache().Stats(); hits != 0 || misses != 5 || shared != 0 || srv.Cache().Len() != 5 {
+		t.Fatalf("postmap session cache: hits=%d misses=%d shared=%d entries=%d, want 0/5/0 and 5", hits, misses, shared, srv.Cache().Len())
 	}
-	if srv.Cache().Len() != 0 {
-		t.Fatalf("stateful session stored %d cache entries", srv.Cache().Len())
+	last := testHierarchy(20)
+	r := post(t, ts.URL+"/v1/partition", PartitionRequest{Hierarchy: &last, Partitioner: "domain", NProcs: 8}, nil)
+	if got := r.Header.Get("X-Samr-Cache"); r.StatusCode != http.StatusOK || got != CacheHit {
+		t.Fatalf("inner post after the session: status %d, X-Samr-Cache %q, want a hit", r.StatusCode, got)
+	}
+}
+
+// TestPostmapSessionStepAnsweredByDeadline: at 2048 processors the
+// relabel's match runs for seconds on a step whose answer moved, yet it
+// polls the request context, so under a 50 ms RequestTimeout T the step
+// answers 504 within T + max(50 ms, T/4), the bound of ROADMAP item
+// 18(b), and commits nothing: the session keeps its hierarchy, its
+// history and its step count.
+func TestPostmapSessionStepAnsweredByDeadline(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	srv, ts := newTestServer(t, Config{RequestTimeout: timeout})
+	create := createSession(t, ts.URL, testHierarchy(0), "postmap(domain)", 2048)
+	stepURL := ts.URL + "/v1/session/" + create.Session + "/step"
+	moved := testHierarchy(4)
+	if r := post(t, stepURL, SessionStepRequest{Levels: []LevelOp{{Op: LevelKeep}, {Op: LevelKeep}}}, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("first step: status %d", r.StatusCode)
+	}
+	sess := srv.sessions.lookup(create.Session)
+	sess.mu.Lock()
+	h, prevH, prevA := sess.h, sess.prevH, sess.prevA
+	sess.mu.Unlock()
+	if prevA == nil || prevH != h {
+		t.Fatal("the first step committed no history")
+	}
+
+	start := time.Now()
+	r := post(t, stepURL, SessionStepRequest{Levels: []LevelOp{{Op: LevelKeep}, {Op: LevelReplace, Boxes: moved.Levels[1]}}}, nil)
+	elapsed := time.Since(start)
+	if limit := timeout + max(50*time.Millisecond, timeout/4); r.StatusCode != http.StatusGatewayTimeout || elapsed > limit {
+		t.Fatalf("second step: status %d after %v; want 504 within %v", r.StatusCode, elapsed, limit)
+	}
+	t.Logf("second step: 504 after %v", elapsed)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.h != h || sess.prevH != prevH || sess.prevA != prevA || srv.sessions.steps.Load() != 1 {
+		t.Error("the step that ran out of time committed state")
 	}
 }
 

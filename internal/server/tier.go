@@ -16,9 +16,9 @@ import (
 // daemons named in Config.TierPeers (a rendezvous-hash ring). It is an
 // optimization layer only — every tier failure (dead peer, corrupt
 // blob, full disk) degrades to a local partitioner run, never to a wire
-// error — and it is never consulted for stateful partitioner specs
-// (postmap wrappers), whose results are not a pure function of the
-// cache key.
+// error. Every key it sees names a pure function of its content: a
+// postmap spec is looked up under its inner partitioner's name and
+// relabeled after the lookup (postmapInner).
 
 // tierKeyOf derives the content-addressed fleet key for a partition
 // cache key. Every daemon derives the identical key from the identical
@@ -30,17 +30,13 @@ func tierKeyOf(k CacheKey) string {
 
 // assignmentTier adapts a *tier.Tier (blobs) to the partition cache's
 // memo.Tier (packed assignments) — the one memo↔tier binding: it owns
-// the key derivation, the codec, the stateful-spec exclusion, and the
-// corrupt-entry quarantine. Blobs are read into and written from the
+// the key derivation, the codec, and the corrupt-entry quarantine. Blobs are read into and written from the
 // packed form directly.
 type assignmentTier struct {
 	t *tier.Tier
 }
 
 func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (partition.Packed, bool) {
-	if statefulSpec(k.Partitioner) {
-		return partition.Packed{}, false
-	}
 	key := tierKeyOf(k)
 	blob, ok := at.t.Lookup(ctx, key)
 	if !ok {
@@ -61,9 +57,6 @@ func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (partition.Pack
 }
 
 func (at assignmentTier) Store(k CacheKey, p partition.Packed) {
-	if statefulSpec(k.Partitioner) {
-		return
-	}
 	at.t.Store(tierKeyOf(k), tier.EncodePacked(p))
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -198,24 +199,37 @@ func TestTierCorruptDiskEntryFallsBack(t *testing.T) {
 	}
 }
 
-// TestPostmapSpecNeverTouchesTier pins the stateful-partitioner
-// exclusion: postmap results depend on request history, so the fleet
-// tier must neither serve nor store them.
-func TestPostmapSpecNeverTouchesTier(t *testing.T) {
+// TestPostmapSharesInnerTierAnswer: a postmap post has no mapping
+// history, so its answer is its inner partitioner's, looked up under
+// the inner key through the cache and the fleet tier like any other:
+// the second daemon is served by the first one's computation, and a
+// post of the inner spec there is then a local hit with the same
+// fragments and loads.
+func TestPostmapSharesInnerTierAnswer(t *testing.T) {
 	fleet := newChaosFleet(t, 2, chaosSchedule{}, nil)
 	req := PartitionRequest{Partitioner: "postmap(domain)", NProcs: 8}
 	h := testHierarchy(2)
 	req.Hierarchy = &h
 
-	post(t, fleet[0].url+"/v1/partition", req, nil)
-	r := post(t, fleet[1].url+"/v1/partition", req, nil)
-	if got := r.Header.Get("X-Samr-Cache"); got != "miss" {
-		t.Errorf("postmap on second daemon X-Samr-Cache = %q, want miss", got)
+	var first, second, inner PartitionResponse
+	if r := post(t, fleet[0].url+"/v1/partition", req, &first); r.Header.Get("X-Samr-Cache") != CacheMiss {
+		t.Errorf("postmap on the first daemon X-Samr-Cache = %q, want miss", r.Header.Get("X-Samr-Cache"))
 	}
-	for i, m := range fleet {
-		if st := m.srv.Load().Tier().Stats(); st.Lookups != 0 || st.Stores != 0 {
-			t.Errorf("daemon %d tier touched by postmap: %+v", i, st)
-		}
+	if r := post(t, fleet[1].url+"/v1/partition", req, &second); r.Header.Get("X-Samr-Cache") != CacheTier {
+		t.Errorf("postmap on the second daemon X-Samr-Cache = %q, want tier", r.Header.Get("X-Samr-Cache"))
+	}
+	req.Partitioner = "domain"
+	if r := post(t, fleet[1].url+"/v1/partition", req, &inner); r.Header.Get("X-Samr-Cache") != CacheHit {
+		t.Errorf("inner spec on the second daemon X-Samr-Cache = %q, want hit", r.Header.Get("X-Samr-Cache"))
+	}
+	if normalizedBody(t, first) != normalizedBody(t, second) {
+		t.Error("the tier-served postmap answer differs from the computed one")
+	}
+	if first.Results[0].Partitioner != "postmap(domain-hilbert-u2)" || inner.Results[0].Partitioner != "domain-hilbert-u2" {
+		t.Errorf("answers name %q and %q", first.Results[0].Partitioner, inner.Results[0].Partitioner)
+	}
+	if !reflect.DeepEqual(first.Results[0].Fragments, inner.Results[0].Fragments) || !reflect.DeepEqual(first.Results[0].Loads, inner.Results[0].Loads) {
+		t.Error("the postmap post's fragments or loads differ from its inner spec's")
 	}
 }
 

@@ -307,9 +307,10 @@ type SessionCreateResponse struct {
 	// Partitioner is the canonical partitioner name the session runs.
 	Partitioner string `json:"partitioner"`
 	NProcs      int    `json:"nprocs"`
-	// Stateful reports whether the partitioner carries history
-	// server-side (postmap): results then depend on the step sequence
-	// and bypass the result cache and fleet tier.
+	// Stateful reports whether the session carries a mapping history
+	// server-side (postmap): each step's cached answer is then relabeled
+	// against the previous step's, so results depend on the step
+	// sequence.
 	Stateful bool `json:"stateful"`
 	// TTLSeconds is the idle expiry horizon: a session untouched this
 	// long answers 410 session-expired.

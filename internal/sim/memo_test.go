@@ -17,9 +17,23 @@ import (
 // simulateTrace beyond the partitioner instance passed in.
 func naiveSimulate(t *testing.T, tr *trace.Trace, p partition.Partitioner, nprocs int, m Machine) *Result {
 	t.Helper()
-	res := &Result{NumProcs: nprocs, PartitionerName: p.Name()}
+	return naiveSelect(t, tr, func(int, *grid.Hierarchy) partition.Partitioner { return p }, nprocs, m)
+}
+
+// naiveSelect is naiveSimulate with a per-step choice, calling choose
+// and each chosen partitioner in snapshot order.
+func naiveSelect(t *testing.T, tr *trace.Trace, choose func(int, *grid.Hierarchy) partition.Partitioner, nprocs int, m Machine) *Result {
+	t.Helper()
+	res := &Result{NumProcs: nprocs}
 	as := make([]*partition.Assignment, len(tr.Snapshots))
 	for i, snap := range tr.Snapshots {
+		p := choose(snap.Step, snap.H)
+		switch {
+		case i == 0:
+			res.PartitionerName = p.Name()
+		case p.Name() != res.PartitionerName:
+			res.PartitionerName = "dynamic"
+		}
 		a, err := p.Partition(bg, snap.H, nprocs)
 		if err != nil {
 			t.Fatal(err)
@@ -97,9 +111,10 @@ func TestSimulateMemoizedEqualsNaive(t *testing.T) {
 	}
 }
 
-// TestSimulateStatefulEqualsNaive: the post-mapped wrapper must keep
-// its exact sequential chain through the memoized pipeline — fresh
-// instances on both sides, deep-equal output, cold or warm.
+// TestSimulateStatefulEqualsNaive: a postmap run through the memoized
+// pipeline, cold and then warm (where each step is its inner
+// partitioner's cached artifact, relabeled), must be deep-equal to the
+// naive reference over the stateful wrapper's sequential chain.
 func TestSimulateStatefulEqualsNaive(t *testing.T) {
 	tr := repeatTrace(2)
 	m := DefaultMachine()
@@ -107,7 +122,7 @@ func TestSimulateStatefulEqualsNaive(t *testing.T) {
 	mk := func() partition.Partitioner {
 		return partition.NewPostMapped(&partition.DomainSFC{Curve: sfc.Hilbert, UnitSize: 2})
 	}
-	want := naiveSimulate(t, tr, mk(), np, m)
+	want := naiveSelect(t, tr, statefulChooser(staticChooser(mk())), np, m)
 	flushStepCaches()
 	for _, pass := range []string{"cold", "warm"} {
 		got, err := SimulateTrace(bg, tr, mk(), np, m)
@@ -115,7 +130,7 @@ func TestSimulateStatefulEqualsNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: stateful run diverged from naive reference", pass)
+			t.Errorf("%s: postmap run diverged from the stateful reference", pass)
 		}
 	}
 }

@@ -77,20 +77,18 @@ func TestSimulateTraceParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimulateTraceParallelStateful: a stateful partitioner (post-mapped
-// wrapper) must force sequential partitioning and still match the
-// sequential result exactly.
+// TestSimulateTraceParallelStateful: a postmap run relabels its steps
+// in one serial pass after the parallel, memoized ones; a warm run at
+// four workers must match a cold one at one worker exactly.
 func TestSimulateTraceParallelStateful(t *testing.T) {
 	withProcs(t, 4)
 	tr := quickTrace(t)
 	m := DefaultMachine()
-	mk := func() partition.Partitioner {
-		return partition.NewPostMapped(&partition.DomainSFC{Curve: sfc.Hilbert, UnitSize: 2})
-	}
-	pSeq, pPar := mk(), mk()
-	seq := mustSimulate(t, tr, func(int, *grid.Hierarchy) partition.Partitioner { return pSeq }, 8, m, 1)
-	par := mustSimulate(t, tr, func(int, *grid.Hierarchy) partition.Partitioner { return pPar }, 8, m, 4)
-	requireIdentical(t, seq, par)
+	p := partition.NewPostMapped(&partition.DomainSFC{Curve: sfc.Hilbert, UnitSize: 2})
+	flushStepCaches()
+	cold := mustSimulate(t, tr, staticChooser(p), 8, m, 1)
+	warm := mustSimulate(t, tr, staticChooser(p), 8, m, 4)
+	requireIdentical(t, cold, warm)
 }
 
 // TestSimulateTraceParallelDynamic: the meta-partitioner's per-step
@@ -113,8 +111,7 @@ func TestSimulateTraceParallelDynamic(t *testing.T) {
 // traces under every partitioner of the meta-partitioner's stable at 16
 // processors, the step cache warm: what a replayed experiment pays for
 // cache hits, the copies of the assignments the migration scans read,
-// and the scans (the stateful post-mapped wrapper, reset before each
-// trace, partitions afresh).
+// the postmap member's relabels, and the scans.
 func BenchmarkSimulateTraceWarm(b *testing.B) {
 	var trs []*trace.Trace
 	for _, app := range apps.Names {
@@ -129,9 +126,6 @@ func BenchmarkSimulateTraceWarm(b *testing.B) {
 	run := func() {
 		for _, tr := range trs {
 			for _, p := range stable {
-				if st, ok := p.(interface{ Reset() }); ok {
-					st.Reset()
-				}
 				if _, err := SimulateTrace(bg, tr, p, 16, m); err != nil {
 					b.Fatal(err)
 				}

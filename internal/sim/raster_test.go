@@ -176,8 +176,8 @@ func rasterMigration(t *testing.T, hPrev, hCur *grid.Hierarchy, aPrev, aCur *par
 // TestEvaluateMatchesRaster holds Evaluate and Migration to the raster
 // oracle, bit for bit, on every snapshot of the four quick traces under
 // every partitioner of the meta-partitioner's stable at 1, 3 and 16
-// processors, migration between consecutive snapshots (the stateful
-// post-mapped wrapper is reset before each trace).
+// processors, migration between consecutive snapshots (the postmap
+// member's answers relabeled along the trace, as a run relabels them).
 func TestEvaluateMatchesRaster(t *testing.T) {
 	m := DefaultMachine()
 	stable := core.NewMetaPartitioner(core.DefaultPartitionCost).Stable()
@@ -189,14 +189,18 @@ func TestEvaluateMatchesRaster(t *testing.T) {
 		}
 		for _, p := range stable {
 			for _, np := range []int{1, 3, 16} {
-				if st, ok := p.(interface{ Reset() }); ok {
-					st.Reset()
-				}
+				_, postmap := p.(*partition.PostMapped)
 				var hPrev *grid.Hierarchy
 				var aPrev *partition.Assignment
 				for _, snap := range tr.Snapshots {
 					where := fmt.Sprintf("%s step %d %s np=%d", app, snap.Step, p.Name(), np)
 					a := mustPartition(t, p, snap.H, np)
+					if postmap {
+						var err error
+						if a, err = partition.Remap(bg, hPrev, aPrev, snap.H, a); err != nil {
+							t.Fatal(err)
+						}
+					}
 					if got, want := mustEvaluate(t, snap.H, a, m), rasterEvaluate(t, snap.H, a, m); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: Evaluate %+v, raster %+v", where, got, want)
 					}

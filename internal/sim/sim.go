@@ -390,17 +390,6 @@ func SimulateTraceSelect(ctx context.Context, tr *trace.Trace, choose func(step 
 	return simulateTrace(ctx, tr, choose, nprocs, m, pool.Workers())
 }
 
-// stateful reports whether a partitioner carries state between
-// Partition calls. The marker is the Reset method every stateful
-// partitioner (the post-mapping wrapper) already exposes so experiment
-// replays can clear it; stateless partitioners are pure functions of
-// their configuration and may run concurrently, even on a shared
-// instance.
-func stateful(p partition.Partitioner) bool {
-	_, ok := p.(interface{ Reset() })
-	return ok
-}
-
 // Process-wide memoization savings of the trace pipeline, surfaced by
 // /v1/stats and samrbench -cachestats: snapshots whose partitioning,
 // evaluation, or migration scan was answered by the content-addressed
@@ -424,8 +413,10 @@ func MemoStats() (partitions, evaluations, migrations uint64) {
 // stepKey addresses the content-addressed result of partitioning and
 // evaluating one snapshot: hierarchy content hash, partitioner Name()
 // (which spells every setting its output depends on), processor
-// count, and machine model (EstTime depends on it). Equal keys imply bit-identical results for stateless
-// partitioners, which is the only kind ever cached.
+// count, and machine model (EstTime depends on it). Equal keys imply
+// bit-identical results. A postmap step is keyed by its inner
+// partitioner's name: its cached answer is the inner one, relabeled
+// after the lookup.
 type stepKey struct {
 	sig    geom.Signature
 	name   string
@@ -462,11 +453,11 @@ func flushStepCaches() { stepCache.Flush() }
 // SimulateTrace/SimulateTraceSelect, in five phases:
 //  1. the choose hook runs in snapshot order, since it may carry
 //     classifier state (hysteresis);
-//  2. one parallel pass builds every stateless step's whole step key;
-//  3. the stateful steps partition in snapshot order, since they chain
-//     carried state;
-//  4. every step is evaluated in parallel (a stateless one partitioned
-//     too, through the step cache), each writing Steps[i] by index;
+//  2. one parallel pass builds every step's whole step key;
+//  3. every step is partitioned and evaluated in parallel through the
+//     step cache, each writing Steps[i] by index;
+//  4. one serial pass relabels the postmap steps (partition.Remap),
+//     each against the last step that chose the same postmap spec;
 //  5. a parallel pass over consecutive pairs chains the migration
 //     metric over the per-step assignments.
 //
@@ -474,20 +465,23 @@ func flushStepCaches() { stepCache.Flush() }
 // count. Cancellation propagates into every phase through pool.MapCtx
 // and the partitioners' own polls; a cancelled run returns nil.
 //
-// Memoization: a stateless partitioner's step is a pure function of
-// (hierarchy content, configuration, nprocs, machine), so each step is
-// served from the process-wide content-addressed step cache: repeated
-// content (regrid-sparse traces), repeated configurations (the
-// meta-vs-static and ablation sweeps replay the same snapshots many
-// times), and concurrent identical runs all compute each distinct step
-// once. The cache holds each assignment packed and no caller ever holds
-// cache state: a run unpacks its own copy of each assignment its
-// migration scans read. Consecutive steps with one key have
-// bit-identical hierarchies and assignments, so their migration scan
-// short-circuits to its exact value of zero.
-// Stateful partitioners (the post-mapping wrapper) keep the full
-// sequential chain and are never cached: their output depends on
-// carried state, not content alone.
+// Memoization: a step is a pure function of (hierarchy content,
+// configuration, nprocs, machine), so each step is served from the
+// process-wide content-addressed step cache: repeated content
+// (regrid-sparse traces), repeated configurations (the meta-vs-static
+// and ablation sweeps replay the same snapshots many times), and
+// concurrent identical runs all compute each distinct step once. The
+// cache holds each assignment packed and no caller ever holds cache
+// state: a run unpacks its own copy of each assignment its migration
+// scans read. Consecutive steps with one key have bit-identical
+// hierarchies and assignments, so their migration scan short-circuits
+// to its exact value of zero.
+//
+// Post-mapping is the one part of a step that depends on the run's
+// history, so it runs after the cache, on the run's own copies:
+// postmap(X) shares X's cached artifact, and phase 4 relabels it. A
+// relabel moves no metric but the per-owner Loads, which it permutes,
+// and migration, which phase 5 computes from the relabeled chain.
 func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h *grid.Hierarchy) partition.Partitioner, nprocs int, m Machine, workers int) (*Result, error) {
 	res := &Result{NumProcs: nprocs}
 	n := len(tr.Snapshots)
@@ -514,30 +508,30 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		}
 	}
 
-	// Phase 2. Stateful steps never consult a cache: their key slots
-	// stay zero and unread.
+	// Phase 2.
 	keys := make([]stepKey, n)
+	postmap := make([]bool, n)
 	err := pool.MapCtx(ctx, workers, n, func(i int) error {
-		if !stateful(ps[i]) {
-			keys[i] = stepKey{sig: tr.Snapshots[i].H.Signature(), name: ps[i].Name(), nprocs: nprocs, m: m}
+		p := ps[i]
+		if pm, ok := p.(*partition.PostMapped); ok {
+			p, postmap[i] = pm.Inner, true
 		}
+		keys[i] = stepKey{sig: tr.Snapshots[i].H.Signature(), name: p.Name(), nprocs: nprocs, m: m}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// sameStep reports whether steps i and i+1 are one cached step.
+	// sameStep reports whether steps i and i+1 are one cached step that
+	// no relabel tells apart.
 	sameStep := func(i int) bool {
-		return !stateful(ps[i]) && !stateful(ps[i+1]) && keys[i] == keys[i+1]
+		return !postmap[i] && !postmap[i+1] && keys[i] == keys[i+1]
 	}
 
-	// A stateless partitioner's step is a pure function of (content,
-	// configuration, nprocs, machine), so it is served from the
-	// process-wide content-addressed cache — computed at most once across
-	// runs, and across concurrent runs via the cache's singleflight.
+	// Phase 3.
 	as := make([]*partition.Assignment, n)
 	res.Steps = make([]StepMetrics, n)
-	cachedStep := func(i int) error {
+	err = pool.MapCtx(ctx, workers, n, func(i int) error {
 		// The leader keeps the assignment it computed; the cache gets a
 		// packed copy.
 		var own *partition.Assignment
@@ -563,8 +557,8 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		if disp != memo.Miss {
 			stepsMemoized.Add(1)
 		}
-		// Phase 5 reads step i's assignment only when a neighbour is a
-		// different step.
+		// Phases 4 and 5 read step i's assignment only when a neighbour
+		// is a different step.
 		if (i > 0 && !sameStep(i-1)) || (i+1 < n && !sameStep(i)) {
 			if own == nil {
 				own = art.a.Unpack()
@@ -576,38 +570,32 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		// the Result hands Loads to callers the public API makes no
 		// immutability promise to, so each step gets its own copy.
 		sm.Loads = append([]int64(nil), sm.Loads...)
+		sm.Step = tr.Snapshots[i].Step
 		res.Steps[i] = sm
 		return nil
-	}
-	// Phase 3: the stateful steps' chaining depends solely on their own
-	// relative order.
-	for i := range tr.Snapshots {
-		if !stateful(ps[i]) {
-			continue
-		}
-		a, err := ps[i].Partition(ctx, tr.Snapshots[i].H, nprocs)
-		if err != nil {
-			return nil, err
-		}
-		as[i] = a
-	}
-	// Phase 4.
-	err = pool.MapCtx(ctx, workers, n, func(i int) error {
-		if stateful(ps[i]) {
-			sm, err := Evaluate(ctx, tr.Snapshots[i].H, as[i], m)
-			if err != nil {
-				return err
-			}
-			res.Steps[i] = sm
-			return nil
-		}
-		return cachedStep(i)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range res.Steps {
-		res.Steps[i].Step = tr.Snapshots[i].Step
+
+	// Phase 4. last maps a postmap spec to its latest step. A spec's
+	// first step keeps its labels; a one-step trace has nothing to
+	// relabel against (and no assignment copy).
+	last := make(map[string]int)
+	for i := range ps {
+		if !postmap[i] {
+			continue
+		}
+		name := ps[i].Name()
+		if j, ok := last[name]; ok {
+			a, err := partition.Remap(ctx, tr.Snapshots[j].H, as[j], tr.Snapshots[i].H, as[i])
+			if err != nil {
+				return nil, err
+			}
+			res.Steps[i].Loads = relabelLoads(res.Steps[i].Loads, as[i], a)
+			as[i] = a
+		}
+		last[name] = i
 	}
 
 	// Phase 5. Consecutive steps with one key have content-identical
@@ -632,4 +620,16 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		return nil, err
 	}
 	return res, nil
+}
+
+// relabelLoads returns the per-owner loads of from, an assignment whose
+// loads are loads, under the labels of to, which relabels from's owners
+// fragment for fragment. Every other metric Evaluate reports is the
+// same under any relabeling (TestEvaluateIsRelabelInvariant).
+func relabelLoads(loads []int64, from, to *partition.Assignment) []int64 {
+	out := make([]int64, len(loads))
+	for k, f := range from.Fragments {
+		out[to.Fragments[k].Owner] = loads[f.Owner]
+	}
+	return out
 }

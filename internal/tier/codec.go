@@ -37,8 +37,9 @@
 // The tier is an optimization layer by contract: every failure path
 // (peer down, circuit open, corrupt blob, disk error) reports a miss
 // and the caller recomputes locally. Values crossing the tier must be
-// pure functions of their key; the stateful (postmap) partitioners are
-// never tiered.
+// pure functions of their key: a postmap spec is tiered under its inner
+// partitioner's key, and the relabel against a session's history
+// happens after the lookup.
 package tier
 
 import (
@@ -239,8 +240,8 @@ func DecodeAssignment(blob []byte) (*partition.Assignment, error) {
 // same token after its owner dies: the current hierarchy geometry, the
 // signature the owner last served for it (a rebuilt hierarchy that
 // re-hashes to anything else means a damaged or stale snapshot and is a
-// resume miss), the canonical partitioner spec, and — for stateful
-// postmap sessions — the carried mapping history. Snapshots are keyed
+// resume miss), the canonical partitioner spec, and — for postmap
+// sessions — the mapping history. Snapshots are keyed
 // per session token, so unlike the content-addressed result blobs a
 // later snapshot for the same token legitimately overwrites an earlier
 // one.
@@ -253,8 +254,8 @@ type SessionSnapshot struct {
 	Hierarchy *grid.Hierarchy
 	Sig       geom.Signature
 	// Stateful marks a postmap session; PrevHierarchy/PrevAssignment
-	// carry its mapping history (both nil before the first completed
-	// step remaps anything).
+	// carry its mapping history, the last committed step's hierarchy
+	// and relabeled assignment (both nil before the first step).
 	Stateful       bool
 	PrevHierarchy  *grid.Hierarchy
 	PrevAssignment *partition.Assignment
