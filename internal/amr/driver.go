@@ -43,15 +43,26 @@
 //
 // Every per-patch phase of the advance — kernel steps, halo fills
 // (prolongation, sibling exchange and the physical boundary, in that
-// order, in one unit per patch), restriction, tagging, plan building
-// and regrid data fills — fans out over internal/pool with one patch
-// per work unit. A phase writes only the patch (or plan entry) assigned
-// to the unit (its interior for steps and restriction, its halo for a
-// fill, a private tag buffer for tagging) and reads patches no
-// phase-mate writes (a fill reads parent patches, sibling interiors and
-// its own patch), so phases are race-free and the hierarchy evolution
-// is bit-identical to a sequential run at any worker count
-// (Config.Workers). Advance takes a context.Context per the
+// order, in one unit per patch), restriction, tagging, and building a
+// level (allocating a patch, filling it with initial or regridded data
+// and planning its transfers, in one unit per patch, plus one unit per
+// parent patch for the restriction plan) — fans out over internal/pool
+// with one patch per work unit. A phase writes only the patch (or plan
+// entry) assigned to the unit (its interior for steps and restriction,
+// its halo for a fill, a private tag buffer for tagging) and reads
+// patches no phase-mate writes (a fill reads parent patches, sibling
+// interiors and its own patch), so phases are race-free and the
+// hierarchy evolution is bit-identical to a sequential run at any
+// worker count (Config.Workers).
+//
+// The phases are short (tens to hundreds of µs at the paper's
+// configuration) and follow each other after a few µs of serial code,
+// so the pool's helpers stay awake from one to the next instead of
+// being woken for each (see pool's linger). What runs on one core is
+// the serial part of a regrid — clustering the tags
+// (cluster.ClusterPoints), restoring disjointness (cluster.MakeDisjoint),
+// clipping to the parent and compacting (geom.BoxList.Compact) — and
+// the single-patch base level. Advance takes a context.Context per the
 // repository's cancellation contract: a cancelled advance stops
 // dispatching patch units, drains in-flight work, and returns the
 // context's error; the driver's solution state is then indeterminate
@@ -180,11 +191,10 @@ func New(k solver.Kernel, cfg Config) (*Driver, error) {
 	d := &Driver{cfg: cfg, kernel: k}
 	d.dt0 = cfg.CFL * d.dx(0) / k.MaxSpeed()
 	baseBoxes := geom.BoxList{d.levelDomain(0)}
-	base, err := d.newLevel(context.Background(), 0, baseBoxes, d.makePatches(baseBoxes))
+	base, err := d.newLevel(context.Background(), 0, baseBoxes, d.initialData(0))
 	if err != nil {
 		return nil, err
 	}
-	d.initPatches(base.patches, 0)
 	d.levels = []*levelState{base}
 	// Initial refinement cascade: tag each new finest level until the
 	// budget is reached or nothing is tagged. Initial data comes from
@@ -197,11 +207,10 @@ func New(k solver.Kernel, cfg Config) (*Driver, error) {
 		if len(boxes) == 0 {
 			break
 		}
-		ls, err := d.newLevel(context.Background(), l+1, boxes, d.makePatches(boxes))
+		ls, err := d.newLevel(context.Background(), l+1, boxes, d.initialData(l+1))
 		if err != nil {
 			return nil, err
 		}
-		d.initPatches(ls.patches, l+1)
 		d.levels = append(d.levels, ls)
 	}
 	return d, nil
@@ -224,21 +233,20 @@ func (d *Driver) workers() int {
 	return pool.Workers()
 }
 
-// initPatches runs the kernel's initial condition on every patch.
-func (d *Driver) initPatches(patches []*field.Patch, level int) {
+// initialData returns the fill that sets a level-l patch to the
+// kernel's initial condition.
+func (d *Driver) initialData(level int) func(p *field.Patch) {
 	g := d.geometry(level)
-	// The background context never cancels and Init cannot fail, so
-	// there is no error to report.
-	_ = pool.MapCtx(context.Background(), d.workers(), len(patches), func(i int) error {
-		d.kernel.Init(patches[i], g)
-		return nil
-	})
+	return func(p *field.Patch) { d.kernel.Init(p, g) }
 }
 
-// releasePatches hands the patches' slabs back to the free list.
+// releasePatches hands the patches' slabs back to the free list,
+// skipping slots a cancelled newLevel never filled.
 func releasePatches(patches []*field.Patch) {
 	for _, p := range patches {
-		p.Release()
+		if p != nil {
+			p.Release()
+		}
 	}
 }
 
@@ -261,15 +269,6 @@ func (d *Driver) levelDomain(l int) geom.Box {
 		n *= d.cfg.RefRatio
 	}
 	return geom.NewBox2(0, 0, n, n)
-}
-
-// makePatches allocates solution storage for the given boxes.
-func (d *Driver) makePatches(boxes geom.BoxList) []*field.Patch {
-	out := make([]*field.Patch, len(boxes))
-	for i, b := range boxes {
-		out[i] = field.NewPatch(b, d.kernel.Ghost(), d.kernel.NComp())
-	}
-	return out
 }
 
 // Advance advances the whole hierarchy by one coarse time step,
@@ -341,22 +340,36 @@ func grownBoxes(patches []*field.Patch) geom.BoxList {
 	return out
 }
 
-// newLevel builds the state of level l over boxes and their patches
-// and plans its transfers (see the package doc) against the current
-// level l-1. Each work unit plans one patch.
-func (d *Driver) newLevel(ctx context.Context, l int, boxes geom.BoxList, patches []*field.Patch) (*levelState, error) {
-	ls := &levelState{boxes: boxes, patches: patches, exchanges: make([][]transfer, len(patches))}
+// newLevel builds level l over boxes against the current level l-1:
+// each work unit allocates one patch, fills it (fill reads only other
+// levels) and plans its transfers (see the package doc); the units past
+// the patches plan the restriction onto one parent patch each. On an
+// error the patches made so far are released.
+func (d *Driver) newLevel(ctx context.Context, l int, boxes geom.BoxList, fill func(p *field.Patch)) (*levelState, error) {
+	n := len(boxes)
+	ls := &levelState{boxes: boxes, patches: make([]*field.Patch, n), exchanges: make([][]transfer, n)}
 	six := ls.interiorIndex()
 	var parent *levelState
-	var pix *geom.BoxIndex
+	var pix, foot *geom.BoxIndex
+	units := n
 	if l > 0 {
 		parent = d.levels[l-1]
 		pix = parent.grownIndex()
-		ls.fills = make([][]transfer, len(patches))
-		ls.restricts = d.restrictPlan(parent, patches)
+		ls.fills = make([][]transfer, n)
+		ls.restricts = make([][]int, len(parent.patches))
+		foot = geom.NewBoxIndex(boxes.Coarsen(d.cfg.RefRatio))
+		units += len(parent.patches)
 	}
-	err := pool.MapCtx(ctx, d.workers(), len(patches), func(i int) error {
-		p := patches[i]
+	err := pool.MapCtx(ctx, d.workers(), units, func(i int) error {
+		if i >= n {
+			// The fine patches whose coarsened interiors meet the
+			// parent patch, ascending.
+			ls.restricts[i-n] = foot.AppendQuery(nil, parent.boxes[i-n])
+			return nil
+		}
+		p := field.NewPatch(boxes[i], d.kernel.Ghost(), d.kernel.NComp())
+		ls.patches[i] = p
+		fill(p)
 		halo := p.GrownBox()
 		var xs []transfer
 		for _, si := range six.AppendQuery(nil, halo) {
@@ -370,7 +383,11 @@ func (d *Driver) newLevel(ctx context.Context, l int, boxes geom.BoxList, patche
 		}
 		return nil
 	})
-	return ls, err
+	if err != nil {
+		releasePatches(ls.patches)
+		return nil, err
+	}
+	return ls, nil
 }
 
 // fillPlan returns the prolongation calls that fill p's halo from the
@@ -402,21 +419,6 @@ func (d *Driver) fillPlan(p *field.Patch, xs []transfer, parent *levelState, pix
 		}
 	}
 	return calls
-}
-
-// restrictPlan returns, per patch of parent, the indices of the fine
-// patches whose coarsened interiors meet it, ascending.
-func (d *Driver) restrictPlan(parent *levelState, fine []*field.Patch) [][]int {
-	foot := make(geom.BoxList, len(fine))
-	for i, fp := range fine {
-		foot[i] = fp.Box.Coarsen(d.cfg.RefRatio)
-	}
-	ix := geom.NewBoxIndex(foot)
-	plan := make([][]int, len(parent.patches))
-	for i, cp := range parent.patches {
-		plan[i] = ix.AppendQuery(nil, cp.Box)
-	}
-	return plan
 }
 
 // fillGhosts fills level l halos by replaying the level's plans: per
@@ -545,7 +547,6 @@ func (d *Driver) regrid(ctx context.Context, l int) error {
 			d.levels = d.levels[:k+1]
 			return nil
 		}
-		newPatches := d.makePatches(newBoxes)
 		parent := d.levels[k]
 		pix := parent.grownIndex()
 		var old *levelState
@@ -554,16 +555,10 @@ func (d *Driver) regrid(ctx context.Context, l int) error {
 			old = d.levels[k+1]
 			oix = old.interiorIndex()
 		}
-		err = pool.MapCtx(ctx, d.workers(), len(newPatches), func(i int) error {
-			d.fillNew(newPatches[i], parent, pix, old, oix)
-			return nil
+		ns, err := d.newLevel(ctx, k+1, newBoxes, func(p *field.Patch) {
+			d.fillNew(p, parent, pix, old, oix)
 		})
-		var ns *levelState
-		if err == nil {
-			ns, err = d.newLevel(ctx, k+1, newBoxes, newPatches)
-		}
 		if err != nil {
-			releasePatches(newPatches)
 			return err
 		}
 		ns.time = parent.time

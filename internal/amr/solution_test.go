@@ -135,11 +135,11 @@ func allKernels() []solver.Kernel {
 }
 
 // TestGoldenSolution holds every application's field values, step by
-// step, to the committed hashes at one worker and at four.
+// step, to the committed hashes at one, two and four workers.
 func TestGoldenSolution(t *testing.T) {
 	for _, k := range allKernels() {
 		want := goldenSolutionHashes[k.Name()]
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", k.Name(), workers), func(t *testing.T) {
 				if got := solutionHash(t, k, quickConfig(workers), quickSteps, false); got != want {
 					t.Errorf("%s at %d workers: solution hash %s, want %s", k.Name(), workers, got, want)
@@ -151,7 +151,7 @@ func TestGoldenSolution(t *testing.T) {
 
 // TestGoldenGrownSolution holds every application's grown-box values,
 // ghosts included, step by step, to the committed hashes: at the quick
-// scale at one worker and at four, and at the paper's configuration
+// scale at one, two and four workers, and at the paper's configuration
 // for paperSteps steps (skipped under -short).
 func TestGoldenGrownSolution(t *testing.T) {
 	scales := []struct {
@@ -160,7 +160,7 @@ func TestGoldenGrownSolution(t *testing.T) {
 		steps   int
 		workers []int
 	}{
-		{"quick", quickConfig, quickSteps, []int{1, 4}},
+		{"quick", quickConfig, quickSteps, []int{1, 2, 4}},
 		{"paper-16-steps", paperConfig, paperSteps, []int{0}},
 	}
 	for _, sc := range scales {

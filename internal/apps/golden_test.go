@@ -7,8 +7,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"samr/internal/amr"
 	"samr/internal/field"
@@ -64,7 +66,7 @@ func TestGoldenTraceEquivalence(t *testing.T) {
 		if !ok {
 			t.Fatalf("no golden hash for %s", app)
 		}
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", app, workers), func(t *testing.T) {
 				tr, err := Generate(context.Background(), app, goldenConfig(workers), goldenSteps)
 				if err != nil {
@@ -141,4 +143,59 @@ func BenchmarkGenerate(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestGenerateLeavesNoHelperRunning: the pool's helpers linger for a
+// fraction of a millisecond after a fan-out, and no longer, so once a
+// generation returns — complete, or cancelled in the middle of a step —
+// the process is back to the goroutines it had before it within a few
+// lingers, and nothing spins while a caller times something else.
+func TestGenerateLeavesNoHelperRunning(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	// settle waits for the goroutine count to fall to base and logs how
+	// long that took (about a linger, 200 µs, on an idle machine). The
+	// bound it fails at only leaves room for a helper the OS has not
+	// scheduled since its linger ran out.
+	settle := func(what string, base int) {
+		t.Helper()
+		start := time.Now()
+		for runtime.NumGoroutine() > base {
+			if time.Since(start) > 500*time.Millisecond {
+				t.Fatalf("%s: %d goroutines 500 ms after it returned, %d before it started", what, runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
+		}
+		t.Logf("%s: back to %d goroutines after %v", what, base, time.Since(start))
+	}
+	time.Sleep(10 * time.Millisecond) // let earlier tests' helpers exit
+	base := runtime.NumGoroutine()
+	if _, err := Generate(context.Background(), "RM2D", goldenConfig(2), goldenSteps); err != nil {
+		t.Fatal(err)
+	}
+	settle("complete generation", base)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	k := &cancelAfter{Kernel: solver.NewEuler(), steps: 200, cancel: cancel}
+	if _, err := amr.Run(ctx, k, goldenConfig(2), goldenSteps); !errors.Is(err, context.Canceled) {
+		t.Fatalf("generation cancelled after %d kernel steps returned %v, want context.Canceled", k.steps, err)
+	}
+	settle("cancelled generation", base)
+}
+
+// cancelAfter cancels its context from inside the kernel step that
+// brings the count of steps taken to steps.
+type cancelAfter struct {
+	solver.Kernel
+	taken  atomic.Int64
+	steps  int64
+	cancel context.CancelFunc
+}
+
+func (k *cancelAfter) Step(p *field.Patch, t, dt float64, g solver.Geometry) {
+	if k.taken.Add(1) == k.steps {
+		k.cancel()
+	}
+	k.Kernel.Step(p, t, dt, g)
 }

@@ -68,44 +68,61 @@ type clusterer struct {
 // of a wider box would not fit in memory anyway).
 func ClusterPoints(pts []geom.IntVect, domain geom.Box, opts Options) geom.BoxList {
 	n := 0
-	var lo, hi geom.IntVect
+	var x0, y0, x1, y1 int // the in-domain points' bounds, inclusive
 	for _, p := range pts {
 		if !domain.Contains(p) {
 			continue
 		}
 		if n == 0 {
-			lo, hi = p, p
+			x0, y0, x1, y1 = p[0], p[1], p[0], p[1]
 		}
-		lo, hi = lo.Min(p), hi.Max(p)
+		x0, y0, x1, y1 = min(x0, p[0]), min(y0, p[1]), max(x1, p[0]), max(y1, p[1])
 		n++
 	}
 	if n == 0 {
 		return nil
 	}
-	if hi[0]-lo[0] > math.MaxInt32 || hi[1]-lo[1] > math.MaxInt32 {
+	if x1-x0 > math.MaxInt32 || y1-y0 > math.MaxInt32 {
 		panic("cluster: tag set wider than 2^31 cells")
 	}
-	in := make([]point, 0, n)
+	in := make([]point, n)
+	n = 0
 	for _, p := range pts {
 		if domain.Contains(p) {
-			in = append(in, point{int32(p[0] - lo[0]), int32(p[1] - lo[1])})
+			in[n] = point{int32(p[0] - x0), int32(p[1] - y0)}
+			n++
 		}
 	}
-	c := clusterer{origin: geom.IV2(lo[0], lo[1]), domain: domain, opts: opts}
-	c.recurse(in, 0)
+	c := clusterer{origin: geom.IV2(x0, y0), domain: domain, opts: opts}
+	c.recurse(in, span{point{0, 0}, point{int32(x1 - x0), int32(y1 - y0)}}, 0)
 	return c.out
+}
+
+// span is the bounding box of a point set in the clusterer's frame,
+// both corners inclusive.
+type span struct{ lo, hi point }
+
+// emptySpan covers no point.
+var emptySpan = span{point{math.MaxInt32, math.MaxInt32}, point{math.MinInt32, math.MinInt32}}
+
+// add grows s to cover p.
+func (s *span) add(p point) {
+	s.lo = point{min(s.lo[0], p[0]), min(s.lo[1], p[1])}
+	s.hi = point{max(s.hi[0], p[0]), max(s.hi[1], p[1])}
 }
 
 // maxClusterDepth bounds recursion; at 64 the box would have been
 // bisected far below any practical patch size.
 const maxClusterDepth = 64
 
-func (c *clusterer) recurse(pts []point, depth int) {
+// recurse clusters pts, whose exact bounds are s.
+func (c *clusterer) recurse(pts []point, s span, depth int) {
 	if len(pts) == 0 {
 		return
 	}
 	// The working box is the exact bounding box of the points.
-	b := c.boundsOf(pts)
+	ox, oy := c.origin[0], c.origin[1]
+	b := geom.NewBox2(ox+int(s.lo[0]), oy+int(s.lo[1]), ox+int(s.hi[0])+1, oy+int(s.hi[1])+1)
 	opts := c.opts
 	eff := float64(len(pts)) / float64(b.Volume())
 	tooWide := opts.MaxWidth > 0 && (b.Size(0) > opts.MaxWidth || b.Size(1) > opts.MaxWidth)
@@ -119,29 +136,22 @@ func (c *clusterer) recurse(pts []point, depth int) {
 		c.out = append(c.out, enforceMinWidth(b, c.domain, opts.MinWidth))
 		return
 	}
-	// Partition the points in place around the cut plane: those below
-	// it first.
+	// Partition the points in place around the cut plane, those below
+	// it first, taking each half's bounds on the way.
 	cut := int32(at - c.origin[d])
 	n := 0
+	below, above := emptySpan, emptySpan
 	for i, p := range pts {
 		if p[d] < cut {
 			pts[n], pts[i] = pts[i], pts[n]
 			n++
+			below.add(p)
+		} else {
+			above.add(p)
 		}
 	}
-	c.recurse(pts[:n], depth+1)
-	c.recurse(pts[n:], depth+1)
-}
-
-// boundsOf returns the absolute bounding box of a non-empty point set.
-func (c *clusterer) boundsOf(pts []point) geom.Box {
-	lo, hi := pts[0], pts[0]
-	for _, p := range pts[1:] {
-		lo = point{min(lo[0], p[0]), min(lo[1], p[1])}
-		hi = point{max(hi[0], p[0]), max(hi[1], p[1])}
-	}
-	ox, oy := c.origin[0], c.origin[1]
-	return geom.NewBox2(ox+int(lo[0]), oy+int(lo[1]), ox+int(hi[0])+1, oy+int(hi[1])+1)
+	c.recurse(pts[:n], below, depth+1)
+	c.recurse(pts[n:], above, depth+1)
 }
 
 // signature returns the per-plane histogram of the points along dim d

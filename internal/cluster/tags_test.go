@@ -49,38 +49,55 @@ func (k *tagRecorder) Tag(p *field.Patch, g solver.Geometry, tag func(i, j int))
 }
 
 // TestClusterPointsMatchesReferenceOnTraceTags holds ClusterPoints to
-// its reference body, box for box, on every tag set the driver clusters
-// while generating the four applications' quick traces.
+// its reference body, box for box, on every tag set the driver
+// clusters while generating the four applications' quick traces and,
+// unless -short, their first 16 steps at the paper's configuration,
+// whose tag sets are ten times larger.
 func TestClusterPointsMatchesReferenceOnTraceTags(t *testing.T) {
-	cfg := apps.PaperConfig()
-	cfg.BaseSize = 16
-	cfg.MaxLevels = 3
-	cfg.Workers = 1
-	for _, name := range apps.Names {
-		k, err := apps.Kernel(name)
-		if err != nil {
-			t.Fatal(err)
+	quick := apps.PaperConfig()
+	quick.BaseSize = 16
+	quick.MaxLevels = 3
+	scales := []struct {
+		name  string
+		cfg   amr.Config
+		steps int
+	}{
+		{"quick", quick, 20},
+		{"paper-16-steps", apps.PaperConfig(), 16},
+	}
+	for _, sc := range scales {
+		if sc.name != "quick" && testing.Short() {
+			continue
 		}
-		rec := &tagRecorder{Kernel: k}
-		if _, err := amr.Run(context.Background(), rec, cfg, 20); err != nil {
-			t.Fatal(err)
-		}
-		sets := 0
-		for i, pass := range rec.sets {
-			if len(pass.pts) == 0 {
-				continue
+		cfg := sc.cfg
+		cfg.Workers = 1
+		for _, name := range apps.Names {
+			k, err := apps.Kernel(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sets++
-			n := int(math.Round(1 / pass.dx))
-			dom := geom.NewBox2(0, 0, n, n)
-			want := cluster.ClusterPointsReference(slices.Clone(pass.pts), dom, cfg.Cluster)
-			if got := cluster.ClusterPoints(pass.pts, dom, cfg.Cluster); !slices.Equal(got, want) {
-				t.Fatalf("%s tag set %d (%d points on %v):\n got %v\nwant %v", name, i, len(pass.pts), dom, got, want)
+			rec := &tagRecorder{Kernel: k}
+			if _, err := amr.Run(context.Background(), rec, cfg, sc.steps); err != nil {
+				t.Fatal(err)
 			}
+			sets, largest := 0, 0
+			for i, pass := range rec.sets {
+				if len(pass.pts) == 0 {
+					continue
+				}
+				sets++
+				largest = max(largest, len(pass.pts))
+				n := int(math.Round(1 / pass.dx))
+				dom := geom.NewBox2(0, 0, n, n)
+				want := cluster.ClusterPointsReference(slices.Clone(pass.pts), dom, cfg.Cluster)
+				if got := cluster.ClusterPoints(pass.pts, dom, cfg.Cluster); !slices.Equal(got, want) {
+					t.Fatalf("%s %s tag set %d (%d points on %v):\n got %v\nwant %v", sc.name, name, i, len(pass.pts), dom, got, want)
+				}
+			}
+			if sets == 0 {
+				t.Fatalf("%s %s: the driver clustered no tag set", sc.name, name)
+			}
+			t.Logf("%s %s: %d tag sets, the largest %d points", sc.name, name, sets, largest)
 		}
-		if sets == 0 {
-			t.Fatalf("%s: the driver clustered no tag set", name)
-		}
-		t.Logf("%s: %d tag sets", name, sets)
 	}
 }

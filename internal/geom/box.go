@@ -170,35 +170,35 @@ func (b Box) LongestDim() int {
 	return bd
 }
 
-// Subtract returns b minus o as a list of disjoint boxes. The result is
-// empty when o covers b, and is {b} when they do not intersect.
-func (b Box) Subtract(o Box) []Box {
+// appendSubtract appends b minus o to dst as disjoint boxes: none when
+// o covers b, b itself when they do not intersect. BoxList.SubtractBox
+// builds its whole answer in one list this way.
+func (b Box) appendSubtract(dst []Box, o Box) []Box {
 	ov := b.Intersect(o)
 	if ov.Empty() {
 		if b.Empty() {
-			return nil
+			return dst
 		}
-		return []Box{b}
+		return append(dst, b)
 	}
-	var out []Box
 	rem := b
 	for d := 0; d < 2; d++ {
 		if rem.Lo[d] < ov.Lo[d] {
 			lo, hi := rem.ChopDim(d, ov.Lo[d])
 			if !lo.Empty() {
-				out = append(out, lo)
+				dst = append(dst, lo)
 			}
 			rem = hi
 		}
 		if ov.Hi[d] < rem.Hi[d] {
 			lo, hi := rem.ChopDim(d, ov.Hi[d])
 			if !hi.Empty() {
-				out = append(out, hi)
+				dst = append(dst, hi)
 			}
 			rem = lo
 		}
 	}
-	return out
+	return dst
 }
 
 // Cells calls f for every cell of the box in row-major order (x fastest).

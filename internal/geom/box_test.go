@@ -148,7 +148,7 @@ func TestChopDim(t *testing.T) {
 func TestSubtract(t *testing.T) {
 	b := NewBox2(0, 0, 8, 8)
 	hole := NewBox2(2, 2, 5, 6)
-	parts := b.Subtract(hole)
+	parts := b.appendSubtract(nil, hole)
 	var vol int64
 	for i, p := range parts {
 		if p.Intersects(hole) {
@@ -165,11 +165,11 @@ func TestSubtract(t *testing.T) {
 		t.Errorf("subtract volume = %d, want %d", vol, b.Volume()-hole.Volume())
 	}
 	// Disjoint subtraction returns the original box.
-	if got := b.Subtract(NewBox2(20, 20, 25, 25)); len(got) != 1 || got[0] != b {
+	if got := b.appendSubtract(nil, NewBox2(20, 20, 25, 25)); len(got) != 1 || got[0] != b {
 		t.Errorf("disjoint Subtract = %v", got)
 	}
 	// Full coverage returns nothing.
-	if got := b.Subtract(b.Grow(1)); len(got) != 0 {
+	if got := b.appendSubtract(nil, b.Grow(1)); len(got) != 0 {
 		t.Errorf("covered Subtract = %v", got)
 	}
 }
@@ -222,7 +222,7 @@ func TestPropertySubtractPartition(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		a, b := randomBox(r), randomBox(r)
-		parts := a.Subtract(b)
+		parts := a.appendSubtract(nil, b)
 		var vol int64
 		for _, p := range parts {
 			vol += p.Volume()

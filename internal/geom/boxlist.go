@@ -75,7 +75,7 @@ func (bl BoxList) Coarsen(r int) BoxList {
 func (bl BoxList) SubtractBox(b Box) BoxList {
 	var out BoxList
 	for _, m := range bl {
-		out = append(out, m.Subtract(b)...)
+		out = m.appendSubtract(out, b)
 	}
 	return out
 }
@@ -327,10 +327,38 @@ func (bl BoxList) MergedAxis(d int) BoxList {
 }
 
 // Compact reduces fragmentation of a disjoint list by repeated
-// axis-aligned merging. Unlike SimplifyContext it is near-linear,
-// suitable for lists of thousands of boxes; the covered region is
-// unchanged.
+// axis-aligned merging: up to four passes of MergedAxis(0) then
+// MergedAxis(1), stopping after the first pass that merges nothing.
+// Unlike SimplifyContext it is near-linear, suitable for lists of
+// thousands of boxes; the covered region is unchanged.
+//
+// A list of fewer than 2^16 planar boxes (Dim 2, third component
+// [0, 1)) whose corners span less than 2^16 cells per axis — every list
+// the AMR driver builds — is compacted as rectangles whose sort keys
+// pack the three coordinates MergedAxis sorts by and the rectangle's
+// position into one uint64, instead of cloning and sorting 56-byte
+// boxes through a comparison function up to eight times. On a disjoint
+// list no two boxes share a key, so both forms sort into the same order
+// and the output is the same, box for box.
 func (bl BoxList) Compact() BoxList {
+	if rs, origin, ok := packedRects(bl); ok {
+		keys := make([]uint64, len(rs))
+		buf := make([]rect, len(rs))
+		n := len(rs)
+		for pass := 0; pass < 4; pass++ {
+			rs, buf = mergeRects(rs, buf, keys, 0)
+			rs, buf = mergeRects(rs, buf, keys, 1)
+			if len(rs) == n {
+				break
+			}
+			n = len(rs)
+		}
+		out := make(BoxList, len(rs))
+		for i, r := range rs {
+			out[i] = NewBox2(origin[0]+int(r[0]), origin[1]+int(r[1]), origin[0]+int(r[2]), origin[1]+int(r[3]))
+		}
+		return out
+	}
 	cur := bl
 	for pass := 0; pass < 4; pass++ {
 		next := cur.MergedAxis(0).MergedAxis(1)
@@ -340,6 +368,61 @@ func (bl BoxList) Compact() BoxList {
 		cur = next
 	}
 	return cur
+}
+
+// rect is a planar box as {x0, y0, x1, y1}, relative to an origin: the
+// form Compact merges.
+type rect [4]uint16
+
+// packedRects returns bl as rects relative to the low corner of its
+// bounds, or false when the list is too long, a box is not planar or
+// the bounds span 2^16 cells or more on an axis.
+func packedRects(bl BoxList) ([]rect, IntVect, bool) {
+	if len(bl) == 0 || len(bl) >= 1<<16 {
+		return nil, IntVect{}, false
+	}
+	lo, hi := bl[0].Lo, bl[0].Hi
+	for _, b := range bl {
+		if b.Dim != 2 || b.Lo[2] != 0 || b.Hi[2] != 1 {
+			return nil, IntVect{}, false
+		}
+		lo[0], lo[1] = min(lo[0], b.Lo[0]), min(lo[1], b.Lo[1])
+		hi[0], hi[1] = max(hi[0], b.Hi[0]), max(hi[1], b.Hi[1])
+	}
+	if hi[0]-lo[0] >= 1<<16 || hi[1]-lo[1] >= 1<<16 {
+		return nil, IntVect{}, false
+	}
+	rs := make([]rect, len(bl))
+	for i, b := range bl {
+		rs[i] = rect{uint16(b.Lo[0] - lo[0]), uint16(b.Lo[1] - lo[1]), uint16(b.Hi[0] - lo[0]), uint16(b.Hi[1] - lo[1])}
+	}
+	return rs, lo, true
+}
+
+// mergeRects is MergedAxis(d) on rects: it sorts them by the other
+// axis' extent, then by the low edge along d (a key packed with the
+// rect's position, so keys are distinct and the sort needs no
+// comparison function), merges runs that abut along d into dst, and
+// returns dst's merged prefix and rs as the next spare buffer.
+func mergeRects(rs, dst []rect, keys []uint64, d int) (merged, spare []rect) {
+	e := 1 - d
+	keys = keys[:len(rs)]
+	for i, r := range rs {
+		keys[i] = uint64(r[e])<<48 | uint64(r[e+2])<<32 | uint64(r[d])<<16 | uint64(i)
+	}
+	slices.Sort(keys)
+	merged = dst[:0]
+	for _, k := range keys {
+		r := rs[k&0xffff]
+		if n := len(merged); n > 0 {
+			if last := &merged[n-1]; last[e] == r[e] && last[e+2] == r[e+2] && last[d+2] == r[d] {
+				last[d+2] = r[d+2]
+				continue
+			}
+		}
+		merged = append(merged, r)
+	}
+	return merged, rs
 }
 
 // SortByLo orders the list lexicographically by Lo corner; useful for

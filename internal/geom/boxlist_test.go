@@ -388,3 +388,63 @@ func TestMergedAxisMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// compactReference is Compact's body before planar lists were merged
+// as packed rectangles: MergedAxis along x then y, up to four passes.
+// TestCompactMatchesReference holds Compact to it.
+func compactReference(bl BoxList) BoxList {
+	cur := bl
+	for pass := 0; pass < 4; pass++ {
+		next := cur.MergedAxis(0).MergedAxis(1)
+		if len(next) == len(cur) {
+			return next
+		}
+		cur = next
+	}
+	return cur
+}
+
+// TestCompactMatchesReference holds Compact to its reference, box for
+// box and in order, on random disjoint lists in a random order: tilings
+// of a box with pieces dropped (neighbours that merge over several
+// passes), the same far from the origin, scattered boxes, and lists
+// whose bounds span 2^16 cells or more, which take the reference's own
+// path.
+func TestCompactMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 600; trial++ {
+		var bl BoxList
+		packed := true
+		switch trial % 4 {
+		case 0, 1:
+			for _, b := range subdivide(r, NewBox2(-30, -20, 10+r.Intn(60), 10+r.Intn(60)), 2, nil) {
+				if r.Intn(6) > 0 {
+					bl = append(bl, b)
+				}
+			}
+			if trial%4 == 1 {
+				off := IV2(1<<40+r.Intn(100), -(1 << 35))
+				for i, b := range bl {
+					bl[i] = NewBox2(b.Lo[0]+off[0], b.Lo[1]+off[1], b.Hi[0]+off[0], b.Hi[1]+off[1])
+				}
+			}
+		case 2:
+			bl = randomDisjointList(r, 1+r.Intn(40))
+		case 3:
+			bl = subdivide(r, NewBox2(0, 0, 16, 16), 2, nil)
+			bl = append(bl, NewBox2(1<<16, 0, 1<<16+2, 2), NewBox2(1<<16+2, 0, 1<<16+4, 2))
+			packed = false
+		}
+		r.Shuffle(len(bl), func(i, j int) { bl[i], bl[j] = bl[j], bl[i] })
+		if _, _, ok := packedRects(bl); ok != (packed && len(bl) > 0) {
+			t.Fatalf("trial %d: packedRects ok = %v, want %v", trial, ok, packed)
+		}
+		in := slices.Clone(bl)
+		if got, want := bl.Compact(), compactReference(bl); !slices.Equal(got, want) {
+			t.Fatalf("trial %d on %v:\n got %v\nwant %v", trial, bl, got, want)
+		}
+		if !slices.Equal(bl, in) {
+			t.Fatalf("trial %d: Compact changed its input", trial)
+		}
+	}
+}

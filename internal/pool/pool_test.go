@@ -365,3 +365,100 @@ func TestBatchHelpersYieldToInteractive(t *testing.T) {
 		t.Errorf("batch never ran caller-alone while interactive was active (%d indices)", during.Load())
 	}
 }
+
+// settled waits up to timeout for every helper to have exited and
+// reports whether they did.
+func settled(timeout time.Duration) bool {
+	for deadline := time.Now().Add(timeout); ; {
+		if active.Load() == 0 && idle.Load() == 0 {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(linger / 4)
+	}
+}
+
+// TestFanOutsAcrossTheLinger: a fan-out that starts after the previous
+// one's helpers have given up lingering spawns fresh ones and still
+// covers every index, and the helpers of both exit afterwards.
+func TestFanOutsAcrossTheLinger(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for round := 0; round < 3; round++ {
+		const n = 200
+		var hits [n]int32
+		if err := MapCtx(context.Background(), 4, n, func(i int) error {
+			atomic.AddInt32(&hits[i], 1)
+			time.Sleep(10 * time.Microsecond)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("round %d: index %d ran %d times", round, i, h)
+			}
+		}
+		if !settled(time.Second) {
+			t.Fatalf("round %d: %d helpers alive, %d lingering, %v after the fan-out", round, active.Load(), idle.Load(), time.Second)
+		}
+	}
+}
+
+// TestNestedFanOutOnALingeringHelper: a helper that joins a fan-out
+// from its linger runs indices whose f fans out again, and both levels
+// finish with every index run once.
+func TestNestedFanOutOnALingeringHelper(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	// Leave helpers lingering.
+	if err := MapCtx(context.Background(), 4, 64, func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	const outer, inner = 16, 40
+	var hits [outer * inner]int32
+	err := MapCtx(context.Background(), 4, outer, func(i int) error {
+		return MapCtx(context.Background(), 4, inner, func(j int) error {
+			atomic.AddInt32(&hits[i*inner+j], 1)
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("nested index %d ran %d times", i, h)
+		}
+	}
+	if !settled(time.Second) {
+		t.Fatalf("%d helpers alive after the nested fan-outs", active.Load())
+	}
+}
+
+// BenchmarkMapCtxBackToBack times 1000 consecutive fan-outs of 64
+// items of about 2 µs each at the default width: the shape of the AMR
+// driver's per-patch phases, where the cost of waking a helper for each
+// fan-out shows. It reports the mean time per fan-out.
+func BenchmarkMapCtxBackToBack(b *testing.B) {
+	var sink [64]float64
+	item := func(i int) error {
+		x := float64(i)
+		for k := 0; k < 1000; k++ {
+			x = x*1.0000001 + 1e-9
+		}
+		sink[i] = x
+		return nil
+	}
+	const fanOuts = 1000
+	for b.Loop() {
+		for k := 0; k < fanOuts; k++ {
+			if err := MapCtx(context.Background(), Workers(), len(sink), item); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fanOuts), "ns/fanout")
+}

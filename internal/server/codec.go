@@ -355,6 +355,10 @@ func writePartitionResponse(w http.ResponseWriter, name string, nprocs int, outs
 	defer putWireBuf(buf)
 	buf.Write(appendPartitionResponse(buf.AvailableBuffer(), name, nprocs, outs)) // keeps any growth
 	w.Header().Set("Content-Type", "application/json")
+	// With a length net/http sends the body as is; without one it sends
+	// it chunked, and the client waits on a third write for the
+	// terminating chunk.
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf.Bytes()) //nolint:errcheck // client gone is client's problem
 }
