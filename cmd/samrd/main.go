@@ -149,12 +149,14 @@
 // same delta.
 //
 // postmap(...) specs compose with sessions: the session keeps its
-// mapping history (the previous step's hierarchy and assignment)
-// server-side, and relabels each step's answer against it, so labels
-// follow the data from step to step. The answer itself is the inner
-// partitioner's, looked up through the cache and tier like any other;
-// the relabel happens after the lookup. A one-shot /v1/partition post
-// has no history, so a postmap post answers its inner spec's answer.
+// mapping history (the previous step's assignment) server-side, and
+// relabels each step's answer against it, so labels follow the data
+// from step to step. The answer itself is the inner partitioner's,
+// looked up through the cache and tier like any other; the relabel
+// happens after the lookup. The relabel matches at most 2048 labels,
+// so a postmap session over more processors is refused at create
+// (400). A one-shot /v1/partition post has no history, so a postmap
+// post answers its inner spec's answer.
 //
 // Sessions are soft state: the table holds 256 (LRU eviction past it)
 // and a session idle for 15 minutes expires. A step or delete on an
@@ -202,13 +204,14 @@
 //
 // # When a member dies, and when it comes back empty
 //
-// Each peer carries a circuit breaker: consecutive transport/5xx
-// failures open it, and after a cooldown one probe half-opens it. While
-// a key's owner is open, the lookup — and the post-compute store offer
-// — diverts to the next peer in rendezvous order, one hop, so a dead
-// member degrades its shard to a fleet-wide stand-in instead of a
-// recompute per request per member. Nothing else is lost: every other
-// key still has its owner.
+// Every peer exchange is tried once; a failure is a miss at once, and
+// the request computes locally. Each peer carries a circuit breaker:
+// consecutive failed exchanges open it, and after a cooldown one probe
+// half-opens it. While a key's owner is open, the lookup — and the
+// post-compute store offer — diverts to the next peer in rendezvous
+// order, one hop, so a dead member degrades its shard to a fleet-wide
+// stand-in instead of a recompute per request per member. Nothing else
+// is lost: every other key still has its owner.
 //
 // A member that returns with an empty -tier-dir needs no help either.
 // A key another member owns is fetched from that owner in one hop and

@@ -74,6 +74,8 @@ package amr
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"samr/internal/cluster"
 	"samr/internal/field"
@@ -187,6 +189,13 @@ func New(k solver.Kernel, cfg Config) (*Driver, error) {
 	}
 	if cfg.MaxLevels < 1 || cfg.RefRatio < 2 || cfg.RegridEvery < 1 {
 		return nil, fmt.Errorf("amr: invalid config %+v", cfg)
+	}
+	// Tags are int32 cell indices (clusterLevel).
+	for n, l := cfg.BaseSize, 1; l < cfg.MaxLevels; l++ {
+		if n > math.MaxInt32/cfg.RefRatio {
+			return nil, fmt.Errorf("amr: level %d of %+v is wider than 2^31 cells", l, cfg)
+		}
+		n *= cfg.RefRatio
 	}
 	d := &Driver{cfg: cfg, kernel: k}
 	d.dt0 = cfg.CFL * d.dx(0) / k.MaxSpeed()
@@ -467,16 +476,16 @@ func (d *Driver) restrict(ctx context.Context, l int) error {
 
 // clusterLevel tags level l and returns the new level l+1 boxes (level
 // l+1 index space), properly nested inside level l. Tagging fans out
-// per patch into private buffers merged in patch order, so the tag set
-// — and therefore the clustering — matches a sequential scan exactly.
+// per patch into private buffers of the clusterer's 8-byte points,
+// merged in patch order, so the tag set — and therefore the clustering
+// — matches a sequential scan exactly. Tags are cells of levelDomain,
+// anchored at the origin, whose extent New holds inside int32.
 func (d *Driver) clusterLevel(ctx context.Context, l int) (geom.BoxList, error) {
 	ls := d.levels[l]
 	g := d.geometry(l)
-	tagLists := make([][]geom.IntVect, len(ls.patches))
+	tagLists := make([][][2]int32, len(ls.patches))
 	err := pool.MapCtx(ctx, d.workers(), len(ls.patches), func(i int) error {
-		var list []geom.IntVect
-		d.kernel.Tag(ls.patches[i], g, func(x, y int) { list = append(list, geom.IV2(x, y)) })
-		tagLists[i] = list
+		d.kernel.Tag(ls.patches[i], g, func(x, y int) { tagLists[i] = append(tagLists[i], [2]int32{int32(x), int32(y)}) })
 		return nil
 	})
 	if err != nil {
@@ -485,14 +494,7 @@ func (d *Driver) clusterLevel(ctx context.Context, l int) (geom.BoxList, error) 
 	// Patch interiors are disjoint, so the per-patch lists concatenate
 	// into a duplicate-free tag set; ClusterPoints is order-invariant,
 	// making the result identical to a sequential tag scan.
-	n := 0
-	for _, list := range tagLists {
-		n += len(list)
-	}
-	pts := make([]geom.IntVect, 0, n)
-	for _, list := range tagLists {
-		pts = append(pts, list...)
-	}
+	pts := slices.Concat(tagLists...)
 	if len(pts) == 0 {
 		return nil, nil
 	}

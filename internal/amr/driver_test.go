@@ -53,6 +53,13 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(solver.NewTransport(), bad); err == nil {
 		t.Error("RegridEvery=0 should be rejected")
 	}
+	// Tags are int32 cell indices: 32 levels of factor 2 over a 16² base
+	// reach 2^35 cells a side.
+	bad = smallConfig()
+	bad.MaxLevels = 32
+	if _, err := New(solver.NewTransport(), bad); err == nil {
+		t.Error("a finest level wider than 2^31 cells should be rejected")
+	}
 }
 
 func TestStepMaintainsInvariants(t *testing.T) {

@@ -37,16 +37,15 @@ func DefaultOptions() Options {
 	return Options{MinEfficiency: 0.7, MinWidth: 2, MaxWidth: 0}
 }
 
-// point is a tagged cell relative to the tag set's bounding box: 8
-// bytes instead of a 24-byte geom.IntVect, so the recursion's
-// partitioning and histogram passes stream a third of the memory.
-type point [2]int32
+// point is a tagged cell: 8 bytes instead of a 24-byte geom.IntVect,
+// so the recursion's partitioning and histogram passes stream a third
+// of the memory.
+type point = [2]int32
 
 // clusterer carries the state one ClusterPoints call shares across its
-// recursion: the frame the points are stored in, the options, the
-// histogram buffers every split reuses, and the output.
+// recursion: the options, the histogram buffers every split reuses,
+// and the output.
 type clusterer struct {
-	origin geom.IntVect // absolute coordinates of point{0, 0}
 	domain geom.Box
 	opts   Options
 	sig    []int // per-plane histogram of the box being split
@@ -63,38 +62,18 @@ type clusterer struct {
 // are disjoint). The output is independent of the order of pts: every
 // splitting decision is made on bounding boxes and per-plane histograms
 // of the point set, which is what lets the recursion partition its
-// points in place. The points inside domain are stored relative to
-// their bounding box, whose extents must fit an int32 (the histograms
-// of a wider box would not fit in memory anyway).
-func ClusterPoints(pts []geom.IntVect, domain geom.Box, opts Options) geom.BoxList {
-	n := 0
-	var x0, y0, x1, y1 int // the in-domain points' bounds, inclusive
+// points in place — in pts itself, whose contents ClusterPoints
+// overwrites. Points outside domain are dropped.
+func ClusterPoints(pts [][2]int32, domain geom.Box, opts Options) geom.BoxList {
+	in, s := pts[:0], emptySpan
 	for _, p := range pts {
-		if !domain.Contains(p) {
-			continue
-		}
-		if n == 0 {
-			x0, y0, x1, y1 = p[0], p[1], p[0], p[1]
-		}
-		x0, y0, x1, y1 = min(x0, p[0]), min(y0, p[1]), max(x1, p[0]), max(y1, p[1])
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	if x1-x0 > math.MaxInt32 || y1-y0 > math.MaxInt32 {
-		panic("cluster: tag set wider than 2^31 cells")
-	}
-	in := make([]point, n)
-	n = 0
-	for _, p := range pts {
-		if domain.Contains(p) {
-			in[n] = point{int32(p[0] - x0), int32(p[1] - y0)}
-			n++
+		if domain.Contains(geom.IV2(int(p[0]), int(p[1]))) {
+			in = append(in, p)
+			s.add(p)
 		}
 	}
-	c := clusterer{origin: geom.IV2(x0, y0), domain: domain, opts: opts}
-	c.recurse(in, span{point{0, 0}, point{int32(x1 - x0), int32(y1 - y0)}}, 0)
+	c := clusterer{domain: domain, opts: opts}
+	c.recurse(in, s, 0)
 	return c.out
 }
 
@@ -121,8 +100,7 @@ func (c *clusterer) recurse(pts []point, s span, depth int) {
 		return
 	}
 	// The working box is the exact bounding box of the points.
-	ox, oy := c.origin[0], c.origin[1]
-	b := geom.NewBox2(ox+int(s.lo[0]), oy+int(s.lo[1]), ox+int(s.hi[0])+1, oy+int(s.hi[1])+1)
+	b := geom.NewBox2(int(s.lo[0]), int(s.lo[1]), int(s.hi[0])+1, int(s.hi[1])+1)
 	opts := c.opts
 	eff := float64(len(pts)) / float64(b.Volume())
 	tooWide := opts.MaxWidth > 0 && (b.Size(0) > opts.MaxWidth || b.Size(1) > opts.MaxWidth)
@@ -138,7 +116,7 @@ func (c *clusterer) recurse(pts []point, s span, depth int) {
 	}
 	// Partition the points in place around the cut plane, those below
 	// it first, taking each half's bounds on the way.
-	cut := int32(at - c.origin[d])
+	cut := int32(at)
 	n := 0
 	below, above := emptySpan, emptySpan
 	for i, p := range pts {
@@ -164,9 +142,9 @@ func (c *clusterer) signature(pts []point, b geom.Box, d int) []int {
 	}
 	sig := c.sig[:n]
 	clear(sig)
-	off := int32(b.Lo[d] - c.origin[d])
+	off := b.Lo[d]
 	for _, p := range pts {
-		sig[p[d]-off]++
+		sig[int(p[d])-off]++
 	}
 	return sig
 }

@@ -19,12 +19,21 @@ type tagSet map[geom.IntVect]bool
 
 func (ts tagSet) Set(p geom.IntVect) { ts[p] = true }
 
-func (ts tagSet) points() []geom.IntVect {
-	pts := make([]geom.IntVect, 0, len(ts))
+func (ts tagSet) points() [][2]int32 {
+	pts := make([][2]int32, 0, len(ts))
 	for p := range ts {
-		pts = append(pts, p)
+		pts = append(pts, point{int32(p[0]), int32(p[1])})
 	}
 	return pts
+}
+
+// pointsOf is ClusterPoints' form of the tagged cells pts.
+func pointsOf(pts []geom.IntVect) [][2]int32 {
+	out := make([][2]int32, len(pts))
+	for i, p := range pts {
+		out[i] = point{int32(p[0]), int32(p[1])}
+	}
+	return out
 }
 
 // coverAll verifies every tagged cell is inside some patch.
@@ -285,7 +294,7 @@ func TestSignatureHoleSplitPreferred(t *testing.T) {
 }
 
 // clusterPointsReference is ClusterPoints' body before it moved to
-// compact points partitioned in place: the recursion over
+// 8-byte points partitioned in place: the recursion over
 // []geom.IntVect, a fresh histogram per signature and a fresh slice for
 // every upper half. TestClusterPointsMatchesReference and the trace-tag
 // test in tags_test.go hold ClusterPoints to it box for box.
@@ -445,7 +454,7 @@ func TestClusterPointsMatchesReference(t *testing.T) {
 		}
 		r.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
 		want := clusterPointsReference(slices.Clone(pts), dom, opts)
-		if got := ClusterPoints(pts, dom, opts); !slices.Equal(got, want) {
+		if got := ClusterPoints(pointsOf(pts), dom, opts); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (%d points, domain %v, %+v):\n got %v\nwant %v", trial, len(pts), dom, opts, got, want)
 		}
 	}

@@ -90,7 +90,7 @@ func TestClusterPointsMatchesReferenceOnTraceTags(t *testing.T) {
 				n := int(math.Round(1 / pass.dx))
 				dom := geom.NewBox2(0, 0, n, n)
 				want := cluster.ClusterPointsReference(slices.Clone(pass.pts), dom, cfg.Cluster)
-				if got := cluster.ClusterPoints(pass.pts, dom, cfg.Cluster); !slices.Equal(got, want) {
+				if got := cluster.ClusterPoints(cluster.PointsOf(pass.pts), dom, cfg.Cluster); !slices.Equal(got, want) {
 					t.Fatalf("%s %s tag set %d (%d points on %v):\n got %v\nwant %v", sc.name, name, i, len(pass.pts), dom, got, want)
 				}
 			}

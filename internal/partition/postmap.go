@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -41,74 +42,74 @@ func (pm *PostMapped) Partition(ctx context.Context, h *grid.Hierarchy, nprocs i
 	return pm.Inner.Partition(ctx, h, nprocs)
 }
 
-// Remap relabels a, an assignment of h, so that as many grid points as
-// possible keep the owner they had under prevA, the assignment of the
-// previous step prevH. It returns a itself when there is nothing to
-// align with (prevA nil, or for another processor count), and otherwise
-// a new assignment with a's fragments in a's order under the permuted
-// labels; a is never modified. The label match is exact (Hungarian) and
-// keeps a label whenever relabeling gains nothing, so remapping an
-// already remapped answer against the same previous step is the
-// identity. ctx is polled throughout (see remapLabels); a cancelled
-// call returns nil and ctx's error.
-func Remap(ctx context.Context, prevH *grid.Hierarchy, prevA *Assignment, h *grid.Hierarchy, a *Assignment) (*Assignment, error) {
-	if prevA == nil || prevA.NumProcs != a.NumProcs {
+// ErrTooManyLabels is Remap's refusal of an assignment over more than
+// maxLabels processors, the bound on its n×n int64 benefit matrix: 32
+// MiB at 2048 labels, the most the suites run, and 32 GiB at 65536.
+var ErrTooManyLabels = errors.New("partition: too many labels to post-map")
+
+const maxLabels = 2048
+
+// Remap relabels a so that as many grid points as possible keep the
+// owner they had under prevA, the previous step's assignment: a new
+// assignment with a's fragments in a's order under permuted labels, or
+// a itself when there is nothing to align with (prevA nil, or for
+// another processor count); a is never modified. No hierarchy is read:
+// a level only one of the two has fragments on adds no overlap. The
+// match is exact (Hungarian) and keeps a label whenever relabeling
+// gains nothing, so remapping a remapped answer against the same
+// previous step is the identity. Past maxLabels processors it answers
+// ErrTooManyLabels before allocating anything. ctx is polled before
+// each part's row of the overlap and of the benefit, and in the match;
+// a cancelled call returns nil and ctx's error.
+func Remap(ctx context.Context, prevA, a *Assignment) (*Assignment, error) {
+	n := a.NumProcs
+	if n > maxLabels {
+		return nil, fmt.Errorf("%w: %d processors, past the bound of %d", ErrTooManyLabels, n, maxLabels)
+	}
+	if prevA == nil || prevA.NumProcs != n {
 		return a, nil
 	}
-	perm, err := remapLabels(ctx, prevH, prevA, h, a)
-	if err != nil {
-		return nil, err
-	}
-	out := &Assignment{NumProcs: a.NumProcs, Fragments: make([]Fragment, len(a.Fragments))}
-	for i, f := range a.Fragments {
-		f.Owner = perm[f.Owner]
-		out.Fragments[i] = f
-	}
-	return out, nil
-}
-
-// remapLabels returns a permutation newOwner -> relabeledOwner that
-// maximizes the total point overlap with the previous assignment,
-// solved exactly with the Hungarian algorithm. Identity is preferred
-// among optima: the overlap of keeping a part's own label gets an
-// infinitesimal bonus, so label churn never happens without a real
-// gain. The n×n benefit matrix is the one allocation that grows with
-// the square of the processor count. ctx is polled before each part's
-// row of the overlap count and of the benefit, and in the match.
-func remapLabels(ctx context.Context, prevH *grid.Hierarchy, prevA *Assignment, curH *grid.Hierarchy, curA *Assignment) ([]int, error) {
-	n := curA.NumProcs
-	// benefit[q*n+p] first accumulates the points of new part q lying in
+	// benefit[q*n+p] accumulates twice the points of new part q lying in
 	// previous owner p's region (per level, weighted equally per point).
 	benefit := make([]int64, n*n)
-	levels := min(len(curH.Levels), len(prevH.Levels))
+	levels := 0
+	for _, f := range a.Fragments {
+		levels = max(levels, f.Level+1)
+	}
 	for l := 0; l < levels; l++ {
 		prevOwned := prevA.LevelBoxes(l)
-		for q, qb := range curA.LevelBoxes(l) {
+		for q, qb := range a.LevelBoxes(l) {
 			if err := checkCtx(ctx); err != nil {
 				return nil, err
 			}
 			row := benefit[q*n : (q+1)*n]
 			for p, pb := range prevOwned {
-				row[p] += geom.OverlapVolume(qb, pb)
+				row[p] += 2 * geom.OverlapVolume(qb, pb)
 			}
 		}
 	}
-	// Identity preference: scale overlaps by 2 and add 1 on the diagonal
-	// so any strict overlap win dominates the bonus, but exact ties
-	// resolve to keeping labels.
+	// Identity preference: 1 more on the diagonal, so any strict overlap
+	// win dominates the bonus, but exact ties resolve to keeping labels
+	// and label churn needs a real gain.
 	var maxB int64
 	for q := 0; q < n; q++ {
 		if err := checkCtx(ctx); err != nil {
 			return nil, err
 		}
 		row := benefit[q*n : (q+1)*n]
-		for p := range row {
-			row[p] *= 2
-		}
 		row[q]++
 		maxB = max(maxB, slices.Max(row))
 	}
-	return hungarian(ctx, benefit, maxB, n)
+	perm, err := hungarian(ctx, benefit, maxB, n)
+	if err != nil {
+		return nil, err
+	}
+	out := &Assignment{NumProcs: n, Fragments: make([]Fragment, len(a.Fragments))}
+	for i, f := range a.Fragments {
+		f.Owner = perm[f.Owner]
+		out.Fragments[i] = f
+	}
+	return out, nil
 }
 
 // hungarian solves the square assignment problem on the n×n row-major
@@ -174,11 +175,9 @@ func hungarian(ctx context.Context, benefit []int64, maxB int64, n int) ([]int, 
 			j0 = j1
 		}
 	}
-	out := make([]int, n)
+	out := make([]int, n) // the matching is perfect: every p[j] > 0
 	for j := 1; j <= n; j++ {
-		if p[j] > 0 {
-			out[p[j]-1] = j - 1
-		}
+		out[p[j]-1] = j - 1
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -66,7 +67,7 @@ func remapChain(t testing.TB, inner Partitioner, hs []*grid.Hierarchy, np int) [
 		a := mustPartition(t, inner, h, np)
 		if i > 0 {
 			var err error
-			if a, err = Remap(context.Background(), hs[i-1], out[i-1], h, a); err != nil {
+			if a, err = Remap(context.Background(), out[i-1], a); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -171,14 +172,14 @@ func TestPostMappedProcCountChange(t *testing.T) {
 	h := testHierarchy()
 	prev := mustPartition(t, NewDomainSFC(), h, 4)
 	a := mustPartition(t, NewDomainSFC(), h, 8)
-	got, err := Remap(context.Background(), h, prev, h, a)
+	got, err := Remap(context.Background(), prev, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != a {
 		t.Error("Remap across processor counts did not return its input")
 	}
-	if got, err := Remap(context.Background(), nil, nil, h, a); err != nil || got != a {
+	if got, err := Remap(context.Background(), nil, a); err != nil || got != a {
 		t.Errorf("Remap with no history = (%p, %v), want its input %p", got, err, a)
 	}
 }
@@ -340,8 +341,9 @@ func refHungarian(cost [][]int64) []int {
 }
 
 // TestRemapMatchesReference holds a Remap chain to the stateful wrapper
-// it replaced, assignment for assignment: the quick traces and random
-// hierarchy sequences, under every partitioner family, at 16
+// it replaced, assignment for assignment, though Remap reads no
+// hierarchy: the quick traces, the same with every other step cut to
+// its base level, and random hierarchy sequences, under every partitioner family, at 16
 // processors and at more processors than the inner partitioner has
 // units (empty parts), and across a processor-count change mid-chain.
 func TestRemapMatchesReference(t *testing.T) {
@@ -351,11 +353,21 @@ func TestRemapMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hs []*grid.Hierarchy
-		for _, snap := range tr.Snapshots {
+		var hs, mixed []*grid.Hierarchy
+		for i, snap := range tr.Snapshots {
 			hs = append(hs, snap.H)
+			// Every other step with its refinements dropped: each pair
+			// differs in level count, the previous step's hierarchy the
+			// deeper one and then the shallower one.
+			if i%2 == 1 {
+				base := snap.H.Clone()
+				base.Levels = base.Levels[:1]
+				mixed = append(mixed, base)
+			} else {
+				mixed = append(mixed, snap.H)
+			}
 		}
-		seqs = append(seqs, hs)
+		seqs = append(seqs, hs, mixed)
 	}
 	r := rand.New(rand.NewSource(47))
 	for i := 0; i < 8; i++ {
@@ -370,20 +382,19 @@ func TestRemapMatchesReference(t *testing.T) {
 		for _, np := range [][]int{{16}, {100}, {5, 5, 7, 7}} {
 			for si, hs := range seqs {
 				ref := &refPostMapped{inner: inner}
-				var prevH *grid.Hierarchy
 				var prevA *Assignment
 				for i, h := range hs {
 					n := np[i%len(np)]
 					want := mustPartition(t, ref, h, n)
 					a := mustPartition(t, inner, h, n)
-					got, err := Remap(context.Background(), prevH, prevA, h, a)
+					got, err := Remap(context.Background(), prevA, a)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s, nprocs %v, sequence %d, step %d: Remap diverged from the stateful reference", inner.Name(), np, si, i)
 					}
-					prevH, prevA = h, got
+					prevA = got
 				}
 			}
 		}
@@ -396,26 +407,25 @@ func TestRemapMatchesReference(t *testing.T) {
 // call.
 func TestRemapCancelled(t *testing.T) {
 	h := testHierarchy()
-	hs := []*grid.Hierarchy{h, h.Clone()}
 	as := []*Assignment{mustPartition(t, NewDomainSFC(), h, 4), mustPartition(t, &relabelingPartitioner{inner: NewDomainSFC(), calls: 1}, h, 4)}
-	want, err := Remap(context.Background(), hs[0], as[0], hs[1], as[1])
+	want, err := Remap(context.Background(), as[0], as[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := newCountdownCtx(1 << 30)
-	if _, err := Remap(count, hs[0], as[0], hs[1], as[1]); err != nil {
+	if _, err := Remap(count, as[0], as[1]); err != nil {
 		t.Fatal(err)
 	}
 	if count.polls == 0 {
 		t.Fatal("Remap never polled its context")
 	}
 	for n := 0; n < count.polls; n++ {
-		got, err := Remap(newCountdownCtx(n), hs[0], as[0], hs[1], as[1])
+		got, err := Remap(newCountdownCtx(n), as[0], as[1])
 		if !errors.Is(err, context.Canceled) || got != nil {
 			t.Fatalf("cancel at poll %d/%d: (%v, %v), want (nil, context.Canceled)", n, count.polls, got, err)
 		}
 	}
-	got, err := Remap(context.Background(), hs[0], as[0], hs[1], as[1])
+	got, err := Remap(context.Background(), as[0], as[1])
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Remap after cancelled calls = (%v, %v), want the uncancelled answer", got, err)
 	}
@@ -436,7 +446,7 @@ func TestRemapAnsweredByDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	start := time.Now()
-	got, err := Remap(ctx, h, prev, h, a)
+	got, err := Remap(ctx, prev, a)
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) || got != nil {
 		t.Fatalf("Remap = (%v, %v), want (nil, deadline exceeded)", got, err)
@@ -446,16 +456,34 @@ func TestRemapAnsweredByDeadline(t *testing.T) {
 	}
 }
 
+// TestRemapRefusesTooManyLabels: past maxLabels processors Remap
+// answers ErrTooManyLabels, with or without a history, before it
+// allocates the label match (128 MiB of benefit matrix at 4096 labels).
+func TestRemapRefusesTooManyLabels(t *testing.T) {
+	h := grid.NewHierarchy(geom.NewBox2(0, 0, 64, 64), 2)
+	prev := mustPartition(t, NewDomainSFC(), h, 2*maxLabels)
+	a := mustPartition(t, &relabelingPartitioner{inner: NewDomainSFC(), calls: 1}, h, 2*maxLabels)
+	for _, history := range []*Assignment{nil, prev} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Remap(context.Background(), history, a)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTooManyLabels) || got != nil {
+			t.Fatalf("Remap at %d labels = (%v, %v), want (nil, ErrTooManyLabels)", a.NumProcs, got, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("refusal allocated %d bytes, want under 1 MiB", grew)
+		}
+	}
+}
+
 // BenchmarkRemap times one relabel at the paper's 16 labels, on each
 // consecutive pair of the quick traces' nature+fable answers, and at
 // 2048 labels on testHierarchy's domain-based answer against itself
 // (a session step that kept every level), where the n² cost matrix and
 // the match dominate.
 func BenchmarkRemap(b *testing.B) {
-	type pair struct {
-		prevH, h *grid.Hierarchy
-		prevA, a *Assignment
-	}
+	type pair struct{ prevA, a *Assignment }
 	var quick []pair
 	for _, app := range apps.Names {
 		tr, err := apps.QuickTrace(context.Background(), app)
@@ -464,12 +492,12 @@ func BenchmarkRemap(b *testing.B) {
 		}
 		for i := 1; i < len(tr.Snapshots); i++ {
 			prevH, h := tr.Snapshots[i-1].H, tr.Snapshots[i].H
-			quick = append(quick, pair{prevH, h, mustPartition(b, NewNatureFable(), prevH, 16), mustPartition(b, NewNatureFable(), h, 16)})
+			quick = append(quick, pair{mustPartition(b, NewNatureFable(), prevH, 16), mustPartition(b, NewNatureFable(), h, 16)})
 		}
 	}
 	h := testHierarchy()
 	a := mustPartition(b, NewDomainSFC(), h, 2048)
-	wide := pair{h, h, a, a}
+	wide := pair{a, a}
 	for _, bc := range []struct {
 		name  string
 		pairs []pair
@@ -478,7 +506,7 @@ func BenchmarkRemap(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				for _, p := range bc.pairs {
-					if _, err := Remap(context.Background(), p.prevH, p.prevA, p.h, p.a); err != nil {
+					if _, err := Remap(context.Background(), p.prevA, p.a); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -235,7 +235,6 @@ func TestServedAnswersMatchOracle(t *testing.T) {
 			t.Fatalf("%s: create status %d", spec, create.Code)
 		}
 		stepPath := "/v1/session/" + create.Header().Get(SessionHeader) + "/step"
-		var prevH *grid.Hierarchy
 		var prevA *partition.Assignment
 		for i, h := range hs[1:] {
 			step := SessionStepRequest{Levels: make([]LevelOp, len(h.Levels))}
@@ -248,10 +247,10 @@ func TestServedAnswersMatchOracle(t *testing.T) {
 			}
 			if _, postmap := p.(*partition.PostMapped); postmap {
 				// A postmap session relabels against its previous step.
-				if a, err = partition.Remap(ctx, prevH, prevA, h, a); err != nil {
+				if a, err = partition.Remap(ctx, prevA, a); err != nil {
 					t.Fatal(err)
 				}
-				prevH, prevA = h, a
+				prevA = a
 			}
 			check(fmt.Sprintf("%s step %d", spec, i+1), wireAnswer(srv, stepPath, mustMarshal(t, step)), p.Name(), 24, answer{h, a, CacheMiss})
 		}

@@ -21,9 +21,7 @@ import (
 //	nature+fable-<curve>-u<N>-q<Q>-<frac|whole>
 //	postmap(<inner spec>)       -> PostMapped wrapper
 //
-// Specs are case-insensitive. Every call returns a new instance. A
-// postmap spec partitions as its inner spec; the relabel against a
-// session's history happens after the cache lookup (postmapInner).
+// Specs are case-insensitive. Every call returns a new instance.
 func ParsePartitioner(spec string) (partition.Partitioner, error) {
 	s := strings.ToLower(strings.TrimSpace(spec))
 	switch {
@@ -47,6 +45,32 @@ func ParsePartitioner(spec string) (partition.Partitioner, error) {
 		return parseNatureFable(s[len("nature+fable-"):])
 	}
 	return nil, fmt.Errorf("unknown partitioner %q (families: domain, patch-lpt, nature+fable, postmap(...))", spec)
+}
+
+// spec is a partitioner spec parsed once for every compute of a request
+// or a session. A postmap(X) answer is X's, relabeled against the
+// caller's history after the lookup, so the cache and the fleet tier
+// hold only pure functions of their keys: p is the parsed partitioner
+// with one PostMapped level unwrapped, as the simulator does.
+type spec struct {
+	name    string // the canonical name the wire echoes
+	key     string // p.Name()
+	p       partition.Partitioner
+	postmap bool // answers are relabeled after the lookup
+}
+
+// parseSpec parses a wire spec into its serving form.
+func parseSpec(s string) (spec, error) {
+	p, err := ParsePartitioner(s)
+	if err != nil {
+		return spec{}, err
+	}
+	sp := spec{name: p.Name(), p: p}
+	if pm, ok := p.(*partition.PostMapped); ok {
+		sp.p, sp.postmap = pm.Inner, true
+	}
+	sp.key = sp.p.Name()
+	return sp, nil
 }
 
 func parseCurve(name string) (sfc.Curve, error) {

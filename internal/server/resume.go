@@ -50,14 +50,15 @@ func (s *Server) storeSessionSnapshot(sess *session) {
 	if !s.tierSessions() {
 		return
 	}
-	_, postmap := postmapInner(sess.name)
+	// Older fleet members still read the history's hierarchy: after a
+	// commit it is the session's own (written only beside prevA).
 	ss := &tier.SessionSnapshot{
 		Name:           sess.name,
 		NProcs:         sess.nprocs,
 		Hierarchy:      sess.h,
 		Sig:            sess.h.Signature(),
-		Stateful:       postmap,
-		PrevHierarchy:  sess.prevH,
+		Stateful:       sess.postmap,
+		PrevHierarchy:  sess.h,
 		PrevAssignment: sess.prevA,
 	}
 	s.tier.Store(sessionSnapshotKey(sess.id), tier.EncodeSessionSnapshot(ss))
@@ -121,14 +122,14 @@ func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*sess
 	if ss.NProcs < 1 || ss.NProcs > maxProcs {
 		return nil, fmt.Errorf("snapshot nprocs %d out of range [1, %d]", ss.NProcs, maxProcs)
 	}
-	canonical, err := ParsePartitioner(ss.Name)
+	sp, err := parseSpec(ss.Name)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot partitioner: %w", err)
 	}
-	if canonical.Name() != ss.Name {
-		return nil, fmt.Errorf("snapshot partitioner %q is not canonical (parses to %q)", ss.Name, canonical.Name())
+	if sp.name != ss.Name {
+		return nil, fmt.Errorf("snapshot partitioner %q is not canonical (parses to %q)", ss.Name, sp.name)
 	}
-	if _, postmap := postmapInner(ss.Name); postmap != ss.Stateful {
+	if sp.postmap != ss.Stateful {
 		return nil, fmt.Errorf("snapshot statefulness disagrees with spec %q", ss.Name)
 	}
 	if ss.Hierarchy == nil {
@@ -144,17 +145,14 @@ func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*sess
 	sess := &session{
 		id:     id,
 		h:      ss.Hierarchy,
-		name:   ss.Name,
+		spec:   sp,
 		nprocs: ss.NProcs,
 	}
 	if ss.PrevHierarchy != nil && ss.PrevAssignment != nil {
-		if err := ss.PrevHierarchy.Validate(); err != nil {
-			return nil, fmt.Errorf("snapshot history hierarchy: %w", err)
-		}
 		if ss.PrevAssignment.NumProcs != ss.NProcs {
 			return nil, fmt.Errorf("snapshot history assignment is for %d processors, the session for %d", ss.PrevAssignment.NumProcs, ss.NProcs)
 		}
-		sess.prevH, sess.prevA = ss.PrevHierarchy, ss.PrevAssignment
+		sess.prevA = ss.PrevAssignment
 	}
 	return sess, nil
 }

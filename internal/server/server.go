@@ -472,15 +472,15 @@ func writeErrCode(w http.ResponseWriter, status int, code, format string, args .
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-// writeFailure maps an execution error onto the wire: a hierarchy too
-// large for the partitioner's unit budget is 400 (the request alone
-// causes it; the message names the count and the budget), an exceeded
-// deadline is 504 Gateway Timeout, a client cancellation is 499, and
-// anything else (none today) is a 500. None of these is cached or
-// tiered: the caches store successes only.
+// writeFailure maps an execution error onto the wire: a hierarchy past
+// the unit budget or a relabel past the label bound is 400 (the request
+// alone causes it; the message names the count and the bound), an
+// exceeded deadline is 504 Gateway Timeout, a client cancellation is
+// 499, and anything else (none today) is a 500. None of these is
+// cached or tiered: the caches store successes only.
 func writeFailure(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, partition.ErrTooManyUnits):
+	case errors.Is(err, partition.ErrTooManyUnits), errors.Is(err, partition.ErrTooManyLabels):
 		writeErr(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusGatewayTimeout, "request deadline exceeded: %v", err)
@@ -600,7 +600,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRequest(w, r, &req) {
 		return
 	}
-	canonical, err := ParsePartitioner(req.Partitioner)
+	sp, err := parseSpec(req.Partitioner)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -610,14 +610,12 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// checkProcs will default it.
 	// A post has no mapping history: a postmap spec's answer is its
 	// inner spec's, cached under the inner key and not relabeled.
-	name := canonical.Name()
-	key, _ := postmapInner(name)
 	nprocs := cmp.Or(req.NProcs, defaultProcs)
 	var sigs []geom.Signature
 	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies, func(h *grid.Hierarchy) error {
 		sig := hierarchySignature(h)
 		sigs = append(sigs, sig)
-		if s.cache.Contains(CacheKey{Sig: sig, Partitioner: key, NProcs: nprocs}) {
+		if s.cache.Contains(CacheKey{Sig: sig, Partitioner: sp.key, NProcs: nprocs}) {
 			return nil
 		}
 		return h.Validate()
@@ -635,7 +633,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 	outs := make([]partitionOut, len(hs))
 	err = pool.MapCtx(ctx, pool.Workers(), len(hs), func(i int) error {
-		a, disp, err := s.partitionCached(ctx, hs[i], sigs[i], key, req.NProcs)
+		a, disp, err := s.partitionCached(ctx, hs[i], sigs[i], sp, req.NProcs)
 		if err != nil {
 			return err
 		}
@@ -648,23 +646,17 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.writeCacheHeaders(w, outs)
-	writePartitionResponse(w, name, req.NProcs, outs)
+	writePartitionResponse(w, sp.name, req.NProcs, outs)
 }
 
 // partitionCached is the one path from a hierarchy to its assignment
 // through the partition cache (hence singleflight and the fleet tier),
-// shared by the one-shot and session-step handlers. name is the
-// canonical name the answer is cached under (a postmap spec's inner
-// name, see postmapInner); each compute parses it into a fresh
-// instance, since canonical names round-trip through the parser.
-func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, name string, nprocs int) (partition.Packed, string, error) {
-	key := CacheKey{Sig: sig, Partitioner: name, NProcs: nprocs}
+// shared by the one-shot and session-step handlers: sp's answer,
+// before any postmap relabel, cached under sp.key.
+func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, sp spec, nprocs int) (partition.Packed, string, error) {
+	key := CacheKey{Sig: sig, Partitioner: sp.key, NProcs: nprocs}
 	return s.cache.GetOrCompute(ctx, key, func() (partition.Packed, error) {
-		p, err := ParsePartitioner(name)
-		if err != nil {
-			return partition.Packed{}, err
-		}
-		return packed(p.Partition(ctx, h, nprocs))
+		return packed(sp.p.Partition(ctx, h, nprocs))
 	})
 }
 

@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,8 +30,8 @@ import (
 // equivalent full post.
 //
 // Post-mapping composes with the service here: a postmap(...) session
-// keeps its mapping history — the previous step's hierarchy and
-// relabeled assignment — server-side. Each step looks up the inner
+// keeps its mapping history — the previous step's relabeled
+// assignment — server-side. Each step looks up the inner
 // partitioner's answer through the same cache and tier as any other
 // spec, then relabels it against that history (partition.Remap); the
 // history advances only on successful steps (a cancelled step leaves
@@ -78,13 +77,12 @@ type session struct {
 	// re-hashes only what changed. Owned by the session; levels are
 	// immutable once attached.
 	h *grid.Hierarchy
-	// name is the canonical partitioner name.
-	name   string
+	// spec is the partitioner spec, parsed once at create or resume.
+	spec
 	nprocs int
-	// prevH and prevA are a postmap session's mapping history: the last
-	// committed step's hierarchy and relabeled assignment (nil before
-	// the first step). Both are immutable once attached.
-	prevH *grid.Hierarchy
+	// prevA is a postmap session's mapping history: the last committed
+	// step's relabeled assignment (nil before the first step),
+	// immutable once attached.
 	prevA *partition.Assignment
 
 	// lastUsed is the LRU mtime, guarded by the table lock.
@@ -246,19 +244,6 @@ func newSessionID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// postmapInner splits a canonical partitioner name into the name its
-// answers are cached under and whether they are relabeled after the
-// lookup: a postmap(X) answer is X's, relabeled against the caller's
-// history, so the cache and the fleet tier hold only pure functions of
-// their keys.
-func postmapInner(canonical string) (key string, postmap bool) {
-	inner, ok := strings.CutPrefix(canonical, "postmap(")
-	if !ok {
-		return canonical, false
-	}
-	return strings.TrimSuffix(inner, ")"), true
-}
-
 // writeSessionGone emits the documented 410 session-expired wire error.
 func writeSessionGone(w http.ResponseWriter, id string) {
 	writeErrCode(w, http.StatusGone, CodeSessionExpired,
@@ -277,7 +262,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "request carries no hierarchy")
 		return
 	}
-	canonical, err := ParsePartitioner(req.Partitioner)
+	sp, err := parseSpec(req.Partitioner)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -290,26 +275,30 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.checkProcs(w, &req.NProcs) {
 		return
 	}
+	// Remap refuses a processor count at every step alike: a postmap
+	// session it would refuse is refused before it exists.
+	if _, err := partition.Remap(r.Context(), nil, &partition.Assignment{NumProcs: req.NProcs}); sp.postmap && err != nil {
+		writeFailure(w, err)
+		return
+	}
 	if !s.checkLive(w, r) {
 		return
 	}
 	h.TrackSignature()
-	name := canonical.Name()
 	sess := &session{
 		id:     newSessionID(),
 		h:      h,
-		name:   name,
+		spec:   sp,
 		nprocs: req.NProcs,
 	}
 	s.sessions.put(sess)
-	_, postmap := postmapInner(name)
 
 	resp := SessionCreateResponse{
 		Session:     sess.id,
 		Signature:   h.Signature().String(),
-		Partitioner: name,
+		Partitioner: sp.name,
 		NProcs:      req.NProcs,
-		Stateful:    postmap,
+		Stateful:    sp.postmap,
 		TTLSeconds:  int(sessionTTL / time.Second),
 		Levels:      make([]string, h.NumLevels()),
 	}
@@ -370,11 +359,10 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sig := next.Signature()
-	key, postmap := postmapInner(sess.name)
-	a, disp, err := s.partitionCached(ctx, next, sig, key, sess.nprocs)
+	a, disp, err := s.partitionCached(ctx, next, sig, sess.spec, sess.nprocs)
 	var relabeled *partition.Assignment
-	if err == nil && postmap {
-		relabeled, a, err = remapPacked(ctx, sess.prevH, sess.prevA, next, a)
+	if err == nil && sess.postmap {
+		relabeled, a, err = remapPacked(ctx, sess.prevA, a)
 	}
 	if err != nil {
 		writeFailure(w, err)
@@ -385,10 +373,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	// snapshots for one session never race each other out of order); a
 	// failed step leaves the previous snapshot — the last committed
 	// state — in place, which is exactly what a resuming peer may serve.
-	sess.h = next
-	if postmap {
-		sess.prevH, sess.prevA = next, relabeled
-	}
+	sess.h, sess.prevA = next, relabeled // relabeled is nil unless postmap
 	s.sessions.steps.Add(1)
 	s.storeSessionSnapshot(sess)
 
@@ -401,9 +386,9 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 // remapPacked relabels a postmap session step's cached answer against
 // the session's history, returning the relabeled assignment (the next
 // history) and its packed form for the response writer.
-func remapPacked(ctx context.Context, prevH *grid.Hierarchy, prevA *partition.Assignment, h *grid.Hierarchy, p partition.Packed) (*partition.Assignment, partition.Packed, error) {
+func remapPacked(ctx context.Context, prevA *partition.Assignment, p partition.Packed) (*partition.Assignment, partition.Packed, error) {
 	a := p.Unpack()
-	r, err := partition.Remap(ctx, prevH, prevA, h, a)
+	r, err := partition.Remap(ctx, prevA, a)
 	if err != nil || r == a {
 		return r, p, err
 	}

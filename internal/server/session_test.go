@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"samr/internal/grid"
 	"samr/internal/partition"
 )
 
@@ -304,7 +303,6 @@ func TestSessionStatefulPostmap(t *testing.T) {
 	stepURL := ts.URL + "/v1/session/" + create.Session + "/step"
 
 	inner := partition.NewDomainSFC()
-	var prevH *grid.Hierarchy
 	var prevA *partition.Assignment
 	for i := 1; i <= 5; i++ {
 		wireH := testHierarchy(i * 4)
@@ -321,10 +319,10 @@ func TestSessionStatefulPostmap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a, err = partition.Remap(context.Background(), prevH, prevA, h, a); err != nil {
+		if a, err = partition.Remap(context.Background(), prevA, a); err != nil {
 			t.Fatal(err)
 		}
-		prevH, prevA = h, a
+		prevA = a
 		want := buildPartitionResult(h, h.Signature(), create.Partitioner, 8, a, CacheMiss)
 		got := resp.Results[0]
 		if got.Signature != want.Signature || got.Imbalance != want.Imbalance ||
@@ -362,6 +360,23 @@ func TestSessionStatefulPostmap(t *testing.T) {
 	}
 }
 
+// TestPostmapSessionRefusesTooManyLabels: a postmap session over more
+// processors than partition.Remap relabels is refused at create with a
+// 400, so no session exists that could never step; the inner spec's
+// session at the same count is served.
+func TestPostmapSessionRefusesTooManyLabels(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	h := testHierarchy(0)
+	r := post(t, ts.URL+"/v1/session", SessionCreateRequest{Hierarchy: &h, Partitioner: "postmap(domain)", NProcs: maxProcs}, nil)
+	if raw, _ := io.ReadAll(r.Body); r.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "too many labels") {
+		t.Fatalf("postmap session at %d processors: status %d\n%s\nwant 400 naming the bound", maxProcs, r.StatusCode, raw)
+	}
+	if n := srv.sessions.created.Load(); n != 0 {
+		t.Fatalf("the refused create left %d sessions", n)
+	}
+	createSession(t, ts.URL, h, "domain", maxProcs)
+}
+
 // TestPostmapSessionStepAnsweredByDeadline: at 2048 processors the
 // relabel's match runs for seconds on a step whose answer moved, yet it
 // polls the request context, so under a 50 ms RequestTimeout T the step
@@ -379,9 +394,9 @@ func TestPostmapSessionStepAnsweredByDeadline(t *testing.T) {
 	}
 	sess := srv.sessions.lookup(create.Session)
 	sess.mu.Lock()
-	h, prevH, prevA := sess.h, sess.prevH, sess.prevA
+	h, prevA := sess.h, sess.prevA
 	sess.mu.Unlock()
-	if prevA == nil || prevH != h {
+	if prevA == nil {
 		t.Fatal("the first step committed no history")
 	}
 
@@ -394,7 +409,7 @@ func TestPostmapSessionStepAnsweredByDeadline(t *testing.T) {
 	t.Logf("second step: 504 after %v", elapsed)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.h != h || sess.prevH != prevH || sess.prevA != prevA || srv.sessions.steps.Load() != 1 {
+	if sess.h != h || sess.prevA != prevA || srv.sessions.steps.Load() != 1 {
 		t.Error("the step that ran out of time committed state")
 	}
 }

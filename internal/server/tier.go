@@ -18,7 +18,7 @@ import (
 // blob, full disk) degrades to a local partitioner run, never to a wire
 // error. Every key it sees names a pure function of its content: a
 // postmap spec is looked up under its inner partitioner's name and
-// relabeled after the lookup (postmapInner).
+// relabeled after the lookup (parseSpec).
 
 // tierKeyOf derives the content-addressed fleet key for a partition
 // cache key. Every daemon derives the identical key from the identical

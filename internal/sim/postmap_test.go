@@ -18,12 +18,11 @@ import (
 
 // refPostMapped is the stateful post-mapping wrapper the pipeline's
 // relabel pass replaced, kept as its oracle: one instance carries the
-// previous call's hierarchy and answer, and every call relabels the
-// inner answer against them. (partition.TestRemapMatchesReference
+// previous call's answer, and every call relabels the inner answer
+// against it. (partition.TestRemapMatchesReference
 // holds Remap itself to the old relabel body.)
 type refPostMapped struct {
 	pm    *partition.PostMapped
-	prevH *grid.Hierarchy
 	prevA *partition.Assignment
 }
 
@@ -34,10 +33,10 @@ func (r *refPostMapped) Partition(ctx context.Context, h *grid.Hierarchy, nprocs
 	if err != nil {
 		return nil, err
 	}
-	if a, err = partition.Remap(ctx, r.prevH, r.prevA, h, a); err != nil {
+	if a, err = partition.Remap(ctx, r.prevA, a); err != nil {
 		return nil, err
 	}
-	r.prevH, r.prevA = h.Clone(), a
+	r.prevA = a
 	return a, nil
 }
 

@@ -197,7 +197,7 @@ func TestEvaluateMatchesRaster(t *testing.T) {
 					a := mustPartition(t, p, snap.H, np)
 					if postmap {
 						var err error
-						if a, err = partition.Remap(bg, hPrev, aPrev, snap.H, a); err != nil {
+						if a, err = partition.Remap(bg, aPrev, a); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -588,7 +588,7 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		}
 		name := ps[i].Name()
 		if j, ok := last[name]; ok {
-			a, err := partition.Remap(ctx, tr.Snapshots[j].H, as[j], tr.Snapshots[i].H, as[i])
+			a, err := partition.Remap(ctx, as[j], as[i])
 			if err != nil {
 				return nil, err
 			}

@@ -8,9 +8,9 @@
 //     restarted daemon comes back warm.
 //   - Ring: a rendezvous-hash ring over a static peer set, assigning
 //     every key an owner daemon consistently across the fleet.
-//   - PeerClient: a retrying HTTP client for the GET/PUT /v1/tier/{key}
-//     peer protocol served by internal/server, with jittered retries
-//     that never wait out a Retry-After, and a circuit breaker on
+//   - PeerClient: an HTTP client for the GET/PUT /v1/tier/{key} peer
+//     protocol served by internal/server that tries each exchange once,
+//     never waiting out a Retry-After, with a circuit breaker on
 //     repeatedly failing peers.
 //
 // Tier composes them into the memo.Tier shape (Lookup consults disk

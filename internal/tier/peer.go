@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"sort"
 	"sync"
@@ -14,25 +13,24 @@ import (
 )
 
 // Peer protocol: GET /v1/tier/{key} answers 200 with the blob or 404
-// for a miss; PUT /v1/tier/{key} stores the body and answers 204. A 429
-// or 503 is retried like a transport failure, on the retry policy's own
-// jittered step: the client does not wait out a Retry-After, because a
-// slow tier lookup is worse than a local recompute.
+// for a miss; PUT /v1/tier/{key} stores the body and answers 204. The
+// client tries every exchange once and never waits out a Retry-After:
+// any other outcome is a miss at once, because the local compute it
+// falls back to costs less than a wait before a second try.
 
 // maxPeerBlobBytes bounds a peer response read: far above any real
 // assignment blob, far below a memory hazard.
 const maxPeerBlobBytes = 64 << 20
 
-// PeerClient fetches and offers tier blobs over HTTP, wrapping every
-// exchange in a jittered retry policy and a per-peer circuit breaker:
-// after failLimit consecutive transport/5xx failures a peer is skipped
-// entirely for cooldown, so a dead daemon costs each request nothing
-// instead of a connect timeout. Every failure mode reports a miss — the
-// tier contract — and 404 is a clean miss that resets the breaker (the
-// peer is healthy, it just lacks the key).
+// PeerClient fetches and offers tier blobs over HTTP, trying every
+// exchange once behind a per-peer circuit breaker: after failLimit
+// consecutive failed exchanges a peer is skipped entirely for
+// cooldown, so a dead daemon costs each request nothing instead of a
+// connect timeout. Every failure mode reports a miss — the tier
+// contract — and 404 is a clean miss that resets the breaker (the peer
+// is healthy, it just lacks the key).
 type PeerClient struct {
 	hc        *http.Client
-	policy    retryPolicy
 	failLimit int
 	cooldown  time.Duration
 	now       func() time.Time // breaker clock; tests inject a fake
@@ -69,33 +67,17 @@ type BreakerState struct {
 }
 
 // The peer client's settings suit a same-datacenter fleet: a tight
-// timeout and few retries, because a slow tier lookup is worse than a
-// local recompute.
+// timeout, because a slow tier lookup is worse than a local recompute.
 const (
 	peerTimeout   = 2 * time.Second // per HTTP request
-	retryAttempts = 2               // tries per exchange, the first included
-	retryBase     = 25 * time.Millisecond
-	retryMax      = 5 * time.Second
 	peerFailLimit = 3               // consecutive failures that open a breaker
 	peerCooldown  = 5 * time.Second // how long an open breaker skips its peer
 )
-
-// retryPolicy shapes the retries of one peer exchange.
-type retryPolicy struct {
-	// Attempts is the maximum number of tries including the first.
-	Attempts int
-	// Base is the pre-jitter wait before the second attempt; each
-	// further wait doubles it.
-	Base time.Duration
-	// Max caps the pre-jitter wait.
-	Max time.Duration
-}
 
 // newPeerClient builds a client with the fleet's settings.
 func newPeerClient() *PeerClient {
 	return &PeerClient{
 		hc:        &http.Client{Timeout: peerTimeout},
-		policy:    retryPolicy{Attempts: retryAttempts, Base: retryBase, Max: retryMax},
 		failLimit: peerFailLimit,
 		cooldown:  peerCooldown,
 		now:       time.Now,
@@ -171,69 +153,39 @@ func (c *PeerClient) BreakerStates() []BreakerState {
 	return out
 }
 
-// retry runs op until it succeeds, fails for good, exhausts
-// p.Attempts, or ctx ends. op reports whether its failure is worth
-// another attempt; any other failure returns at once. Each wait is the
-// exponential step plus full jitter (a uniform extra step), so
-// synchronized clients spread out, and ctx interrupts it: a cancelled
-// caller gets ctx's error without sleeping out the wait. When attempts
-// run out, the last attempt's error is returned.
-func retry(ctx context.Context, p retryPolicy, op func(context.Context) (again bool, err error)) error {
-	wait := p.Base
-	for attempt := 1; ; attempt++ {
-		again, err := op(ctx)
-		if err == nil || !again || attempt >= p.Attempts {
-			return err
-		}
-		step := min(wait, p.Max)
-		t := time.NewTimer(step + rand.N(step))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-		wait *= 2
-	}
-}
-
-// exchange is the one round trip behind Fetch and Put:
-// breaker gate → counter → retried request → status class → breaker
-// report. Transport errors, 429 and 503 are retried; every other
-// status goes to handle, which consumes the ones its caller understands
-// and returns statusErr for the rest. errPeerMiss from handle is the
-// one error that reports the peer healthy.
+// exchange is the one round trip behind Fetch and Put, tried once:
+// breaker gate → counter → request → handle → breaker report. handle
+// consumes the statuses its caller understands and returns statusErr
+// for the rest; errPeerMiss from it is the one error that reports the
+// peer healthy.
 func (c *PeerClient) exchange(ctx context.Context, peer string, count *atomic.Uint64,
 	method, url string, body []byte, handle func(*http.Response) error) error {
 	if !c.allowed(peer) {
 		return fmt.Errorf("tier: peer %s: breaker open", peer)
 	}
 	count.Add(1)
-	err := retry(ctx, c.policy, func(ctx context.Context) (bool, error) {
+	err := func() error {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, peer+url, rd)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/octet-stream")
 		}
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			return true, err
+			return err
 		}
 		defer func() {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for keep-alive
 			resp.Body.Close()
 		}()
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-			return true, statusErr(peer, resp)
-		}
-		return false, handle(resp)
-	})
+		return handle(resp)
+	}()
 	// A failure after the caller's own context ended (client gone,
 	// request timeout, a tiny deadline budget) says nothing about the
 	// peer, so it does not feed the breaker.

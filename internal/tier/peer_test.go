@@ -20,20 +20,13 @@ import (
 
 var bg = context.Background()
 
-// fastPeer is a client whose retries and cooldowns keep tests quick.
+// fastPeer is a client whose timeout and cooldown keep tests quick.
 func fastPeer() *PeerClient {
 	c := newPeerClient()
 	c.hc = &http.Client{Timeout: time.Second}
-	c.policy = retryPolicy{Attempts: 2, Base: time.Millisecond, Max: 2 * time.Millisecond}
 	c.failLimit = 2
 	c.cooldown = 50 * time.Millisecond
 	return c
-}
-
-// quickRetries shortens tr's retry waits to a millisecond base while
-// keeping the fleet's attempt count and cap.
-func quickRetries(tr *Tier) {
-	tr.client.policy.Base = time.Millisecond
 }
 
 // tierHandler is a minimal in-memory peer-protocol server.
@@ -75,9 +68,9 @@ func TestPeerClientGetPut(t *testing.T) {
 }
 
 // TestPeerClientIgnoresRetryAfter: a peer answering 503 with a
-// Retry-After of 30 s costs a lookup the default policy's two quick
-// attempts, not the 30 s it names. The lookup is a miss, and the
-// failure feeds the breaker.
+// Retry-After of 30 s costs a lookup one request and no wait, not the
+// 30 s it names. The lookup is a miss, and the failure feeds the
+// breaker once.
 func TestPeerClientIgnoresRetryAfter(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -99,96 +92,12 @@ func TestPeerClientIgnoresRetryAfter(t *testing.T) {
 	if ok {
 		t.Fatal("a 503 peer served a hit")
 	}
-	if calls.Load() != 2 {
-		t.Errorf("peer saw %d requests, want the policy's 2 attempts", calls.Load())
+	if calls.Load() != 1 {
+		t.Errorf("peer saw %d requests, want 1", calls.Load())
 	}
 	st := tr.Stats()
 	if st.Misses != 1 || len(st.Breakers) != 1 || st.Breakers[0].Fails != 1 {
 		t.Errorf("stats = %+v, want one miss and one failure on the peer's breaker", st)
-	}
-}
-
-// fastRetry keeps the retry loop's waits well under a second.
-var fastRetry = retryPolicy{Attempts: 4, Base: time.Millisecond, Max: 4 * time.Millisecond}
-
-func TestRetrySucceedsFirstTry(t *testing.T) {
-	calls := 0
-	if err := retry(bg, fastRetry, func(context.Context) (bool, error) { calls++; return false, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
-}
-
-func TestRetryRetriesOnlyRetryable(t *testing.T) {
-	terminal := errors.New("terminal")
-	calls := 0
-	err := retry(bg, fastRetry, func(context.Context) (bool, error) { calls++; return false, terminal })
-	if !errors.Is(err, terminal) || calls != 1 {
-		t.Fatalf("terminal error: err=%v calls=%d, want immediate return", err, calls)
-	}
-
-	calls = 0
-	err = retry(bg, fastRetry, func(context.Context) (bool, error) {
-		calls++
-		if calls < 3 {
-			return true, fmt.Errorf("flaky %d", calls)
-		}
-		return false, nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("flaky op: err=%v calls=%d, want success on 3rd", err, calls)
-	}
-}
-
-func TestRetryAttemptsExhaustedReturnsLastError(t *testing.T) {
-	calls := 0
-	err := retry(bg, fastRetry, func(context.Context) (bool, error) {
-		calls++
-		return true, fmt.Errorf("attempt %d", calls)
-	})
-	if calls != fastRetry.Attempts {
-		t.Fatalf("calls = %d, want %d", calls, fastRetry.Attempts)
-	}
-	if err == nil || err.Error() != "attempt 4" {
-		t.Fatalf("err = %v, want last attempt's error", err)
-	}
-}
-
-func TestRetryContextCancelsSleep(t *testing.T) {
-	ctx, cancel := context.WithCancel(bg)
-	calls := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- retry(ctx, retryPolicy{Attempts: 3, Base: time.Hour, Max: time.Hour}, func(context.Context) (bool, error) {
-			calls++
-			return true, errors.New("busy")
-		})
-	}()
-	time.Sleep(10 * time.Millisecond) // let the op fail and the sleep start
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want canceled", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("cancelled retry kept sleeping")
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
-}
-
-func TestRetryDeadContextBeforeFirstAttempt(t *testing.T) {
-	ctx, cancel := context.WithCancel(bg)
-	cancel()
-	// The op still runs once (it sees the dead ctx itself); the retry
-	// sleep is what ctx interrupts.
-	err := retry(ctx, fastRetry, func(c context.Context) (bool, error) { return true, c.Err() })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want canceled", err)
 	}
 }
 
@@ -402,7 +311,6 @@ func TestTierComposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quickRetries(tr)
 
 	key := Key("x")
 	if _, ok := tr.Lookup(bg, key); ok {
@@ -516,7 +424,6 @@ func newMembers(t *testing.T, n int) []*member {
 		if err != nil {
 			t.Fatal(err)
 		}
-		quickRetries(tr)
 		m.tr = tr
 	}
 	return ms

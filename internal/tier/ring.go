@@ -1,8 +1,8 @@
 package tier
 
 import (
-	"hash/fnv"
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 )
 
@@ -40,7 +40,7 @@ func NewRing(self string, peers []string) *Ring {
 		seen[p] = true
 		r.peers = append(r.peers, p)
 	}
-	sort.Strings(r.peers)
+	slices.Sort(r.peers)
 	return r
 }
 
@@ -52,16 +52,34 @@ func (r *Ring) Peers() []string { return r.peers }
 // Self returns this process's own canonical entry ("" if unset).
 func (r *Ring) Self() string { return r.self }
 
-// Owner returns the peer owning key, or "" for an empty ring.
+// score is peer's rendezvous score for key: FNV-64a over the peer, a
+// zero byte and the key, then murmur3's fmix64 finalizer. FNV alone
+// leaves the scores of URLs that differ only in a port correlated, so
+// one of three loopback members could own no key of a hundred; the
+// finalizer spreads every input bit over the whole score.
+func score(peer, key string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(peer); i++ {
+		h = (h ^ uint64(peer[i])) * prime
+	}
+	h *= prime // the zero byte
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime
+	}
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// Owner returns the peer owning key, or "" for an empty ring: Ranked's
+// first peer, without its allocations. Peers are sorted, so keeping the
+// first of equal scores is Ranked's tie-break.
 func (r *Ring) Owner(key string) string {
 	var best string
 	var bestScore uint64
 	for _, p := range r.peers {
-		h := fnv.New64a()
-		h.Write([]byte(p))   //nolint:errcheck
-		h.Write([]byte{0})   //nolint:errcheck
-		h.Write([]byte(key)) //nolint:errcheck
-		if s := h.Sum64(); s > bestScore || best == "" {
+		if s := score(p, key); s > bestScore || best == "" {
 			best, bestScore = p, s
 		}
 	}
@@ -74,27 +92,7 @@ func (r *Ring) Owner(key string) string {
 // read lands on the same stand-in fleet-wide. Ties (a 64-bit hash
 // collision, effectively never) break by peer name for determinism.
 func (r *Ring) Ranked(key string) []string {
-	type scored struct {
-		peer  string
-		score uint64
-	}
-	ss := make([]scored, len(r.peers))
-	for i, p := range r.peers {
-		h := fnv.New64a()
-		h.Write([]byte(p))   //nolint:errcheck
-		h.Write([]byte{0})   //nolint:errcheck
-		h.Write([]byte(key)) //nolint:errcheck
-		ss[i] = scored{peer: p, score: h.Sum64()}
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].score != ss[j].score {
-			return ss[i].score > ss[j].score
-		}
-		return ss[i].peer < ss[j].peer
-	})
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.peer
-	}
+	out := slices.Clone(r.peers)
+	slices.SortStableFunc(out, func(a, b string) int { return cmp.Compare(score(b, key), score(a, key)) })
 	return out
 }
