@@ -175,6 +175,9 @@
 // lives on the fleet member chosen by rendezvous hashing. A result
 // computed by any member is then served by every member — from its own
 // disk, or from the key's owner in one hop — without recomputation.
+// The member that computed a result stores it and offers it to the
+// key's owner before it answers; identical requests that shared the
+// computation answer without waiting for the offer.
 //
 // Start two daemons that know each other (every member passes the SAME
 // -tier-peers list, naming all members including itself, and its own

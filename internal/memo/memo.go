@@ -14,7 +14,10 @@
 // and to the followers whose own context is also dead; followers with a
 // live context retry and may lead the recompute, so one caller's
 // cancellation never poisons the cache for another (nothing is stored
-// on failure).
+// on failure). A Cache may read through a second level (Tier) on a
+// leader's miss, but it writes only to its own LRU: storing a computed
+// value anywhere else is the caller's business, once the call has
+// returned Miss.
 //
 // The memoization contract callers must uphold: the value stored under
 // a key must be a pure function of that key (content-addressing), and
@@ -48,25 +51,18 @@ const (
 	TierHit = "tier"
 )
 
-// Tier is a pluggable second-level cache consulted behind the miss
-// path. Lookup is invoked only by a singleflight leader whose local
-// lookup missed, so concurrent identical misses consult the tier at
-// most once; Store is invoked only after a successful local compute,
-// so a cancelled leader stores nothing anywhere. A Tier must be purely
-// best-effort: Lookup reports a miss (false) on any failure — network,
-// corruption, timeout — and Store silently drops undeliverable values.
-// The cache then degrades to a local compute; a tier can never turn a
-// computable request into an error. Values crossing the tier must obey
-// the same contract as local entries: pure functions of their key,
-// immutable to every reader.
-type Tier[K comparable, V any] interface {
-	// Lookup returns the tier's value for k, or false on miss or any
-	// failure. It must honour ctx (a dead ctx returns false promptly).
-	Lookup(ctx context.Context, k K) (V, bool)
-	// Store offers v to the tier, best-effort. It must not retain ctx
-	// expectations: it is called outside any request deadline.
-	Store(k K, v V)
-}
+// Tier is a read-through second-level cache consulted behind the miss
+// path: it returns the second level's value for k, or false on a miss
+// or any failure (network, corruption, timeout), and must honour ctx (a
+// dead ctx returns false promptly). Only a singleflight leader whose
+// local lookup missed calls it, so concurrent identical misses consult
+// the tier at most once. The cache never writes to it: a caller that
+// wants a computed value in the second level stores it there itself,
+// once GetOrCompute has reported Miss. A tier can never turn a
+// computable request into an error: a miss degrades to the local
+// compute. Values it returns obey the same contract as local entries:
+// pure functions of their key, immutable to every reader.
+type Tier[K comparable, V any] func(ctx context.Context, k K) (V, bool)
 
 // Cache is a bounded LRU with singleflight miss coalescing. The zero
 // value is not usable; construct with New.
@@ -79,9 +75,8 @@ type Cache[K comparable, V any] struct {
 
 	hits, misses, shared, tierHits atomic.Uint64
 
-	// tier, when set, is the second-level cache behind the miss path
-	// (fleet peers and/or disk). Nil means purely local behavior.
-	// Guarded by mu: SetTier may run while lookups are in flight.
+	// tier, when set, is the read-through second level behind the miss
+	// path (fleet peers and/or disk). Nil means purely local behavior.
 	tier Tier[K, V]
 
 	// onFlight, when set (tests only), is called outside the lock
@@ -120,18 +115,12 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 // must be set before the cache sees concurrent use.
 func (c *Cache[K, V]) SetOnFlight(hook func(k K, leader bool)) { c.onFlight = hook }
 
-// SetTier installs the second-level cache consulted on the leader's
-// miss path (nil disables it). Unlike SetOnFlight it may be swapped at
-// any time: each flight captures the tier installed when it became
-// leader, so in-flight computes finish against the tier they started
-// with. Everything tier-side — fleet failover, corrupt-blob
-// quarantine — stays behind the Tier interface; this cache only ever
-// sees hit-or-miss.
-func (c *Cache[K, V]) SetTier(t Tier[K, V]) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tier = t
-}
+// SetTier installs the second-level lookup consulted on the leader's
+// miss path (nil disables it). Like SetOnFlight it must be set before
+// the cache sees concurrent use. Everything tier-side — fleet failover,
+// corrupt-blob quarantine — stays behind the lookup; this cache only
+// ever sees hit-or-miss.
+func (c *Cache[K, V]) SetTier(t Tier[K, V]) { c.tier = t }
 
 // Get returns the cached value for k, updating recency and the hit
 // counter. A miss is not counted here: miss accounting belongs to
@@ -178,11 +167,10 @@ func (c *Cache[K, V]) Contains(k K) bool {
 // a tier answer is stored locally and returned with the TierHit
 // disposition (no compute ran — misses still count executions
 // exactly), while a tier miss or failure falls through to the local
-// compute, whose successful result is offered back to the tier. The
-// tier sits strictly behind singleflight, so a thundering herd
-// performs at most one tier lookup, and strictly behind the
-// cancelled-leader rule, so a failed compute stores nothing locally
-// or remotely.
+// compute. The tier sits strictly behind singleflight, so a thundering
+// herd performs at most one tier lookup. Either way the leader closes
+// its flight as soon as it has the value: followers never wait for
+// anything but the lookup and the compute.
 func (c *Cache[K, V]) GetOrCompute(ctx context.Context, k K, compute func() (V, error)) (V, string, error) {
 	var zero V
 	for {
@@ -217,24 +205,19 @@ func (c *Cache[K, V]) GetOrCompute(ctx context.Context, k K, compute func() (V, 
 		}
 		f := &flight[V]{done: make(chan struct{})}
 		c.flights[k] = f
-		tier := c.tier // captured under the lock: SetTier may swap it
 		c.mu.Unlock()
 		if hook := c.onFlight; hook != nil {
 			hook(k, true)
 		}
 		disp := Miss
-		if tier != nil {
-			if v, ok := tier.Lookup(ctx, k); ok {
-				f.v, f.err = v, nil
-				disp = TierHit
+		if c.tier != nil {
+			if v, ok := c.tier(ctx, k); ok {
+				f.v, disp = v, TierHit
 			}
 		}
 		if disp == Miss {
 			c.misses.Add(1)
 			f.v, f.err = compute()
-			if f.err == nil && tier != nil {
-				tier.Store(k, f.v)
-			}
 		} else {
 			c.tierHits.Add(1)
 		}

@@ -87,24 +87,18 @@ func (s *Server) resumeSession(ctx context.Context, id string) *session {
 	if !s.tierSessions() {
 		return nil
 	}
-	key := sessionSnapshotKey(id)
-	blob, ok := s.tier.Lookup(ctx, key)
+	// A snapshot that does not decode, or decodes cleanly but fails the
+	// semantic cross-checks (stale signature, non-canonical spec,
+	// invalid geometry), is quarantined like byte damage: it can never
+	// resume.
+	sess, ok := tier.LookupAs(ctx, s.tier, sessionSnapshotKey(id), func(blob []byte) (*session, error) {
+		ss, err := tier.DecodeSessionSnapshot(blob)
+		if err != nil {
+			return nil, err
+		}
+		return s.sessionFromSnapshot(id, ss)
+	})
 	if !ok {
-		s.sessions.resumeMisses.Add(1)
-		return nil
-	}
-	ss, err := tier.DecodeSessionSnapshot(blob)
-	if err != nil {
-		s.tier.ReportCorrupt(key)
-		s.sessions.resumeMisses.Add(1)
-		return nil
-	}
-	sess, err := s.sessionFromSnapshot(id, ss)
-	if err != nil {
-		// Decoded cleanly but fails the semantic cross-checks (stale
-		// signature, non-canonical spec, invalid geometry):
-		// quarantine it like byte damage — it can never resume.
-		s.tier.ReportCorrupt(key)
 		s.sessions.resumeMisses.Add(1)
 		return nil
 	}

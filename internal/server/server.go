@@ -652,12 +652,19 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // partitionCached is the one path from a hierarchy to its assignment
 // through the partition cache (hence singleflight and the fleet tier),
 // shared by the one-shot and session-step handlers: sp's answer,
-// before any postmap relabel, cached under sp.key.
+// before any postmap relabel, cached under sp.key. A miss — this
+// request ran the partitioner — stores the answer to the tier before
+// the request answers, so an answered result is one hop from every
+// member; the flight's followers already have it by then.
 func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, sp spec, nprocs int) (partition.Packed, string, error) {
 	key := CacheKey{Sig: sig, Partitioner: sp.key, NProcs: nprocs}
-	return s.cache.GetOrCompute(ctx, key, func() (partition.Packed, error) {
+	p, disp, err := s.cache.GetOrCompute(ctx, key, func() (partition.Packed, error) {
 		return packed(sp.p.Partition(ctx, h, nprocs))
 	})
+	if disp == CacheMiss && s.tier != nil {
+		s.tier.Store(tierKeyOf(key), tier.EncodePacked(p))
+	}
+	return p, disp, err
 }
 
 // packed packs a partitioner's answer. Every answer of a hierarchy

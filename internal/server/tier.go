@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -11,14 +12,16 @@ import (
 	"samr/internal/tier"
 )
 
-// The fleet cache tier: a second-level cache behind the partition
-// cache's memo.Tier hook, composed of a local disk store and the peer
-// daemons named in Config.TierPeers (a rendezvous-hash ring). It is an
-// optimization layer only — every tier failure (dead peer, corrupt
-// blob, full disk) degrades to a local partitioner run, never to a wire
-// error. Every key it sees names a pure function of its content: a
-// postmap spec is looked up under its inner partitioner's name and
-// relabeled after the lookup (parseSpec).
+// The fleet cache tier: a second-level cache composed of a local disk
+// store and the peer daemons named in Config.TierPeers (a
+// rendezvous-hash ring). The partition cache reads through it on a
+// leader's miss (memo.Tier); partitionCached writes a result it computed
+// back to it before the request answers, the one write besides the
+// session snapshot. It is an optimization layer only — every tier
+// failure (dead peer, corrupt blob, full disk) degrades to a local
+// partitioner run, never to a wire error. Every key it sees names a pure
+// function of its content: a postmap spec is looked up under its inner
+// partitioner's name and relabeled after the lookup (parseSpec).
 
 // tierKeyOf derives the content-addressed fleet key for a partition
 // cache key. Every daemon derives the identical key from the identical
@@ -26,38 +29,6 @@ import (
 // another's lookup.
 func tierKeyOf(k CacheKey) string {
 	return tier.Key(k.Sig.String(), k.Partitioner, strconv.Itoa(k.NProcs))
-}
-
-// assignmentTier adapts a *tier.Tier (blobs) to the partition cache's
-// memo.Tier (packed assignments) — the one memo↔tier binding: it owns
-// the key derivation, the codec, and the corrupt-entry quarantine. Blobs are read into and written from the
-// packed form directly.
-type assignmentTier struct {
-	t *tier.Tier
-}
-
-func (at assignmentTier) Lookup(ctx context.Context, k CacheKey) (partition.Packed, bool) {
-	key := tierKeyOf(k)
-	blob, ok := at.t.Lookup(ctx, key)
-	if !ok {
-		return partition.Packed{}, false
-	}
-	p, err := tier.DecodePacked(blob)
-	if err != nil || p.NumProcs() != k.NProcs {
-		// A damaged blob, one the packed form cannot hold, or a sealed
-		// one for another processor count, which the result writer would
-		// size its load vector by, is a miss, never a wrong answer. A
-		// disk-served blob's entry is dropped so it is not served again;
-		// a peer-served blob has no local copy to drop, and the recompute's
-		// offer replaces it at the peer.
-		at.t.ReportCorrupt(key)
-		return partition.Packed{}, false
-	}
-	return p, true
-}
-
-func (at assignmentTier) Store(k CacheKey, p partition.Packed) {
-	at.t.Store(tierKeyOf(k), tier.EncodePacked(p))
 }
 
 // tierEnabled reports whether the config asks for a tier at all.
@@ -79,7 +50,18 @@ func (s *Server) initTier() error {
 		return err
 	}
 	s.tier = t
-	s.cache.SetTier(assignmentTier{t: t})
+	// A damaged blob, one the packed form cannot hold, or a sealed one
+	// for another processor count, which the result writer would size
+	// its load vector by, is a miss, never a wrong answer.
+	s.cache.SetTier(func(ctx context.Context, k CacheKey) (partition.Packed, bool) {
+		return tier.LookupAs(ctx, t, tierKeyOf(k), func(blob []byte) (partition.Packed, error) {
+			p, err := tier.DecodePacked(blob)
+			if err == nil && p.NumProcs() != k.NProcs {
+				err = fmt.Errorf("blob sealed for %d processors, key for %d", p.NumProcs(), k.NProcs)
+			}
+			return p, err
+		})
+	})
 	// The peer protocol is unguarded like /v1/stats, under one shared
 	// counter pair.
 	es := s.counters("tier")

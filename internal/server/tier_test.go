@@ -8,13 +8,16 @@ import (
 	"maps"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"samr/internal/partition"
 	"samr/internal/tier"
@@ -708,5 +711,260 @@ func TestParentWrittenBlobsStillServe(t *testing.T) {
 	}
 	if st := srv.Tier().Stats(); st.Corrupt != 0 {
 		t.Errorf("tier.corrupt = %d over parent-written blobs", st.Corrupt)
+	}
+}
+
+// ownerStub stands in for the ring owner of a two-member fleet: it
+// answers every tier GET 404 and every PUT 204, after hold returns.
+func ownerStub(tb testing.TB, hold func()) string {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPut {
+			http.Error(w, "not found", http.StatusNotFound)
+			return
+		}
+		io.Copy(io.Discard, r.Body) //nolint:errcheck
+		hold()
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	tb.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// fleetSelf is the computing member's own peer URL. The ring never
+// sends it a request (its own keys are read from its disk), so nothing
+// listens there.
+const fleetSelf = "http://127.0.0.1:1"
+
+// ownerFleetMember is a member of the fleet {fleetSelf, owner} with a
+// disk of its own.
+func ownerFleetMember(tb testing.TB, owner string) *Server {
+	srv, err := New(Config{TierDir: tb.TempDir(), TierPeers: []string{fleetSelf, owner}, TierSelf: fleetSelf})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
+// ownedPost returns the /v1/partition body for the i-th hierarchy of a
+// family of single-patch hierarchies, at the first processor count from
+// 8 whose key the owner holds on the ring {fleetSelf, owner}.
+func ownedPost(tb testing.TB, i int, owner string) string {
+	wire := Hierarchy{
+		Domain:   Box{Dim: 2, Lo: []int{0, 0}, Hi: []int{32, 32}},
+		RefRatio: 2,
+		Levels: [][]Box{
+			{{Dim: 2, Lo: []int{0, 0}, Hi: []int{32, 32}}},
+			{{Dim: 2, Lo: []int{i % 49, i / 49 % 49}, Hi: []int{i%49 + 16, i/49%49 + 16}}},
+		},
+	}
+	h, err := wire.toGrid()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sp, err := parseSpec("domain")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ring := tier.NewRing(fleetSelf, []string{fleetSelf, owner})
+	for n := 8; n < 64; n++ {
+		if ring.Owner(tierKeyOf(CacheKey{Sig: h.Signature(), Partitioner: sp.key, NProcs: n})) == owner {
+			return mustMarshal(tb, PartitionRequest{Hierarchy: &wire, Partitioner: "domain", NProcs: n})
+		}
+	}
+	tb.Fatal("the owner holds no key of this hierarchy")
+	return ""
+}
+
+// burstAnswer is one answer of a burst: its disposition and status,
+// what pending() read as its ServeHTTP returned, and when that was,
+// from the burst's start.
+type burstAnswer struct {
+	disp    string
+	code    int
+	pending bool
+	at      time.Duration
+}
+
+// burst posts body to srv from 1+followers goroutines at once, the
+// leader held until every follower has joined its flight. Each answer
+// is sent on the returned channel as its ServeHTTP returns.
+func burst(srv *Server, body string, followers int, pending func() bool) <-chan burstAnswer {
+	joined := make(chan struct{}, followers)
+	srv.Cache().SetOnFlight(func(_ CacheKey, leader bool) {
+		if !leader {
+			joined <- struct{}{}
+			return
+		}
+		for range followers {
+			<-joined
+		}
+	})
+	answers := make(chan burstAnswer, followers+1)
+	start := time.Now()
+	for range followers + 1 {
+		go func() {
+			rec := serve(srv, http.MethodPost, "/v1/partition", body)
+			answers <- burstAnswer{rec.Header().Get("X-Samr-Cache"), rec.Code, pending(), time.Since(start)}
+		}()
+	}
+	return answers
+}
+
+// TestFollowersAnswerBeforeThePeerOffer holds the computing member's
+// offer to the key's owner open and posts one key from eight requests
+// at once: the seven that share the flight must answer while the offer
+// is still unanswered, and the miss that computed only once the owner
+// has taken the blob. A tier write belongs to the request that computed
+// it; the flight's followers never wait on a peer.
+func TestFollowersAnswerBeforeThePeerOffer(t *testing.T) {
+	const followers = 7
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	owner := ownerStub(t, func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	})
+	var releaseOnce sync.Once
+	releaseOffer := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseOffer) // before the stub's Close, which waits for the held PUT
+	srv := ownerFleetMember(t, owner)
+
+	// The offer is unanswered while the owner holds it and the member's
+	// client has not given up on it (a failed exchange lists the owner's
+	// breaker). Every shared answer must be written while it is, and the
+	// miss only after.
+	var released atomic.Bool
+	pending := func() bool { return !released.Load() && len(srv.Tier().Stats().Breakers) == 0 }
+	check := func(a burstAnswer) {
+		switch {
+		case a.code != http.StatusOK:
+			t.Errorf("status %d", a.code)
+		case a.disp == CacheShared && !a.pending:
+			t.Errorf("a shared answer was written after the offer ended (%v)", a.at)
+		case a.disp == CacheMiss && a.pending:
+			t.Errorf("the miss was written while its offer was held (%v)", a.at)
+		case a.disp != CacheShared && a.disp != CacheMiss:
+			t.Errorf("disposition %q, want shared or miss", a.disp)
+		}
+	}
+	answers := burst(srv, ownedPost(t, 0, owner), followers, pending)
+	for range followers {
+		check(<-answers)
+	}
+	select {
+	case <-entered:
+	case a := <-answers:
+		check(a)
+		t.Fatalf("every request answered (the last %q) and no offer reached the owner", a.disp)
+	}
+	released.Store(true)
+	releaseOffer()
+	check(<-answers)
+	if st := srv.Tier().Stats(); st.Stores != 1 || st.PeerPuts != 1 || len(st.Breakers) != 0 || st.StoreErrors != 0 {
+		t.Fatalf("tier stats = %+v, want one store, offered once and taken", st)
+	}
+	if _, misses, shared := srv.Cache().Stats(); misses != 1 || shared != followers {
+		t.Fatalf("cache misses/shared = %d/%d, want 1/%d", misses, shared, followers)
+	}
+}
+
+// TestTierStoresOnlyComputedAnswers: a miss stores its answer to the
+// tier exactly once; a hit, and an answer the tier served, store
+// nothing. (TestFollowersAnswerBeforeThePeerOffer holds shared answers
+// to the same: seven of them and one miss make one store.)
+func TestTierStoresOnlyComputedAnswers(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, Config{TierDir: dir})
+	h := testHierarchy(6)
+	body := mustMarshal(t, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 8})
+	for i, want := range []string{CacheMiss, CacheHit} {
+		if got := serve(srv, http.MethodPost, "/v1/partition", body).Header().Get("X-Samr-Cache"); got != want {
+			t.Fatalf("post %d answered %q, want %q", i+1, got, want)
+		}
+		if st := srv.Tier().Stats(); st.Stores != 1 {
+			t.Fatalf("after a %s: tier stores = %d, want 1", want, st.Stores)
+		}
+	}
+	// A second member on the same disk is served by the tier.
+	twin, _ := newTestServer(t, Config{TierDir: dir})
+	if got := serve(twin, http.MethodPost, "/v1/partition", body).Header().Get("X-Samr-Cache"); got != CacheTier {
+		t.Fatalf("the twin answered %q, want tier", got)
+	}
+	if st := twin.Tier().Stats(); st.Stores != 0 {
+		t.Fatalf("a tier-served answer stored %d times, want 0", st.Stores)
+	}
+}
+
+// TestCancelledLeaderStoresNothingToTier: a leader whose request dies
+// before its compute answers nothing, and nothing reaches the tier or
+// the cache.
+func TestCancelledLeaderStoresNothingToTier(t *testing.T) {
+	srv, _ := newTestServer(t, Config{TierDir: t.TempDir()})
+	ctx, cancel := context.WithCancel(context.Background())
+	srv.Cache().SetOnFlight(func(_ CacheKey, leader bool) {
+		if leader {
+			cancel()
+		}
+	})
+	h := testHierarchy(7)
+	req := httptest.NewRequest(http.MethodPost, "/v1/partition",
+		strings.NewReader(mustMarshal(t, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 8}))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code == http.StatusOK {
+		t.Fatal("a cancelled leader answered 200")
+	}
+	if st := srv.Tier().Stats(); st.Stores != 0 || srv.Tier().Disk().Len() != 0 {
+		t.Fatalf("a cancelled leader stored to the tier: %+v", st)
+	}
+	if n := srv.Cache().Len(); n != 0 {
+		t.Fatalf("a cancelled leader left %d cache entries", n)
+	}
+}
+
+// BenchmarkFleetMissBurst posts eight identical misses at once to a
+// member of a two-member fleet whose other member owns the key: the
+// leader computes and offers the answer to the owner, and seven
+// followers share the flight. The owner takes each offer at once
+// (healthy) or after holding it 50 ms (holding). It reports each side's
+// mean latency from the burst's start: the followers' should not move
+// with the hold; the leader's carries it.
+func BenchmarkFleetMissBurst(b *testing.B) {
+	const followers, hold = 7, 50 * time.Millisecond
+	for _, c := range []struct {
+		name string
+		hold func()
+	}{
+		{"healthy", func() {}},
+		{"holding", func() { time.Sleep(hold) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			owner := ownerStub(b, c.hold)
+			srv := ownerFleetMember(b, owner)
+			bodies := make([]string, b.N)
+			for i := range bodies {
+				bodies[i] = ownedPost(b, i, owner)
+			}
+			var leader, follower time.Duration
+			b.ResetTimer()
+			for i := range b.N {
+				answers := burst(srv, bodies[i], followers, func() bool { return false })
+				for range followers + 1 {
+					a := <-answers
+					switch {
+					case a.code != http.StatusOK:
+						b.Fatalf("status %d", a.code)
+					case a.disp == CacheMiss:
+						leader += a.at
+					default:
+						follower += a.at
+					}
+				}
+			}
+			b.ReportMetric(float64(leader.Microseconds())/1e3/float64(b.N), "leader-ms/op")
+			b.ReportMetric(float64(follower.Microseconds())/1e3/float64(followers*b.N), "follower-ms/op")
+		})
 	}
 }

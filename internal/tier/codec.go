@@ -13,15 +13,18 @@
 //     never waiting out a Retry-After, with a circuit breaker on
 //     repeatedly failing peers.
 //
-// Tier composes them into the memo.Tier shape (Lookup consults disk
-// then the key's owner peer; Store writes disk and offers the blob to
-// the owner; while an owner's breaker is open both go to the next peer
-// in rendezvous order instead, and a member that comes back empty
-// refills from its own misses and the offers it is sent — nothing runs
-// in the background), and the codec gives partition assignments and
-// session snapshots a versioned, checksummed binary encoding, so a
-// corrupt or truncated entry — disk bit-rot, a torn peer response —
-// degrades to a cache miss, never a wrong answer. Geometry inside a
+// Tier composes them. Lookup consults disk then the key's owner peer,
+// and LookupAs decodes what it finds, quarantining a blob its decoder
+// refuses: that is the read-through lookup behind memo.Tier. Store,
+// which the server calls for a result it computed before it answers,
+// writes disk and offers the blob to the owner. While an owner's
+// breaker is open both go to the next peer in rendezvous order
+// instead, and a member that comes back empty refills from its own
+// misses and the offers it is sent: nothing runs in the background.
+// The codec gives partition assignments and session snapshots a
+// versioned, checksummed binary encoding, so a corrupt or truncated
+// entry — disk bit-rot, a torn peer response — degrades to a cache
+// miss, never a wrong answer. Geometry inside a
 // blob (a snapshot's hierarchies, a fragment's box) is written and read
 // by grid's geometry codec (grid.AppendHierarchy, grid.Reader), the
 // strict reader that checks every count against the bytes left and

@@ -345,10 +345,20 @@ func TestTierComposite(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	// ReportCorrupt drops the local entry.
-	tr.ReportCorrupt(key)
+	// LookupAs hands the blob to its decoder; a blob the decoder
+	// refuses is a miss, counted corrupt, and its local entry dropped.
+	if n, ok := LookupAs(bg, tr, key, func(b []byte) (int, error) { return len(b), nil }); !ok || n != len(smallBlob()) {
+		t.Fatalf("LookupAs = (%d, %v), want the stored blob decoded", n, ok)
+	}
+	refuse := func([]byte) (int, error) { return 0, ErrCorrupt }
+	if _, ok := LookupAs(bg, tr, key, refuse); ok {
+		t.Fatal("LookupAs served a blob its decoder refused")
+	}
 	if _, ok := tr.Disk().Get(key); ok {
-		t.Fatal("corrupt entry survived ReportCorrupt")
+		t.Fatal("a refused entry survived on disk")
+	}
+	if st := tr.Stats(); st.Corrupt != 1 {
+		t.Fatalf("corrupt = %d, want 1", st.Corrupt)
 	}
 }
 

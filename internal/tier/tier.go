@@ -6,14 +6,10 @@ import (
 	"encoding/hex"
 	"net/http"
 	"sync/atomic"
-	"time"
 )
 
 // keyLen is the length of every tier key: lowercase hex sha256.
 const keyLen = 2 * sha256.Size
-
-// storeTimeout bounds the background peer offer of one stored value.
-const storeTimeout = 5 * time.Second
 
 // Key derives the canonical tier key from the parts of a content
 // address (e.g. hierarchy signature, canonical partitioner name,
@@ -55,7 +51,7 @@ type Config struct {
 // first, then the key's ring owner over HTTP. Store writes the disk
 // level and offers the blob to the key's owner, so any fleet member
 // can later find it in at most one hop. Every failure is a miss by
-// contract; Lookup and Store never return errors.
+// contract; Lookup, LookupAs and Store never return errors.
 type Tier struct {
 	disk   *DiskStore // nil: no disk level
 	ring   *Ring      // nil: no peer level
@@ -144,8 +140,10 @@ func (t *Tier) Lookup(ctx context.Context, key string) ([]byte, bool) {
 
 // Store persists key's blob locally and offers it to the key's ring
 // owner, best-effort: a full disk, a dead owner, or an open breaker
-// costs a counter, never the caller's request. The peer offer runs on
-// its own deadline — the computing request already has its answer.
+// costs a counter, never the caller's request. It returns once the
+// offer is answered or the peer client's timeout ends it. The server
+// stores before it answers, so an answered result is already one hop
+// from every member.
 func (t *Tier) Store(key string, blob []byte) {
 	t.stores.Add(1)
 	ok := false
@@ -164,11 +162,9 @@ func (t *Tier) Store(key string, blob []byte) {
 			if failover {
 				t.failoverStores.Add(1)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), storeTimeout)
-			if t.client.Put(ctx, peer, key, blob) {
+			if t.client.Put(context.Background(), peer, key, blob) {
 				ok = true
 			}
-			cancel()
 		}
 	}
 	if !ok {
@@ -176,13 +172,26 @@ func (t *Tier) Store(key string, blob []byte) {
 	}
 }
 
-// ReportCorrupt records a blob that failed to decode and deletes its
-// local disk entry so it is never served again.
-func (t *Tier) ReportCorrupt(key string) {
-	t.corrupt.Add(1)
-	if t.disk != nil {
-		t.disk.Delete(key)
+// LookupAs looks key up and decodes the blob: a blob that decode
+// refuses — byte damage, or a value that fails the caller's own checks
+// — is counted corrupt, its local disk entry is deleted so it is never
+// served again, and it reads as a miss. A peer-served blob has no local
+// copy to drop; the recompute's offer replaces it at the peer.
+func LookupAs[V any](ctx context.Context, t *Tier, key string, decode func([]byte) (V, error)) (V, bool) {
+	var zero V
+	blob, ok := t.Lookup(ctx, key)
+	if !ok {
+		return zero, false
 	}
+	v, err := decode(blob)
+	if err != nil {
+		t.corrupt.Add(1)
+		if t.disk != nil {
+			t.disk.Delete(key)
+		}
+		return zero, false
+	}
+	return v, true
 }
 
 // Stats is the tier's cumulative accounting, shaped for /v1/stats.
@@ -194,8 +203,9 @@ type Stats struct {
 	DiskHits uint64 `json:"disk_hits"`
 	PeerHits uint64 `json:"peer_hits"`
 	Misses   uint64 `json:"misses"`
-	// Stores counts Tier.Store calls (one per successful local
-	// compute); StoreErrors counts stores that landed nowhere.
+	// Stores counts Tier.Store calls (one per answer the server
+	// computed, one per session snapshot); StoreErrors counts stores
+	// that landed nowhere.
 	Stores      uint64 `json:"stores"`
 	StoreErrors uint64 `json:"store_errors"`
 	// Corrupt counts blobs that failed to decode (evicted on sight).

@@ -239,11 +239,10 @@ func census(root, module string) (*censusResult, error) {
 	// one writes down or could be handed by the standard library.
 	used := map[types.Object]bool{}
 	setOutside := map[types.Object]bool{} // fields another package sets
-	ifaces := map[*types.Interface]bool{} // value: declared with type parameters
+	ifaces := map[*types.Interface]bool{}
 	addIface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok {
-			named, _ := t.(*types.Named)
-			ifaces[it] = named != nil && named.TypeParams().Len() > 0
+			ifaces[it] = true
 		}
 	}
 	addIface(types.Universe.Lookup("error").Type())
@@ -504,23 +503,18 @@ func origin(obj types.Object) types.Object {
 }
 
 // viaInterface reports whether some interface in ifaces declares a
-// method of m's name and a pointer to named satisfies it. An interface
-// declared with type parameters (memo.Tier[K, V]) has no instantiation
-// to check against here, so method names alone satisfy it.
+// method of m's name and a pointer to named satisfies it.
 func viaInterface(named *types.Named, m *types.Func, ifaces map[*types.Interface]bool) bool {
 	if named.TypeParams().Len() > 0 {
 		return false
 	}
 	ptr := types.NewPointer(named)
-	mset := types.NewMethodSet(ptr)
-	for it, generic := range ifaces {
-		declares, names := false, true
+	for it := range ifaces {
+		declares := false
 		for i := 0; i < it.NumMethods(); i++ {
-			im := it.Method(i)
-			declares = declares || im.Name() == m.Name()
-			names = names && mset.Lookup(im.Pkg(), im.Name()) != nil
+			declares = declares || it.Method(i).Name() == m.Name()
 		}
-		if declares && (generic && names || !generic && types.Implements(ptr, it)) {
+		if declares && types.Implements(ptr, it) {
 			return true
 		}
 	}
