@@ -1,0 +1,266 @@
+package samr
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// benchRunsSchema is the schema every committed BENCH_PR<N>.json
+// follows: the runs behind a PR's numbers, one JSON line of
+// `bash bench/run.sh` per side of every alternating pair.
+const benchRunsSchema = "samr-bench-runs/1"
+
+// benchRuns is one BENCH_PR<N>.json.
+type benchRuns struct {
+	Schema       string `json:"schema"`
+	PR           int    `json:"pr"`
+	Claim        string `json:"claim"`
+	ParentCommit string `json:"parent_commit"`
+	ChangeCommit string `json:"change_commit"`
+	GoVersion    string `json:"go_version"`
+	NProc        int    `json:"nproc"`
+	CPUModel     string `json:"cpu_model"`
+	Command      string `json:"command"`
+	// Seed is every pair's seed unless the pair names its own.
+	Seed      int                      `json:"seed"`
+	Method    string                   `json:"method"`
+	Workloads map[string]benchWorkload `json:"workloads"`
+}
+
+type benchWorkload struct {
+	Pairs []benchPair `json:"pairs"`
+}
+
+// benchPair is one alternating pair: both sides' run lines and the side
+// that ran first. Batch numbers a later series of pairs, rerun after the
+// first: the side that runs first alternates within a batch.
+type benchPair struct {
+	Pair   int       `json:"pair"`
+	First  string    `json:"first"`
+	Seed   *int      `json:"seed"`
+	Batch  int       `json:"batch"`
+	Parent *benchRun `json:"parent"`
+	Change *benchRun `json:"change"`
+}
+
+// benchRun is the JSON line `bash bench/run.sh` ends a run with.
+type benchRun struct {
+	Correct   *bool                  `json:"correct"`
+	Attempted int                    `json:"attempted"`
+	Failed    int                    `json:"failed"`
+	Metrics   map[string]benchMetric `json:"metrics"`
+}
+
+type benchMetric struct {
+	Value *float64 `json:"value"`
+	Unit  string   `json:"unit"`
+}
+
+// benchDirections reads each end-to-end metric's better direction from
+// BENCHMARK.json.
+func benchDirections(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b struct {
+		EndToEnd []struct {
+			Name   string `json:"name"`
+			Better string `json:"better"`
+		} `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(raw, &b); err != nil {
+		t.Fatalf("BENCHMARK.json: %v", err)
+	}
+	out := map[string]string{}
+	for _, m := range b.EndToEnd {
+		out[m.Name] = m.Better
+	}
+	return out
+}
+
+// checkBenchRun checks one side of a pair.
+func checkBenchRun(r *benchRun, dirs map[string]string) error {
+	switch {
+	case r == nil:
+		return fmt.Errorf("side missing")
+	case r.Correct == nil:
+		return fmt.Errorf("no correct field")
+	case r.Attempted < 1 || r.Failed < 0 || r.Failed > r.Attempted:
+		return fmt.Errorf("attempted %d, failed %d", r.Attempted, r.Failed)
+	case len(r.Metrics) == 0:
+		return fmt.Errorf("no metrics")
+	}
+	for name, m := range r.Metrics {
+		if m.Value == nil || m.Unit == "" {
+			return fmt.Errorf("metric %s without a value or a unit", name)
+		}
+		if dirs[name] == "" {
+			return fmt.Errorf("metric %s is not an end-to-end metric of BENCHMARK.json", name)
+		}
+	}
+	return nil
+}
+
+// median and quartiles of xs (sorted in place), by linear
+// interpolation between order statistics.
+func quantile(xs []float64, q float64) float64 {
+	slices.Sort(xs)
+	pos := q * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
+}
+
+// TestBenchRuns checks every committed BENCH_PR<N>.json against
+// samr-bench-runs/1 — the header fields, both sides of every pair, the
+// metric names of BENCHMARK.json, pairs numbered in order and the side
+// that runs first alternating within a batch — and recomputes, per
+// workload, seed and metric, both sides' medians, the parent's
+// interquartile range and the pairs each side won. With -v it prints
+// that trajectory, file by file, under the machine that ran it:
+//
+//	go test -v -run TestBenchRuns .
+func TestBenchRuns(t *testing.T) {
+	files, err := filepath.Glob("BENCH_PR*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no BENCH_PR*.json committed")
+	}
+	dirs := benchDirections(t)
+	name := regexp.MustCompile(`^BENCH_PR([0-9]+)\.json$`)
+	hex40 := regexp.MustCompile(`^[0-9a-f]{40}$`)
+	sort.Slice(files, func(i, j int) bool {
+		a, _ := strconv.Atoi(name.FindStringSubmatch(files[i])[1])
+		b, _ := strconv.Atoi(name.FindStringSubmatch(files[j])[1])
+		return a < b
+	})
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br benchRuns
+		dec := json.NewDecoder(strings.NewReader(string(raw)))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&br); err != nil {
+			t.Errorf("%s: %v", file, err)
+			continue
+		}
+		pr, _ := strconv.Atoi(name.FindStringSubmatch(file)[1])
+		switch {
+		case br.Schema != benchRunsSchema:
+			t.Errorf("%s: schema %q, want %q", file, br.Schema, benchRunsSchema)
+		case br.PR != pr:
+			t.Errorf("%s: pr %d, want %d", file, br.PR, pr)
+		case !hex40.MatchString(br.ParentCommit):
+			t.Errorf("%s: parent_commit %q is not a commit hash", file, br.ParentCommit)
+		case br.Claim == "" || br.ChangeCommit == "" || br.GoVersion == "" || br.CPUModel == "" || br.Command == "" || br.Method == "":
+			t.Errorf("%s: an empty header field", file)
+		case br.NProc < 1 || br.Seed < 1:
+			t.Errorf("%s: nproc %d, seed %d", file, br.NProc, br.Seed)
+		case len(br.Workloads) == 0:
+			t.Errorf("%s: no workloads", file)
+		}
+		t.Logf("%s (%s, %d CPUs, %s): %s", file, br.CPUModel, br.NProc, br.GoVersion, br.Claim)
+		workloads := make([]string, 0, len(br.Workloads))
+		for w := range br.Workloads {
+			workloads = append(workloads, w)
+		}
+		sort.Strings(workloads)
+		for _, w := range workloads {
+			checkBenchWorkload(t, file, w, br.Workloads[w].Pairs, br.Seed, dirs)
+		}
+	}
+}
+
+// checkBenchWorkload checks one workload's pairs and logs, per seed and
+// metric, parent median [parent IQR] → change median and pairs won.
+func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed int, dirs map[string]string) {
+	t.Helper()
+	if len(pairs) == 0 {
+		t.Errorf("%s %s: no pairs", file, w)
+		return
+	}
+	type side struct{ parent, change []float64 }
+	bySeed := map[int]map[string]*side{}
+	for i, p := range pairs {
+		if p.Pair != i {
+			t.Errorf("%s %s: pair %d numbered %d", file, w, i, p.Pair)
+		}
+		if p.First != "parent" && p.First != "change" {
+			t.Errorf("%s %s pair %d: first %q", file, w, i, p.First)
+		}
+		if i > 0 && p.Batch == pairs[i-1].Batch && p.First == pairs[i-1].First {
+			t.Errorf("%s %s pair %d: %s ran first twice in a row", file, w, i, p.First)
+		}
+		for _, r := range []*benchRun{p.Parent, p.Change} {
+			if err := checkBenchRun(r, dirs); err != nil {
+				t.Errorf("%s %s pair %d: %v", file, w, i, err)
+				return
+			}
+		}
+		if len(p.Parent.Metrics) != len(p.Change.Metrics) {
+			t.Errorf("%s %s pair %d: the sides report different metrics", file, w, i)
+			return
+		}
+		s := seed
+		if p.Seed != nil {
+			s = *p.Seed
+		}
+		if bySeed[s] == nil {
+			bySeed[s] = map[string]*side{}
+		}
+		for m, pv := range p.Parent.Metrics {
+			cv, ok := p.Change.Metrics[m]
+			if !ok {
+				t.Errorf("%s %s pair %d: change lacks %s", file, w, i, m)
+				return
+			}
+			if bySeed[s][m] == nil {
+				bySeed[s][m] = &side{}
+			}
+			bySeed[s][m].parent = append(bySeed[s][m].parent, *pv.Value)
+			bySeed[s][m].change = append(bySeed[s][m].change, *cv.Value)
+		}
+	}
+	seeds := make([]int, 0, len(bySeed))
+	for s := range bySeed {
+		seeds = append(seeds, s)
+	}
+	sort.Ints(seeds)
+	for _, s := range seeds {
+		metrics := make([]string, 0, len(bySeed[s]))
+		for m := range bySeed[s] {
+			metrics = append(metrics, m)
+		}
+		sort.Strings(metrics)
+		for _, m := range metrics {
+			v := bySeed[s][m]
+			won := 0
+			for i := range v.parent {
+				if (dirs[m] == "lower" && v.change[i] < v.parent[i]) || (dirs[m] == "higher" && v.change[i] > v.parent[i]) {
+					won++
+				}
+			}
+			p := slices.Clone(v.parent)
+			pm, q1, q3 := quantile(p, 0.5), quantile(p, 0.25), quantile(p, 0.75)
+			cm := quantile(slices.Clone(v.change), 0.5)
+			t.Logf("  %-16s seed %d %-14s parent %.4g [IQR %.4g–%.4g] → change %.4g (%+.1f%%), change better in %d of %d pairs",
+				w, s, m, pm, q1, q3, cm, 100*(cm-pm)/pm, won, len(v.parent))
+		}
+	}
+}

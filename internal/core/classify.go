@@ -1,7 +1,9 @@
 package core
 
 import (
+	"samr/internal/geom"
 	"samr/internal/grid"
+	"samr/internal/memo"
 )
 
 // Point is a location in the continuous partitioner-centric
@@ -64,7 +66,18 @@ type Classifier struct {
 	// partitionCost estimates the seconds one repartitioning takes on
 	// the current machine; it feeds trade-off 2's quantity (2).
 	partitionCost float64
+	// sigBuf is the encoding scratch of the snapshots' signatures.
+	sigBuf []byte
 }
+
+// loadPenalties holds LoadPenalty by hierarchy content. beta_l is a
+// pure function of the hierarchy and most of Classify's cost, and a
+// classifier meets the same snapshot many times: every run of the
+// meta-partitioner over a trace, and every experiment that classifies
+// it (`samrbench -experiment all -quick` classifies 273 snapshots of 35
+// distinct hierarchies). An entry is a signature and a float; the
+// bound keeps a long-running daemon's share to about a megabyte.
+var loadPenalties = memo.New[geom.Signature, float64](4096)
 
 // NewClassifier returns a classifier with the given partitioning-cost
 // estimate (seconds per repartitioning invocation).
@@ -81,7 +94,13 @@ func (c *Classifier) Classify(h *grid.Hierarchy, timeSlot float64) Sample {
 	s := Sample{Step: c.step, Points: h.NumPoints()}
 	c.step++
 
-	s.BetaL = LoadPenalty(h)
+	var sig geom.Signature
+	sig, c.sigBuf = h.SignatureWith(c.sigBuf[:0])
+	var ok bool
+	if s.BetaL, ok = loadPenalties.Get(sig); !ok {
+		s.BetaL = LoadPenalty(h)
+		loadPenalties.Add(sig, s.BetaL)
+	}
 	s.BetaC = CommunicationPenalty(h)
 	if c.prev != nil {
 		s.BetaM = MigrationPenalty(c.prev, h)

@@ -21,6 +21,27 @@ func TestClassifierFirstSample(t *testing.T) {
 	}
 }
 
+// TestClassifyLoadPenaltyIsMemoizedByContent: BetaL comes from the
+// content-addressed memo, so it must equal LoadPenalty of the
+// hierarchy itself on the first meeting and on every later one, through
+// any classifier and for a copy of the same content, and hierarchies
+// with as many points in other places must not share an entry.
+func TestClassifyLoadPenaltyIsMemoizedByContent(t *testing.T) {
+	var hs []*grid.Hierarchy
+	for x := 0; x < 40; x += 5 {
+		hs = append(hs, refined(geom.NewBox2(x, 3, x+20, 23)))
+	}
+	hs = append(hs, hs[0].Clone())
+	for pass := range 2 {
+		c := NewClassifier(0.01)
+		for i, h := range hs {
+			if got, want := c.Classify(h, 1).BetaL, LoadPenalty(h); got != want {
+				t.Fatalf("pass %d, hierarchy %d: BetaL %v, LoadPenalty %v", pass, i, got, want)
+			}
+		}
+	}
+}
+
 func TestClassifierTracksMaxSize(t *testing.T) {
 	c := NewClassifier(0.01)
 	big := refined(geom.NewBox2(0, 0, 64, 64))

@@ -190,21 +190,27 @@ func AblationPostMapping(ctx context.Context, tr *trace.Trace, nprocs int) (*Tab
 		&partition.DomainSFC{Curve: sfc.Hilbert, UnitSize: 2},
 		partition.NewPostMapped(&partition.DomainSFC{Curve: sfc.Hilbert, UnitSize: 2}),
 	}
-	for _, p := range pairs {
+	t.Rows = make([][]string, len(pairs))
+	err := pool.MapCtx(ctx, pool.Workers(), len(pairs), func(i int) error {
+		p := pairs[i]
 		res, err := sim.SimulateTrace(ctx, tr, p, nprocs, m)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var mig []float64
 		for _, s := range res.Steps {
 			mig = append(mig, s.RelativeMigration)
 		}
-		t.Rows = append(t.Rows, []string{
+		t.Rows[i] = []string{
 			p.Name(),
 			fmt.Sprintf("%.4f", stats.Mean(mig)),
 			fmt.Sprintf("%.1f", res.MeanImbalance()),
 			fmt.Sprintf("%.4f", res.TotalEstTime()),
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"postmap(...) rows must not exceed their base row's migration (same decomposition, aligned labels)",

@@ -6,8 +6,8 @@ import (
 )
 
 // BoxIndex is a uniform-bin spatial index over a BoxList, replacing the
-// brute-force all-pairs intersection scans of the simulator and the AMR
-// substrate with O(1)-ish candidate lookups.
+// brute-force all-pairs intersection scans of the AMR substrate, the
+// partitioners and the penalty models with O(1)-ish candidate lookups.
 //
 // Construction places every box in the single bin containing its Lo
 // corner (its "home bin") and records the largest binned extent per
@@ -18,7 +18,7 @@ import (
 // queries never deduplicate.
 //
 // The index is immutable after New: all query methods are safe for
-// concurrent use, which the parallel simulation pipeline relies on.
+// concurrent use, which the parallel pipelines rely on.
 // Bins key the x/y extents; the per-candidate test is exact, and is one
 // of the package's planar kernels (intersects under Query, overlap
 // under QueryVolume), so a member whose Dim is not 2 is tested and

@@ -98,7 +98,9 @@ type flight[V any] struct {
 	err  error
 }
 
-// New returns a cache holding at most capacity values (minimum 1).
+// New returns a cache holding at most capacity values (minimum 1). Its
+// index grows with its entries, so a process-wide cache bounded for a
+// long-running daemon costs a process that never fills it nothing.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
@@ -106,7 +108,7 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	return &Cache[K, V]{
 		cap:     capacity,
 		order:   list.New(),
-		items:   make(map[K]*list.Element, capacity),
+		items:   make(map[K]*list.Element),
 		flights: make(map[K]*flight[V]),
 	}
 }

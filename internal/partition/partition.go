@@ -99,17 +99,6 @@ func checkUnits(region geom.BoxList, unitSize int) error {
 	return nil
 }
 
-// LevelBoxes returns the fragments of level l grouped per owner.
-func (a *Assignment) LevelBoxes(level int) map[int]geom.BoxList {
-	out := make(map[int]geom.BoxList)
-	for _, f := range a.Fragments {
-		if f.Level == level && !f.Box.Empty() {
-			out[f.Owner] = append(out[f.Owner], f.Box)
-		}
-	}
-	return out
-}
-
 // Loads returns the computational load per processor: cell count
 // weighted by the level's local-step factor (level l work is
 // vol * RefRatio^l per coarse step).

@@ -59,8 +59,8 @@ const maxLabels = 2048
 // gains nothing, so remapping a remapped answer against the same
 // previous step is the identity. Past maxLabels processors it answers
 // ErrTooManyLabels before allocating anything. ctx is polled before
-// each part's row of the overlap and of the benefit, and in the match;
-// a cancelled call returns nil and ctx's error.
+// the overlap scan, before each part's row of the benefit, and in the
+// match; a cancelled call returns nil and ctx's error.
 func Remap(ctx context.Context, prevA, a *Assignment) (*Assignment, error) {
 	n := a.NumProcs
 	if n > maxLabels {
@@ -69,25 +69,10 @@ func Remap(ctx context.Context, prevA, a *Assignment) (*Assignment, error) {
 	if prevA == nil || prevA.NumProcs != n {
 		return a, nil
 	}
-	// benefit[q*n+p] accumulates twice the points of new part q lying in
-	// previous owner p's region (per level, weighted equally per point).
-	benefit := make([]int64, n*n)
-	levels := 0
-	for _, f := range a.Fragments {
-		levels = max(levels, f.Level+1)
+	if err := checkCtx(ctx); err != nil {
+		return nil, err
 	}
-	for l := 0; l < levels; l++ {
-		prevOwned := prevA.LevelBoxes(l)
-		for q, qb := range a.LevelBoxes(l) {
-			if err := checkCtx(ctx); err != nil {
-				return nil, err
-			}
-			row := benefit[q*n : (q+1)*n]
-			for p, pb := range prevOwned {
-				row[p] += 2 * geom.OverlapVolume(qb, pb)
-			}
-		}
-	}
+	benefit := overlapBenefit(prevA, a)
 	// Identity preference: 1 more on the diagonal, so any strict overlap
 	// win dominates the bonus, but exact ties resolve to keeping labels
 	// and label churn needs a real gain.
@@ -110,6 +95,26 @@ func Remap(ctx context.Context, prevA, a *Assignment) (*Assignment, error) {
 		out.Fragments[i] = f
 	}
 	return out, nil
+}
+
+// overlapBenefit returns the n×n row-major benefit matrix of relabeling
+// a against prevA, both over n = a.NumProcs processors: entry q*n+p is
+// twice the points of a's part q lying in prevA's part p, level by
+// level, weighted equally per point. It is one overlap scan over both
+// assignments' fragments, keyed by level and listed under their owners.
+func overlapBenefit(prevA, a *Assignment) []int64 {
+	n := a.NumProcs
+	benefit := make([]int64, n*n)
+	scan := geom.NewOverlapScan()
+	defer scan.Release()
+	for _, f := range a.Fragments {
+		scan.AddA(f.Level, f.Box, f.Owner)
+	}
+	for _, f := range prevA.Fragments {
+		scan.AddB(f.Level, f.Box, f.Owner)
+	}
+	scan.Each(func(_, q, p int, v int64) { benefit[q*n+p] += 2 * v })
+	return benefit
 }
 
 // hungarian solves the square assignment problem on the n×n row-major

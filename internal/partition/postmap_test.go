@@ -12,6 +12,7 @@ import (
 	"samr/internal/apps"
 	"samr/internal/geom"
 	"samr/internal/grid"
+	"samr/internal/sfc"
 )
 
 // relabelingPartitioner wraps an inner partitioner and rotates its part
@@ -39,13 +40,26 @@ func (r *relabelingPartitioner) Partition(ctx context.Context, h *grid.Hierarchy
 	return out, nil
 }
 
+// levelBoxes returns the fragments of level l grouped per owner, empty
+// boxes left out: the grouping the oracles below scan owner pair by
+// owner pair.
+func levelBoxes(a *Assignment, level int) map[int]geom.BoxList {
+	out := make(map[int]geom.BoxList)
+	for _, f := range a.Fragments {
+		if f.Level == level && !f.Box.Empty() {
+			out[f.Owner] = append(out[f.Owner], f.Box)
+		}
+	}
+	return out
+}
+
 // migrationBetween counts points that changed owner between two
 // assignments of the same hierarchy.
 func migrationBetween(h *grid.Hierarchy, a, b *Assignment) int64 {
 	var moved int64
 	for l := range h.Levels {
-		ao := a.LevelBoxes(l)
-		bo := b.LevelBoxes(l)
+		ao := levelBoxes(a, l)
+		bo := levelBoxes(b, l)
 		var stayed int64
 		for p, pb := range ao {
 			if cb, ok := bo[p]; ok {
@@ -129,8 +143,8 @@ func crossMigration(hPrev, hCur *grid.Hierarchy, aPrev, aCur *Assignment) int64 
 	var moved int64
 	for l := 0; l < levels; l++ {
 		shared := geom.OverlapVolume(hPrev.Levels[l].Boxes, hCur.Levels[l].Boxes)
-		po := aPrev.LevelBoxes(l)
-		co := aCur.LevelBoxes(l)
+		po := levelBoxes(aPrev, l)
+		co := levelBoxes(aCur, l)
 		var stayed int64
 		for p, pb := range po {
 			if cb, ok := co[p]; ok {
@@ -245,8 +259,8 @@ func refRemapLabels(prevH *grid.Hierarchy, prevA *Assignment, curH *grid.Hierarc
 		levels = len(prevH.Levels)
 	}
 	for l := 0; l < levels; l++ {
-		prevOwned := prevA.LevelBoxes(l)
-		curOwned := curA.LevelBoxes(l)
+		prevOwned := levelBoxes(prevA, l)
+		curOwned := levelBoxes(curA, l)
 		for q, qb := range curOwned {
 			for p, pb := range prevOwned {
 				overlap[q][p] += geom.OverlapVolume(qb, pb)
@@ -399,6 +413,119 @@ func TestRemapMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// benefitReference is overlapBenefit's map-based body: per level up to
+// a's last, every part of a against every part of prevA, one
+// OverlapVolume per owner pair.
+func benefitReference(prevA, a *Assignment) []int64 {
+	n := a.NumProcs
+	benefit := make([]int64, n*n)
+	levels := 0
+	for _, f := range a.Fragments {
+		levels = max(levels, f.Level+1)
+	}
+	for l := 0; l < levels; l++ {
+		prevOwned := levelBoxes(prevA, l)
+		for q, qb := range levelBoxes(a, l) {
+			for p, pb := range prevOwned {
+				benefit[q*n+p] += 2 * geom.OverlapVolume(qb, pb)
+			}
+		}
+	}
+	return benefit
+}
+
+// TestOverlapBenefitMatchesReference holds the benefit matrix to its
+// map-based body on every consecutive pair of the quick traces at 3
+// and 16 processors, under the meta-partitioner's stable (core's
+// NewMetaPartitioner, which this package cannot import; the postmap
+// member relabeled along the trace, as the simulator does) and the
+// patch family.
+func TestOverlapBenefitMatchesReference(t *testing.T) {
+	stable := []Partitioner{
+		&DomainSFC{Curve: sfc.Morton, UnitSize: 4},
+		NewPostMapped(&DomainSFC{Curve: sfc.Hilbert, UnitSize: 2}),
+		&NatureFable{Curve: sfc.Hilbert, AtomicUnit: 4, Groups: 4, FractionalBlocking: false},
+		&NatureFable{Curve: sfc.Hilbert, AtomicUnit: 1, Groups: 4, FractionalBlocking: true},
+		NewNatureFable(),
+		NewPatchBased(),
+	}
+	for _, app := range apps.Names {
+		tr, err := apps.QuickTrace(context.Background(), app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range stable {
+			for _, np := range []int{3, 16} {
+				var prev *Assignment
+				for _, snap := range tr.Snapshots {
+					a := mustPartition(t, p, snap.H, np)
+					if prev != nil && !reflect.DeepEqual(overlapBenefit(prev, a), benefitReference(prev, a)) {
+						t.Fatalf("%s %s np=%d step %d: benefit differs from the reference", app, p.Name(), np, snap.Step)
+					}
+					if _, ok := p.(*PostMapped); ok {
+						if a, err = Remap(context.Background(), prev, a); err != nil {
+							t.Fatal(err)
+						}
+					}
+					prev = a
+				}
+			}
+		}
+	}
+}
+
+// randomFragmentsOn draws up to 23 fragments over nprocs owners on
+// levels 0 to 3, of sizes that grow with the level: overlapping each
+// other, now and then empty, and on negative coordinates past the edge
+// of a window. They cover nothing in particular.
+func randomFragmentsOn(r *rand.Rand, nprocs int) *Assignment {
+	a := &Assignment{NumProcs: nprocs}
+	for range r.Intn(24) {
+		l := r.Intn(4)
+		w := 8 << l
+		x, y := r.Intn(w+4)-2, r.Intn(w+4)-2
+		b := geom.NewBox2(x, y, x+1+r.Intn(w/2+1), y+1+r.Intn(w/2+1))
+		if r.Intn(8) == 0 {
+			d := r.Intn(2)
+			b.Hi[d] = b.Lo[d] - r.Intn(2)
+		}
+		a.Fragments = append(a.Fragments, Fragment{Level: l, Box: b, Owner: r.Intn(nprocs)})
+	}
+	return a
+}
+
+// TestOverlapBenefitMatchesReferenceOnNonCovers holds the benefit
+// matrix to its map-based body on 2000 pairs of random fragment lists
+// (randomFragmentsOn) at 1 to 5 processors.
+func TestOverlapBenefitMatchesReferenceOnNonCovers(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	for i := range 2000 {
+		np := 1 + i%5
+		prev, a := randomFragmentsOn(r, np), randomFragmentsOn(r, np)
+		if got, want := overlapBenefit(prev, a), benefitReference(prev, a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: benefit %v, reference %v", i, got, want)
+		}
+	}
+}
+
+// FuzzOverlapBenefit is TestOverlapBenefitMatchesReferenceOnNonCovers
+// over the generator's seed and processor count:
+//
+//	go test -run='^$' -fuzz=FuzzOverlapBenefit -fuzztime=10s ./internal/partition/
+func FuzzOverlapBenefit(f *testing.F) {
+	for _, seed := range []int64{1, 2, 52} {
+		f.Add(seed, uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nprocs uint8) {
+		r := rand.New(rand.NewSource(seed))
+		np := 1 + int(nprocs%16)
+		prev, a := randomFragmentsOn(r, np), randomFragmentsOn(r, np)
+		if got, want := overlapBenefit(prev, a), benefitReference(prev, a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("benefit %v, reference %v", got, want)
+		}
+	})
 }
 
 // TestRemapCancelled: Remap polls its context, answers nil and the

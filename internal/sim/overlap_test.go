@@ -1,0 +1,342 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"samr/internal/apps"
+	"samr/internal/core"
+	"samr/internal/geom"
+	"samr/internal/grid"
+	"samr/internal/partition"
+	"samr/internal/trace"
+)
+
+// levelBoxes returns the fragments of level l grouped per owner, empty
+// boxes left out: the grouping the map-based oracles scan owner pair by
+// owner pair.
+func levelBoxes(a *partition.Assignment, level int) map[int]geom.BoxList {
+	out := make(map[int]geom.BoxList)
+	for _, f := range a.Fragments {
+		if f.Level == level && !f.Box.Empty() {
+			out[f.Owner] = append(out[f.Owner], f.Box)
+		}
+	}
+	return out
+}
+
+// migrationReference is Migration's map-based body: per level, the
+// hierarchies' overlap less the overlap of every owner's fragments
+// under both assignments, one OverlapVolume per owner.
+func migrationReference(hPrev, hCur *grid.Hierarchy, aPrev, aCur *partition.Assignment) int64 {
+	levels := min(len(hPrev.Levels), len(hCur.Levels))
+	var moved int64
+	for l := 0; l < levels; l++ {
+		shared := geom.OverlapVolume(hPrev.Levels[l].Boxes, hCur.Levels[l].Boxes)
+		prevOwned := levelBoxes(aPrev, l)
+		curOwned := levelBoxes(aCur, l)
+		var stayed int64
+		for p, pb := range prevOwned {
+			if cb, ok := curOwned[p]; ok {
+				stayed += geom.OverlapVolume(pb, cb)
+			}
+		}
+		moved += shared - stayed
+	}
+	return moved
+}
+
+// evaluateReference is Evaluate's indexed body: the fragments copied
+// per level, a geom.BoxIndex per level, and each communication term an
+// owner-pair scan that queries every fragment's halo reach or coarse
+// footprint.
+func evaluateReference(h *grid.Hierarchy, a *partition.Assignment, m Machine) StepMetrics {
+	loads := a.Loads(h)
+	sm := StepMetrics{Loads: loads, Imbalance: partition.ImbalanceOf(loads)}
+	perLevel := make([][]partition.Fragment, len(h.Levels))
+	for _, f := range a.Fragments {
+		if f.Level < len(h.Levels) {
+			perLevel[f.Level] = append(perLevel[f.Level], f)
+		}
+	}
+	comm := make([]int64, a.NumProcs)
+	msgs := make([]int64, a.NumProcs)
+	indexes := make([]*geom.BoxIndex, len(perLevel))
+	for l, frags := range perLevel {
+		bl := make(geom.BoxList, len(frags))
+		for i, f := range frags {
+			bl[i] = f.Box
+		}
+		indexes[l] = geom.NewBoxIndex(bl)
+	}
+	scan := func(frags, targets []partition.Fragment, idx *geom.BoxIndex, query func(geom.Box) (reach, inner geom.Box), steps int64, total *int64) {
+		pairs := make(map[[2]int]bool)
+		for _, f := range frags {
+			reach, inner := query(f.Box)
+			for _, j := range idx.Query(reach) {
+				g := targets[j]
+				if f.Owner == g.Owner {
+					continue
+				}
+				if vol := reach.Intersect(g.Box).Volume() - inner.Intersect(g.Box).Volume(); vol > 0 {
+					*total += vol * steps
+					comm[f.Owner] += vol * steps
+					pairs[[2]int{f.Owner, g.Owner}] = true
+				}
+			}
+		}
+		sm.Messages += int64(len(pairs)) * steps
+		for p := range pairs {
+			msgs[p[0]] += steps
+		}
+	}
+	halo := func(b geom.Box) (geom.Box, geom.Box) { return b.Grow(1), b }
+	footprint := func(b geom.Box) (geom.Box, geom.Box) { return b.Coarsen(h.RefRatio), geom.Box{} }
+	for l, frags := range perLevel {
+		scan(frags, frags, indexes[l], halo, h.StepFactor(l), &sm.IntraLevelComm)
+		if l > 0 {
+			scan(frags, perLevel[l-1], indexes[l-1], footprint, h.StepFactor(l-1), &sm.InterLevelComm)
+		}
+	}
+	if w := h.Workload(); w > 0 {
+		sm.RelativeComm = float64(sm.TotalComm()) / float64(w)
+	}
+	for p := 0; p < a.NumProcs; p++ {
+		t := float64(sm.Loads[p])*m.CellTime + float64(comm[p])/m.PointBandwidth + float64(msgs[p])*m.MessageLatency
+		sm.EstTime = max(sm.EstTime, t)
+	}
+	return sm
+}
+
+// requireKernelsMatchReference holds Evaluate on (h, a) and Migration
+// from (hPrev, aPrev) to (h, a) to their reference bodies, bit for bit.
+func requireKernelsMatchReference(t *testing.T, where string, hPrev, h *grid.Hierarchy, aPrev, a *partition.Assignment) {
+	t.Helper()
+	m := DefaultMachine()
+	got, err := Evaluate(bg, h, a, m)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if want := evaluateReference(h, a, m); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Evaluate = %+v, reference %+v", where, got, want)
+	}
+	if got, want := Migration(hPrev, h, aPrev, a), migrationReference(hPrev, h, aPrev, a); got != want {
+		t.Fatalf("%s: Migration = %d, reference %d", where, got, want)
+	}
+}
+
+// TestOverlapKernelsMatchReferenceOnQuickTraces runs every consecutive
+// pair of the four quick traces under each member of the
+// meta-partitioner's stable at 3 and 16 processors (the postmap member
+// relabeled along the trace, as simulateTrace does) through Evaluate
+// and Migration and their reference bodies.
+func TestOverlapKernelsMatchReferenceOnQuickTraces(t *testing.T) {
+	for _, app := range apps.Names {
+		tr, err := apps.QuickTrace(bg, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range core.NewMetaPartitioner(core.DefaultPartitionCost).Stable() {
+			for _, np := range []int{3, 16} {
+				var prev *partition.Assignment
+				for i, snap := range tr.Snapshots {
+					a := mustPartition(t, p, snap.H, np)
+					if _, ok := p.(*partition.PostMapped); ok && prev != nil {
+						if a, err = partition.Remap(bg, prev, a); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if i > 0 {
+						where := fmt.Sprintf("%s %s np=%d step %d", app, p.Name(), np, snap.Step)
+						requireKernelsMatchReference(t, where, tr.Snapshots[i-1].H, snap.H, prev, a)
+					}
+					prev = a
+				}
+			}
+		}
+	}
+}
+
+// randomBoxOn returns a random box near window w: mostly inside it,
+// sometimes past its edge or on negative coordinates, and one time in
+// eight empty (a degenerate box whose halo and footprint are not).
+func randomBoxOn(r *rand.Rand, w int) geom.Box {
+	x, y := r.Intn(w+4)-2, r.Intn(w+4)-2
+	b := geom.NewBox2(x, y, x+1+r.Intn(w/2+1), y+1+r.Intn(w/2+1))
+	if r.Intn(8) == 0 {
+		d := r.Intn(2)
+		b.Hi[d] = b.Lo[d] - r.Intn(2)
+	}
+	return b
+}
+
+// randomNonCover draws a hierarchy of one to three levels and, on it,
+// two assignments over nprocs processors that are not exact covers:
+// fragments that overlap each other, empty fragments, fragments that
+// leave cells of the hierarchy out or lie outside it, and fragments on
+// a level past the hierarchy's last. The current hierarchy keeps some
+// of the previous one's levels and redraws the others.
+func randomNonCover(r *rand.Rand, nprocs int) (hPrev, h *grid.Hierarchy, aPrev, a *partition.Assignment) {
+	level := func(l int) grid.Level {
+		w := 8 << l
+		bl := make(geom.BoxList, 1+r.Intn(5))
+		for i := range bl {
+			bl[i] = randomBoxOn(r, w)
+		}
+		return grid.Level{Boxes: bl}
+	}
+	hier := func(keep *grid.Hierarchy) *grid.Hierarchy {
+		out := &grid.Hierarchy{Domain: geom.NewBox2(0, 0, 8, 8), RefRatio: 2}
+		for l := range 1 + r.Intn(3) {
+			if keep != nil && l < len(keep.Levels) && r.Intn(2) == 0 {
+				out.Levels = append(out.Levels, keep.Levels[l])
+				continue
+			}
+			out.Levels = append(out.Levels, level(l))
+		}
+		return out
+	}
+	assign := func(h *grid.Hierarchy) *partition.Assignment {
+		out := &partition.Assignment{NumProcs: nprocs}
+		for range r.Intn(24) {
+			l := r.Intn(len(h.Levels) + 1)
+			out.Fragments = append(out.Fragments, partition.Fragment{Level: l, Box: randomBoxOn(r, 8<<l), Owner: r.Intn(nprocs)})
+		}
+		return out
+	}
+	hPrev = hier(nil)
+	h = hier(hPrev)
+	return hPrev, h, assign(hPrev), assign(h)
+}
+
+// TestOverlapKernelsMatchReferenceOnNonCovers holds Evaluate and
+// Migration to their reference bodies on 2000 random assignments that
+// are not exact covers (randomNonCover), at 1 to 5 processors.
+func TestOverlapKernelsMatchReferenceOnNonCovers(t *testing.T) {
+	r := rand.New(rand.NewSource(52))
+	for i := range 2000 {
+		hPrev, h, aPrev, a := randomNonCover(r, 1+i%5)
+		requireKernelsMatchReference(t, fmt.Sprintf("case %d", i), hPrev, h, aPrev, a)
+	}
+}
+
+// FuzzOverlapKernels is TestOverlapKernelsMatchReferenceOnNonCovers
+// over the generator's seed and processor count:
+//
+//	go test -run='^$' -fuzz=FuzzOverlapKernels -fuzztime=10s ./internal/sim/
+func FuzzOverlapKernels(f *testing.F) {
+	for _, seed := range []int64{1, 2, 52} {
+		f.Add(seed, uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nprocs uint8) {
+		r := rand.New(rand.NewSource(seed))
+		hPrev, h, aPrev, a := randomNonCover(r, 1+int(nprocs%16))
+		requireKernelsMatchReference(t, fmt.Sprintf("seed %d", seed), hPrev, h, aPrev, a)
+	})
+}
+
+// benchStep is one consecutive step pair of a benchmark trace under
+// nature+fable at 16 processors.
+type benchStep struct {
+	hPrev, h *grid.Hierarchy
+	aPrev, a *partition.Assignment
+}
+
+// benchScales are the two scales the kernel benchmarks run at: the
+// quick traces, and paper-16-steps (the bench module's scale, with the
+// layout of its sim.migration_us_per_pair and sim.evaluate_us_per_snap).
+var benchScales = []struct {
+	name string
+	load func(app string) (*trace.Trace, error)
+}{
+	{"quick", func(app string) (*trace.Trace, error) { return apps.QuickTrace(bg, app) }},
+	{"paper-16-steps", func(app string) (*trace.Trace, error) {
+		return apps.Generate(context.Background(), app, apps.PaperConfig(), 16)
+	}},
+}
+
+// benchStepsOf holds each scale's step pairs, built once a process.
+var benchStepsOf = map[string][]benchStep{}
+
+// benchSteps returns the consecutive step pairs of the four
+// applications at scale i of benchScales.
+func benchSteps(b *testing.B, i int) []benchStep {
+	sc := benchScales[i]
+	if out, ok := benchStepsOf[sc.name]; ok {
+		return out
+	}
+	var out []benchStep
+	for _, app := range apps.Names {
+		tr, err := sc.load(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var prev *partition.Assignment
+		for i, snap := range tr.Snapshots {
+			a := mustPartition(b, partition.NewNatureFable(), snap.H, 16)
+			if i > 0 {
+				out = append(out, benchStep{tr.Snapshots[i-1].H, snap.H, prev, a})
+			}
+			prev = a
+		}
+	}
+	benchStepsOf[sc.name] = out
+	return out
+}
+
+// BenchmarkMigration times one migration scan per consecutive step pair
+// of the four applications' traces under nature+fable at 16
+// processors, at both benchScales, against the map-based reference
+// body.
+func BenchmarkMigration(b *testing.B) {
+	for i, sc := range benchScales {
+		steps := benchSteps(b, i)
+		for _, body := range []struct {
+			name string
+			f    func(hPrev, hCur *grid.Hierarchy, aPrev, aCur *partition.Assignment) int64
+		}{{"scan", Migration}, {"reference", migrationReference}} {
+			b.Run(sc.name+"/"+body.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					for _, s := range steps {
+						body.f(s.hPrev, s.h, s.aPrev, s.a)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(steps)), "us/pair")
+			})
+		}
+	}
+}
+
+// BenchmarkEvaluate times Evaluate on every step of BenchmarkMigration's
+// pairs (all but each trace's first), at both benchScales, against the
+// indexed reference body.
+func BenchmarkEvaluate(b *testing.B) {
+	m := DefaultMachine()
+	for i, sc := range benchScales {
+		steps := benchSteps(b, i)
+		for _, body := range []struct {
+			name string
+			f    func(h *grid.Hierarchy, a *partition.Assignment) StepMetrics
+		}{
+			{"scan", func(h *grid.Hierarchy, a *partition.Assignment) StepMetrics {
+				sm, _ := Evaluate(bg, h, a, m)
+				return sm
+			}},
+			{"reference", func(h *grid.Hierarchy, a *partition.Assignment) StepMetrics { return evaluateReference(h, a, m) }},
+		} {
+			b.Run(sc.name+"/"+body.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					for _, s := range steps {
+						body.f(s.h, s.a)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(steps)), "us/snap")
+			})
+		}
+	}
+}

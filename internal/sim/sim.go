@@ -10,17 +10,23 @@
 // components load balance, communication, data migration, and
 // overheads").
 //
-// Architecture: the simulator is built for throughput. Evaluate's two
-// communication terms, the halo each level imports from its own
-// fragments and the footprint it exchanges with the level below, are
-// one owner-pair scan (commScan) run with two queries over a
-// geom.BoxIndex per level; the migration overlap goes through
-// geom.BoxIndex too. The per-snapshot work units of a trace run fan out
+// Architecture: the simulator is built for throughput. Every fragment
+// overlap it counts goes through one kernel, geom.OverlapScan, which
+// sorts two keyed box lists and sweeps them together, handing each
+// overlapping pair of one level to the caller once: Evaluate's two
+// communication terms (the halo each level imports from its own
+// fragments, and the footprint it exchanges with the level below) are
+// two scans over one fragment list, and Migration is the hierarchies'
+// overlap less the same-owner overlap of the two assignments, listed
+// under their owners. partition.Remap builds its benefit matrix with
+// the same kernel. The per-snapshot work units of a trace run fan out
 // over a bounded worker pool (internal/pool) in the phases
 // simulateTrace lists, arranged so the output is bit-identical to a
-// sequential run at any worker count. Every phase honours the caller's
-// context: cancellation stops the pool dispatch, aborts partitioners
-// mid-flight, and returns a nil result with the context's error.
+// sequential run at any worker count; steps and consecutive step pairs
+// are memoized by content across runs. Every phase honours the
+// caller's context: cancellation stops the pool dispatch, aborts
+// partitioners mid-flight, and returns a nil result with the context's
+// error.
 package sim
 
 import (
@@ -112,17 +118,6 @@ type StepMetrics struct {
 // TotalComm returns intra- plus inter-level communication volume.
 func (m StepMetrics) TotalComm() int64 { return m.IntraLevelComm + m.InterLevelComm }
 
-// ownedFragments groups an assignment's fragments per level.
-func ownedFragments(a *partition.Assignment, numLevels int) [][]partition.Fragment {
-	out := make([][]partition.Fragment, numLevels)
-	for _, f := range a.Fragments {
-		if f.Level < numLevels {
-			out[f.Level] = append(out[f.Level], f)
-		}
-	}
-	return out
-}
-
 // checkCtx polls ctx, wrapping its error for the simulator layer.
 func checkCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
@@ -161,17 +156,13 @@ func (s *pairSet) add(k int) {
 }
 
 // evalScratch is the reusable working state of one Evaluate call: the
-// per-processor accumulators, the pair set, the BoxIndex query buffer,
-// and the per-level slice headers. A sync.Pool recycles it across
-// calls (and across the worker pool's concurrent evaluations), so a
-// trace run stops allocating these per snapshot.
+// per-processor accumulators and the pair set. A sync.Pool recycles it
+// across calls (and across the worker pool's concurrent evaluations),
+// so a trace run stops allocating these per snapshot.
 type evalScratch struct {
-	comm    []int64
-	msgs    []int64
-	pairs   pairSet
-	buf     []int
-	indexes []*geom.BoxIndex
-	boxes   geom.BoxList
+	comm  []int64
+	msgs  []int64
+	pairs pairSet
 }
 
 var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -189,7 +180,9 @@ func grow64(s []int64, n int) []int64 {
 
 // Evaluate computes the partition-quality metrics of one assignment on
 // one hierarchy (everything except migration, which needs the previous
-// step). Cancellation is polled per level and per fragment batch; a
+// step). Fragments on levels the hierarchy lacks count in the loads
+// and exchange nothing.
+// Cancellation is polled before each of the two exchange scans; a
 // cancelled call returns the zero StepMetrics and ctx's error, never a
 // partially accumulated one.
 func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m Machine) (StepMetrics, error) {
@@ -198,7 +191,6 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 	}
 	loads := a.Loads(h)
 	sm := StepMetrics{Loads: loads, Imbalance: partition.ImbalanceOf(loads)}
-	perLevel := ownedFragments(a, len(h.Levels))
 	nprocs := a.NumProcs
 
 	sc := evalScratchPool.Get().(*evalScratch)
@@ -206,48 +198,34 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 	sc.comm = grow64(sc.comm, nprocs)
 	sc.msgs = grow64(sc.msgs, nprocs)
 
-	// One BoxIndex per level over the fragment boxes serves both the
-	// intra-level halo scan (query the grown box) and the level-above
-	// inter-level scan (query the coarsened footprint).
-	if cap(sc.indexes) < len(perLevel) {
-		sc.indexes = make([]*geom.BoxIndex, len(perLevel))
-	}
-	indexes := sc.indexes[:len(perLevel)]
-	// One box arena carved into disjoint per-level sub-slices: each
-	// BoxIndex captures its list by reference, so levels must not share
-	// storage, but the arena is reused across Evaluate calls (the
-	// indexes die with the call).
-	total := 0
-	for _, frags := range perLevel {
-		total += len(frags)
-	}
-	if cap(sc.boxes) < total {
-		sc.boxes = make(geom.BoxList, total)
-	}
-	arena := sc.boxes[:total]
-	for l, frags := range perLevel {
-		bl := arena[:len(frags):len(frags)]
-		arena = arena[len(frags):]
-		for i, f := range frags {
-			bl[i] = f.Box
-		}
-		indexes[l] = geom.NewBoxIndex(bl)
-	}
 	// Each level imports its one-cell halo from its own fragments every
 	// local step, and exchanges its footprint with the level below once
-	// per coarse local step.
-	footprint := func(b geom.Box) (geom.Box, geom.Box) { return b.Coarsen(h.RefRatio), geom.Box{} }
-	for l, frags := range perLevel {
-		if err := sc.commScan(ctx, frags, frags, indexes[l], halo, h.StepFactor(l), &sm.IntraLevelComm, &sm.Messages); err != nil {
-			return StepMetrics{}, err
-		}
-		if l == 0 {
-			continue
-		}
-		if err := sc.commScan(ctx, frags, perLevel[l-1], indexes[l-1], footprint, h.StepFactor(l-1), &sm.InterLevelComm, &sm.Messages); err != nil {
-			return StepMetrics{}, err
+	// per coarse local step. Both scans share list B, every evaluated
+	// fragment under its level; list A holds each fragment's query box
+	// under the level whose local step counts the transfer.
+	scan := geom.NewOverlapScan()
+	defer scan.Release()
+	levels := len(h.Levels)
+	for k, f := range a.Fragments {
+		if f.Level < levels {
+			scan.AddA(f.Level, f.Box.Grow(1), k)
+			scan.AddB(f.Level, f.Box, k)
 		}
 	}
+	if err := checkCtx(ctx); err != nil {
+		return StepMetrics{}, err
+	}
+	sc.exchange(scan, a.Fragments, h, true, &sm.IntraLevelComm, &sm.Messages)
+	scan.ResetA()
+	for k, f := range a.Fragments {
+		if f.Level > 0 && f.Level < levels {
+			scan.AddA(f.Level-1, f.Box.Coarsen(h.RefRatio), k)
+		}
+	}
+	if err := checkCtx(ctx); err != nil {
+		return StepMetrics{}, err
+	}
+	sc.exchange(scan, a.Fragments, h, false, &sm.InterLevelComm, &sm.Messages)
 
 	if w := h.Workload(); w > 0 {
 		sm.RelativeComm = float64(sm.TotalComm()) / float64(w)
@@ -269,73 +247,112 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 	return sm, nil
 }
 
-// halo is the intra-level query: a fragment imports the one-cell ring
-// around its box. The ring's overlap |(Grow(1) \ Box) x g| is computed
-// as |Grow(1) x g| - |Box x g| (the ring's pieces tile exactly that
-// difference), avoiding a per-pair ring BoxList.
-func halo(b geom.Box) (reach, inner geom.Box) { return b.Grow(1), b }
-
-// commScan adds one communication term of Evaluate. For each fragment f
-// of frags, the cells of reach less inner (query(f.Box)) that a
-// fragment of targets (indexed by idx) with another owner covers are
-// transferred steps times: they add to *total and to f's owner's
-// volume. Messages are aggregated per (receiver, sender) pair per step
-// — real exchanges pack every fragment transfer between two processors
-// into one message — so each pair the scan finds adds steps to *msgs
-// and to the receiver's count.
-func (sc *evalScratch) commScan(ctx context.Context, frags, targets []partition.Fragment, idx *geom.BoxIndex, query func(geom.Box) (reach, inner geom.Box), steps int64, total, msgs *int64) error {
+// exchange adds one communication term of Evaluate from scan, whose
+// list A holds the query box of fragment f (its halo reach f.Box.Grow(1)
+// when halo is set, else its coarse footprint) and list B the
+// fragments, both indexed into frags. The cells of f's query that a
+// fragment g with another owner covers, less those of f.Box itself for
+// a halo (the ring's pieces tile exactly |Grow(1) x g| - |Box x g|), are
+// transferred StepFactor(key) times: they add to *total and to f's
+// owner's volume. Messages are aggregated per (receiver, sender) pair
+// per level and step — real exchanges pack every fragment transfer
+// between two processors into one message — so each pair a level's
+// pairs find adds that level's steps to *msgs and to the receiver's
+// count.
+func (sc *evalScratch) exchange(scan *geom.OverlapScan, frags []partition.Fragment, h *grid.Hierarchy, halo bool, total, msgs *int64) {
 	nprocs := len(sc.comm)
+	level, steps := -1, int64(0)
+	// flush closes the pair set of the level the scan has left.
+	flush := func() {
+		*msgs += int64(len(sc.pairs.keys)) * steps
+		for _, k := range sc.pairs.keys {
+			sc.msgs[k/nprocs] += steps
+		}
+		sc.pairs.reset(nprocs)
+	}
 	sc.pairs.reset(nprocs)
-	for i, f := range frags {
-		if i%256 == 0 {
-			if err := checkCtx(ctx); err != nil {
-				return err
-			}
+	scan.Each(func(key, i, j int, v int64) {
+		if key != level {
+			flush()
+			level, steps = key, h.StepFactor(key)
 		}
-		reach, inner := query(f.Box)
-		sc.buf = idx.AppendQuery(sc.buf[:0], reach)
-		for _, j := range sc.buf {
-			g := targets[j]
-			if f.Owner == g.Owner {
-				continue
-			}
-			if vol := reach.Intersect(g.Box).Volume() - inner.Intersect(g.Box).Volume(); vol > 0 {
-				*total += vol * steps
-				sc.comm[f.Owner] += vol * steps
-				sc.pairs.add(f.Owner*nprocs + g.Owner)
-			}
+		f, g := &frags[i], &frags[j]
+		if f.Owner == g.Owner {
+			return
 		}
-	}
-	*msgs += int64(len(sc.pairs.keys)) * steps
-	for _, k := range sc.pairs.keys {
-		sc.msgs[k/nprocs] += steps
-	}
-	return nil
+		if halo && f.Box.Intersects(g.Box) {
+			v -= f.Box.Intersect(g.Box).Volume()
+		}
+		if v > 0 {
+			*total += v * steps
+			sc.comm[f.Owner] += v * steps
+			sc.pairs.add(f.Owner*nprocs + g.Owner)
+		}
+	})
+	flush()
 }
 
 // Migration returns the number of grid points that exist in both
 // hierarchies (per-level box overlap) but belong to different owners
 // under the two assignments. Newly created points are excluded: they
 // are filled by prolongation and counted as inter-level communication,
-// not migration.
+// not migration. Fragments on levels either hierarchy lacks move
+// nothing.
 func Migration(hPrev, hCur *grid.Hierarchy, aPrev, aCur *partition.Assignment) int64 {
-	levels := len(hPrev.Levels)
-	if len(hCur.Levels) < levels {
-		levels = len(hCur.Levels)
-	}
-	var moved int64
-	for l := 0; l < levels; l++ {
-		shared := geom.OverlapVolume(hPrev.Levels[l].Boxes, hCur.Levels[l].Boxes)
-		prevOwned := aPrev.LevelBoxes(l)
-		curOwned := aCur.LevelBoxes(l)
-		var stayed int64
-		for p, pb := range prevOwned {
-			if cb, ok := curOwned[p]; ok {
-				stayed += geom.OverlapVolume(pb, cb)
+	return migration(hPrev, hCur, stepFragments{a: aPrev}, stepFragments{a: aCur})
+}
+
+// stepFragments is what a migration scan reads of a step: its
+// assignment's fragments, or when it has none at hand its cached packed
+// fragments, read in place.
+type stepFragments struct {
+	a *partition.Assignment
+	p partition.Packed
+}
+
+// list hands add every fragment below level levels under its owner.
+func (s stepFragments) list(add func(key int, b geom.Box, id int), levels int) {
+	if s.a != nil {
+		for _, f := range s.a.Fragments {
+			if f.Level < levels {
+				add(f.Level, f.Box, f.Owner)
 			}
 		}
-		moved += shared - stayed
+		return
 	}
+	for k := range s.p.Len() {
+		if f := s.p.Fragment(k); f.Level < levels {
+			add(f.Level, f.Box, f.Owner)
+		}
+	}
+}
+
+// migration is Migration over either form of the two assignments: two
+// overlap scans keyed by level, the hierarchies' boxes and then the
+// fragments listed under their owners, whose same-owner overlap stayed
+// put.
+func migration(hPrev, hCur *grid.Hierarchy, prev, cur stepFragments) int64 {
+	levels := min(len(hPrev.Levels), len(hCur.Levels))
+	scan := geom.NewOverlapScan()
+	defer scan.Release()
+	for l := 0; l < levels; l++ {
+		for k, b := range hPrev.Levels[l].Boxes {
+			scan.AddA(l, b, k)
+		}
+		for k, b := range hCur.Levels[l].Boxes {
+			scan.AddB(l, b, k)
+		}
+	}
+	var moved int64
+	scan.Each(func(_, _, _ int, v int64) { moved += v })
+	scan.Reset()
+	prev.list(scan.AddA, levels)
+	cur.list(scan.AddB, levels)
+	scan.Each(func(_, p, q int, v int64) {
+		if p == q {
+			moved -= v
+		}
+	})
 	return moved
 }
 
@@ -404,7 +421,8 @@ var stepsMemoized, migrationsShortCut atomic.Uint64
 // (signature, partitioner, nprocs, machine) step had already been
 // computed — in the same run, an earlier run, or a concurrent one.
 // The migration counter covers consecutive steps with one step key,
-// between which exactly zero points move.
+// between which exactly zero points move; a pair of steps answered by
+// the pair memo is not counted.
 func MemoStats() (partitions, evaluations, migrations uint64) {
 	s := stepsMemoized.Load()
 	return s, s, migrationsShortCut.Load()
@@ -427,8 +445,9 @@ type stepKey struct {
 // stepArtifact is one cached step: the packed assignment plus its
 // evaluated metrics with the per-run fields (Step, Migration,
 // RelativeMigration, the migration share of EstTime) still unset. Both
-// are shared across runs and treated as immutable by every reader; a
-// run that needs the assignment unpacks a copy of its own.
+// are shared across runs and treated as immutable by every reader: a
+// migration scan reads the packed fragments in place, and a run that
+// relabels a step unpacks a copy of its own.
 type stepArtifact struct {
 	a  partition.Packed
 	sm StepMetrics
@@ -440,26 +459,43 @@ type stepArtifact struct {
 // heap (24 B a fragment, the metrics row, the key and the entry),
 // against 37 KB when it held the unpacked Assignment. A full cache is
 // then about 11 MB: it holds the working set of a full experiment
-// sweep while bounding a long-running daemon.
+// sweep while bounding a long-running daemon. The pair memo has the
+// same bound: a run's consecutive pairs are no more than its steps, and
+// an entry (two keys and a count) is a few hundred bytes.
 const stepCacheCap = 2048
 
 var stepCache = memo.New[stepKey, stepArtifact](stepCacheCap)
 
-// flushStepCaches drops the content-addressed step cache (tests use it
-// to compare memoized runs against cold ones).
-func flushStepCaches() { stepCache.Flush() }
+// pairKey addresses the migration between two consecutive steps that
+// no relabel touches: both assignments and both hierarchies are
+// functions of the two step keys, so the count is too.
+type pairKey struct{ prev, cur stepKey }
+
+var pairMemo = memo.New[pairKey, int64](stepCacheCap)
+
+// flushStepCaches drops the content-addressed step cache and the pair
+// memo (tests use it to compare memoized runs against cold ones).
+func flushStepCaches() {
+	stepCache.Flush()
+	pairMemo.Flush()
+}
 
 // simulateTrace is the worker-pool implementation behind
 // SimulateTrace/SimulateTraceSelect, in five phases:
 //  1. the choose hook runs in snapshot order, since it may carry
 //     classifier state (hysteresis);
-//  2. one parallel pass builds every step's whole step key;
+//  2. one parallel pass builds every step's whole step key, each worker
+//     hashing its share of the snapshots through one encoding buffer;
 //  3. every step is partitioned and evaluated in parallel through the
-//     step cache, each writing Steps[i] by index;
-//  4. one serial pass relabels the postmap steps (partition.Remap),
-//     each against the last step that chose the same postmap spec;
+//     step cache, each writing Steps[i] by index and keeping the
+//     cached packed assignment;
+//  4. one serial pass unpacks the postmap steps, and only those, and
+//     relabels them (partition.Remap), each against the last step that
+//     chose the same postmap spec;
 //  5. a parallel pass over consecutive pairs chains the migration
-//     metric over the per-step assignments.
+//     metric, through the pair memo where no relabel is involved; a
+//     scan reads a relabeled step's own copy and any other step's
+//     packed fragments in place.
 //
 // The result is bit-identical to the workers=1 path for any worker
 // count. Cancellation propagates into every phase through pool.MapCtx
@@ -471,17 +507,19 @@ func flushStepCaches() { stepCache.Flush() }
 // (regrid-sparse traces), repeated configurations (the meta-vs-static
 // and ablation sweeps replay the same snapshots many times), and
 // concurrent identical runs all compute each distinct step once. The
-// cache holds each assignment packed and no caller ever holds cache
-// state: a run unpacks its own copy of each assignment its migration
-// scans read. Consecutive steps with one key have bit-identical
-// hierarchies and assignments, so their migration scan short-circuits
-// to its exact value of zero.
+// cache holds each assignment packed and no caller ever writes cache
+// state. Consecutive steps with one key have bit-identical hierarchies
+// and assignments, so their migration scan short-circuits to its exact
+// value of zero. Any other pair of steps that no relabel touches is a
+// pure function of its two keys, and the pair memo (bounded like the
+// step cache) answers it once it has been scanned: only its misses
+// scan.
 //
 // Post-mapping is the one part of a step that depends on the run's
 // history, so it runs after the cache, on the run's own copies:
 // postmap(X) shares X's cached artifact, and phase 4 relabels it. A
 // relabel moves no metric but the per-owner Loads, which it permutes,
-// and migration, which phase 5 computes from the relabeled chain.
+// and migration, which phase 5 scans from the relabeled chain.
 func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h *grid.Hierarchy) partition.Partitioner, nprocs int, m Machine, workers int) (*Result, error) {
 	res := &Result{NumProcs: nprocs}
 	n := len(tr.Snapshots)
@@ -494,15 +532,17 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 
 	// Phase 1.
 	ps := make([]partition.Partitioner, n)
+	names := make([]string, n)
 	for i, snap := range tr.Snapshots {
 		if err := checkCtx(ctx); err != nil {
 			return nil, err
 		}
 		ps[i] = choose(snap.Step, snap.H)
+		names[i] = ps[i].Name()
 	}
-	res.PartitionerName = ps[0].Name()
+	res.PartitionerName = names[0]
 	for i := 1; i < n; i++ {
-		if ps[i].Name() != res.PartitionerName {
+		if names[i] != res.PartitionerName {
 			res.PartitionerName = "dynamic"
 			break
 		}
@@ -511,30 +551,27 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 	// Phase 2.
 	keys := make([]stepKey, n)
 	postmap := make([]bool, n)
-	err := pool.MapCtx(ctx, workers, n, func(i int) error {
-		p := ps[i]
-		if pm, ok := p.(*partition.PostMapped); ok {
-			p, postmap[i] = pm.Inner, true
+	shares := min(max(workers, 1), n)
+	err := pool.MapCtx(ctx, workers, shares, func(c int) error {
+		var buf []byte
+		for i := c * n / shares; i < (c+1)*n/shares; i++ {
+			name := names[i]
+			if pm, ok := ps[i].(*partition.PostMapped); ok {
+				name, postmap[i] = pm.Inner.Name(), true
+			}
+			keys[i] = stepKey{name: name, nprocs: nprocs, m: m}
+			keys[i].sig, buf = tr.Snapshots[i].H.SignatureWith(buf[:0])
 		}
-		keys[i] = stepKey{sig: tr.Snapshots[i].H.Signature(), name: p.Name(), nprocs: nprocs, m: m}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// sameStep reports whether steps i and i+1 are one cached step that
-	// no relabel tells apart.
-	sameStep := func(i int) bool {
-		return !postmap[i] && !postmap[i+1] && keys[i] == keys[i+1]
-	}
 
 	// Phase 3.
-	as := make([]*partition.Assignment, n)
+	packed := make([]partition.Packed, n)
 	res.Steps = make([]StepMetrics, n)
 	err = pool.MapCtx(ctx, workers, n, func(i int) error {
-		// The leader keeps the assignment it computed; the cache gets a
-		// packed copy.
-		var own *partition.Assignment
 		art, disp, err := stepCache.GetOrCompute(ctx, keys[i], func() (stepArtifact, error) {
 			a, err := ps[i].Partition(ctx, tr.Snapshots[i].H, nprocs)
 			if err != nil {
@@ -544,12 +581,11 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 			if err != nil {
 				return stepArtifact{}, err
 			}
-			packed, err := partition.Pack(a)
+			p, err := partition.Pack(a)
 			if err != nil {
 				return stepArtifact{}, fmt.Errorf("sim: step %d: %w", tr.Snapshots[i].Step, err)
 			}
-			own = a
-			return stepArtifact{a: packed, sm: sm}, nil
+			return stepArtifact{a: p, sm: sm}, nil
 		})
 		if err != nil {
 			return err
@@ -557,14 +593,7 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 		if disp != memo.Miss {
 			stepsMemoized.Add(1)
 		}
-		// Phases 4 and 5 read step i's assignment only when a neighbour
-		// is a different step.
-		if (i > 0 && !sameStep(i-1)) || (i+1 < n && !sameStep(i)) {
-			if own == nil {
-				own = art.a.Unpack()
-			}
-			as[i] = own
-		}
+		packed[i] = art.a
 		sm := art.sm
 		// The artifact (and its Loads vector) is shared cache state;
 		// the Result hands Loads to callers the public API makes no
@@ -579,15 +608,15 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 	}
 
 	// Phase 4. last maps a postmap spec to its latest step. A spec's
-	// first step keeps its labels; a one-step trace has nothing to
-	// relabel against (and no assignment copy).
+	// first step keeps its labels.
+	as := make([]*partition.Assignment, n)
 	last := make(map[string]int)
 	for i := range ps {
 		if !postmap[i] {
 			continue
 		}
-		name := ps[i].Name()
-		if j, ok := last[name]; ok {
+		as[i] = packed[i].Unpack()
+		if j, ok := last[names[i]]; ok {
 			a, err := partition.Remap(ctx, as[j], as[i])
 			if err != nil {
 				return nil, err
@@ -595,22 +624,36 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 			res.Steps[i].Loads = relabelLoads(res.Steps[i].Loads, as[i], a)
 			as[i] = a
 		}
-		last[name] = i
+		last[names[i]] = i
 	}
+	// step returns what phase 5 scans of step i: its relabeled
+	// assignment, or its cached packed one read in place.
+	step := func(i int) stepFragments { return stepFragments{a: as[i], p: packed[i]} }
 
 	// Phase 5. Consecutive steps with one key have content-identical
 	// hierarchies and bit-identical assignments, so nothing moves —
 	// every point keeps its owner — and the overlap scan short-circuits
-	// to its exact result of zero.
+	// to its exact result of zero. A pair without a postmap step is
+	// answered by the pair memo, which scans only its misses.
 	err = pool.MapCtx(ctx, workers, n-1, func(j int) error {
 		i := j + 1
 		sm := &res.Steps[i]
-		if sameStep(j) {
-			migrationsShortCut.Add(1)
-		} else {
-			sm.Migration = Migration(tr.Snapshots[i-1].H, tr.Snapshots[i].H, as[i-1], as[i])
+		scan := func() (int64, error) {
+			return migration(tr.Snapshots[j].H, tr.Snapshots[i].H, step(j), step(i)), nil
 		}
-		if np := tr.Snapshots[i-1].H.NumPoints(); np > 0 {
+		switch {
+		case postmap[j] || postmap[i]:
+			sm.Migration, _ = scan()
+		case keys[j] == keys[i]:
+			migrationsShortCut.Add(1)
+		default:
+			mig, _, err := pairMemo.GetOrCompute(ctx, pairKey{keys[j], keys[i]}, scan)
+			if err != nil {
+				return err
+			}
+			sm.Migration = mig
+		}
+		if np := tr.Snapshots[j].H.NumPoints(); np > 0 {
 			sm.RelativeMigration = float64(sm.Migration) / float64(np)
 		}
 		sm.EstTime += float64(sm.Migration) / m.MigrationBandwidth

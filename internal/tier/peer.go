@@ -127,10 +127,10 @@ func (c *PeerClient) report(peer string, ok bool) {
 		b.fails = 0
 		return
 	}
+	c.failures.Add(1)
 	b.fails++
 	if b.fails >= c.failLimit {
 		b.openUntil = c.now().Add(c.cooldown)
-		c.failures.Add(1)
 	}
 }
 

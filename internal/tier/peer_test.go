@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -285,6 +286,37 @@ func TestPeerClientCallerCancellationIsNoPeerFailure(t *testing.T) {
 	}
 	if c.Available(failing.URL) || breakerStateOf(c, failing.URL) != BreakerOpen || c.failures.Load() == 0 {
 		t.Fatalf("5xx answers left the breaker closed: %+v, failures %d", c.BreakerStates(), c.failures.Load())
+	}
+}
+
+// TestPeerFailuresCountEveryFailedExchange: one failed offer reads
+// PeerFailures 1 in the tier's stats while the owner's breaker is still
+// closed (one failure of the three that open it), next to the listed
+// breaker that saw it.
+func TestPeerFailuresCountEveryFailedExchange(t *testing.T) {
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer owner.Close()
+	self := "http://self.invalid:1"
+	tr, err := New(Config{Dir: t.TempDir(), Self: self, Peers: []string{self, owner.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key string
+	for i := 0; key == ""; i++ {
+		if k := Key("probe", string(rune(i))); tr.ring.Owner(k) == owner.URL {
+			key = k
+		}
+	}
+	tr.Store(key, smallBlob())
+	st := tr.Stats()
+	if st.PeerPuts != 1 || st.PeerFailures != 1 {
+		t.Fatalf("after one failed offer: peer puts %d, peer failures %d, want 1 and 1", st.PeerPuts, st.PeerFailures)
+	}
+	want := []BreakerState{{Peer: owner.URL, State: BreakerClosed, Fails: 1}}
+	if !reflect.DeepEqual(st.Breakers, want) {
+		t.Fatalf("breakers = %+v, want %+v", st.Breakers, want)
 	}
 }
 

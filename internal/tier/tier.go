@@ -211,8 +211,13 @@ type Stats struct {
 	// Corrupt counts blobs that failed to decode (evicted on sight).
 	Corrupt uint64 `json:"corrupt"`
 	// Peer protocol accounting (absent peer level: zeros).
-	PeerGets     uint64 `json:"peer_gets"`
-	PeerPuts     uint64 `json:"peer_puts"`
+	PeerGets uint64 `json:"peer_gets"`
+	PeerPuts uint64 `json:"peer_puts"`
+	// PeerFailures counts failed peer exchanges, every one that fed
+	// its peer's breaker a failure (a transport error or a status the
+	// protocol does not expect), whether or not the breaker opened.
+	// An exchange the caller's own context ended and one an open
+	// breaker skipped are not counted.
 	PeerFailures uint64 `json:"peer_failures"`
 	// BreakerSkips counts exchanges suppressed by an open circuit
 	// breaker (the peer was recently down; no request was sent).
