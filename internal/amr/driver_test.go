@@ -117,7 +117,7 @@ func TestHierarchyTracksMovingFeature(t *testing.T) {
 	// The refined footprint must have moved: the overlap between the
 	// first and last level-1 regions should be below their full size.
 	a, b := first.Levels[1].Boxes, last.Levels[1].Boxes
-	ov := geom.OverlapVolume(a, b)
+	ov := geom.OverlapVolumeNaive(a, b)
 	if ov >= a.TotalVolume() && ov >= b.TotalVolume() {
 		t.Error("refined region did not move over 20 rotation steps")
 	}

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -148,16 +149,14 @@ func TestBoxIndexOversizedBoxes(t *testing.T) {
 	}
 }
 
+// TestOverlapVolumeIndexedMatchesNaiveLarge holds both kernels to the
+// oracle on lists large enough that the index bins most boxes.
 func TestOverlapVolumeIndexedMatchesNaiveLarge(t *testing.T) {
-	// Above the small-input cutoff OverlapVolume takes the BoxIndex path;
-	// it must still agree with the oracle.
 	r := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 10; trial++ {
 		a := randomDisjointList(r, 20+r.Intn(20))
 		b := randomDisjointList(r, 20+r.Intn(20))
-		if fast, slow := OverlapVolume(a, b), OverlapVolumeNaive(a, b); fast != slow {
-			t.Fatalf("trial %d: indexed=%d naive=%d", trial, fast, slow)
-		}
+		requireVolume(t, fmt.Sprintf("trial %d", trial), a, b, OverlapVolumeNaive(a, b))
 	}
 }
 

@@ -103,35 +103,10 @@ func (bl BoxList) CoversBox(b Box) bool {
 	return len(rem) == 0 || rem.TotalVolume() == 0
 }
 
-// OverlapVolume returns the number of cells in the intersection of the
-// unions of a and b (both internally disjoint): the pairwise sum of
-// |a_i x b_j|. Small inputs use the direct double loop; larger ones
-// build a BoxIndex over the longer list and sum QueryVolume over the
-// shorter, which is near-linear instead of O(n*m).
-//
-// This is the workhorse of the paper's data-migration penalty
-// (section 4.4): beta_m sums |G_{t-1}^{l,i} x G_t^{l,j}| over all patch
-// pairs of a level.
-func OverlapVolume(a, b BoxList) int64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	if len(a)*len(b) <= 64 {
-		return OverlapVolumeNaive(a, b)
-	}
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	ix := NewBoxIndex(a)
-	var total int64
-	for _, box := range b {
-		total += ix.QueryVolume(box)
-	}
-	return total
-}
-
-// OverlapVolumeNaive is the O(n*m) reference implementation of
-// OverlapVolume, kept as a test oracle.
+// OverlapVolumeNaive returns the number of cells in the intersection of
+// the unions of a and b (both internally disjoint): the pairwise sum of
+// |a_i x b_j|, by the O(n*m) double loop. It is the pairwise oracle the
+// overlap kernels' tests hold OverlapScan and BoxIndex.QueryVolume to.
 func OverlapVolumeNaive(a, b BoxList) int64 {
 	var total int64
 	for i := range a {

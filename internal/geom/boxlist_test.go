@@ -3,6 +3,7 @@ package geom
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -82,37 +83,56 @@ func TestBoxListCoversBox(t *testing.T) {
 	}
 }
 
+// kernelVolumes returns the overlap volume of a and b as the two
+// kernels that replaced a list-against-list call compute it: the sum
+// of one OverlapScan's pairs under a single key, and the sum of a
+// BoxIndex's QueryVolume over a's boxes against b's index.
+func kernelVolumes(a, b BoxList) (scan, indexed int64) {
+	s := NewOverlapScan()
+	defer s.Release()
+	for k, box := range a {
+		s.AddA(0, box, k)
+	}
+	for k, box := range b {
+		s.AddB(0, box, k)
+	}
+	s.Each(func(_, _, _ int, v int64) { scan += v })
+	ix := NewBoxIndex(b)
+	for _, box := range a {
+		indexed += ix.QueryVolume(box)
+	}
+	return scan, indexed
+}
+
+// requireVolume holds both kernels and OverlapVolumeNaive on (a, b) to
+// want.
+func requireVolume(t *testing.T, where string, a, b BoxList, want int64) {
+	t.Helper()
+	scan, indexed := kernelVolumes(a, b)
+	if naive := OverlapVolumeNaive(a, b); scan != want || indexed != want || naive != want {
+		t.Fatalf("%s: scan=%d indexed=%d naive=%d, want %d\na=%v\nb=%v", where, scan, indexed, naive, want, a, b)
+	}
+}
+
 func TestOverlapVolumeMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		a := randomDisjointList(r, 1+r.Intn(12))
 		b := randomDisjointList(r, 1+r.Intn(12))
-		fast := OverlapVolume(a, b)
-		slow := OverlapVolumeNaive(a, b)
-		if fast != slow {
-			t.Fatalf("trial %d: sweep=%d naive=%d\na=%v\nb=%v", trial, fast, slow, a, b)
-		}
+		requireVolume(t, fmt.Sprintf("trial %d", trial), a, b, OverlapVolumeNaive(a, b))
 	}
 }
 
 func TestOverlapVolumeSelf(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	bl := randomDisjointList(r, 10)
-	if got := OverlapVolume(bl, bl); got != bl.TotalVolume() {
-		t.Errorf("self-overlap = %d, want %d", got, bl.TotalVolume())
-	}
+	requireVolume(t, "self-overlap", bl, bl, bl.TotalVolume())
 }
 
 func TestOverlapVolumeEdgeCases(t *testing.T) {
-	if OverlapVolume(nil, BoxList{NewBox2(0, 0, 2, 2)}) != 0 {
-		t.Error("overlap with empty list should be 0")
-	}
+	requireVolume(t, "empty list", nil, BoxList{NewBox2(0, 0, 2, 2)}, 0)
 	// Face-adjacent boxes share no cells.
-	a := BoxList{NewBox2(0, 0, 4, 4)}
-	b := BoxList{NewBox2(4, 0, 8, 4)}
-	if OverlapVolume(a, b) != 0 {
-		t.Error("face-adjacent lists should have zero overlap")
-	}
+	requireVolume(t, "face-adjacent", BoxList{NewBox2(0, 0, 4, 4)}, BoxList{NewBox2(4, 0, 8, 4)}, 0)
 }
 
 // simplify is SimplifyContext under a context that is never done.
@@ -276,16 +296,6 @@ func TestSortByLoDeterministic(t *testing.T) {
 	bl.SortByLo()
 	if bl[0] != NewBox2(0, 0, 1, 1) || bl[1] != NewBox2(5, 0, 6, 1) || bl[2] != NewBox2(0, 3, 1, 4) {
 		t.Errorf("SortByLo order = %v", bl)
-	}
-}
-
-func BenchmarkOverlapVolumeSweep(b *testing.B) {
-	r := rand.New(rand.NewSource(3))
-	x := randomDisjointList(r, 40)
-	y := randomDisjointList(r, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		OverlapVolume(x, y)
 	}
 }
 

@@ -3,16 +3,17 @@
 // vectors, axis-aligned integer boxes, and box-list algebra (intersection,
 // area-of-union, refinement, coarsening, chopping, growing).
 //
-// For anything that would otherwise scan box pairs quadratically —
+// Where one box is queried against a fixed list many times —
 // ghost-exchange candidates, column workloads — the package provides
-// BoxIndex, a uniform-bin spatial index built once per BoxList and
-// queried in near-constant time per box (Query for the intersecting
+// BoxIndex, a uniform-bin spatial index built once per BoxList
+// and queried in near-constant time per box (Query for the intersecting
 // members, QueryVolume for the total overlap volume). The index is
-// immutable and safe for concurrent queries; OverlapVolume routes
-// through it automatically above a small-input cutoff. Where every
-// overlapping pair of two lists is wanted at once — the simulator's
-// communication and migration terms, the post-mapper's benefit matrix
-// — OverlapScan sorts both lists and sweeps them, from pooled scratch.
+// immutable and safe for concurrent queries. Where every overlapping
+// pair of two lists is wanted at once — the simulator's communication
+// and migration terms, the post-mapper's benefit matrix, the overlap of
+// two hierarchies — OverlapScan sorts both lists and sweeps them, from
+// pooled scratch. OverlapVolumeNaive, the pairwise double loop, is the
+// tests' oracle for both.
 //
 // All boxes are cell-centred and use inclusive lower and exclusive upper
 // bounds, i.e. a Box{Lo, Hi} covers the cells Lo <= c < Hi in each

@@ -7,15 +7,17 @@ import (
 	"sync"
 )
 
-// OverlapScan is the fragment-overlap kernel of the simulator and the
-// post-mapper: two keyed lists of boxes, A and B, that the caller
-// fills, and one sweep that hands the caller every pair of an A box and
-// a B box under the same key that share cells, with the number of cells
-// they share. Every caller keys by refinement level, so a scan covers
-// all levels of an assignment at once and pairs never cross levels.
-// sim.Migration sums the same-owner pairs of two assignments,
-// partition.Remap the benefit matrix, and sim.Evaluate its halo and
-// footprint exchanges.
+// OverlapScan is the box-overlap kernel of the simulator, the
+// post-mapper and the migration penalty: two keyed lists of boxes, A
+// and B, that the caller fills, and one sweep that hands the caller
+// every pair of an A box and a B box under the same key that share
+// cells, with the number of cells they share. Every caller keys by
+// refinement level, so a scan covers all levels of an assignment or a
+// hierarchy at once and pairs never cross levels. sim.Migration sums
+// the pairs of two assignments' fragments whose owners differ,
+// grid.TotalOverlap every pair of two hierarchies' patches (beta_m's
+// numerator), partition.Remap the benefit matrix, and sim.Evaluate its
+// halo and footprint exchanges.
 //
 // The sweep sorts both lists by (key, Lo x) and walks them together:
 // the box with the smaller start scans the other list's boxes that

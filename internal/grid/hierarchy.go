@@ -296,34 +296,26 @@ func (h *Hierarchy) checkExtent() error {
 	return nil
 }
 
-// OverlapPoints returns, per level, the number of grid points shared by
-// the two hierarchies' patch sets:
+// TotalOverlap returns the number of grid points the two hierarchies'
+// patch sets share, summed over the levels both have:
 //
-//	overlap[l] = sum_i sum_j |G_a^{l,i} x G_b^{l,j}|
+//	overlap = sum_l sum_i sum_j |G_a^{l,i} x G_b^{l,j}|
 //
-// Levels present in only one hierarchy contribute zero. This is the
-// numerator sum of the paper's data-migration penalty (section 4.4).
-func OverlapPoints(a, b *Hierarchy) []int64 {
-	n := len(a.Levels)
-	if len(b.Levels) > n {
-		n = len(b.Levels)
-	}
-	out := make([]int64, n)
-	for l := 0; l < n; l++ {
-		if l >= len(a.Levels) || l >= len(b.Levels) {
-			continue
-		}
-		out[l] = geom.OverlapVolume(a.Levels[l].Boxes, b.Levels[l].Boxes)
-	}
-	return out
-}
-
-// TotalOverlap returns the sum of OverlapPoints over all levels.
+// the numerator sum of the paper's data-migration penalty (section
+// 4.4). It is one overlap scan keyed by level.
 func TotalOverlap(a, b *Hierarchy) int64 {
-	var t int64
-	for _, v := range OverlapPoints(a, b) {
-		t += v
+	scan := geom.NewOverlapScan()
+	defer scan.Release()
+	for l := range min(len(a.Levels), len(b.Levels)) {
+		for k, box := range a.Levels[l].Boxes {
+			scan.AddA(l, box, k)
+		}
+		for k, box := range b.Levels[l].Boxes {
+			scan.AddB(l, box, k)
+		}
 	}
+	var t int64
+	scan.Each(func(_, _, _ int, v int64) { t += v })
 	return t
 }
 

@@ -124,14 +124,12 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestOverlapPointsIdentical: a hierarchy shares every point of every
+// level with itself.
 func TestOverlapPointsIdentical(t *testing.T) {
 	h := twoLevel()
-	ov := OverlapPoints(h, h)
-	if ov[0] != 32*32 || ov[1] != 16*16 {
-		t.Errorf("self overlap = %v", ov)
-	}
-	if TotalOverlap(h, h) != h.NumPoints() {
-		t.Errorf("TotalOverlap self = %d, want %d", TotalOverlap(h, h), h.NumPoints())
+	if got, want := TotalOverlap(h, h), int64(32*32+16*16); got != want || want != h.NumPoints() {
+		t.Errorf("TotalOverlap self = %d, want %d (NumPoints %d)", got, want, h.NumPoints())
 	}
 }
 
@@ -140,21 +138,18 @@ func TestOverlapPointsShifted(t *testing.T) {
 	b := twoLevel()
 	// Shift level 1 by 8 fine cells: 16x16 overlapping region shrinks to 8x16.
 	b.Levels[1].Boxes[0] = geom.NewBox2(16, 8, 32, 24)
-	ov := OverlapPoints(a, b)
-	if ov[1] != 8*16 {
-		t.Errorf("shifted overlap = %d, want %d", ov[1], 8*16)
+	if got, want := TotalOverlap(a, b), int64(32*32+8*16); got != want {
+		t.Errorf("shifted overlap = %d, want %d", got, want)
 	}
 }
 
+// TestOverlapPointsLevelCountMismatch: a level only one hierarchy has
+// shares nothing, whichever side has it.
 func TestOverlapPointsLevelCountMismatch(t *testing.T) {
 	a := twoLevel()
 	b := NewHierarchy(base(), 2)
-	ov := OverlapPoints(a, b)
-	if len(ov) != 2 {
-		t.Fatalf("overlap length = %d", len(ov))
-	}
-	if ov[0] != 32*32 || ov[1] != 0 {
-		t.Errorf("mismatched-levels overlap = %v", ov)
+	if ab, ba := TotalOverlap(a, b), TotalOverlap(b, a); ab != 32*32 || ba != 32*32 {
+		t.Errorf("mismatched-levels overlap = %d and %d, want %d", ab, ba, 32*32)
 	}
 }
 
@@ -167,6 +162,8 @@ func TestSurfacePoints(t *testing.T) {
 	}
 }
 
+// TestOverlapSymmetry holds TotalOverlap on random hierarchy pairs to
+// symmetry, to both sizes as bounds and to the per-level pairwise sum.
 func TestOverlapSymmetry(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
@@ -176,6 +173,13 @@ func TestOverlapSymmetry(t *testing.T) {
 		}
 		if TotalOverlap(a, b) > a.NumPoints() || TotalOverlap(a, b) > b.NumPoints() {
 			t.Fatalf("overlap exceeds hierarchy size")
+		}
+		var want int64
+		for l := range min(len(a.Levels), len(b.Levels)) {
+			want += geom.OverlapVolumeNaive(a.Levels[l].Boxes, b.Levels[l].Boxes)
+		}
+		if got := TotalOverlap(a, b); got != want {
+			t.Fatalf("trial %d: TotalOverlap = %d, per-level pairwise sum %d", trial, got, want)
 		}
 	}
 }

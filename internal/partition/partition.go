@@ -137,19 +137,26 @@ func ImbalanceOf(loads []int64) float64 {
 }
 
 // Validate checks that the assignment covers every level of h exactly:
-// fragments are disjoint, within the level's boxes, and their total
-// volume matches the level's.
+// every fragment lies on a level h has and has an owner below NumProcs,
+// and each level's fragments are disjoint, within the level's boxes,
+// and their total volume matches the level's. sim.Migration counts
+// moved points only on assignments that pass.
 func (a *Assignment) Validate(h *grid.Hierarchy) error {
 	if a.NumProcs < 1 {
 		return fmt.Errorf("partition: no processors")
+	}
+	for _, f := range a.Fragments {
+		if f.Level < 0 || f.Level >= len(h.Levels) {
+			return fmt.Errorf("partition: fragment %v on level %d of a %d-level hierarchy", f.Box, f.Level, len(h.Levels))
+		}
+		if f.Owner < 0 || f.Owner >= a.NumProcs {
+			return fmt.Errorf("partition: level %d fragment %v has bad owner %d", f.Level, f.Box, f.Owner)
+		}
 	}
 	for l, lev := range h.Levels {
 		var frags geom.BoxList
 		for _, f := range a.Fragments {
 			if f.Level == l {
-				if f.Owner < 0 || f.Owner >= a.NumProcs {
-					return fmt.Errorf("partition: level %d fragment %v has bad owner %d", l, f.Box, f.Owner)
-				}
 				frags = append(frags, f.Box)
 			}
 		}

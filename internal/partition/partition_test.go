@@ -266,6 +266,27 @@ func TestValidateCatchesGaps(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesOffLevelFragments: a fragment on a level the
+// hierarchy lacks, above its last or below 0, is not part of an exact
+// cover, whatever its owner, even when the levels h has are covered.
+func TestValidateRefusesOffLevelFragments(t *testing.T) {
+	h := grid.NewHierarchy(geom.NewBox2(0, 0, 4, 4), 2)
+	cover := Fragment{Level: 0, Box: geom.NewBox2(0, 0, 4, 4), Owner: 0}
+	for _, f := range []Fragment{
+		{Level: 3, Box: geom.NewBox2(0, 0, 2, 2), Owner: 7},
+		{Level: 1, Box: geom.NewBox2(0, 0, 2, 2), Owner: 1},
+		{Level: -1, Box: geom.NewBox2(0, 0, 2, 2), Owner: 0},
+	} {
+		a := &Assignment{NumProcs: 2, Fragments: []Fragment{cover, f}}
+		if err := a.Validate(h); err == nil {
+			t.Errorf("Validate accepted a fragment on level %d of a one-level hierarchy", f.Level)
+		}
+	}
+	if err := (&Assignment{NumProcs: 2, Fragments: []Fragment{cover}}).Validate(h); err != nil {
+		t.Errorf("Validate refused the exact cover: %v", err)
+	}
+}
+
 func TestCutChainProportions(t *testing.T) {
 	w := make([]int64, 100)
 	for i := range w {

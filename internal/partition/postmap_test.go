@@ -63,7 +63,7 @@ func migrationBetween(h *grid.Hierarchy, a, b *Assignment) int64 {
 		var stayed int64
 		for p, pb := range ao {
 			if cb, ok := bo[p]; ok {
-				stayed += geom.OverlapVolume(pb, cb)
+				stayed += geom.OverlapVolumeNaive(pb, cb)
 			}
 		}
 		moved += h.Levels[l].NumPoints() - stayed
@@ -142,13 +142,13 @@ func crossMigration(hPrev, hCur *grid.Hierarchy, aPrev, aCur *Assignment) int64 
 	}
 	var moved int64
 	for l := 0; l < levels; l++ {
-		shared := geom.OverlapVolume(hPrev.Levels[l].Boxes, hCur.Levels[l].Boxes)
+		shared := geom.OverlapVolumeNaive(hPrev.Levels[l].Boxes, hCur.Levels[l].Boxes)
 		po := levelBoxes(aPrev, l)
 		co := levelBoxes(aCur, l)
 		var stayed int64
 		for p, pb := range po {
 			if cb, ok := co[p]; ok {
-				stayed += geom.OverlapVolume(pb, cb)
+				stayed += geom.OverlapVolumeNaive(pb, cb)
 			}
 		}
 		moved += shared - stayed
@@ -263,7 +263,7 @@ func refRemapLabels(prevH *grid.Hierarchy, prevA *Assignment, curH *grid.Hierarc
 		curOwned := levelBoxes(curA, l)
 		for q, qb := range curOwned {
 			for p, pb := range prevOwned {
-				overlap[q][p] += geom.OverlapVolume(qb, pb)
+				overlap[q][p] += geom.OverlapVolumeNaive(qb, pb)
 			}
 		}
 	}
@@ -417,7 +417,7 @@ func TestRemapMatchesReference(t *testing.T) {
 
 // benefitReference is overlapBenefit's map-based body: per level up to
 // a's last, every part of a against every part of prevA, one
-// OverlapVolume per owner pair.
+// OverlapVolumeNaive per owner pair.
 func benefitReference(prevA, a *Assignment) []int64 {
 	n := a.NumProcs
 	benefit := make([]int64, n*n)
@@ -429,7 +429,7 @@ func benefitReference(prevA, a *Assignment) []int64 {
 		prevOwned := levelBoxes(prevA, l)
 		for q, qb := range levelBoxes(a, l) {
 			for p, pb := range prevOwned {
-				benefit[q*n+p] += 2 * geom.OverlapVolume(qb, pb)
+				benefit[q*n+p] += 2 * geom.OverlapVolumeNaive(qb, pb)
 			}
 		}
 	}

@@ -30,18 +30,18 @@ func levelBoxes(a *partition.Assignment, level int) map[int]geom.BoxList {
 
 // migrationReference is Migration's map-based body: per level, the
 // hierarchies' overlap less the overlap of every owner's fragments
-// under both assignments, one OverlapVolume per owner.
+// under both assignments, one OverlapVolumeNaive per owner.
 func migrationReference(hPrev, hCur *grid.Hierarchy, aPrev, aCur *partition.Assignment) int64 {
 	levels := min(len(hPrev.Levels), len(hCur.Levels))
 	var moved int64
 	for l := 0; l < levels; l++ {
-		shared := geom.OverlapVolume(hPrev.Levels[l].Boxes, hCur.Levels[l].Boxes)
+		shared := geom.OverlapVolumeNaive(hPrev.Levels[l].Boxes, hCur.Levels[l].Boxes)
 		prevOwned := levelBoxes(aPrev, l)
 		curOwned := levelBoxes(aCur, l)
 		var stayed int64
 		for p, pb := range prevOwned {
 			if cb, ok := curOwned[p]; ok {
-				stayed += geom.OverlapVolume(pb, cb)
+				stayed += geom.OverlapVolumeNaive(pb, cb)
 			}
 		}
 		moved += shared - stayed
@@ -111,9 +111,9 @@ func evaluateReference(h *grid.Hierarchy, a *partition.Assignment, m Machine) St
 	return sm
 }
 
-// requireKernelsMatchReference holds Evaluate on (h, a) and Migration
-// from (hPrev, aPrev) to (h, a) to their reference bodies, bit for bit.
-func requireKernelsMatchReference(t *testing.T, where string, hPrev, h *grid.Hierarchy, aPrev, a *partition.Assignment) {
+// requireEvaluateMatchesReference holds Evaluate on (h, a) to its
+// reference body, bit for bit.
+func requireEvaluateMatchesReference(t *testing.T, where string, h *grid.Hierarchy, a *partition.Assignment) {
 	t.Helper()
 	m := DefaultMachine()
 	got, err := Evaluate(bg, h, a, m)
@@ -123,6 +123,12 @@ func requireKernelsMatchReference(t *testing.T, where string, hPrev, h *grid.Hie
 	if want := evaluateReference(h, a, m); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Evaluate = %+v, reference %+v", where, got, want)
 	}
+}
+
+// requireMigrationMatchesReference holds Migration from (hPrev, aPrev)
+// to (h, a) to its reference body.
+func requireMigrationMatchesReference(t *testing.T, where string, hPrev, h *grid.Hierarchy, aPrev, a *partition.Assignment) {
+	t.Helper()
 	if got, want := Migration(hPrev, h, aPrev, a), migrationReference(hPrev, h, aPrev, a); got != want {
 		t.Fatalf("%s: Migration = %d, reference %d", where, got, want)
 	}
@@ -151,7 +157,8 @@ func TestOverlapKernelsMatchReferenceOnQuickTraces(t *testing.T) {
 					}
 					if i > 0 {
 						where := fmt.Sprintf("%s %s np=%d step %d", app, p.Name(), np, snap.Step)
-						requireKernelsMatchReference(t, where, tr.Snapshots[i-1].H, snap.H, prev, a)
+						requireEvaluateMatchesReference(t, where, snap.H, a)
+						requireMigrationMatchesReference(t, where, tr.Snapshots[i-1].H, snap.H, prev, a)
 					}
 					prev = a
 				}
@@ -174,57 +181,123 @@ func randomBoxOn(r *rand.Rand, w int) geom.Box {
 }
 
 // randomNonCover draws a hierarchy of one to three levels and, on it,
-// two assignments over nprocs processors that are not exact covers:
+// an assignment over nprocs processors that is not an exact cover:
 // fragments that overlap each other, empty fragments, fragments that
 // leave cells of the hierarchy out or lie outside it, and fragments on
-// a level past the hierarchy's last. The current hierarchy keeps some
-// of the previous one's levels and redraws the others.
-func randomNonCover(r *rand.Rand, nprocs int) (hPrev, h *grid.Hierarchy, aPrev, a *partition.Assignment) {
-	level := func(l int) grid.Level {
-		w := 8 << l
+// a level past the hierarchy's last.
+func randomNonCover(r *rand.Rand, nprocs int) (*grid.Hierarchy, *partition.Assignment) {
+	h := &grid.Hierarchy{Domain: geom.NewBox2(0, 0, 8, 8), RefRatio: 2}
+	for l := range 1 + r.Intn(3) {
 		bl := make(geom.BoxList, 1+r.Intn(5))
 		for i := range bl {
-			bl[i] = randomBoxOn(r, w)
+			bl[i] = randomBoxOn(r, 8<<l)
 		}
-		return grid.Level{Boxes: bl}
+		h.Levels = append(h.Levels, grid.Level{Boxes: bl})
 	}
-	hier := func(keep *grid.Hierarchy) *grid.Hierarchy {
-		out := &grid.Hierarchy{Domain: geom.NewBox2(0, 0, 8, 8), RefRatio: 2}
-		for l := range 1 + r.Intn(3) {
-			if keep != nil && l < len(keep.Levels) && r.Intn(2) == 0 {
-				out.Levels = append(out.Levels, keep.Levels[l])
-				continue
-			}
-			out.Levels = append(out.Levels, level(l))
-		}
-		return out
+	a := &partition.Assignment{NumProcs: nprocs}
+	for range r.Intn(24) {
+		l := r.Intn(len(h.Levels) + 1)
+		a.Fragments = append(a.Fragments, partition.Fragment{Level: l, Box: randomBoxOn(r, 8<<l), Owner: r.Intn(nprocs)})
 	}
-	assign := func(h *grid.Hierarchy) *partition.Assignment {
-		out := &partition.Assignment{NumProcs: nprocs}
-		for range r.Intn(24) {
-			l := r.Intn(len(h.Levels) + 1)
-			out.Fragments = append(out.Fragments, partition.Fragment{Level: l, Box: randomBoxOn(r, 8<<l), Owner: r.Intn(nprocs)})
-		}
-		return out
-	}
-	hPrev = hier(nil)
-	h = hier(hPrev)
-	return hPrev, h, assign(hPrev), assign(h)
+	return h, a
 }
 
-// TestOverlapKernelsMatchReferenceOnNonCovers holds Evaluate and
-// Migration to their reference bodies on 2000 random assignments that
-// are not exact covers (randomNonCover), at 1 to 5 processors.
+// randomCover draws a valid hierarchy of one to three levels and, on
+// it, an assignment over nprocs processors that covers it exactly, as
+// every Partitioner answer does: each box cut at random into fragments
+// with random owners. Given keep, the hierarchy keeps keep's level 0
+// and a random number of its further levels and redraws the rest, so
+// two draws share some levels and may differ in level count either way.
+func randomCover(r *rand.Rand, keep *grid.Hierarchy, nprocs int) (*grid.Hierarchy, *partition.Assignment) {
+	w := 4 + r.Intn(9)
+	h := grid.NewHierarchy(geom.NewBox2(0, 0, w, w), 2)
+	if keep != nil {
+		h = &grid.Hierarchy{Domain: keep.Domain, RefRatio: keep.RefRatio, Levels: keep.Levels[:1+r.Intn(len(keep.Levels))]}
+	}
+	for levels := 1 + r.Intn(3); len(h.Levels) < levels; {
+		// Each parent box holds one random child box of its refinement,
+		// or none; a level holds at least one.
+		var bl geom.BoxList
+		parents := h.Levels[len(h.Levels)-1].Boxes
+		for k, pb := range parents {
+			if k < len(parents)-1 || len(bl) > 0 {
+				if r.Intn(3) == 0 {
+					continue
+				}
+			}
+			f := pb.Refine(h.RefRatio)
+			x0, y0 := f.Lo[0]+r.Intn(f.Size(0)), f.Lo[1]+r.Intn(f.Size(1))
+			bl = append(bl, geom.NewBox2(x0, y0, x0+1+r.Intn(f.Hi[0]-x0), y0+1+r.Intn(f.Hi[1]-y0)))
+		}
+		h.Levels = append(h.Levels[:len(h.Levels):len(h.Levels)], grid.Level{Boxes: bl})
+	}
+	a := &partition.Assignment{NumProcs: nprocs}
+	var cut func(l int, b geom.Box, depth int)
+	cut = func(l int, b geom.Box, depth int) {
+		if d := r.Intn(2); depth < 3 && b.Size(d) > 1 && r.Intn(3) > 0 {
+			lo, hi := b.ChopDim(d, b.Lo[d]+1+r.Intn(b.Size(d)-1))
+			cut(l, lo, depth+1)
+			cut(l, hi, depth+1)
+			return
+		}
+		a.Fragments = append(a.Fragments, partition.Fragment{Level: l, Box: b, Owner: r.Intn(nprocs)})
+	}
+	for l, lev := range h.Levels {
+		for _, b := range lev.Boxes {
+			cut(l, b, 0)
+		}
+	}
+	r.Shuffle(len(a.Fragments), func(i, j int) { a.Fragments[i], a.Fragments[j] = a.Fragments[j], a.Fragments[i] })
+	return h, a
+}
+
+// requireKernelsMatchOnRandomDraws draws from r a pair of non-covers
+// (randomNonCover), on which it holds Evaluate to its reference body,
+// and then a pair of exact covers (randomCover), on which it holds
+// Evaluate to its reference body and the raster, and Migration to its
+// reference body and the raster. Migration counts moved points only on
+// exact covers; on a non-cover its result is not a count.
+func requireKernelsMatchOnRandomDraws(t *testing.T, where string, r *rand.Rand, nprocs int) {
+	t.Helper()
+	h, a := randomNonCover(r, nprocs)
+	requireEvaluateMatchesReference(t, where+" non-cover", h, a)
+	hPrev, aPrev := randomCover(r, nil, nprocs)
+	h, a = randomCover(r, hPrev, nprocs)
+	for _, c := range []struct {
+		h *grid.Hierarchy
+		a *partition.Assignment
+	}{{hPrev, aPrev}, {h, a}} {
+		if err := c.h.Validate(); err != nil {
+			t.Fatalf("%s: randomCover drew an invalid hierarchy: %v", where, err)
+		}
+		if err := c.a.Validate(c.h); err != nil {
+			t.Fatalf("%s: randomCover drew a non-cover: %v", where, err)
+		}
+	}
+	requireEvaluateMatchesReference(t, where+" cover", h, a)
+	if got, want := mustEvaluate(t, h, a, DefaultMachine()), rasterEvaluate(t, h, a, DefaultMachine()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s cover: Evaluate = %+v, raster %+v", where, got, want)
+	}
+	requireMigrationMatchesReference(t, where+" cover", hPrev, h, aPrev, a)
+	if got, want := Migration(hPrev, h, aPrev, a), rasterMigration(t, hPrev, h, aPrev, a); got != want {
+		t.Fatalf("%s cover: Migration = %d, raster %d", where, got, want)
+	}
+}
+
+// TestOverlapKernelsMatchReferenceOnNonCovers holds Evaluate to its
+// reference body on 2000 random assignments that are not exact covers
+// (randomNonCover), and Evaluate and Migration to their reference
+// bodies and the raster on 2000 random pairs of exact covers
+// (randomCover), at 1 to 5 processors.
 func TestOverlapKernelsMatchReferenceOnNonCovers(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	for i := range 2000 {
-		hPrev, h, aPrev, a := randomNonCover(r, 1+i%5)
-		requireKernelsMatchReference(t, fmt.Sprintf("case %d", i), hPrev, h, aPrev, a)
+		requireKernelsMatchOnRandomDraws(t, fmt.Sprintf("case %d", i), r, 1+i%5)
 	}
 }
 
 // FuzzOverlapKernels is TestOverlapKernelsMatchReferenceOnNonCovers
-// over the generator's seed and processor count:
+// over the generators' seed and processor count:
 //
 //	go test -run='^$' -fuzz=FuzzOverlapKernels -fuzztime=10s ./internal/sim/
 func FuzzOverlapKernels(f *testing.F) {
@@ -233,8 +306,7 @@ func FuzzOverlapKernels(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, nprocs uint8) {
 		r := rand.New(rand.NewSource(seed))
-		hPrev, h, aPrev, a := randomNonCover(r, 1+int(nprocs%16))
-		requireKernelsMatchReference(t, fmt.Sprintf("seed %d", seed), hPrev, h, aPrev, a)
+		requireKernelsMatchOnRandomDraws(t, fmt.Sprintf("seed %d", seed), r, 1+int(nprocs%16))
 	})
 }
 

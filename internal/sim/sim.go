@@ -16,17 +16,16 @@
 // overlapping pair of one level to the caller once: Evaluate's two
 // communication terms (the halo each level imports from its own
 // fragments, and the footprint it exchanges with the level below) are
-// two scans over one fragment list, and Migration is the hierarchies'
-// overlap less the same-owner overlap of the two assignments, listed
-// under their owners. partition.Remap builds its benefit matrix with
-// the same kernel. The per-snapshot work units of a trace run fan out
-// over a bounded worker pool (internal/pool) in the phases
+// two scans over one fragment list, and Migration is one scan over the
+// two assignments' fragments, listed under their owners, that sums the
+// pairs whose owners differ. partition.Remap builds its benefit matrix
+// with the same kernel. The per-snapshot work units of a trace run fan
+// out over a bounded worker pool (internal/pool) in the phases
 // simulateTrace lists, arranged so the output is bit-identical to a
-// sequential run at any worker count; steps and consecutive step pairs
-// are memoized by content across runs. Every phase honours the
-// caller's context: cancellation stops the pool dispatch, aborts
-// partitioners mid-flight, and returns a nil result with the context's
-// error.
+// sequential run at any worker count; steps are memoized by content
+// across runs. Every phase honours the caller's context: cancellation
+// stops the pool dispatch, aborts partitioners mid-flight, and returns
+// a nil result with the context's error.
 package sim
 
 import (
@@ -298,6 +297,13 @@ func (sc *evalScratch) exchange(scan *geom.OverlapScan, frags []partition.Fragme
 // are filled by prolongation and counted as inter-level communication,
 // not migration. Fragments on levels either hierarchy lacks move
 // nothing.
+//
+// Each assignment must cover its hierarchy exactly, as every
+// Partitioner answer does (partition.Assignment.Validate): a shared
+// point then lies in exactly one fragment on each side, and the count
+// is the overlap of the fragment pairs whose owners differ. On any
+// other pair of assignments the result is that overlap, not a count of
+// points.
 func Migration(hPrev, hCur *grid.Hierarchy, aPrev, aCur *partition.Assignment) int64 {
 	return migration(hPrev, hCur, stepFragments{a: aPrev}, stepFragments{a: aCur})
 }
@@ -327,30 +333,19 @@ func (s stepFragments) list(add func(key int, b geom.Box, id int), levels int) {
 	}
 }
 
-// migration is Migration over either form of the two assignments: two
-// overlap scans keyed by level, the hierarchies' boxes and then the
-// fragments listed under their owners, whose same-owner overlap stayed
-// put.
+// migration is Migration over either form of the two assignments: one
+// overlap scan keyed by level over the fragments listed under their
+// owners, summing the pairs whose owners differ.
 func migration(hPrev, hCur *grid.Hierarchy, prev, cur stepFragments) int64 {
 	levels := min(len(hPrev.Levels), len(hCur.Levels))
 	scan := geom.NewOverlapScan()
 	defer scan.Release()
-	for l := 0; l < levels; l++ {
-		for k, b := range hPrev.Levels[l].Boxes {
-			scan.AddA(l, b, k)
-		}
-		for k, b := range hCur.Levels[l].Boxes {
-			scan.AddB(l, b, k)
-		}
-	}
-	var moved int64
-	scan.Each(func(_, _, _ int, v int64) { moved += v })
-	scan.Reset()
 	prev.list(scan.AddA, levels)
 	cur.list(scan.AddB, levels)
+	var moved int64
 	scan.Each(func(_, p, q int, v int64) {
-		if p == q {
-			moved -= v
+		if p != q {
+			moved += v
 		}
 	})
 	return moved
@@ -421,8 +416,7 @@ var stepsMemoized, migrationsShortCut atomic.Uint64
 // (signature, partitioner, nprocs, machine) step had already been
 // computed — in the same run, an earlier run, or a concurrent one.
 // The migration counter covers consecutive steps with one step key,
-// between which exactly zero points move; a pair of steps answered by
-// the pair memo is not counted.
+// between which exactly zero points move.
 func MemoStats() (partitions, evaluations, migrations uint64) {
 	s := stepsMemoized.Load()
 	return s, s, migrationsShortCut.Load()
@@ -459,26 +453,14 @@ type stepArtifact struct {
 // heap (24 B a fragment, the metrics row, the key and the entry),
 // against 37 KB when it held the unpacked Assignment. A full cache is
 // then about 11 MB: it holds the working set of a full experiment
-// sweep while bounding a long-running daemon. The pair memo has the
-// same bound: a run's consecutive pairs are no more than its steps, and
-// an entry (two keys and a count) is a few hundred bytes.
+// sweep while bounding a long-running daemon.
 const stepCacheCap = 2048
 
 var stepCache = memo.New[stepKey, stepArtifact](stepCacheCap)
 
-// pairKey addresses the migration between two consecutive steps that
-// no relabel touches: both assignments and both hierarchies are
-// functions of the two step keys, so the count is too.
-type pairKey struct{ prev, cur stepKey }
-
-var pairMemo = memo.New[pairKey, int64](stepCacheCap)
-
-// flushStepCaches drops the content-addressed step cache and the pair
-// memo (tests use it to compare memoized runs against cold ones).
-func flushStepCaches() {
-	stepCache.Flush()
-	pairMemo.Flush()
-}
+// flushStepCaches drops the content-addressed step cache (tests use it
+// to compare memoized runs against cold ones).
+func flushStepCaches() { stepCache.Flush() }
 
 // simulateTrace is the worker-pool implementation behind
 // SimulateTrace/SimulateTraceSelect, in five phases:
@@ -493,8 +475,8 @@ func flushStepCaches() {
 //     relabels them (partition.Remap), each against the last step that
 //     chose the same postmap spec;
 //  5. a parallel pass over consecutive pairs chains the migration
-//     metric, through the pair memo where no relabel is involved; a
-//     scan reads a relabeled step's own copy and any other step's
+//     metric, one overlap scan a pair that does not short-cut (below);
+//     a scan reads a relabeled step's own copy and any other step's
 //     packed fragments in place.
 //
 // The result is bit-identical to the workers=1 path for any worker
@@ -508,12 +490,10 @@ func flushStepCaches() {
 // and ablation sweeps replay the same snapshots many times), and
 // concurrent identical runs all compute each distinct step once. The
 // cache holds each assignment packed and no caller ever writes cache
-// state. Consecutive steps with one key have bit-identical hierarchies
-// and assignments, so their migration scan short-circuits to its exact
-// value of zero. Any other pair of steps that no relabel touches is a
-// pure function of its two keys, and the pair memo (bounded like the
-// step cache) answers it once it has been scanned: only its misses
-// scan.
+// state. Consecutive steps with one key that no relabel touches have
+// bit-identical hierarchies and assignments, so their migration scan
+// short-circuits to its exact value of zero; every other pair is
+// scanned.
 //
 // Post-mapping is the one part of a step that depends on the run's
 // history, so it runs after the cache, on the run's own copies:
@@ -630,28 +610,17 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 	// assignment, or its cached packed one read in place.
 	step := func(i int) stepFragments { return stepFragments{a: as[i], p: packed[i]} }
 
-	// Phase 5. Consecutive steps with one key have content-identical
-	// hierarchies and bit-identical assignments, so nothing moves —
-	// every point keeps its owner — and the overlap scan short-circuits
-	// to its exact result of zero. A pair without a postmap step is
-	// answered by the pair memo, which scans only its misses.
+	// Phase 5. Consecutive steps with one key and no relabel have
+	// content-identical hierarchies and bit-identical assignments, so
+	// nothing moves — every point keeps its owner — and the overlap
+	// scan short-circuits to its exact result of zero.
 	err = pool.MapCtx(ctx, workers, n-1, func(j int) error {
 		i := j + 1
 		sm := &res.Steps[i]
-		scan := func() (int64, error) {
-			return migration(tr.Snapshots[j].H, tr.Snapshots[i].H, step(j), step(i)), nil
-		}
-		switch {
-		case postmap[j] || postmap[i]:
-			sm.Migration, _ = scan()
-		case keys[j] == keys[i]:
+		if keys[j] == keys[i] && !postmap[j] && !postmap[i] {
 			migrationsShortCut.Add(1)
-		default:
-			mig, _, err := pairMemo.GetOrCompute(ctx, pairKey{keys[j], keys[i]}, scan)
-			if err != nil {
-				return err
-			}
-			sm.Migration = mig
+		} else {
+			sm.Migration = migration(tr.Snapshots[j].H, tr.Snapshots[i].H, step(j), step(i))
 		}
 		if np := tr.Snapshots[j].H.NumPoints(); np > 0 {
 			sm.RelativeMigration = float64(sm.Migration) / float64(np)

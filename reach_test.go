@@ -28,6 +28,7 @@ var unreachedAllowed = map[string]string{
 	"geom.Box.Cells":                 "cell-by-cell iteration; the field, solver, cluster and amr suites fill and read fixtures with it and partition's TestDomainSFCKeepsColumnsTogether maps owners per cell",
 	"geom.BoxIndex.Query":            "allocating form of AppendQuery; the boxindex suites compare it with the all-pairs scan",
 	"geom.BoxList.ContainsPoint":     "point-in-region oracle; cluster's coverAll (every tag is covered) and amr's invariants read coverage through it",
+	"geom.OverlapVolumeNaive":        "pairwise overlap oracle; geom's volume tests hold OverlapScan and BoxIndex.QueryVolume to it, grid's TotalOverlap test and the migration and benefit reference bodies of sim and partition are built on it",
 	"field.ExchangeGhosts":           "sequential reference of the driver's exchange plan; TestExchangeGhosts and amr's TestExchangePlanMatchesExchangeGhosts",
 	"field.Patch.At":                 "single-cell read; the field, solver and amr suites assert kernel and transfer results through it",
 	"field.Patch.Fill":               "constant fill; fixtures of the field, solver and amr suites",
