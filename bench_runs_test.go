@@ -15,8 +15,14 @@ import (
 
 // benchRunsSchema is the schema every committed BENCH_PR<N>.json
 // follows: the runs behind a PR's numbers, one JSON line of
-// `bash bench/run.sh` per side of every alternating pair.
+// `bash bench/run.sh` per side of every alternating pair. A file may
+// add a third side, the anchor: runs of the commit BENCH_ANCHOR names,
+// each made right after the pair that carries it.
 const benchRunsSchema = "samr-bench-runs/1"
+
+// minAnchorRuns is how many anchor runs a file with an anchor side
+// takes per workload and seed.
+const minAnchorRuns = 3
 
 // benchRuns is one BENCH_PR<N>.json.
 type benchRuns struct {
@@ -25,6 +31,9 @@ type benchRuns struct {
 	Claim        string `json:"claim"`
 	ParentCommit string `json:"parent_commit"`
 	ChangeCommit string `json:"change_commit"`
+	// AnchorCommit is the commit of the anchor side, set when the pairs
+	// carry one.
+	AnchorCommit string `json:"anchor_commit"`
 	GoVersion    string `json:"go_version"`
 	NProc        int    `json:"nproc"`
 	CPUModel     string `json:"cpu_model"`
@@ -49,6 +58,8 @@ type benchPair struct {
 	Batch  int       `json:"batch"`
 	Parent *benchRun `json:"parent"`
 	Change *benchRun `json:"change"`
+	// Anchor, when set, ran right after the pair's two sides.
+	Anchor *benchRun `json:"anchor"`
 }
 
 // benchRun is the JSON line `bash bench/run.sh` ends a run with.
@@ -123,13 +134,33 @@ func quantile(xs []float64, q float64) float64 {
 	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
 }
 
+// benchAnchor reads the commit BENCH_ANCHOR names: the one every runs
+// file's anchor side measures, so that change ÷ anchor is comparable
+// across the files that share it.
+func benchAnchor(t *testing.T) string {
+	t.Helper()
+	raw, err := os.ReadFile("BENCH_ANCHOR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor := strings.TrimSpace(string(raw))
+	if !regexp.MustCompile(`^[0-9a-f]{7,40}$`).MatchString(anchor) {
+		t.Fatalf("BENCH_ANCHOR holds %q, want one commit hash", anchor)
+	}
+	return anchor
+}
+
 // TestBenchRuns checks every committed BENCH_PR<N>.json against
 // samr-bench-runs/1 — the header fields, both sides of every pair, the
 // metric names of BENCHMARK.json, pairs numbered in order and the side
-// that runs first alternating within a batch — and recomputes, per
-// workload, seed and metric, both sides' medians, the parent's
-// interquartile range and the pairs each side won. With -v it prints
-// that trajectory, file by file, under the machine that ran it:
+// that runs first alternating within a batch, and, in a file with an
+// anchor side, at least three anchor runs per workload and seed — and
+// recomputes, per workload, seed and metric, both sides' medians, the
+// parent's interquartile range and the pairs each side won, and each
+// side's median over the anchor's. The anchor ratios are the trajectory
+// across files that share an anchor; a file without an anchor side is
+// logged as not comparable with any other. With -v it prints all of
+// it, file by file, under the machine that ran it:
 //
 //	go test -v -run TestBenchRuns .
 func TestBenchRuns(t *testing.T) {
@@ -141,6 +172,7 @@ func TestBenchRuns(t *testing.T) {
 		t.Fatal("no BENCH_PR*.json committed")
 	}
 	dirs := benchDirections(t)
+	anchor := benchAnchor(t)
 	name := regexp.MustCompile(`^BENCH_PR([0-9]+)\.json$`)
 	hex40 := regexp.MustCompile(`^[0-9a-f]{40}$`)
 	sort.Slice(files, func(i, j int) bool {
@@ -176,27 +208,54 @@ func TestBenchRuns(t *testing.T) {
 			t.Errorf("%s: no workloads", file)
 		}
 		t.Logf("%s (%s, %d CPUs, %s): %s", file, br.CPUModel, br.NProc, br.GoVersion, br.Claim)
+		switch anchored := hasAnchorSide(br); {
+		case !anchored && br.AnchorCommit != "":
+			t.Errorf("%s: anchor_commit %s without an anchor side", file, br.AnchorCommit)
+		case !anchored:
+			t.Logf("  no anchor side: its medians are not comparable with another file's")
+		case !hex40.MatchString(br.AnchorCommit):
+			t.Errorf("%s: anchor_commit %q is not a commit hash", file, br.AnchorCommit)
+		case strings.HasPrefix(br.AnchorCommit, anchor):
+			t.Logf("  anchor %s, BENCH_ANCHOR's: comparable with every file on it", br.AnchorCommit[:7])
+		default:
+			t.Logf("  anchor %s, not BENCH_ANCHOR's %s: comparable only with files on the same anchor", br.AnchorCommit[:7], anchor)
+		}
 		workloads := make([]string, 0, len(br.Workloads))
 		for w := range br.Workloads {
 			workloads = append(workloads, w)
 		}
 		sort.Strings(workloads)
 		for _, w := range workloads {
-			checkBenchWorkload(t, file, w, br.Workloads[w].Pairs, br.Seed, dirs)
+			checkBenchWorkload(t, file, w, br.Workloads[w].Pairs, br.Seed, dirs, hasAnchorSide(br))
 		}
 	}
 }
 
+// hasAnchorSide reports whether any pair of br carries an anchor run.
+func hasAnchorSide(br benchRuns) bool {
+	for _, w := range br.Workloads {
+		for _, p := range w.Pairs {
+			if p.Anchor != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // checkBenchWorkload checks one workload's pairs and logs, per seed and
-// metric, parent median [parent IQR] → change median and pairs won.
-func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed int, dirs map[string]string) {
+// metric, parent median [parent IQR] → change median and pairs won, and
+// when the file has an anchor side (anchored), which then every seed of
+// the workload needs, each side's median over the anchor's.
+func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed int, dirs map[string]string, anchored bool) {
 	t.Helper()
 	if len(pairs) == 0 {
 		t.Errorf("%s %s: no pairs", file, w)
 		return
 	}
-	type side struct{ parent, change []float64 }
+	type side struct{ parent, change, anchor []float64 }
 	bySeed := map[int]map[string]*side{}
+	anchorRuns := map[int]int{}
 	for i, p := range pairs {
 		if p.Pair != i {
 			t.Errorf("%s %s: pair %d numbered %d", file, w, i, p.Pair)
@@ -207,15 +266,19 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 		if i > 0 && p.Batch == pairs[i-1].Batch && p.First == pairs[i-1].First {
 			t.Errorf("%s %s pair %d: %s ran first twice in a row", file, w, i, p.First)
 		}
-		for _, r := range []*benchRun{p.Parent, p.Change} {
+		sides := []*benchRun{p.Parent, p.Change}
+		if p.Anchor != nil {
+			sides = append(sides, p.Anchor)
+		}
+		for _, r := range sides {
 			if err := checkBenchRun(r, dirs); err != nil {
 				t.Errorf("%s %s pair %d: %v", file, w, i, err)
 				return
 			}
-		}
-		if len(p.Parent.Metrics) != len(p.Change.Metrics) {
-			t.Errorf("%s %s pair %d: the sides report different metrics", file, w, i)
-			return
+			if len(r.Metrics) != len(p.Parent.Metrics) {
+				t.Errorf("%s %s pair %d: the sides report different metrics", file, w, i)
+				return
+			}
 		}
 		s := seed
 		if p.Seed != nil {
@@ -223,6 +286,9 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 		}
 		if bySeed[s] == nil {
 			bySeed[s] = map[string]*side{}
+		}
+		if p.Anchor != nil {
+			anchorRuns[s]++
 		}
 		for m, pv := range p.Parent.Metrics {
 			cv, ok := p.Change.Metrics[m]
@@ -235,6 +301,14 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 			}
 			bySeed[s][m].parent = append(bySeed[s][m].parent, *pv.Value)
 			bySeed[s][m].change = append(bySeed[s][m].change, *cv.Value)
+			if p.Anchor != nil {
+				av, ok := p.Anchor.Metrics[m]
+				if !ok {
+					t.Errorf("%s %s pair %d: anchor lacks %s", file, w, i, m)
+					return
+				}
+				bySeed[s][m].anchor = append(bySeed[s][m].anchor, *av.Value)
+			}
 		}
 	}
 	seeds := make([]int, 0, len(bySeed))
@@ -243,6 +317,11 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 	}
 	sort.Ints(seeds)
 	for _, s := range seeds {
+		ratios := anchored
+		if anchored && anchorRuns[s] < minAnchorRuns {
+			t.Errorf("%s %s seed %d: %d anchor runs, want at least %d", file, w, s, anchorRuns[s], minAnchorRuns)
+			ratios = false
+		}
 		metrics := make([]string, 0, len(bySeed[s]))
 		for m := range bySeed[s] {
 			metrics = append(metrics, m)
@@ -261,6 +340,13 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 			cm := quantile(slices.Clone(v.change), 0.5)
 			t.Logf("  %-16s seed %d %-14s parent %.4g [IQR %.4g–%.4g] → change %.4g (%+.1f%%), change better in %d of %d pairs",
 				w, s, m, pm, q1, q3, cm, 100*(cm-pm)/pm, won, len(v.parent))
+			if !ratios {
+				continue
+			}
+			a := slices.Clone(v.anchor)
+			am, a1, a3 := quantile(a, 0.5), quantile(a, 0.25), quantile(a, 0.75)
+			t.Logf("  %-16s seed %d %-14s anchor %.4g [IQR %.4g–%.4g] over %d runs: parent ÷ anchor %.3f, change ÷ anchor %.3f",
+				w, s, m, am, a1, a3, len(v.anchor), pm/am, cm/am)
 		}
 	}
 }

@@ -20,11 +20,13 @@ var DefaultProcsLadder = []int{4, 8, 16, 32, 64}
 // fixed-nprocs figures do not show. The sweep is the stress case the
 // content-addressed memoization layer is built for: the SFC unit
 // chains and hue/core separations depend only on (hierarchy content,
-// curve, unit size), so across the whole ladder they are computed once
-// and only the chain cuts, fragment generation, and evaluation run per
-// nprocs. The per-nprocs simulations are independent and fan out over
-// the worker pool; each row is written by index, keeping the table
-// identical to a sequential run.
+// curve, unit size), so the sweep opens one chain scope
+// (partition.WithChainScope) that every rung's run shares: across the
+// whole ladder they are computed once, and only the chain cuts,
+// fragment generation, and evaluation run per nprocs. The scope goes
+// with the sweep. The per-nprocs simulations are independent and fan
+// out over the worker pool; each row is written by index, keeping the
+// table identical to a sequential run.
 func ProcsSweep(ctx context.Context, tr *trace.Trace, p partition.Partitioner, ladder []int) (*Table, error) {
 	if len(ladder) == 0 {
 		ladder = DefaultProcsLadder
@@ -36,6 +38,7 @@ func ProcsSweep(ctx context.Context, tr *trace.Trace, p partition.Partitioner, l
 		Columns: []string{"nprocs", "est_time_s", "mean_imb_pct", "mean_rel_comm", "mean_rel_mig"},
 	}
 	t.Rows = make([][]string, len(ladder))
+	ctx = partition.WithChainScope(ctx)
 	err := pool.MapCtx(ctx, pool.Workers(), len(ladder), func(i int) error {
 		res, err := sim.SimulateTrace(ctx, tr, p, ladder[i], m)
 		if err != nil {

@@ -6,25 +6,37 @@
 // curve — depends only on (hierarchy content, curve, unit size, band),
 // never on the processor count. So does the geometry a unit contributes
 // to an assignment: which level boxes its column meets, and how. Only
-// the owner label depends on nprocs. The caches below therefore key
-// those artifacts by content and share them across DomainSFC, the
-// hybrid family, and every nprocs sweep.
+// the owner label depends on nprocs. A chain store therefore keys those
+// artifacts by content and shares them across DomainSFC, the hybrid
+// family, and every processor count.
+//
+// An artifact lives as long as the store that holds it, and a call uses
+// the store its context carries. A run that replays snapshots (sim's
+// trace pipeline, experiments' nprocs sweep) opens a scope with
+// WithChainScope: its snapshots, processor counts and workers share one
+// store, which goes with the run. So a process that replays the same
+// snapshots under many configurations, where the simulator's step cache
+// answers every repeat, pins no chain past the run that built it. A
+// call whose context carries no store (the daemon's partition and
+// session paths, direct Partition callers) uses the process store: one
+// hierarchy posted at several processor counts, or a session's
+// consecutive steps, hit what the first call built.
 //
 // Indexes are not cached: a call builds its own hierIndex, whose level
 // BoxIndexes are made over the hierarchy's own boxes the first time a
-// level is queried. DomainSFC serves its unit chain from domainChains,
-// keyed by the hierarchy signature, and queries the call's indexes for
-// every unit's column fragments. NatureFable keeps no cache keyed by
-// the whole hierarchy: each call assembles its prep from a base keyed
-// by the domain, the ratio and levels 0 and 1, and one band per further
-// bi-level keyed by the base and that bi-level's levels. The base holds
-// the hue and core chains, the hue's level-0 band and merged cover, and
-// the core chain's bi-level 0-1; each band holds, per core unit, its
-// weight and packed, owner-free fragments. A warm NatureFable call
-// hashes the levels, sums the band weights, splits the processors, cuts
-// the chains, labels whole units' stored fragments, and clips the
-// stored fragments of the few units a fractional cut splits; it builds
-// no index and makes no index query.
+// level is queried. DomainSFC serves its unit chain from the store's
+// chains, keyed by the hierarchy signature, and queries the call's
+// indexes for every unit's column fragments. NatureFable keeps no cache
+// keyed by the whole hierarchy: each call assembles its prep from a
+// base keyed by the domain, the ratio and levels 0 and 1, and one band
+// per further bi-level keyed by the base and that bi-level's levels.
+// The base holds the hue and core chains, the hue's level-0 band and
+// merged cover, and the core chain's bi-level 0-1; each band holds, per
+// core unit, its weight and packed, owner-free fragments. A warm
+// NatureFable call hashes the levels, sums the band weights, splits the
+// processors, cuts the chains, labels whole units' stored fragments,
+// and clips the stored fragments of the few units a fractional cut
+// splits; it builds no index and makes no index query.
 //
 // A regrid usually replaces only the finest levels, so consecutive
 // snapshots of a trace or session share the base, and snapshots whose
@@ -34,11 +46,11 @@
 //
 // Cached artifacts are immutable: readers cut and scan them but never
 // reorder or reweight in place. SAMR traces are regrid-sparse
-// (consecutive snapshots are usually content-identical), experiments
-// replay the same snapshots under many configurations, and a service
-// asked for one hierarchy at several processor counts hits the chain,
-// base and bands on every count after the first, which is what makes
-// this layer pay.
+// (consecutive snapshots are usually content-identical), a sweep runs
+// the same snapshots at many processor counts, and a service asked for
+// one hierarchy at several processor counts hits the chain, base and
+// bands on every count after the first, which is what makes this layer
+// pay.
 //
 // Everything here is bit-identical to building without caches: each
 // piece reads only what its key digests, and equal digests imply equal
@@ -52,10 +64,12 @@
 package partition
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
@@ -64,10 +78,10 @@ import (
 )
 
 // chainKey addresses one cached decomposition artifact: a content hash
-// plus the curve and (clamped) atomic-unit size. For domainChains the
-// hash is the hierarchy signature; for nfBases it is baseDigest's. The
-// band and region of each artifact are implied by the cache it lives
-// in.
+// plus the curve and (clamped) atomic-unit size. For a store's chains
+// the hash is the hierarchy signature; for its bases it is
+// baseDigest's. The band and region of each artifact are implied by the
+// cache it lives in.
 type chainKey struct {
 	sig   geom.Signature
 	curve sfc.Curve
@@ -84,58 +98,102 @@ type bandKey struct {
 	levels geom.Signature
 }
 
-// chainCacheCap bounds each cache: on a paper-scale snapshot (32² base,
-// five levels, unit 2) a NatureFable base holds about 7 KB of units and
-// 0.5-7 KB of bi-level 0-1, each further bi-level 1-8.5 KB, and a domain
-// chain 6 KB of units. Experiment pipelines revisit a few hundred
-// distinct snapshots, so the bound keeps the whole working set resident
-// without letting a long-running daemon grow unbounded.
+// chainCacheCap bounds each cache of a store: on a paper-scale
+// snapshot (32² base, five levels, unit 2) a NatureFable base holds
+// about 7 KB of units and 0.5-7 KB of bi-level 0-1, each further
+// bi-level 1-8.5 KB, and a domain chain 6 KB of units. A scope's store
+// lives as long as its run and holds what the run's snapshots share; the
+// process store is the one a long-running daemon keeps, and the bound is
+// what stops it growing without end (in entries, not bytes).
 const chainCacheCap = 512
 
-var (
-	// domainChains caches the DomainSFC artifact: the base domain
-	// chopped into units, weighted by the full column, SFC-ordered.
-	domainChains = memo.New[chainKey, []unit](chainCacheCap)
-	// nfBases caches the part of a Nature+Fable prep that reads levels
-	// 0 and 1 only, keyed by baseDigest.
-	nfBases = memo.New[chainKey, *nfBase](chainCacheCap)
-	// nfBands caches the core chain's bi-levels from level 2 on.
-	nfBands = memo.New[bandKey, coreBand](chainCacheCap)
-)
-
-// CacheStats returns the summed hit/miss/shared counters and occupancy
-// of the partition-layer memo caches (DomainSFC's unit chains,
-// NatureFable's bases and bands), for /v1/stats and samrbench
-// -cachestats.
-func CacheStats() (hits, misses, shared uint64, entries, capacity int) {
-	for _, s := range []interface {
-		Stats() (uint64, uint64, uint64)
-		Len() int
-		Capacity() int
-	}{domainChains, nfBases, nfBands} {
-		h, m, sh := s.Stats()
-		hits += h
-		misses += m
-		shared += sh
-		entries += s.Len()
-		capacity += s.Capacity()
-	}
-	return
+// chainStore holds the three kinds of unit-chain artifact. The process
+// store serves every call whose context carries no store; a scope
+// (WithChainScope) carries a store of its own that dies with it.
+type chainStore struct {
+	// chains holds the DomainSFC artifact: the base domain chopped into
+	// units, weighted by the full column, SFC-ordered.
+	chains *memo.Cache[chainKey, []unit]
+	// bases holds the part of a Nature+Fable prep that reads levels 0
+	// and 1 only, keyed by baseDigest.
+	bases *memo.Cache[chainKey, *nfBase]
+	// bands holds the core chain's bi-levels from level 2 on.
+	bands *memo.Cache[bandKey, coreBand]
 }
 
-// flushChainCaches drops every cached artifact (tests use it to
-// compare memoized results against cold recomputation).
+func newChainStore() *chainStore {
+	return &chainStore{
+		chains: memo.New[chainKey, []unit](chainCacheCap),
+		bases:  memo.New[chainKey, *nfBase](chainCacheCap),
+		bands:  memo.New[bandKey, coreBand](chainCacheCap),
+	}
+}
+
+// procChains is the process store.
+var procChains = newChainStore()
+
+// chainScopeKey is the context key under which a scope's store rides.
+type chainScopeKey struct{}
+
+// WithChainScope returns a context whose partition calls share a
+// unit-chain store of their own, which goes with the last context that
+// carries it. A context that already carries a store is returned as is,
+// so runs nested in a scope share it.
+func WithChainScope(ctx context.Context) context.Context {
+	if storeOf(ctx) != procChains {
+		return ctx
+	}
+	return context.WithValue(ctx, chainScopeKey{}, newChainStore())
+}
+
+// storeOf returns the store ctx carries, or the process store.
+func storeOf(ctx context.Context) *chainStore {
+	if s, ok := ctx.Value(chainScopeKey{}).(*chainStore); ok {
+		return s
+	}
+	return procChains
+}
+
+// chainHits, chainMisses and chainShared sum the dispositions of every
+// chain lookup, whatever store answered it.
+var chainHits, chainMisses, chainShared atomic.Uint64
+
+// countChain adds one lookup's disposition to the counters.
+func countChain(disp string) {
+	switch disp {
+	case memo.Hit:
+		chainHits.Add(1)
+	case memo.Miss:
+		chainMisses.Add(1)
+	case memo.Shared:
+		chainShared.Add(1)
+	}
+}
+
+// CacheStats returns the hit, miss and shared counts of every unit-chain
+// lookup (DomainSFC's chains, NatureFable's bases and bands), in the
+// process store and in every scope, and the entries and capacity of the
+// process store, for /v1/stats and samrbench -cachestats.
+func CacheStats() (hits, misses, shared uint64, entries, capacity int) {
+	s := procChains
+	entries = s.chains.Len() + s.bases.Len() + s.bands.Len()
+	capacity = s.chains.Capacity() + s.bases.Capacity() + s.bands.Capacity()
+	return chainHits.Load(), chainMisses.Load(), chainShared.Load(), entries, capacity
+}
+
+// flushChainCaches drops every artifact of the process store (tests use
+// it to compare memoized results against cold recomputation).
 func flushChainCaches() {
-	domainChains.Flush()
-	nfBases.Flush()
-	nfBands.Flush()
+	procChains.chains.Flush()
+	procChains.bases.Flush()
+	procChains.bands.Flush()
 }
 
 // domainChain returns the SFC-ordered full-column unit chain of h's
 // base domain, cached by (signature, curve, unit size). hi carries the
 // calling request's context: a cancelled build stores nothing.
 func domainChain(hi *hierIndex, sig geom.Signature, curve sfc.Curve, unitSize int) ([]unit, error) {
-	chain, _, err := domainChains.GetOrCompute(hi.ctx, chainKey{sig: sig, curve: curve, unit: unitSize}, func() ([]unit, error) {
+	chain, disp, err := storeOf(hi.ctx).chains.GetOrCompute(hi.ctx, chainKey{sig: sig, curve: curve, unit: unitSize}, func() ([]unit, error) {
 		units, err := hi.unitsOf(hi.h.Levels[0].Boxes, unitSize)
 		if err != nil {
 			return nil, err
@@ -143,6 +201,7 @@ func domainChain(hi *hierIndex, sig geom.Signature, curve sfc.Curve, unitSize in
 		orderUnitsByCurve(units, curve, unitSize)
 		return units, nil
 	})
+	countChain(disp)
 	return chain, err
 }
 
@@ -263,7 +322,7 @@ func baseDigest(h *grid.Hierarchy) geom.Signature {
 // nfBaseOf returns the cached base of h under key (baseDigest(h),
 // curve, unit size). It reads levels 0 and 1 of h only.
 func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
-	base, _, err := nfBases.GetOrCompute(hi.ctx, key, func() (*nfBase, error) {
+	base, disp, err := storeOf(hi.ctx).bases.GetOrCompute(hi.ctx, key, func() (*nfBase, error) {
 		h := hi.h
 		var cores geom.BoxList
 		if len(h.Levels) > 1 {
@@ -314,6 +373,7 @@ func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 		}
 		return b, nil
 	})
+	countChain(disp)
 	return base, err
 }
 
@@ -339,9 +399,10 @@ func nfBandOf(hi *hierIndex, base chainKey, units []unit, lo int) (coreBand, err
 		sig := hi.h.LevelSignature(l)
 		n += copy(pre[n:], sig[:])
 	}
-	band, _, err := nfBands.GetOrCompute(hi.ctx, bandKey{base: base, lo: lo, levels: sha256.Sum256(pre[:n])}, func() (coreBand, error) {
+	band, disp, err := storeOf(hi.ctx).bands.GetOrCompute(hi.ctx, bandKey{base: base, lo: lo, levels: sha256.Sum256(pre[:n])}, func() (coreBand, error) {
 		return hi.coreBandOf(units, lo, top)
 	})
+	countChain(disp)
 	return band, err
 }
 

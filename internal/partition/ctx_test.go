@@ -153,7 +153,7 @@ func TestNatureFableBaseStopsAtDeadline(t *testing.T) {
 		t.Fatalf("Partition = (%v, %v) after %v, want (nil, DeadlineExceeded) within %v of the deadline",
 			a, err, elapsed, 250*time.Millisecond)
 	}
-	if n := nfBases.Len(); n != 0 {
+	if n := procChains.bases.Len(); n != 0 {
 		t.Fatalf("the cancelled base build stored %d bases", n)
 	}
 }

@@ -497,11 +497,11 @@ func TestNatureFablePrepMatchesReference(t *testing.T) {
 	}
 	chain, builds := prepChain(t)
 	flushChainCaches()
-	hitsBefore, _, _ := nfBases.Stats()
+	hitsBefore, _, _ := procChains.bases.Stats()
 	for _, curve := range []sfc.Curve{sfc.Hilbert, sfc.Morton} {
 		for _, us := range []int{1, 2, 3, 1 << 31} {
 			for hn, h := range append(slices.Clone(hs), chain...) {
-				_, missesBefore, _ := nfBases.Stats()
+				_, missesBefore, _ := procChains.bases.Stats()
 				got, err := nfPrepOf(newHierIndex(ctx, h), curve, us)
 				if err != nil {
 					t.Fatal(err)
@@ -514,14 +514,14 @@ func TestNatureFablePrepMatchesReference(t *testing.T) {
 					t.Fatalf("hierarchy %d %v u%d: %s differs from the reference", hn, curve, us, field)
 				}
 				if c := hn - len(hs); c >= 0 {
-					if _, missesAfter, _ := nfBases.Stats(); (missesAfter > missesBefore) != builds[c] {
+					if _, missesAfter, _ := procChains.bases.Stats(); (missesAfter > missesBefore) != builds[c] {
 						t.Errorf("%v u%d chain step %d: built a base %v, want %v", curve, us, c, missesAfter > missesBefore, builds[c])
 					}
 				}
 			}
 		}
 	}
-	if hitsAfter, _, _ := nfBases.Stats(); hitsAfter == hitsBefore {
+	if hitsAfter, _, _ := procChains.bases.Stats(); hitsAfter == hitsBefore {
 		t.Error("no two hierarchies shared a base")
 	}
 }
@@ -556,13 +556,13 @@ func TestNatureFablePrepSharing(t *testing.T) {
 
 	nf := NewNatureFable()
 	walk := func() (bases, bands uint64) {
-		_, b0, _ := nfBases.Stats()
-		_, d0, _ := nfBands.Stats()
+		_, b0, _ := procChains.bases.Stats()
+		_, d0, _ := procChains.bands.Stats()
 		for _, h := range hs {
 			mustPartition(t, nf, h, 16)
 		}
-		_, b1, _ := nfBases.Stats()
-		_, d1, _ := nfBands.Stats()
+		_, b1, _ := procChains.bases.Stats()
+		_, d1, _ := procChains.bands.Stats()
 		return b1 - b0, d1 - d0
 	}
 	flushChainCaches()

@@ -151,13 +151,13 @@ func TestCancelledPartitionNeverPoisonsMemo(t *testing.T) {
 	flushChainCaches()
 	ctx := newCountdownCtx(1 << 30)
 	before := -1
-	nfBands.SetOnFlight(func(_ bandKey, leader bool) {
+	procChains.bands.SetOnFlight(func(_ bandKey, leader bool) {
 		if leader && before < 0 {
 			before = ctx.polls
 		}
 	})
 	_, err := nf.Partition(ctx, h, np)
-	nfBands.SetOnFlight(nil)
+	procChains.bands.SetOnFlight(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +168,10 @@ func TestCancelledPartitionNeverPoisonsMemo(t *testing.T) {
 	if a, err := nf.Partition(newCountdownCtx(before), h, np); a != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancel at poll %d: (%v, %v), want (nil, Canceled)", before, a, err)
 	}
-	if n := nfBands.Len(); n != 0 {
+	if n := procChains.bands.Len(); n != 0 {
 		t.Fatalf("band cache holds %d entries after a cancelled band build", n)
 	}
-	if n := nfBases.Len(); n != 1 {
+	if n := procChains.bases.Len(); n != 1 {
 		t.Fatalf("base cache holds %d entries, want the base built before the band", n)
 	}
 	if got := mustPartition(t, nf, h, np); !reflect.DeepEqual(fresh, got) {
@@ -222,5 +222,92 @@ func TestPreCancelledSharedIndex(t *testing.T) {
 	flushChainCaches()
 	if _, err := NewDomainSFC().Partition(ctx, testHierarchy(), 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
+	}
+}
+
+// chainCounts reads CacheStats' lookup counters.
+func chainCounts() (hits, misses, shared uint64) {
+	hits, misses, shared, _, _ = CacheStats()
+	return
+}
+
+// TestChainScopes: WithChainScope opens a store only where the context
+// carries none; calls under a scope leave the process store untouched,
+// and CacheStats still counts their lookups. Concurrent scopes, each
+// fanned out over several processor counts at once, own separate
+// stores: each builds every artifact exactly once (its own calls share
+// it), their answers equal the process store's, and every lookup is
+// counted once, whatever store answered it.
+func TestChainScopes(t *testing.T) {
+	h := testHierarchy()
+	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{geom.NewBox2(28, 28, 48, 48)}})
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := WithChainScope(context.Background())
+	if WithChainScope(ctx) != ctx {
+		t.Fatal("WithChainScope opened a second store under a scope")
+	}
+	if storeOf(ctx) == procChains || storeOf(context.Background()) != procChains {
+		t.Fatal("storeOf does not tell a scope from the process store")
+	}
+
+	nps := []int{3, 8, 16, 40}
+	flushChainCaches()
+	want := map[int]*Assignment{}
+	for _, np := range nps {
+		want[np] = mustPartition(t, NewNatureFable(), h, np)
+	}
+	h0, m0, s0 := chainCounts()
+	one := WithChainScope(context.Background())
+	if _, err := NewNatureFable().Partition(one, h, nps[0]); err != nil {
+		t.Fatal(err)
+	}
+	h1, m1, s1 := chainCounts()
+	lookups, builds := (h1+m1+s1)-(h0+m0+s0), m1-m0
+	if builds == 0 || builds != lookups {
+		t.Fatalf("a cold scope made %d lookups and %d builds, want as many builds as lookups", lookups, builds)
+	}
+	if n := storeOf(one).bases.Len() + storeOf(one).bands.Len(); uint64(n) != builds {
+		t.Fatalf("the scope holds %d artifacts after %d builds", n, builds)
+	}
+	flushChainCaches()
+
+	const scopes = 4
+	stores := make([]*chainStore, scopes)
+	var wg sync.WaitGroup
+	for s := range scopes {
+		ctx := WithChainScope(context.Background())
+		stores[s] = storeOf(ctx)
+		for _, np := range nps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				a, err := NewNatureFable().Partition(ctx, h, np)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(a, want[np]) {
+					t.Errorf("scope %d, np=%d: diverged from the process store's answer", s, np)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	h2, m2, s2 := chainCounts()
+	if got, want := m2-m1, scopes*builds; got != want {
+		t.Errorf("%d scopes built %d artifacts, want %d: one build per artifact a scope", scopes, got, want)
+	}
+	if got, want := (h2+m2+s2)-(h1+m1+s1), uint64(scopes*len(nps))*lookups; got != want {
+		t.Errorf("CacheStats counted %d lookups, want %d", got, want)
+	}
+	for s, st := range stores {
+		if n := st.bases.Len() + st.bands.Len(); uint64(n) != builds {
+			t.Errorf("scope %d holds %d artifacts, want %d", s, n, builds)
+		}
+	}
+	if _, _, _, entries, _ := CacheStats(); entries != 0 {
+		t.Errorf("scoped calls left %d entries in the process store", entries)
 	}
 }

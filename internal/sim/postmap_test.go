@@ -279,3 +279,61 @@ func TestEvaluateIsRelabelInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestMixedPostmapPairsAreScanned pins phase 5's postmap guard. A run
+// that alternates domain-hilbert-u2 and postmap(domain-hilbert-u2) puts
+// a raw step and a relabeled step under one step key wherever the
+// content holds across a pair (a postmap step is keyed by its inner
+// spec), and a relabel made against the last postmap step, from before
+// a content change, moves labels the raw step keeps. Every pair's
+// migration must be migrationReference's over the run's own
+// assignments, on the four quick traces, at one worker and at four;
+// the test fails unless some same-key pair moves cells, so the short
+// cut's zero would be wrong there.
+func TestMixedPostmapPairsAreScanned(t *testing.T) {
+	withProcs(t, 4)
+	const nprocs = 16
+	m := DefaultMachine()
+	inner := &partition.DomainSFC{Curve: sfc.Hilbert, UnitSize: 2}
+	pm := partition.NewPostMapped(inner)
+	choose := func() func(int, *grid.Hierarchy) partition.Partitioner {
+		i := 0
+		return func(int, *grid.Hierarchy) partition.Partitioner {
+			i++
+			if i%2 == 1 {
+				return inner
+			}
+			return pm
+		}
+	}
+	guarded := 0
+	for _, app := range apps.Names {
+		tr, err := apps.QuickTrace(bg, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := statefulChooser(choose())
+		as := make([]*partition.Assignment, len(tr.Snapshots))
+		for i, snap := range tr.Snapshots {
+			as[i] = mustPartition(t, ref(snap.Step, snap.H), snap.H, nprocs)
+		}
+		for _, workers := range []int{1, 4} {
+			flushStepCaches()
+			res := mustSimulate(t, tr, choose(), nprocs, m, workers)
+			for i := 1; i < len(tr.Snapshots); i++ {
+				hPrev, h := tr.Snapshots[i-1].H, tr.Snapshots[i].H
+				want := migrationReference(hPrev, h, as[i-1], as[i])
+				if got := res.Steps[i].Migration; got != want {
+					t.Fatalf("%s, workers %d: pair %d→%d migration %d, want %d", app, workers, i-1, i, got, want)
+				}
+				if workers == 1 && want != 0 && hPrev.Signature() == h.Signature() {
+					guarded++
+				}
+			}
+		}
+	}
+	if guarded == 0 {
+		t.Fatal("no same-key pair of a raw and a relabeled step moved a cell: the guard is untested")
+	}
+	t.Logf("%d same-key raw/relabeled pairs move cells", guarded)
+}

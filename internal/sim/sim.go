@@ -493,7 +493,11 @@ func flushStepCaches() { stepCache.Flush() }
 // state. Consecutive steps with one key that no relabel touches have
 // bit-identical hierarchies and assignments, so their migration scan
 // short-circuits to its exact value of zero; every other pair is
-// scanned.
+// scanned. The unit chains under the partitioners live one run: the run
+// opens a chain scope (partition.WithChainScope, or the caller's when
+// ctx carries one), so its snapshots and workers share bases and bands,
+// and the store goes with the run instead of pinning artifacts that
+// only a step-cache miss could read again.
 //
 // Post-mapping is the one part of a step that depends on the run's
 // history, so it runs after the cache, on the run's own copies:
@@ -501,6 +505,7 @@ func flushStepCaches() { stepCache.Flush() }
 // relabel moves no metric but the per-owner Loads, which it permutes,
 // and migration, which phase 5 scans from the relabeled chain.
 func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h *grid.Hierarchy) partition.Partitioner, nprocs int, m Machine, workers int) (*Result, error) {
+	ctx = partition.WithChainScope(ctx)
 	res := &Result{NumProcs: nprocs}
 	n := len(tr.Snapshots)
 	if n == 0 {
