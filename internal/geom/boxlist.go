@@ -31,18 +31,6 @@ func (bl BoxList) TotalSurface() int64 {
 	return s
 }
 
-// Disjoint reports whether no two boxes in the list overlap.
-func (bl BoxList) Disjoint() bool {
-	for i := range bl {
-		for j := i + 1; j < len(bl); j++ {
-			if bl[i].Intersects(bl[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Clone returns a deep copy of the list.
 func (bl BoxList) Clone() BoxList {
 	out := make(BoxList, len(bl))
@@ -88,19 +76,6 @@ func (bl BoxList) ContainsPoint(p IntVect) bool {
 		}
 	}
 	return false
-}
-
-// CoversBox reports whether b is entirely covered by the union of the
-// list members.
-func (bl BoxList) CoversBox(b Box) bool {
-	rem := BoxList{b}
-	for _, m := range bl {
-		rem = rem.SubtractBox(m)
-		if len(rem) == 0 {
-			return true
-		}
-	}
-	return len(rem) == 0 || rem.TotalVolume() == 0
 }
 
 // OverlapVolumeNaive returns the number of cells in the intersection of

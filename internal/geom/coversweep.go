@@ -1,22 +1,22 @@
-package grid
+package geom
 
 import (
 	"slices"
 	"sort"
 	"sync"
-
-	"samr/internal/geom"
 )
 
-// sweep is the plane sweep behind check: each box enters as +v over its
-// y cells at its low x and leaves as -v at its high x, box edges are
-// taken in x order, and a range-add/max segment tree over the
-// elementary intervals between distinct y coordinates holds the cover
-// of the current column of cells. A test is whether that cover ever
-// exceeds a limit. n boxes cost O(n log n) whatever their shapes: two
-// sorts of 2n integer keys and two O(log n) range adds per box. The
-// scratch is reused across the sweeps of one check.
-type sweep struct {
+// coverSweep is the cover engine behind BoxList's Disjoint, NestedIn
+// and FirstUnnested: each box enters as +v over its y cells at its low
+// x and leaves as -v at its high x, box edges are taken in x order, and
+// a range-add/max segment tree over the elementary intervals between
+// distinct y coordinates holds the cover of the current column of
+// cells. A test is whether that cover ever exceeds a limit. n boxes
+// cost O(n log n) whatever their shapes: two sorts of 2n integer keys
+// and two O(log n) range adds per box. It answers yes-or-no questions
+// about one cover; OverlapScan answers the owner-pair questions about
+// two.
+type coverSweep struct {
 	// Box j spans xs[2j]..xs[2j+1] by ys[2j]..ys[2j+1] with weight v[j];
 	// box[j] is its index in the tested list, or -1 for a box every
 	// sweep counts.
@@ -35,26 +35,26 @@ type sweep struct {
 	n       int
 }
 
-// sweeps recycles the scratch of check's sweeps across calls.
-var sweeps = sync.Pool{New: func() any { return new(sweep) }}
+// coverSweeps recycles the sweeps' scratch across calls.
+var coverSweeps = sync.Pool{New: func() any { return new(coverSweep) }}
 
-// putSweep returns s to the pool, unless it grew past 2^16 boxes: one
-// huge hierarchy must not pin its scratch.
-func putSweep(s *sweep) {
+// release returns s to the pool, unless it grew past 2^16 boxes: one
+// huge list must not pin its scratch.
+func (s *coverSweep) release() {
 	if cap(s.v) <= 1<<16 {
-		sweeps.Put(s)
+		coverSweeps.Put(s)
 	}
 }
 
 // reset empties the sweep for a new set of at most n boxes.
-func (s *sweep) reset(n int) {
+func (s *coverSweep) reset(n int) {
 	s.xs, s.ys = slices.Grow(s.xs[:0], 2*n), slices.Grow(s.ys[:0], 2*n)
 	s.v, s.box = slices.Grow(s.v[:0], n), slices.Grow(s.box[:0], n)
 }
 
-// addBox enters b with weight v; box is as in sweep.box. An empty box
+// addBox enters b with weight v; box is as in coverSweep.box. An empty box
 // covers nothing and is left out.
-func (s *sweep) addBox(b geom.Box, v int32, box int) {
+func (s *coverSweep) addBox(b Box, v int32, box int) {
 	if b.Empty() {
 		return
 	}
@@ -67,9 +67,9 @@ func (s *sweep) addBox(b geom.Box, v int32, box int) {
 // sortedKeys returns the positions of c in coordinate order, each as an
 // order-preserving 32-bit rank of its coordinate << 32 | the position:
 // the offset from the least coordinate when they span less than 2^32,
-// which is every hierarchy within maxCoord, else the index among the
-// distinct coordinates.
-func (s *sweep) sortedKeys(c []int, keys []uint64) []uint64 {
+// which every level of a valid hierarchy does (corners within ±2^30),
+// else the index among the distinct coordinates.
+func (s *coverSweep) sortedKeys(c []int, keys []uint64) []uint64 {
 	keys = slices.Grow(keys[:0], len(c))
 	if len(c) == 0 {
 		return keys
@@ -92,7 +92,7 @@ func (s *sweep) sortedKeys(c []int, keys []uint64) []uint64 {
 
 // prepare orders the x edges and maps the y edges to elementary
 // intervals.
-func (s *sweep) prepare() {
+func (s *coverSweep) prepare() {
 	s.xk = s.sortedKeys(s.xs, s.xk)
 	s.yk = s.sortedKeys(s.ys, s.yk)
 	s.yr = slices.Grow(s.yr[:0], len(s.ys))[:len(s.ys)]
@@ -116,7 +116,7 @@ func (s *sweep) prepare() {
 // The cover is read after all the edges at one x, so the order of edges
 // that share an x does not matter. Intervals no box spans and the
 // padding leaves hold 0, which no limit used here is below.
-func (s *sweep) within(limit int32, k int) bool {
+func (s *coverSweep) within(limit int32, k int) bool {
 	clear(s.mx)
 	clear(s.add)
 	for i := 0; i < len(s.xk); {
@@ -142,7 +142,7 @@ func (s *sweep) within(limit int32, k int) bool {
 // rangeAdd adds v over the elementary intervals [l, r): the bottom-up
 // walk that touches O(log n) nodes, then the ancestors of the two
 // boundary leaves recomputed up to the root, level by level.
-func (s *sweep) rangeAdd(l, r int, v int32) {
+func (s *coverSweep) rangeAdd(l, r int, v int32) {
 	l, r = l+s.n, r+s.n
 	a, b := l/2, (r-1)/2
 	for ; l < r; l, r = l/2, r/2 {
@@ -165,10 +165,12 @@ func (s *sweep) rangeAdd(l, r int, v int32) {
 	}
 }
 
-// disjoint reports whether no two boxes of bl share a cell: the cover of
-// the list never exceeds 1. It only compares corners, so any box may
-// lie anywhere.
-func (s *sweep) disjoint(bl geom.BoxList) bool {
+// Disjoint reports whether no two boxes of the list share a cell: its
+// cover never exceeds 1. It only compares corners, so any box may lie
+// anywhere, and costs O(n log n) on n boxes of any shapes.
+func (bl BoxList) Disjoint() bool {
+	s := coverSweeps.Get().(*coverSweep)
+	defer s.release()
 	s.reset(len(bl))
 	for _, b := range bl {
 		s.addBox(b, 1, -1)
@@ -177,13 +179,35 @@ func (s *sweep) disjoint(bl geom.BoxList) bool {
 	return s.within(1, 0)
 }
 
-// nests prepares bl over parent refined by ratio, and reports whether
-// bl's cover less the refined parent's never exceeds 0. The parent must
-// be disjoint and inside its level domain; then the answer is true
-// exactly when bl is disjoint and every box of it lies in the parent.
-// A parent box that is empty is left out before it is refined, so that
-// no product can wrap.
-func (s *sweep) nests(bl, parent geom.BoxList, ratio int) bool {
+// NestedIn reports whether bl is disjoint and every box of it lies in
+// parent refined by ratio: whether bl's cover less the refined parent's
+// never exceeds 0. parent must be disjoint, and its corners times ratio
+// must fit an int, as every level of a valid hierarchy is and does
+// (ratio 1 compares two lists in one index space). It costs
+// O(m log m) on the m boxes of both lists.
+func (bl BoxList) NestedIn(parent BoxList, ratio int) bool {
+	s := coverSweeps.Get().(*coverSweep)
+	defer s.release()
+	return s.nests(bl, parent, ratio)
+}
+
+// FirstUnnested returns the index of the first box of a disjoint bl
+// that parent, refined by ratio, does not cover, or len(bl) when it
+// covers them all; parent is as for NestedIn. Adding boxes only raises
+// the difference NestedIn bounds, so the first box out is the last of
+// the shortest failing prefix, found by a binary search over prefixes
+// of one prepared sweep: O(m log² m).
+func (bl BoxList) FirstUnnested(parent BoxList, ratio int) int {
+	s := coverSweeps.Get().(*coverSweep)
+	defer s.release()
+	s.nests(bl, parent, ratio)
+	return sort.Search(len(bl), func(k int) bool { return !s.within(0, k+1) })
+}
+
+// nests prepares the sweep of bl over parent refined by ratio and
+// answers NestedIn. A parent box that is empty is left out before it
+// is refined, so that no product can wrap.
+func (s *coverSweep) nests(bl, parent BoxList, ratio int) bool {
 	s.reset(len(parent) + len(bl))
 	for _, p := range parent {
 		if !p.Empty() {
@@ -195,14 +219,4 @@ func (s *sweep) nests(bl, parent geom.BoxList, ratio int) bool {
 	}
 	s.prepare()
 	return s.within(0, len(bl))
-}
-
-// firstUnnested returns the index of the first box of a disjoint bl that
-// parent, refined by ratio, does not cover; there must be one. Adding
-// boxes only raises the difference nests bounds, so the first box out is
-// the last of the shortest failing prefix, found by a binary search over
-// prefixes of the one prepared sweep.
-func (s *sweep) firstUnnested(bl, parent geom.BoxList, ratio int) int {
-	s.nests(bl, parent, ratio)
-	return sort.Search(len(bl), func(k int) bool { return !s.within(0, k+1) })
 }

@@ -8,12 +8,21 @@
 // BoxIndex, a uniform-bin spatial index built once per BoxList
 // and queried in near-constant time per box (Query for the intersecting
 // members, QueryVolume for the total overlap volume). The index is
-// immutable and safe for concurrent queries. Where every overlapping
-// pair of two lists is wanted at once — the simulator's communication
-// and migration terms, the post-mapper's benefit matrix, the overlap of
-// two hierarchies — OverlapScan sorts both lists and sweeps them, from
-// pooled scratch. OverlapVolumeNaive, the pairwise double loop, is the
-// tests' oracle for both.
+// immutable and safe for concurrent queries. Two sweep engines answer
+// the questions about whole lists, each from pooled scratch in
+// O(n log n) on any box shapes:
+//
+//   - OverlapScan, for owner pairs: where every overlapping pair of two
+//     lists is wanted at once — the simulator's communication and
+//     migration terms, the post-mapper's benefit matrix, the overlap of
+//     two hierarchies — it sorts both lists and sweeps them.
+//     OverlapVolumeNaive, the pairwise double loop, is the tests'
+//     oracle for it and for BoxIndex.
+//   - The cover sweep (coversweep.go), for disjoint and nested:
+//     BoxList.Disjoint, NestedIn and FirstUnnested, a plane sweep with a
+//     segment tree over the cover of one list less another's. It is
+//     behind grid.Hierarchy.Validate and partition.Assignment.Validate;
+//     its tests hold it to pairwise and subtraction-list oracles.
 //
 // All boxes are cell-centred and use inclusive lower and exclusive upper
 // bounds, i.e. a Box{Lo, Hi} covers the cells Lo <= c < Hi in each

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"cmp"
+	"context"
 	"math/bits"
 	"slices"
 	"sync"
@@ -118,21 +119,37 @@ func (s *OverlapScan) sort(rs []scanRect) []scanRect {
 	return out
 }
 
+// eachPollPairs bounds the candidate pairs Each compares between two
+// polls of its context: a fraction of a millisecond of work, however
+// the candidates fall among the boxes.
+const eachPollPairs = 1 << 16
+
 // Each calls visit(key, i, j, v) once for every A box of id i and B box
 // of id j listed under the same key that share v > 0 cells, every pair
 // of a key before any pair of a larger key. It sorts the lists; they
-// stay listed, so a second Each visits the same pairs.
-func (s *OverlapScan) Each(visit func(key, i, j int, v int64)) {
+// stay listed, so a second Each visits the same pairs. It polls ctx
+// every eachPollPairs candidate pairs and returns ctx's error, having
+// visited some of the pairs, when ctx is done; it returns nil once
+// every pair is visited. Callers with nothing to cancel pass
+// context.Background(), and get nil.
+func (s *OverlapScan) Each(ctx context.Context, visit func(key, i, j int, v int64)) error {
 	s.a = s.sort(s.a)
 	s.b = s.sort(s.b)
 	a, b := s.a, s.b
 	i, j := 0, 0
+	budget := eachPollPairs // candidate pairs until the next poll
 	for i < len(a) && j < len(b) {
 		// The box that starts first meets every box of the other list
 		// that starts inside its x extent; the other list's boxes that
 		// started before it have already met it.
 		if ra, rb := &a[i], &b[j]; ra.key < rb.key || ra.key == rb.key && ra.x0 <= rb.x0 {
 			for k := j; k < len(b) && b[k].key == ra.key && b[k].x0 < ra.x1; k++ {
+				if budget--; budget == 0 {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+					budget = eachPollPairs
+				}
 				if v := shared(ra, &b[k]); v > 0 {
 					visit(ra.key, ra.id, b[k].id, v)
 				}
@@ -140,6 +157,12 @@ func (s *OverlapScan) Each(visit func(key, i, j int, v int64)) {
 			i++
 		} else {
 			for k := i; k < len(a) && a[k].key == rb.key && a[k].x0 < rb.x1; k++ {
+				if budget--; budget == 0 {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+					budget = eachPollPairs
+				}
 				if v := shared(&a[k], rb); v > 0 {
 					visit(rb.key, a[k].id, rb.id, v)
 				}
@@ -147,6 +170,7 @@ func (s *OverlapScan) Each(visit func(key, i, j int, v int64)) {
 			j++
 		}
 	}
+	return nil
 }
 
 // shared is the overlap kernel on two listed rectangles: it compares

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -50,7 +51,7 @@ func comparePairs(p, q scanPair) int {
 func visits(t *testing.T, s *OverlapScan) []scanPair {
 	t.Helper()
 	var out []scanPair
-	s.Each(func(key, i, j int, v int64) {
+	s.Each(context.Background(), func(key, i, j int, v int64) {
 		if n := len(out); n > 0 && out[n-1].key > key {
 			t.Fatalf("key %d visited after key %d", key, out[n-1].key)
 		}
@@ -137,10 +138,37 @@ func TestOverlapScanAllocatesNothingWarm(t *testing.T) {
 			s.AddB(b.key, b.b, b.id)
 		}
 		var total int64
-		s.Each(func(_, _, _ int, v int64) { total += v })
+		s.Each(context.Background(), func(_, _, _ int, v int64) { total += v })
 	}
 	run()
 	if n := testing.AllocsPerRun(100, run); n > 0 {
 		t.Errorf("warm scan allocated %v times a run", n)
+	}
+}
+
+// TestOverlapScanPollsItsContext: on 300 full-width strips a side every
+// strip is a candidate for every other, 90000 pairs. Under a cancelled
+// context Each stops at its first poll, after eachPollPairs candidates,
+// and answers the context's error; under a live one it visits the 300
+// overlapping pairs and answers nil.
+func TestOverlapScanPollsItsContext(t *testing.T) {
+	s := NewOverlapScan()
+	defer s.Release()
+	for i := range 300 {
+		s.AddA(0, NewBox2(0, i, 64, i+1), i)
+		s.AddB(0, NewBox2(0, i, 64, i+1), i)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	visited := 0
+	if err := s.Each(ctx, func(_, _, _ int, _ int64) { visited++ }); err != context.Canceled {
+		t.Fatalf("cancelled Each = %v after %d pairs, want context.Canceled", err, visited)
+	}
+	if visited >= 300 {
+		t.Errorf("cancelled Each visited all %d pairs", visited)
+	}
+	visited = 0
+	if err := s.Each(context.Background(), func(_, _, _ int, _ int64) { visited++ }); err != nil || visited != 300 {
+		t.Errorf("Each = %v after %d pairs, want nil after 300", err, visited)
 	}
 }

@@ -6,6 +6,7 @@
 package grid
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"slices"
@@ -175,8 +176,9 @@ func (h *Hierarchy) Clone() *Hierarchy {
 // arrived (wire, .trc file, session snapshot); WithDelta holds the same
 // rules for a session step through the same check.
 //
-// Disjointness and nesting are decided by plane sweeps over x with a
-// range-add/max segment tree over the compressed y coordinates, so a
+// Disjointness and nesting are decided by geom's cover sweep (a plane
+// sweep over x with a range-add/max segment tree over the compressed y
+// coordinates: BoxList.Disjoint, NestedIn and FirstUnnested), so a
 // hierarchy of n boxes validates in O(n log n) time and O(n) space, and
 // a nesting refusal, which names the first box out, in O(n log² n),
 // whatever the shapes of the boxes.
@@ -193,15 +195,16 @@ func (h *Hierarchy) Validate() error {
 // delta starts from was checked — and is only read as the parent or the
 // child of a marked one.
 //
-// The geometric tests are plane sweeps (sweep.go), not box subtraction
-// or pairwise scans. A level is disjoint when its cover never exceeds 1;
-// a disjoint level 0 inside the domain covers it when the volumes sum to
-// the domain's; and level l nests when its cover less that of level
-// l-1's refined boxes, the parent already known to be disjoint, never
-// exceeds 0. That last sweep also proves level l disjoint, so a valid
-// level l > 0 costs one sweep, and the disjointness sweep of its own
-// runs only for level 0 and to word a refusal. On a nesting failure a
-// binary search over prefixes of the level names its first box out. A
+// The geometric tests are geom's cover sweeps, not box subtraction or
+// pairwise scans. A level is disjoint when its cover never exceeds 1
+// (BoxList.Disjoint); a disjoint level 0 inside the domain covers it
+// when the volumes sum to the domain's; and level l nests when its
+// cover less that of level l-1's refined boxes, the parent already
+// known to be disjoint, never exceeds 0 (NestedIn). That last sweep
+// also proves level l disjoint, so a valid level l > 0 costs one sweep,
+// and the disjointness sweep of its own runs only for level 0 and to
+// word a refusal. On a nesting failure FirstUnnested's binary search
+// over prefixes of the level names its first box out. A
 // level of n boxes under a parent of p boxes so costs O((n+p) log(n+p)),
 // and a refusal for nesting O(log n) times that, whatever the boxes'
 // shapes. The sweeps only compare corners; the one sum, level 0's
@@ -230,16 +233,14 @@ func (h *Hierarchy) check(what string, changed []bool) error {
 	if err := h.checkExtent(); err != nil {
 		return err
 	}
-	s := sweeps.Get().(*sweep)
-	defer putSweep(s)
 	for l, lev := range h.Levels {
 		// Nesting can break when either side of the boundary moved —
 		// including a kept level whose new parent shrank.
 		nesting := l > 0 && (marked(l) || marked(l-1))
-		nested := nesting && s.nests(lev.Boxes, h.Levels[l-1].Boxes, h.RefRatio)
+		nested := nesting && lev.Boxes.NestedIn(h.Levels[l-1].Boxes, h.RefRatio)
 		if marked(l) {
 			// A level nested in its disjoint parent is disjoint itself.
-			if !nested && !s.disjoint(lev.Boxes) {
+			if !nested && !lev.Boxes.Disjoint() {
 				return fmt.Errorf("grid: %s %d has overlapping boxes", what, l)
 			}
 			ld := h.LevelDomain(l)
@@ -251,7 +252,7 @@ func (h *Hierarchy) check(what string, changed []bool) error {
 			}
 		}
 		if nesting && !nested {
-			i := s.firstUnnested(lev.Boxes, h.Levels[l-1].Boxes, h.RefRatio)
+			i := lev.Boxes.FirstUnnested(h.Levels[l-1].Boxes, h.RefRatio)
 			return fmt.Errorf("grid: %s %d box %v not nested in level %d", what, l, lev.Boxes[i], l-1)
 		}
 	}
@@ -315,7 +316,7 @@ func TotalOverlap(a, b *Hierarchy) int64 {
 		}
 	}
 	var t int64
-	scan.Each(func(_, _, _ int, v int64) { t += v })
+	scan.Each(context.Background(), func(_, _, _ int, v int64) { t += v })
 	return t
 }
 

@@ -11,10 +11,37 @@ import (
 	"samr/internal/geom"
 )
 
+// disjointPairwise is the pairwise disjointness test geom.BoxList's
+// Disjoint ran before the cover sweep, kept here so that the references
+// stay independent of the code they check.
+func disjointPairwise(bl geom.BoxList) bool {
+	for i := range bl {
+		for j := i + 1; j < len(bl); j++ {
+			if bl[i].Intersects(bl[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// coversBox is the subtraction-list test geom.BoxList's CoversBox ran:
+// whether the union of bl covers b.
+func coversBox(bl geom.BoxList, b geom.Box) bool {
+	rem := geom.BoxList{b}
+	for _, m := range bl {
+		rem = rem.SubtractBox(m)
+		if len(rem) == 0 {
+			return true
+		}
+	}
+	return len(rem) == 0 || rem.TotalVolume() == 0
+}
+
 // validateReference is Validate as it shipped before the volume
-// equalities: pairwise Disjoint, and CoversBox's subtraction lists for
-// cover and nesting. It knows nothing of maxCoord, so it is an oracle
-// only for hierarchies checkExtent accepts.
+// equalities: pairwise disjointness, and subtraction lists for cover
+// and nesting. It knows nothing of maxCoord, so it is an oracle only
+// for hierarchies checkExtent accepts.
 func validateReference(h *Hierarchy) error {
 	if len(h.Levels) == 0 {
 		return fmt.Errorf("grid: hierarchy has no levels")
@@ -32,11 +59,11 @@ func validateReference(h *Hierarchy) error {
 			}
 		}
 	}
-	if !h.Levels[0].Boxes.CoversBox(h.Domain) {
+	if !coversBox(h.Levels[0].Boxes, h.Domain) {
 		return fmt.Errorf("grid: level 0 does not cover the domain %v", h.Domain)
 	}
 	for l, lev := range h.Levels {
-		if !lev.Boxes.Disjoint() {
+		if !disjointPairwise(lev.Boxes) {
 			return fmt.Errorf("grid: level %d has overlapping boxes", l)
 		}
 		ld := h.LevelDomain(l)
@@ -48,7 +75,7 @@ func validateReference(h *Hierarchy) error {
 		if l > 0 {
 			parent := h.Levels[l-1].Boxes.Refine(h.RefRatio)
 			for _, b := range lev.Boxes {
-				if !parent.CoversBox(b) {
+				if !coversBox(parent, b) {
 					return fmt.Errorf("grid: level %d box %v not nested in level %d", l, b, l-1)
 				}
 			}
@@ -66,7 +93,7 @@ func validateDeltaReference(h *Hierarchy, changed []bool) error {
 	}
 	for l, lev := range h.Levels {
 		if changed[l] {
-			if !lev.Boxes.Disjoint() {
+			if !disjointPairwise(lev.Boxes) {
 				return fmt.Errorf("grid: delta level %d has overlapping boxes", l)
 			}
 			ld := h.LevelDomain(l)
@@ -78,14 +105,14 @@ func validateDeltaReference(h *Hierarchy, changed []bool) error {
 					return fmt.Errorf("grid: delta level %d box %v outside level domain %v", l, b, ld)
 				}
 			}
-			if l == 0 && !lev.Boxes.CoversBox(h.Domain) {
+			if l == 0 && !coversBox(lev.Boxes, h.Domain) {
 				return fmt.Errorf("grid: delta level 0 does not cover the domain %v", h.Domain)
 			}
 		}
 		if l > 0 && (changed[l] || changed[l-1]) {
 			parent := h.Levels[l-1].Boxes.Refine(h.RefRatio)
 			for _, b := range lev.Boxes {
-				if !parent.CoversBox(b) {
+				if !coversBox(parent, b) {
 					return fmt.Errorf("grid: delta level %d box %v not nested in level %d", l, b, l-1)
 				}
 			}

@@ -140,11 +140,22 @@ func ImbalanceOf(loads []int64) float64 {
 // every fragment lies on a level h has and has an owner below NumProcs,
 // and each level's fragments are disjoint, within the level's boxes,
 // and their total volume matches the level's. sim.Migration counts
-// moved points only on assignments that pass.
+// moved points only on assignments that pass. h must pass
+// grid.Hierarchy.Validate, as it has wherever an assignment is held to
+// it: the containment sweep takes the level's boxes to be disjoint.
+//
+// One pass files the fragments under their levels; each level then
+// costs one geom cover sweep, which proves its fragments disjoint and
+// inside its boxes at once (BoxList.NestedIn at ratio 1), and a volume
+// sum, which with those proves the cover complete. n fragments over a
+// hierarchy of m boxes so validate in O((n+m) log(n+m)), whatever their
+// shapes; a refusal for overlap or for a fragment outside, which names
+// the first one out, costs one more sweep or a log factor more.
 func (a *Assignment) Validate(h *grid.Hierarchy) error {
 	if a.NumProcs < 1 {
 		return fmt.Errorf("partition: no processors")
 	}
+	byLevel := make([]geom.BoxList, len(h.Levels))
 	for _, f := range a.Fragments {
 		if f.Level < 0 || f.Level >= len(h.Levels) {
 			return fmt.Errorf("partition: fragment %v on level %d of a %d-level hierarchy", f.Box, f.Level, len(h.Levels))
@@ -152,24 +163,20 @@ func (a *Assignment) Validate(h *grid.Hierarchy) error {
 		if f.Owner < 0 || f.Owner >= a.NumProcs {
 			return fmt.Errorf("partition: level %d fragment %v has bad owner %d", f.Level, f.Box, f.Owner)
 		}
+		byLevel[f.Level] = append(byLevel[f.Level], f.Box)
 	}
 	for l, lev := range h.Levels {
-		var frags geom.BoxList
-		for _, f := range a.Fragments {
-			if f.Level == l {
-				frags = append(frags, f.Box)
-			}
-		}
-		if !frags.Disjoint() {
+		frags := byLevel[l]
+		nested := frags.NestedIn(lev.Boxes, 1)
+		if !nested && !frags.Disjoint() {
 			return fmt.Errorf("partition: level %d fragments overlap", l)
 		}
 		if got, want := frags.TotalVolume(), lev.NumPoints(); got != want {
 			return fmt.Errorf("partition: level %d covers %d of %d points", l, got, want)
 		}
-		for _, f := range frags {
-			if !lev.Boxes.CoversBox(f) {
-				return fmt.Errorf("partition: level %d fragment %v outside level boxes", l, f)
-			}
+		if !nested {
+			f := frags[frags.FirstUnnested(lev.Boxes, 1)]
+			return fmt.Errorf("partition: level %d fragment %v outside level boxes", l, f)
 		}
 	}
 	return nil

@@ -193,13 +193,13 @@ func TestNatureFableSeparatesHuesAndCores(t *testing.T) {
 	// Core regions made from level 1 must cover every refined footprint.
 	for l := 1; l < len(h.Levels); l++ {
 		for _, fp := range h.Footprint(l) {
-			if !cores.CoversBox(fp) {
+			if !coversBox(cores, fp) {
 				t.Errorf("core regions do not cover level %d footprint %v", l, fp)
 			}
 		}
 	}
 	// And be disjoint.
-	if !cores.Disjoint() {
+	if !disjointPairwise(cores) {
 		t.Error("core regions overlap")
 	}
 }

@@ -59,8 +59,9 @@ const maxLabels = 2048
 // gains nothing, so remapping a remapped answer against the same
 // previous step is the identity. Past maxLabels processors it answers
 // ErrTooManyLabels before allocating anything. ctx is polled before
-// the overlap scan, before each part's row of the benefit, and in the
-// match; a cancelled call returns nil and ctx's error.
+// the overlap scan, within it every 2^16 candidate fragment pairs
+// (geom.OverlapScan.Each), before each part's row of the benefit, and
+// in the match; a cancelled call returns nil and ctx's error.
 func Remap(ctx context.Context, prevA, a *Assignment) (*Assignment, error) {
 	n := a.NumProcs
 	if n > maxLabels {
@@ -72,7 +73,10 @@ func Remap(ctx context.Context, prevA, a *Assignment) (*Assignment, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	benefit := overlapBenefit(prevA, a)
+	benefit, err := overlapBenefit(ctx, prevA, a)
+	if err != nil {
+		return nil, err
+	}
 	// Identity preference: 1 more on the diagonal, so any strict overlap
 	// win dominates the bonus, but exact ties resolve to keeping labels
 	// and label churn needs a real gain.
@@ -101,8 +105,9 @@ func Remap(ctx context.Context, prevA, a *Assignment) (*Assignment, error) {
 // a against prevA, both over n = a.NumProcs processors: entry q*n+p is
 // twice the points of a's part q lying in prevA's part p, level by
 // level, weighted equally per point. It is one overlap scan over both
-// assignments' fragments, keyed by level and listed under their owners.
-func overlapBenefit(prevA, a *Assignment) []int64 {
+// assignments' fragments, keyed by level and listed under their owners,
+// and answers ctx's error if ctx is done before the scan ends.
+func overlapBenefit(ctx context.Context, prevA, a *Assignment) ([]int64, error) {
 	n := a.NumProcs
 	benefit := make([]int64, n*n)
 	scan := geom.NewOverlapScan()
@@ -113,8 +118,10 @@ func overlapBenefit(prevA, a *Assignment) []int64 {
 	for _, f := range prevA.Fragments {
 		scan.AddB(f.Level, f.Box, f.Owner)
 	}
-	scan.Each(func(_, q, p int, v int64) { benefit[q*n+p] += 2 * v })
-	return benefit
+	if err := scan.Each(ctx, func(_, q, p int, v int64) { benefit[q*n+p] += 2 * v }); err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
+	}
+	return benefit, nil
 }
 
 // hungarian solves the square assignment problem on the n×n row-major

@@ -436,14 +436,18 @@ func benefitReference(prevA, a *Assignment) []int64 {
 	return benefit
 }
 
-// TestOverlapBenefitMatchesReference holds the benefit matrix to its
-// map-based body on every consecutive pair of the quick traces at 3
-// and 16 processors, under the meta-partitioner's stable (core's
-// NewMetaPartitioner, which this package cannot import; the postmap
-// member relabeled along the trace, as the simulator does) and the
-// patch family.
-func TestOverlapBenefitMatchesReference(t *testing.T) {
-	stable := []Partitioner{
+// benefitUncancelled is overlapBenefit under a context that is never
+// done, which cannot fail.
+func benefitUncancelled(prev, a *Assignment) []int64 {
+	benefit, _ := overlapBenefit(context.Background(), prev, a)
+	return benefit
+}
+
+// stablePartitioners is the meta-partitioner's stable (core's
+// NewMetaPartitioner, which this package cannot import) and the patch
+// family.
+func stablePartitioners() []Partitioner {
+	return []Partitioner{
 		&DomainSFC{Curve: sfc.Morton, UnitSize: 4},
 		NewPostMapped(&DomainSFC{Curve: sfc.Hilbert, UnitSize: 2}),
 		&NatureFable{Curve: sfc.Hilbert, AtomicUnit: 4, Groups: 4, FractionalBlocking: false},
@@ -451,17 +455,24 @@ func TestOverlapBenefitMatchesReference(t *testing.T) {
 		NewNatureFable(),
 		NewPatchBased(),
 	}
+}
+
+// TestOverlapBenefitMatchesReference holds the benefit matrix to its
+// map-based body on every consecutive pair of the quick traces at 3
+// and 16 processors, under stablePartitioners (the postmap member
+// relabeled along the trace, as the simulator does).
+func TestOverlapBenefitMatchesReference(t *testing.T) {
 	for _, app := range apps.Names {
 		tr, err := apps.QuickTrace(context.Background(), app)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range stable {
+		for _, p := range stablePartitioners() {
 			for _, np := range []int{3, 16} {
 				var prev *Assignment
 				for _, snap := range tr.Snapshots {
 					a := mustPartition(t, p, snap.H, np)
-					if prev != nil && !reflect.DeepEqual(overlapBenefit(prev, a), benefitReference(prev, a)) {
+					if prev != nil && !reflect.DeepEqual(benefitUncancelled(prev, a), benefitReference(prev, a)) {
 						t.Fatalf("%s %s np=%d step %d: benefit differs from the reference", app, p.Name(), np, snap.Step)
 					}
 					if _, ok := p.(*PostMapped); ok {
@@ -504,7 +515,7 @@ func TestOverlapBenefitMatchesReferenceOnNonCovers(t *testing.T) {
 	for i := range 2000 {
 		np := 1 + i%5
 		prev, a := randomFragmentsOn(r, np), randomFragmentsOn(r, np)
-		if got, want := overlapBenefit(prev, a), benefitReference(prev, a); !reflect.DeepEqual(got, want) {
+		if got, want := benefitUncancelled(prev, a), benefitReference(prev, a); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: benefit %v, reference %v", i, got, want)
 		}
 	}
@@ -522,7 +533,7 @@ func FuzzOverlapBenefit(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		np := 1 + int(nprocs%16)
 		prev, a := randomFragmentsOn(r, np), randomFragmentsOn(r, np)
-		if got, want := overlapBenefit(prev, a), benefitReference(prev, a); !reflect.DeepEqual(got, want) {
+		if got, want := benefitUncancelled(prev, a), benefitReference(prev, a); !reflect.DeepEqual(got, want) {
 			t.Fatalf("benefit %v, reference %v", got, want)
 		}
 	})
@@ -570,6 +581,28 @@ func TestRemapAnsweredByDeadline(t *testing.T) {
 	h := testHierarchy()
 	prev := mustPartition(t, NewDomainSFC(), h, np)
 	a := mustPartition(t, &relabelingPartitioner{inner: NewDomainSFC(), calls: 1}, h, np)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	start := time.Now()
+	got, err := Remap(ctx, prev, a)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || got != nil {
+		t.Fatalf("Remap = (%v, %v), want (nil, deadline exceeded)", got, err)
+	}
+	if bound := timeout + max(50*time.Millisecond, timeout/4); took > bound {
+		t.Errorf("deadline answered after %v, want within %v", took, bound)
+	}
+}
+
+// TestRemapScanAnsweredByDeadline: between two assignments of 65536
+// full-width strips over 16 owners the benefit scan compares every
+// pair, 2^32 candidates that took 14.6 s (2 vCPU Xeon) before the scan
+// polled; a 1 s deadline is answered with its error within
+// T + max(50 ms, T/4).
+func TestRemapScanAnsweredByDeadline(t *testing.T) {
+	const timeout = time.Second
+	_, prev := stripCover(1<<16, func(i int) int { return i % 16 })
+	_, a := stripCover(1<<16, func(i int) int { return i / 7 % 16 })
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	start := time.Now()

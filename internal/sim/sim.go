@@ -181,7 +181,8 @@ func grow64(s []int64, n int) []int64 {
 // one hierarchy (everything except migration, which needs the previous
 // step). Fragments on levels the hierarchy lacks count in the loads
 // and exchange nothing.
-// Cancellation is polled before each of the two exchange scans; a
+// Cancellation is polled before each of the two exchange scans and
+// within them (geom.OverlapScan.Each, every 2^16 candidate pairs); a
 // cancelled call returns the zero StepMetrics and ctx's error, never a
 // partially accumulated one.
 func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m Machine) (StepMetrics, error) {
@@ -214,7 +215,9 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 	if err := checkCtx(ctx); err != nil {
 		return StepMetrics{}, err
 	}
-	sc.exchange(scan, a.Fragments, h, true, &sm.IntraLevelComm, &sm.Messages)
+	if err := sc.exchange(ctx, scan, a.Fragments, h, true, &sm.IntraLevelComm, &sm.Messages); err != nil {
+		return StepMetrics{}, fmt.Errorf("sim: %w", err)
+	}
 	scan.ResetA()
 	for k, f := range a.Fragments {
 		if f.Level > 0 && f.Level < levels {
@@ -224,7 +227,9 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 	if err := checkCtx(ctx); err != nil {
 		return StepMetrics{}, err
 	}
-	sc.exchange(scan, a.Fragments, h, false, &sm.InterLevelComm, &sm.Messages)
+	if err := sc.exchange(ctx, scan, a.Fragments, h, false, &sm.InterLevelComm, &sm.Messages); err != nil {
+		return StepMetrics{}, fmt.Errorf("sim: %w", err)
+	}
 
 	if w := h.Workload(); w > 0 {
 		sm.RelativeComm = float64(sm.TotalComm()) / float64(w)
@@ -257,8 +262,8 @@ func Evaluate(ctx context.Context, h *grid.Hierarchy, a *partition.Assignment, m
 // per level and step — real exchanges pack every fragment transfer
 // between two processors into one message — so each pair a level's
 // pairs find adds that level's steps to *msgs and to the receiver's
-// count.
-func (sc *evalScratch) exchange(scan *geom.OverlapScan, frags []partition.Fragment, h *grid.Hierarchy, halo bool, total, msgs *int64) {
+// count. It returns the scan's error when ctx is done mid-scan.
+func (sc *evalScratch) exchange(ctx context.Context, scan *geom.OverlapScan, frags []partition.Fragment, h *grid.Hierarchy, halo bool, total, msgs *int64) error {
 	nprocs := len(sc.comm)
 	level, steps := -1, int64(0)
 	// flush closes the pair set of the level the scan has left.
@@ -270,7 +275,7 @@ func (sc *evalScratch) exchange(scan *geom.OverlapScan, frags []partition.Fragme
 		sc.pairs.reset(nprocs)
 	}
 	sc.pairs.reset(nprocs)
-	scan.Each(func(key, i, j int, v int64) {
+	err := scan.Each(ctx, func(key, i, j int, v int64) {
 		if key != level {
 			flush()
 			level, steps = key, h.StepFactor(key)
@@ -289,6 +294,7 @@ func (sc *evalScratch) exchange(scan *geom.OverlapScan, frags []partition.Fragme
 		}
 	})
 	flush()
+	return err
 }
 
 // Migration returns the number of grid points that exist in both
@@ -343,7 +349,7 @@ func migration(hPrev, hCur *grid.Hierarchy, prev, cur stepFragments) int64 {
 	prev.list(scan.AddA, levels)
 	cur.list(scan.AddB, levels)
 	var moved int64
-	scan.Each(func(_, p, q int, v int64) {
+	scan.Each(context.Background(), func(_, p, q int, v int64) {
 		if p != q {
 			moved += v
 		}
@@ -452,8 +458,13 @@ type stepArtifact struct {
 // processors, which leaves 612 artifacts, an artifact takes 5.4 KB of
 // heap (24 B a fragment, the metrics row, the key and the entry),
 // against 37 KB when it held the unpacked Assignment. A full cache is
-// then about 11 MB: it holds the working set of a full experiment
-// sweep while bounding a long-running daemon.
+// then about 11 MB, which bounds a long-running daemon. It holds the
+// working set of `all` at 16 steps, but not at paper scale: there `all`
+// looks up 3618 distinct step keys, so steps are evicted and computed
+// again, and which ones depends on the workers' scheduling (two runs of
+// one binary answered 2879 and 2886 lookups from the cache). The
+// outputs do not depend on it: a step's result is a pure function of
+// its key (TestAllBytesPinned holds all's bytes at both bench scales).
 const stepCacheCap = 2048
 
 var stepCache = memo.New[stepKey, stepArtifact](stepCacheCap)
