@@ -3,7 +3,9 @@ package samr
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -172,6 +174,7 @@ func TestBenchRuns(t *testing.T) {
 		t.Fatal("no BENCH_PR*.json committed")
 	}
 	dirs := benchDirections(t)
+	var read []benchFile
 	anchor := benchAnchor(t)
 	name := regexp.MustCompile(`^BENCH_PR([0-9]+)\.json$`)
 	hex40 := regexp.MustCompile(`^[0-9a-f]{40}$`)
@@ -220,13 +223,100 @@ func TestBenchRuns(t *testing.T) {
 		default:
 			t.Logf("  anchor %s, not BENCH_ANCHOR's %s: comparable only with files on the same anchor", br.AnchorCommit[:7], anchor)
 		}
-		workloads := make([]string, 0, len(br.Workloads))
-		for w := range br.Workloads {
-			workloads = append(workloads, w)
+		bf := benchFile{name: file, runs: br, values: map[string]map[int]map[string]*benchSides{}}
+		for _, w := range sortedKeys(br.Workloads) {
+			bf.values[w] = checkBenchWorkload(t, file, w, br.Workloads[w].Pairs, br.Seed, dirs, hasAnchorSide(br))
 		}
-		sort.Strings(workloads)
-		for _, w := range workloads {
-			checkBenchWorkload(t, file, w, br.Workloads[w].Pairs, br.Seed, dirs, hasAnchorSide(br))
+		read = append(read, bf)
+	}
+	logTrajectory(t, read)
+}
+
+// benchFile is one runs file as TestBenchRuns read it: its values per
+// workload, seed and metric.
+type benchFile struct {
+	name   string
+	runs   benchRuns
+	values map[string]map[int]map[string]*benchSides
+}
+
+// benchSides holds one metric's values on one seed, run by run, per
+// side.
+type benchSides struct{ parent, change, anchor []float64 }
+
+func sortedKeys[K int | string, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
+}
+
+// addedBy returns the commit that added file, or "" when git cannot
+// say: no git or no repository, or the file is not committed yet.
+func addedBy(file string) string {
+	out, err := exec.Command("git", "log", "--diff-filter=A", "--format=%H", "--", file).Output()
+	if err != nil {
+		return ""
+	}
+	commits := strings.Fields(string(out))
+	if len(commits) == 0 {
+		return ""
+	}
+	return commits[len(commits)-1]
+}
+
+// logTrajectory reports ROADMAP item 32's acceptance; it gates nothing.
+// When a later runs file's parent is the commit that added an earlier
+// one, and both share an anchor, that commit ran in both files: as the
+// earlier file's change side and the later file's parent side. Its
+// medians over each file's own anchor median should then agree within
+// the anchor's spread. Per workload, seed and metric the report logs
+// change ÷ anchor of the first against parent ÷ anchor of the second,
+// and each file's anchor IQR over its median; "apart" marks a
+// difference wider than the larger of the two. The remedy for "apart"
+// is more interleaving, never a looser bound.
+func logTrajectory(t *testing.T, files []benchFile) {
+	t.Helper()
+	relIQR := func(xs []float64) float64 {
+		xs = slices.Clone(xs)
+		return (quantile(xs, 0.75) - quantile(xs, 0.25)) / quantile(xs, 0.5)
+	}
+	median := func(xs []float64) float64 { return quantile(slices.Clone(xs), 0.5) }
+	for i, a := range files {
+		if a.runs.AnchorCommit == "" {
+			continue
+		}
+		added := addedBy(a.name)
+		if added == "" {
+			t.Logf("trajectory: git does not say which commit added %s, so no later file can be joined to it", a.name)
+			continue
+		}
+		for _, b := range files[i+1:] {
+			if b.runs.ParentCommit != added || b.runs.AnchorCommit != a.runs.AnchorCommit {
+				continue
+			}
+			t.Logf("trajectory: %s's change and %s's parent are both %s, on anchor %s", a.name, b.name, added[:7], a.runs.AnchorCommit[:7])
+			for _, w := range sortedKeys(a.values) {
+				for _, s := range sortedKeys(a.values[w]) {
+					for _, m := range sortedKeys(a.values[w][s]) {
+						x, y := a.values[w][s][m], b.values[w][s][m]
+						if y == nil || len(x.anchor) == 0 || len(y.anchor) == 0 {
+							continue
+						}
+						r1 := median(x.change) / median(x.anchor)
+						r2 := median(y.parent) / median(y.anchor)
+						i1, i2 := relIQR(x.anchor), relIQR(y.anchor)
+						verdict := "agree"
+						if math.Abs(r2-r1) > max(i1, i2) {
+							verdict = "apart"
+						}
+						t.Logf("  %-16s seed %d %-14s change ÷ anchor %.3f, then parent ÷ anchor %.3f (%+.3f); anchor IQR ÷ median %.3f and %.3f: %s",
+							w, s, m, r1, r2, r2-r1, i1, i2, verdict)
+					}
+				}
+			}
 		}
 	}
 }
@@ -246,15 +336,15 @@ func hasAnchorSide(br benchRuns) bool {
 // checkBenchWorkload checks one workload's pairs and logs, per seed and
 // metric, parent median [parent IQR] → change median and pairs won, and
 // when the file has an anchor side (anchored), which then every seed of
-// the workload needs, each side's median over the anchor's.
-func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed int, dirs map[string]string, anchored bool) {
+// the workload needs, each side's median over the anchor's. It returns
+// the values it read, by seed and metric.
+func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed int, dirs map[string]string, anchored bool) map[int]map[string]*benchSides {
 	t.Helper()
 	if len(pairs) == 0 {
 		t.Errorf("%s %s: no pairs", file, w)
-		return
+		return nil
 	}
-	type side struct{ parent, change, anchor []float64 }
-	bySeed := map[int]map[string]*side{}
+	bySeed := map[int]map[string]*benchSides{}
 	anchorRuns := map[int]int{}
 	for i, p := range pairs {
 		if p.Pair != i {
@@ -273,11 +363,11 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 		for _, r := range sides {
 			if err := checkBenchRun(r, dirs); err != nil {
 				t.Errorf("%s %s pair %d: %v", file, w, i, err)
-				return
+				return nil
 			}
 			if len(r.Metrics) != len(p.Parent.Metrics) {
 				t.Errorf("%s %s pair %d: the sides report different metrics", file, w, i)
-				return
+				return nil
 			}
 		}
 		s := seed
@@ -285,7 +375,7 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 			s = *p.Seed
 		}
 		if bySeed[s] == nil {
-			bySeed[s] = map[string]*side{}
+			bySeed[s] = map[string]*benchSides{}
 		}
 		if p.Anchor != nil {
 			anchorRuns[s]++
@@ -294,10 +384,10 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 			cv, ok := p.Change.Metrics[m]
 			if !ok {
 				t.Errorf("%s %s pair %d: change lacks %s", file, w, i, m)
-				return
+				return nil
 			}
 			if bySeed[s][m] == nil {
-				bySeed[s][m] = &side{}
+				bySeed[s][m] = &benchSides{}
 			}
 			bySeed[s][m].parent = append(bySeed[s][m].parent, *pv.Value)
 			bySeed[s][m].change = append(bySeed[s][m].change, *cv.Value)
@@ -305,29 +395,19 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 				av, ok := p.Anchor.Metrics[m]
 				if !ok {
 					t.Errorf("%s %s pair %d: anchor lacks %s", file, w, i, m)
-					return
+					return nil
 				}
 				bySeed[s][m].anchor = append(bySeed[s][m].anchor, *av.Value)
 			}
 		}
 	}
-	seeds := make([]int, 0, len(bySeed))
-	for s := range bySeed {
-		seeds = append(seeds, s)
-	}
-	sort.Ints(seeds)
-	for _, s := range seeds {
+	for _, s := range sortedKeys(bySeed) {
 		ratios := anchored
 		if anchored && anchorRuns[s] < minAnchorRuns {
 			t.Errorf("%s %s seed %d: %d anchor runs, want at least %d", file, w, s, anchorRuns[s], minAnchorRuns)
 			ratios = false
 		}
-		metrics := make([]string, 0, len(bySeed[s]))
-		for m := range bySeed[s] {
-			metrics = append(metrics, m)
-		}
-		sort.Strings(metrics)
-		for _, m := range metrics {
+		for _, m := range sortedKeys(bySeed[s]) {
 			v := bySeed[s][m]
 			won := 0
 			for i := range v.parent {
@@ -349,4 +429,5 @@ func checkBenchWorkload(t *testing.T, file, w string, pairs []benchPair, seed in
 				w, s, m, am, a1, a3, len(v.anchor), pm/am, cm/am)
 		}
 	}
+	return bySeed
 }

@@ -264,12 +264,20 @@ type nfBase struct {
 // coreBand is one band of a unit chain (a bi-level of the core chain,
 // or level 0 of the hue chain): per unit, the band's workload over the
 // unit and the band's fragments over it, packed with owner 0 (a call
-// labels them). Unit i's fragments are frags[start[i]:start[i+1]],
-// exactly what bandFragments appends for the unit, in that order.
+// labels them). Each unit's fragments are a packed stream of their own,
+// its delta base reset, so unit i's are data[start[i]:start[i+1]],
+// exactly what bandFragments appends for the unit, in that order, and
+// n counts them all.
 type coreBand struct {
 	weights []int64
 	start   []int32
-	frags   []packedFrag
+	n       int
+	data    []byte
+}
+
+// unitFragments returns a reader of unit i's fragments.
+func (b *coreBand) unitFragments(i int) fragReader {
+	return fragReader{b: b.data[b.start[i]:b.start[i+1]]}
 }
 
 // nfPrepOf assembles the Nature+Fable pre-partitioning artifact for
@@ -354,9 +362,11 @@ func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 			if b.hueBand, err = hi.coreBandOf(b.hueUnits, 0, 0); err != nil {
 				return nil, err
 			}
-			cover := make(geom.BoxList, len(b.hueBand.frags))
-			for i, f := range b.hueBand.frags {
-				cover[i] = f.box()
+			cover := make(geom.BoxList, 0, b.hueBand.n)
+			for i := range b.hueUnits {
+				for r := b.hueBand.unitFragments(i); r.more(); {
+					cover = append(cover, r.next().Box)
+				}
 			}
 			if b.hueCover, err = cover.SimplifyContext(hi.ctx); err != nil {
 				return nil, fmt.Errorf("partition: %w", err)
@@ -413,6 +423,7 @@ func nfBandOf(hi *hierIndex, base chainKey, units []unit, lo int) (coreBand, err
 func (hi *hierIndex) coreBandOf(units []unit, lo, hiLevel int) (coreBand, error) {
 	b := coreBand{weights: make([]int64, len(units)), start: make([]int32, len(units)+1)}
 	var frags []Fragment
+	var data []byte
 	for i, u := range units {
 		if i%ctxBatch == 0 {
 			if err := hi.check(); err != nil {
@@ -421,16 +432,18 @@ func (hi *hierIndex) coreBandOf(units []unit, lo, hiLevel int) (coreBand, error)
 		}
 		frags = frags[:0]
 		hi.bandFragments(u.box(), lo, hiLevel, 0, &frags)
+		var base fragBase
 		for _, f := range frags {
 			b.weights[i] += f.Box.Volume() * hi.h.StepFactor(f.Level)
-			pf, err := packFrag(f)
-			if err != nil {
+			var err error
+			if data, err = base.appendFrag(data, f); err != nil {
 				return coreBand{}, err
 			}
-			b.frags = append(b.frags, pf)
 		}
-		b.start[i+1] = int32(len(b.frags))
+		b.n += len(frags)
+		b.start[i+1] = int32(len(data))
 	}
+	b.data = exact(data)
 	return b, nil
 }
 

@@ -168,13 +168,13 @@ func (p *nfPrep) fragmentsHint(hueProcs, coreProcs int) int {
 	case hueProcs == 1:
 		n = len(p.hueCover)
 	case hueProcs > 1:
-		n = len(p.hueBand.frags) + hueProcs
+		n = p.hueBand.n + hueProcs
 	default:
 		n = len(p.hue)
 	}
 	if coreProcs > 0 {
 		for _, b := range p.bands {
-			n += len(b.frags) + coreProcs
+			n += b.n + coreProcs
 		}
 	}
 	return n
@@ -285,20 +285,23 @@ func (nf *NatureFable) blockBand(hi *hierIndex, band *coreBand, units []unit, st
 			}
 		}
 		i := start + ou.src
-		frags := band.frags[band.start[i]:band.start[i+1]]
+		frags := band.unitFragments(i)
 		owner := procBase + ou.owner
 		if ou.box == units[i].box() {
-			for _, f := range frags {
-				*out = append(*out, Fragment{Level: int(f.level), Box: f.box(), Owner: owner})
+			for frags.more() {
+				f := frags.next()
+				f.Owner = owner
+				*out = append(*out, f)
 			}
 			continue
 		}
 		fine, l := ou.box, 0
-		for _, f := range frags {
-			for ; l < int(f.level); l++ {
+		for frags.more() {
+			f := frags.next()
+			for ; l < f.Level; l++ {
 				fine = fine.Refine(hi.h.RefRatio)
 			}
-			if iv := f.box().Intersect(fine); !iv.Empty() {
+			if iv := f.Box.Intersect(fine); !iv.Empty() {
 				*out = append(*out, Fragment{Level: l, Box: iv, Owner: owner})
 			}
 		}

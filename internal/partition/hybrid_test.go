@@ -359,16 +359,17 @@ func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, un
 		p.hueBand = coreBand{weights: unitWeights(units), start: make([]int32, len(units)+1)}
 		var frags []Fragment
 		for i, u := range units {
+			n := len(frags)
 			hi.bandFragments(u.box(), 0, 0, 0, &frags)
-			p.hueBand.start[i+1] = int32(len(frags))
-		}
-		for _, f := range frags {
-			pf, err := packFrag(f)
-			if err != nil {
-				return nil, err
+			var base fragBase
+			for _, f := range frags[n:] {
+				if p.hueBand.data, err = base.appendFrag(p.hueBand.data, f); err != nil {
+					return nil, err
+				}
 			}
-			p.hueBand.frags = append(p.hueBand.frags, pf)
+			p.hueBand.start[i+1] = int32(len(p.hueBand.data))
 		}
+		p.hueBand.n = len(frags)
 		cover := make(geom.BoxList, len(frags))
 		for i, f := range frags {
 			cover[i] = f.Box
@@ -416,7 +417,7 @@ func prepMismatch(got, want *nfPrep) string {
 		return "hue unit boxes"
 	case !slices.Equal(got.hueBand.weights, want.hueBand.weights) ||
 		!slices.Equal(got.hueBand.start, want.hueBand.start) ||
-		!slices.Equal(got.hueBand.frags, want.hueBand.frags):
+		got.hueBand.n != want.hueBand.n || !slices.Equal(got.hueBand.data, want.hueBand.data):
 		return "hue band"
 	case !slices.Equal(got.hueCover, want.hueCover):
 		return "hue cover"
@@ -429,7 +430,7 @@ func prepMismatch(got, want *nfPrep) string {
 	}
 	for b := range want.bands {
 		g, w := got.bands[b], want.bands[b]
-		if !slices.Equal(g.weights, w.weights) || !slices.Equal(g.start, w.start) || !slices.Equal(g.frags, w.frags) {
+		if !slices.Equal(g.weights, w.weights) || !slices.Equal(g.start, w.start) || g.n != w.n || !slices.Equal(g.data, w.data) {
 			return fmt.Sprintf("band %d", b)
 		}
 	}

@@ -185,7 +185,7 @@ func (a *Assignment) Validate(h *grid.Hierarchy) error {
 // unit is an atomic partitioning unit: a base-level box plus the
 // workload it carries, in 24 bytes against a geom.Box's 56 plus the
 // weight. Validate bounds every level's index space to ±2^30, so the
-// base-level corners fit int32 exactly (packedFrag's argument), and box
+// base-level corners fit int32 exactly (packed.go's argument), and box
 // restores the planar box.
 type unit struct {
 	x0, y0, x1, y1 int32 // base-level index space

@@ -38,11 +38,12 @@ const (
 // every request the server handles, with singleflight coalescing of
 // concurrent identical misses: the process-shared memoization
 // substrate (internal/memo) instantiated at the server's key and at
-// partition.Packed, 24 bytes a fragment against an Assignment's 72. A
-// miss packs its answer once; a hit renders the wire body straight
-// from the packed fragments. Stored values are treated as immutable by
-// all readers, and misses count actual partitioner executions through
-// GetOrCompute.
+// partition.Packed, a delta-coded stream of about 5 bytes a fragment
+// against an Assignment's 72, with no append slack, so an entry's size
+// is its stream's length. A miss packs its answer once; a hit renders
+// the wire body straight from the stream, decoding it in order. Stored
+// values are immutable, and misses count actual partitioner executions
+// through GetOrCompute.
 type answerCache = memo.Cache[CacheKey, partition.Packed]
 
 // PartitionCache is the same LRU over unpacked assignments. The server

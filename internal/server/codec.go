@@ -381,9 +381,9 @@ func appendPartitionResponse(b []byte, name string, nprocs int, outs []partition
 		b = append(b, `","nprocs":`...)
 		b = strconv.AppendInt(b, int64(nprocs), 10)
 		b = append(b, `,"fragments":[`...)
-		for j := range o.a.Len() {
-			f := o.a.Fragment(j)
-			if j > 0 {
+		j := 0
+		for f := range o.a.Fragments() {
+			if j++; j > 1 {
 				b = append(b, ',')
 			}
 			b = append(b, `{"level":`...)

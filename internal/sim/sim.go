@@ -316,7 +316,7 @@ func Migration(hPrev, hCur *grid.Hierarchy, aPrev, aCur *partition.Assignment) i
 
 // stepFragments is what a migration scan reads of a step: its
 // assignment's fragments, or when it has none at hand its cached packed
-// fragments, read in place.
+// stream, decoded in place as the scan lists it.
 type stepFragments struct {
 	a *partition.Assignment
 	p partition.Packed
@@ -332,8 +332,8 @@ func (s stepFragments) list(add func(key int, b geom.Box, id int), levels int) {
 		}
 		return
 	}
-	for k := range s.p.Len() {
-		if f := s.p.Fragment(k); f.Level < levels {
+	for f := range s.p.Fragments() {
+		if f.Level < levels {
 			add(f.Level, f.Box, f.Owner)
 		}
 	}
@@ -446,7 +446,7 @@ type stepKey struct {
 // evaluated metrics with the per-run fields (Step, Migration,
 // RelativeMigration, the migration share of EstTime) still unset. Both
 // are shared across runs and treated as immutable by every reader: a
-// migration scan reads the packed fragments in place, and a run that
+// migration scan decodes the packed stream in place, and a run that
 // relabels a step unpacks a copy of its own.
 type stepArtifact struct {
 	a  partition.Packed
@@ -455,10 +455,12 @@ type stepArtifact struct {
 
 // stepCacheCap bounds the step cache. Measured over `samrbench
 // -experiment all` on the four 16-step paper-scale traces at 16
-// processors, which leaves 612 artifacts, an artifact takes 5.4 KB of
-// heap (24 B a fragment, the metrics row, the key and the entry),
-// against 37 KB when it held the unpacked Assignment. A full cache is
-// then about 11 MB, which bounds a long-running daemon. It holds the
+// processors, which leaves 612 artifacts of 191 fragments on average,
+// an artifact takes 1.5 KB of heap (the packed stream at 5.1 B a
+// fragment, the metrics row, the key and the entry), against 5.3 KB
+// with 24-byte packed fragments and 37 KB when it held the unpacked
+// Assignment. A full cache is then about 3 MB, which bounds a
+// long-running daemon. It holds the
 // working set of `all` at 16 steps, but not at paper scale: there `all`
 // looks up 3618 distinct step keys, so steps are evicted and computed
 // again, and which ones depends on the workers' scheduling (two runs of

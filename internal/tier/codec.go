@@ -49,7 +49,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
@@ -146,13 +148,12 @@ func done(r *grid.Reader) error {
 }
 
 // appendFragments appends the canonical payload encoding of an
-// assignment of nprocs processors whose n fragments frag gives:
+// assignment of nprocs processors whose n fragments frags yields:
 // NumProcs, fragment count, then each fragment's level, owner, and box.
-func appendFragments(buf []byte, nprocs, n int, frag func(int) partition.Fragment) []byte {
+func appendFragments(buf []byte, nprocs, n int, frags iter.Seq[partition.Fragment]) []byte {
 	buf = binary.AppendUvarint(buf, uint64(nprocs))
 	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := range n {
-		f := frag(i)
+	for f := range frags {
 		buf = binary.AppendUvarint(buf, uint64(f.Level))
 		buf = binary.AppendUvarint(buf, uint64(f.Owner))
 		buf = grid.AppendBox(buf, f.Box)
@@ -162,17 +163,17 @@ func appendFragments(buf []byte, nprocs, n int, frag func(int) partition.Fragmen
 
 // appendAssignment appends a's payload encoding.
 func appendAssignment(buf []byte, a *partition.Assignment) []byte {
-	return appendFragments(buf, a.NumProcs, len(a.Fragments), func(i int) partition.Fragment { return a.Fragments[i] })
+	return appendFragments(buf, a.NumProcs, len(a.Fragments), slices.Values(a.Fragments))
 }
 
 // maxLevel bounds a decoded fragment's level: grid.Hierarchy.StepFactor
 // loops that many times.
 const maxLevel = 64
 
-// readPacked reads an assignment's payload straight into its packed
-// form. A fragment the packed form cannot hold — a corner outside
-// int32, an owner past int32 — fails the reader like any other value
-// out of bounds, so it is never truncated.
+// readPacked transcodes an assignment's payload straight into its
+// packed stream. A fragment the packed form cannot hold — a corner
+// outside int32, an owner past int32 — fails the reader like any other
+// value out of bounds, so it is never truncated.
 func readPacked(r *grid.Reader) partition.Packed {
 	nprocs := r.Uvarint()
 	// A fragment is level, owner, and a box: >= 2 + grid.BoxMinBytes.
@@ -183,7 +184,7 @@ func readPacked(r *grid.Reader) partition.Packed {
 	if r.Err() != nil {
 		return partition.Packed{}
 	}
-	p := partition.MakePacked(int(nprocs), n)
+	p := partition.NewPacker(int(nprocs))
 	for i := 0; i < n && r.Err() == nil; i++ {
 		level, owner := r.Uvarint(), r.Uvarint()
 		if r.Err() == nil && (level > maxLevel || owner >= nprocs) {
@@ -199,13 +200,14 @@ func readPacked(r *grid.Reader) partition.Packed {
 	if r.Err() != nil {
 		return partition.Packed{}
 	}
-	return p
+	return p.Packed()
 }
 
 // EncodePacked seals p into a versioned, checksummed blob: the bytes
-// EncodeAssignment seals for the assignment p was packed from.
+// EncodeAssignment seals for the assignment p was packed from, transcoded
+// from p's stream.
 func EncodePacked(p partition.Packed) []byte {
-	return seal(KindAssignment, appendFragments(nil, p.NumProcs(), p.Len(), p.Fragment))
+	return seal(KindAssignment, appendFragments(nil, p.NumProcs(), p.Len(), p.Fragments()))
 }
 
 // DecodePacked reverses EncodePacked and EncodeAssignment. Any altered,
