@@ -66,9 +66,10 @@
 // repository's cancellation contract: a cancelled advance stops
 // dispatching patch units, drains in-flight work, and returns the
 // context's error; the driver's solution state is then indeterminate
-// and only Close may follow. Patch slabs come from internal/field's
-// free list; regridding releases replaced patches, so steady-state
-// trace generation stops allocating the hierarchy over and over.
+// and only Close may follow. A regrid drops the replaced level's
+// patches and the garbage collector reclaims them: nothing holds a
+// retired patch's storage for reuse, so the live heap is the current
+// hierarchy plus the level being built.
 package amr
 
 import (
@@ -225,14 +226,11 @@ func New(k solver.Kernel, cfg Config) (*Driver, error) {
 	return d, nil
 }
 
-// Close releases every patch slab back to the free list. The driver
-// must not be used afterwards.
-func (d *Driver) Close() {
-	for _, ls := range d.levels {
-		releasePatches(ls.patches)
-	}
-	d.levels = nil
-}
+// Close drops the driver's levels; the driver must not be used
+// afterwards. The patches are ordinary garbage, so Close frees nothing
+// the collector would not: it stays as a shim for the benchmark, which
+// calls it, until ROADMAP item 28(d)'s queue removes the call.
+func (d *Driver) Close() { d.levels = nil }
 
 // workers returns the per-phase fan-out width.
 func (d *Driver) workers() int {
@@ -247,16 +245,6 @@ func (d *Driver) workers() int {
 func (d *Driver) initialData(level int) func(p *field.Patch) {
 	g := d.geometry(level)
 	return func(p *field.Patch) { d.kernel.Init(p, g) }
-}
-
-// releasePatches hands the patches' slabs back to the free list,
-// skipping slots a cancelled newLevel never filled.
-func releasePatches(patches []*field.Patch) {
-	for _, p := range patches {
-		if p != nil {
-			p.Release()
-		}
-	}
 }
 
 // dx returns the cell spacing on level l (physical domain is the unit
@@ -353,7 +341,7 @@ func grownBoxes(patches []*field.Patch) geom.BoxList {
 // each work unit allocates one patch, fills it (fill reads only other
 // levels) and plans its transfers (see the package doc); the units past
 // the patches plan the restriction onto one parent patch each. On an
-// error the patches made so far are released.
+// error the partly built level is dropped.
 func (d *Driver) newLevel(ctx context.Context, l int, boxes geom.BoxList, fill func(p *field.Patch)) (*levelState, error) {
 	n := len(boxes)
 	ls := &levelState{boxes: boxes, patches: make([]*field.Patch, n), exchanges: make([][]transfer, n)}
@@ -393,7 +381,6 @@ func (d *Driver) newLevel(ctx context.Context, l int, boxes geom.BoxList, fill f
 		return nil
 	})
 	if err != nil {
-		releasePatches(ls.patches)
 		return nil, err
 	}
 	return ls, nil
@@ -532,9 +519,8 @@ func (d *Driver) clusterLevel(ctx context.Context, l int) (geom.BoxList, error) 
 
 // regrid rebuilds levels l+1 .. MaxLevels-1 from fresh tags, copying old
 // data where the new patches overlap the old and prolonging from the
-// parent elsewhere (fillNew). Replaced (and dropped) patches are
-// released back to the slab free list, so steady-state regridding
-// recycles memory instead of reallocating the hierarchy.
+// parent elsewhere (fillNew). Replaced (and dropped) levels are let go
+// as soon as the new one is in place.
 func (d *Driver) regrid(ctx context.Context, l int) error {
 	for k := l; k+1 < d.cfg.MaxLevels; k++ {
 		newBoxes, err := d.clusterLevel(ctx, k)
@@ -543,9 +529,7 @@ func (d *Driver) regrid(ctx context.Context, l int) error {
 		}
 		if len(newBoxes) == 0 {
 			// Drop all deeper levels.
-			for _, ls := range d.levels[k+1:] {
-				releasePatches(ls.patches)
-			}
+			clear(d.levels[k+1:])
 			d.levels = d.levels[:k+1]
 			return nil
 		}
@@ -566,7 +550,6 @@ func (d *Driver) regrid(ctx context.Context, l int) error {
 		ns.time = parent.time
 		if old != nil {
 			ns.steps = old.steps
-			releasePatches(old.patches)
 			d.levels[k+1] = ns
 		} else {
 			d.levels = append(d.levels, ns)
@@ -605,9 +588,7 @@ func (d *Driver) Hierarchy() *grid.Hierarchy {
 
 // Run advances steps coarse steps, recording a snapshot after each into
 // a trace, and returns the trace. The run is bounded by ctx: a
-// cancelled run returns a nil trace and the context's error. The
-// driver's patch slabs are recycled into the free list when the run
-// finishes either way.
+// cancelled run returns a nil trace and the context's error.
 func Run(ctx context.Context, k solver.Kernel, cfg Config, steps int) (*trace.Trace, error) {
 	// New builds the whole initial hierarchy and takes no context.
 	if err := ctx.Err(); err != nil {
@@ -617,7 +598,6 @@ func Run(ctx context.Context, k solver.Kernel, cfg Config, steps int) (*trace.Tr
 	if err != nil {
 		return nil, err
 	}
-	defer d.Close()
 	t := &trace.Trace{
 		App:       k.Name(),
 		RefRatio:  cfg.RefRatio,

@@ -36,7 +36,7 @@ func set(p *field.Patch, c, x, y int, v float64) { p.RowSpan(c, y, x, x+1)[0] = 
 func (k *constKernel) Step(p *field.Patch, t, dt float64, g solver.Geometry) {
 	// First-order upwind with velocity (1, 0): on constant data the
 	// update is exactly zero, so any deviation comes from the driver.
-	old := p.Clone()
+	old := clonePatch(p)
 	p.Box.Cells(func(q geom.IntVect) {
 		i, j := q[0], q[1]
 		du := (old.At(0, i, j) - old.At(0, i-1, j)) / g.Dx

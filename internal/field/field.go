@@ -11,8 +11,10 @@
 // transfer operators stream them with tight index loops instead of
 // paying per-cell At/Set offset arithmetic. The slab is owned
 // exclusively by the patch: only the owning patch's methods and callers
-// holding a row slice may touch it, and a row slice must not outlive
-// the patch (Release recycles the slab into a process-wide free list).
+// holding a row slice may touch it. Each patch allocates its own
+// exact-size slab and the garbage collector reclaims it with the patch;
+// nothing keeps a retired patch's storage for reuse, so a replaced level
+// stops counting toward the live heap as soon as the driver drops it.
 //
 // During a parallel driver phase each patch is written by exactly one
 // goroutine — the one the driver assigned the patch to — and sibling
@@ -49,8 +51,8 @@ type Patch struct {
 }
 
 // NewPatch allocates zeroed storage for box with the given halo width
-// and component count. The slab comes from a process-wide size-classed
-// free list; hand it back with Release when the patch is retired.
+// and component count: one slab of exactly NComp × grown-box cells,
+// owned by the patch alone.
 func NewPatch(box geom.Box, ghost, ncomp int) *Patch {
 	g := box.Grow(ghost)
 	p := &Patch{
@@ -61,15 +63,8 @@ func NewPatch(box geom.Box, ghost, ncomp int) *Patch {
 		nx:    g.Size(0),
 		ny:    g.Size(1),
 	}
-	p.data = acquireSlabZero(p.nx * p.ny * ncomp)
+	p.data = make([]float64, p.nx*p.ny*ncomp)
 	return p
-}
-
-// Release returns the patch's data slab to the free list. The patch —
-// and any row slice taken from it — must not be used afterwards.
-func (p *Patch) Release() {
-	releaseSlab(p.data)
-	p.data = nil
 }
 
 // GrownBox returns the interior plus halo region.
@@ -118,15 +113,6 @@ func (p *Patch) Fill(c int, v float64) {
 	for i := range row {
 		row[i] = v
 	}
-}
-
-// Clone returns a deep copy of the patch. The copy's slab comes from
-// the free list; Release it like any other patch.
-func (p *Patch) Clone() *Patch {
-	q := *p
-	q.data = acquireSlab(len(p.data))
-	copy(q.data, p.data)
-	return &q
 }
 
 // CopyRegion copies all components over the cells of region (which must

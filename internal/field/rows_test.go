@@ -55,51 +55,13 @@ func TestRowIterators(t *testing.T) {
 	}
 }
 
-// TestSlabReuse verifies the free list recycles a released slab of the
-// same size class and that NewPatch zeroes recycled storage.
-func TestSlabReuse(t *testing.T) {
-	box := geom.NewBox2(0, 0, 8, 8)
-	p := NewPatch(box, 1, 1)
-	p.Fill(0, 42)
-	p.Release()
-	q := NewPatch(box, 1, 1)
-	q.GrownBox().Cells(func(c geom.IntVect) {
-		if q.At(0, c[0], c[1]) != 0 {
-			t.Fatalf("recycled patch not zeroed at %v", c)
-		}
-	})
-	q.Release()
-}
-
-// TestCloneIndependence verifies a clone (whose slab also comes from
-// the free list) is decoupled from its source.
+// TestCloneIndependence verifies a clone is decoupled from its source.
 func TestCloneIndependence(t *testing.T) {
 	p := NewPatch(geom.NewBox2(0, 0, 4, 4), 1, 1)
 	p.Fill(0, 3)
-	c := p.Clone()
-	defer c.Release()
+	c := p.clone()
 	set(p, 0, 1, 1, -1)
 	if c.At(0, 1, 1) != 3 {
 		t.Error("clone shares storage with source")
 	}
-}
-
-// TestSlabClasses pins the size-class rounding: in-range capacities
-// round to powers of two, out-of-range requests bypass the pool.
-func TestSlabClasses(t *testing.T) {
-	for _, tc := range []struct{ n, class int }{
-		{1, minSlabBits}, {64, minSlabBits}, {65, 7}, {1024, 10}, {1025, 11},
-	} {
-		if got := slabClass(tc.n); got != tc.class {
-			t.Errorf("slabClass(%d) = %d, want %d", tc.n, got, tc.class)
-		}
-	}
-	if slabClass(0) != -1 || slabClass(1<<27) != -1 {
-		t.Error("out-of-range sizes must bypass the pool")
-	}
-	s := acquireSlab(100)
-	if len(s) != 100 || cap(s) != 128 {
-		t.Errorf("acquireSlab(100): len %d cap %d, want 100/128", len(s), cap(s))
-	}
-	releaseSlab(s)
 }

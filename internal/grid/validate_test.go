@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -482,29 +483,39 @@ func strips(n int) *Hierarchy {
 // and an index-based check spent 1.04 s on 16384 strips and 21.7 s on
 // 65536. Each quadrupling of the strips must cost at most ten times as
 // much (sixteen is quadratic; two doublings leave room for a noisy
-// one), and 65536 must validate in under a second. The best of three
-// runs is timed.
+// one), and 65536 must validate in under a second. Each size is timed
+// best of five, in rounds that take every size in turn, so that a burst
+// of load from elsewhere on the machine falls on neighbouring sizes
+// alike rather than on all of one size's runs.
 func TestValidateIsNotQuadratic(t *testing.T) {
 	const ceiling = time.Second
-	var times []time.Duration
+	var sizes []int
+	var hs []*Hierarchy
 	for n := 1 << 12; n <= 1<<16; n *= 2 {
-		h := strips(n)
-		best := time.Duration(math.MaxInt64)
-		for range 3 {
+		sizes, hs = append(sizes, n), append(hs, strips(n))
+	}
+	best := make([]time.Duration, len(sizes))
+	for i := range best {
+		best[i] = math.MaxInt64
+	}
+	runtime.GC()
+	for range 5 {
+		for i, h := range hs {
 			start := time.Now()
 			if err := h.Validate(); err != nil {
-				t.Fatalf("%d strips: %v", n, err)
+				t.Fatalf("%d strips: %v", sizes[i], err)
 			}
-			best = min(best, time.Since(start))
+			best[i] = min(best[i], time.Since(start))
 		}
-		t.Logf("%d strips: %v", n, best)
-		if best > ceiling {
-			t.Fatalf("%d strips took %v, over %v", n, best, ceiling)
+	}
+	for i, n := range sizes {
+		t.Logf("%d strips: %v", n, best[i])
+		if best[i] > ceiling {
+			t.Fatalf("%d strips took %v, over %v", n, best[i], ceiling)
 		}
-		if k := len(times) - 2; k >= 0 && best > 10*times[k] {
-			t.Fatalf("%d strips took %v, ×%.1f the time of a quarter as many", n, best, float64(best)/float64(times[k]))
+		if i >= 2 && best[i] > 10*best[i-2] {
+			t.Fatalf("%d strips took %v, ×%.1f the time of a quarter as many", n, best[i], float64(best[i])/float64(best[i-2]))
 		}
-		times = append(times, best)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"samr/internal/geom"
-	"samr/internal/grid"
 )
 
 // The packed form of a fragment list is one byte stream, each fragment
@@ -221,19 +220,6 @@ func (p Packed) Fragments() iter.Seq[Fragment] {
 			}
 		}
 	}
-}
-
-// Loads is Assignment.Loads over the packed fragments: the same sums in
-// the same order, so the same vector.
-func (p Packed) Loads(h *grid.Hierarchy) []int64 {
-	loads := make([]int64, p.numProcs)
-	for r := (fragReader{b: p.data}); r.more(); {
-		r.advance()
-		c := &r.base
-		box := geom.NewBox2(int(c.x0), int(c.y0), int(r.x1), int(r.y1))
-		loads[c.owner] += box.Volume() * h.StepFactor(int(c.level))
-	}
-	return loads
 }
 
 // Unpack returns a new Assignment equal to the one p was packed from.

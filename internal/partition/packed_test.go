@@ -63,8 +63,7 @@ func randomPackHierarchy(r *rand.Rand) *grid.Hierarchy {
 
 // TestPackRoundTrips: every assignment the meta-partitioner's stable
 // makes of the quick traces and of random hierarchies, at several
-// processor counts, unpacks to itself, and its packed form's loads are
-// the unpacked one's, bit for bit.
+// processor counts, unpacks to itself.
 func TestPackRoundTrips(t *testing.T) {
 	ctx := context.Background()
 	var hs []*grid.Hierarchy
@@ -91,13 +90,6 @@ func TestPackRoundTrips(t *testing.T) {
 					t.Fatal(err)
 				}
 				roundTrip(t, p.Name(), a)
-				packed, err := partition.Pack(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := packed.Loads(h), packed.Unpack().Loads(h); !slices.Equal(got, want) {
-					t.Fatalf("%s, %d processors: packed loads %v, unpacked %v", p.Name(), np, got, want)
-				}
 				if i == 0 && np == 1 {
 					roundTrip(t, p.Name()+" (no fragments)", &partition.Assignment{NumProcs: np, Fragments: a.Fragments[:0]})
 				}

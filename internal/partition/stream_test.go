@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"samr/internal/geom"
-	"samr/internal/grid"
 )
 
 // packedFrag is the packed form as it shipped before the stream: a
@@ -95,7 +94,7 @@ func randomPackFragment(r *rand.Rand, prev Fragment) Fragment {
 // replaced, on random fragment lists: a fragment is refused by
 // Packer.Append exactly when packFrag refuses it, and whatever is kept
 // comes back equal, fragment for fragment, through iteration (also
-// stopped early), Pack, Loads and Unpack, in a stream whose capacity
+// stopped early), Pack and Unpack, in a stream whose capacity
 // is its length.
 //
 //	go test -run='^$' -fuzz=FuzzPacked -fuzztime=10s ./internal/partition/
@@ -162,19 +161,6 @@ func FuzzPacked(f *testing.F) {
 		}
 		if got := p.Unpack(); !reflect.DeepEqual(got, a) {
 			t.Fatalf("Unpack: %+v, want %+v", got.Fragments, kept)
-		}
-		for _, pf := range ref {
-			if pf.owner < 0 || int(pf.owner) >= nprocs {
-				return // Loads indexes its vector by owner
-			}
-		}
-		h := &grid.Hierarchy{RefRatio: 2}
-		want := make([]int64, nprocs)
-		for _, pf := range ref {
-			want[pf.owner] += pf.box().Volume() * h.StepFactor(int(pf.level))
-		}
-		if got := p.Loads(h); !slices.Equal(got, want) {
-			t.Fatalf("Loads %v, the reference %v", got, want)
 		}
 	})
 }

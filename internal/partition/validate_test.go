@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -310,27 +311,40 @@ func stripCover(n int, owner func(i int) int) (*grid.Hierarchy, *Assignment) {
 // on 16384 strips and 14.9 s on 65536 (2 vCPU Xeon, go 1.24.0). Each quadrupling of the strips
 // must cost at most ten times as much (sixteen is quadratic; two
 // doublings leave room for a noisy one), and 65536 must validate in
-// under a second. The best of three runs is timed.
+// under a second. Each size is timed best of five, in rounds that take
+// every size in turn, so that a burst of load from elsewhere on the
+// machine falls on neighbouring sizes alike rather than on all of one
+// size's runs.
 func TestAssignmentValidateIsNotQuadratic(t *testing.T) {
 	const ceiling = time.Second
-	var times []time.Duration
+	var sizes []int
+	var hs []*grid.Hierarchy
+	var as []*Assignment
 	for n := 1 << 12; n <= 1<<16; n *= 2 {
 		h, a := stripCover(n, func(i int) int { return i % 16 })
-		best := time.Duration(math.MaxInt64)
-		for range 3 {
+		sizes, hs, as = append(sizes, n), append(hs, h), append(as, a)
+	}
+	best := make([]time.Duration, len(sizes))
+	for i := range best {
+		best[i] = math.MaxInt64
+	}
+	runtime.GC()
+	for range 5 {
+		for i, a := range as {
 			start := time.Now()
-			if err := a.Validate(h); err != nil {
-				t.Fatalf("%d strips: %v", n, err)
+			if err := a.Validate(hs[i]); err != nil {
+				t.Fatalf("%d strips: %v", sizes[i], err)
 			}
-			best = min(best, time.Since(start))
+			best[i] = min(best[i], time.Since(start))
 		}
-		t.Logf("%d strips: %v", n, best)
-		if best > ceiling {
-			t.Fatalf("%d strips took %v, over %v", n, best, ceiling)
+	}
+	for i, n := range sizes {
+		t.Logf("%d strips: %v", n, best[i])
+		if best[i] > ceiling {
+			t.Fatalf("%d strips took %v, over %v", n, best[i], ceiling)
 		}
-		if k := len(times) - 2; k >= 0 && best > 10*times[k] {
-			t.Fatalf("%d strips took %v, ×%.1f the time of a quarter as many", n, best, float64(best)/float64(times[k]))
+		if i >= 2 && best[i] > 10*best[i-2] {
+			t.Fatalf("%d strips took %v, ×%.1f the time of a quarter as many", n, best[i], float64(best[i])/float64(best[i-2]))
 		}
-		times = append(times, best)
 	}
 }

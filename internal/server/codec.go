@@ -365,7 +365,8 @@ func writePartitionResponse(w http.ResponseWriter, name string, nprocs int, outs
 
 // appendPartitionResponse appends what json.NewEncoder wrote for the
 // PartitionResponse of outs, newline included: the PartitionResult
-// fields in struct order, loads computed once. No string needs escaping:
+// fields in struct order, each answer's stream decoded once for both its
+// fragments and its loads. No string needs escaping:
 // a signature is hex, a name is canonical (codec_test.go holds every
 // Name() the parser gives to that) and a disposition is a constant.
 func appendPartitionResponse(b []byte, name string, nprocs int, outs []partitionOut) []byte {
@@ -381,11 +382,15 @@ func appendPartitionResponse(b []byte, name string, nprocs int, outs []partition
 		b = append(b, `","nprocs":`...)
 		b = strconv.AppendInt(b, int64(nprocs), 10)
 		b = append(b, `,"fragments":[`...)
+		// The loads sum on the decode that writes the fragments, so a
+		// hit walks its stream once.
+		loads := make([]int64, o.a.NumProcs())
 		j := 0
 		for f := range o.a.Fragments() {
 			if j++; j > 1 {
 				b = append(b, ',')
 			}
+			loads[f.Owner] += f.Box.Volume() * o.h.StepFactor(f.Level)
 			b = append(b, `{"level":`...)
 			b = strconv.AppendInt(b, int64(f.Level), 10)
 			b = append(b, `,"box":{"dim":`...)
@@ -396,7 +401,6 @@ func appendPartitionResponse(b []byte, name string, nprocs int, outs []partition
 			b = strconv.AppendInt(b, int64(f.Owner), 10)
 			b = append(b, '}')
 		}
-		loads := o.a.Loads(o.h)
 		b = appendInts(append(b, `],"loads":`...), loads)
 		b = appendFloat(append(b, `,"imbalance":`...), partition.ImbalanceOf(loads))
 		b = strconv.AppendBool(append(b, `,"cached":`...), o.disp == CacheHit || o.disp == CacheTier)

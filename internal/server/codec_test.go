@@ -59,7 +59,9 @@ var dispositions = []string{CacheHit, CacheMiss, CacheShared, CacheTier}
 // TestEncoderMatchesJSON: over every distinct snapshot of the four quick
 // traces, every family, processor counts 1, 3, 16 and 37 and every
 // disposition, the codec's answer is the oracle's, byte for byte, alone
-// and as a batch.
+// and as a batch. The oracle's loads are Assignment.Loads of the
+// unpacked answer, the sums the codec takes on its one decode of the
+// stream, in the same order.
 func TestEncoderMatchesJSON(t *testing.T) {
 	ctx := context.Background()
 	answers := 0

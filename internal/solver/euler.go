@@ -161,9 +161,10 @@ type eulerScratch struct {
 
 var eulerScratchPool = sync.Pool{New: func() any { return new(eulerScratch) }}
 
-// Step updates the patch in place, without the whole-patch clone the
-// other kernels take: lo and hi hold the derived cells of rows j and
-// j+1, and fy the fluxes through the faces below row j. Row j+1 is
+// Step updates the patch in place, like the other kernels, but its
+// window holds derived cells rather than copied values: lo and hi hold
+// the derived cells of rows j and j+1, and fy the fluxes through the
+// faces below row j. Row j+1 is
 // derived before row j is overwritten, and nothing reads a row from the
 // patch after that, so every flux sees the old time level. Each face
 // flux is computed once — the x-flux is carried from cell to cell, the

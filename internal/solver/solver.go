@@ -22,19 +22,23 @@
 // bounds checks hoisted out of the cell loop, instead of paying At/Set
 // offset recomputation per stencil read. Step reads the old time level
 // and writes only the interior of the live patch; Init and the halo
-// fills are the only writers of ghost cells. Transport, ScalarWave and
-// BuckleyLeverett get the old level by cloning the patch into a
-// free-listed scratch slab. Euler, whose per-cell work (primitives,
-// sound speed, physical fluxes) is worth keeping, instead derives each
-// row once into a two-row window allocated per call, updates the patch
-// in place behind it, and computes every face flux once (see
-// Euler.Step). A kernel invocation touches exactly one patch, so the
-// AMR driver may run Step/Init/Tag on distinct patches concurrently —
-// results are bit-identical to a sequential sweep.
+// fills are the only writers of ghost cells. All four kernels step in
+// place, row by row in ascending y, behind a two-row window of old
+// values taken from a sync.Pool for the call: a warm step allocates
+// nothing and no kernel copies the whole patch. Transport, ScalarWave
+// and BuckleyLeverett keep copies of the old rows j-1 and j (see
+// rowWindow) and read row j+1 live, since nothing has written it yet.
+// Euler, whose per-cell work (primitives, sound speed, physical fluxes)
+// is worth keeping, derives each row once into its window instead and
+// computes every face flux once (see Euler.Step). A kernel invocation
+// touches exactly one patch, so the AMR driver may run Step/Init/Tag on
+// distinct patches concurrently — results are bit-identical to a
+// sequential sweep.
 package solver
 
 import (
 	"math"
+	"sync"
 
 	"samr/internal/field"
 )
@@ -97,6 +101,42 @@ func tagAboveGrad(p *field.Patch, c int, threshold float64, tag func(i, j int)) 
 	}
 }
 
+// rowWindow holds copies of the old values of two consecutive rows of
+// one component, the window a stencil kernel updates a patch in place
+// behind. Stepping row j overwrites the interior of row j, which row
+// j+1's stencil reads after, so next copies row j before the kernel
+// writes it; row j+1 the kernel reads live from the patch. Windows are
+// kept between steps by rowWindowPool, so a patch step allocates
+// nothing.
+type rowWindow struct {
+	below, at []float64
+}
+
+var rowWindowPool = sync.Pool{New: func() any { return new(rowWindow) }}
+
+// openWindow takes a window from the pool, sized to p's grown rows and
+// holding component c's row Box.Lo[1]-1 (a ghost row) as the current
+// row. Hand it back with rowWindowPool.Put.
+func openWindow(p *field.Patch, c int) *rowWindow {
+	w := rowWindowPool.Get().(*rowWindow)
+	n := p.GrownBox().Size(0)
+	if cap(w.at) < n {
+		w.below, w.at = make([]float64, n), make([]float64, n)
+	}
+	w.below, w.at = w.below[:n], w.at[:n]
+	copy(w.at, p.Row(c, p.Box.Lo[1]-1))
+	return w
+}
+
+// next slides the window to row j of component c and returns the old
+// rows j-1 and j, spanning the grown box like Row. The caller steps row
+// j next and must have stepped rows below it in order.
+func (w *rowWindow) next(p *field.Patch, c, j int) (rm, rc []float64) {
+	w.below, w.at = w.at, w.below
+	copy(w.at, p.Row(c, j))
+	return w.below, w.at
+}
+
 // Transport is the TP2D kernel: u_t + a(x,y)·grad(u) = 0 with a rigid
 // rotation velocity field about the domain centre, advecting a Gaussian
 // pulse forever around the domain. Upwind differencing, periodic domain.
@@ -137,17 +177,16 @@ func (k *Transport) Init(p *field.Patch, g Geometry) {
 }
 
 func (k *Transport) Step(p *field.Patch, t, dt float64, g Geometry) {
-	old := p.Clone()
-	defer old.Release()
+	win := openWindow(p, 0)
+	defer rowWindowPool.Put(win)
 	b := p.Box
 	off := -p.GrownBox().Lo[0]
 	for j := b.Lo[1]; j < b.Hi[1]; j++ {
 		_, y := g.Center(0, j)
 		// The x-velocity depends only on y; hoist it out of the row.
 		ax := k.velocityX(y)
-		rm := old.Row(0, j-1)
-		rc := old.Row(0, j)
-		rp := old.Row(0, j+1)
+		rm, rc := win.next(p, 0, j)
+		rp := p.Row(0, j+1)
 		dst := p.Row(0, j)
 		for i := b.Lo[0]; i < b.Hi[0]; i++ {
 			o := i + off
@@ -237,9 +276,11 @@ func sponge(x, y float64) float64 {
 	return s * s
 }
 
+// Step updates u behind a window of its old rows; v reads only its own
+// cell, which it reads before writing, so it needs no copy.
 func (k *ScalarWave) Step(p *field.Patch, t, dt float64, g Geometry) {
-	old := p.Clone()
-	defer old.Release()
+	win := openWindow(p, 0)
+	defer rowWindowPool.Put(win)
 	c2 := k.C * k.C
 	inv := 1.0 / (g.Dx * g.Dx)
 	omega := 2 * math.Pi / k.SourcePeriod
@@ -249,10 +290,8 @@ func (k *ScalarWave) Step(p *field.Patch, t, dt float64, g Geometry) {
 	for j := b.Lo[1]; j < b.Hi[1]; j++ {
 		_, y := g.Center(0, j)
 		dy2 := (y - 0.5) * (y - 0.5)
-		um := old.Row(0, j-1)
-		uc := old.Row(0, j)
-		up := old.Row(0, j+1)
-		vc := old.Row(1, j)
+		um, uc := win.next(p, 0, j)
+		up := p.Row(0, j+1)
 		dstU := p.Row(0, j)
 		dstV := p.Row(1, j)
 		for i := b.Lo[0]; i < b.Hi[0]; i++ {
@@ -260,7 +299,7 @@ func (k *ScalarWave) Step(p *field.Patch, t, dt float64, g Geometry) {
 			x, _ := g.Center(i, 0)
 			lap := (uc[o+1] + uc[o-1] + up[o] + um[o] - 4*uc[o]) * inv
 			sp := sponge(x, y) * damp
-			v := (vc[o] + dt*c2*lap) * sp
+			v := (dstV[o] + dt*c2*lap) * sp
 			u := (uc[o] + dt*v) * sp
 			// Prescribed oscillator in the source region: the field there is
 			// pinned to A sin(wt) with a compact profile, so the injected
@@ -363,8 +402,8 @@ func (k *BuckleyLeverett) Init(p *field.Patch, g Geometry) {
 }
 
 func (k *BuckleyLeverett) Step(p *field.Patch, t, dt float64, g Geometry) {
-	old := p.Clone()
-	defer old.Release()
+	win := openWindow(p, 0)
+	defer rowWindowPool.Put(win)
 	rate := k.rateAt(t)
 	lam := dt / g.Dx
 	b := p.Box
@@ -372,9 +411,8 @@ func (k *BuckleyLeverett) Step(p *field.Patch, t, dt float64, g Geometry) {
 	for j := b.Lo[1]; j < b.Hi[1]; j++ {
 		_, y := g.Center(0, j)
 		y2 := y * y
-		rm := old.Row(0, j-1)
-		rc := old.Row(0, j)
-		rp := old.Row(0, j+1)
+		rm, rc := win.next(p, 0, j)
+		rp := p.Row(0, j+1)
 		dst := p.Row(0, j)
 		for i := b.Lo[0]; i < b.Hi[0]; i++ {
 			o := i + off

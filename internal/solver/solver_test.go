@@ -350,8 +350,7 @@ func eulerStepReference(k *Euler, p *field.Patch, dt float64, g Geometry) {
 	}
 	swapMom := func(s [4]float64) [4]float64 { return [4]float64{s[0], s[2], s[1], s[3]} }
 
-	old := p.Clone()
-	defer old.Release()
+	old := clonePatch(p)
 	lam := dt / g.Dx
 	b := p.Box
 	off := -p.GrownBox().Lo[0]
@@ -436,7 +435,7 @@ func TestEulerStepMatchesReference(t *testing.T) {
 	var floored, vacuum, negP int
 	for n, wh := range sizes {
 		got := randomEulerPatch(r, wh[0], wh[1], n%2 == 1)
-		before, want := got.Clone(), got.Clone()
+		before, want := clonePatch(got), clonePatch(got)
 		g := Geometry{Dx: 1.0 / float64(8+r.Intn(120))}
 		// Up to five times the stable step, so that rough states
 		// drive some densities below the 1e-8 floor.
