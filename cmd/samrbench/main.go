@@ -90,8 +90,9 @@ func main() {
 
 // printCacheStats reports the memoization counters of the run to
 // stderr (stderr so table/CSV output stays pipeline-clean): the
-// partition-layer content-addressed caches (unit chains, hybrid prep
-// bases and bands) and the simulator's in-run dedup savings.
+// partition-layer content-addressed caches (the prep bases and bands
+// of DomainSFC and NatureFable) and the simulator's in-run dedup
+// savings.
 func printCacheStats() {
 	hits, misses, shared, entries, capacity := partition.CacheStats()
 	parts, evals, migs := sim.MemoStats()

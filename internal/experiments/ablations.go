@@ -222,19 +222,18 @@ func AblationPostMapping(ctx context.Context, tr *trace.Trace, nprocs int) (*Tab
 // penalty with the size-weighted Need of section 4.2/4.3: large
 // penalties at grid-size minima are discounted, at peaks they are not.
 func AblationAbsoluteImportance(ctx context.Context, tr *trace.Trace, nprocs int) (*Figure, error) {
-	m := sim.DefaultMachine()
-	cls := core.NewClassifier(core.DefaultPartitionCost)
+	samples, err := classifyTrace(ctx, tr, nprocs)
+	if err != nil {
+		return nil, err
+	}
 	f := &Figure{
 		ID:    "ablationD",
 		Title: fmt.Sprintf("%s: absolute importance of relative metrics", tr.App),
 	}
 	var raw, need, size Series
 	raw.Name, need.Name, size.Name = "mean_penalty", "need_weighted", "size_norm"
-	for _, snap := range tr.Snapshots {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s := cls.Classify(snap.H, m.TimeSlot(snap.H, nprocs))
+	for i, snap := range tr.Snapshots {
+		s := samples[i]
 		f.Steps = append(f.Steps, snap.Step)
 		raw.Values = append(raw.Values, (s.BetaL+s.BetaC+s.BetaM)/3)
 		need.Values = append(need.Values, s.Need)

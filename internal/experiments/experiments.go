@@ -206,27 +206,19 @@ type Validation struct {
 // metrics under the static partitioner) and pairs the series. The two
 // sides are independent until the pairing, so they run concurrently.
 func FigModelVsActual(ctx context.Context, tr *trace.Trace, nprocs int) (*Validation, error) {
-	m := sim.DefaultMachine()
 	var res *sim.Result
-	samples := make([]core.Sample, len(tr.Snapshots))
+	var samples []core.Sample
 	err := pool.RunCtx(ctx,
 		func() error {
 			var err error
-			res, err = sim.SimulateTrace(ctx, tr, staticPartitioner(), nprocs, m)
+			res, err = sim.SimulateTrace(ctx, tr, staticPartitioner(), nprocs, sim.DefaultMachine())
 			return err
 		},
 		func() error {
-			// Model side: ab initio penalties over the raw trace. The
-			// classifier carries running state (previous hierarchy,
-			// size normalization), so it consumes snapshots in order.
-			cls := core.NewClassifier(core.DefaultPartitionCost)
-			for i, snap := range tr.Snapshots {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				samples[i] = cls.Classify(snap.H, m.TimeSlot(snap.H, nprocs))
-			}
-			return nil
+			// Model side: ab initio penalties over the raw trace.
+			var err error
+			samples, err = classifyTrace(ctx, tr, nprocs)
+			return err
 		},
 	)
 	if err != nil {
@@ -298,22 +290,38 @@ func FigModelVsActual(ctx context.Context, tr *trace.Trace, nprocs int) (*Valida
 	return v, nil
 }
 
+// classifyTrace classifies the trace's snapshots in order, each on the
+// default machine's time slot at nprocs, polling ctx before each. The
+// classifier carries running state (previous hierarchy, size
+// normalization), so it consumes the snapshots in order.
+func classifyTrace(ctx context.Context, tr *trace.Trace, nprocs int) ([]core.Sample, error) {
+	m := sim.DefaultMachine()
+	cls := core.NewClassifier(core.DefaultPartitionCost)
+	samples := make([]core.Sample, len(tr.Snapshots))
+	for i, snap := range tr.Snapshots {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		samples[i] = cls.Classify(snap.H, m.TimeSlot(snap.H, nprocs))
+	}
+	return samples, nil
+}
+
 // ClassificationTrajectory demonstrates Figure 3 (right): the locus of
 // classification points as the simulation evolves.
 func ClassificationTrajectory(ctx context.Context, tr *trace.Trace, nprocs int) (*Figure, error) {
-	m := sim.DefaultMachine()
-	cls := core.NewClassifier(core.DefaultPartitionCost)
+	samples, err := classifyTrace(ctx, tr, nprocs)
+	if err != nil {
+		return nil, err
+	}
 	f := &Figure{
 		ID:    "trajectory",
 		Title: fmt.Sprintf("%s: classification-space trajectory", tr.App),
 	}
 	var d1, d2, d3, size Series
 	d1.Name, d2.Name, d3.Name, size.Name = "dimI", "dimII", "dimIII", "size_norm"
-	for _, snap := range tr.Snapshots {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s := cls.Classify(snap.H, m.TimeSlot(snap.H, nprocs))
+	for i, snap := range tr.Snapshots {
+		s := samples[i]
 		f.Steps = append(f.Steps, snap.Step)
 		d1.Values = append(d1.Values, s.DimI)
 		d2.Values = append(d2.Values, s.DimII)

@@ -61,10 +61,10 @@ func NewBoxIndex(bl BoxList) *BoxIndex {
 	// Aim for O(1) boxes per bin and O(n) memory: a ~sqrt(n) x sqrt(n)
 	// grid.
 	side := int(math.Sqrt(float64(n))) + 1
-	ix.binW = maxInt(1, ceilDiv(bounds.Size(0), side))
-	ix.binH = maxInt(1, ceilDiv(bounds.Size(1), side))
-	ix.nx = maxInt(1, ceilDiv(bounds.Size(0), ix.binW))
-	ix.ny = maxInt(1, ceilDiv(bounds.Size(1), ix.binH))
+	ix.binW = max(1, ceilDiv(bounds.Size(0), side))
+	ix.binH = max(1, ceilDiv(bounds.Size(1), side))
+	ix.nx = max(1, ceilDiv(bounds.Size(0), ix.binW))
+	ix.ny = max(1, ceilDiv(bounds.Size(1), ix.binH))
 	ix.bins = make([][]int32, ix.nx*ix.ny)
 	for i, b := range bl {
 		if b.Empty() {
@@ -100,8 +100,8 @@ func (ix *BoxIndex) binRange(b Box) (x0, x1, y0, y1 int) {
 	y0 = (b.Lo[1] - ix.maxH + 1 - ix.origin[1]) / ix.binH
 	x1 = (b.Hi[0] - 1 - ix.origin[0]) / ix.binW
 	y1 = (b.Hi[1] - 1 - ix.origin[1]) / ix.binH
-	x0, y0 = maxInt(x0, 0), maxInt(y0, 0)
-	x1, y1 = minIntIdx(x1, ix.nx-1), minIntIdx(y1, ix.ny-1)
+	x0, y0 = max(x0, 0), max(y0, 0)
+	x1, y1 = min(x1, ix.nx-1), min(y1, ix.ny-1)
 	return
 }
 
@@ -168,18 +168,4 @@ func (ix *BoxIndex) QueryVolume(b Box) int64 {
 		}
 	}
 	return total
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minIntIdx(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,6 @@
 // Package memo provides the bounded, concurrency-safe memoization
 // substrate the content-addressed layers of the repository share: the
-// in-process unit-chain, prep-base and band caches under the partitioners,
+// in-process prep-base and band caches under the unit-chain partitioners,
 // the simulator's step cache, the trace cache of internal/apps, and the
 // HTTP partition cache of internal/server.
 //

@@ -24,19 +24,20 @@
 //
 // Indexes are not cached: a call builds its own hierIndex, whose level
 // BoxIndexes are made over the hierarchy's own boxes the first time a
-// level is queried. DomainSFC serves its unit chain from the store's
-// chains, keyed by the hierarchy signature, and queries the call's
-// indexes for every unit's column fragments. NatureFable keeps no cache
-// keyed by the whole hierarchy: each call assembles its prep from a
-// base keyed by the domain, the ratio and levels 0 and 1, and one band
-// per further bi-level keyed by the base and that bi-level's levels.
-// The base holds the hue and core chains, the hue's level-0 band and
-// merged cover, and the core chain's bi-level 0-1; each band holds, per
-// core unit, its weight and packed, owner-free fragments. A warm
-// NatureFable call hashes the levels, sums the band weights, splits the
-// processors, cuts the chains, labels whole units' stored fragments,
-// and clips the stored fragments of the few units a fractional cut
-// splits; it builds no index and makes no index query.
+// level is queried, and only a base or band build queries them. No
+// cache is keyed by the whole hierarchy: each call assembles its prep
+// from a base keyed by the domain, the ratio and levels 0 and 1, and
+// one band per further bi-level keyed by the base and that bi-level's
+// levels. A NatureFable base holds the hue and core chains, the hue's
+// level-0 band and merged cover, and the core chain's bi-level 0-1; a
+// DomainSFC base, keyed apart, holds one chain of all of level 0 and
+// its bi-level 0-1. Each band holds, per core unit, its weight and
+// packed, owner-free fragments. A warm NatureFable call hashes the
+// levels, sums the band weights, splits the processors, cuts the
+// chains, labels whole units' stored fragments, and clips the stored
+// fragments of the few units a fractional cut splits; a warm DomainSFC
+// call cuts its one chain by the summed weights and labels every
+// stored fragment. Neither builds an index or makes an index query.
 //
 // A regrid usually replaces only the finest levels, so consecutive
 // snapshots of a trace or session share the base, and snapshots whose
@@ -48,9 +49,8 @@
 // reorder or reweight in place. SAMR traces are regrid-sparse
 // (consecutive snapshots are usually content-identical), a sweep runs
 // the same snapshots at many processor counts, and a service asked for
-// one hierarchy at several processor counts hits the chain, base and
-// bands on every count after the first, which is what makes this layer
-// pay.
+// one hierarchy at several processor counts hits the base and bands on
+// every count after the first, which is what makes this layer pay.
 //
 // Everything here is bit-identical to building without caches: each
 // piece reads only what its key digests, and equal digests imply equal
@@ -58,9 +58,10 @@
 // weights, since the bands partition the levels, and the core regions
 // made from level 1 are those of every refined level (see nfBase);
 // TestNatureFablePrepMatchesReference holds the assembled prep to the
-// single-piece build. A cancelled leader stores nothing (memo.Cache
-// contract), so an aborted Partition never poisons the cache for later
-// calls.
+// single-piece build, and TestDomainSFCMatchesReference holds DomainSFC
+// to its uncached column body. A cancelled leader stores nothing
+// (memo.Cache contract), so an aborted Partition never poisons the
+// cache for later calls.
 package partition
 
 import (
@@ -77,15 +78,15 @@ import (
 	"samr/internal/sfc"
 )
 
-// chainKey addresses one cached decomposition artifact: a content hash
-// plus the curve and (clamped) atomic-unit size. For a store's chains
-// the hash is the hierarchy signature; for its bases it is
-// baseDigest's. The band and region of each artifact are implied by the
-// cache it lives in.
+// chainKey addresses one cached base: baseDigest's hash plus the curve
+// and (clamped) atomic-unit size, and whole, which marks a DomainSFC
+// base (one chain of all of level 0) so that it never meets a
+// NatureFable base (a hue and a core chain) of the same hierarchy.
 type chainKey struct {
 	sig   geom.Signature
 	curve sfc.Curve
 	unit  int
+	whole bool
 }
 
 // bandKey addresses one bi-level of a core chain past the first: the
@@ -99,23 +100,20 @@ type bandKey struct {
 }
 
 // chainCacheCap bounds each cache of a store: on a paper-scale
-// snapshot (32² base, five levels, unit 2) a NatureFable base holds
-// about 7 KB of units and 0.5-7 KB of bi-level 0-1, each further
-// bi-level 1-8.5 KB, and a domain chain 6 KB of units. A scope's store
-// lives as long as its run and holds what the run's snapshots share; the
-// process store is the one a long-running daemon keeps, and the bound is
-// what stops it growing without end (in entries, not bytes).
+// snapshot (32² base, five levels, unit 2) a base holds about 4 KB of
+// units and 0.5-7 KB of bi-level 0-1, and each further bi-level 1-8.5
+// KB. A scope's store lives as long as its run and holds what the run's
+// snapshots share; the process store is the one a long-running daemon
+// keeps, and the bound is what stops it growing without end (in
+// entries, not bytes).
 const chainCacheCap = 512
 
-// chainStore holds the three kinds of unit-chain artifact. The process
+// chainStore holds the two kinds of unit-chain artifact. The process
 // store serves every call whose context carries no store; a scope
 // (WithChainScope) carries a store of its own that dies with it.
 type chainStore struct {
-	// chains holds the DomainSFC artifact: the base domain chopped into
-	// units, weighted by the full column, SFC-ordered.
-	chains *memo.Cache[chainKey, []unit]
-	// bases holds the part of a Nature+Fable prep that reads levels 0
-	// and 1 only, keyed by baseDigest.
+	// bases holds the part of a prep that reads levels 0 and 1 only,
+	// keyed by baseDigest.
 	bases *memo.Cache[chainKey, *nfBase]
 	// bands holds the core chain's bi-levels from level 2 on.
 	bands *memo.Cache[bandKey, coreBand]
@@ -123,9 +121,8 @@ type chainStore struct {
 
 func newChainStore() *chainStore {
 	return &chainStore{
-		chains: memo.New[chainKey, []unit](chainCacheCap),
-		bases:  memo.New[chainKey, *nfBase](chainCacheCap),
-		bands:  memo.New[bandKey, coreBand](chainCacheCap),
+		bases: memo.New[chainKey, *nfBase](chainCacheCap),
+		bands: memo.New[bandKey, coreBand](chainCacheCap),
 	}
 }
 
@@ -171,38 +168,21 @@ func countChain(disp string) {
 }
 
 // CacheStats returns the hit, miss and shared counts of every unit-chain
-// lookup (DomainSFC's chains, NatureFable's bases and bands), in the
+// lookup (the bases and bands of DomainSFC and NatureFable), in the
 // process store and in every scope, and the entries and capacity of the
 // process store, for /v1/stats and samrbench -cachestats.
 func CacheStats() (hits, misses, shared uint64, entries, capacity int) {
 	s := procChains
-	entries = s.chains.Len() + s.bases.Len() + s.bands.Len()
-	capacity = s.chains.Capacity() + s.bases.Capacity() + s.bands.Capacity()
+	entries = s.bases.Len() + s.bands.Len()
+	capacity = s.bases.Capacity() + s.bands.Capacity()
 	return chainHits.Load(), chainMisses.Load(), chainShared.Load(), entries, capacity
 }
 
 // flushChainCaches drops every artifact of the process store (tests use
 // it to compare memoized results against cold recomputation).
 func flushChainCaches() {
-	procChains.chains.Flush()
 	procChains.bases.Flush()
 	procChains.bands.Flush()
-}
-
-// domainChain returns the SFC-ordered full-column unit chain of h's
-// base domain, cached by (signature, curve, unit size). hi carries the
-// calling request's context: a cancelled build stores nothing.
-func domainChain(hi *hierIndex, sig geom.Signature, curve sfc.Curve, unitSize int) ([]unit, error) {
-	chain, disp, err := storeOf(hi.ctx).chains.GetOrCompute(hi.ctx, chainKey{sig: sig, curve: curve, unit: unitSize}, func() ([]unit, error) {
-		units, err := hi.unitsOf(hi.h.Levels[0].Boxes, unitSize)
-		if err != nil {
-			return nil, err
-		}
-		orderUnitsByCurve(units, curve, unitSize)
-		return units, nil
-	})
-	countChain(disp)
-	return chain, err
 }
 
 // nfPrep is the nprocs-independent part of a Nature+Fable partition:
@@ -216,6 +196,10 @@ func domainChain(hi *hierIndex, sig geom.Signature, curve sfc.Curve, unitSize in
 // A call assembles its prep from the cached base and bands, which every
 // hierarchy with the same levels shares; of its own it holds only the
 // list of its bands and the core units' column weights.
+//
+// DomainSFC's prep is the same assembly over a whole base: its core
+// chain is all of level 0 and it has no hue, so coreW is each unit's
+// full column weight and the bands hold its column's fragments.
 type nfPrep struct {
 	*nfBase
 	// coreW is each core unit's column workload: the sum of its band
@@ -228,7 +212,8 @@ type nfPrep struct {
 
 // nfBase is the part of a prep that reads the ratio and levels 0 and 1
 // only (its key holds the domain too), so every hierarchy with the same
-// two coarsest levels shares it.
+// two coarsest levels shares it. A whole base (DomainSFC's) holds only
+// coreUnits, the chain of all of level 0, and its band01.
 //
 // The core regions are made from level 1's footprint alone. On a valid
 // hierarchy every finer level nests in the one below, so its footprint
@@ -243,8 +228,7 @@ type nfBase struct {
 	// hueW is the hue workload (level 0 only, step factor 1).
 	hueW int64
 	// hueUnits is the hue region chopped into units, SFC-ordered: the
-	// hue blocking chain. Their own weights are zero; a hue unit's
-	// workload is its hueBand weight.
+	// hue blocking chain. A hue unit's workload is its hueBand weight.
 	hueUnits []unit
 	// hueBand is the hue chain's level-0 band. A unit's weight is its
 	// volume: the hue lies in level 0, which is disjoint.
@@ -254,8 +238,8 @@ type nfBase struct {
 	// and sorted by Lo.
 	hueCover geom.BoxList
 	// coreUnits is the core region chopped into units, SFC-ordered: the
-	// coarse-partitioning chain. Their own weights are zero; a core
-	// unit's workload is the prep's coreW.
+	// coarse-partitioning chain. A core unit's workload is the prep's
+	// coreW.
 	coreUnits []unit
 	// band01 is the core chain's bi-level of levels 0-1.
 	band01 coreBand
@@ -280,12 +264,13 @@ func (b *coreBand) unitFragments(i int) fragReader {
 	return fragReader{b: b.data[b.start[i]:b.start[i+1]]}
 }
 
-// nfPrepOf assembles the Nature+Fable pre-partitioning artifact for
-// hi's hierarchy under (curve, unit size) from the cached base and
-// bands, building only the pieces no earlier call left.
-func nfPrepOf(hi *hierIndex, curve sfc.Curve, unitSize int) (*nfPrep, error) {
+// nfPrepOf assembles the pre-partitioning artifact for hi's hierarchy
+// under (curve, unit size) from the cached base and bands, building
+// only the pieces no earlier call left: NatureFable's, or with whole
+// DomainSFC's.
+func nfPrepOf(hi *hierIndex, curve sfc.Curve, unitSize int, whole bool) (*nfPrep, error) {
 	h := hi.h
-	key := chainKey{sig: baseDigest(h), curve: curve, unit: unitSize}
+	key := chainKey{sig: baseDigest(h), curve: curve, unit: unitSize, whole: whole}
 	base, err := nfBaseOf(hi, key)
 	if err != nil {
 		return nil, err
@@ -328,10 +313,21 @@ func baseDigest(h *grid.Hierarchy) geom.Signature {
 }
 
 // nfBaseOf returns the cached base of h under key (baseDigest(h),
-// curve, unit size). It reads levels 0 and 1 of h only.
+// curve, unit size, whole). It reads levels 0 and 1 of h only.
 func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 	base, disp, err := storeOf(hi.ctx).bases.GetOrCompute(hi.ctx, key, func() (*nfBase, error) {
 		h := hi.h
+		if key.whole {
+			b := &nfBase{}
+			var err error
+			if b.coreUnits, err = hi.chainOf(h.Levels[0].Boxes, key); err != nil {
+				return nil, err
+			}
+			if b.band01, err = hi.coreBandOf(b.coreUnits, 0, 1); err != nil {
+				return nil, err
+			}
+			return b, nil
+		}
 		var cores geom.BoxList
 		if len(h.Levels) > 1 {
 			if fp := h.Footprint(1); len(fp) > 0 {
@@ -387,10 +383,10 @@ func nfBaseOf(hi *hierIndex, key chainKey) (*nfBase, error) {
 	return base, err
 }
 
-// chainOf chops region into units of key's size, weightless (the bands
-// weigh them), and orders them along key's curve.
+// chainOf chops region into units of key's size (the bands weigh them)
+// and orders them along key's curve.
 func (hi *hierIndex) chainOf(region geom.BoxList, key chainKey) ([]unit, error) {
-	units, err := hi.unitsOfWeighted(region, key.unit, func(geom.Box) int64 { return 0 })
+	units, err := hi.unitsOf(region, key.unit)
 	if err != nil {
 		return nil, err
 	}
@@ -418,8 +414,9 @@ func nfBandOf(hi *hierIndex, base chainKey, units []unit, lo int) (coreBand, err
 
 // coreBandOf builds the band of levels [lo, hiLevel] over a unit chain.
 // A unit's band weight is its fragments' volumes times their levels'
-// step factors: the band's terms of the unit's columnWeight, since the
-// fragments are exactly the non-empty overlaps it measures.
+// step factors: the band's terms of the workload of the unit's column,
+// since the fragments are exactly the column's non-empty overlaps with
+// the band's level boxes.
 func (hi *hierIndex) coreBandOf(units []unit, lo, hiLevel int) (coreBand, error) {
 	b := coreBand{weights: make([]int64, len(units)), start: make([]int32, len(units)+1)}
 	var frags []Fragment

@@ -35,16 +35,22 @@ func (d *DomainSFC) Name() string {
 	return fmt.Sprintf("domain-%s-u%d", d.Curve, d.UnitSize)
 }
 
-// Partition implements Partitioner. The SFC-ordered unit chain — the
-// nprocs-independent bulk of the work — is served from the
-// content-addressed chain cache; the chain cut, the level indexes the
-// call builds, and fragment generation run per call.
+// Partition implements Partitioner. The nprocs-independent bulk of the
+// work, the SFC-ordered chain of all of level 0 and per bi-level each
+// unit's weight and fragments, comes from a prep assembled from the
+// content-addressed base and band caches that NatureFable's preps use
+// too (under keys of their own). What runs per call is summing each
+// unit's band weights into its column weight, the chain cut, and
+// labelling the stored fragments.
 func (d *DomainSFC) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
 	return merged(ctx, h, nprocs, d.fragments)
 }
 
-// fragments is Partition before coalescing: one fragment per unit per
-// level box it meets, in chain order.
+// fragments is Partition before coalescing: per bi-level, one fragment
+// per unit per level box it meets, in chain order. mergeFragments groups
+// by (level, owner) stably, and within a group the order is the chain's
+// and then the level boxes' whether the list runs band by band or unit
+// by unit, so both orders merge to the same answer.
 func (d *DomainSFC) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int) (*Assignment, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
@@ -57,19 +63,34 @@ func (d *DomainSFC) fragments(ctx context.Context, h *grid.Hierarchy, nprocs int
 		return nil, err
 	}
 	hi := newHierIndex(ctx, h)
-	chain, err := domainChain(hi, h.Signature(), d.Curve, us)
+	prep, err := nfPrepOf(hi, d.Curve, us, true)
 	if err != nil {
 		return nil, err
 	}
-	owners := cutChain(unitWeights(chain), nprocs)
+	owners := cutChain(prep.coreW, nprocs)
+	// Every stored fragment is emitted once, so the list's length is
+	// known; an empty level 0 keeps Fragments nil.
 	a := &Assignment{NumProcs: nprocs}
-	for i, u := range chain {
-		if i%ctxBatch == 0 {
-			if err := hi.check(); err != nil {
-				return nil, err
+	n := 0
+	for _, b := range prep.bands {
+		n += b.n
+	}
+	if n > 0 {
+		a.Fragments = make([]Fragment, 0, n)
+	}
+	for _, band := range prep.bands {
+		for i, owner := range owners {
+			if i%ctxBatch == 0 {
+				if err := hi.check(); err != nil {
+					return nil, err
+				}
+			}
+			for r := band.unitFragments(i); r.more(); {
+				f := r.next()
+				f.Owner = owner
+				a.Fragments = append(a.Fragments, f)
 			}
 		}
-		hi.columnFragments(u.box(), owners[i], &a.Fragments)
 	}
 	return a, nil
 }

@@ -92,7 +92,7 @@ func (nf *NatureFable) fragments(ctx context.Context, h *grid.Hierarchy, nprocs 
 		return nil, err
 	}
 	hi := newHierIndex(ctx, h)
-	prep, err := nfPrepOf(hi, nf.Curve, us)
+	prep, err := nfPrepOf(hi, nf.Curve, us, false)
 	if err != nil {
 		return nil, err
 	}

@@ -21,9 +21,11 @@ import (
 // as a slice, that partitionCores weights the core units by their
 // columns itself (the prep no longer stores those weights on the
 // units), that fragments records in took which branch of the
-// processor split it ran, and that the hue is blocked through
-// blockRegion, which chops and weights it as the old prep did (the prep
-// no longer stores the hue units' weights either). It shares the prep
+// processor split it ran, that the hue is blocked through blockRegion,
+// which chops and weights it as the old prep did (the prep no longer
+// stores the hue units' weights either), and that a chain's weights
+// come from bandWeights after it is ordered (units no longer carry a
+// weight; the curve order reads only their boxes). It shares the prep
 // with NatureFable, reading only the hue, its workload and the core
 // units.
 type natureFableReference struct {
@@ -48,7 +50,7 @@ func (nf *natureFableReference) fragments(ctx context.Context, h *grid.Hierarchy
 	}
 	a := &Assignment{NumProcs: nprocs}
 	hi := newHierIndex(ctx, h)
-	prep, err := nfPrepOf(hi, nf.Curve, us)
+	prep, err := nfPrepOf(hi, nf.Curve, us, false)
 	if err != nil {
 		return nil, err
 	}
@@ -122,10 +124,7 @@ func (nf *natureFableReference) partitionCores(hi *hierIndex, units []unit, core
 	if groups > coreProcs {
 		groups = coreProcs
 	}
-	w := make([]int64, len(units))
-	for i, u := range units {
-		w[i] = hi.columnWeight(u.box())
-	}
+	w := hi.bandWeights(units, 0, len(hi.h.Levels)-1)
 	groupOf := cutChain(w, groups)
 
 	// Processors per group, proportional to group workload.
@@ -200,21 +199,20 @@ func (nf *natureFableReference) blockRegion(hi *hierIndex, region geom.BoxList, 
 	if us < 1 {
 		us = 1
 	}
-	units, err := hi.unitsOfWeighted(region, us, func(ub geom.Box) int64 {
-		return hi.bandWeight(ub, loLevel, hiLevel)
-	})
+	units, err := hi.unitsOf(region, us)
 	if err != nil {
 		return err
 	}
 	orderUnitsByCurve(units, nf.Curve, us)
-	return nf.blockOrdered(hi, units, loLevel, hiLevel, procBase, procs, out)
+	return nf.blockOrdered(hi, units, hi.bandWeights(units, loLevel, hiLevel), loLevel, hiLevel, procBase, procs, out)
 }
 
 // blockOrdered is blockRegion's cutting half: it distributes an
 // already SFC-ordered unit chain (possibly shared cache state — read
-// only) across procs processors starting at procBase.
-func (nf *natureFableReference) blockOrdered(hi *hierIndex, units []unit, loLevel, hiLevel, procBase, procs int, out *[]Fragment) error {
-	owned := nf.appendCut(nil, units, unitWeights(units), procs)
+// only), unit i weighing w[i], across procs processors starting at
+// procBase.
+func (nf *natureFableReference) blockOrdered(hi *hierIndex, units []unit, w []int64, loLevel, hiLevel, procBase, procs int, out *[]Fragment) error {
+	owned := nf.appendCut(nil, units, w, procs)
 	for i, ou := range owned {
 		if i%ctxBatch == 0 {
 			if err := hi.check(); err != nil {
@@ -271,7 +269,7 @@ func TestNatureFableMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				prep, err := nfPrepOf(newHierIndex(ctx, h), curve, us)
+				prep, err := nfPrepOf(newHierIndex(ctx, h), curve, us, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -299,8 +297,12 @@ func TestNatureFableMatchesReference(t *testing.T) {
 	}
 }
 
-// bandWeight is columnWeight restricted to levels [lo, hiLevel]: how
-// the reference bodies weight hue units and per-group core units.
+// bandWeight is the workload of the levels [lo, hiLevel] of the
+// hierarchy column over the base-space box ub: per level, the overlap
+// volume of the box refined to it with the level's boxes, times the
+// level's step factor. It is how the reference bodies weight units:
+// over levels [0, 0] for hue units, a bi-level for per-group core
+// units, and every level for a full column.
 func (hi *hierIndex) bandWeight(ub geom.Box, lo, hiLevel int) int64 {
 	var w int64
 	fine := ub
@@ -316,6 +318,15 @@ func (hi *hierIndex) bandWeight(ub geom.Box, lo, hiLevel int) int64 {
 	return w
 }
 
+// bandWeights is bandWeight over each unit of a chain, in order.
+func (hi *hierIndex) bandWeights(units []unit, lo, hiLevel int) []int64 {
+	w := make([]int64, len(units))
+	for i, u := range units {
+		w[i] = hi.bandWeight(u.box(), lo, hiLevel)
+	}
+	return w
+}
+
 // nfPrepReference is nfPrepOf as it shipped before the prep was split
 // into a base and bands, verbatim but for the layout it returns: the
 // cores come from the union of every refined level's footprint, the
@@ -323,7 +334,8 @@ func (hi *hierIndex) bandWeight(ub geom.Box, lo, hiLevel int) int64 {
 // by their columns, and no cache is read or written. The core units'
 // column weights are also returned as coreW, and the hue band is built
 // the old way too: per hue unit, its level-0 bandFragments, with the
-// unit's own weight (its volume) as its band weight.
+// unit's own weight (its volume) as its band weight. Those weights now
+// come from bandWeights, since units no longer carry one.
 func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, unitSize int) (*nfPrep, error) {
 	hi := newHierIndex(ctx, h)
 	var fp geom.BoxList
@@ -348,15 +360,13 @@ func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, un
 	hue.SortByLo()
 	p := &nfPrep{nfBase: &nfBase{hue: hue, hueW: hue.TotalVolume()}}
 	if p.hueW > 0 {
-		units, err := hi.unitsOfWeighted(hue, unitSize, func(ub geom.Box) int64 {
-			return hi.bandWeight(ub, 0, 0)
-		})
+		units, err := hi.unitsOf(hue, unitSize)
 		if err != nil {
 			return nil, err
 		}
 		orderUnitsByCurve(units, curve, unitSize)
 		p.hueUnits = units
-		p.hueBand = coreBand{weights: unitWeights(units), start: make([]int32, len(units)+1)}
+		p.hueBand = coreBand{weights: hi.bandWeights(units, 0, 0), start: make([]int32, len(units)+1)}
 		var frags []Fragment
 		for i, u := range units {
 			n := len(frags)
@@ -386,7 +396,7 @@ func nfPrepReference(ctx context.Context, h *grid.Hierarchy, curve sfc.Curve, un
 		}
 		orderUnitsByCurve(units, curve, unitSize)
 		p.coreUnits = units
-		p.coreW = unitWeights(units)
+		p.coreW = hi.bandWeights(units, 0, len(h.Levels)-1)
 		for lo := 0; lo < len(h.Levels); lo += 2 {
 			band, err := hi.coreBandOf(units, lo, min(lo+1, len(h.Levels)-1))
 			if err != nil {
@@ -503,7 +513,7 @@ func TestNatureFablePrepMatchesReference(t *testing.T) {
 		for _, us := range []int{1, 2, 3, 1 << 31} {
 			for hn, h := range append(slices.Clone(hs), chain...) {
 				_, missesBefore, _ := procChains.bases.Stats()
-				got, err := nfPrepOf(newHierIndex(ctx, h), curve, us)
+				got, err := nfPrepOf(newHierIndex(ctx, h), curve, us, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -613,9 +623,10 @@ func BenchmarkNatureFableWarm(b *testing.B) {
 }
 
 // BenchmarkDomainSFCWarm is BenchmarkNatureFableWarm for the paper's
-// default DomainSFC: every chain cached, so a call pays for hashing the
-// hierarchy, cutting the chain, building the level indexes its column
-// queries need, and the fragments and merge.
+// default DomainSFC: every base and band cached, so a call pays for
+// hashing the levels, summing the band weights, cutting the chain,
+// labelling the stored fragments and the merge; it builds no level
+// index.
 func BenchmarkDomainSFCWarm(b *testing.B) {
 	ctx := context.Background()
 	hs := quickHierarchies(b)
@@ -651,6 +662,27 @@ func BenchmarkNatureFableCold(b *testing.B) {
 		flushChainCaches()
 		for _, h := range hs {
 			if _, err := nf.Partition(ctx, h, 16); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(hs)), "calls/op")
+}
+
+// BenchmarkDomainSFCCold is BenchmarkNatureFableCold for the paper's
+// default DomainSFC: every distinct quick-trace snapshot in chain order
+// at 16 processors, every cache flushed once per iteration, so each
+// snapshot builds the base and bands the snapshots before it did not
+// leave.
+func BenchmarkDomainSFCCold(b *testing.B) {
+	ctx := context.Background()
+	hs := quickHierarchies(b)
+	d := NewDomainSFC()
+	b.ReportAllocs()
+	for b.Loop() {
+		flushChainCaches()
+		for _, h := range hs {
+			if _, err := d.Partition(ctx, h, 16); err != nil {
 				b.Fatal(err)
 			}
 		}

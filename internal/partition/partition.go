@@ -74,15 +74,15 @@ var ErrTooManyUnits = errors.New("partition: too many atomic units")
 
 // maxUnits is the atomic-unit budget of one unit-chain partition: a
 // thousand times the largest input the repository builds (1024 units, a
-// 32² base at unit 1). A unit carries its box and weights in the chains
-// and preps and a fragment or more per level: an unbounded chop of a
-// 65536² base at unit 2 (2^30 units) held about a gigabyte of heap one
-// second in.
+// 32² base at unit 1). A unit carries its box in a base's chain, and a
+// weight and a fragment or more per level in its bands: an unbounded
+// chop of a 65536² base at unit 2 (2^30 units) held about a gigabyte of
+// heap one second in.
 const maxUnits = 1 << 20
 
 // checkUnits refuses a region that chopping into units of edge unitSize
 // would turn into more than maxUnits units. It counts with the chop's
-// own arithmetic (unitsOfWeighted): each box yields ceil(extent /
+// own arithmetic (unitsOf): each box yields ceil(extent /
 // unitSize) units per axis, the ceiling taken without forming extent +
 // unitSize, which could wrap for a huge unit.
 func checkUnits(region geom.BoxList, unitSize int) error {
@@ -182,14 +182,13 @@ func (a *Assignment) Validate(h *grid.Hierarchy) error {
 	return nil
 }
 
-// unit is an atomic partitioning unit: a base-level box plus the
-// workload it carries, in 24 bytes against a geom.Box's 56 plus the
-// weight. Validate bounds every level's index space to ±2^30, so the
+// unit is an atomic partitioning unit: a base-level box in 16 bytes
+// against a geom.Box's 56. Its workload lives in the bands that weigh
+// it. Validate bounds every level's index space to ±2^30, so the
 // base-level corners fit int32 exactly (packed.go's argument), and box
 // restores the planar box.
 type unit struct {
 	x0, y0, x1, y1 int32 // base-level index space
-	weight         int64
 }
 
 func (u unit) box() geom.Box {
@@ -198,14 +197,14 @@ func (u unit) box() geom.Box {
 
 // hierIndex is a partition call's view of its hierarchy: one BoxIndex
 // per level, each built over the level's own boxes the first time the
-// level is queried (a warm NatureFable call queries none), and the
-// call's context for batch-granular cancellation. Column weights, band
-// weights, and fragment generation all scan "this unit's footprint
-// against every box of level l"; the index turns each such scan from
-// O(boxes) into a candidate lookup. A hierIndex belongs to one
-// Partition invocation and is not shared across goroutines (the lazy
-// indexes and the scratch buffers are not synchronized); the hierarchy
-// must not change under it.
+// level is queried (a warm call queries none), and the call's context
+// for batch-granular cancellation. A band build scans "this unit's
+// footprint against every box of level l" for its weights and
+// fragments; the index turns each such scan from O(boxes) into a
+// candidate lookup. A hierIndex belongs to one Partition invocation and
+// is not shared across goroutines (the lazy indexes and the scratch
+// buffers are not synchronized); the hierarchy must not change under
+// it.
 type hierIndex struct {
 	ctx    context.Context
 	h      *grid.Hierarchy
@@ -232,22 +231,13 @@ func (hi *hierIndex) level(l int) *geom.BoxIndex {
 // check polls the partition call's context.
 func (hi *hierIndex) check() error { return checkCtx(hi.ctx) }
 
-// unitsOf chops the given base-level region into atomic units of size
-// unitSize and weights each by the full-depth workload of the column
-// above it. Zero-weight units (possible only if region lies outside the
-// hierarchy) are kept so coverage stays exact. Cancellation is polled
-// once per unit row.
+// unitsOf chops the given base-level region into atomic units of edge
+// unitSize, in the region's box order and row by row within a box.
+// Units are chopped by the extent left in the region, which Validate's
+// coordinate bound keeps far from overflow, so a unit edge near MaxInt
+// is one unit, never a corner that wraps. Cancellation is polled once
+// per unit row.
 func (hi *hierIndex) unitsOf(region geom.BoxList, unitSize int) ([]unit, error) {
-	return hi.unitsOfWeighted(region, unitSize, hi.columnWeight)
-}
-
-// unitsOfWeighted is unitsOf with a caller-chosen unit weight (the
-// hybrid partitioner leaves its units' weights to its per-band
-// artifacts). Units are chopped by the
-// extent left in the region, which Validate's coordinate bound keeps
-// far from overflow, so a unit edge near MaxInt is one unit, never a
-// corner that wraps.
-func (hi *hierIndex) unitsOfWeighted(region geom.BoxList, unitSize int, weight func(geom.Box) int64) ([]unit, error) {
 	var out []unit
 	for _, rb := range region {
 		for y, dy := rb.Lo[1], 0; y < rb.Hi[1]; y += dy {
@@ -257,27 +247,11 @@ func (hi *hierIndex) unitsOfWeighted(region geom.BoxList, unitSize int, weight f
 			dy = min(unitSize, rb.Hi[1]-y)
 			for x, dx := rb.Lo[0], 0; x < rb.Hi[0]; x += dx {
 				dx = min(unitSize, rb.Hi[0]-x)
-				w := weight(geom.NewBox2(x, y, x+dx, y+dy))
-				out = append(out, unit{x0: int32(x), y0: int32(y), x1: int32(x + dx), y1: int32(y + dy), weight: w})
+				out = append(out, unit{x0: int32(x), y0: int32(y), x1: int32(x + dx), y1: int32(y + dy)})
 			}
 		}
 	}
 	return out, nil
-}
-
-// columnWeight returns the workload of the hierarchy column over the
-// base-space box ub: sum over levels of overlap volume times the level's
-// step factor.
-func (hi *hierIndex) columnWeight(ub geom.Box) int64 {
-	var w int64
-	fine := ub
-	for l := range hi.h.Levels {
-		if l > 0 {
-			fine = fine.Refine(hi.h.RefRatio)
-		}
-		w += hi.level(l).QueryVolume(fine) * hi.h.StepFactor(l)
-	}
-	return w
 }
 
 // bandFragments appends the fragments of levels [loLevel, hiLevel] lying
@@ -300,12 +274,6 @@ func (hi *hierIndex) bandFragments(ub geom.Box, loLevel, hiLevel, owner int, out
 			}
 		}
 	}
-}
-
-// columnFragments converts one owned base-space unit into per-level
-// fragments: the unit's column intersected with every level's boxes.
-func (hi *hierIndex) columnFragments(ub geom.Box, owner int, out *[]Fragment) {
-	hi.bandFragments(ub, 0, len(hi.h.Levels)-1, owner, out)
 }
 
 // cutChain splits an (already ordered) chain whose unit i weighs w[i]
@@ -333,15 +301,6 @@ func cutChain(w []int64, parts int) []int {
 		acc += wi
 	}
 	return owners
-}
-
-// unitWeights returns the weight of each unit of a chain, in order.
-func unitWeights(units []unit) []int64 {
-	w := make([]int64, len(units))
-	for i, u := range units {
-		w[i] = u.weight
-	}
-	return w
 }
 
 // merged is a partitioner's Partition: the assignment its fragments

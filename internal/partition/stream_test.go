@@ -194,7 +194,7 @@ func TestPackedBytesPerFragment(t *testing.T) {
 			bytes += len(p.data)
 			frags += p.Len()
 		}
-		prep, err := nfPrepOf(newHierIndex(ctx, h), nf.Curve, nf.AtomicUnit)
+		prep, err := nfPrepOf(newHierIndex(ctx, h), nf.Curve, nf.AtomicUnit, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,9 +136,6 @@ const maxBodyBytes = 64 << 20
 // sessionTTL expires streaming sessions idle longer than this.
 const sessionTTL = 15 * time.Minute
 
-// machine is the simulator's machine model.
-var machine = sim.DefaultMachine()
-
 // Config carries the server's tunables; zero values select defaults.
 type Config struct {
 	// TraceDir is scanned for .trc files (empty = no file-backed traces).
@@ -581,7 +578,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			writeFailure(w, err)
 			return
 		}
-		p := meta.Select(h, machine.TimeSlot(h, req.NProcs))
+		p := meta.Select(h, sim.DefaultMachine().TimeSlot(h, req.NProcs))
 		sample, _ := meta.LastSample()
 		resp.Selections[i] = selectionFrom(p, sample)
 	}
@@ -760,8 +757,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Meta {
 		meta := core.NewMetaPartitioner(core.DefaultPartitionCost)
 		res, err = sim.SimulateTraceSelect(ctx, tr, func(step int, h *grid.Hierarchy) partition.Partitioner {
-			return meta.Select(h, machine.TimeSlot(h, req.NProcs))
-		}, req.NProcs, machine)
+			return meta.Select(h, sim.DefaultMachine().TimeSlot(h, req.NProcs))
+		}, req.NProcs, sim.DefaultMachine())
 	} else {
 		var p partition.Partitioner
 		p, err = ParsePartitioner(req.Partitioner)
@@ -769,7 +766,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		res, err = sim.SimulateTrace(ctx, tr, p, req.NProcs, machine)
+		res, err = sim.SimulateTrace(ctx, tr, p, req.NProcs, sim.DefaultMachine())
 	}
 	if err != nil {
 		writeFailure(w, err)

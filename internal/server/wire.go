@@ -444,8 +444,9 @@ type ReadyResponse struct {
 type StatsResponse struct {
 	Cache CacheCounters `json:"cache"`
 	// UnitChains is the partition-layer memoization accounting: the
-	// content-addressed caches under the partitioners (DomainSFC's unit
-	// chains, NatureFable's prep bases and bi-level bands), summed.
+	// content-addressed caches under the unit-chain partitioners (the
+	// prep bases and bi-level bands DomainSFC and NatureFable assemble
+	// their preps from), summed.
 	UnitChains CacheCounters `json:"unit_chains"`
 	// SimMemo is the simulator's trace-run memoization accounting.
 	SimMemo MemoCounters `json:"sim_memo"`
