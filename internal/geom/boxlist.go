@@ -38,6 +38,20 @@ func (bl BoxList) Clone() BoxList {
 	return out
 }
 
+// Corners is a list of 2-D boxes held as their corners, four a box:
+// x0, y0, x1, y1 of NewBox2(x0, y0, x1, y1). A reader of boxes from the
+// wire keeps them so, and builds a BoxList only where one is needed.
+type Corners []int
+
+// BoxList returns the boxes as an exact-size list.
+func (c Corners) BoxList() BoxList {
+	out := make(BoxList, len(c)/4)
+	for i := range out {
+		out[i] = NewBox2(c[4*i], c[4*i+1], c[4*i+2], c[4*i+3])
+	}
+	return out
+}
+
 // Refine returns the list with every box refined by r.
 func (bl BoxList) Refine(r int) BoxList {
 	out := make(BoxList, len(bl))

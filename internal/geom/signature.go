@@ -35,6 +35,11 @@ func appendBox(buf []byte, b Box) []byte {
 	return buf
 }
 
+// EncodedLen is the length of the list's canonical encoding: an 8-byte
+// length header and 8 bytes for Dim and each Lo and Hi component of
+// every box.
+func (bl BoxList) EncodedLen() int { return 8 + 8*(1+2*MaxDim)*len(bl) }
+
 // AppendEncoding appends the canonical encoding of the list (length
 // header plus every box, in order) to buf. Hashes that cover several
 // lists — e.g. a hierarchy signature spanning levels — compose these
@@ -45,6 +50,16 @@ func (bl BoxList) AppendEncoding(buf []byte) []byte {
 	buf = append(buf, w[:]...)
 	for _, b := range bl {
 		buf = appendBox(buf, b)
+	}
+	return buf
+}
+
+// AppendEncoding appends what c.BoxList().AppendEncoding appends,
+// without building the list.
+func (c Corners) AppendEncoding(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c)/4))
+	for i := 0; i+4 <= len(c); i += 4 {
+		buf = appendBox(buf, NewBox2(c[i], c[i+1], c[i+2], c[i+3]))
 	}
 	return buf
 }

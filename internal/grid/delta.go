@@ -57,7 +57,7 @@ type sigCache struct {
 	// refinement ratio, level count.
 	header []byte
 	// levelEnc[l] is level l's canonical encoding
-	// (Levels[l].Boxes.AppendEncoding(nil)).
+	// (levelEncoding(Levels[l].Boxes)).
 	levelEnc [][]byte
 	// levelDig[l] is sha256 over levelEnc[l]: the per-level sub-digest
 	// the session wire protocol exposes for delta validation.
@@ -73,11 +73,19 @@ type sigCache struct {
 // appendHeader appends the encoding prefix (domain, ref ratio, level
 // count) that AppendEncoding writes before the levels.
 func (h *Hierarchy) appendHeader(buf []byte) []byte {
-	buf = geom.BoxList{h.Domain}.AppendEncoding(buf)
+	return AppendEncodingHeader(buf, h.Domain, h.RefRatio, len(h.Levels))
+}
+
+// AppendEncodingHeader appends the prefix AppendEncoding writes before
+// the levels of a hierarchy of domain, refRatio and levels levels, so
+// that a caller holding the levels in another form (geom.Corners) can
+// write the rest and hash the same bytes.
+func AppendEncodingHeader(buf []byte, domain geom.Box, refRatio, levels int) []byte {
+	buf = geom.BoxList{domain}.AppendEncoding(buf)
 	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], uint64(int64(h.RefRatio)))
+	binary.LittleEndian.PutUint64(w[:], uint64(int64(refRatio)))
 	buf = append(buf, w[:]...)
-	binary.LittleEndian.PutUint64(w[:], uint64(len(h.Levels)))
+	binary.LittleEndian.PutUint64(w[:], uint64(levels))
 	return append(buf, w[:]...)
 }
 
@@ -95,7 +103,7 @@ func (h *Hierarchy) TrackSignature() {
 		mid:      make([][]byte, len(h.Levels)),
 	}
 	for l, lev := range h.Levels {
-		c.levelEnc[l] = lev.Boxes.AppendEncoding(nil)
+		c.levelEnc[l] = levelEncoding(lev.Boxes)
 		c.levelDig[l] = sha256.Sum256(c.levelEnc[l])
 	}
 	c.rehashFrom(0)
@@ -113,7 +121,13 @@ func (h *Hierarchy) LevelSignature(l int) geom.Signature {
 	if h.sig != nil {
 		return h.sig.levelDig[l]
 	}
-	return sha256.Sum256(h.Levels[l].Boxes.AppendEncoding(nil))
+	return sha256.Sum256(levelEncoding(h.Levels[l].Boxes))
+}
+
+// levelEncoding is a level's canonical encoding in an exact-size
+// slice: a tracked hierarchy keeps one a level for as long as it lives.
+func levelEncoding(bl geom.BoxList) []byte {
+	return bl.AppendEncoding(make([]byte, 0, bl.EncodedLen()))
 }
 
 // rehashFrom resumes the top-level hash at level k (0 restarts at the
@@ -216,7 +230,7 @@ func (h *Hierarchy) WithDelta(step []LevelDelta) (*Hierarchy, error) {
 			c.levelDig[l] = h.sig.levelDig[l]
 			continue
 		}
-		c.levelEnc[l] = levels[l].Boxes.AppendEncoding(nil)
+		c.levelEnc[l] = levelEncoding(levels[l].Boxes)
 		c.levelDig[l] = sha256.Sum256(c.levelEnc[l])
 	}
 	if len(step) != old {

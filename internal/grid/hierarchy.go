@@ -72,10 +72,14 @@ func (h *Hierarchy) NumPoints() int64 {
 // StepFactor returns the number of local time steps level l performs per
 // coarse (level 0) time step under subcycled factor-RefRatio time
 // refinement: RefRatio^l.
-func (h *Hierarchy) StepFactor(l int) int64 {
+func (h *Hierarchy) StepFactor(l int) int64 { return StepFactor(h.RefRatio, l) }
+
+// StepFactor is Hierarchy.StepFactor for any hierarchy of refinement
+// ratio refRatio: refRatio^l.
+func StepFactor(refRatio, l int) int64 {
 	f := int64(1)
 	for i := 0; i < l; i++ {
-		f *= int64(h.RefRatio)
+		f *= int64(refRatio)
 	}
 	return f
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"samr/internal/geom"
 	"samr/internal/grid"
 	"samr/internal/partition"
+	"samr/internal/trace"
 )
 
 // buildPartitionResult is the result builder the partition-shaped routes
@@ -41,11 +43,12 @@ func buildPartitionResult(h *grid.Hierarchy, sig geom.Signature, name string, np
 	return res
 }
 
-// oracleResponse is what writeJSON wrote for outs before the codec.
-func oracleResponse(tb testing.TB, name string, nprocs int, outs []partitionOut) []byte {
+// oracleResponse is what writeJSON wrote before the codec for outs,
+// each an answer for h.
+func oracleResponse(tb testing.TB, h *grid.Hierarchy, name string, nprocs int, outs []partitionOut) []byte {
 	resp := PartitionResponse{Results: make([]PartitionResult, len(outs))}
 	for i, o := range outs {
-		resp.Results[i] = buildPartitionResult(o.h, o.sig, name, nprocs, o.a.Unpack(), o.disp)
+		resp.Results[i] = buildPartitionResult(h, o.sig, name, nprocs, o.a.Unpack(), o.disp)
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
@@ -53,6 +56,9 @@ func oracleResponse(tb testing.TB, name string, nprocs int, outs []partitionOut)
 	}
 	return buf.Bytes()
 }
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
 
 var dispositions = []string{CacheHit, CacheMiss, CacheShared, CacheTier}
 
@@ -89,12 +95,12 @@ func TestEncoderMatchesJSON(t *testing.T) {
 					}
 					var outs []partitionOut
 					for _, d := range dispositions {
-						outs = append(outs, partitionOut{h: h, sig: sig, a: a, disp: d})
+						outs = append(outs, partitionOut{ratio: h.RefRatio, sig: sig, a: a, disp: d})
 					}
 					for i := range outs {
-						checkEncoding(t, p.Name(), np, outs[i:i+1])
+						checkEncoding(t, h, p.Name(), np, outs[i:i+1])
 					}
-					checkEncoding(t, p.Name(), np, outs)
+					checkEncoding(t, h, p.Name(), np, outs)
 					answers++
 				}
 			}
@@ -259,9 +265,9 @@ func TestServedAnswersMatchOracle(t *testing.T) {
 	}
 }
 
-func checkEncoding(t *testing.T, name string, nprocs int, outs []partitionOut) {
+func checkEncoding(t *testing.T, h *grid.Hierarchy, name string, nprocs int, outs []partitionOut) {
 	t.Helper()
-	want := oracleResponse(t, name, nprocs, outs)
+	want := oracleResponse(t, h, name, nprocs, outs)
 	if got := appendPartitionResponse(nil, name, nprocs, outs); !bytes.Equal(got, want) {
 		t.Fatalf("%s nprocs %d, %d results: codec\n%s\noracle\n%s", name, nprocs, len(outs), got, want)
 	}
@@ -292,6 +298,22 @@ func TestFloatsMatchJSON(t *testing.T) {
 			if got := appendFloat(nil, f); !bytes.Equal(got, want) {
 				t.Fatalf("%v: codec %s, encoding/json %s", f, got, want)
 			}
+		}
+	}
+}
+
+// TestIntsMatchStrconv holds appendInt's two-digit table to
+// strconv.AppendInt around every width it writes and on the values it
+// leaves to strconv: negatives and 10000 on.
+func TestIntsMatchStrconv(t *testing.T) {
+	for x := -1100; x <= 11000; x++ {
+		for _, v := range []int64{int64(x), int64(x) * 1000003, math.MinInt64 + int64(x+1100), math.MaxInt64 - int64(x+1100)} {
+			if got, want := appendInt([]byte("x"), v), strconv.AppendInt([]byte("x"), v, 10); !bytes.Equal(got, want) {
+				t.Fatalf("%d: table %s, strconv %s", v, got, want)
+			}
+		}
+		if got, want := appendInt(nil, x), strconv.AppendInt(nil, int64(x), 10); !bytes.Equal(got, want) {
+			t.Fatalf("%d: table %s, strconv %s", x, got, want)
 		}
 	}
 }
@@ -450,6 +472,12 @@ func wireBodies(tb testing.TB, stepPath string) []wireBody {
 		{"20 digits", "/v1/partition", r(`"nprocs":4`, `"nprocs":12345678901234567890`).Replace(plain)},
 		{"dim 3", "/v1/partition", r(`"dim":2,"lo":[2,8],"hi":[18,32]`, `"dim":3,"lo":[2,8,0],"hi":[18,32,1]`).Replace(plain)},
 		{"three-element lo", "/v1/partition", r(`"lo":[2,8]`, `"lo":[2,8,0]`).Replace(plain)},
+		// A box that leaves json.Marshal's spelling late: the literal
+		// matcher gives it to the key-by-key reader, which reads it, or
+		// refuses it as the matcher did.
+		{"box spaced inside", "/v1/partition", r(`"hi":[18,32]}`, `"hi":[18,32] }`).Replace(plain)},
+		{"corner with a leading zero", "/v1/partition", r(`"hi":[18,32]}`, `"hi":[18,032]}`).Replace(plain)},
+		{"negative corners", "/v1/partition", r(`"lo":[2,8],"hi":[18,32]`, `"lo":[-2,-8],"hi":[-1,-3]`).Replace(plain)},
 		{"one-element hi", "/v1/partition", r(`"hi":[18,32]`, `"hi":[18]`).Replace(plain)},
 		{"box without dim", "/v1/partition", r(`"dim":2,"lo":[2,8]`, `"lo":[2,8]`).Replace(plain)},
 		{"trailing bytes", "/v1/partition", plain + ` {"nprocs":5}`},
@@ -562,7 +590,7 @@ func TestWireAnswersMatchDecode(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\ncodec       %+v\ndecode path %+v", c.name, got, want)
 		}
-		if len(c.body) < limit && recognise([]byte(c.body), requestFor(c.path)) {
+		if len(c.body) < limit && recognise([]byte(c.body), requestFor(c.path), new(corners)) {
 			fastOnes++
 		}
 	}
@@ -587,7 +615,7 @@ func TestRealRequestsAreRecognised(t *testing.T) {
 		{SessionStepRequest{Levels: []LevelOp{{Op: LevelKeep}, {Op: LevelReplace}}, Base: strings.Repeat("0f", 32)}, new(SessionStepRequest)},
 	} {
 		raw := []byte(mustMarshal(t, c.v))
-		if !recognise(raw, c.out) {
+		if !recognise(raw, c.out, new(corners)) {
 			t.Errorf("not recognised: %s", raw)
 		}
 		checkRecogniser(t, raw)
@@ -596,7 +624,9 @@ func TestRealRequestsAreRecognised(t *testing.T) {
 
 // sameGeometry fails unless the recogniser's hierarchy got and the
 // decoded want are both absent, or convert to deeply equal grid
-// hierarchies, nil and empty slices included.
+// hierarchies, nil and empty slices included, every list exact-size.
+// A hierarchy read into the corner list must also sign, from the
+// corners, as hierarchySignature signs the decoded one.
 func sameGeometry(t *testing.T, got, want *Hierarchy) {
 	t.Helper()
 	if (got == nil) != (want == nil) {
@@ -616,6 +646,24 @@ func sameGeometry(t *testing.T, got, want *Hierarchy) {
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("recognised %+v\ndecoded %+v", g, w)
 	}
+	if len(g.Levels) != cap(g.Levels) {
+		t.Fatalf("recognised %d levels with capacity %d", len(g.Levels), cap(g.Levels))
+	}
+	for l, lev := range g.Levels {
+		if len(lev.Boxes) != cap(lev.Boxes) {
+			t.Fatalf("recognised level %d: %d boxes with capacity %d", l, len(lev.Boxes), cap(lev.Boxes))
+		}
+	}
+	if got.pre.cs == nil {
+		t.Fatal("recognised a hierarchy outside the corner list")
+	}
+	var o partitionOut
+	if h, err := got.sign(&o); h != nil || err != nil {
+		t.Fatalf("signing a recognised hierarchy built %v (%v)", h, err)
+	}
+	if want := hierarchySignature(w); o.sig != want || o.ratio != w.RefRatio {
+		t.Fatalf("signed from the corners %s, ratio %d; decoded %s, ratio %d", o.sig, o.ratio, want, w.RefRatio)
+	}
 }
 
 // mustDecode is decode's encoding/json call, which must succeed.
@@ -632,7 +680,7 @@ func mustDecode(t *testing.T, data []byte, v any) {
 func checkRecogniser(t *testing.T, data []byte) {
 	t.Helper()
 	var p, pj PartitionRequest
-	if recognise(data, &p) {
+	if recognise(data, &p, new(corners)) {
 		mustDecode(t, data, &pj)
 		if p.Partitioner != pj.Partitioner || p.NProcs != pj.NProcs {
 			t.Fatalf("recognised %q/%d, decoded %q/%d", p.Partitioner, p.NProcs, pj.Partitioner, pj.NProcs)
@@ -646,7 +694,7 @@ func checkRecogniser(t *testing.T, data []byte) {
 		}
 	}
 	var c, cj SessionCreateRequest
-	if recognise(data, &c) {
+	if recognise(data, &c, new(corners)) {
 		mustDecode(t, data, &cj)
 		if c.Partitioner != cj.Partitioner || c.NProcs != cj.NProcs {
 			t.Fatalf("recognised %q/%d, decoded %q/%d", c.Partitioner, c.NProcs, cj.Partitioner, cj.NProcs)
@@ -654,7 +702,8 @@ func checkRecogniser(t *testing.T, data []byte) {
 		sameGeometry(t, c.Hierarchy, cj.Hierarchy)
 	}
 	var s, sj SessionStepRequest
-	if recognise(data, &s) {
+	cs := new(corners)
+	if recognise(data, &s, cs) {
 		mustDecode(t, data, &sj)
 		if s.Base != sj.Base {
 			t.Fatalf("base: recognised %q, decoded %q", s.Base, sj.Base)
@@ -670,6 +719,14 @@ func checkRecogniser(t *testing.T, data []byte) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("recognised %+v\ndecoded %+v", got, want)
 		}
+		for l, d := range got {
+			if len(d.Boxes) != cap(d.Boxes) {
+				t.Fatalf("recognised level %d: %d boxes with capacity %d", l, len(d.Boxes), cap(d.Boxes))
+			}
+		}
+		if len(cs.v) != 0 {
+			t.Fatalf("a step left %d corners behind", len(cs.v))
+		}
 	}
 }
 
@@ -683,22 +740,55 @@ func FuzzPartitionWire(f *testing.F) {
 	f.Fuzz(checkRecogniser)
 }
 
-// BenchmarkPartitionWire times both halves of the partition wire on the
-// largest quick-trace answer, encoding/json (the oracle) against the
-// codec: decode is the body to grid geometry, encode the answer to
-// bytes.
+// BenchmarkPartitionWire times both halves of the partition wire,
+// encoding/json (the oracle) against the codec, on the largest RM2D
+// snapshot of the quick trace and of the paper configuration's first 16
+// steps (the bench module's scale; generated first, a few seconds).
+// decode is the body to the hierarchy's signature, as a cache hit needs
+// it: encoding/json decodes, converts and signs the grid form, the
+// codec signs from its corner list. encode is a hit's answer to bytes.
 func BenchmarkPartitionWire(b *testing.B) {
 	ctx := context.Background()
-	tr, err := apps.QuickTrace(ctx, "RM2D")
-	if err != nil {
-		b.Fatal(err)
+	for _, scale := range []struct {
+		name  string
+		trace func() (*trace.Trace, error)
+	}{
+		{"quick", func() (*trace.Trace, error) { return apps.QuickTrace(ctx, "RM2D") }},
+		{"paper-16-steps", func() (*trace.Trace, error) { return apps.Generate(ctx, "RM2D", apps.PaperConfig(), 16) }},
+	} {
+		b.Run(scale.name, func(b *testing.B) {
+			tr, err := scale.trace()
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchmarkPartitionWire(b, largestSnapshot(tr))
+		})
 	}
+}
+
+// largestSnapshot is tr's snapshot of the most boxes (the longest
+// body), the first of them.
+func largestSnapshot(tr *trace.Trace) *grid.Hierarchy {
 	h := tr.Snapshots[0].H
 	for _, snap := range tr.Snapshots {
-		if snap.H.NumPoints() > h.NumPoints() {
+		if numBoxes(snap.H) > numBoxes(h) {
 			h = snap.H
 		}
 	}
+	return h
+}
+
+// numBoxes is the number of boxes on h's levels.
+func numBoxes(h *grid.Hierarchy) int {
+	n := 0
+	for _, lev := range h.Levels {
+		n += len(lev.Boxes)
+	}
+	return n
+}
+
+func benchmarkPartitionWire(b *testing.B, h *grid.Hierarchy) {
+	ctx := context.Background()
 	wire := FromHierarchy(h)
 	body := []byte(mustMarshal(b, PartitionRequest{Hierarchy: &wire, Partitioner: "nature+fable", NProcs: 16}))
 	p, err := ParsePartitioner("nature+fable")
@@ -709,8 +799,8 @@ func BenchmarkPartitionWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	outs := []partitionOut{{h: h, sig: h.Signature(), a: a, disp: CacheHit}}
-	answer := oracleResponse(b, p.Name(), 16, outs)
+	outs := []partitionOut{{ratio: h.RefRatio, sig: h.Signature(), a: a, disp: CacheHit}}
+	answer := oracleResponse(b, h, p.Name(), 16, outs)
 
 	decodeWith := func(decode func(*PartitionRequest) bool) func(*testing.B) {
 		return func(b *testing.B) {
@@ -721,8 +811,9 @@ func BenchmarkPartitionWire(b *testing.B) {
 				if !decode(&req) {
 					b.Fatal("not decoded")
 				}
-				if _, err := req.Hierarchy.geometry(); err != nil {
-					b.Fatal(err)
+				var o partitionOut
+				if _, err := req.Hierarchy.sign(&o); err != nil || o.sig != outs[0].sig {
+					b.Fatalf("signed %s (%v)", o.sig, err)
 				}
 			}
 		}
@@ -730,12 +821,17 @@ func BenchmarkPartitionWire(b *testing.B) {
 	b.Run("decode/json", decodeWith(func(req *PartitionRequest) bool {
 		return json.NewDecoder(bytes.NewReader(body)).Decode(req) == nil
 	}))
-	b.Run("decode/codec", decodeWith(func(req *PartitionRequest) bool { return recognise(body, req) }))
+	cs := getCorners()
+	defer putCorners(cs)
+	b.Run("decode/codec", decodeWith(func(req *PartitionRequest) bool {
+		cs.v = cs.v[:0]
+		return recognise(body, req, cs)
+	}))
 	b.Run("encode/json", func(b *testing.B) {
 		b.SetBytes(int64(len(answer)))
 		b.ReportAllocs()
 		for b.Loop() {
-			oracleResponse(b, p.Name(), 16, outs)
+			oracleResponse(b, h, p.Name(), 16, outs)
 		}
 	})
 	b.Run("encode/codec", func(b *testing.B) {
@@ -746,4 +842,64 @@ func BenchmarkPartitionWire(b *testing.B) {
 			buf = appendPartitionResponse(buf[:0], p.Name(), 16, outs)
 		}
 	})
+}
+
+// TestWireHitAllocations: a /v1/partition hit through ServeHTTP makes
+// the same few allocations on the smallest quick RM2D snapshot as on
+// the largest paper-16-steps one (the bench module's scale, generated
+// first, a few seconds): nothing it allocates grows with the boxes. The
+// recogniser reads them into the pooled corner list and signs from it,
+// and a resident key builds no hierarchy. sync.Pool drops items under
+// the race detector, so the test is skipped there.
+func TestWireHitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	ctx := context.Background()
+	quick, err := apps.QuickTrace(ctx, "RM2D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallest := quick.Snapshots[0].H
+	for _, snap := range quick.Snapshots {
+		if numBoxes(snap.H) < numBoxes(smallest) {
+			smallest = snap.H
+		}
+	}
+	paper, err := apps.Generate(ctx, "RM2D", apps.PaperConfig(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bound is what a hit allocates today with a few to spare: the
+	// request, its headers and the response's, the per-request slices
+	// of a one-hierarchy post, and the loads.
+	const bound = 48
+	for _, c := range []struct {
+		name string
+		h    *grid.Hierarchy
+	}{{"quick smallest", smallest}, {"paper-16-steps largest", largestSnapshot(paper)}} {
+		srv, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := FromHierarchy(c.h)
+		body := []byte(mustMarshal(t, PartitionRequest{Hierarchy: &wire, Partitioner: "nature+fable", NProcs: 16}))
+		post := func() *discardWriter {
+			w := &discardWriter{header: http.Header{}}
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/partition", bytes.NewReader(body)))
+			return w
+		}
+		if w := post(); w.code != http.StatusOK {
+			t.Fatalf("%s: miss answered %d", c.name, w.code)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if w := post(); w.code != http.StatusOK || w.header.Get("X-Samr-Cache") != CacheHit {
+				t.Fatalf("%s: answered %d, cache %q", c.name, w.code, w.header.Get("X-Samr-Cache"))
+			}
+		})
+		t.Logf("%s (%d boxes, %d B body): %.0f allocations a hit", c.name, numBoxes(c.h), len(body), allocs)
+		if allocs > bound {
+			t.Errorf("%s: a hit allocates %.0f times, more than %d", c.name, allocs, bound)
+		}
+	}
 }

@@ -66,16 +66,34 @@
 // together. A recogniser (codec.go) reads the body into a pooled buffer
 // and accepts only a canonical subset: keys spelled exactly, in any
 // order, each at most once; strings without escapes or non-ASCII;
-// integers without fraction, exponent or leading zeros; 2-D boxes,
-// built straight into geom.Box. Any other body — and one that fills the
-// body limit — goes to encoding/json over the same bytes, so every 400
-// and 413, every field-matching rule and the indifference to trailing
-// bytes stay exactly encoding/json's; an accepted body meets the same
-// parsing, validation and cache path as a decoded one. The answer is
-// appended straight from each assignment into a pooled buffer, byte for
-// byte what json.Encoder wrote for PartitionResponse. encoding/json
-// stays the oracle of both halves in the tests (FuzzPartitionWire, the
-// encoder's byte-equality suite) and the codec for every other route.
+// integers without fraction, exponent or leading zeros; 2-D boxes. A
+// box spelled exactly as json.Marshal spells it —
+// {"dim":2,"lo":[x0,y0],"hi":[x1,y1]}, no whitespace — is matched
+// literal by literal; any other spelling of a box falls back to the
+// general reader, key by key. Either way its four corners go into one
+// flat corner list per request, pooled and capped like the body buffer.
+// Any other body — and one that fills the body limit — goes to
+// encoding/json over the same bytes, so every 400 and 413, every
+// field-matching rule and the indifference to trailing bytes stay
+// exactly encoding/json's; an accepted body meets the same parsing,
+// validation and cache path as a decoded one.
+//
+// What a request builds depends on the cache. A recognised hierarchy is
+// signed from its corners: the bytes grid.Hierarchy.AppendEncoding
+// would write, written from the corner list. A hit builds no
+// grid.Hierarchy and allocates nothing that grows with its boxes; its
+// answer carries only the refinement ratio its loads need. A key that
+// is not resident is built into a grid.Hierarchy with exact-size lists.
+// A session create builds its hierarchy the same way. A step's
+// replaced levels become exact-size box lists as they are read. A body
+// encoding/json decoded is converted to grid form before it is signed.
+// The answer is appended from each assignment's packed stream into a
+// pooled buffer, byte for byte what json.Encoder wrote for
+// PartitionResponse: the fragments' small integers come from a
+// two-digit table, and a level's step factor is taken where the level
+// changes. encoding/json stays the oracle of both halves in the tests
+// (FuzzPartitionWire, the encoder's byte-equality suite) and the codec
+// for every other route.
 //
 // On /v1/partition a cache hit is decoded, signed, looked up and
 // written: a hierarchy whose key is resident is not validated again.
@@ -501,10 +519,9 @@ func decode(w http.ResponseWriter, body io.Reader, v any) bool {
 	return true
 }
 
-// gatherHierarchies merges the single/batch forms of a request into one
-// ordered slice of hierarchies, each converted and then passed to check
-// (which validates it), in order; the first refusal is the answer.
-func gatherHierarchies(single *Hierarchy, batch []Hierarchy, check func(*grid.Hierarchy) error) ([]*grid.Hierarchy, error) {
+// hierarchiesOf merges the single/batch forms of a request into one
+// ordered slice of hierarchies.
+func hierarchiesOf(single *Hierarchy, batch []Hierarchy) ([]Hierarchy, error) {
 	ws := batch
 	if single != nil {
 		ws = append([]Hierarchy{*single}, batch...)
@@ -512,18 +529,7 @@ func gatherHierarchies(single *Hierarchy, batch []Hierarchy, check func(*grid.Hi
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("request carries no hierarchy")
 	}
-	out := make([]*grid.Hierarchy, len(ws))
-	for i, w := range ws {
-		h, err := w.geometry()
-		if err == nil {
-			err = check(h)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("hierarchy %d: %w", i, err)
-		}
-		out[i] = h
-	}
-	return out, nil
+	return ws, nil
 }
 
 func (s *Server) checkProcs(w http.ResponseWriter, nprocs *int) bool {
@@ -556,7 +562,13 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r.Body, &req) {
 		return
 	}
-	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies, (*grid.Hierarchy).Validate)
+	ws, err := hierarchiesOf(req.Hierarchy, req.Hierarchies)
+	hs := make([]*grid.Hierarchy, len(ws))
+	for i := 0; i < len(ws) && err == nil; i++ {
+		if hs[i], err = ws[i].toGrid(); err != nil {
+			err = fmt.Errorf("hierarchy %d: %w", i, err)
+		}
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -594,7 +606,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var req PartitionRequest
-	if !s.decodeRequest(w, r, &req) {
+	cs := getCorners()
+	defer putCorners(cs)
+	if !s.decodeRequest(w, r, &req, cs) {
 		return
 	}
 	sp, err := parseSpec(req.Partitioner)
@@ -602,21 +616,33 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Each hierarchy is signed as it arrives and validated only when its
-	// key is not resident (see "Wire codec" above); nprocs defaults as
-	// checkProcs will default it.
+	// Each hierarchy is signed as it arrives and built and validated
+	// only when its key is not resident (see "Wire codec" above); nprocs
+	// defaults as checkProcs will default it.
 	// A post has no mapping history: a postmap spec's answer is its
 	// inner spec's, cached under the inner key and not relabeled.
 	nprocs := cmp.Or(req.NProcs, defaultProcs)
-	var sigs []geom.Signature
-	hs, err := gatherHierarchies(req.Hierarchy, req.Hierarchies, func(h *grid.Hierarchy) error {
-		sig := hierarchySignature(h)
-		sigs = append(sigs, sig)
-		if s.cache.Contains(CacheKey{Sig: sig, Partitioner: sp.key, NProcs: nprocs}) {
-			return nil
+	ws, err := hierarchiesOf(req.Hierarchy, req.Hierarchies)
+	outs := make([]partitionOut, len(ws))
+	hs := make([]*grid.Hierarchy, len(ws))
+	// build gives hierarchy i in grid form, built from its corners when
+	// first needed: a key resident when signed builds none, unless it
+	// leaves the cache before its lookup and the compute needs it.
+	build := func(i int) *grid.Hierarchy {
+		if hs[i] == nil {
+			hs[i] = ws[i].pre.hierarchy()
 		}
-		return h.Validate()
-	})
+		return hs[i]
+	}
+	for i := 0; i < len(ws) && err == nil; i++ {
+		hs[i], err = ws[i].sign(&outs[i])
+		if err == nil && !s.cache.Contains(CacheKey{Sig: outs[i].sig, Partitioner: sp.key, NProcs: nprocs}) {
+			err = build(i).Validate()
+		}
+		if err != nil {
+			err = fmt.Errorf("hierarchy %d: %w", i, err)
+		}
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -628,14 +654,10 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	outs := make([]partitionOut, len(hs))
-	err = pool.MapCtx(ctx, pool.Workers(), len(hs), func(i int) error {
-		a, disp, err := s.partitionCached(ctx, hs[i], sigs[i], sp, req.NProcs)
-		if err != nil {
-			return err
-		}
-		outs[i] = partitionOut{h: hs[i], sig: sigs[i], a: a, disp: disp}
-		return nil
+	err = pool.MapCtx(ctx, pool.Workers(), len(ws), func(i int) error {
+		var err error
+		outs[i].a, outs[i].disp, err = s.partitionCached(ctx, func() *grid.Hierarchy { return build(i) }, outs[i].sig, sp, req.NProcs)
+		return err
 	})
 	if err != nil {
 		writeFailure(w, err)
@@ -652,11 +674,13 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 // before any postmap relabel, cached under sp.key. A miss — this
 // request ran the partitioner — stores the answer to the tier before
 // the request answers, so an answered result is one hop from every
-// member; the flight's followers already have it by then.
-func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, sp spec, nprocs int) (partition.Packed, string, error) {
+// member; the flight's followers already have it by then. geometry
+// gives the hierarchy signed sig, called only when the partitioner
+// runs.
+func (s *Server) partitionCached(ctx context.Context, geometry func() *grid.Hierarchy, sig geom.Signature, sp spec, nprocs int) (partition.Packed, string, error) {
 	key := CacheKey{Sig: sig, Partitioner: sp.key, NProcs: nprocs}
 	p, disp, err := s.cache.GetOrCompute(ctx, key, func() (partition.Packed, error) {
-		return packed(sp.p.Partition(ctx, h, nprocs))
+		return packed(sp.p.Partition(ctx, geometry(), nprocs))
 	})
 	if disp == CacheMiss && s.tier != nil {
 		s.tier.Store(tierKeyOf(key), tier.EncodePacked(p))
@@ -694,10 +718,10 @@ func hierarchySignature(h *grid.Hierarchy) geom.Signature {
 // one writer and writeCacheHeaders, which is what makes a step response
 // byte-identical to the equivalent full post.
 type partitionOut struct {
-	h    *grid.Hierarchy
-	sig  geom.Signature
-	a    partition.Packed
-	disp string // CacheHit, CacheMiss, CacheShared or CacheTier
+	ratio int // the hierarchy's refinement ratio, all the loads need of it
+	sig   geom.Signature
+	a     partition.Packed
+	disp  string // CacheHit, CacheMiss, CacheShared or CacheTier
 }
 
 // writeCacheHeaders emits the cache headers of a partition-shaped

@@ -255,7 +255,9 @@ func writeSessionGone(w http.ResponseWriter, id string) {
 // tracking from this state on.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionCreateRequest
-	if !s.decodeRequest(w, r, &req) {
+	cs := getCorners()
+	defer putCorners(cs)
+	if !s.decodeRequest(w, r, &req, cs) {
 		return
 	}
 	if req.Hierarchy == nil {
@@ -321,7 +323,10 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	id := r.PathValue("id")
 	var req SessionStepRequest
-	if !s.decodeRequest(w, r, &req) {
+	cs := getCorners()
+	ok := s.decodeRequest(w, r, &req, cs)
+	putCorners(cs) // a recognised step's boxes are already lists
+	if !ok {
 		return
 	}
 	step, err := req.deltas()
@@ -359,7 +364,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sig := next.Signature()
-	a, disp, err := s.partitionCached(ctx, next, sig, sess.spec, sess.nprocs)
+	a, disp, err := s.partitionCached(ctx, func() *grid.Hierarchy { return next }, sig, sess.spec, sess.nprocs)
 	var relabeled *partition.Assignment
 	if err == nil && sess.postmap {
 		relabeled, a, err = remapPacked(ctx, sess.prevA, a)
@@ -377,7 +382,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	s.sessions.steps.Add(1)
 	s.storeSessionSnapshot(sess)
 
-	outs := []partitionOut{{h: next, sig: sig, a: a, disp: disp}}
+	outs := []partitionOut{{ratio: next.RefRatio, sig: sig, a: a, disp: disp}}
 	s.writeCacheHeaders(w, outs)
 	w.Header().Set(SessionHeader, sess.id)
 	writePartitionResponse(w, sess.name, sess.nprocs, outs)

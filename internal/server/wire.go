@@ -31,10 +31,10 @@ type Hierarchy struct {
 	RefRatio int     `json:"ref_ratio"`
 	Levels   [][]Box `json:"levels"`
 
-	// pre is the geometry the request recogniser (codec.go) read
-	// straight into grid form, unvalidated; the fields above are then
+	// pre is the geometry the request recogniser (codec.go) read into
+	// the request's corner list, unvalidated; the fields above are then
 	// empty.
-	pre *grid.Hierarchy
+	pre flatHierarchy
 }
 
 // Fragment is the wire form of partition.Fragment.
@@ -94,16 +94,20 @@ func (w Hierarchy) toGrid() (*grid.Hierarchy, error) {
 	return h, nil
 }
 
-// geometry converts a submitted hierarchy without validating it.
+// geometry converts a submitted hierarchy without validating it, into
+// exact-size lists.
 func (w Hierarchy) geometry() (*grid.Hierarchy, error) {
-	if w.pre != nil {
-		return w.pre, nil
+	if w.pre.cs != nil {
+		return w.pre.hierarchy(), nil
 	}
 	dom, err := w.Domain.toGeom()
 	if err != nil {
 		return nil, fmt.Errorf("domain: %w", err)
 	}
 	h := &grid.Hierarchy{Domain: dom, RefRatio: w.RefRatio}
+	if len(w.Levels) > 0 {
+		h.Levels = make([]grid.Level, len(w.Levels))
+	}
 	for l, lev := range w.Levels {
 		boxes := make(geom.BoxList, len(lev))
 		for i, wb := range lev {
@@ -111,8 +115,24 @@ func (w Hierarchy) geometry() (*grid.Hierarchy, error) {
 				return nil, fmt.Errorf("level %d box %d: %w", l, i, err)
 			}
 		}
-		h.Levels = append(h.Levels, grid.Level{Boxes: boxes})
+		h.Levels[l].Boxes = boxes
 	}
+	return h, nil
+}
+
+// sign sets o's signature and refinement ratio to w's. A hierarchy the
+// recogniser read is signed from its corners and returned as nil; any
+// other is converted first, and its geometry returned.
+func (w *Hierarchy) sign(o *partitionOut) (*grid.Hierarchy, error) {
+	if w.pre.cs != nil {
+		o.sig, o.ratio = w.pre.signature(), w.pre.ratio
+		return nil, nil
+	}
+	h, err := w.geometry()
+	if err != nil {
+		return nil, err
+	}
+	o.sig, o.ratio = hierarchySignature(h), h.RefRatio
 	return h, nil
 }
 
