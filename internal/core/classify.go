@@ -66,8 +66,6 @@ type Classifier struct {
 	// partitionCost estimates the seconds one repartitioning takes on
 	// the current machine; it feeds trade-off 2's quantity (2).
 	partitionCost float64
-	// sigBuf is the encoding scratch of the snapshots' signatures.
-	sigBuf []byte
 }
 
 // loadPenalties holds LoadPenalty by hierarchy content. beta_l is a
@@ -94,8 +92,7 @@ func (c *Classifier) Classify(h *grid.Hierarchy, timeSlot float64) Sample {
 	s := Sample{Step: c.step, Points: h.NumPoints()}
 	c.step++
 
-	var sig geom.Signature
-	sig, c.sigBuf = h.SignatureWith(c.sigBuf[:0])
+	sig := h.Signature()
 	var ok bool
 	if s.BetaL, ok = loadPenalties.Get(sig); !ok {
 		s.BetaL = LoadPenalty(h)

@@ -35,11 +35,6 @@ func appendBox(buf []byte, b Box) []byte {
 	return buf
 }
 
-// EncodedLen is the length of the list's canonical encoding: an 8-byte
-// length header and 8 bytes for Dim and each Lo and Hi component of
-// every box.
-func (bl BoxList) EncodedLen() int { return 8 + 8*(1+2*MaxDim)*len(bl) }
-
 // AppendEncoding appends the canonical encoding of the list (length
 // header plus every box, in order) to buf. Hashes that cover several
 // lists — e.g. a hierarchy signature spanning levels — compose these

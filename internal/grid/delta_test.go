@@ -2,19 +2,58 @@ package grid
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"samr/internal/geom"
 )
 
-// coldSignature re-derives the signature the way an untracked
-// hierarchy does: full canonical encoding, one sha256 pass. The
-// incremental cache must always agree with this byte-for-byte.
+// raceEnabled is set under the race detector, which makes sync.Pool
+// drop items, so allocation counts mean nothing there.
+var raceEnabled bool
+
+// coldSignature is the signature's oracle: sha256 over a fresh
+// canonical encoding, made in a buffer no other call shares.
 func coldSignature(h *Hierarchy) geom.Signature {
-	fresh := &Hierarchy{Domain: h.Domain, RefRatio: h.RefRatio, Levels: h.Levels}
-	return geom.Signature(sha256.Sum256(fresh.AppendEncoding(nil)))
+	return geom.Signature(sha256.Sum256(h.AppendEncoding(nil)))
+}
+
+// coldLevelSignature is LevelSignature's oracle, likewise.
+func coldLevelSignature(h *Hierarchy, l int) geom.Signature {
+	return geom.Signature(sha256.Sum256(h.Levels[l].Boxes.AppendEncoding(nil)))
+}
+
+// checkStep fails unless next is step applied to prev by hand: prev's
+// domain and ratio, len(step) levels, each kept level prev's own list
+// (shared, not copied) and each replaced one the step's boxes, with
+// Signature and every LevelSignature equal to their fresh-encoding
+// oracles.
+func checkStep(t *testing.T, prev, next *Hierarchy, step []LevelDelta) {
+	t.Helper()
+	if next.Domain != prev.Domain || next.RefRatio != prev.RefRatio || len(next.Levels) != len(step) {
+		t.Fatalf("step of %d levels from %v gave %v", len(step), prev, next)
+	}
+	for l, d := range step {
+		got := next.Levels[l].Boxes
+		switch {
+		case d.Keep && (len(got) != len(prev.Levels[l].Boxes) || len(got) > 0 && &got[0] != &prev.Levels[l].Boxes[0]):
+			t.Fatalf("kept level %d is not the previous state's list", l)
+		case !d.Keep && !slices.Equal(got, d.Boxes):
+			t.Fatalf("replaced level %d holds %v, the step %v", l, got, d.Boxes)
+		}
+	}
+	if got, want := next.Signature(), coldSignature(next); got != want {
+		t.Fatalf("signature %s, fresh encoding %s", got, want)
+	}
+	for l := range next.Levels {
+		if got, want := next.LevelSignature(l), coldLevelSignature(next, l); got != want {
+			t.Fatalf("level %d sub-digest %s, fresh encoding %s", l, got, want)
+		}
+	}
 }
 
 // randomLevelBoxes builds a random valid patch set for level l of h:
@@ -79,21 +118,19 @@ func randomDelta(r *rand.Rand, h *Hierarchy) []LevelDelta {
 	return step
 }
 
-// TestApplyDeltaSignatureMatchesColdRehash is the incremental-signature
-// property suite: over random hierarchies and random per-level delta
-// sequences, the incrementally maintained Signature() and every
-// LevelSignature() are byte-identical to a cold full re-hash of the
-// same state, and the structures themselves stay valid.
+// TestApplyDeltaSignatureMatchesColdRehash is the delta property
+// suite: over random hierarchies and random per-level delta sequences,
+// every step WithDelta takes is the step applied by hand (checkStep:
+// kept levels shared, domain and ratio unchanged, signatures equal to
+// a fresh encoding's), the result is valid, and the previous state is
+// untouched.
 func TestApplyDeltaSignatureMatchesColdRehash(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 60; trial++ {
 		h := randomHierarchy(r)
-		h.TrackSignature()
-		if got, want := h.Signature(), coldSignature(h); got != want {
-			t.Fatalf("trial %d: tracked base signature %s != cold %s", trial, got, want)
-		}
 		for step := 0; step < 12; step++ {
 			d := randomDelta(r, h)
+			before, levels := coldSignature(h), h.Clone().Levels
 			next, err := h.WithDelta(d)
 			if err != nil {
 				t.Fatalf("trial %d step %d: WithDelta: %v", trial, step, err)
@@ -101,20 +138,78 @@ func TestApplyDeltaSignatureMatchesColdRehash(t *testing.T) {
 			if err := next.Validate(); err != nil {
 				t.Fatalf("trial %d step %d: delta produced invalid hierarchy: %v", trial, step, err)
 			}
-			if got, want := next.Signature(), coldSignature(next); got != want {
-				t.Fatalf("trial %d step %d: incremental signature %s != cold re-hash %s", trial, step, got, want)
-			}
-			for l := range next.Levels {
-				cold := geom.Signature(sha256.Sum256(next.Levels[l].Boxes.AppendEncoding(nil)))
-				if got := next.LevelSignature(l); got != cold {
-					t.Fatalf("trial %d step %d: level %d sub-digest %s != cold %s", trial, step, l, got, cold)
-				}
-			}
-			// The previous state must be untouched by deriving the next.
-			if got, want := h.Signature(), coldSignature(h); got != want {
-				t.Fatalf("trial %d step %d: WithDelta disturbed its input: %s != %s", trial, step, got, want)
+			checkStep(t, h, next, d)
+			if h.Signature() != before || !sameLevels(h.Levels, levels) {
+				t.Fatalf("trial %d step %d: WithDelta disturbed its input", trial, step)
 			}
 			h = next
+		}
+	}
+}
+
+// TestSignaturesUnderConcurrency signs random hierarchies from eight
+// goroutines at once for half a second, Signature and LevelSignature
+// interleaved: every result must equal sha256 of a fresh encoding. A
+// buffer that went back to the pool before it was hashed would fail it
+// when a goroutine is preempted between the two and the next on its
+// processor takes and overwrites the buffer; half a second of
+// preemptions makes that all but certain.
+func TestSignaturesUnderConcurrency(t *testing.T) {
+	r := rand.New(rand.NewSource(63))
+	hs := make([]*Hierarchy, 32)
+	want := make([]geom.Signature, len(hs))
+	wantLevels := make([][]geom.Signature, len(hs))
+	for i := range hs {
+		hs[i] = randomHierarchy(r)
+		want[i] = coldSignature(hs[i])
+		for l := range hs[i].Levels {
+			wantLevels[i] = append(wantLevels[i], coldLevelSignature(hs[i], l))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; time.Now().Before(deadline); round++ {
+				i := (g*7 + round) % len(hs)
+				if got := hs[i].Signature(); got != want[i] {
+					errs <- fmt.Sprintf("goroutine %d: hierarchy %d signed %s, want %s", g, i, got, want[i])
+					return
+				}
+				l := round % len(hs[i].Levels)
+				if got := hs[i].LevelSignature(l); got != wantLevels[i][l] {
+					errs <- fmt.Sprintf("goroutine %d: hierarchy %d level %d signed %s, want %s", g, i, l, got, wantLevels[i][l])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestSignaturesAllocateNothing holds Signature, LevelSignature and
+// SignLevels to the pooled scratch: no call allocates an encoding.
+func TestSignaturesAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	h := randomHierarchy(rand.New(rand.NewSource(64)))
+	for name, f := range map[string]func(){
+		"Signature":      func() { h.Signature() },
+		"LevelSignature": func() { h.LevelSignature(len(h.Levels) - 1) },
+		"SignLevels": func() {
+			SignLevels(h.Domain, h.RefRatio, len(h.Levels), func(b []byte) []byte { return b })
+		},
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %.0f times a call", name, n)
 		}
 	}
 }
@@ -127,7 +222,6 @@ func TestDeltaValidation(t *testing.T) {
 		h := NewHierarchy(geom.NewBox2(0, 0, 32, 32), 2)
 		h.Levels = append(h.Levels, Level{Boxes: geom.BoxList{geom.NewBox2(8, 8, 40, 40)}})
 		h.Levels = append(h.Levels, Level{Boxes: geom.BoxList{geom.NewBox2(20, 20, 60, 60)}})
-		h.TrackSignature()
 		return h
 	}
 	solid := geom.NewBox2(20, 20, 60, 60)
@@ -178,22 +272,6 @@ func TestDeltaValidation(t *testing.T) {
 	}
 	if h.Signature() != sig || coldSignature(h) != sig {
 		t.Fatal("round trip back to the base state changed the signature")
-	}
-}
-
-// TestCloneDropsTracking pins the Clone contract: a clone of a tracked
-// hierarchy is untracked (it may be mutated directly), and computes
-// the identical signature from scratch.
-func TestCloneDropsTracking(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	h := randomHierarchy(r)
-	h.TrackSignature()
-	c := h.Clone()
-	if c.Tracked() {
-		t.Fatal("clone carried the signature cache")
-	}
-	if c.Signature() != h.Signature() {
-		t.Fatal("clone signature differs")
 	}
 }
 
@@ -253,12 +331,13 @@ func sameLevels(a, b []Level) bool {
 	return slices.EqualFunc(a, b, func(x, y Level) bool { return slices.Equal(x.Boxes, y.Boxes) })
 }
 
-// FuzzApplyDelta: from a tracked random valid hierarchy (seeded), up to
-// eight fuzzed steps applied through WithDelta, the only mutation of a
-// tracked hierarchy. Each step either refuses, or yields a state that
-// Validate accepts and whose tracked signature and level sub-digests
-// equal a cold re-hash; either way the receiver's signature and levels
-// are as they were. An accepted step is the base of the next.
+// FuzzApplyDelta: from a random valid hierarchy (seeded), up to eight
+// fuzzed steps applied through WithDelta. Each step either refuses, or
+// yields a state that Validate accepts and that is the step applied by
+// hand (checkStep: kept levels shared, domain and ratio unchanged,
+// signatures equal to a fresh encoding's); either way the receiver's
+// signature and levels are as they were. An accepted step is the base
+// of the next.
 func FuzzApplyDelta(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{2, 0, 1})                         // keep level 0, replace level 1 by its anchors
@@ -271,13 +350,12 @@ func FuzzApplyDelta(f *testing.F) {
 	f.Add(int64(9), []byte{3, 0, 0, 1, 3, 0, 0, 2, 0, 0, 1}) // refine, then a two-level chain
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
 		h := randomValid(rand.New(rand.NewSource(seed)))
-		h.TrackSignature()
 		for steps := 0; steps < 8 && len(data) > 0; steps++ {
 			var step []LevelDelta
 			step, data = deltaFromBytes(h, data)
-			before, levels := h.Signature(), h.Clone().Levels
+			before, levels := coldSignature(h), h.Clone().Levels
 			next, err := h.WithDelta(step)
-			if h.Signature() != before || coldSignature(h) != before || !sameLevels(h.Levels, levels) {
+			if h.Signature() != before || !sameLevels(h.Levels, levels) {
 				t.Fatalf("step %d: WithDelta (err %v) disturbed its receiver", steps, err)
 			}
 			if err != nil {
@@ -286,22 +364,19 @@ func FuzzApplyDelta(f *testing.F) {
 			if err := next.Validate(); err != nil {
 				t.Fatalf("step %d: accepted step %v gives an invalid hierarchy: %v", steps, step, err)
 			}
-			if got, want := next.Signature(), coldSignature(next); got != want {
-				t.Fatalf("step %d: tracked signature %s, cold re-hash %s", steps, got, want)
-			}
-			for l := range next.Levels {
-				if got, want := next.LevelSignature(l), geom.Signature(sha256.Sum256(next.Levels[l].Boxes.AppendEncoding(nil))); got != want {
-					t.Fatalf("step %d: level %d sub-digest %s, cold %s", steps, l, got, want)
-				}
-			}
+			checkStep(t, h, next, step)
 			h = next
 		}
 	})
 }
 
-// BenchmarkSignatureDeltaVsFull measures the tentpole's grid half: the
-// cost of refreshing the signature after a finest-level replacement,
-// incrementally vs a cold full re-hash, on a deep synthetic hierarchy.
+// BenchmarkSignatureDeltaVsFull measures what a session step still
+// saves over a full repost once the signature is computed on demand:
+// step (WithDelta's check of the replaced level, then Signature)
+// against repost (Validate of the whole hierarchy, then Signature), on
+// a deep synthetic hierarchy whose steps replace only the finest of its
+// 258 boxes. Both halves hash the whole hierarchy; the difference is
+// the structural check of the levels a step keeps.
 func BenchmarkSignatureDeltaVsFull(b *testing.B) {
 	build := func() *Hierarchy {
 		h := NewHierarchy(geom.NewBox2(0, 0, 256, 256), 2)
@@ -319,9 +394,8 @@ func BenchmarkSignatureDeltaVsFull(b *testing.B) {
 		x := (i % 64) * 4
 		return geom.BoxList{geom.NewBox2(100+x, 100, 400+x, 400)}
 	}
-	b.Run("delta", func(b *testing.B) {
+	b.Run("step", func(b *testing.B) {
 		h := build()
-		h.TrackSignature()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			next, err := h.WithDelta([]LevelDelta{Keep(), Keep(), Replace(finest(i))})
@@ -332,18 +406,15 @@ func BenchmarkSignatureDeltaVsFull(b *testing.B) {
 			_ = h.Signature()
 		}
 	})
-	// The cold path a full repost pays per step: full structural
-	// validation plus a full re-encode and re-hash.
-	b.Run("full-validate-rehash", func(b *testing.B) {
+	b.Run("repost", func(b *testing.B) {
 		h := build()
-		var buf []byte
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			h.Levels[2] = Level{Boxes: finest(i)}
 			if err := h.Validate(); err != nil {
 				b.Fatal(err)
 			}
-			_, buf = h.SignatureWith(buf[:0])
+			_ = h.Signature()
 		}
 	})
 }

@@ -8,8 +8,10 @@ package grid
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"samr/internal/geom"
 )
@@ -40,11 +42,6 @@ type Hierarchy struct {
 	RefRatio int
 	// Levels[0] is the base level; Levels[l] for l > 0 are refinements.
 	Levels []Level
-
-	// sig is the incremental signature cache of a tracked hierarchy
-	// (see delta.go); nil for the common untracked case. WithDelta is
-	// the only legal mutation of a tracked hierarchy.
-	sig *sigCache
 }
 
 // NewHierarchy returns a hierarchy whose base level covers domain.
@@ -118,49 +115,79 @@ func (h *Hierarchy) Footprint(l int) geom.BoxList {
 }
 
 // AppendEncoding appends the canonical encoding of the hierarchy —
-// domain, refinement ratio, and every level's box list in order — to
-// buf and returns the extended slice. The header and per-level
-// segments are exactly what the incremental signature cache (delta.go)
-// maintains piecewise, so a tracked signature is always the hash of
-// these bytes.
+// domain, refinement ratio, level count, and every level's box list in
+// order — to buf and returns the extended slice. Signature is sha256
+// over these bytes, and LevelSignature over one level's segment.
 func (h *Hierarchy) AppendEncoding(buf []byte) []byte {
-	buf = h.appendHeader(buf)
+	buf = appendHeader(buf, h.Domain, h.RefRatio, len(h.Levels))
 	for _, l := range h.Levels {
 		buf = l.Boxes.AppendEncoding(buf)
 	}
 	return buf
 }
 
-// Signature returns a deterministic content hash of the hierarchy's
-// canonical encoding. Equal signatures mean structurally identical
-// hierarchies, which is what makes the hash usable as a content-
-// addressed cache key — a partitioner's output is a pure function of
-// (hierarchy structure, configuration, nprocs). A tracked hierarchy
-// (TrackSignature/WithDelta, see delta.go) answers from its
-// incrementally maintained cache — the same value, without re-encoding
-// or re-hashing anything.
-func (h *Hierarchy) Signature() geom.Signature {
-	sig, _ := h.SignatureWith(nil)
+// appendHeader appends the encoding prefix AppendEncoding writes
+// before the levels: the domain box, the refinement ratio and the
+// level count.
+func appendHeader(buf []byte, domain geom.Box, refRatio, levels int) []byte {
+	buf = geom.BoxList{domain}.AppendEncoding(buf)
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], uint64(int64(refRatio)))
+	buf = append(buf, w[:]...)
+	binary.LittleEndian.PutUint64(w[:], uint64(levels))
+	return append(buf, w[:]...)
+}
+
+// encodings recycles the scratch every signature is encoded into: a
+// deep hierarchy encodes to a few hundred kB, and the request path, the
+// classifier, the simulator and the partitioners' level digests sign
+// hierarchies all the time, so no call allocates an encoding.
+var encodings = sync.Pool{New: func() any { b := make([]byte, 0, 1<<12); return &b }}
+
+// hashEncoding returns sha256 over the bytes enc appends to an empty
+// buffer, which it encodes into pooled scratch. The scratch goes back
+// to the pool only once it is hashed.
+func hashEncoding(enc func([]byte) []byte) geom.Signature {
+	bp := encodings.Get().(*[]byte)
+	*bp = enc((*bp)[:0])
+	sig := geom.Signature(sha256.Sum256(*bp))
+	encodings.Put(bp)
 	return sig
 }
 
-// SignatureWith is Signature with caller-owned encoding scratch:
-// callers hashing many hierarchies (the memoization layers key
-// everything by content) pass a retained buffer's buf[:0] and get the
-// grown buffer back for the next call, hashing without per-call
-// allocation.
-func (h *Hierarchy) SignatureWith(buf []byte) (geom.Signature, []byte) {
-	if h.sig != nil {
-		return h.sig.top, buf
-	}
-	buf = h.AppendEncoding(buf)
-	return geom.Signature(sha256.Sum256(buf)), buf
+// Signature returns a deterministic content hash of the hierarchy:
+// sha256 over AppendEncoding's bytes. Equal signatures mean
+// structurally identical hierarchies, which is what makes the hash
+// usable as a content-addressed cache key — a partitioner's output is a
+// pure function of (hierarchy structure, configuration, nprocs). It is
+// computed on every call, O(hierarchy), and allocates nothing.
+func (h *Hierarchy) Signature() geom.Signature { return hashEncoding(h.AppendEncoding) }
+
+// LevelSignature returns the sub-digest of level l: sha256 over the
+// level's canonical box-list encoding, the segment of AppendEncoding
+// that level writes. Like Signature it is computed on every call.
+func (h *Hierarchy) LevelSignature(l int) geom.Signature {
+	return hashEncoding(h.Levels[l].Boxes.AppendEncoding)
 }
 
-// Clone returns a deep copy of the hierarchy. The incremental
-// signature cache of a tracked hierarchy is deliberately not carried
-// over: clones are routinely mutated directly (the cache would go
-// stale), and a clone that needs tracking calls TrackSignature itself.
+// SignLevels returns the Signature of the hierarchy of domain and
+// refRatio whose levels levels appendLevels appends in order, each as
+// geom.BoxList.AppendEncoding writes it: a caller holding the levels in
+// another form (geom.Corners) signs them without building the
+// hierarchy, through the same pooled scratch.
+func SignLevels(domain geom.Box, refRatio, levels int, appendLevels func([]byte) []byte) geom.Signature {
+	return hashEncoding(func(buf []byte) []byte {
+		return appendLevels(appendHeader(buf, domain, refRatio, levels))
+	})
+}
+
+// TrackSignature is a no-op: a hierarchy carries no signing state. It
+// stays as a shim for the benchmark, which calls it, until ROADMAP item
+// 28(d)'s queue removes the call.
+func (h *Hierarchy) TrackSignature() {}
+
+// Clone returns a deep copy of the hierarchy, free to be mutated
+// directly.
 func (h *Hierarchy) Clone() *Hierarchy {
 	out := &Hierarchy{Domain: h.Domain, RefRatio: h.RefRatio}
 	out.Levels = make([]Level, len(h.Levels))

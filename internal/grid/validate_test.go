@@ -283,7 +283,6 @@ func TestDeltaCheckMatchesReference(t *testing.T) {
 	seen := map[string]int{}
 	for trial := 0; trial < 400; trial++ {
 		h := randomValid(r)
-		h.TrackSignature()
 		for step := 0; step < 10; step++ {
 			n := max(1, min(len(h.Levels)+r.Intn(3)-1, 4))
 			cand := &Hierarchy{Domain: h.Domain, RefRatio: h.RefRatio, Levels: make([]Level, n)}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"io"
 	"math"
@@ -90,21 +89,16 @@ func (f *flatHierarchy) hierarchy() *grid.Hierarchy {
 	return h
 }
 
-// signature is hierarchySignature of f.hierarchy(), hashed from the
-// corners: the bytes grid.Hierarchy.AppendEncoding writes, written into
-// the pooled signing scratch.
+// signature is f.hierarchy().Signature(), hashed from the corners.
 func (f *flatHierarchy) signature() geom.Signature {
-	bp := sigScratch.Get().(*[]byte)
-	b := grid.AppendEncodingHeader((*bp)[:0], f.domain, f.ratio, f.levels)
-	for run := f.cs.v[f.from:f.to]; len(run) > 0; {
-		var boxes geom.Corners
-		boxes, run = level(run)
-		b = boxes.AppendEncoding(b)
-	}
-	sig := geom.Signature(sha256.Sum256(b))
-	*bp = b
-	sigScratch.Put(bp)
-	return sig
+	return grid.SignLevels(f.domain, f.ratio, f.levels, func(b []byte) []byte {
+		for run := f.cs.v[f.from:f.to]; len(run) > 0; {
+			var boxes geom.Corners
+			boxes, run = level(run)
+			b = boxes.AppendEncoding(b)
+		}
+		return b
+	})
 }
 
 // decodeRequest fills v — a *PartitionRequest, *SessionCreateRequest or

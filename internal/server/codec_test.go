@@ -626,7 +626,7 @@ func TestRealRequestsAreRecognised(t *testing.T) {
 // decoded want are both absent, or convert to deeply equal grid
 // hierarchies, nil and empty slices included, every list exact-size.
 // A hierarchy read into the corner list must also sign, from the
-// corners, as hierarchySignature signs the decoded one.
+// corners, as Signature signs the decoded one.
 func sameGeometry(t *testing.T, got, want *Hierarchy) {
 	t.Helper()
 	if (got == nil) != (want == nil) {
@@ -661,7 +661,7 @@ func sameGeometry(t *testing.T, got, want *Hierarchy) {
 	if h, err := got.sign(&o); h != nil || err != nil {
 		t.Fatalf("signing a recognised hierarchy built %v (%v)", h, err)
 	}
-	if want := hierarchySignature(w); o.sig != want || o.ratio != w.RefRatio {
+	if want := w.Signature(); o.sig != want || o.ratio != w.RefRatio {
 		t.Fatalf("signed from the corners %s, ratio %d; decoded %s, ratio %d", o.sig, o.ratio, want, w.RefRatio)
 	}
 }

@@ -56,7 +56,7 @@ func (s *Server) storeSessionSnapshot(sess *session) {
 		Name:           sess.name,
 		NProcs:         sess.nprocs,
 		Hierarchy:      sess.h,
-		Sig:            sess.h.Signature(),
+		Sig:            sess.sig,
 		Stateful:       sess.postmap,
 		PrevHierarchy:  sess.h,
 		PrevAssignment: sess.prevA,
@@ -109,9 +109,8 @@ func (s *Server) resumeSession(ctx context.Context, id string) *session {
 // re-validating everything the create path would have: the snapshot
 // came over the network and must earn the same trust as a client
 // upload. The signature compare is the strongest check — the rebuilt
-// hierarchy is re-tracked from scratch and must re-hash to the
-// snapshot's signature, so a resumed session serves exactly the
-// signatures the dead owner last served.
+// hierarchy must re-hash to the snapshot's signature, so a resumed
+// session serves exactly the signatures the dead owner last served.
 func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*session, error) {
 	if ss.NProcs < 1 || ss.NProcs > maxProcs {
 		return nil, fmt.Errorf("snapshot nprocs %d out of range [1, %d]", ss.NProcs, maxProcs)
@@ -132,13 +131,13 @@ func (s *Server) sessionFromSnapshot(id string, ss *tier.SessionSnapshot) (*sess
 	if err := ss.Hierarchy.Validate(); err != nil {
 		return nil, fmt.Errorf("snapshot hierarchy: %w", err)
 	}
-	ss.Hierarchy.TrackSignature()
 	if got := ss.Hierarchy.Signature(); got != ss.Sig {
 		return nil, fmt.Errorf("snapshot signature %s does not match its hierarchy's %s", ss.Sig, got)
 	}
 	sess := &session{
 		id:     id,
 		h:      ss.Hierarchy,
+		sig:    ss.Sig,
 		spec:   sp,
 		nprocs: ss.NProcs,
 	}

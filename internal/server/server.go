@@ -120,7 +120,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -695,21 +694,6 @@ func packed(a *partition.Assignment, err error) (partition.Packed, error) {
 		return partition.Packed{}, err
 	}
 	return partition.Pack(a)
-}
-
-// sigScratch recycles the encoding buffers behind hierarchySignature:
-// hashing a deep hierarchy encodes a few hundred KB, and the request
-// path signs every submitted hierarchy, so the scratch is pooled
-// instead of allocated per request.
-var sigScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1<<12); return &b }}
-
-// hierarchySignature is h.Signature() with pooled encoding scratch.
-func hierarchySignature(h *grid.Hierarchy) geom.Signature {
-	bp := sigScratch.Get().(*[]byte)
-	sig, buf := h.SignatureWith((*bp)[:0])
-	*bp = buf
-	sigScratch.Put(bp)
-	return sig
 }
 
 // partitionOut is one hierarchy's answer on a partition-shaped route,

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"samr/internal/geom"
 	"samr/internal/grid"
 	"samr/internal/partition"
 )
@@ -21,13 +22,14 @@ import (
 // re-validates, and re-hashes the full hierarchy. A session uploads the
 // hierarchy once (POST /v1/session), then advances it with per-level
 // deltas (POST /v1/session/{id}/step: "keep" or "replace" per level),
-// so the per-step cost — bytes on the wire, JSON decoding, structural
-// validation, and signature hashing — is O(changed boxes), not
-// O(hierarchy). The server reconstructs each state with
-// grid.WithDelta (incremental signature maintenance), then answers
-// through exactly the same cache / singleflight / fleet-tier stack as
-// /v1/partition: a step response body is byte-identical to the
-// equivalent full post.
+// so the bytes on the wire, the JSON decoding and the structural
+// validation of a step are O(changed levels), not O(hierarchy). The
+// server reconstructs each state with grid.WithDelta, which checks only
+// what the replaced levels can break and shares the kept ones, and
+// signs it: hashing is O(hierarchy) per step, through grid's pooled
+// encoding scratch. It then answers through exactly the same cache /
+// singleflight / fleet-tier stack as /v1/partition: a step response
+// body is byte-identical to the equivalent full post.
 //
 // Post-mapping composes with the service here: a postmap(...) session
 // keeps its mapping history — the previous step's relabeled
@@ -73,10 +75,12 @@ type session struct {
 	id string
 	// mu serializes steps: deltas are order-sensitive.
 	mu sync.Mutex
-	// h is the current regrid state, signature-tracked so each delta
-	// re-hashes only what changed. Owned by the session; levels are
-	// immutable once attached.
+	// h is the current regrid state. Owned by the session; levels are
+	// immutable once attached, and shared with the states a step
+	// derives from it.
 	h *grid.Hierarchy
+	// sig is h's signature, set with h at create, commit and resume.
+	sig geom.Signature
 	// spec is the partitioner spec, parsed once at create or resume.
 	spec
 	nprocs int
@@ -251,8 +255,7 @@ func writeSessionGone(w http.ResponseWriter, id string) {
 }
 
 // handleSessionCreate opens a session: full hierarchy upload, spec and
-// nprocs fixed for the session's lifetime, incremental signature
-// tracking from this state on.
+// nprocs fixed for the session's lifetime.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionCreateRequest
 	cs := getCorners()
@@ -286,10 +289,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.checkLive(w, r) {
 		return
 	}
-	h.TrackSignature()
 	sess := &session{
 		id:     newSessionID(),
 		h:      h,
+		sig:    h.Signature(),
 		spec:   sp,
 		nprocs: req.NProcs,
 	}
@@ -297,7 +300,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 	resp := SessionCreateResponse{
 		Session:     sess.id,
-		Signature:   h.Signature().String(),
+		Signature:   sess.sig.String(),
 		Partitioner: sp.name,
 		NProcs:      req.NProcs,
 		Stateful:    sp.postmap,
@@ -349,9 +352,9 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if req.Base != "" && req.Base != sess.h.Signature().String() {
+	if req.Base != "" && req.Base != sess.sig.String() {
 		writeErrCode(w, http.StatusConflict, CodeSessionBaseMismatch,
-			"step base signature %.12s does not match the session state %.12s", req.Base, sess.h.Signature().String())
+			"step base signature %.12s does not match the session state %.12s", req.Base, sess.sig.String())
 		return
 	}
 	next, err := sess.h.WithDelta(step)
@@ -378,7 +381,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	// snapshots for one session never race each other out of order); a
 	// failed step leaves the previous snapshot — the last committed
 	// state — in place, which is exactly what a resuming peer may serve.
-	sess.h, sess.prevA = next, relabeled // relabeled is nil unless postmap
+	sess.h, sess.sig, sess.prevA = next, sig, relabeled // relabeled is nil unless postmap
 	s.sessions.steps.Add(1)
 	s.storeSessionSnapshot(sess)
 

@@ -73,6 +73,7 @@ func TestSessionResumeAcrossRestart(t *testing.T) {
 			dir := t.TempDir()
 			_, ts1 := newTestServer(t, Config{TierDir: dir, TierSessions: true})
 			create := createSession(t, ts1.URL, wideHierarchy(0), spec, 8)
+			var snapshotSig string // the last committed state's, which the snapshot holds
 			for i := 1; i <= 2; i++ {
 				var resp PartitionResponse
 				r := post(t, ts1.URL+"/v1/session/"+create.Session+"/step", finestStep(4*i), &resp)
@@ -82,14 +83,21 @@ func TestSessionResumeAcrossRestart(t *testing.T) {
 				if got := normalizedBody(t, resp); got != want[i] {
 					t.Fatalf("pre-restart step %d: body differs from reference", i)
 				}
+				snapshotSig = resp.Results[0].Signature
 			}
 			ts1.Close()
 
-			// The restarted daemon: same disk, empty session table.
+			// The restarted daemon: same disk, empty session table. The
+			// first step, the resume, is pinned to the snapshot's
+			// signature, which the resumed session must hold.
 			_, ts2 := newTestServer(t, Config{TierDir: dir, TierSessions: true})
 			for i := 3; i <= 4; i++ {
+				step := finestStep(4 * i)
+				if i == 3 {
+					step.Base = snapshotSig
+				}
 				var resp PartitionResponse
-				r := post(t, ts2.URL+"/v1/session/"+create.Session+"/step", finestStep(4*i), &resp)
+				r := post(t, ts2.URL+"/v1/session/"+create.Session+"/step", step, &resp)
 				if r.StatusCode != http.StatusOK {
 					raw, _ := io.ReadAll(r.Body)
 					t.Fatalf("post-restart step %d: status %d\n%s", i, r.StatusCode, raw)

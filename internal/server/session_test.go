@@ -219,7 +219,7 @@ func TestSessionEviction(t *testing.T) {
 // drift (409), malformed deltas (400), unknown sessions (410), and the
 // delete-then-gone sequence.
 func TestSessionLifecycleErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	create := createSession(t, ts.URL, wideHierarchy(0), "domain", 8)
 	stepURL := ts.URL + "/v1/session/" + create.Session + "/step"
 
@@ -255,16 +255,41 @@ func TestSessionLifecycleErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, r.StatusCode)
 		}
 	}
+	// A valid step whose deadline passes while its compute is held
+	// fails after the session signed its state, and commits nothing
+	// either.
+	srv.Cache().SetOnFlight(func(_ CacheKey, leader bool) {
+		if leader {
+			time.Sleep(300 * time.Millisecond)
+		}
+	})
+	if r := postTenant(t, stepURL, "", 100, finestStep(16), nil); r.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("late step: status %d, want 504", r.StatusCode)
+	}
+	srv.Cache().SetOnFlight(nil)
+
+	// The session's signature is still the last committed state's: a
+	// step pinned to it applies, and one pinned to the created state
+	// is refused.
+	wantSig, err := wideHierarchy(8).toGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := finestStep(8)
+	pinned.Base = wantSig.Signature().String()
+	if r := post(t, stepURL, pinned, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("step pinned to the committed state: status %d", r.StatusCode)
+	}
+	pinned.Base = create.Signature
+	if r := post(t, stepURL, pinned, nil); r.StatusCode != http.StatusConflict || errorCode(t, r) != CodeSessionBaseMismatch {
+		t.Fatalf("step pinned to the created state: status %d, want 409", r.StatusCode)
+	}
 
 	// Failed steps left the state where the pinned step put it.
 	var stepResp PartitionResponse
 	keep := SessionStepRequest{Levels: []LevelOp{{Op: LevelKeep}, {Op: LevelKeep}, {Op: LevelKeep}}}
 	if r := post(t, stepURL, keep, &stepResp); r.StatusCode != http.StatusOK {
 		t.Fatalf("keep step after failures: status %d", r.StatusCode)
-	}
-	wantSig, err := wideHierarchy(8).toGrid()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if stepResp.Results[0].Signature != wantSig.Signature().String() {
 		t.Fatal("failed steps moved the session state")

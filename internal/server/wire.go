@@ -132,7 +132,7 @@ func (w *Hierarchy) sign(o *partitionOut) (*grid.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.sig, o.ratio = hierarchySignature(h), h.RefRatio
+	o.sig, o.ratio = h.Signature(), h.RefRatio
 	return h, nil
 }
 

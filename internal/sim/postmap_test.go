@@ -218,7 +218,6 @@ func TestPostmapMatchesStatefulReferenceOnDeltaChains(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for chain := 0; chain < 60; chain++ {
 		h := randomChainHierarchy(r)
-		h.TrackSignature()
 		tr := &trace.Trace{App: fmt.Sprintf("chain-%d", chain)}
 		tr.Append(0, 0, h)
 		for step := 1; step <= 12; step++ {

@@ -479,8 +479,8 @@ func flushStepCaches() { stepCache.Flush() }
 // SimulateTrace/SimulateTraceSelect, in five phases:
 //  1. the choose hook runs in snapshot order, since it may carry
 //     classifier state (hysteresis);
-//  2. one parallel pass builds every step's whole step key, each worker
-//     hashing its share of the snapshots through one encoding buffer;
+//  2. one parallel pass builds every step's whole step key, signing
+//     each snapshot;
 //  3. every step is partitioned and evaluated in parallel through the
 //     step cache, each writing Steps[i] by index and keeping the
 //     cached packed assignment;
@@ -549,17 +549,12 @@ func simulateTrace(ctx context.Context, tr *trace.Trace, choose func(step int, h
 	// Phase 2.
 	keys := make([]stepKey, n)
 	postmap := make([]bool, n)
-	shares := min(max(workers, 1), n)
-	err := pool.MapCtx(ctx, workers, shares, func(c int) error {
-		var buf []byte
-		for i := c * n / shares; i < (c+1)*n/shares; i++ {
-			name := names[i]
-			if pm, ok := ps[i].(*partition.PostMapped); ok {
-				name, postmap[i] = pm.Inner.Name(), true
-			}
-			keys[i] = stepKey{name: name, nprocs: nprocs, m: m}
-			keys[i].sig, buf = tr.Snapshots[i].H.SignatureWith(buf[:0])
+	err := pool.MapCtx(ctx, workers, n, func(i int) error {
+		name := names[i]
+		if pm, ok := ps[i].(*partition.PostMapped); ok {
+			name, postmap[i] = pm.Inner.Name(), true
 		}
+		keys[i] = stepKey{sig: tr.Snapshots[i].H.Signature(), name: name, nprocs: nprocs, m: m}
 		return nil
 	})
 	if err != nil {

@@ -14,11 +14,10 @@ import (
 )
 
 // snapshotHierarchy builds a small two-level hierarchy whose finest
-// patch is parameterized, tracked like a live session's.
+// patch is parameterized.
 func snapshotHierarchy(x int) *grid.Hierarchy {
 	h := grid.NewHierarchy(geom.NewBox2(0, 0, 32, 32), 2)
 	h.Levels = append(h.Levels, grid.Level{Boxes: geom.BoxList{geom.NewBox2(x, 8, x+16, 40)}})
-	h.TrackSignature()
 	return h
 }
 
@@ -67,9 +66,8 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 			if got.Sig != ss.Sig {
 				t.Fatal("signature changed in round trip")
 			}
-			// The decoded pair must survive the resume gate: re-track the
-			// geometry and re-hash to the recorded signature.
-			got.Hierarchy.TrackSignature()
+			// The decoded pair must survive the resume gate: the geometry
+			// re-hashes to the recorded signature.
 			if got.Hierarchy.Signature() != got.Sig {
 				t.Fatal("decoded snapshot does not re-hash to its own signature")
 			}

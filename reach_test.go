@@ -34,7 +34,6 @@ var unreachedAllowed = map[string]string{
 	"field.Patch.Fill":               "constant fill; fixtures of the field, solver and amr suites",
 	"field.Patch.MaxAbs":             "interior sup norm; the solver stability tests and TestMaxAbs bound kernels with it",
 	"field.Patch.SumInterior":        "interior sum; TestRestrictConservation checks conservation with it",
-	"grid.Hierarchy.Tracked":         "whether a signature cache is attached; TestCloneDropsTracking and the delta suite assert the contract's tracked/untracked transitions on it",
 	"admit.Stats.ShedTotal":          "sum over the shed reasons; the admit suite and the server's saturation ramp assert on it",
 	"memo.Cache.SetOnFlight":         "flight-start hook; the singleflight and cancelled-leader suites of memo and server's cancel, admit, session and saturation tests hold a compute open with it to make their interleavings deterministic",
 }
