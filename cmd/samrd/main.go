@@ -200,7 +200,8 @@
 // never to a client-visible error. A postmap(...) spec shares its inner
 // spec's entries: the relabel against a session's history happens
 // after the lookup.
-// Each disk store is bounded at 256 MiB; the oldest entries are
+// Each disk store is one append-only log, tier.log, in its -tier-dir,
+// bounded at 256 MiB of blobs; the least recently used entries are
 // evicted first. With no tier flags set, the tier is fully disabled
 // and responses are byte-identical to a build without it. Tier
 // counters appear under "tier" in /v1/stats.
@@ -292,7 +293,7 @@ func main() {
 		reqTimeout = flag.Duration("request-timeout", 2*time.Minute, "per-request deadline threaded into partitioners and simulator (0 disables)")
 		inflight   = flag.Int("max-inflight", 0, "max concurrently computing requests, with four times as many queued behind them; 0 disables admission control")
 		tenantRate = flag.Float64("tenant-rate", 0, "per-tenant admission rate limit in requests/second (burst: the rate rounded up); 0 disables")
-		tierDir    = flag.String("tier-dir", "", "fleet tier disk store directory, bounded at 256 MiB (empty disables the tier)")
+		tierDir    = flag.String("tier-dir", "", "fleet tier disk store directory, holding one append-only log (tier.log) bounded at 256 MiB of blobs (empty disables the tier)")
 		tierPeers  = flag.String("tier-peers", "", "comma-separated base URLs of every fleet member, identical across the fleet")
 		tierSelf   = flag.String("tier-self", "", "this daemon's own base URL; required with -tier-peers and must be one of them")
 		tierSess   = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")

@@ -2,7 +2,7 @@ package partition
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 
 	"samr/internal/grid"
 	"samr/internal/sfc"
@@ -32,7 +32,7 @@ func NewDomainSFC() *DomainSFC { return &DomainSFC{Curve: sfc.Hilbert, UnitSize:
 
 // Name implements Partitioner.
 func (d *DomainSFC) Name() string {
-	return fmt.Sprintf("domain-%s-u%d", d.Curve, d.UnitSize)
+	return "domain-" + d.Curve.String() + "-u" + strconv.Itoa(d.UnitSize)
 }
 
 // Partition implements Partitioner. The nprocs-independent bulk of the

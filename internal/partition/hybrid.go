@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"samr/internal/cluster"
 	"samr/internal/geom"
@@ -57,7 +58,7 @@ func (nf *NatureFable) Name() string {
 	if nf.FractionalBlocking {
 		fb = "frac"
 	}
-	return fmt.Sprintf("nature+fable-%s-u%d-q%d-%s", nf.Curve, nf.AtomicUnit, nf.Groups, fb)
+	return "nature+fable-" + nf.Curve.String() + "-u" + strconv.Itoa(nf.AtomicUnit) + "-q" + strconv.Itoa(nf.Groups) + "-" + fb
 }
 
 // Partition implements Partitioner. Everything independent of nprocs —

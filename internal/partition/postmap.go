@@ -34,7 +34,7 @@ type PostMapped struct {
 func NewPostMapped(inner Partitioner) *PostMapped { return &PostMapped{Inner: inner} }
 
 // Name implements Partitioner.
-func (pm *PostMapped) Name() string { return fmt.Sprintf("postmap(%s)", pm.Inner.Name()) }
+func (pm *PostMapped) Name() string { return "postmap(" + pm.Inner.Name() + ")" }
 
 // Partition implements Partitioner: the inner partitioner's answer,
 // which the caller relabels with Remap.

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/binary"
+	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -147,25 +149,45 @@ func hangUp(w http.ResponseWriter) {
 	conn.Close() //nolint:errcheck
 }
 
-// rot flips one byte of each resident tier entry in dir in place — bit
-// rot — and returns how many it damaged.
+// rot flips the middle byte of each resident blob in the tier log under
+// dir, in place — bit rot — and returns how many it damaged. It reads
+// the log's framing: a record is the key as 64 hex bytes, the blob's
+// length as a little-endian uint32, the blob and a CRC-32C; a key's
+// later record supersedes its earlier ones, and a zero-length blob is a
+// tombstone.
 func rot(t *testing.T, dir string) int {
 	t.Helper()
-	entries, err := filepath.Glob(filepath.Join(dir, "*.tier"))
+	f, err := os.OpenFile(filepath.Join(dir, "tier.log"), os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range entries {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+	defer f.Close()
+	log, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keyLen, framed = 64, 64 + 4 + 4
+	resident := map[string][2]int{} // key -> its blob's offset and length
+	for off := 0; off+framed <= len(log); {
+		key := string(log[off : off+keyLen])
+		n := int(binary.LittleEndian.Uint32(log[off+keyLen:]))
+		if off+framed+n > len(log) {
+			break
 		}
-		b[len(b)/2] ^= 0xFF
-		if err := os.WriteFile(path, b, 0o644); err != nil {
+		if n == 0 {
+			delete(resident, key)
+		} else {
+			resident[key] = [2]int{off + keyLen + 4, n}
+		}
+		off += framed + n
+	}
+	for _, blob := range resident {
+		mid := blob[0] + blob[1]/2
+		if _, err := f.WriteAt([]byte{log[mid] ^ 0xFF}, int64(mid)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return len(entries)
+	return len(resident)
 }
 
 // TestChaosFleetServesBaselineBodiesUnderFaults is the headline chaos
@@ -297,14 +319,12 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 			rejoinedMiss[keyOf(i)] = true
 		}
 	}
-	entries, err := filepath.Glob(filepath.Join(cfg.TierDir, "*.tier"))
-	if err != nil {
-		t.Fatal(err)
+	candidates := make([]string, len(hiers))
+	for i := range hiers {
+		candidates[i] = keyOf(i)
 	}
-	held := map[string]bool{}
-	for _, e := range entries {
-		k := strings.TrimSuffix(filepath.Base(e), ".tier")
-		held[k] = true
+	held := heldKeys(t, fleet[2].srv.Load(), candidates)
+	for k := range held {
 		if ring.Owner(k) != fleet[2].url && !rejoinedMiss[k] {
 			t.Errorf("rejoined member holds %s, a key it neither owns nor computed", k)
 		}
@@ -325,10 +345,10 @@ func TestChaosFleetServesBaselineBodiesUnderFaults(t *testing.T) {
 			t.Errorf("rejoined member computed %s and holds no entry", k)
 		}
 	}
-	if got := fleet[2].srv.Load().Tier().Stats().DiskEntries; got != len(entries) {
-		t.Errorf("rejoined member's stats count %d disk entries, its directory %d", got, len(entries))
+	if got := fleet[2].srv.Load().Tier().Stats().DiskEntries; got != len(held) {
+		t.Errorf("rejoined member's stats count %d disk entries, its log %d", got, len(held))
 	}
-	t.Logf("rejoined member holds %d disk entries: owns %d keys, computed %d", len(entries), owned, len(rejoinedMiss))
+	t.Logf("rejoined member holds %d disk entries: owns %d keys, computed %d", len(held), owned, len(rejoinedMiss))
 
 	// The schedules fired — the passes above ran under live faults — and
 	// the daemons noticed: every flipped body met a decoder that refused

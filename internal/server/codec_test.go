@@ -873,7 +873,7 @@ func TestWireHitAllocations(t *testing.T) {
 	// The bound is what a hit allocates today with a few to spare: the
 	// request, its headers and the response's, the per-request slices
 	// of a one-hierarchy post, and the loads.
-	const bound = 48
+	const bound = 45
 	for _, c := range []struct {
 		name string
 		h    *grid.Hierarchy

@@ -66,10 +66,11 @@ func parseSpec(s string) (spec, error) {
 		return spec{}, err
 	}
 	sp := spec{name: p.Name(), p: p}
+	sp.key = sp.name
 	if pm, ok := p.(*partition.PostMapped); ok {
 		sp.p, sp.postmap = pm.Inner, true
+		sp.key = sp.p.Name()
 	}
-	sp.key = sp.p.Name()
 	return sp, nil
 }
 

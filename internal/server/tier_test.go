@@ -144,9 +144,13 @@ func TestFleetTierPeerDownFallsBackToCompute(t *testing.T) {
 	}
 }
 
-// TestTierCorruptDiskEntryFallsBack damages a stored blob on disk: the
-// next daemon to read it must fall back to computing, quarantine the
-// entry, and still answer correctly.
+// TestTierCorruptDiskEntryFallsBack damages a stored blob inside the
+// log: the next daemon to read it must fall back to computing,
+// quarantine the entry, and still answer correctly. The second daemon
+// opens the directory before the damage, as a running one would meet
+// bit rot: one opened after it would skip the record on the log's CRC
+// (TestDiskStoreReopenSkipsRotAndTruncatesTornTail in internal/tier)
+// and never hand it to the decoder.
 func TestTierCorruptDiskEntryFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	req := PartitionRequest{Partitioner: "domain", NProcs: 8}
@@ -161,23 +165,14 @@ func TestTierCorruptDiskEntryFallsBack(t *testing.T) {
 		t.Fatalf("disk entries = %d, want 1", srv1.Tier().Disk().Len())
 	}
 
-	// Damage every stored blob in place.
-	entries, err := filepath.Glob(filepath.Join(dir, "*.tier"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("tier entries on disk: %v (err %v)", entries, err)
-	}
-	blob, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)/2] ^= 0xFF
-	if err := os.WriteFile(entries[0], blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	// A restarted daemon (same dir, cold memory cache) reads the
 	// damaged entry, rejects it, computes, and still answers right.
 	srv2, ts2 := newTestServer(t, Config{TierDir: dir})
+
+	// Damage every stored blob in place.
+	if n := rot(t, dir); n != 1 {
+		t.Fatalf("tier entries in the log: %d, want 1", n)
+	}
 	var resp2 PartitionResponse
 	r := post(t, ts2.URL+"/v1/partition", req, &resp2)
 	if r.StatusCode != http.StatusOK {
@@ -194,7 +189,7 @@ func TestTierCorruptDiskEntryFallsBack(t *testing.T) {
 	}
 	// The damaged blob was quarantined and the fresh compute re-stored
 	// a clean one: whatever is on disk now must decode.
-	key := strings.TrimSuffix(filepath.Base(entries[0]), ".tier")
+	key := partitionTierKey(t, h, req.Partitioner, req.NProcs)
 	if fresh, ok := srv2.Tier().Disk().Get(key); ok {
 		if _, err := tier.DecodeAssignment(fresh); err != nil {
 			t.Errorf("corrupt blob still on disk: %v", err)
@@ -304,6 +299,22 @@ func putTier(t *testing.T, base, key string, blob []byte) int {
 func diskHas(srv *Server, key string) bool {
 	_, ok := srv.Tier().Disk().Get(key)
 	return ok
+}
+
+// heldKeys returns the candidates srv's disk store holds, and fails the
+// test if the store holds any other entry.
+func heldKeys(t *testing.T, srv *Server, candidates []string) map[string]bool {
+	t.Helper()
+	held := map[string]bool{}
+	for _, k := range candidates {
+		if diskHas(srv, k) {
+			held[k] = true
+		}
+	}
+	if n := srv.Tier().Disk().Len(); n != len(held) {
+		t.Fatalf("disk store holds %d entries, %d of them among the %d keys posted", n, len(held), len(candidates))
+	}
+	return held
 }
 
 // TestHostileBlobDegradesToCompute: a sealed blob is not a trusted
@@ -492,17 +503,7 @@ func TestWipedMemberRefillsFromMisses(t *testing.T) {
 		}
 		return set
 	}
-	diskKeys := func() map[string]bool {
-		entries, err := filepath.Glob(filepath.Join(wiped.cfg.TierDir, "*.tier"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		set := map[string]bool{}
-		for _, e := range entries {
-			set[strings.TrimSuffix(filepath.Base(e), ".tier")] = true
-		}
-		return set
-	}
+	diskKeys := func() map[string]bool { return heldKeys(t, wiped.srv.Load(), keys) }
 	for i := range reqs {
 		h := testHierarchy(i)
 		reqs[i] = PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: nprocs}

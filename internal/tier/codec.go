@@ -3,9 +3,11 @@
 // N samrd daemons act as one logical content-addressed cache. It has
 // three parts, each usable alone:
 //
-//   - DiskStore: content-addressed blobs as files under a bounded
-//     directory (atomic write-rename, LRU eviction by mtime), so a
-//     restarted daemon comes back warm.
+//   - DiskStore: content-addressed blobs in one append-only log per
+//     directory, CRC-framed, with an in-memory index (about 100 B
+//     an entry), an LRU bound on an in-memory clock and compaction once
+//     dead records outweigh live ones, so a restarted daemon comes
+//     back warm and no entry creates a file.
 //   - Ring: a rendezvous-hash ring over a static peer set, assigning
 //     every key an owner daemon consistently across the fleet.
 //   - PeerClient: an HTTP client for the GET/PUT /v1/tier/{key} peer

@@ -562,8 +562,9 @@ func TestFailoverReadAndStore(t *testing.T) {
 // TestTierHitWritesNothing pins that a lookup answered by a peer
 // leaves the local disk as it found it: a peer hit, a failover read,
 // and a hit whose owner answers garbage bytes each change neither the
-// directory listing (no new entry, no put-*.tmp) nor the store's put
-// count. A peer-served blob is kept only by the caller.
+// directory listing (the log alone, no put-*.tmp), the log's length
+// nor the store's put count. A peer-served blob is kept only by the
+// caller.
 func TestTierHitWritesNothing(t *testing.T) {
 	ms := newMembers(t, 3)
 	self := ms[2]
@@ -595,8 +596,9 @@ func TestTierHitWritesNothing(t *testing.T) {
 	if err := self.tr.Disk().Put(local, smallBlob()); err != nil {
 		t.Fatal(err)
 	}
+	dir := self.tr.Disk().dir
 	listing := func() []string {
-		des, err := os.ReadDir(self.tr.Disk().dir)
+		des, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,14 +609,21 @@ func TestTierHitWritesNothing(t *testing.T) {
 		return names
 	}
 	want := listing()
-	if len(want) != 1 || want[0] != local+suffix {
-		t.Fatalf("local listing = %v, want only %s%s", want, local, suffix)
+	if len(want) != 1 || want[0] != logName {
+		t.Fatalf("local listing = %v, want only %s", want, logName)
+	}
+	size := logSize(t, dir)
+	if size != recFramed+int64(len(smallBlob())) {
+		t.Fatalf("local log of %d bytes, want the one entry's record", size)
 	}
 	puts := self.tr.Disk().puts.Load()
 	unchanged := func(what string) {
 		t.Helper()
 		if got := listing(); !slices.Equal(got, want) {
 			t.Fatalf("%s: local listing %v, want %v", what, got, want)
+		}
+		if got := logSize(t, dir); got != size {
+			t.Fatalf("%s: local log of %d bytes, want %d", what, got, size)
 		}
 		if n := self.tr.Disk().puts.Load(); n != puts {
 			t.Fatalf("%s: store put count %d, want %d", what, n, puts)

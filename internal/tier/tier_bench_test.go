@@ -1,10 +1,12 @@
 package tier
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -117,4 +119,95 @@ func BenchmarkTierHitVsCompute(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDiskStore times the disk store at 512 resident entries of
+// 3 KB, about a fleet answer's blob, for the log and for the
+// file-per-entry body it replaced (fileStoreReference): put (an
+// overwrite of one of the 512 keys in turn, the log's compactions
+// amortised in), get-hit, get-miss, and reopen (an open of the
+// directory the puts left, the log's index rebuilt by a scan), each
+// with its allocations.
+func BenchmarkDiskStore(b *testing.B) {
+	const entries, size = 512, 3 << 10
+	keys := make([]string, entries)
+	for i := range keys {
+		keys[i] = Key("bench", strconv.Itoa(i))
+	}
+	missing := Key("bench", "missing")
+	blob := bytes.Repeat([]byte{0xA5}, size)
+	type store interface {
+		Put(string, []byte) error
+		Get(string) ([]byte, bool)
+		Len() int
+	}
+	for _, impl := range []struct {
+		name string
+		open func(dir string) (store, error)
+	}{
+		{"log", func(dir string) (store, error) { return OpenDiskStore(dir, 0) }},
+		{"reference", func(dir string) (store, error) { return openFileStoreReference(dir, 0) }},
+	} {
+		// closeLog releases a log store's file; a reference store holds
+		// none open.
+		closeLog := func(s store) {
+			if ds, ok := s.(*DiskStore); ok {
+				ds.log.Close() //nolint:errcheck // only read
+			}
+		}
+		dir := b.TempDir()
+		s, err := impl.open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := s.Put(k, blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(impl.name+"/put", func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if err := s.Put(keys[i%entries], blob); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+		b.Run(impl.name+"/get-hit", func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				if _, ok := s.Get(keys[i%entries]); !ok {
+					b.Fatal("resident entry missed")
+				}
+				i++
+			}
+		})
+		b.Run(impl.name+"/get-miss", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok := s.Get(missing); ok {
+					b.Fatal("absent entry hit")
+				}
+			}
+		})
+		closeLog(s)
+		b.Run(impl.name+"/reopen", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				s, err := impl.open(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if s.Len() != entries {
+					b.Fatalf("reopened store holds %d entries, want %d", s.Len(), entries)
+				}
+				closeLog(s)
+			}
+		})
+	}
 }
